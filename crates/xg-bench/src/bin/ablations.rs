@@ -1,7 +1,7 @@
 //! Ablation studies for the design choices called out in DESIGN.md §4.
 //!
 //! These measure *simulated outcomes* (latency, fairness, wasted HPC
-//! runs), complementing the wall-clock Criterion benches:
+//! runs), complementing the host-time measurements in `benchmark/`:
 //!
 //! 2. Pilot strategies — on-demand vs proactive vs reactive: response
 //!    latency against idle node-hours.

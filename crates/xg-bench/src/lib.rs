@@ -9,7 +9,6 @@ use std::path::PathBuf;
 
 pub mod scenario;
 pub mod trace;
-pub mod traj;
 
 /// Directory where figure data lands (`results/` under the workspace).
 pub fn results_dir() -> PathBuf {

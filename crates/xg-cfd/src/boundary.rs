@@ -5,10 +5,8 @@
 //! 50-mesh screen has porosity ~0.25; a breached panel approaches 1.0 and
 //! admits a jet — the aerodynamic signature the digital twin looks for.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-panel porosity of one wall (panels indexed along the wall).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WallPorosity {
     /// Porosity of each panel in [0, 1].
     pub panels: Vec<f64>,
@@ -40,7 +38,7 @@ impl WallPorosity {
 }
 
 /// Full boundary specification for one solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundarySpec {
     /// Free-stream wind speed (m/s).
     pub wind_speed_ms: f64,

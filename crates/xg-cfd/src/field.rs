@@ -4,10 +4,8 @@
 //! z-slab (one k) is contiguous — the unit of rayon parallelism in the
 //! solver sweeps.
 
-use serde::{Deserialize, Serialize};
-
 /// A scalar field on an `nx × ny × nz` grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Field3 {
     /// Cells along x.
     pub nx: usize,

@@ -7,10 +7,8 @@
 //! (cell typing, canopy blocks, per-panel wall porosity) and its serial
 //! cost profile.
 
-use serde::{Deserialize, Serialize};
-
 /// What occupies a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellType {
     /// Open air.
     Fluid,
@@ -19,7 +17,7 @@ pub enum CellType {
 }
 
 /// An axis-aligned canopy block (a tree row) in domain coordinates (m).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CanopyBlock {
     /// Lower corner (m).
     pub min: [f64; 3],
@@ -28,7 +26,7 @@ pub struct CanopyBlock {
 }
 
 /// Physical description of the domain to mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainSpec {
     /// Domain size (m): x, y, z.
     pub size_m: [f64; 3],
@@ -68,7 +66,7 @@ impl DomainSpec {
 }
 
 /// The generated mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mesh {
     /// Cells along x.
     pub nx: usize,

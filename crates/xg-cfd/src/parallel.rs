@@ -16,7 +16,6 @@
 //!   slower on >1 node).
 
 use rayon::ThreadPool;
-use serde::{Deserialize, Serialize};
 
 /// Build a rayon pool of exactly `threads` threads and run `f` inside it.
 ///
@@ -32,7 +31,7 @@ pub fn run_with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -
 }
 
 /// Calibrated performance model of the paper's full CFD pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfdPerfModel {
     /// Serial phase per run (mesh generation + input-file preparation), s.
     pub serial_s: f64,

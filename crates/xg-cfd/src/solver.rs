@@ -19,7 +19,6 @@ use crate::field::Field3;
 use crate::mesh::{CellType, Mesh};
 use crate::poisson;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 use xg_obs::{Counter, Gauge, Histogram, Obs};
@@ -33,8 +32,6 @@ struct CfdObs {
     step_wall_ms: Arc<Histogram>,
     /// Wall time of one transport sweep (momentum or temperature), ms.
     sweep_wall_ms: Arc<Histogram>,
-    /// Sweep wall time divided by the rayon worker count, ms.
-    sweep_wall_ms_per_worker: Arc<Histogram>,
     /// Final Poisson residual per projection.
     poisson_residual: Arc<Histogram>,
     /// Jacobi iterations per projection.
@@ -56,7 +53,6 @@ impl CfdObs {
             handle: obs.clone(),
             step_wall_ms: reg.histogram("cfd.step.wall_ms"),
             sweep_wall_ms: reg.histogram("cfd.sweep.wall_ms"),
-            sweep_wall_ms_per_worker: reg.histogram("cfd.sweep.wall_ms_per_worker"),
             poisson_residual: reg.histogram("cfd.poisson.residual"),
             poisson_iters: reg.histogram("cfd.poisson.iterations"),
             steps: reg.counter("cfd.steps"),
@@ -66,7 +62,7 @@ impl CfdObs {
 }
 
 /// Solver tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Time step (s). Chosen for CFL stability at the configured grid.
     pub dt_s: f64,
@@ -303,10 +299,7 @@ impl Simulation {
             });
         if let (Some(o), Some(t0)) = (&self.obs, sweep_timer) {
             let elapsed = t0.elapsed();
-            let ms = elapsed.as_secs_f64() * 1e3;
-            o.sweep_wall_ms.record(ms);
-            o.sweep_wall_ms_per_worker
-                .record(ms / rayon::current_num_threads().max(1) as f64);
+            o.sweep_wall_ms.record(elapsed.as_secs_f64() * 1e3);
             if let Some(p) = o.handle.profiler() {
                 p.record_at("cfd.step/sweep", elapsed.as_nanos() as u64);
             }
@@ -554,7 +547,6 @@ mod tests {
         assert_eq!(reg.histogram("cfd.step.wall_ms").count(), 3);
         // Four sweeps per step: u, v, w, temperature.
         assert_eq!(reg.histogram("cfd.sweep.wall_ms").count(), 12);
-        assert_eq!(reg.histogram("cfd.sweep.wall_ms_per_worker").count(), 12);
         assert_eq!(reg.histogram("cfd.poisson.residual").count(), 3);
         assert_eq!(reg.histogram("cfd.poisson.iterations").count(), 3);
         assert!(reg.gauge("cfd.rayon.workers").get() >= 1.0);

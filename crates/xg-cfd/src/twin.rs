@@ -9,10 +9,9 @@
 //! residual localizes it for robot dispatch.
 
 use crate::solver::Simulation;
-use serde::{Deserialize, Serialize};
 
 /// One interior measurement point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// Position (m).
     pub x: f64,
@@ -25,7 +24,7 @@ pub struct Measurement {
 }
 
 /// Twin verdict for one comparison cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwinReport {
     /// Mean measured minus predicted wind (m/s).
     pub mean_residual_ms: f64,
@@ -41,7 +40,7 @@ pub struct TwinReport {
 }
 
 /// The digital twin: prediction vs measurement comparator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DigitalTwin {
     /// Residual (m/s) above which a breach is suspected. Must sit above
     /// the calibrated model error + sensor noise floor.

@@ -10,8 +10,8 @@
 //!   sequence-number assignment, concurrent access, and idempotency-token
 //!   deduplication for exactly-once delivery.
 //! * [`storage`] — pluggable persistence: the record wire format (CRC-framed
-//!   records), an in-memory backend, and a simple single-file backend.
-//! * [`segment`] — the production storage engine: segmented append-only
+//!   records) and an in-memory backend.
+//! * [`segment`] — the durable storage engine: segmented append-only
 //!   log with sealed-segment footers, group-commit durability, retention
 //!   compaction, streaming crash recovery (torn tails truncated, sealed
 //!   corruption fail-stops), and storage fault injection.
@@ -80,9 +80,7 @@ pub mod prelude {
     pub use crate::protocol::{AppendOutcome, RemoteAppender, RemoteConfig};
     pub use crate::replication::{PumpOutcome, ReplicationConfig, Replicator};
     pub use crate::segment::{SegmentConfig, SegmentedBackend, SyncPolicy};
-    pub use crate::storage::{
-        AppendAck, FileBackend, MemBackend, Record, RecoverySummary, StorageBackend,
-    };
+    pub use crate::storage::{AppendAck, MemBackend, Record, RecoverySummary, StorageBackend};
 }
 
 pub use prelude::*;

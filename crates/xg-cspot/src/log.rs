@@ -496,24 +496,22 @@ mod tests {
 
     #[test]
     fn recovery_restores_state() {
-        use crate::storage::FileBackend;
+        use crate::segment::{SegmentConfig, SegmentedBackend};
         let dir = std::env::temp_dir().join(format!("xg-log-recovery-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("recover_test.log");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || Box::new(SegmentedBackend::open(&dir, SegmentConfig::default()).unwrap());
         let cfg = LogConfig {
             name: "r".into(),
             element_size: 2,
             history: 10,
         };
         {
-            let log =
-                Log::create(cfg.clone(), Box::new(FileBackend::open(&path).unwrap())).unwrap();
+            let log = Log::create(cfg.clone(), open()).unwrap();
             log.append(b"ab").unwrap();
             log.append_with_token(7, b"cd").unwrap();
         }
-        // "Restart" the node: recreate the log over the same file.
-        let log = Log::create(cfg, Box::new(FileBackend::open(&path).unwrap())).unwrap();
+        // "Restart" the node: recreate the log over the same directory.
+        let log = Log::create(cfg, open()).unwrap();
         assert_eq!(log.latest_seq(), Some(2));
         assert_eq!(log.get(1).unwrap(), b"ab");
         // Dedup state survives restart: a retried append is still absorbed.

@@ -8,7 +8,6 @@
 //! append protocol in [`crate::protocol`].
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,7 +62,7 @@ impl xg_sim::Advance for SimClock {
 /// One network segment's latency/loss model.
 ///
 /// One-way delay is `base + N(0, jitter)` truncated below at `min_ms`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathModel {
     /// Mean one-way delay (ms).
     pub base_one_way_ms: f64,
@@ -121,7 +120,7 @@ impl PathModel {
 ///
 /// A crossing's latency is the sum of segment latencies; the crossing is
 /// lost if any segment drops it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutePath {
     /// Segments in order from source to destination.
     pub segments: Vec<PathModel>,

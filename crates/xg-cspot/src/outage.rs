@@ -11,10 +11,9 @@
 use crate::netsim::RoutePath;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the up/down alternating-renewal process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageConfig {
     /// Mean time between failures (s) — exponential.
     pub mtbf_s: f64,

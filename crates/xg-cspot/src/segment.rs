@@ -884,6 +884,7 @@ mod tests {
             rs.iter().map(|r| r.seq).collect::<Vec<_>>(),
             (1..=8).collect::<Vec<u64>>()
         );
+        assert_eq!(rs[7], rec(8, 0xAB, 8), "token and payload survive");
         assert_eq!(b.committed_seq(), Some(8));
         // Appends continue into the same active segment.
         let ack = b.append(&rec(9, 1, 8)).unwrap();
@@ -893,23 +894,35 @@ mod tests {
 
     #[test]
     fn torn_tail_in_active_segment_truncated() {
-        let dir = tmpdir("torn-active");
-        {
-            let mut b = SegmentedBackend::open(&dir, small_config()).unwrap();
-            for s in 1..=4 {
-                b.append(&rec(s, 7, 8)).unwrap();
+        // A tail cut mid-record and a complete tail record with a bad
+        // checksum recover alike: dropped, counted, re-appendable.
+        for name in ["torn-active", "corrupt-active"] {
+            let dir = tmpdir(name);
+            {
+                let mut b = SegmentedBackend::open(&dir, small_config()).unwrap();
+                for s in 1..=4 {
+                    b.append(&rec(s, 7, 8)).unwrap();
+                }
             }
+            // Record 4 is alone in the active (second) segment.
+            let active = dir.join(segment_file_name(4));
+            let mut bytes = std::fs::read(&active).unwrap();
+            if name == "torn-active" {
+                bytes.truncate(bytes.len() - 5);
+            } else {
+                *bytes.last_mut().unwrap() ^= 0xFF;
+            }
+            std::fs::write(&active, &bytes).unwrap();
+            let mut b = SegmentedBackend::open(&dir, small_config()).unwrap();
+            let mut rs = Vec::new();
+            let summary = b.recover_scan(&mut |r| rs.push(r)).unwrap();
+            assert_eq!(rs.len(), 3, "{name}: record 4 silently truncated");
+            assert_eq!(summary.records, 3);
+            assert_eq!(summary.truncated_bytes, bytes.len() as u64, "{name}");
+            // The engine accepts a re-append of the lost record.
+            b.append(&rec(4, 7, 8)).unwrap();
+            assert_eq!(recover_all(&mut b).len(), 4);
         }
-        // Tear the active (second) segment mid-record.
-        let active = dir.join(segment_file_name(4));
-        let bytes = std::fs::read(&active).unwrap();
-        std::fs::write(&active, &bytes[..bytes.len() - 5]).unwrap();
-        let mut b = SegmentedBackend::open(&dir, small_config()).unwrap();
-        let rs = recover_all(&mut b);
-        assert_eq!(rs.len(), 3, "torn record 4 silently truncated");
-        // The engine accepts a re-append of the lost record.
-        b.append(&rec(4, 7, 8)).unwrap();
-        assert_eq!(recover_all(&mut b).len(), 4);
     }
 
     #[test]

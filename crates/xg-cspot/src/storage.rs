@@ -2,26 +2,20 @@
 //!
 //! CSPOT implements logs in persistent storage so that power loss and other
 //! device failures "that do not destroy the log storage are treated in the
-//! same way as network interruption" (§3.1). Three backends are provided:
+//! same way as network interruption" (§3.1). Two backends are provided:
 //!
 //! * [`MemBackend`] — volatile, for simulations that do not exercise
 //!   crash recovery (fast; used by the latency benchmarks).
-//! * [`FileBackend`] — a single append-only record file with per-record
-//!   CRC framing. Recovery streams the file record by record (memory
-//!   stays O(record), not O(log)) and truncates at the first torn or
-//!   corrupt record, exactly like a write-ahead log.
-//! * [`crate::segment::SegmentedBackend`] — the production engine:
+//! * [`crate::segment::SegmentedBackend`] — the durable engine:
 //!   fixed-size sealed segments with footers, group commit, retention
-//!   compaction, and fail-stop semantics for at-rest corruption.
+//!   compaction, torn-tail truncation in the active segment and
+//!   fail-stop semantics for at-rest corruption.
 //!
-//! All durable backends share one record wire format (little endian):
+//! The record wire format (little endian) is
 //! `[u32 payload_len][u64 seq][u128 token][payload][u32 fnv1a]` where the
 //! checksum covers everything before it.
 
 use crate::error::Result;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 
 /// Fixed bytes before the payload: `u32 len + u64 seq + u128 token`.
 pub(crate) const FRAME_HEADER: usize = 4 + 8 + 16;
@@ -62,7 +56,7 @@ pub struct RecoverySummary {
     pub records: u64,
     /// Torn/corrupt tail bytes physically truncated from the active end.
     pub truncated_bytes: u64,
-    /// Sealed segments verified (0 for single-file backends).
+    /// Sealed segments verified (0 for the in-memory backend).
     pub sealed_segments: usize,
 }
 
@@ -272,198 +266,9 @@ impl StorageBackend for MemBackend {
     }
 }
 
-/// Single-file write-ahead-log backend (the pre-segmented engine, kept
-/// for tests and small fixed-size state logs).
-pub struct FileBackend {
-    path: PathBuf,
-    writer: BufWriter<File>,
-    /// When true, `append` buffers without flushing, so a simulated crash
-    /// loses the tail — used by power-loss tests.
-    defer_sync: bool,
-    committed: Option<u64>,
-}
-
-impl FileBackend {
-    /// Open (or create) the log file at `path`.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).map_err(crate::error::CspotError::Storage)?;
-        }
-        let file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&path)?;
-        Ok(FileBackend {
-            path,
-            writer: BufWriter::new(file),
-            defer_sync: false,
-            committed: None,
-        })
-    }
-
-    /// Enable or disable deferred sync (fault injection for power-loss
-    /// simulation). With deferred sync on, appends may be lost on crash.
-    pub fn set_defer_sync(&mut self, defer: bool) {
-        self.defer_sync = defer;
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl StorageBackend for FileBackend {
-    fn append(&mut self, record: &Record) -> Result<AppendAck> {
-        let buf = encode_record(record);
-        self.writer.write_all(&buf)?;
-        let durable = if self.defer_sync {
-            false
-        } else {
-            self.writer.flush()?;
-            self.writer.get_ref().sync_data()?;
-            self.committed = Some(record.seq);
-            true
-        };
-        Ok(AppendAck {
-            seq: record.seq,
-            durable,
-        })
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
-        Ok(())
-    }
-
-    fn committed_seq(&self) -> Option<u64> {
-        self.committed
-    }
-
-    fn recover_scan(&mut self, sink: &mut dyn FnMut(Record)) -> Result<RecoverySummary> {
-        // A swallowed flush here would silently feed recovery a stale
-        // file image; the error must surface through the typed path.
-        self.writer.flush()?;
-        let file = File::open(&self.path)?;
-        let file_len = file.metadata()?.len();
-        let mut reader = BufReader::with_capacity(64 * 1024, file);
-        let mut summary = RecoverySummary::default();
-        let mut valid_end = 0u64;
-        // Ends on clean EOF, a torn tail, or a corrupt record.
-        while let Some((record, frame_len)) = read_frame(&mut reader)? {
-            valid_end += frame_len;
-            summary.records += 1;
-            self.committed = Some(record.seq);
-            sink(record);
-        }
-        // Physically truncate any torn tail so subsequent appends are clean.
-        if valid_end < file_len {
-            summary.truncated_bytes = file_len - valid_end;
-            let f = OpenOptions::new().write(true).open(&self.path)?;
-            f.set_len(valid_end)?;
-            let mut w = OpenOptions::new().append(true).open(&self.path)?;
-            w.seek(SeekFrom::End(0))?;
-            self.writer = BufWriter::new(w);
-        }
-        Ok(summary)
-    }
-
-    fn read_from(&mut self, from: u64, max: usize) -> Result<Vec<Record>> {
-        self.writer.flush()?;
-        let file = File::open(&self.path)?;
-        let mut reader = BufReader::with_capacity(64 * 1024, file);
-        let mut out = Vec::new();
-        while out.len() < max {
-            match read_frame(&mut reader)? {
-                Some((record, _)) if record.seq >= from => out.push(record),
-                Some(_) => {}
-                None => break,
-            }
-        }
-        Ok(out)
-    }
-
-    fn is_durable(&self) -> bool {
-        true
-    }
-
-    fn simulate_power_loss(&mut self) -> Result<bool> {
-        // Replace the writer without flushing; the BufWriter's buffer (the
-        // "page cache") is discarded.
-        let file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        let old = std::mem::replace(&mut self.writer, BufWriter::new(file));
-        // Forget the old writer's buffered bytes: into_parts gives us the
-        // raw file and discards the buffer without flushing.
-        let _ = old.into_parts();
-        Ok(true)
-    }
-}
-
-/// Read one frame from a sequential reader. `Ok(Some((record, bytes)))`
-/// for an intact record, `Ok(None)` on clean EOF *or* a torn/corrupt
-/// tail (single-file recovery treats both as "stop and truncate here").
-fn read_frame<R: Read>(reader: &mut R) -> Result<Option<(Record, u64)>> {
-    let mut head = [0u8; FRAME_HEADER];
-    match reader.read_exact(&mut head) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    }
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Ok(None); // corrupt length field
-    }
-    let mut payload = vec![0u8; len];
-    match reader.read_exact(&mut payload) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    }
-    let mut crc = [0u8; FRAME_TRAILER];
-    match reader.read_exact(&mut crc) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    }
-    let computed = fnv1a_update(fnv1a_update(FNV_OFFSET, &head), &payload);
-    if computed != u32::from_le_bytes(crc) {
-        return Ok(None); // corrupt record: truncate here
-    }
-    let seq = u64::from_le_bytes([
-        head[4], head[5], head[6], head[7], head[8], head[9], head[10], head[11],
-    ]);
-    let mut token_bytes = [0u8; 16];
-    token_bytes.copy_from_slice(&head[12..28]);
-    let total = (FRAME_HEADER + len + FRAME_TRAILER) as u64;
-    Ok(Some((
-        Record {
-            seq,
-            token: u128::from_le_bytes(token_bytes),
-            payload,
-        },
-        total,
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "xg-cspot-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn rec(seq: u64, payload: &[u8]) -> Record {
         Record {
@@ -492,114 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn file_backend_roundtrip() {
-        let path = tmpdir().join("roundtrip.log");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut b = FileBackend::open(&path).unwrap();
-            let ack = b.append(&rec(1, b"hello")).unwrap();
-            assert!(ack.durable, "default FileBackend syncs every append");
-            b.append(&rec(2, b"world")).unwrap();
-        }
-        let mut b = FileBackend::open(&path).unwrap();
-        let rs = recover_all(&mut b);
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs[0].payload, b"hello");
-        assert_eq!(rs[1].seq, 2);
-        assert_eq!(rs[1].token, 2000);
-        assert!(b.is_durable());
-        assert_eq!(b.committed_seq(), Some(2));
-    }
-
-    #[test]
-    fn file_backend_tokens_persist() {
-        let path = tmpdir().join("tokens.log");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut b = FileBackend::open(&path).unwrap();
-            b.append(&Record {
-                seq: 1,
-                token: 0xDEADBEEF,
-                payload: vec![1, 2, 3],
-            })
-            .unwrap();
-        }
-        let mut b = FileBackend::open(&path).unwrap();
-        let rs = recover_all(&mut b);
-        assert_eq!(rs[0].token, 0xDEADBEEF);
-    }
-
-    #[test]
-    fn corrupt_tail_truncated() {
-        let path = tmpdir().join("corrupt.log");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut b = FileBackend::open(&path).unwrap();
-            b.append(&rec(1, b"good")).unwrap();
-            b.append(&rec(2, b"alsogood")).unwrap();
-        }
-        // Corrupt the last byte (inside the CRC of record 2).
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let mut b = FileBackend::open(&path).unwrap();
-        let rs = recover_all(&mut b);
-        assert_eq!(rs.len(), 1, "corrupt record must be dropped");
-        assert_eq!(rs[0].payload, b"good");
-        // The file is truncated, so a fresh append lands cleanly after
-        // record 1.
-        b.append(&rec(2, b"retry")).unwrap();
-        let rs = recover_all(&mut b);
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs[1].payload, b"retry");
-    }
-
-    #[test]
-    fn torn_tail_truncated_and_counted() {
-        let path = tmpdir().join("torn.log");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut b = FileBackend::open(&path).unwrap();
-            b.append(&rec(1, b"complete")).unwrap();
-            b.append(&rec(2, b"will-be-torn")).unwrap();
-        }
-        // Tear the file mid-record-2.
-        let bytes = std::fs::read(&path).unwrap();
-        let first_len = FRAME_HEADER + b"complete".len() + FRAME_TRAILER;
-        std::fs::write(&path, &bytes[..first_len + 10]).unwrap();
-
-        let mut b = FileBackend::open(&path).unwrap();
-        let mut rs = Vec::new();
-        let summary = b.recover_scan(&mut |r| rs.push(r)).unwrap();
-        assert_eq!(rs.len(), 1);
-        assert_eq!(rs[0].payload, b"complete");
-        assert_eq!(summary.truncated_bytes, 10);
-        assert_eq!(summary.records, 1);
-    }
-
-    #[test]
-    fn power_loss_drops_unsynced_tail() {
-        let path = tmpdir().join("powerloss.log");
-        let _ = std::fs::remove_file(&path);
-        let mut b = FileBackend::open(&path).unwrap();
-        let ack = b.append(&rec(1, b"synced")).unwrap();
-        assert!(ack.durable);
-        b.set_defer_sync(true);
-        let ack = b.append(&rec(2, b"buffered")).unwrap();
-        assert!(!ack.durable, "deferred append is not yet durable");
-        assert!(b.simulate_power_loss().unwrap());
-        let rs = recover_all(&mut b);
-        assert_eq!(rs.len(), 1, "unsynced append must vanish on power loss");
-        assert_eq!(rs[0].payload, b"synced");
-    }
-
-    #[test]
     fn read_from_skips_and_bounds() {
-        let path = tmpdir().join("readfrom.log");
-        let _ = std::fs::remove_file(&path);
-        let mut b = FileBackend::open(&path).unwrap();
+        let mut b = MemBackend::new();
         for s in 1..=5 {
             b.append(&rec(s, &[s as u8; 3])).unwrap();
         }
@@ -608,15 +307,6 @@ mod tests {
         assert_eq!(rs[0].seq, 3);
         assert_eq!(rs[1].seq, 4);
         assert!(b.read_from(9, 10).unwrap().is_empty());
-    }
-
-    #[test]
-    fn empty_file_recovers_empty() {
-        let path = tmpdir().join("empty.log");
-        let _ = std::fs::remove_file(&path);
-        let mut b = FileBackend::open(&path).unwrap();
-        assert!(recover_all(&mut b).is_empty());
-        assert_eq!(b.committed_seq(), None);
     }
 
     #[test]

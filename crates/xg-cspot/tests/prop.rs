@@ -7,7 +7,7 @@ use xg_cspot::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// File-backend durability: any sequence of appends recovers exactly
+    /// Durable-node durability: any sequence of appends recovers exactly
     /// across a close/reopen cycle.
     #[test]
     fn file_backend_roundtrip(

@@ -8,11 +8,9 @@
 //! (predicted, measured) pairs and decides when the live factor has
 //! drifted enough to warrant recalibration.
 
-use serde::{Deserialize, Serialize};
-
 /// One historical comparison: the twin's prediction vs the aggregated
 /// measurement for the same period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationSample {
     /// Timestamp (s).
     pub t_s: f64,
@@ -23,7 +21,7 @@ pub struct CalibrationSample {
 }
 
 /// Result of a back-test over a window of history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BacktestReport {
     /// Least-squares calibration factor over the window
     /// (measured ≈ factor × predicted).
@@ -37,7 +35,7 @@ pub struct BacktestReport {
 }
 
 /// The back-tester: a bounded history plus a drift threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Backtester {
     /// Max samples retained.
     pub capacity: usize,

@@ -8,11 +8,10 @@
 //! input to apply." The advisor turns one CFD result plus current
 //! conditions into concrete recommendations with the rationale attached.
 
-use serde::{Deserialize, Serialize};
 use xg_cfd::solver::Simulation;
 
 /// Conditions snapshot used alongside the CFD result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteConditions {
     /// Exterior temperature (°C).
     pub ambient_temp_c: f64,
@@ -23,7 +22,7 @@ pub struct SiteConditions {
 }
 
 /// A recommended intervention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Intervention {
     /// Apply irrigation water for latent-heat frost protection.
     FrostProtection {
@@ -47,7 +46,7 @@ pub enum Intervention {
 }
 
 /// Thresholds for the advisor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvisorConfig {
     /// Canopy temperature (°C) below which frost protection starts.
     pub frost_threshold_c: f64,
@@ -71,7 +70,7 @@ impl Default for AdvisorConfig {
 }
 
 /// The intervention advisor.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct InterventionAdvisor {
     /// Thresholds.
     pub config: AdvisorConfig,

@@ -7,11 +7,10 @@
 //! 30-minute detection duty cycle slipped, and how the HPC failover layer
 //! behaved.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Reliability summary of one orchestrated run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityReport {
     /// Virtual-time horizon covered (s).
     pub horizon_s: f64,

@@ -8,11 +8,10 @@
 //! sense → compute → actuate loop the paper motivates.
 
 use crate::route::RoutePlanner;
-use serde::{Deserialize, Serialize};
 use xg_sensors::facility::CupsFacility;
 
 /// The wheeled robot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Robot {
     /// Current position (m) in facility coordinates.
     pub position: (f64, f64),
@@ -36,7 +35,7 @@ impl Default for Robot {
 }
 
 /// Outcome of a dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobotReport {
     /// Travel time to the suspect region (s).
     pub travel_s: f64,

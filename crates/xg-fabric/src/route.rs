@@ -7,7 +7,6 @@
 //! occupancy grid built from the canopy blocks, producing a drivable
 //! waypoint path whose length feeds the mission-time estimate.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 use xg_cfd::mesh::{CanopyBlock, DomainSpec};
 
@@ -17,7 +16,7 @@ const CELL_M: f64 = 2.0;
 const INFLATE_M: f64 = 1.0;
 
 /// An occupancy-grid route planner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutePlanner {
     nx: usize,
     ny: usize,

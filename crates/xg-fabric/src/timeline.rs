@@ -6,10 +6,8 @@
 //! next condition change. [`Timeline`] records every event of an
 //! orchestrated run so the `e2e_timeline` bench can print that budget.
 
-use serde::{Deserialize, Serialize};
-
 /// One orchestration event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A telemetry cycle was shipped to the repository.
     TelemetryShipped {
@@ -158,7 +156,7 @@ pub enum Event {
 }
 
 /// The event log of one orchestrated run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     /// Events in time order.
     pub events: Vec<Event>,

@@ -18,14 +18,13 @@
 //! orchestrator's job, which keeps this crate free of dependencies on
 //! the rest of the stack.
 
-use serde::{Deserialize, Serialize};
 use xg_cspot::outage::{OutageConfig, OutageProcess};
 
 /// One kind of injectable fault, spanning every layer of the stack.
 ///
 /// Identity matters: two entries with the same `FaultKind` value target
 /// the same resource, and [`FaultPlan::is_active`] compares by equality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Both directions of a WAN route drop everything
     /// (`xg_cspot::netsim` partition flag).

@@ -9,15 +9,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Job identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
 /// A job submission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRequest {
     /// Nodes requested.
     pub nodes: u32,
@@ -28,7 +27,7 @@ pub struct JobRequest {
 }
 
 /// Lifecycle state of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobState {
     /// Waiting in the queue.
     Queued,
@@ -66,7 +65,7 @@ struct RunningJob {
 }
 
 /// Record of a finished job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRecord {
     /// The job.
     pub id: JobId,

@@ -16,7 +16,6 @@
 
 use crate::cluster::{ClusterSim, JobId, JobRequest, JobState};
 use crate::predictor::{AdaptivePilotPlanner, QueueWaitPredictor};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xg_obs::{Counter, Histogram, Obs};
 
@@ -49,7 +48,7 @@ impl PilotObs {
 }
 
 /// Pilot provisioning strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PilotStrategy {
     /// The paper's current controller: an initial single-node pilot at
     /// startup, then Eqs. (1)–(4) on each data arrival.
@@ -73,7 +72,7 @@ pub enum PilotStrategy {
 }
 
 /// Controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PilotControllerConfig {
     /// Eq. 1 threshold: bytes of incoming data per node.
     pub threshold_bytes: f64,
@@ -127,7 +126,7 @@ pub struct Pilot {
 }
 
 /// A completed (or pending) application task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskOutcome {
     /// When the application requested the task (s).
     pub requested_at: f64,
@@ -141,7 +140,7 @@ pub struct TaskOutcome {
 }
 
 /// Outcome of the Eq. (1)–(4) evaluation on a data arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataDecision {
     /// Eq. 1.
     pub n_required: u32,

@@ -11,7 +11,6 @@
 //! pool.
 
 use crate::cluster::{ClusterSim, JobRecord};
-use serde::{Deserialize, Serialize};
 
 /// Node-count buckets for wait statistics (1, 2-4, 5-16, 17+).
 fn bucket(nodes: u32) -> usize {
@@ -24,7 +23,7 @@ fn bucket(nodes: u32) -> usize {
 }
 
 /// EWMA queue-wait estimator per job-size bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueWaitPredictor {
     /// Smoothing factor per observation.
     pub alpha: f64,
@@ -103,7 +102,7 @@ impl QueueWaitPredictor {
 }
 
 /// Adaptive pilot-submission planner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptivePilotPlanner {
     /// Safety factor on the predicted wait (submit this much earlier).
     pub safety: f64,

@@ -9,10 +9,9 @@
 //! `runme.sh` performs.
 
 use crate::site::{SchedulerKind, SiteProfile};
-use serde::{Deserialize, Serialize};
 
 /// A portable job specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job name.
     pub name: String,

@@ -8,11 +8,10 @@
 //! lives in `xg-cfd`.
 
 use crate::cluster::ClusterSim;
-use serde::{Deserialize, Serialize};
 
 /// Batch scheduler flavour (affects defaults only; the queueing discipline
 /// is the same FCFS+backfill model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Univa/Altair Grid Engine (Notre Dame CRC; the artifact's "UGE").
     Uge,
@@ -21,7 +20,7 @@ pub enum SchedulerKind {
 }
 
 /// Static description of an HPC site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteProfile {
     /// Site name.
     pub name: String,

@@ -17,10 +17,6 @@ pub struct Config {
     /// Prefixes where `time-unit` applies: code that mixes `SimNs` with
     /// suffixed durations and must convert explicitly.
     pub time_paths: Vec<String>,
-    /// Files allowed to *contain* the deprecated stepped-era APIs: the
-    /// retained bitwise-reference engines. Everywhere else (outside
-    /// tests) a call site is a `deprecated-api` finding.
-    pub deprecated_allow: Vec<String>,
     /// Prefixes where `event-panic` applies to the whole file, not just
     /// `impl Advance`/`EventSource` blocks: the event queue itself.
     pub event_paths: Vec<String>,
@@ -84,13 +80,6 @@ impl Config {
                 "crates/xg-obs/src/",
                 "crates/xg-bench/src/trace.rs",
             ]),
-            deprecated_allow: s(&[
-                // The stepped engines the shims live in, kept as bitwise
-                // references for the event-driven migration.
-                "crates/xg-net/src/sim.rs",
-                "crates/xg-net/src/fleet.rs",
-                "crates/xg-sensors/src/network.rs",
-            ]),
             event_paths: s(&[
                 // The calendar queue: every engine drains through it, so
                 // a panic here takes the whole fabric down.
@@ -110,7 +99,6 @@ impl Config {
             panicking_paths: all.clone(),
             wall_allowlist: Vec::new(),
             time_paths: all.clone(),
-            deprecated_allow: Vec::new(),
             // Impl-scoped event-panic applies everywhere already; the
             // whole-file escalation stays opt-in so single-rule fixtures
             // exercise exactly one rule.
@@ -149,13 +137,6 @@ impl Config {
     /// Is `time-unit` in force for this file?
     pub fn is_time_path(&self, relpath: &str) -> bool {
         self.time_paths
-            .iter()
-            .any(|p| relpath.starts_with(p.as_str()))
-    }
-
-    /// May this file contain the deprecated stepped-era APIs?
-    pub fn deprecated_allowed(&self, relpath: &str) -> bool {
-        self.deprecated_allow
             .iter()
             .any(|p| relpath.starts_with(p.as_str()))
     }
@@ -201,7 +182,7 @@ mod tests {
         assert!(c.wall_allowlisted("crates/xg-bench/src/bin/xg_trace.rs"));
         assert!(!c.is_panicking_scope("crates/xg-laminar/src/graph.rs"));
         assert!(c.wall_allowlisted("crates/xg-obs/src/clock.rs"));
-        assert!(c.wall_allowlisted("crates/xg-bench/src/bin/perf_trajectory.rs"));
+        assert!(c.wall_allowlisted("crates/xg-bench/src/bin/latency_budget.rs"));
         assert!(!c.wall_allowlisted("crates/xg-cfd/src/solver.rs"));
         assert!(c.skipped("crates/xg-lint/tests/fixtures/wall_clock_pos.rs"));
     }
@@ -214,11 +195,6 @@ mod tests {
         assert!(c.is_time_path("crates/xg-hpc/src/pilot.rs"));
         assert!(c.is_time_path("crates/xg-obs/src/span.rs"));
         assert!(!c.is_time_path("crates/xg-lint/src/lib.rs"));
-        // deprecated-api: only the retained reference engines define the
-        // stepped shims.
-        assert!(c.deprecated_allowed("crates/xg-net/src/sim.rs"));
-        assert!(c.deprecated_allowed("crates/xg-sensors/src/network.rs"));
-        assert!(!c.deprecated_allowed("crates/xg-fabric/src/orchestrator.rs"));
         // event-panic covers all of xg-sim whole-file; elsewhere only
         // Advance/EventSource impl blocks.
         assert!(c.is_event_path("crates/xg-sim/src/queue.rs"));

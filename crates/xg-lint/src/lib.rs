@@ -14,7 +14,6 @@
 //! | `panicking-call` | no `unwrap`/`expect`/panic macros in non-test library code |
 //! | `float-reduce` | no float fold/sum/reduce inside parallel statements |
 //! | `time-unit` | no mixing `_ns`/`_us`/`_ms`/`_s` values without explicit conversion |
-//! | `deprecated-api` | no new call sites of the frozen stepped-era engine APIs |
 //! | `obs-name` | every emitted metric/span/profile name round-trips `obs-schema.toml` |
 //! | `stale-waiver` | waivers that suppress nothing are findings themselves |
 //! | `event-panic` | no panic paths in `Advance`/`EventSource` impls or the event queue |
@@ -60,10 +59,10 @@ pub use schema::{ObsKind, ObsSchema};
 use std::path::Path;
 
 /// Version of the rule set. Bump whenever a rule is added, removed, or
-/// changes what it matches. Perf baselines record this tag so
-/// `perf_trajectory --compare` can warn when baseline and current were
-/// produced under different rule sets.
-pub const RULES_VERSION: &str = "xg-lint-rules/2";
+/// changes what it matches. JSON reports record this tag so a
+/// `--compare` baseline produced under a different rule set can be told
+/// apart.
+pub const RULES_VERSION: &str = "xg-lint-rules/3";
 
 /// Name of the checked-in observability schema at the workspace root.
 pub const OBS_SCHEMA_FILE: &str = "obs-schema.toml";

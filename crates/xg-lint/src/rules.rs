@@ -1,7 +1,7 @@
 //! The rule set. Version [`RULES_VERSION`](crate::RULES_VERSION) must be
 //! bumped whenever a rule is added, removed, or changes what it matches:
-//! perf baselines record the version they were produced under, and
-//! `perf_trajectory --compare` warns on a mismatch.
+//! JSON reports record the version they were produced under, so a
+//! `--compare` baseline can be told apart from the current rule set.
 
 use std::collections::BTreeSet;
 
@@ -29,10 +29,6 @@ pub enum Rule {
     /// identifiers (`_ns`/`_us`/`_ms`/`_s`), or `SimNs` built from
     /// non-nanosecond values, without an explicit conversion.
     TimeUnit,
-    /// New call sites of the frozen stepped-era APIs
-    /// (`step_slots`/`run_seconds`/`run_second`/`poll`) outside the
-    /// retained reference engines and tests.
-    DeprecatedApi,
     /// A metric/span/profile name emitted through `xg-obs` that is not
     /// declared in `obs-schema.toml` — or a schema row no code emits.
     ObsName,
@@ -57,7 +53,6 @@ impl Rule {
             Rule::PanickingCall => "panicking-call",
             Rule::FloatReduce => "float-reduce",
             Rule::TimeUnit => "time-unit",
-            Rule::DeprecatedApi => "deprecated-api",
             Rule::ObsName => "obs-name",
             Rule::StaleWaiver => "stale-waiver",
             Rule::EventPanic => "event-panic",
@@ -76,7 +71,6 @@ impl Rule {
             "panicking-call" => Some(Rule::PanickingCall),
             "float-reduce" => Some(Rule::FloatReduce),
             "time-unit" => Some(Rule::TimeUnit),
-            "deprecated-api" => Some(Rule::DeprecatedApi),
             "obs-name" => Some(Rule::ObsName),
             "event-panic" => Some(Rule::EventPanic),
             _ => None,
@@ -92,7 +86,6 @@ impl Rule {
             Rule::PanickingCall,
             Rule::FloatReduce,
             Rule::TimeUnit,
-            Rule::DeprecatedApi,
             Rule::ObsName,
             Rule::EventPanic,
         ]
@@ -127,12 +120,6 @@ impl Rule {
                 "no arithmetic/comparison/assignment mixing _ns/_us/_ms/_s \
                  identifiers, and no SimNs built from non-ns values or raw \
                  ns constants, without an explicit conversion"
-            }
-            Rule::DeprecatedApi => {
-                "no new call sites of the frozen stepped-era APIs \
-                 (step_slots/run_seconds/run_second/poll) outside the retained \
-                 reference engines and tests: drive engines via \
-                 xg_sim::Advance::advance_to"
             }
             Rule::ObsName => {
                 "every metric/span/profile name passed to xg-obs must be \
@@ -322,14 +309,6 @@ pub fn analyze_file(relpath: &str, source: &str, cfg: &Config) -> FileAnalysis {
         for (line, msg) in semantic::time_unit_findings(&sem) {
             if !tests.contains(line) {
                 push(&mut a, line, Rule::TimeUnit, msg);
-            }
-        }
-    }
-
-    if !cfg.deprecated_allowed(relpath) && !integration_test {
-        for (line, msg) in semantic::deprecated_findings(&sem) {
-            if !tests.contains(line) {
-                push(&mut a, line, Rule::DeprecatedApi, msg);
             }
         }
     }

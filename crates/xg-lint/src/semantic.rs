@@ -5,8 +5,8 @@
 //! Everything here is deliberately heuristic-but-auditable: each
 //! analysis is a short walk over [`Node`]s with its trigger tables in
 //! plain sight, the same property the v1 substring rules had. Precision
-//! comes from tokens (so `run_seconds_serial` can never match
-//! `run_seconds`) and from context (so a `fn from_millis` conversion
+//! comes from tokens (so `elapsed_ms_total` can never match
+//! `elapsed_ms`) and from context (so a `fn from_millis` conversion
 //! helper is exempt from the unit-mix rule by construction).
 
 use crate::lexer::Scrubbed;
@@ -310,69 +310,6 @@ fn flatten_all<'a>(nodes: &'a [Node], out: &mut Vec<&'a Token>) {
 }
 
 // ---------------------------------------------------------------------
-// deprecated-api freeze
-// ---------------------------------------------------------------------
-
-/// The frozen pre-event-engine APIs: kept as bitwise reference shims,
-/// closed to new call sites.
-const DEPRECATED_CALLS: &[&str] = &["step_slots", "run_seconds", "run_second", "poll"];
-
-/// The `deprecated-api` rule: method/UFCS call sites of the frozen
-/// stepped-era shims. Matching is token-exact, so `run_seconds_serial`
-/// never trips it, and `fn run_second(…)` definitions (preceded by
-/// `fn`) are not call sites.
-pub fn deprecated_findings(sem: &Semantics) -> Vec<SemFinding> {
-    let mut out = Vec::new();
-    deprecated_walk(&sem.tree, &mut out);
-    out
-}
-
-fn deprecated_walk(nodes: &[Node], out: &mut Vec<SemFinding>) {
-    for (i, node) in nodes.iter().enumerate() {
-        if let Node::Group { children, .. } = node {
-            deprecated_walk(children, out);
-            continue;
-        }
-        let Node::Leaf(Token {
-            tok: Tok::Ident(id),
-            line,
-        }) = node
-        else {
-            continue;
-        };
-        if !DEPRECATED_CALLS.contains(&id.as_str()) {
-            continue;
-        }
-        let is_call = matches!(
-            nodes.get(i + 1),
-            Some(Node::Group {
-                delim: Delim::Paren,
-                ..
-            })
-        );
-        if !is_call {
-            continue;
-        }
-        // Only `.name(` and `::name(` are call sites; `fn name(` is the
-        // shim's own definition.
-        let receiver = (i > 0).then(|| &nodes[i - 1]).and_then(|n| match n {
-            Node::Leaf(Token {
-                tok: Tok::Op(o), ..
-            }) => Some(o.as_str()),
-            _ => None,
-        });
-        if matches!(receiver, Some(".") | Some("::")) {
-            out.push((
-                *line,
-                format!(
-                    "call site of deprecated `{id}` — drive the engine through xg_sim::Advance::advance_to"
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // obs-name emission extraction
 // ---------------------------------------------------------------------
 
@@ -658,22 +595,6 @@ mod tests {
     fn generics_are_not_comparisons() {
         let (m, _) = sem("fn f(xs_ms: Vec<u64>, t_s: Option<u64>) -> usize { xs_ms.len() }\n");
         assert!(time_unit_findings(&m).is_empty());
-    }
-
-    #[test]
-    fn deprecated_call_sites_only() {
-        let src = "\
-fn drive(sim: &mut LinkSimulator) {
-    sim.step_slots(8);
-    sim.run_seconds_serial(1);
-    LinkSimulator::run_second(sim);
-}
-pub fn step_slots(&mut self, slots: usize) {}
-";
-        let (m, _) = sem(src);
-        let f = deprecated_findings(&m);
-        let lines: Vec<usize> = f.iter().map(|x| x.0).collect();
-        assert_eq!(lines, vec![2, 4], "{f:?}");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Token stream and token-tree construction over scrubbed source.
 //!
 //! The v1 rules were line-level substring checks; the v2 semantic rules
-//! (`time-unit`, `deprecated-api`, `obs-name`, `event-panic`) need to
-//! see *structure*: which identifier is an operand of which operator,
-//! which string literal is the n-th argument of which call, which lines
-//! sit inside an `impl Advance for …` block. This module recovers that
+//! (`time-unit`, `obs-name`, `event-panic`) need to see *structure*:
+//! which identifier is an operand of which operator, which string
+//! literal is the n-th argument of which call, which lines sit inside
+//! an `impl Advance for …` block. This module recovers that
 //! structure without a parser dependency:
 //!
 //! 1. [`tokenize`] turns [`Scrubbed`] lines into a flat token stream

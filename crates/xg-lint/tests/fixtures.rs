@@ -215,25 +215,6 @@ fn time_unit_negative() {
 }
 
 #[test]
-fn deprecated_api_positive() {
-    let f = lint_fixture("deprecated_api_pos.rs");
-    assert_eq!(
-        lines_of(&f, Rule::DeprecatedApi),
-        vec![4, 5, 6, 7],
-        "method, UFCS, and poll call sites: {f:?}"
-    );
-}
-
-#[test]
-fn deprecated_api_negative() {
-    let f = lint_fixture("deprecated_api_neg.rs");
-    assert!(
-        f.is_empty(),
-        "definitions, near-miss names, and test-only calls must pass: {f:?}"
-    );
-}
-
-#[test]
 fn obs_name_positive_forward_and_reverse() {
     let f = lint_fixture_against_schema("obs_name_pos.rs", "obs_schema_pos.toml");
     // Forward: the three typo emissions, reported against the .rs file.

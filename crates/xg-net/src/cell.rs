@@ -7,10 +7,9 @@ use crate::rat::{Duplex, Rat};
 use crate::sdr::SdrFrontend;
 use crate::slice::SliceConfig;
 use crate::units::MHz;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of a cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellConfig {
     /// Radio access technology.
     pub rat: Rat,

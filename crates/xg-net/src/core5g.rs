@@ -14,11 +14,10 @@
 
 use crate::error::{NetError, Result};
 use crate::slice::Snssai;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A provisioned SIM profile (what pysim writes onto a sysmoISIM card).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimCard {
     /// International mobile subscriber identity.
     pub imsi: String,
@@ -47,7 +46,7 @@ impl SimCard {
 }
 
 /// Registration state of a subscriber, following the 5GMM model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegState {
     /// Known to the core but not attached.
     Deregistered,
@@ -56,7 +55,7 @@ pub enum RegState {
 }
 
 /// An established PDU session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PduSession {
     /// Session identifier, unique per subscriber.
     pub id: u8,

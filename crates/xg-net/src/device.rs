@@ -11,10 +11,9 @@ use crate::calib;
 use crate::phy::UplinkPower;
 use crate::rat::Rat;
 use crate::units::Db;
-use serde::{Deserialize, Serialize};
 
 /// The host device class of a UE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
     /// x86 laptop with a USB modem.
     Laptop,
@@ -46,7 +45,7 @@ impl DeviceClass {
 }
 
 /// The modem a UE uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Modem {
     /// SIMCom SIM7600G-H: external LTE cat-4 USB modem.
     Sim7600gh,
@@ -81,7 +80,7 @@ impl Modem {
 /// Per-unit radio variation, modelling unit-to-unit spread between physically
 /// identical devices (the paper's Fig. 6 shows its two Raspberry Pis differ
 /// by ~20% at high PRB shares).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UnitVariation {
     /// Offset applied to the single-PRB SNR (dB).
     pub snr_one_prb_db: f64,
@@ -101,7 +100,7 @@ impl UnitVariation {
 }
 
 /// The complete radio behaviour of a device + modem combination on one RAT.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioProfile {
     /// Uplink transmit-power model.
     pub power: UplinkPower,

@@ -10,7 +10,6 @@
 
 use crate::error::{NetError, Result};
 use crate::slice::{SliceConfig, SliceProfile, Snssai};
-use serde::{Deserialize, Serialize};
 
 /// Staged construction of a [`DynamicSlicer`]: slices → floor → alpha,
 /// validated once at [`build`](DynamicSlicerBuilder::build) — the same
@@ -53,7 +52,7 @@ impl DynamicSlicerBuilder {
 }
 
 /// Demand-proportional slice-share controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicSlicer {
     /// Slice identities, fixed at construction.
     snssais: Vec<Snssai>,
@@ -100,20 +99,6 @@ impl DynamicSlicer {
             alpha,
             demand: vec![0.0; n],
         })
-    }
-
-    /// Create a controller over the given slices.
-    ///
-    /// Panics if the floors are infeasible (`n · min_share > 1`), the
-    /// slice list is empty, or alpha is outside `(0, 1]`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use DynamicSlicer::try_new (fallible) or DynamicSlicer::builder"
-    )]
-    pub fn new(snssais: Vec<Snssai>, min_share: f64, alpha: f64) -> Self {
-        Self::try_new(snssais, min_share, alpha)
-            // xg-lint: allow(panicking-call, deprecated back-compat wrapper; its documented contract is to panic)
-            .expect("dynamic slicer configuration must be valid")
     }
 
     /// The slice identities this controller apportions, in index order.

@@ -17,7 +17,6 @@
 //! does not.
 
 use crate::slice::Snssai;
-use serde::{Deserialize, Serialize};
 
 /// Map a mean spectral efficiency onto the 4-bit wideband CQI scale
 /// (1..=15). `0` is reserved for "never scheduled this window".
@@ -38,7 +37,7 @@ pub fn cqi_to_eff(cqi: u8, max_eff: f64) -> f64 {
 }
 
 /// One UE's MAC counters over an indication window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UeReport {
     /// Cell-local UE id.
     pub ue: u32,
@@ -63,7 +62,7 @@ pub struct UeReport {
 }
 
 /// One slice's aggregate counters over an indication window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceReport {
     /// Slice index within the cell's table.
     pub slice: u16,
@@ -101,7 +100,7 @@ impl SliceReport {
 
 /// One cell's E2 indication: everything the MAC measured since the
 /// previous drain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellIndication {
     /// Fleet cell id (0 for a standalone simulator).
     pub cell: u32,

@@ -209,9 +209,9 @@ pub struct RanFleet {
     workers: usize,
     obs: Option<FleetObs>,
     handle: Obs,
-    /// Fleet-level clock reported by [`Advance::now`]. The deprecated
-    /// batch shims advance it by their legacy widths (whole seconds /
-    /// 1 ms slots) so mixed shim and event callers agree on `now`.
+    /// Fleet-level clock reported by [`Advance::now`];
+    /// [`measure_seconds`](Self::measure_seconds) advances it by whole
+    /// seconds so measurement and event callers agree on `now`.
     now_ns: u64,
 }
 
@@ -364,52 +364,6 @@ impl RanFleet {
         out
     }
 
-    /// Legacy name for [`measure_seconds`](Self::measure_seconds).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use measure_seconds (or xg_sim::Advance::advance_to for pure time advance) — run_seconds is a shim over the event engine"
-    )]
-    pub fn run_seconds(&mut self, seconds: usize) -> Vec<CellBatch> {
-        self.measure_seconds(seconds)
-    }
-
-    /// Serial execution of [`measure_seconds`](Self::measure_seconds)
-    /// (the determinism oracle; worker count never changes results, only
-    /// wall time).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use set_workers(1) + measure_seconds — worker count never affects results"
-    )]
-    pub fn run_seconds_serial(&mut self, seconds: usize) -> Vec<CellBatch> {
-        let workers = self.workers;
-        self.workers = 1;
-        let out = self.measure_seconds(seconds);
-        self.workers = workers;
-        out
-    }
-
-    /// Advance every cell by `slots` TTIs without collecting samples
-    /// (background load between measurements), sharded like
-    /// [`measure_seconds`](Self::measure_seconds).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use xg_sim::Advance::advance_to — step_slots is a shim over the event engine"
-    )]
-    pub fn step_slots(&mut self, slots: usize) {
-        let obs = self.handle.clone();
-        let prof = obs.profiler();
-        let _batch = prof.map(|p| p.scope(PROF_BATCH));
-        self.shard(|_, sim| {
-            let _cell = prof.map(|p| p.scope_under(PROF_BATCH, "cell"));
-            if let Some(p) = prof {
-                // One TTI is 1 ms of simulated time.
-                p.record_at(PROF_SIM_CELL, slots as u64 * 1_000_000);
-            }
-            sim.advance_slots(slots as u64, true)
-        });
-        self.now_ns += slots as u64 * 1_000_000;
-    }
-
     fn note_batch(&self, seconds: usize) {
         if let Some(o) = &self.obs {
             o.batches.inc();
@@ -471,8 +425,9 @@ impl Advance for RanFleet {
     /// Advance every cell to `t`, sharded across the worker pool. Each
     /// cell rounds `t` down to its own TTI grid and idle-skips quiet
     /// stretches; per-cell simulated time lands under `ran.fleet.sim/cell`
-    /// exactly as the batch shims record it, so the deterministic
-    /// attribution subtree stays bitwise comparable across both APIs.
+    /// exactly as [`measure_seconds`](Self::measure_seconds) records it,
+    /// so the deterministic attribution subtree stays bitwise comparable
+    /// across both APIs.
     /// Calls at or before `now()` are no-ops.
     fn advance_to(&mut self, t: SimNs) -> std::result::Result<(), NetError> {
         if t.0 <= self.now_ns {
@@ -499,11 +454,6 @@ impl Advance for RanFleet {
 }
 
 #[cfg(test)]
-// The tests below deliberately exercise the deprecated `run_seconds` /
-// `run_seconds_serial` / `step_slots` shims: they pin the legacy batch
-// contract (including its profiler attribution) that the `Advance`
-// engine must keep reproducing bit-for-bit.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::rat::{Duplex, Rat};
@@ -562,9 +512,9 @@ mod tests {
     #[test]
     fn parallel_is_bitwise_identical_to_serial() {
         let mut parallel = backlogged_fleet(9, 5, 3, 4);
-        let mut serial = backlogged_fleet(9, 5, 3, 4);
-        let p = parallel.run_seconds(2);
-        let s = serial.run_seconds_serial(2);
+        let mut serial = backlogged_fleet(9, 5, 3, 1);
+        let p = parallel.measure_seconds(2);
+        let s = serial.measure_seconds(2);
         assert_eq!(p.len(), s.len());
         for (pb, sb) in p.iter().zip(&s) {
             assert_eq!(pb.cell, sb.cell);
@@ -583,8 +533,8 @@ mod tests {
         let mut faded = backlogged_fleet(11, 2, 1, 2);
         let mut nominal = backlogged_fleet(11, 2, 1, 2);
         faded.set_cell_snr_offset_db(CellId(1), -25.0).unwrap();
-        let f = faded.run_seconds(3);
-        let n = nominal.run_seconds(3);
+        let f = faded.measure_seconds(3);
+        let n = nominal.measure_seconds(3);
         // Cell 0 is bit-identical with and without the sibling's fade.
         assert_eq!(f[0], n[0]);
         // Cell 1 collapses under the fade.
@@ -625,7 +575,7 @@ mod tests {
                 .unwrap();
             fleet.set_backlogged(ue, true).unwrap();
         }
-        let batches = fleet.run_seconds(2);
+        let batches = fleet.measure_seconds(2);
         let reg = obs.registry().unwrap();
         assert_eq!(reg.gauge("ran.fleet.cells").get(), 3.0);
         assert_eq!(reg.counter("ran.fleet.batches").get(), 1);
@@ -640,7 +590,7 @@ mod tests {
     fn collect_indications_covers_every_cell_without_perturbing() {
         let mut drained = backlogged_fleet(21, 3, 2, 2);
         let mut control = backlogged_fleet(21, 3, 2, 2);
-        drained.run_seconds(1);
+        drained.measure_seconds(1);
         let inds = drained.collect_indications();
         assert_eq!(inds.len(), 3);
         for (i, ind) in inds.iter().enumerate() {
@@ -648,9 +598,9 @@ mod tests {
             assert_eq!(ind.ues.len(), 2);
             assert!(ind.slices[0].granted_prb_ttis > 0);
         }
-        control.run_seconds(1);
+        control.measure_seconds(1);
         // Draining between batches leaves the trajectory bitwise equal.
-        assert_eq!(drained.run_seconds(1), control.run_seconds(1));
+        assert_eq!(drained.measure_seconds(1), control.measure_seconds(1));
     }
 
     #[test]
@@ -706,10 +656,10 @@ mod tests {
             .build()
             .unwrap();
         serial.set_workers(1);
-        parallel.run_seconds(2);
-        parallel.step_slots(100);
-        serial.run_seconds_serial(2);
-        serial.step_slots(100);
+        for fleet in [&mut parallel, &mut serial] {
+            fleet.measure_seconds(2);
+            fleet.advance_to(SimNs(2_100_000_000)).unwrap();
+        }
         let sim_nodes = |obs: &Obs| {
             let snap = obs.profiler().unwrap().snapshot();
             snap.nodes
@@ -733,7 +683,7 @@ mod tests {
     #[test]
     fn step_slots_advances_time_in_every_cell() {
         let mut fleet = backlogged_fleet(3, 4, 1, 2);
-        fleet.step_slots(500);
+        fleet.advance_to(SimNs(500_000_000)).unwrap();
         for c in 0..4 {
             assert!((fleet.cell(CellId(c)).unwrap().now_s() - 0.5).abs() < 1e-9);
         }

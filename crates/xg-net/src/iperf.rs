@@ -6,10 +6,9 @@
 //! figures plot.
 
 use crate::units::SampleStats;
-use serde::{Deserialize, Serialize};
 
 /// One iperf-style run: a series of per-second throughput samples (Mbps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IperfRun {
     /// Device label ("Laptop" / "RPi" / "Smartphone").
     pub device: String,
@@ -61,7 +60,7 @@ impl IperfRun {
 }
 
 /// The mean ± SD summary row the paper's throughput figures plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IperfSummary {
     /// Device label.
     pub device: String,

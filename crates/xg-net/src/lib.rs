@@ -48,9 +48,6 @@
 //! assert!(mbps > 30.0 && mbps < 70.0, "got {mbps}");
 //! ```
 
-// The deprecated `LinkSimulator::new` must not creep back into the crate
-// itself; external callers get the same gate from CI's `-D warnings`.
-#![deny(deprecated)]
 // Non-test library code must thread typed errors instead of panicking:
 // the same invariant xg-lint's panicking-call rule enforces for expect/panic.
 #![warn(clippy::unwrap_used)]

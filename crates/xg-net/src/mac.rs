@@ -9,11 +9,10 @@
 //! isolation of Fig. 6 is enforced here by allocating strictly within slice
 //! quotas.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Scheduling discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Equal PRB split among backlogged UEs, rotating the remainder.
     RoundRobin,

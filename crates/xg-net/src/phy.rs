@@ -7,7 +7,6 @@
 use crate::error::{NetError, Result};
 use crate::rat::Rat;
 use crate::units::{Db, MHz};
-use serde::{Deserialize, Serialize};
 
 /// Subcarriers per physical resource block (both LTE and NR).
 pub const SUBCARRIERS_PER_PRB: u32 = 12;
@@ -16,7 +15,7 @@ pub const SUBCARRIERS_PER_PRB: u32 = 12;
 pub const SYMBOLS_PER_SLOT: u32 = 14;
 
 /// Subcarrier spacing (numerology) of the uplink carrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scs {
     /// 15 kHz: LTE, and NR FDD in the paper's deployment.
     Khz15,
@@ -114,7 +113,7 @@ pub fn res_per_prb_slot() -> u32 {
 /// the maximum modulation-and-coding efficiency of the RAT. α ≈ 0.75 is the
 /// standard implementation-loss factor used in system-level LTE/NR
 /// simulators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkAdaptation {
     /// Shannon attenuation factor (implementation loss).
     pub alpha: f64,
@@ -151,7 +150,7 @@ impl LinkAdaptation {
 ///
 /// This is the mechanism behind the sub-linear throughput scaling at large
 /// PRB shares visible in the paper's Fig. 6 slicing experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UplinkPower {
     /// SNR the UE would achieve concentrating all power in a single PRB.
     pub snr_one_prb: Db,

@@ -1,9 +1,7 @@
 //! Radio access technology, duplexing, and TDD slot patterns.
 
-use serde::{Deserialize, Serialize};
-
 /// The radio access technology of a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rat {
     /// 4G LTE (eNodeB, 15 kHz subcarrier spacing, 1 ms subframes).
     Lte4g,
@@ -23,7 +21,7 @@ impl Rat {
 }
 
 /// The direction a TDD slot is assigned to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotDir {
     /// Downlink slot: no uplink data capacity.
     Downlink,
@@ -39,7 +37,7 @@ pub enum SlotDir {
 /// and uplink slots. The uplink fraction of the pattern bounds achievable
 /// uplink throughput; the paper's TDD cells are uplink-biased because the
 /// sensor workload is uplink-dominated.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TddPattern {
     slots: Vec<SlotDir>,
 }
@@ -115,7 +113,7 @@ impl TddPattern {
 }
 
 /// Duplexing mode of a cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Duplex {
     /// Frequency-division duplexing: a dedicated uplink carrier, so the full
     /// grid is available to the uplink at every TTI.

@@ -13,10 +13,9 @@
 
 use crate::rat::{Duplex, Rat};
 use crate::units::MHz;
-use serde::{Deserialize, Serialize};
 
 /// USRP model driving a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SdrModel {
     /// Ettus USRP B210 (2x2, 56 MS/s): the production network front end.
     B210,
@@ -25,7 +24,7 @@ pub enum SdrModel {
 }
 
 /// SDR front-end throughput model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SdrFrontend {
     /// The USRP model.
     pub model: SdrModel,

@@ -248,18 +248,6 @@ impl LinkSimulator {
         })
     }
 
-    /// Create a simulator for `cell`, seeded deterministically.
-    ///
-    /// Panics if the cell bandwidth is invalid for its RAT.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use LinkSimulator::try_new (fallible) or LinkSimulator::builder"
-    )]
-    pub fn new(cell: CellConfig, seed: u64) -> Self {
-        // xg-lint: allow(panicking-call, deprecated back-compat wrapper; its documented contract is to panic)
-        Self::try_new(cell, seed).expect("cell bandwidth must be valid for its RAT")
-    }
-
     /// Attach an observability handle: per-TTI scheduler occupancy and
     /// per-UE goodput land in its registry. A disabled handle detaches.
     pub fn set_obs(&mut self, obs: &Obs) {
@@ -812,9 +800,9 @@ impl LinkSimulator {
     /// The event engine: advance `n` TTIs, executing active slots one by
     /// one and idle-skipping the rest in O(1). `enqueue` controls whether
     /// offered traffic is enqueued at elapsed second boundaries (the
-    /// `step_slots` contract); the legacy `run_second` window enqueues
-    /// once up front instead and passes `false`.
-    pub(crate) fn advance_slots(&mut self, n: u64, enqueue: bool) {
+    /// `advance_to` contract); the `measure_second` window enqueues once
+    /// up front instead and passes `false`.
+    fn advance_slots(&mut self, n: u64, enqueue: bool) {
         let per_second = self.cell.scs.slots_per_second() as u64;
         let end = self.slot + n;
         while self.slot < end {
@@ -878,43 +866,15 @@ impl LinkSimulator {
         self.active_slots
     }
 
-    /// Advance the simulation by a batch of `slots` TTIs without
-    /// collecting throughput samples — background load between
-    /// measurement windows. Offered traffic is enqueued per elapsed
-    /// second boundary, matching [`run_second`](Self::run_second).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use xg_sim::Advance::advance_to — step_slots is a shim over the event engine"
-    )]
-    pub fn step_slots(&mut self, slots: usize) {
-        self.advance_slots(slots as u64, true);
-    }
-
-    /// Simulate one second and return `(handle, Mbps)` for every backlogged
-    /// UE.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use measure_second (or xg_sim::Advance::advance_to plus flush_second_window) — run_second is a shim over the event engine"
-    )]
-    pub fn run_second(&mut self) -> Vec<(UeHandle, f64)> {
-        self.run_second_impl()
-    }
-
     /// One-second measurement drain on the event engine: enqueue this
-    /// second's offered traffic once up front (the legacy `run_second`
-    /// ordering, even when the clock is not second-aligned), advance one
-    /// second of TTIs, then close the window and return `(handle, Mbps)`
-    /// per backlogged UE.
+    /// second's offered traffic once up front (even when the clock is not
+    /// second-aligned), advance one second of TTIs, then close the window
+    /// and return `(handle, Mbps)` per backlogged UE.
     ///
     /// This is the measurement companion to [`Advance::advance_to`]: the
     /// time API moves the clock, this drains one calibrated sample
-    /// window. The deprecated [`run_second`](Self::run_second) shim
-    /// forwards here.
+    /// window.
     pub fn measure_second(&mut self) -> Vec<(UeHandle, f64)> {
-        self.run_second_impl()
-    }
-
-    pub(crate) fn run_second_impl(&mut self) -> Vec<(UeHandle, f64)> {
         self.enqueue_offered();
         let slots = self.cell.scs.slots_per_second() as u64;
         self.advance_slots(slots, false);
@@ -970,7 +930,7 @@ impl LinkSimulator {
     pub fn iperf_uplink(&mut self, ue: UeHandle, seconds: usize) -> IperfRun {
         let mut samples = Vec::with_capacity(seconds);
         for _ in 0..seconds {
-            let results = self.run_second_impl();
+            let results = self.measure_second();
             let s = results
                 .iter()
                 .find(|(h, _)| *h == ue)
@@ -998,7 +958,7 @@ impl LinkSimulator {
             .collect();
         let mut per_ue: Vec<Vec<f64>> = vec![Vec::with_capacity(seconds); handles.len()];
         for _ in 0..seconds {
-            let results = self.run_second_impl();
+            let results = self.measure_second();
             for (i, h) in handles.iter().enumerate() {
                 let s = results
                     .iter()
@@ -1040,10 +1000,6 @@ impl Advance for LinkSimulator {
 }
 
 #[cfg(test)]
-// The tests below deliberately exercise the deprecated `step_slots` /
-// `run_second` shims: they pin the legacy contract that `Advance` must
-// keep reproducing bit-for-bit.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::rat::Rat;
@@ -1097,7 +1053,7 @@ mod tests {
             let mut total = 0.0;
             for _ in 0..5 {
                 total += sim
-                    .run_second()
+                    .measure_second()
                     .iter()
                     .find(|(h, _)| *h == ue)
                     .map(|&(_, m)| m)
@@ -1151,7 +1107,7 @@ mod tests {
         let a = sim.attach(DeviceClass::Laptop, Modem::Rm530nGl).unwrap();
         let b = sim.attach(DeviceClass::Laptop, Modem::Rm530nGl).unwrap();
         sim.detach(a).unwrap();
-        let results = sim.run_second();
+        let results = sim.measure_second();
         assert!(results.iter().all(|(h, _)| *h != a));
         assert!(results.iter().any(|(h, _)| *h == b));
     }
@@ -1182,7 +1138,7 @@ mod tests {
         let mut ra = 0.0;
         let mut rb = 0.0;
         for _ in 0..10 {
-            for (h, m) in sim.run_second() {
+            for (h, m) in sim.measure_second() {
                 if h == a {
                     ra += m;
                 } else if h == b {
@@ -1205,10 +1161,10 @@ mod tests {
         sim.set_traffic(ue, TrafficModel::Cbr { rate_mbps: 5.0 })
             .unwrap();
         // Warm up one second, then measure.
-        sim.run_second();
+        sim.measure_second();
         let mut total = 0.0;
         for _ in 0..5 {
-            total += sim.run_second()[0].1;
+            total += sim.measure_second()[0].1;
         }
         let mean = total / 5.0;
         assert!(
@@ -1285,7 +1241,7 @@ mod tests {
                 UnitVariation::default(),
             )
             .unwrap();
-        let before = sim.run_second();
+        let before = sim.measure_second();
         let rate = |results: &[(UeHandle, f64)], h: UeHandle| {
             results
                 .iter()
@@ -1299,7 +1255,7 @@ mod tests {
         // Let several seconds pass for the new quotas to dominate.
         let mut after = Vec::new();
         for _ in 0..3 {
-            after = sim.run_second();
+            after = sim.measure_second();
         }
         let ratio_after = rate(&after, b) / rate(&after, a);
         assert!(
@@ -1338,7 +1294,7 @@ mod tests {
             .attach(DeviceClass::RaspberryPi, Modem::Rm530nGl)
             .unwrap();
         sim.set_backlogged(ue, true).unwrap();
-        let results = sim.run_second();
+        let results = sim.measure_second();
         let reg = obs.registry().unwrap();
         let occ = reg.histogram("ran.tti.occupancy").snapshot();
         // FDD: every slot is uplink-capable; one full-buffer UE saturates
@@ -1388,8 +1344,8 @@ mod tests {
         // Far more CBR load than a 50% slice serves: the queue must grow.
         sim.set_traffic(cbr, TrafficModel::Cbr { rate_mbps: 60.0 })
             .unwrap();
-        sim.run_second();
-        sim.run_second();
+        sim.measure_second();
+        sim.measure_second();
         let ind = sim.take_indication(5);
         assert_eq!(ind.cell, 5);
         assert!((ind.window_s - 2.0).abs() < 1e-9);
@@ -1438,7 +1394,7 @@ mod tests {
             sim.set_backlogged(ue, true).unwrap();
             let mut out = Vec::new();
             for _ in 0..5 {
-                out.extend(sim.run_second().iter().map(|&(_, m)| m.to_bits()));
+                out.extend(sim.measure_second().iter().map(|&(_, m)| m.to_bits()));
                 if drain {
                     sim.take_indication(0);
                 }
@@ -1454,17 +1410,17 @@ mod tests {
         let ue = sim
             .attach(DeviceClass::RaspberryPi, Modem::Rm530nGl)
             .unwrap();
-        let nominal = sim.run_second()[0].1;
+        let nominal = sim.measure_second()[0].1;
         sim.set_mcs_cap(ue, Some(sim.max_spectral_eff() * 0.1))
             .unwrap();
         assert!(sim.mcs_cap(ue).unwrap().is_some());
-        let capped = sim.run_second()[0].1;
+        let capped = sim.measure_second()[0].1;
         assert!(
             capped < nominal * 0.5,
             "MCS cap must bite: {capped} vs {nominal}"
         );
         sim.set_mcs_cap(ue, None).unwrap();
-        let restored = sim.run_second()[0].1;
+        let restored = sim.measure_second()[0].1;
         assert!(
             restored > capped * 2.0,
             "clearing the cap must restore rate: {restored} vs {capped}"
@@ -1498,7 +1454,7 @@ mod tests {
         let mut ra = 0.0;
         let mut rb = 0.0;
         for _ in 0..5 {
-            for (h, m) in sim.run_second() {
+            for (h, m) in sim.measure_second() {
                 if h == a {
                     ra += m;
                 } else if h == b {

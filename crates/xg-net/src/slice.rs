@@ -8,15 +8,14 @@
 //! never oversubscribe the grid.
 
 use crate::error::{NetError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A slice identifier local to a cell (index into the slice table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SliceId(pub u16);
 
 /// Single Network Slice Selection Assistance Information: the 3GPP-standard
 /// slice identity carried in registration and session requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Snssai {
     /// Slice/service type (1 = eMBB, 2 = URLLC, 3 = mIoT).
     pub sst: u8,
@@ -37,7 +36,7 @@ impl Snssai {
 }
 
 /// One slice's configuration within a cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceProfile {
     /// The slice's network-wide identity.
     pub snssai: Snssai,
@@ -50,7 +49,7 @@ pub struct SliceProfile {
 /// Maintains the invariant that the sum of PRB shares never exceeds 1.0
 /// (shares strictly partition the grid — the paper's complementary-ratio
 /// experiment always sums to exactly 100%).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceConfig {
     profiles: Vec<SliceProfile>,
 }

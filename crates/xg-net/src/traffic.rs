@@ -7,10 +7,8 @@
 //! serves at most the queue, so under-loaded UEs leave PRBs to others
 //! (within their slice).
 
-use serde::{Deserialize, Serialize};
-
 /// How a UE offers uplink traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficModel {
     /// Always backlogged (iperf3): the measurement traffic of Figs. 4–6.
     FullBuffer,

@@ -4,11 +4,10 @@
 //! passed where a throughput is expected, while compiling down to bare
 //! floating-point arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Channel bandwidth in megahertz.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct MHz(pub f64);
 
 impl MHz {
@@ -26,7 +25,7 @@ impl fmt::Display for MHz {
 }
 
 /// Throughput in megabits per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Mbps(pub f64);
 
 impl Mbps {
@@ -50,7 +49,7 @@ impl fmt::Display for Mbps {
 }
 
 /// Signal level or gain in decibels.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Db(pub f64);
 
 impl Db {
@@ -91,7 +90,7 @@ impl std::ops::Sub for Db {
 ///
 /// Used by the iperf-like harness and by the figure-regeneration binaries to
 /// report the mean ± standard deviation series the paper plots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleStats {
     /// Number of samples.
     pub n: usize,

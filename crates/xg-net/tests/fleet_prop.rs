@@ -74,15 +74,13 @@ proptest! {
     }
 }
 
-/// The deprecated panicking constructor must keep working until every
-/// external caller has migrated (CI's `-D warnings` flags stragglers).
+/// The direct constructor and the staged builder build the same cell.
 #[test]
-#[allow(deprecated)]
-fn deprecated_new_still_constructs() {
+fn try_new_and_builder_construct_alike() {
     let cell = CellConfig::new(Rat::Nr5g, Duplex::Fdd, MHz(20.0));
-    let mut sim = LinkSimulator::new(cell.clone(), 7);
-    let fallible = LinkSimulator::try_new(cell, 7).unwrap();
-    assert_eq!(sim.total_prbs(), fallible.total_prbs());
+    let mut sim = LinkSimulator::try_new(cell.clone(), 7).unwrap();
+    let built = LinkSimulator::builder(cell).seed(7).build().unwrap();
+    assert_eq!(sim.total_prbs(), built.total_prbs());
     let ue = sim
         .attach(DeviceClass::RaspberryPi, Modem::Rm530nGl)
         .unwrap();

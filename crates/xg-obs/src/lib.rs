@@ -24,9 +24,9 @@
 //!
 //! Instrumented components hold an [`Obs`] handle. The handle is
 //! `None`-backed when observability is disabled (the default), so the
-//! hot-path cost of an uninstrumented run is a branch on an `Option` —
-//! the criterion bench `obs_bench` keeps the enabled closed loop within
-//! 5% of the uninstrumented runtime.
+//! hot-path cost of an uninstrumented run is a branch on an `Option`;
+//! the cost of switching it on is measured by the repo benchmark
+//! (`harness.trace_overhead_pct`, `xg-obs.*` — `benchmark/README.md`).
 //!
 //! ```
 //! use xg_obs::Obs;

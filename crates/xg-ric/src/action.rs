@@ -1,14 +1,13 @@
 //! Typed RIC control actions and the conflict-resolution rules that
 //! merge the per-period action streams of every xApp.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use xg_net::slice::Snssai;
 
 /// A control action a RIC emits toward the RAN. Each maps onto one
 /// runtime mutation of the live fleet: `set_slices`, `set_pf_weight`,
 /// or `set_mcs_cap`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RicAction {
     /// Re-apportion a cell's slice PRB ratios. `shares` lists every
     /// slice of the cell (partial tables are not expressible: a PDU

@@ -21,7 +21,6 @@
 //! indications once per report cycle, steps the engine, and applies the
 //! resolved actions between cycles.
 
-#![deny(deprecated)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 

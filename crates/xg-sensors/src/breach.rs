@@ -8,10 +8,9 @@
 //! divergence between CFD prediction and measurement.
 
 use crate::facility::Wall;
-use serde::{Deserialize, Serialize};
 
 /// A hole in a screen panel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Breach {
     /// Which wall is damaged.
     pub wall: Wall,

@@ -7,10 +7,9 @@
 //! integrity the breach-detection pipeline monitors.
 
 use crate::breach::Breach;
-use serde::{Deserialize, Serialize};
 
 /// One of the four vertical screen walls (the roof is modelled as a lid).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Wall {
     /// x = 0 plane (west).
     West,
@@ -40,7 +39,7 @@ impl Wall {
 }
 
 /// The screen-house model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CupsFacility {
     /// Extent along x (m).
     pub length_m: f64,

@@ -35,9 +35,6 @@
 // the same invariant xg-lint's panicking-call rule enforces for expect/panic.
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-// In-crate code must stay off its own deprecated shims (`poll`): the
-// event engine behind `Advance::advance_to` is the only time authority.
-#![deny(deprecated)]
 
 pub mod breach;
 pub mod facility;

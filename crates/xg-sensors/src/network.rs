@@ -17,7 +17,6 @@ use crate::facility::CupsFacility;
 use crate::station::{Placement, WeatherStation};
 use crate::telemetry::TelemetryRecord;
 use crate::weather::{WeatherSim, WeatherState};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use xg_sim::{Advance, EventQueue, SimNs};
 
@@ -44,7 +43,7 @@ enum SensorEvent {
 }
 
 /// Boundary conditions for one CFD run, aggregated from station reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundaryConditions {
     /// Free-stream wind speed (m/s), from exterior stations.
     pub wind_speed_ms: f64,
@@ -81,9 +80,6 @@ pub struct SensorNetwork {
     /// Reports measured by drained report rounds, awaiting
     /// [`take_reports`](Self::take_reports).
     pending: Vec<TelemetryRecord>,
-    /// Report rounds completed (drives the deprecated `poll` shim's
-    /// next-report target).
-    reports_done: u64,
 }
 
 impl SensorNetwork {
@@ -158,7 +154,6 @@ impl SensorNetwork {
             last_reports: BTreeMap::new(),
             events,
             pending: Vec::new(),
-            reports_done: 0,
         }
     }
 
@@ -215,18 +210,6 @@ impl SensorNetwork {
         self.last_state
     }
 
-    /// Advance the weather to the next reporting instant and collect one
-    /// report from every station.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use xg_sim::Advance::advance_to plus take_reports — poll is a shim over the event engine"
-    )]
-    pub fn poll(&mut self) -> Vec<TelemetryRecord> {
-        let next = SimNs::from_secs_f64((self.reports_done + 1) as f64 * REPORT_INTERVAL_S);
-        let _ = self.advance_to(next);
-        self.take_reports()
-    }
-
     /// Drain the reports measured by report rounds since the last call
     /// (in round order, station order within a round). Empty if no round
     /// fell due since then.
@@ -262,7 +245,6 @@ impl SensorNetwork {
             };
             self.pending.push(report);
         }
-        self.reports_done += 1;
     }
 
     /// Aggregate a set of simultaneous reports into CFD boundary
@@ -344,10 +326,6 @@ impl Advance for SensorNetwork {
 }
 
 #[cfg(test)]
-// The tests below deliberately exercise the deprecated `poll` shim: they
-// pin the legacy 5-minute polling contract that the event engine must
-// keep reproducing bit-for-bit.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::breach::Breach;
@@ -357,23 +335,32 @@ mod tests {
         SensorNetwork::cups_default(CupsFacility::default(), seed)
     }
 
+    /// Advance one report interval and drain its round.
+    fn poll(net: &mut SensorNetwork) -> Vec<TelemetryRecord> {
+        let next = net
+            .now()
+            .saturating_add(SimNs::from_secs_f64(REPORT_INTERVAL_S));
+        net.advance_to(next).unwrap();
+        net.take_reports()
+    }
+
     #[test]
     fn poll_reports_all_stations() {
         let mut net = network(1);
-        let reports = net.poll();
+        let reports = poll(&mut net);
         assert_eq!(reports.len(), net.station_count());
         let t = reports[0].t_s;
         assert!(reports.iter().all(|r| r.t_s == t), "simultaneous reports");
         assert!((t - REPORT_INTERVAL_S).abs() < 1e-9);
         // Next poll advances by exactly one interval.
-        let t2 = net.poll()[0].t_s;
+        let t2 = poll(&mut net)[0].t_s;
         assert!((t2 - 2.0 * REPORT_INTERVAL_S).abs() < 1e-9);
     }
 
     #[test]
     fn boundary_conditions_aggregate() {
         let mut net = network(2);
-        let reports = net.poll();
+        let reports = poll(&mut net);
         let bc = net.boundary_conditions(&reports).unwrap();
         assert!(bc.wind_speed_ms >= 0.0);
         assert!((0.0..360.0).contains(&bc.wind_dir_deg));
@@ -385,7 +372,7 @@ mod tests {
     #[test]
     fn boundary_conditions_need_both_groups() {
         let mut net = network(3);
-        let reports = net.poll();
+        let reports = poll(&mut net);
         // Keep only exterior reports (ids 0..4).
         let ext_only: Vec<_> = reports
             .iter()
@@ -399,7 +386,7 @@ mod tests {
     #[test]
     fn unknown_station_id_rejected() {
         let mut net = network(4);
-        let mut reports = net.poll();
+        let mut reports = poll(&mut net);
         reports[0].station_id = 999;
         assert!(net.boundary_conditions(&reports).is_none());
     }
@@ -417,8 +404,8 @@ mod tests {
         let mut sum_intact = 0.0;
         let mut sum_breached = 0.0;
         for _ in 0..n {
-            let ri = intact.poll();
-            let rb = breached.poll();
+            let ri = poll(&mut intact);
+            let rb = poll(&mut breached);
             sum_intact += intact.boundary_conditions(&ri).unwrap().interior_wind_ms;
             sum_breached += breached.boundary_conditions(&rb).unwrap().interior_wind_ms;
         }
@@ -434,7 +421,7 @@ mod tests {
         assert_eq!(net.healthy_station_count(), net.station_count());
         net.set_station_down(0, true);
         net.set_station_down(4, true);
-        let reports = net.poll();
+        let reports = poll(&mut net);
         assert_eq!(reports.len(), net.station_count() - 2);
         assert!(reports
             .iter()
@@ -445,7 +432,7 @@ mod tests {
         // Repair: the station reports again next poll.
         net.set_station_down(0, false);
         net.set_station_down(4, false);
-        assert_eq!(net.poll().len(), net.station_count());
+        assert_eq!(poll(&mut net).len(), net.station_count());
     }
 
     #[test]
@@ -454,7 +441,7 @@ mod tests {
         for id in 0..4 {
             net.set_station_down(id, true);
         }
-        let reports = net.poll();
+        let reports = poll(&mut net);
         assert!(
             net.boundary_conditions(&reports).is_none(),
             "no exterior group -> no CFD boundary conditions"
@@ -464,11 +451,11 @@ mod tests {
     #[test]
     fn stuck_station_repeats_values_with_fresh_timestamps() {
         let mut net = network(9);
-        let first = net.poll();
+        let first = poll(&mut net);
         let baseline = *first.iter().find(|r| r.station_id == 2).unwrap();
         net.set_station_stuck(2, true);
         for k in 1..=3 {
-            let reports = net.poll();
+            let reports = poll(&mut net);
             let r = reports.iter().find(|r| r.station_id == 2).unwrap();
             assert_eq!(r.wind_speed_ms, baseline.wind_speed_ms, "frozen value");
             assert_eq!(r.temp_c, baseline.temp_c);
@@ -480,7 +467,7 @@ mod tests {
         // polls its readings must diverge from the frozen value.
         let mut diverged = false;
         for _ in 0..10 {
-            let reports = net.poll();
+            let reports = poll(&mut net);
             let r = reports.iter().find(|r| r.station_id == 2).unwrap();
             diverged |= (r.wind_speed_ms - baseline.wind_speed_ms).abs() > 1e-6;
         }
@@ -490,13 +477,13 @@ mod tests {
     #[test]
     fn advance_to_matches_poll_bitwise() {
         // One big advance over 4 report intervals must replay the exact
-        // event calendar the poll shim walks one interval at a time:
-        // same reports, bit for bit, in the same order.
+        // event calendar that polling walks one interval at a time: same
+        // reports, bit for bit, in the same order.
         let mut polled = network(31);
         let mut evented = network(31);
         let mut via_poll = Vec::new();
         for _ in 0..4 {
-            via_poll.extend(polled.poll());
+            via_poll.extend(poll(&mut polled));
         }
         evented
             .advance_to(SimNs::from_secs_f64(4.0 * REPORT_INTERVAL_S))
@@ -529,11 +516,11 @@ mod tests {
         let mut net = network(6);
         let mut pre = 0.0;
         for _ in 0..6 {
-            let r = net.poll();
+            let r = poll(&mut net);
             pre = net.boundary_conditions(&r).unwrap().wind_speed_ms;
         }
         net.force_front();
-        let r = net.poll();
+        let r = poll(&mut net);
         let during = net.boundary_conditions(&r).unwrap().wind_speed_ms;
         assert!(during > pre + 2.0, "front: {pre} -> {during}");
     }

@@ -8,10 +8,8 @@
 //! harvest and per-radio consumption, so deployments can be compared on
 //! uptime and battery-replacement intervals.
 
-use serde::{Deserialize, Serialize};
-
 /// Radio technology powering the uplink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RadioKind {
     /// 900 MHz ISM long-range link (the current deployment).
     Ism900,
@@ -35,7 +33,7 @@ impl RadioKind {
 }
 
 /// A solar-powered station's energy model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerBudget {
     /// Battery capacity (Wh).
     pub battery_wh: f64,

@@ -10,11 +10,10 @@
 //! boundary conditions.
 
 use crate::telemetry::TelemetryRecord;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Why a record was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QcFlag {
     /// A value is outside its physical range.
     OutOfRange,
@@ -25,7 +24,7 @@ pub enum QcFlag {
 }
 
 /// Physical plausibility limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QcLimits {
     /// Max plausible wind speed (m/s).
     pub wind_max_ms: f64,

@@ -12,10 +12,9 @@ use crate::telemetry::TelemetryRecord;
 use crate::weather::WeatherState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Where a station sits relative to the screen house.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Placement {
     /// Outside the screen, measuring free-stream conditions.
     Exterior {
@@ -48,7 +47,7 @@ impl Placement {
 }
 
 /// Per-channel measurement noise (SDs) and calibration bias.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Wind-speed noise SD (m/s).
     pub wind_sd: f64,

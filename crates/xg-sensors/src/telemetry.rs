@@ -4,10 +4,8 @@
 //! [`TelemetryRecord::WIRE_SIZE`] bytes — the element size the xGFabric
 //! telemetry logs are created with.
 
-use serde::{Deserialize, Serialize};
-
 /// One weather-station report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryRecord {
     /// Reporting station.
     pub station_id: u32,

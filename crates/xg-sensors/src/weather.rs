@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Instantaneous true atmospheric state at the site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeatherState {
     /// Time since simulation start (s).
     pub t_s: f64,
@@ -26,7 +25,7 @@ pub struct WeatherState {
 }
 
 /// Micro-climate generator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeatherConfig {
     /// Daily mean temperature (°C).
     pub temp_mean_c: f64,

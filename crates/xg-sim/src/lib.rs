@@ -19,11 +19,12 @@
 //!   function of what was scheduled, never of container iteration
 //!   order. See [`queue`] for the layout and the tie-breaking rule.
 //!
-//! The legacy entry points remain as `#[deprecated]` shims layered on
-//! the event engine; the stepped-vs-event bitwise-equality proptest in
-//! `tests/tests/event_engine.rs` pins that layering.
-
-#![deny(deprecated)]
+//! `advance_to` is the only way to move time; the stepped reference
+//! engine (`LinkSimulator::advance_to_stepped`) survives solely as the
+//! oracle of the stepped-vs-event bitwise-equality proptest in
+//! `tests/tests/event_engine.rs`. Host-time cost of the queue is
+//! measured in `benchmark/` (`xg-sim.event_ns`, see
+//! `benchmark/README.md`).
 
 pub mod queue;
 
