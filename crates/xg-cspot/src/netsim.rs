@@ -39,26 +39,6 @@ impl SimClock {
     }
 }
 
-impl xg_sim::Advance for SimClock {
-    type Error = std::convert::Infallible;
-
-    fn now(&self) -> xg_sim::SimNs {
-        xg_sim::SimNs(self.micros.load(Ordering::Relaxed) * 1_000)
-    }
-
-    /// Absolute-time view of the relative [`advance_ms`] primitive
-    /// (which stays: replication tests drive the clock by deltas).
-    /// Backwards targets are no-ops.
-    ///
-    /// [`advance_ms`]: SimClock::advance_ms
-    fn advance_to(&mut self, t: xg_sim::SimNs) -> Result<(), Self::Error> {
-        let target = t.0 / 1_000;
-        // fetch_max: monotone even if several handles race.
-        self.micros.fetch_max(target, Ordering::Relaxed);
-        Ok(())
-    }
-}
-
 /// One network segment's latency/loss model.
 ///
 /// One-way delay is `base + N(0, jitter)` truncated below at `min_ms`.

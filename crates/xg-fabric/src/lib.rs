@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::error::FabricError;
     pub use crate::intervention::{Intervention, InterventionAdvisor, SiteConditions};
     pub use crate::orchestrator::{FabricConfig, XgFabric};
-    pub use crate::pipeline::{FieldGateway, TelemetryPipeline};
+    pub use crate::pipeline::FieldGateway;
     pub use crate::ran::{CellHealth, RanCellSpec, RanProbe, RanTopology, ScenarioUe};
     pub use crate::reliability::ReliabilityReport;
     pub use crate::robot::{Robot, RobotReport};

@@ -56,14 +56,14 @@ use xg_obs::slo::{Hysteresis, SloEventKind, SloOp, SloSpec, SloStat, SloWatchdog
 use xg_obs::span::SpanRecord;
 use xg_obs::window::{MetricsWindow, WindowConfig};
 use xg_obs::ClockDomain;
-use xg_obs::{Obs, SpanId, TraceId};
+use xg_obs::{Obs, SpanId, TraceId, Tracer};
 use xg_ric::Ric;
 use xg_sensors::breach::Breach;
 use xg_sensors::facility::CupsFacility;
 use xg_sensors::network::{BoundaryConditions, SensorNetwork};
 use xg_sensors::qc::QcScreen;
 use xg_sensors::telemetry::TelemetryRecord;
-use xg_sim::{Advance, EventQueue, SimNs};
+use xg_sim::{Advance, SimNs};
 
 /// Full-fabric configuration.
 #[derive(Debug, Clone)]
@@ -175,7 +175,9 @@ impl Default for FabricConfig {
     }
 }
 
-/// Pre-resolved fabric-level instruments (one registry lookup at attach).
+/// Everything the fabric keeps only while observability is on: its
+/// pre-resolved instruments (one registry lookup at attach) and the SLO
+/// window + watchdog that judge them.
 struct FabricObs {
     report_cycles: Arc<xg_obs::Counter>,
     degradation_level: Arc<xg_obs::Gauge>,
@@ -191,11 +193,21 @@ struct FabricObs {
     ric_stale_cells: Arc<xg_obs::Gauge>,
     critical_total_ms: Arc<xg_obs::Histogram>,
     critical_depth: Arc<xg_obs::Gauge>,
+    /// Sliding window over the registry, judged by the watchdog.
+    window: MetricsWindow,
+    watchdog: SloWatchdog,
 }
 
 impl FabricObs {
-    fn new(obs: &Obs) -> Option<Self> {
-        let reg = obs.registry()?;
+    fn new(config: &FabricConfig) -> Option<Self> {
+        let reg = config.obs.registry()?;
+        Self::register_help(reg);
+        let watchdog = SloWatchdog::new(config.slos.clone(), config.slo_hysteresis);
+        // The window feeds the watchdog alone, so it only needs to diff
+        // the instruments the objectives actually read — not every live
+        // histogram in the registry, every cycle.
+        let mut window = MetricsWindow::new(config.slo_window);
+        window.focus(watchdog.metrics());
         Some(FabricObs {
             report_cycles: reg.counter("fabric.report_cycles"),
             degradation_level: reg.gauge("fabric.degradation.level"),
@@ -211,6 +223,8 @@ impl FabricObs {
             ric_stale_cells: reg.gauge("fabric.ric.stale_cells"),
             critical_total_ms: reg.histogram("fabric.cycle.critical.total_ms"),
             critical_depth: reg.gauge("fabric.cycle.critical.depth"),
+            window,
+            watchdog,
         })
     }
 
@@ -245,13 +259,12 @@ impl FabricObs {
     }
 }
 
-/// Per-cycle wall-span bookkeeping. Phase boundaries are captured as
-/// explicit timestamps during the cycle and flushed as one span tree at
-/// cycle end — root first, so every phase span can carry a parent link
-/// (the tracer assigns ids at record time). Inert when observability is
-/// disabled: every call reduces to one branch.
+/// Per-cycle wall-span bookkeeping, built only when a tracer exists.
+/// Phase boundaries are captured as explicit timestamps during the cycle
+/// and flushed as one span tree at cycle end — root first, so every
+/// phase span can carry a parent link (the tracer assigns ids at record
+/// time).
 struct CycleSpans {
-    obs: Obs,
     trace: TraceId,
     /// Tracer length at cycle start; `spans_from(mark)` is this cycle.
     mark: usize,
@@ -260,45 +273,18 @@ struct CycleSpans {
 }
 
 impl CycleSpans {
-    fn begin(obs: &Obs) -> Self {
-        match obs.tracer() {
-            Some(t) => CycleSpans {
-                obs: obs.clone(),
-                trace: t.new_trace(),
-                mark: t.len(),
-                root_start_us: wall_now_us(),
-                phases: Vec::with_capacity(8),
-            },
-            None => CycleSpans {
-                obs: Obs::disabled(),
-                trace: 0,
-                mark: 0,
-                root_start_us: 0,
-                phases: Vec::new(),
-            },
-        }
-    }
-
-    /// Timestamp a phase start (0 when disabled).
-    fn start(&self) -> u64 {
-        if self.obs.is_enabled() {
-            wall_now_us()
-        } else {
-            0
-        }
-    }
-
-    /// Close a phase opened by [`CycleSpans::start`].
-    fn end(&mut self, name: &'static str, start_us: u64) {
-        if self.obs.is_enabled() {
-            self.phases.push((name, start_us, wall_now_us()));
+    fn begin(tracer: &Tracer) -> Self {
+        CycleSpans {
+            trace: tracer.new_trace(),
+            mark: tracer.len(),
+            root_start_us: wall_now_us(),
+            phases: Vec::with_capacity(8),
         }
     }
 
     /// Record the cycle's span tree and return this cycle's wall spans
     /// (the tree just recorded plus any other spans of this trace).
-    fn flush(self) -> Option<(TraceId, Vec<SpanRecord>)> {
-        let tracer = self.obs.tracer()?;
+    fn flush(self, tracer: &Tracer) -> (TraceId, Vec<SpanRecord>) {
         let root = tracer.record_raw(
             self.trace,
             None,
@@ -324,60 +310,18 @@ impl CycleSpans {
             .into_iter()
             .filter(|s| s.trace == self.trace)
             .collect();
-        Some((self.trace, spans))
+        (self.trace, spans)
     }
 }
 
-/// One phase of the report cycle, registered as a recurring event
-/// source on the fabric's calendar queue. Registration order (the
-/// [`PHASES`] table, mirroring how xg-ric registers xApps) fixes the
-/// source id, and the scheduler's `(time, source, seq)` tie-break
-/// replays the phases of a coincident cycle instant in exactly this
-/// order — so one [`Advance::advance_to`] drain reproduces the legacy
-/// `run_report_cycle` body statement for statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FabricPhase {
-    /// Advance the fault plan and apply state changes.
-    Faults,
-    /// Burst-probe the RAN fleet; worst cell lands on the timeline.
-    RanProbe,
-    /// Deliver E2 indications to the RIC and apply its actions.
-    RicStep,
-    /// Drain the sensor network's report round through QC.
-    SensePoll,
-    /// Ship the cycle's records through the field gateway.
-    GatewayShip,
-    /// Advance the HPC sites; service retries and completions.
-    HpcAdvance,
-    /// Evaluate measured SLOs and move the degradation ladder.
-    SloObserve,
-    /// The 30-minute change-detection duty cycle (internally gated).
-    ChangeDetect,
-    /// Close the cycle: impairment tracking and span-tree flush.
-    CycleClose,
-}
-
-/// The cycle's phases in registration order (= event-source id order).
-const PHASES: [FabricPhase; 9] = [
-    FabricPhase::Faults,
-    FabricPhase::RanProbe,
-    FabricPhase::RicStep,
-    FabricPhase::SensePoll,
-    FabricPhase::GatewayShip,
-    FabricPhase::HpcAdvance,
-    FabricPhase::SloObserve,
-    FabricPhase::ChangeDetect,
-    FabricPhase::CycleClose,
-];
-
-/// Per-cycle scratch threaded between the phase events of one cycle
-/// instant: opened by `Faults`, closed (taken) by `CycleClose`.
-struct CycleScratch {
-    cyc: CycleSpans,
-    /// QC-passed records of this cycle's report round.
-    records: Vec<TelemetryRecord>,
-    /// Transfer latency the gateway measured shipping them (ms).
-    latency_ms: f64,
+/// Run one phase of the cycle, recording its wall span when the cycle
+/// is traced.
+fn phase<T>(cyc: &mut Option<CycleSpans>, name: &'static str, body: impl FnOnce() -> T) -> T {
+    let Some(c) = cyc else { return body() };
+    let start_us = wall_now_us();
+    let out = body();
+    c.phases.push((name, start_us, wall_now_us()));
+    out
 }
 
 /// Captured trigger context for one CFD run, including the resolution
@@ -467,13 +411,9 @@ pub struct XgFabric {
     /// Twin calibration factor (measured/predicted), set by the first
     /// completed comparison ("once the model is calibrated", §2).
     calibration: Option<f64>,
+    /// Fabric-level instruments, SLO window and watchdog (enabled `obs`
+    /// only).
     obs: Option<FabricObs>,
-    /// Transfer latency of the most recent report cycle (ms, virtual),
-    /// charged to the trace of any detection that cycle triggers.
-    last_transfer_ms: f64,
-    /// Sliding window + watchdog over the registry (enabled `obs` only).
-    window: Option<MetricsWindow>,
-    watchdog: Option<SloWatchdog>,
     /// Degradation level the active SLO breaches currently request; the
     /// ladder runs at max(backlog level, this).
     slo_degradation: u8,
@@ -485,14 +425,10 @@ pub struct XgFabric {
     /// The most recent report cycle's wall-time critical path (enabled
     /// `obs` only); attached to every black-box bundle.
     last_critical: Option<CriticalPath>,
-    /// The fabric's calendar queue: every report-cycle phase is a
-    /// recurring event source on it, and [`Advance::advance_to`] is one
-    /// scheduler drain. Report-interval bucket width keeps each cycle
-    /// instant in a single wheel bucket.
-    events: EventQueue<FabricPhase>,
-    /// Scratch threaded between this cycle instant's phase events
-    /// (`None` between cycles).
-    cycle: Option<CycleScratch>,
+    /// Sim time the fabric has been advanced to.
+    now: SimNs,
+    /// When the next report cycle is due.
+    next_cycle: SimNs,
 }
 
 impl XgFabric {
@@ -532,21 +468,7 @@ impl XgFabric {
         if let Some(r) = &mut ric {
             r.set_obs(&config.obs);
         }
-        let obs = FabricObs::new(&config.obs);
-        if let Some(reg) = config.obs.registry() {
-            FabricObs::register_help(reg);
-        }
-        let (window, watchdog) = if config.obs.is_enabled() {
-            let watchdog = SloWatchdog::new(config.slos.clone(), config.slo_hysteresis);
-            // The window feeds the watchdog alone, so it only needs to
-            // diff the instruments the objectives actually read — not
-            // every live histogram in the registry, every cycle.
-            let mut window = MetricsWindow::new(config.slo_window);
-            window.focus(watchdog.metrics());
-            (Some(window), Some(watchdog))
-        } else {
-            (None, None)
-        };
+        let obs = FabricObs::new(&config);
         // The first fabric configured with a black-box directory arms the
         // process-wide panic hook: a crash anywhere dumps that fabric's
         // flight recorder next to the SLO/fault bundles. One recorder per
@@ -559,17 +481,7 @@ impl XgFabric {
                 xg_obs::recorder::install_panic_hook(recorder, dir, seed);
             });
         }
-        // Register the report-cycle phases as recurring event sources in
-        // PHASES order: source id = registration index, so the queue's
-        // (time, source, seq) tie-break replays a cycle instant in
-        // exactly the legacy statement order. Each phase fires first at
-        // the end of the first report interval and re-arms itself one
-        // interval ahead on every pop.
-        let mut events = EventQueue::with_layout(1_000_000_000, 1024);
-        let first = SimNs::from_secs_f64(config.report_interval_s);
-        for (source, phase) in PHASES.iter().enumerate() {
-            events.push(first, source as u32, *phase);
-        }
+        let next_cycle = SimNs::from_secs_f64(config.report_interval_s);
         Ok(XgFabric {
             config,
             net,
@@ -609,16 +521,13 @@ impl XgFabric {
             impairment_total_s: 0.0,
             calibration: None,
             obs,
-            last_transfer_ms: 0.0,
-            window,
-            watchdog,
             slo_degradation: 0,
             prev_dropped: 0,
             prev_delivered: 0,
             bundles: Vec::new(),
             last_critical: None,
-            events,
-            cycle: None,
+            now: SimNs::ZERO,
+            next_cycle,
         })
     }
 
@@ -660,7 +569,7 @@ impl XgFabric {
 
     /// The SLO watchdog, when observability is enabled.
     pub fn slo_watchdog(&self) -> Option<&SloWatchdog> {
-        self.watchdog.as_ref()
+        self.obs.as_ref().map(|o| &o.watchdog)
     }
 
     /// Degradation level the active SLO breaches currently request.
@@ -703,214 +612,156 @@ impl XgFabric {
         self.net.force_front();
     }
 
-    /// Run one 300-second report cycle: a compatibility wrapper that
-    /// drains the event queue through exactly one report interval. The
-    /// cycle's phases are recurring events on the fabric's calendar
-    /// queue (see [`FabricPhase`]); [`Advance::advance_to`] is the
-    /// primitive.
+    /// Run one 300-second report cycle (a wrapper over
+    /// [`Advance::advance_to`], the primitive).
     pub fn run_report_cycle(&mut self) -> Result<(), FabricError> {
         let interval = SimNs::from_secs_f64(self.config.report_interval_s);
-        self.advance_to(self.events.now().saturating_add(interval))
+        self.advance_to(self.now.saturating_add(interval))
     }
 
-    /// Execute one phase event of the report cycle. Phases of one cycle
-    /// instant hand the per-cycle scratch (span clock, QC-passed
-    /// records, transfer latency) to each other through `self.cycle`;
-    /// `Faults` opens it and `CycleClose` consumes it. A phase that
-    /// finds no scratch open (its cycle was aborted by an earlier
-    /// phase's error) is a no-op.
-    fn run_phase(&mut self, phase: FabricPhase) -> Result<(), FabricError> {
-        match phase {
-            FabricPhase::Faults => {
-                // One wall trace per cycle: phase boundaries are captured
-                // as timestamps and flushed into a span tree at cycle
-                // close, feeding the profiler's attribution tree and the
-                // cycle's critical path.
-                let mut cyc = CycleSpans::begin(&self.config.obs);
-                self.t_s += self.config.report_interval_s;
-                // Faults change state at report-cycle resolution; their
-                // downtime accounting inside the plan stays exact
-                // regardless.
-                let ph = cyc.start();
-                let changes = self.faults.advance_to(self.t_s);
-                for c in &changes {
-                    self.apply_fault(c);
-                }
-                cyc.end("fabric.faults.advance", ph);
-                self.cycle = Some(CycleScratch {
-                    cyc,
-                    records: Vec::new(),
-                    latency_ms: 0.0,
-                });
-            }
-            FabricPhase::RanProbe => {
-                // Step the RAN fleet one probe batch: measured per-cell
-                // goodput lands on the registry (feeding the SLO window)
-                // and the worst cell lands on the timeline, every cycle.
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                let health = self.ran.probe();
-                s.cyc.end("fabric.ran.probe", ph);
-                if let Some(worst) = health
-                    .iter()
-                    .min_by(|a, b| a.goodput_mbps.total_cmp(&b.goodput_mbps))
-                {
-                    self.timeline.push(Event::RanProbed {
-                        t_s: self.t_s,
-                        cells: health.len(),
-                        worst_cell: worst.name.clone(),
-                        worst_goodput_mbps: worst.goodput_mbps,
-                    });
-                }
-                self.cycle = Some(s);
-            }
-            FabricPhase::RicStep => {
-                // Near-RT RIC loop: deliver this cycle's E2 indications
-                // (cells that are partitioned, or whose indication stream
-                // is dropped by a fault, go stale inside the engine), run
-                // the xApps, and apply the conflict-resolved actions to
-                // the live fleet — so the control response lands before
-                // the next probe batch. The drain itself is pure reads +
-                // resets; with zero xApps the whole block emits nothing
-                // and the run is bitwise identical to a RIC-less one.
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                if let Some(ric) = &mut self.ric {
-                    let mut fresh = self.ran.collect_indications();
-                    let ran = &self.ran;
-                    let dropped = &self.ric_dropped;
-                    fresh.retain(|ind| match ran.cell_name(ind.cell) {
-                        Some(name) => !ran.cell_down(name) && !dropped.contains(name),
-                        None => false,
-                    });
-                    let outcome = ric.step(fresh, self.t_s);
-                    if let Some(o) = &self.obs {
-                        o.ric_actions.add(outcome.actions.len() as u64);
-                        o.ric_held.add(outcome.held as u64);
-                        o.ric_stale_cells.set(outcome.stale_cells.len() as f64);
-                    }
-                    for (xapp, action) in &outcome.actions {
-                        // A rejected action (the RAN refused the knob) is
-                        // dropped; the xApp re-decides from the next
-                        // indication.
-                        if self.ran.apply_ric_action(action).is_ok() {
-                            self.timeline.push(Event::RicAction {
-                                t_s: self.t_s,
-                                xapp: (*xapp).to_string(),
-                                action: action.describe(),
-                            });
-                        }
-                    }
-                }
-                s.cyc.end("fabric.ric.step", ph);
-                self.cycle = Some(s);
-            }
-            FabricPhase::SensePoll => {
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                // Drain the sensor network's own event engine through one
-                // report round, then collect what it buffered.
-                let next = self
-                    .net
-                    .now()
-                    .saturating_add(SimNs::from_secs_f64(xg_sensors::network::REPORT_INTERVAL_S));
-                let _ = self.net.advance_to(next);
-                let raw = self.net.take_reports();
-                // Quality control before anything becomes a CFD boundary
-                // condition (§2's data-calibration concern).
-                let (records, _rejected) = self.qc.filter(&raw);
-                s.cyc.end("fabric.sense.poll", ph);
-                s.records = records;
-                self.cycle = Some(s);
-            }
-            FabricPhase::GatewayShip => {
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                let cycle = self.gateway.ship_cycle(&s.records)?;
-                s.cyc.end("fabric.gateway.ship", ph);
-                self.last_transfer_ms = cycle.latency_ms;
-                s.latency_ms = cycle.latency_ms;
-                if let Some(o) = &self.obs {
-                    o.report_cycles.inc();
-                }
-                self.timeline.push(Event::TelemetryShipped {
+    /// One report cycle: the paper's fixed-order pipeline, top to bottom.
+    /// An erroring phase aborts the rest of its own cycle only.
+    fn run_cycle(&mut self) -> Result<(), FabricError> {
+        // One wall trace per cycle: phase boundaries are captured as
+        // timestamps and flushed into a span tree at cycle close, feeding
+        // the profiler's attribution tree and the cycle's critical path.
+        let mut cyc = self.config.obs.tracer().map(CycleSpans::begin);
+        self.t_s += self.config.report_interval_s;
+        phase(&mut cyc, "fabric.faults.advance", || self.advance_faults());
+        // Step the RAN fleet one probe batch: measured per-cell goodput
+        // lands on the registry (feeding the SLO window) and the worst
+        // cell lands on the timeline, every cycle.
+        let health = phase(&mut cyc, "fabric.ran.probe", || self.ran.probe());
+        if let Some(worst) = health
+            .iter()
+            .min_by(|a, b| a.goodput_mbps.total_cmp(&b.goodput_mbps))
+        {
+            self.timeline.push(Event::RanProbed {
+                t_s: self.t_s,
+                cells: health.len(),
+                worst_cell: worst.name.clone(),
+                worst_goodput_mbps: worst.goodput_mbps,
+            });
+        }
+        phase(&mut cyc, "fabric.ric.step", || self.step_ric());
+        let records = phase(&mut cyc, "fabric.sense.poll", || self.poll_sensors());
+        let shipped = phase(&mut cyc, "fabric.gateway.ship", || {
+            self.gateway.ship_cycle(&records)
+        })?;
+        if let Some(o) = &self.obs {
+            o.report_cycles.inc();
+        }
+        self.timeline.push(Event::TelemetryShipped {
+            t_s: self.t_s,
+            latency_ms: shipped.latency_ms,
+            records: records.len(),
+        });
+        self.reports_done += 1;
+        // Advance the HPC side, resubmit lost tasks, absorb completions.
+        phase(&mut cyc, "fabric.hpc.advance", || {
+            self.hpc.advance_to(self.t_s);
+            self.service_retries();
+            self.service_completions();
+        });
+        // Measured SLO evaluation before change detection, so this
+        // cycle's breach can move the ladder this cycle (within the 300 s
+        // duty cycle).
+        phase(&mut cyc, "fabric.slo.observe", || {
+            self.observe_cycle(shipped.latency_ms);
+            self.update_degradation(records.len());
+        });
+        phase(&mut cyc, "fabric.change.detect", || {
+            self.detect_change(&records, shipped.latency_ms)
+        })?;
+        self.track_impairment();
+        if let Some(cyc) = cyc {
+            self.finish_cycle_profiling(cyc);
+        }
+        Ok(())
+    }
+
+    /// Advance the fault plan and apply state changes. Faults change
+    /// state at report-cycle resolution; their downtime accounting inside
+    /// the plan stays exact regardless.
+    fn advance_faults(&mut self) {
+        let changes = self.faults.advance_to(self.t_s);
+        for c in &changes {
+            self.apply_fault(c);
+        }
+    }
+
+    /// Near-RT RIC loop: deliver this cycle's E2 indications (cells that
+    /// are partitioned, or whose indication stream is dropped by a fault,
+    /// go stale inside the engine), run the xApps, and apply the
+    /// conflict-resolved actions to the live fleet — so the control
+    /// response lands before the next probe batch. The drain itself is
+    /// pure reads + resets; with zero xApps the whole step emits nothing
+    /// and the run is bitwise identical to a RIC-less one.
+    fn step_ric(&mut self) {
+        let Some(ric) = &mut self.ric else { return };
+        let mut fresh = self.ran.collect_indications();
+        let ran = &self.ran;
+        let dropped = &self.ric_dropped;
+        fresh.retain(|ind| match ran.cell_name(ind.cell) {
+            Some(name) => !ran.cell_down(name) && !dropped.contains(name),
+            None => false,
+        });
+        let outcome = ric.step(fresh, self.t_s);
+        if let Some(o) = &self.obs {
+            o.ric_actions.add(outcome.actions.len() as u64);
+            o.ric_held.add(outcome.held as u64);
+            o.ric_stale_cells.set(outcome.stale_cells.len() as f64);
+        }
+        for (xapp, action) in &outcome.actions {
+            // A rejected action (the RAN refused the knob) is dropped;
+            // the xApp re-decides from the next indication.
+            if self.ran.apply_ric_action(action).is_ok() {
+                self.timeline.push(Event::RicAction {
                     t_s: self.t_s,
-                    latency_ms: cycle.latency_ms,
-                    records: s.records.len(),
+                    xapp: (*xapp).to_string(),
+                    action: action.describe(),
                 });
-                self.reports_done += 1;
-                self.cycle = Some(s);
             }
-            FabricPhase::HpcAdvance => {
-                // Advance the HPC side, resubmit lost tasks, absorb
-                // completions.
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                self.hpc.advance_to(self.t_s);
-                self.service_retries();
-                self.service_completions();
-                s.cyc.end("fabric.hpc.advance", ph);
-                self.cycle = Some(s);
-            }
-            FabricPhase::SloObserve => {
-                // Measured SLO evaluation before change detection, so
-                // this cycle's breach can move the ladder this cycle
-                // (within the 300 s duty cycle).
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                self.observe_cycle(s.latency_ms);
-                self.update_degradation(s.records.len());
-                s.cyc.end("fabric.slo.observe", ph);
-                self.cycle = Some(s);
-            }
-            FabricPhase::ChangeDetect => {
-                // 30-minute change-detection duty cycle, gated on
-                // telemetry that actually reached the repository: a
-                // partition defers detection instead of re-reading stale
-                // windows.
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                let repo_len = self.gateway.repo_wind_len();
-                if self
-                    .reports_done
-                    .is_multiple_of(self.config.detect_every_reports)
-                {
-                    if repo_len >= 2 * self.config.detector.window
-                        && repo_len
-                            >= self.wind_len_at_last_detect + self.config.detect_every_reports
-                    {
-                        self.run_change_detection(&s.records, repo_len)?;
-                    } else if self.gateway.backlog() > 0 && self.deferred_check_since.is_none() {
-                        // The duty cycle wanted to run but the partition
-                        // starved the repository: start the deferral
-                        // clock.
-                        self.deferred_check_since = Some(self.t_s);
-                    }
-                }
-                s.cyc.end("fabric.change.detect", ph);
-                self.cycle = Some(s);
-            }
-            FabricPhase::CycleClose => {
-                let Some(s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                self.track_impairment();
-                self.finish_cycle_profiling(s.cyc);
-            }
+        }
+    }
+
+    /// Drain the sensor network's own event engine through one report
+    /// round and return what it buffered, after quality control —
+    /// before anything becomes a CFD boundary condition (§2's
+    /// data-calibration concern).
+    fn poll_sensors(&mut self) -> Vec<TelemetryRecord> {
+        let next = self
+            .net
+            .now()
+            .saturating_add(SimNs::from_secs_f64(xg_sensors::network::REPORT_INTERVAL_S));
+        let _ = self.net.advance_to(next);
+        let raw = self.net.take_reports();
+        self.qc.filter(&raw).0
+    }
+
+    /// The 30-minute change-detection duty cycle, gated on telemetry that
+    /// actually reached the repository: a partition defers detection
+    /// instead of re-reading stale windows.
+    fn detect_change(
+        &mut self,
+        records: &[TelemetryRecord],
+        transfer_ms: f64,
+    ) -> Result<(), FabricError> {
+        if !self
+            .reports_done
+            .is_multiple_of(self.config.detect_every_reports)
+        {
+            return Ok(());
+        }
+        let repo_len = self.gateway.repo_wind_len();
+        if repo_len >= 2 * self.config.detector.window
+            && repo_len >= self.wind_len_at_last_detect + self.config.detect_every_reports
+        {
+            self.run_change_detection(records, repo_len, transfer_ms)?;
+        } else if self.gateway.backlog() > 0 && self.deferred_check_since.is_none() {
+            // The duty cycle wanted to run but the partition starved the
+            // repository: start the deferral clock.
+            self.deferred_check_since = Some(self.t_s);
         }
         Ok(())
     }
@@ -919,10 +770,9 @@ impl XgFabric {
     /// attribution tree, and extract this cycle's critical path (emitted
     /// as `fabric.cycle.critical.*` and attached to black-box bundles).
     fn finish_cycle_profiling(&mut self, cyc: CycleSpans) {
-        let obs = cyc.obs.clone();
-        let Some((trace, spans)) = cyc.flush() else {
-            return;
-        };
+        let obs = &self.config.obs;
+        let Some(tracer) = obs.tracer() else { return };
+        let (trace, spans) = cyc.flush(tracer);
         if let Some(prof) = obs.profiler() {
             prof.record_trace(&spans);
         }
@@ -1217,7 +1067,7 @@ impl XgFabric {
     /// (when a `blackbox_dir` is configured) on disk as bundles; the
     /// resulting degradation request feeds [`Self::update_degradation`].
     fn observe_cycle(&mut self, transfer_latency_ms: f64) {
-        let Some(o) = &self.obs else { return };
+        let Some(o) = &mut self.obs else { return };
         o.cycle_transfer_ms.record(transfer_latency_ms);
         o.gateway_backlog.set(self.gateway.backlog() as f64);
         let dropped = self.gateway.dropped();
@@ -1228,15 +1078,12 @@ impl XgFabric {
             .add(delivered.saturating_sub(self.prev_delivered));
         self.prev_dropped = dropped;
         self.prev_delivered = delivered;
-        let (Some(window), Some(watchdog)) = (self.window.as_mut(), self.watchdog.as_mut()) else {
-            return;
-        };
         let Some(reg) = self.config.obs.registry() else {
             return;
         };
-        window.tick(reg, self.t_s);
-        let events = watchdog.evaluate(self.t_s, &window.view());
-        self.slo_degradation = watchdog.degradation_target();
+        o.window.tick(reg, self.t_s);
+        let events = o.watchdog.evaluate(self.t_s, &o.window.view());
+        self.slo_degradation = o.watchdog.degradation_target();
         for ev in events {
             let breached = ev.kind == SloEventKind::Breached;
             if let Some(o) = &self.obs {
@@ -1296,9 +1143,9 @@ impl XgFabric {
         };
         let snapshot = self.config.obs.registry().map(|r| r.snapshot());
         let breached = self
-            .watchdog
+            .obs
             .as_ref()
-            .map(|w| w.breached().join("; "))
+            .map(|o| o.watchdog.breached().join("; "))
             .unwrap_or_default();
         let ctx = BundleContext {
             reason: reason.to_string(),
@@ -1400,6 +1247,7 @@ impl XgFabric {
         &mut self,
         records: &[TelemetryRecord],
         repo_len: usize,
+        transfer_ms: f64,
     ) -> Result<(), FabricError> {
         // Build the two windows from the repository's wind log and feed
         // them through the deployed Laminar change-detection graph — the
@@ -1460,7 +1308,7 @@ impl XgFabric {
         // stages chain onto the detection span when the run completes.
         let trace = self.config.obs.tracer().map(|tr| {
             let trace = tr.new_trace();
-            let transfer_end_s = self.t_s + self.last_transfer_ms / 1e3;
+            let transfer_end_s = self.t_s + transfer_ms / 1e3;
             let transfer = tr.record_sim_s(
                 trace,
                 None,
@@ -1724,21 +1572,21 @@ impl Advance for XgFabric {
     type Error = FabricError;
 
     fn now(&self) -> SimNs {
-        self.events.now()
+        self.now
     }
 
-    /// Drain every phase event due at or before `t`. Each popped phase
-    /// re-arms itself one report interval ahead *before* running, so a
-    /// handler error (a gateway refusal, a failed detection) leaves the
-    /// schedule intact and the caller can resume by advancing again.
+    /// Run every report cycle due at or before `t`. The schedule re-arms
+    /// one report interval ahead *before* the cycle runs, so a phase
+    /// error (a gateway refusal, a failed detection) leaves it intact and
+    /// the caller can resume by advancing again.
     fn advance_to(&mut self, t: SimNs) -> std::result::Result<(), FabricError> {
         let interval = SimNs::from_secs_f64(self.config.report_interval_s);
-        while let Some(ev) = self.events.pop_due(t) {
-            self.events
-                .push(ev.at.saturating_add(interval), ev.source, ev.payload);
-            self.run_phase(ev.payload)?;
+        while self.next_cycle <= t {
+            self.now = self.next_cycle;
+            self.next_cycle = self.next_cycle.saturating_add(interval);
+            self.run_cycle()?;
         }
-        self.events.drain_clock_to(t);
+        self.now = self.now.max(t);
         Ok(())
     }
 }

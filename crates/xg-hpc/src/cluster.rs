@@ -400,28 +400,6 @@ impl ClusterSim {
     }
 }
 
-impl xg_sim::Advance for ClusterSim {
-    type Error = std::convert::Infallible;
-
-    fn now(&self) -> xg_sim::SimNs {
-        xg_sim::SimNs::from_secs_f64(self.now_s)
-    }
-
-    /// The unified-time view of the inherent [`advance_to`] (which keeps
-    /// its seconds-typed signature as the crate-local primitive).
-    /// Backwards targets are no-ops rather than panics, per the trait
-    /// contract.
-    ///
-    /// [`advance_to`]: ClusterSim::advance_to
-    fn advance_to(&mut self, t: xg_sim::SimNs) -> Result<(), Self::Error> {
-        let t_s = t.as_secs_f64();
-        if t_s > self.now_s {
-            ClusterSim::advance_to(self, t_s);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,7 +50,6 @@ pub mod prelude {
     pub use crate::predictor::{AdaptivePilotPlanner, QueueWaitPredictor};
     pub use crate::script::{render_script, submit_command, JobSpec};
     pub use crate::site::{SchedulerKind, SiteProfile};
-    pub use xg_sim::{Advance, SimNs};
 }
 
 pub use prelude::*;

@@ -231,34 +231,6 @@ impl MultiSiteController {
     }
 }
 
-impl xg_sim::Advance for MultiSiteController {
-    type Error = std::convert::Infallible;
-
-    /// The furthest-advanced site's clock (all sites share one virtual
-    /// time after any `advance_to`); zero for an empty controller.
-    fn now(&self) -> xg_sim::SimNs {
-        xg_sim::SimNs::from_secs_f64(
-            self.sites
-                .iter()
-                .map(|s| s.controller.cluster().now())
-                .fold(0.0, f64::max),
-        )
-    }
-
-    /// Unified-time view of the inherent seconds-typed
-    /// [`advance_to`](MultiSiteController::advance_to); backwards
-    /// targets are no-ops.
-    fn advance_to(&mut self, t: xg_sim::SimNs) -> Result<(), Self::Error> {
-        let t_s = t.as_secs_f64();
-        for s in &mut self.sites {
-            if t_s > s.controller.cluster().now() {
-                s.controller.advance_to(t_s);
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -548,25 +548,6 @@ impl Pilot {
     }
 }
 
-impl xg_sim::Advance for PilotController {
-    type Error = std::convert::Infallible;
-
-    fn now(&self) -> xg_sim::SimNs {
-        xg_sim::SimNs::from_secs_f64(self.cluster.now())
-    }
-
-    /// Unified-time view of the inherent seconds-typed
-    /// [`advance_to`](PilotController::advance_to); backwards targets
-    /// are no-ops.
-    fn advance_to(&mut self, t: xg_sim::SimNs) -> Result<(), Self::Error> {
-        let t_s = t.as_secs_f64();
-        if t_s > self.cluster.now() {
-            PilotController::advance_to(self, t_s);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

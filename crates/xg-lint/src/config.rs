@@ -18,7 +18,7 @@ pub struct Config {
     /// suffixed durations and must convert explicitly.
     pub time_paths: Vec<String>,
     /// Prefixes where `event-panic` applies to the whole file, not just
-    /// `impl Advance`/`EventSource` blocks: the event queue itself.
+    /// `impl Advance` blocks: the event queue itself.
     pub event_paths: Vec<String>,
     /// Prefixes where `obs-name` checks emissions against the schema.
     pub obs_paths: Vec<String>,
@@ -142,7 +142,7 @@ impl Config {
     }
 
     /// Does `event-panic` cover this whole file (vs only
-    /// `Advance`/`EventSource` impl blocks)?
+    /// `Advance` impl blocks)?
     pub fn is_event_path(&self, relpath: &str) -> bool {
         self.event_paths
             .iter()
@@ -196,7 +196,7 @@ mod tests {
         assert!(c.is_time_path("crates/xg-obs/src/span.rs"));
         assert!(!c.is_time_path("crates/xg-lint/src/lib.rs"));
         // event-panic covers all of xg-sim whole-file; elsewhere only
-        // Advance/EventSource impl blocks.
+        // Advance impl blocks.
         assert!(c.is_event_path("crates/xg-sim/src/queue.rs"));
         assert!(!c.is_event_path("crates/xg-net/src/sim.rs"));
         // obs-name covers every crate (tests and fixtures excluded by

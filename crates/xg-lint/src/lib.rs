@@ -16,7 +16,7 @@
 //! | `time-unit` | no mixing `_ns`/`_us`/`_ms`/`_s` values without explicit conversion |
 //! | `obs-name` | every emitted metric/span/profile name round-trips `obs-schema.toml` |
 //! | `stale-waiver` | waivers that suppress nothing are findings themselves |
-//! | `event-panic` | no panic paths in `Advance`/`EventSource` impls or the event queue |
+//! | `event-panic` | no panic paths in `Advance` impls or the event queue |
 //!
 //! Sites that are legitimately exempt carry a reasoned waiver:
 //! `// xg-lint: allow(<rule>, <why this site is safe>)` on the offending
@@ -62,7 +62,7 @@ use std::path::Path;
 /// changes what it matches. JSON reports record this tag so a
 /// `--compare` baseline produced under a different rule set can be told
 /// apart.
-pub const RULES_VERSION: &str = "xg-lint-rules/3";
+pub const RULES_VERSION: &str = "xg-lint-rules/4";
 
 /// Name of the checked-in observability schema at the workspace root.
 pub const OBS_SCHEMA_FILE: &str = "obs-schema.toml";

@@ -36,7 +36,7 @@ pub enum Rule {
     /// the fix is deleting the waiver.
     StaleWaiver,
     /// Panic paths (`unwrap`/`expect`/panic- and assert-family macros)
-    /// inside `Advance`/`EventSource` impls or the `xg-sim` queue.
+    /// inside `Advance` impls or the `xg-sim` queue.
     EventPanic,
     /// A waiver comment that is malformed, reasonless, or names an
     /// unknown rule. Not itself waivable.
@@ -132,7 +132,7 @@ impl Rule {
             }
             Rule::EventPanic => {
                 "no unwrap/expect/panic- or assert-family macros inside \
-                 Advance/EventSource impls or the xg-sim queue: the event \
+                 Advance impls or the xg-sim queue: the event \
                  engine must degrade through typed errors, never abort"
             }
             Rule::BadWaiver => "a waiver comment that is malformed or lacks a reason",

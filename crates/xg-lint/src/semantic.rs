@@ -462,7 +462,7 @@ fn literal_arg(arg: &[Node], scrubbed: &Scrubbed) -> Option<String> {
 // event-source panic paths
 // ---------------------------------------------------------------------
 
-/// Macros that abort at runtime. Inside `Advance`/`EventSource` impls
+/// Macros that abort at runtime. Inside `Advance` impls
 /// and the event queue, even an `assert!` is a panic path: an unattended
 /// fabric must degrade, not die, when a scheduling invariant slips.
 const PANIC_MACROS: &[&str] = &[
@@ -476,11 +476,11 @@ const PANIC_MACROS: &[&str] = &[
 ];
 
 /// Traits whose impl blocks form the event-engine hot path.
-pub const EVENT_TRAITS: &[&str] = &["Advance", "EventSource"];
+pub const EVENT_TRAITS: &[&str] = &["Advance"];
 
 /// The `event-panic` rule body: token-exact panic sites (`.unwrap()`,
 /// `.expect(…)`, panic-family and assert-family macros) on lines inside
-/// an `impl Advance/EventSource for …` block. The caller extends the
+/// an `impl Advance for …` block. The caller extends the
 /// scope to whole files (the `xg-sim` queue) via config and filters out
 /// `#[cfg(test)]` regions.
 pub fn event_panic_findings(sem: &Semantics, whole_file: bool) -> Vec<SemFinding> {
@@ -527,7 +527,7 @@ fn panic_walk(nodes: &[Node], sem: &Semantics, whole_file: bool, out: &mut Vec<S
             };
             out.push((
                 *line,
-                format!("`{site}` on an event-engine path: Advance/EventSource impls must return typed errors, not abort the fabric"),
+                format!("`{site}` on an event-engine path: Advance impls must return typed errors, not abort the fabric"),
             ));
         }
     }

@@ -284,8 +284,8 @@ fn event_cfg() -> Config {
 #[test]
 fn event_panic_positive_whole_file() {
     let f = lint_fixture_with("event_panic_pos.rs", &event_cfg());
-    // unwrap + assert! in the Advance impl, panic! in EventSource, and
-    // the expect outside any impl that only queue scope catches.
+    // unwrap + assert! in the Advance impl; the inherent impl's panic!
+    // and the free fn's expect are caught by queue scope only.
     assert_eq!(
         lines_of(&f, Rule::EventPanic),
         vec![8, 9, 16, 21],

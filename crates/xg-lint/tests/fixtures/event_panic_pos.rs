@@ -1,5 +1,5 @@
-//! Positive fixture: panic paths inside event-engine impls, plus one
-//! outside them that only the whole-file (queue) scope catches.
+//! Positive fixture: panic paths inside an `Advance` impl, plus two
+//! outside it that only the whole-file (queue) scope catches.
 
 pub struct Q;
 
@@ -11,8 +11,8 @@ impl Advance for Q {
     }
 }
 
-impl EventSource for Q {
-    fn next_event(&self) -> Option<u64> {
+impl Q {
+    pub fn next_event(&self) -> Option<u64> {
         panic!("no events")
     }
 }

@@ -11,46 +11,6 @@
 use crate::error::{NetError, Result};
 use crate::slice::{SliceConfig, SliceProfile, Snssai};
 
-/// Staged construction of a [`DynamicSlicer`]: slices → floor → alpha,
-/// validated once at [`build`](DynamicSlicerBuilder::build) — the same
-/// fallible-builder convention as [`LinkSimulatorBuilder`].
-///
-/// [`LinkSimulatorBuilder`]: crate::sim::LinkSimulatorBuilder
-#[derive(Debug, Clone)]
-pub struct DynamicSlicerBuilder {
-    snssais: Vec<Snssai>,
-    min_share: f64,
-    alpha: f64,
-}
-
-impl DynamicSlicerBuilder {
-    /// Start from the slice identities the controller will apportion.
-    pub fn new(snssais: Vec<Snssai>) -> Self {
-        DynamicSlicerBuilder {
-            snssais,
-            min_share: 0.0,
-            alpha: 0.5,
-        }
-    }
-
-    /// Guaranteed minimum share per slice (default 0).
-    pub fn min_share(mut self, min_share: f64) -> Self {
-        self.min_share = min_share;
-        self
-    }
-
-    /// EWMA smoothing factor per observation window (default 0.5).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Validate the configuration and construct the controller.
-    pub fn build(self) -> Result<DynamicSlicer> {
-        DynamicSlicer::try_new(self.snssais, self.min_share, self.alpha)
-    }
-}
-
 /// Demand-proportional slice-share controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicSlicer {
@@ -65,11 +25,6 @@ pub struct DynamicSlicer {
 }
 
 impl DynamicSlicer {
-    /// Start a staged [`DynamicSlicerBuilder`] over the given slices.
-    pub fn builder(snssais: Vec<Snssai>) -> DynamicSlicerBuilder {
-        DynamicSlicerBuilder::new(snssais)
-    }
-
     /// Create a controller over the given slices, surfacing an invalid
     /// configuration (no slices, infeasible floors, alpha outside
     /// `(0, 1]`) as a typed error instead of a panic — the workspace's
@@ -235,18 +190,5 @@ mod tests {
         assert!(DynamicSlicer::try_new(vec![Snssai::miot(1)], 0.0, 0.0).is_err());
         assert!(DynamicSlicer::try_new(vec![Snssai::miot(1)], 0.0, 1.5).is_err());
         assert!(DynamicSlicer::try_new(vec![Snssai::miot(1)], f64::NAN, 0.5).is_err());
-    }
-
-    #[test]
-    fn builder_stages_configuration() {
-        let s = DynamicSlicer::builder(vec![Snssai::miot(1), Snssai::embb(1)])
-            .min_share(0.1)
-            .alpha(0.5)
-            .build()
-            .unwrap();
-        assert_eq!(s.min_share, 0.1);
-        assert_eq!(s.alpha, 0.5);
-        assert_eq!(s.snssais(), &[Snssai::miot(1), Snssai::embb(1)]);
-        assert!(DynamicSlicer::builder(vec![]).build().is_err());
     }
 }

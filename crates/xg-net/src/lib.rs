@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::cell::CellConfig;
     pub use crate::core5g::{Core5g, SimCard};
     pub use crate::device::{DeviceClass, Modem};
-    pub use crate::dynslice::{DynamicSlicer, DynamicSlicerBuilder};
+    pub use crate::dynslice::DynamicSlicer;
     pub use crate::e2::{CellIndication, SliceReport, UeReport};
     pub use crate::error::NetError;
     pub use crate::fleet::{CellBatch, CellId, FleetUe, RanFleet, RanFleetBuilder};

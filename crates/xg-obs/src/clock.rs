@@ -1,4 +1,4 @@
-//! Sim/wall clock abstraction behind span timestamps.
+//! Sim/wall clock domains behind span timestamps.
 //!
 //! xGFabric's layers do not share a time base: the closed loop, the HPC
 //! queue model, the network simulator and the fault windows all run on
@@ -9,8 +9,7 @@
 //! [`ClockDomain`] and timestamps are integer microseconds in that
 //! domain.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Which time base a timestamp belongs to.
@@ -52,66 +51,6 @@ pub fn wall_now_ns() -> u64 {
     wall_epoch().elapsed().as_nanos() as u64
 }
 
-/// A clock that yields microsecond timestamps in one [`ClockDomain`].
-///
-/// `Sim` clocks wrap a shared atomic counter so a discrete-event driver
-/// and its instrumentation observe the same virtual now; `Wall` reads the
-/// process-epoch monotonic clock.
-#[derive(Clone, Debug)]
-pub enum Clock {
-    /// Wall time since the process epoch.
-    Wall,
-    /// Shared simulated time in microseconds.
-    Sim(Arc<AtomicU64>),
-}
-
-impl Clock {
-    /// A wall clock.
-    pub fn wall() -> Self {
-        Clock::Wall
-    }
-
-    /// A fresh simulated clock starting at zero.
-    pub fn sim() -> Self {
-        Clock::Sim(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// A simulated clock sharing an existing microsecond counter.
-    pub fn sim_shared(micros: Arc<AtomicU64>) -> Self {
-        Clock::Sim(micros)
-    }
-
-    /// The domain this clock's timestamps belong to.
-    pub fn domain(&self) -> ClockDomain {
-        match self {
-            Clock::Wall => ClockDomain::Wall,
-            Clock::Sim(_) => ClockDomain::Sim,
-        }
-    }
-
-    /// Current time in microseconds.
-    pub fn now_us(&self) -> u64 {
-        match self {
-            Clock::Wall => wall_now_us(),
-            Clock::Sim(m) => m.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Advance a simulated clock; no-op on a wall clock.
-    pub fn advance_us(&self, us: u64) {
-        if let Clock::Sim(m) = self {
-            m.fetch_add(us, Ordering::Relaxed);
-        }
-    }
-
-    /// Set a simulated clock to an absolute time; no-op on a wall clock.
-    pub fn set_us(&self, us: u64) {
-        if let Clock::Sim(m) = self {
-            m.store(us, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Convert fractional seconds (the fabric's `t_s` convention) to the
 /// integer microseconds spans carry.
 pub fn secs_to_us(s: f64) -> u64 {
@@ -127,26 +66,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sim_clock_advances_and_shares() {
-        let c = Clock::sim();
-        let d = c.clone();
-        c.advance_us(250);
-        assert_eq!(d.now_us(), 250);
-        d.set_us(1_000);
-        assert_eq!(c.now_us(), 1_000);
-        assert_eq!(c.domain(), ClockDomain::Sim);
-    }
-
-    #[test]
     fn wall_clock_is_monotonic() {
-        let c = Clock::wall();
-        let a = c.now_us();
-        let b = c.now_us();
+        let a = wall_now_us();
+        let b = wall_now_us();
         assert!(b >= a);
-        assert_eq!(c.domain(), ClockDomain::Wall);
-        // advance/set are no-ops on wall clocks.
-        c.advance_us(10);
-        c.set_us(0);
+        assert!(wall_now_ns() / 1_000 >= b);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   a full closed-loop cycle (sensor reading → gateway drain → CSPOT
 //!   append → Laminar fire → pilot dispatch → CFD solve → results
 //!   return).
-//! * [`clock`] — the sim/wall [`Clock`] abstraction behind those domains.
+//! * [`clock`] — the sim/wall [`ClockDomain`] tag and the process-epoch
+//!   wall readers behind those domains.
 //! * [`export`] — JSONL trace dump, Prometheus-style text snapshot, and
 //!   the human-readable latency-budget table regenerated by the
 //!   `latency_budget` bench binary.
@@ -55,7 +56,7 @@ pub mod slo;
 pub mod span;
 pub mod window;
 
-pub use clock::{Clock, ClockDomain};
+pub use clock::ClockDomain;
 pub use critical::{extract_critical, render_critical, CriticalPath, CriticalStep};
 pub use export::{
     budget_table, parse_spans_jsonl, prometheus_text, render_budget_table, spans_to_jsonl,

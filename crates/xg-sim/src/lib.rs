@@ -11,8 +11,8 @@
 //!   300 s report grid) and cover ~584 years of sim time in a `u64`.
 //! * [`Advance`] — `advance_to(&mut self, t: SimNs)`: bring a component
 //!   forward to absolute time `t`, firing everything it owes in between.
-//!   Implemented by `LinkSimulator`, `RanFleet`, `SensorNetwork`, the
-//!   HPC controllers, `xg-cspot`'s `SimClock`, and the orchestrator.
+//!   Implemented by `LinkSimulator`, `RanFleet`, `SensorNetwork` and
+//!   the orchestrator (`XgFabric`).
 //! * [`EventQueue`] — a calendar-queue scheduler (bucketed wheel for
 //!   near events, `BTreeMap` overflow for far ones) with a stable
 //!   `(time, source, seq)` ordering so execution order is a pure

@@ -189,8 +189,9 @@ fn fabric_advance_to_replays_run_cycles_bitwise() {
     assert!((a.availability_experienced - b.availability_experienced).abs() < 1e-12);
 }
 
-/// A fractional-cycle advance runs no phases (the queue holds them for
-/// the cycle instant), and a later advance catches up exactly.
+/// A fractional-cycle advance runs no cycle (it stays due at the cycle
+/// instant) yet moves `now()`, and one later advance catches up several
+/// cycles at once, exactly.
 #[test]
 fn partial_advance_buffers_cleanly() {
     let mut fab = XgFabric::new(FabricConfig {
@@ -200,12 +201,19 @@ fn partial_advance_buffers_cleanly() {
         ..Default::default()
     });
     let interval = fab.config.report_interval_s;
-    fab.advance_to(SimNs::from_secs_f64(interval / 2.0))
-        .expect("no phases due");
+    let half = SimNs::from_secs_f64(interval / 2.0);
+    fab.advance_to(half).expect("no cycle due");
     assert_eq!(fab.timeline().telemetry_latencies_ms().len(), 0);
     assert_eq!(fab.now_s(), 0.0, "virtual cycle clock untouched mid-cycle");
-    fab.advance_to(SimNs::from_secs_f64(3.0 * interval))
-        .expect("healthy loop");
+    assert_eq!(fab.now(), half);
+    let three = SimNs::from_secs_f64(3.0 * interval);
+    fab.advance_to(three).expect("healthy loop");
     assert_eq!(fab.timeline().telemetry_latencies_ms().len(), 3);
     assert!((fab.now_s() - 3.0 * interval).abs() < 1e-9);
+    assert_eq!(fab.now(), three);
+    // Backwards is a no-op; run_report_cycle resumes from `now()`.
+    fab.advance_to(half).expect("no-op");
+    assert_eq!(fab.now(), three);
+    fab.run_report_cycle().expect("healthy loop");
+    assert_eq!(fab.timeline().telemetry_latencies_ms().len(), 4);
 }

@@ -9,6 +9,39 @@ use xg_fabric::orchestrator::{FabricConfig, XgFabric};
 use xg_fabric::ran::RanTopology;
 use xg_obs::{parse_spans_jsonl, spans_to_jsonl, Obs, SpanRecord};
 
+/// The span contract `benchmark/src/phases.rs` harvests: the cycle's
+/// phases, in pipeline order, as the children of one `fabric.cycle` root.
+const PHASES: [&str; 8] = [
+    "fabric.faults.advance",
+    "fabric.ran.probe",
+    "fabric.ric.step",
+    "fabric.sense.poll",
+    "fabric.gateway.ship",
+    "fabric.hpc.advance",
+    "fabric.slo.observe",
+    "fabric.change.detect",
+];
+
+/// Every traced cycle is one `fabric.cycle` root whose children are
+/// exactly [`PHASES`], in that order.
+fn assert_cycle_shape(spans: &[SpanRecord], cycles: usize) {
+    let roots: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "fabric.cycle").collect();
+    assert_eq!(roots.len(), cycles, "one root per cycle");
+    for root in roots {
+        assert_eq!(root.parent, None);
+        let in_trace = spans
+            .iter()
+            .filter(|s| s.trace == root.trace && s.parent.is_none());
+        assert_eq!(in_trace.count(), 1, "one root per trace");
+        let children: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.parent == Some(root.id))
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(children, PHASES, "cycle trace {}", root.trace);
+    }
+}
+
 /// Run `cycles` report cycles and return the run's spans after a full
 /// JSONL round trip — the same path an `xg-trace` invocation over a
 /// dump file exercises.
@@ -36,7 +69,9 @@ fn run_and_dump(
         fab.run_report_cycle().expect("healthy closed loop");
     }
     let jsonl = spans_to_jsonl(&obs.tracer().expect("obs enabled").take_spans());
-    parse_spans_jsonl(&jsonl)
+    let spans = parse_spans_jsonl(&jsonl);
+    assert_cycle_shape(&spans, cycles);
+    spans
 }
 
 /// The headline acceptance: stall the RAN probe (24 probed sim-seconds
@@ -87,6 +122,7 @@ fn report_cycles_emit_critical_paths_and_renderable_reports() {
     let prof = obs.profiler().expect("obs enabled").snapshot();
     assert_eq!(prof.nodes["fabric.cycle"].calls, 3);
     let spans = obs.tracer().expect("obs enabled").take_spans();
+    assert_cycle_shape(&spans, 3);
     let critical = critical_report(&spans);
     assert!(critical.contains("slowest cycle"));
     assert!(critical.contains("fabric.cycle"));
