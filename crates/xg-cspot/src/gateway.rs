@@ -28,6 +28,9 @@ pub struct Gateway {
     /// Name of the cursor log (distinct per gateway when several share a
     /// field node).
     cursor_log: String,
+    /// Highest buffered sequence relayed: loaded from the cursor log once
+    /// at construction, written through on every advance.
+    cursor: u64,
     appender: RemoteAppender,
 }
 
@@ -64,36 +67,33 @@ impl Gateway {
         cursor_log: &str,
         appender: RemoteAppender,
     ) -> Result<Self> {
-        // Cursor entries are 8-byte little-endian sequence numbers.
-        local.open_log(cursor_log, 8, 64)?;
+        // Cursor entries are 8-byte little-endian sequence numbers; the
+        // latest one is where a restarted gateway resumes the drain.
+        let log = local.open_log(cursor_log, 8, 64)?;
+        let cursor = log
+            .latest_seq()
+            .and_then(|seq| log.get(seq).ok())
+            .and_then(|b| b.get(..8).and_then(|s| s.try_into().ok()))
+            .map_or(0, u64::from_le_bytes);
         local.log(buffer_log)?; // validate existence
         Ok(Gateway {
             local,
             buffer_log: buffer_log.to_string(),
             remote_log: remote_log.to_string(),
             cursor_log: cursor_log.to_string(),
+            cursor,
             appender,
         })
     }
 
     /// Highest buffered sequence successfully relayed (0 = none).
     pub fn cursor(&self) -> u64 {
-        self.local
-            .log(&self.cursor_log)
-            .ok()
-            .and_then(|log| {
-                log.latest_seq().and_then(|seq| {
-                    log.get(seq)
-                        .ok()
-                        .and_then(|b| b.get(..8).and_then(|s| s.try_into().ok()))
-                        .map(u64::from_le_bytes)
-                })
-            })
-            .unwrap_or(0)
+        self.cursor
     }
 
-    fn advance_cursor(&self, to: u64) -> Result<()> {
+    fn advance_cursor(&mut self, to: u64) -> Result<()> {
         self.local.put(&self.cursor_log, &to.to_le_bytes())?;
+        self.cursor = to;
         Ok(())
     }
 
@@ -104,11 +104,10 @@ impl Gateway {
 
     /// Elements buffered but not yet relayed.
     pub fn backlog(&self) -> usize {
-        let log = match self.local.log(&self.buffer_log) {
-            Ok(l) => l,
-            Err(_) => return 0,
-        };
-        log.scan_from(self.cursor() + 1).len()
+        match self.local.log(&self.buffer_log) {
+            Ok(log) => log.count_from(self.cursor + 1),
+            Err(_) => 0,
+        }
     }
 
     /// Drain the backlog to the remote node, stopping at the first
@@ -120,7 +119,7 @@ impl Gateway {
         let mut relayed = 0usize;
         let mut latency_ms = 0.0;
         let pending: Vec<(u64, Vec<u8>)> = match self.local.log(&self.buffer_log) {
-            Ok(log) => log.scan_from(self.cursor() + 1),
+            Ok(log) => log.scan_from(self.cursor + 1),
             Err(_) => Vec::new(),
         };
         let total = pending.len();
@@ -242,6 +241,33 @@ mod tests {
         assert_eq!(remote.log("telemetry").unwrap().len(), 4, "exactly once");
         // A second drain relays nothing.
         assert_eq!(gw.drain(&remote).relayed, 0);
+    }
+
+    #[test]
+    fn backlog_tracks_cursor_through_partial_drains() {
+        let (mut gw, remote) = setup();
+        gw.route_mut().set_partitioned(true);
+        for i in 0..1000u64 {
+            gw.buffer(&i.to_le_bytes()).unwrap();
+        }
+        assert_eq!(gw.drain(&remote).relayed, 0);
+        assert_eq!(gw.backlog(), 1000);
+        // Heal onto a lossy link: each drain relays a prefix and stops at
+        // the first element whose retry budget runs out.
+        gw.route_mut().set_partitioned(false);
+        gw.route_mut().segments[0].loss_prob = 0.1;
+        let mut partial = 0;
+        for _ in 0..5 {
+            let r = gw.drain(&remote);
+            partial += usize::from(r.relayed > 0 && r.remaining > 0);
+            assert_eq!(gw.backlog(), 1000 - gw.cursor() as usize);
+            assert_eq!(gw.backlog(), r.remaining);
+        }
+        assert!(partial >= 3, "only {partial} of 5 drains were partial");
+        gw.route_mut().segments[0].loss_prob = 0.0;
+        assert_eq!(gw.drain(&remote).remaining, 0);
+        assert_eq!(gw.backlog(), 0);
+        assert_eq!(remote.log("telemetry").unwrap().len(), 1000, "exactly once");
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //!
 //! * [`log`] — fixed-element-size circular logs ("WooFs") with atomic
 //!   sequence-number assignment, concurrent access, and idempotency-token
-//!   deduplication for exactly-once delivery.
-//! * [`storage`] — pluggable persistence: the record wire format (CRC-framed
-//!   records) and an in-memory backend.
-//! * [`segment`] — the durable storage engine: segmented append-only
-//!   log with sealed-segment footers, group-commit durability, retention
-//!   compaction, streaming crash recovery (torn tails truncated, sealed
-//!   corruption fail-stops), and storage fault injection.
+//!   deduplication for exactly-once delivery. A volatile log *is* its
+//!   bounded ring: each retained record is held once and nothing else.
+//! * [`storage`] — the record, its CRC-framed wire format, and the
+//!   [`StorageBackend`] trait a durable log writes through.
+//! * [`segment`] — the durable storage engine, the one [`StorageBackend`]:
+//!   segmented append-only log with sealed-segment footers, group-commit
+//!   durability, retention compaction, streaming crash recovery (torn
+//!   tails truncated, sealed corruption fail-stops), and storage fault
+//!   injection.
 //! * [`replication`] — asynchronous primary → follower replication over
 //!   [`netsim`]: sealed-segment catch-up plus tail streaming, idempotent
 //!   re-ship, deterministic under seed.
@@ -80,7 +82,7 @@ pub mod prelude {
     pub use crate::protocol::{AppendOutcome, RemoteAppender, RemoteConfig};
     pub use crate::replication::{PumpOutcome, ReplicationConfig, Replicator};
     pub use crate::segment::{SegmentConfig, SegmentedBackend, SyncPolicy};
-    pub use crate::storage::{AppendAck, MemBackend, Record, RecoverySummary, StorageBackend};
+    pub use crate::storage::{AppendAck, Record, RecoverySummary, StorageBackend};
 }
 
 pub use prelude::*;

@@ -19,7 +19,7 @@
 use crate::error::{CspotError, Result};
 use crate::storage::{Record, RecoverySummary, StorageBackend};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{vec_deque, BTreeMap, VecDeque};
 
 /// Outcome of offering one replicated record to a follower log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,13 +45,44 @@ pub struct LogConfig {
 
 struct LogInner {
     next_seq: u64,
-    entries: VecDeque<(u64, Vec<u8>)>,
+    /// The retained window: the most recent `history` records, dense in
+    /// sequence. On a volatile log this is the only copy of each record.
+    entries: VecDeque<Record>,
     /// Idempotency-token → sequence map for exactly-once retries.
     dedup: BTreeMap<u128, u64>,
-    backend: Box<dyn StorageBackend>,
+    /// The durable engine; `None` for a volatile log.
+    backend: Option<Box<dyn StorageBackend>>,
     /// Fault injection: number of upcoming appends that fail as storage
     /// errors before anything is written (full disk, dying flash).
     inject_failures: u32,
+}
+
+impl LogInner {
+    /// Retained records with `seq >= from`, oldest first. Sequences are
+    /// dense, so this is an index offset rather than a search.
+    fn retained_from(&self, from: u64) -> vec_deque::Iter<'_, Record> {
+        let earliest = self.entries.front().map_or(0, |r| r.seq);
+        let skip = from.saturating_sub(earliest).min(self.entries.len() as u64);
+        self.entries.range(skip as usize..)
+    }
+
+    /// Commit the record carrying the next sequence: through the durable
+    /// engine first (so a storage error leaves the log untouched), then
+    /// into the ring, evicting beyond `history`.
+    fn commit(&mut self, record: Record, history: usize) -> Result<()> {
+        if let Some(backend) = &mut self.backend {
+            backend.append(&record)?;
+        }
+        self.next_seq = record.seq + 1;
+        if record.token != 0 {
+            self.dedup.insert(record.token, record.seq);
+        }
+        self.entries.push_back(record);
+        if self.entries.len() > history {
+            self.entries.pop_front();
+        }
+        Ok(())
+    }
 }
 
 /// A CSPOT log.
@@ -62,11 +93,11 @@ pub struct Log {
 }
 
 impl Log {
-    /// Create a log over the given backend, recovering any durable records
-    /// the backend already holds (crash recovery / restart).
+    /// Create a log over the durable engine, recovering any records the
+    /// backend already holds (crash recovery / restart).
     ///
     /// Recovery is streaming: records flow through one at a time and only
-    /// the most recent `history` payloads are retained, so memory stays
+    /// the most recent `history` records are retained, so memory stays
     /// O(history + tokens) even over multi-gigabyte logs. Corruption in a
     /// sealed segment surfaces here as [`CspotError::CorruptSegment`].
     pub fn create(config: LogConfig, mut backend: Box<dyn StorageBackend>) -> Result<Self> {
@@ -78,7 +109,7 @@ impl Log {
                 dedup.insert(r.token, r.seq);
             }
             next_seq = r.seq + 1;
-            entries.push_back((r.seq, r.payload));
+            entries.push_back(r);
             if entries.len() > config.history {
                 entries.pop_front();
             }
@@ -90,10 +121,28 @@ impl Log {
                 next_seq,
                 entries,
                 dedup,
-                backend,
+                backend: Some(backend),
                 inject_failures: 0,
             }),
         })
+    }
+
+    /// Create a volatile log: the circular history is the log's only
+    /// storage, so it holds at most `history` records and nothing survives
+    /// the process (no recovery, no sealed segments, no storage faults to
+    /// inject).
+    pub fn volatile(config: LogConfig) -> Self {
+        Log {
+            config,
+            recovery: RecoverySummary::default(),
+            inner: Mutex::new(LogInner {
+                next_seq: 1,
+                entries: VecDeque::new(),
+                dedup: BTreeMap::new(),
+                backend: None,
+                inject_failures: 0,
+            }),
+        }
     }
 
     /// What recovery found when this log was created (record count, bytes
@@ -113,6 +162,25 @@ impl Log {
         self.config.element_size
     }
 
+    /// Ask the durable engine, or answer `volatile` when the log has none.
+    fn engine<T>(&self, volatile: T, ask: impl FnOnce(&mut dyn StorageBackend) -> T) -> T {
+        match &mut self.inner.lock().backend {
+            Some(backend) => ask(backend.as_mut()),
+            None => volatile,
+        }
+    }
+
+    fn check_size(&self, payload: &[u8]) -> Result<()> {
+        if payload.len() == self.config.element_size {
+            Ok(())
+        } else {
+            Err(CspotError::ElementSizeMismatch {
+                expected: self.config.element_size,
+                got: payload.len(),
+            })
+        }
+    }
+
     /// Append an element, returning its sequence number (1-based, dense).
     pub fn append(&self, payload: &[u8]) -> Result<u64> {
         self.append_with_token(0, payload)
@@ -124,12 +192,7 @@ impl Log {
     ///
     /// Token 0 means "no token" (no deduplication).
     pub fn append_with_token(&self, token: u128, payload: &[u8]) -> Result<u64> {
-        if payload.len() != self.config.element_size {
-            return Err(CspotError::ElementSizeMismatch {
-                expected: self.config.element_size,
-                got: payload.len(),
-            });
-        }
+        self.check_size(payload)?;
         let mut inner = self.inner.lock();
         if token != 0 {
             if let Some(&seq) = inner.dedup.get(&token) {
@@ -148,15 +211,7 @@ impl Log {
             token,
             payload: payload.to_vec(),
         };
-        inner.backend.append(&record)?;
-        inner.next_seq += 1;
-        inner.entries.push_back((seq, record.payload));
-        if inner.entries.len() > self.config.history {
-            inner.entries.pop_front();
-        }
-        if token != 0 {
-            inner.dedup.insert(token, seq);
-        }
+        inner.commit(record, self.config.history)?;
         Ok(seq)
     }
 
@@ -176,15 +231,15 @@ impl Log {
     /// Read the element at `seq`.
     pub fn get(&self, seq: u64) -> Result<Vec<u8>> {
         let inner = self.inner.lock();
-        let earliest = inner.entries.front().map(|&(s, _)| s);
-        let latest = inner.entries.back().map(|&(s, _)| s);
+        let earliest = inner.entries.front().map(|r| r.seq);
+        let latest = inner.entries.back().map(|r| r.seq);
         match (earliest, latest) {
             (Some(e), Some(_)) if seq >= e => {
                 let idx = (seq - e) as usize;
                 inner
                     .entries
                     .get(idx)
-                    .map(|(_, p)| p.clone())
+                    .map(|r| r.payload.clone())
                     .ok_or(CspotError::SeqOutOfRange {
                         seq,
                         earliest,
@@ -201,12 +256,12 @@ impl Log {
 
     /// Latest assigned sequence number, if any element has been appended.
     pub fn latest_seq(&self) -> Option<u64> {
-        self.inner.lock().entries.back().map(|&(s, _)| s)
+        self.inner.lock().entries.back().map(|r| r.seq)
     }
 
     /// Earliest retained sequence number.
     pub fn earliest_seq(&self) -> Option<u64> {
-        self.inner.lock().entries.front().map(|&(s, _)| s)
+        self.inner.lock().entries.front().map(|r| r.seq)
     }
 
     /// Number of retained elements.
@@ -225,33 +280,48 @@ impl Log {
     /// synchronization: since a handler fires on exactly one append, joining
     /// multiple events requires scanning log history (paper §3.4).
     pub fn scan_from(&self, from: u64) -> Vec<(u64, Vec<u8>)> {
-        self.inner
-            .lock()
-            .entries
-            .iter()
-            .filter(|&&(s, _)| s >= from)
-            .cloned()
+        let inner = self.inner.lock();
+        inner
+            .retained_from(from)
+            .map(|r| (r.seq, r.payload.clone()))
             .collect()
+    }
+
+    /// Number of retained elements with `seq >= from` — what
+    /// [`Self::scan_from`] would return, counted without copying a payload.
+    pub fn count_from(&self, from: u64) -> usize {
+        self.inner.lock().retained_from(from).len()
     }
 
     /// The most recent `n` elements, oldest first.
     pub fn tail(&self, n: usize) -> Vec<(u64, Vec<u8>)> {
         let inner = self.inner.lock();
         let skip = inner.entries.len().saturating_sub(n);
-        inner.entries.iter().skip(skip).cloned().collect()
+        inner
+            .entries
+            .range(skip..)
+            .map(|r| (r.seq, r.payload.clone()))
+            .collect()
     }
 
     /// Force everything appended so far onto stable storage (flush +
     /// fsync). After this returns Ok, [`Self::committed_seq`] equals
-    /// [`Self::latest_seq`] (unless a sync stall is injected).
+    /// [`Self::latest_seq`] (unless a sync stall is injected). A volatile
+    /// log has nothing to flush.
     pub fn sync(&self) -> Result<()> {
-        self.inner.lock().backend.sync()
+        self.engine(Ok(()), |b| b.sync())
     }
 
     /// Highest sequence number known durable on stable storage. Under
-    /// group commit this trails [`Self::latest_seq`] by up to one batch.
+    /// group commit this trails [`Self::latest_seq`] by up to one batch. A
+    /// volatile log keeps what it has for as long as the process lives;
+    /// simulations treat that as committed.
     pub fn committed_seq(&self) -> Option<u64> {
-        self.inner.lock().backend.committed_seq()
+        let inner = self.inner.lock();
+        match &inner.backend {
+            Some(backend) => backend.committed_seq(),
+            None => inner.entries.back().map(|r| r.seq),
+        }
     }
 
     /// Look up the sequence an idempotency token was assigned, if this
@@ -264,20 +334,25 @@ impl Log {
         self.inner.lock().dedup.get(&token).copied()
     }
 
-    /// Read full records (seq, token, payload) from durable storage
-    /// starting at `from`, at most `max`. Unlike [`Self::scan_from`] this
-    /// reads through the backend, so it sees records already evicted from
-    /// the circular in-memory window — the primitive replication ships.
+    /// Read full records (seq, token, payload) starting at `from`, at most
+    /// `max` — the primitive replication ships. A durable log reads
+    /// through its engine, so it sees records already evicted from the
+    /// circular window; a volatile log serves the retained window, which
+    /// is all it has.
     pub fn read_records_from(&self, from: u64, max: usize) -> Result<Vec<Record>> {
-        self.inner.lock().backend.read_from(from, max)
+        let mut inner = self.inner.lock();
+        match &mut inner.backend {
+            Some(backend) => backend.read_from(from, max),
+            None => Ok(inner.retained_from(from).take(max).cloned().collect()),
+        }
     }
 
     /// If `from` falls inside a sealed segment, return that segment's
     /// records from `from` to its end (the whole-segment catch-up fast
-    /// path). `None` when `from` is in the active segment or the backend
-    /// has no segment structure.
+    /// path). `None` when `from` is in the active segment or the log is
+    /// volatile (no segment structure).
     pub fn sealed_records_from(&self, from: u64) -> Result<Option<Vec<Record>>> {
-        self.inner.lock().backend.sealed_records_from(from)
+        self.engine(Ok(None), |b| b.sealed_records_from(from))
     }
 
     /// Offer a replicated record to this log (follower side).
@@ -286,12 +361,7 @@ impl Log {
     /// held one (idempotently dropped), or the offer is a gap error —
     /// followers never invent or reorder history.
     pub fn apply_replica(&self, record: &Record) -> Result<ReplicaApply> {
-        if record.payload.len() != self.config.element_size {
-            return Err(CspotError::ElementSizeMismatch {
-                expected: self.config.element_size,
-                got: record.payload.len(),
-            });
-        }
+        self.check_size(&record.payload)?;
         let mut inner = self.inner.lock();
         let next = inner.next_seq;
         if record.seq < next {
@@ -303,61 +373,87 @@ impl Log {
                 got: record.seq,
             });
         }
-        inner.backend.append(record)?;
-        inner.next_seq = record.seq + 1;
-        inner
-            .entries
-            .push_back((record.seq, record.payload.clone()));
-        if inner.entries.len() > self.config.history {
-            inner.entries.pop_front();
-        }
-        if record.token != 0 {
-            inner.dedup.insert(record.token, record.seq);
-        }
+        inner.commit(record.clone(), self.config.history)?;
         Ok(ReplicaApply::Applied)
     }
 
     /// Fault injection: simulate power loss (unsynced bytes vanish).
-    /// Returns false if the backend has no durability to lose.
+    /// Returns false on a volatile log, which has no durability to lose.
     pub fn simulate_power_loss(&self) -> Result<bool> {
-        self.inner.lock().backend.simulate_power_loss()
+        self.engine(Ok(false), |b| b.simulate_power_loss())
     }
 
-    /// Fault injection: tear the next append mid-frame. Returns false if
-    /// the backend does not support it.
+    /// Fault injection: tear the next append mid-frame. Returns false on a
+    /// volatile log (no frames to tear).
     pub fn inject_torn_write(&self) -> bool {
-        self.inner.lock().backend.inject_torn_write()
+        self.engine(false, |b| b.inject_torn_write())
     }
 
     /// Fault injection: stall (or release) fsync — appends keep landing
-    /// in volatile buffers but the durable watermark freezes.
+    /// in volatile buffers but the durable watermark freezes. Returns
+    /// false on a volatile log (nothing to sync).
     pub fn set_sync_stall(&self, on: bool) -> bool {
-        self.inner.lock().backend.set_sync_stall(on)
+        self.engine(false, |b| b.set_sync_stall(on))
     }
 
     /// Fault injection: flip a bit inside the `k`-th sealed segment.
-    /// Returns Ok(false) if there is no such segment.
+    /// Returns Ok(false) if there is no such segment (a volatile log has
+    /// none).
     pub fn corrupt_sealed_segment(&self, k: usize) -> Result<bool> {
-        self.inner.lock().backend.corrupt_sealed_segment(k)
+        self.engine(Ok(false), |b| b.corrupt_sealed_segment(k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemBackend;
     use std::sync::Arc;
 
     fn mklog(element_size: usize, history: usize) -> Log {
-        Log::create(
-            LogConfig {
-                name: "t".into(),
-                element_size,
-                history,
-            },
-            Box::new(MemBackend::new()),
-        )
-        .unwrap()
+        Log::volatile(LogConfig {
+            name: "t".into(),
+            element_size,
+            history,
+        })
+    }
+
+    #[test]
+    fn volatile_log_retains_at_most_history_records() {
+        let history = 8;
+        let log = mklog(8, history);
+        for i in 1..=3 * history as u64 {
+            assert_eq!(
+                log.append_with_token(i as u128, &i.to_le_bytes()).unwrap(),
+                i
+            );
+        }
+        assert_eq!(log.len(), history);
+        // The ring is the only storage: a full read serves the retained
+        // window, not everything ever appended.
+        let all = log.read_records_from(1, usize::MAX).unwrap();
+        assert_eq!(all.len(), history);
+        assert_eq!(all[0].seq, log.earliest_seq().unwrap());
+        assert_eq!(all[0].token, all[0].seq as u128);
+        assert_eq!(log.committed_seq(), log.latest_seq());
+        // Dedup outlives eviction: a retry of a long-evicted record is
+        // still absorbed at its original sequence.
+        assert!(log.get(1).is_err(), "seq 1 was evicted");
+        assert_eq!(log.append_with_token(1, &1u64.to_le_bytes()).unwrap(), 1);
+        assert_eq!(log.latest_seq(), Some(3 * history as u64));
+    }
+
+    #[test]
+    fn read_records_skips_and_bounds() {
+        let log = mklog(3, 16);
+        for s in 1..=5u8 {
+            log.append(&[s; 3]).unwrap();
+        }
+        let rs = log.read_records_from(3, 2).unwrap();
+        assert_eq!(rs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![3, 4]);
+        assert!(log.read_records_from(9, 10).unwrap().is_empty());
+        assert_eq!(log.count_from(3), 3);
+        assert_eq!(log.count_from(0), 5);
+        assert_eq!(log.count_from(9), 0);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::error::{CspotError, Result};
 use crate::log::{Log, LogConfig};
 use crate::segment::{SegmentConfig, SegmentedBackend};
-use crate::storage::{MemBackend, StorageBackend};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -85,14 +84,22 @@ impl CspotNode {
         &self.site
     }
 
-    fn backend_for(&self, log_name: &str) -> Result<Box<dyn StorageBackend>> {
-        Ok(match &self.persistence {
-            Persistence::Memory => Box::new(MemBackend::new()),
-            Persistence::Directory { dir, storage } => Box::new(SegmentedBackend::open(
-                dir.join(format!("{log_name}.seglog")),
-                storage.clone(),
-            )?),
-        })
+    /// A fresh volatile log, or the durable log recovered from (or
+    /// started in) this node's directory.
+    fn new_log(&self, name: &str, element_size: usize, history: usize) -> Result<Arc<Log>> {
+        let config = LogConfig {
+            name: name.to_string(),
+            element_size,
+            history,
+        };
+        Ok(Arc::new(match &self.persistence {
+            Persistence::Memory => Log::volatile(config),
+            Persistence::Directory { dir, storage } => {
+                let path = dir.join(format!("{name}.seglog"));
+                let backend = SegmentedBackend::open(path, storage.clone())?;
+                Log::create(config, Box::new(backend))?
+            }
+        }))
     }
 
     /// Create a log. Errors if the name is taken.
@@ -101,14 +108,7 @@ impl CspotNode {
         if logs.contains_key(name) {
             return Err(CspotError::LogExists(name.to_string()));
         }
-        let log = Arc::new(Log::create(
-            LogConfig {
-                name: name.to_string(),
-                element_size,
-                history,
-            },
-            self.backend_for(name)?,
-        )?);
+        let log = self.new_log(name, element_size, history)?;
         logs.insert(name.to_string(), Arc::clone(&log));
         Ok(log)
     }
@@ -123,14 +123,7 @@ impl CspotNode {
                 return Ok(Arc::clone(log));
             }
         }
-        let log = Arc::new(Log::create(
-            LogConfig {
-                name: name.to_string(),
-                element_size,
-                history,
-            },
-            self.backend_for(name)?,
-        )?);
+        let log = self.new_log(name, element_size, history)?;
         self.logs.write().insert(name.to_string(), Arc::clone(&log));
         Ok(log)
     }
@@ -142,11 +135,6 @@ impl CspotNode {
             .get(name)
             .cloned()
             .ok_or_else(|| CspotError::UnknownLog(name.to_string()))
-    }
-
-    /// Names of all logs in the namespace.
-    pub fn log_names(&self) -> Vec<String> {
-        self.logs.read().keys().cloned().collect()
     }
 
     /// Register a handler fired on every append to `log_name`.

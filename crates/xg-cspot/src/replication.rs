@@ -11,7 +11,8 @@
 //!   is bounded by `segment_bytes`, so a round trip moves thousands of
 //!   records instead of `batch`.
 //! * **Tail streaming** — near the head, records ship in `batch`-sized
-//!   reads from the primary's durable storage.
+//!   reads from the primary's durable storage (a volatile primary serves
+//!   them, tokens included, from its retained window).
 //!
 //! The follower applies records with [`crate::log::Log::apply_replica`]:
 //! next-expected applies, already-held drops idempotently (a re-shipped
@@ -185,7 +186,6 @@ mod tests {
     use crate::log::LogConfig;
     use crate::netsim::PathModel;
     use crate::segment::{SegmentConfig, SegmentedBackend, SyncPolicy};
-    use crate::storage::MemBackend;
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -199,15 +199,11 @@ mod tests {
     }
 
     fn mem_log(history: usize) -> Log {
-        Log::create(
-            LogConfig {
-                name: "t".into(),
-                element_size: 8,
-                history,
-            },
-            Box::new(MemBackend::new()),
-        )
-        .unwrap()
+        Log::volatile(LogConfig {
+            name: "t".into(),
+            element_size: 8,
+            history,
+        })
     }
 
     fn seg_log(dir: &PathBuf, cfg: SegmentConfig) -> Log {

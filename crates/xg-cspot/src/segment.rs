@@ -347,15 +347,6 @@ impl SegmentedBackend {
         self.sealed.len()
     }
 
-    /// Paths of all segment files, oldest first (sealed then active).
-    pub fn segment_paths(&self) -> Vec<PathBuf> {
-        let mut out: Vec<PathBuf> = self.sealed.iter().map(|m| m.path.clone()).collect();
-        if let Some(a) = &self.active {
-            out.push(a.path.clone());
-        }
-        out
-    }
-
     fn seal_active(&mut self) -> Result<()> {
         let Some(mut active) = self.active.take() else {
             return Ok(());
@@ -754,10 +745,6 @@ impl StorageBackend for SegmentedBackend {
         Ok(Some(out))
     }
 
-    fn is_durable(&self) -> bool {
-        true
-    }
-
     fn simulate_power_loss(&mut self) -> Result<bool> {
         // Adversarial model: everything not fsynced is gone — both the
         // process's write buffer and the OS page cache.
@@ -1142,7 +1129,6 @@ mod tests {
         assert!(recover_all(&mut b).is_empty());
         assert_eq!(b.committed_seq(), None);
         assert_eq!(b.sealed_segments(), 0);
-        assert!(b.is_durable());
     }
 
     #[test]

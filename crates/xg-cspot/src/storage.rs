@@ -1,15 +1,17 @@
-//! Pluggable log persistence.
+//! Log persistence: the record, its wire format, and the engine seam.
 //!
 //! CSPOT implements logs in persistent storage so that power loss and other
 //! device failures "that do not destroy the log storage are treated in the
-//! same way as network interruption" (§3.1). Two backends are provided:
+//! same way as network interruption" (§3.1). [`StorageBackend`] is what a
+//! durable [`crate::log::Log`] writes through; it hides the on-disk format
+//! from the log and has one implementor,
+//! [`crate::segment::SegmentedBackend`] — fixed-size sealed segments with
+//! footers, group commit, retention compaction, torn-tail truncation in
+//! the active segment and fail-stop semantics for at-rest corruption.
 //!
-//! * [`MemBackend`] — volatile, for simulations that do not exercise
-//!   crash recovery (fast; used by the latency benchmarks).
-//! * [`crate::segment::SegmentedBackend`] — the durable engine:
-//!   fixed-size sealed segments with footers, group commit, retention
-//!   compaction, torn-tail truncation in the active segment and
-//!   fail-stop semantics for at-rest corruption.
+//! A volatile log ([`crate::log::Log::volatile`]) has no backend at all:
+//! its bounded circular history is its only storage, so simulations that
+//! do not exercise crash recovery hold each record exactly once.
 //!
 //! The record wire format (little endian) is
 //! `[u32 payload_len][u64 seq][u128 token][payload][u32 fnv1a]` where the
@@ -56,7 +58,7 @@ pub struct RecoverySummary {
     pub records: u64,
     /// Torn/corrupt tail bytes physically truncated from the active end.
     pub truncated_bytes: u64,
-    /// Sealed segments verified (0 for the in-memory backend).
+    /// Sealed segments verified (0 for a volatile log).
     pub sealed_segments: usize,
 }
 
@@ -88,46 +90,29 @@ pub trait StorageBackend: Send {
     /// buffered-but-unflushed appends may not yet be visible.
     fn read_from(&mut self, from: u64, max: usize) -> Result<Vec<Record>>;
 
-    /// All records of the sealed region containing `from`, when the
-    /// backend can ship a whole sealed unit at once (`None` otherwise —
-    /// the replicator falls back to batched tail streaming).
-    fn sealed_records_from(&mut self, from: u64) -> Result<Option<Vec<Record>>> {
-        let _ = from;
-        Ok(None)
-    }
+    /// All records of the sealed region containing `from`, so a whole
+    /// sealed unit ships at once (`None` when `from` is not behind a seal
+    /// — the replicator falls back to batched tail streaming).
+    fn sealed_records_from(&mut self, from: u64) -> Result<Option<Vec<Record>>>;
 
-    /// Whether this backend survives a process crash.
-    fn is_durable(&self) -> bool;
-
-    // --- fault injection (defaults: unsupported) -------------------------
+    // --- fault injection -------------------------------------------------
 
     /// Simulate power loss: everything not fsynced is gone. Returns
-    /// `false` when the backend does not support the simulation.
-    fn simulate_power_loss(&mut self) -> Result<bool> {
-        Ok(false)
-    }
+    /// whether the simulation was applied.
+    fn simulate_power_loss(&mut self) -> Result<bool>;
 
     /// Make the next append write only a partial frame (torn write), then
-    /// fail. Returns `false` when unsupported.
-    fn inject_torn_write(&mut self) -> bool {
-        false
-    }
+    /// fail. Returns whether the tear was armed.
+    fn inject_torn_write(&mut self) -> bool;
 
     /// Stall (`true`) or release (`false`) fsync: while stalled, `sync`
-    /// returns without making anything durable. Returns `false` when
-    /// unsupported.
-    fn set_sync_stall(&mut self, on: bool) -> bool {
-        let _ = on;
-        false
-    }
+    /// returns without making anything durable. Returns whether the stall
+    /// state was set.
+    fn set_sync_stall(&mut self, on: bool) -> bool;
 
     /// Flip one byte inside sealed segment `k` (0 = oldest retained), a
-    /// bit-rot simulation. `Ok(false)` when there is no such segment or
-    /// the backend has no sealed segments.
-    fn corrupt_sealed_segment(&mut self, k: usize) -> Result<bool> {
-        let _ = k;
-        Ok(false)
-    }
+    /// bit-rot simulation. `Ok(false)` when there is no such segment.
+    fn corrupt_sealed_segment(&mut self, k: usize) -> Result<bool>;
 }
 
 /// FNV-1a running update over `bytes` from hash state `h`.
@@ -209,63 +194,6 @@ pub(crate) fn decode_frame(bytes: &[u8], off: usize) -> FrameDecode {
     }
 }
 
-/// Volatile in-memory backend.
-#[derive(Debug, Default)]
-pub struct MemBackend {
-    records: Vec<Record>,
-}
-
-impl MemBackend {
-    /// An empty in-memory backend.
-    pub fn new() -> Self {
-        MemBackend::default()
-    }
-}
-
-impl StorageBackend for MemBackend {
-    fn append(&mut self, record: &Record) -> Result<AppendAck> {
-        self.records.push(record.clone());
-        Ok(AppendAck {
-            seq: record.seq,
-            durable: false,
-        })
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        Ok(())
-    }
-
-    fn committed_seq(&self) -> Option<u64> {
-        // Volatile "durability": the backend retains what it has for as
-        // long as the process lives; simulations treat that as committed.
-        self.records.last().map(|r| r.seq)
-    }
-
-    fn recover_scan(&mut self, sink: &mut dyn FnMut(Record)) -> Result<RecoverySummary> {
-        for r in &self.records {
-            sink(r.clone());
-        }
-        Ok(RecoverySummary {
-            records: self.records.len() as u64,
-            ..Default::default()
-        })
-    }
-
-    fn read_from(&mut self, from: u64, max: usize) -> Result<Vec<Record>> {
-        Ok(self
-            .records
-            .iter()
-            .filter(|r| r.seq >= from)
-            .take(max)
-            .cloned()
-            .collect())
-    }
-
-    fn is_durable(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,37 +204,6 @@ mod tests {
             token: seq as u128 * 1000,
             payload: payload.to_vec(),
         }
-    }
-
-    fn recover_all(b: &mut dyn StorageBackend) -> Vec<Record> {
-        let mut out = Vec::new();
-        b.recover_scan(&mut |r| out.push(r)).unwrap();
-        out
-    }
-
-    #[test]
-    fn mem_backend_roundtrip() {
-        let mut b = MemBackend::new();
-        b.append(&rec(1, b"a")).unwrap();
-        b.append(&rec(2, b"bb")).unwrap();
-        let rs = recover_all(&mut b);
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs[1].payload, b"bb");
-        assert!(!b.is_durable());
-        assert_eq!(b.committed_seq(), Some(2));
-    }
-
-    #[test]
-    fn read_from_skips_and_bounds() {
-        let mut b = MemBackend::new();
-        for s in 1..=5 {
-            b.append(&rec(s, &[s as u8; 3])).unwrap();
-        }
-        let rs = b.read_from(3, 2).unwrap();
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs[0].seq, 3);
-        assert_eq!(rs[1].seq, 4);
-        assert!(b.read_from(9, 10).unwrap().is_empty());
     }
 
     #[test]

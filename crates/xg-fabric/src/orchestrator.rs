@@ -28,7 +28,7 @@
 use crate::backtest::{Backtester, CalibrationSample};
 use crate::error::FabricError;
 use crate::intervention::{Intervention, InterventionAdvisor, SiteConditions};
-use crate::pipeline::{FieldGateway, ResultSummary, ResultsReturn};
+use crate::pipeline::{FieldGateway, ResultSummary, ResultsReturn, WIND_LOG};
 use crate::ran::{RanProbe, RanTopology};
 use crate::reliability::ReliabilityReport;
 use crate::robot::Robot;
@@ -46,6 +46,7 @@ use xg_cspot::node::CspotNode;
 use xg_faults::{FaultChange, FaultKind, FaultPlan};
 use xg_hpc::multisite::MultiSiteController;
 use xg_hpc::site::SiteProfile;
+use xg_laminar::bridge::latest_windows;
 use xg_laminar::change::{build_change_graph, ChangeDetector};
 use xg_laminar::runtime::LaminarRuntime;
 use xg_laminar::value::Value;
@@ -60,20 +61,25 @@ use xg_obs::{Obs, SpanId, TraceId, Tracer};
 use xg_ric::Ric;
 use xg_sensors::breach::Breach;
 use xg_sensors::facility::CupsFacility;
-use xg_sensors::network::{BoundaryConditions, SensorNetwork};
+use xg_sensors::network::{BoundaryConditions, SensorNetwork, REPORT_INTERVAL_S};
 use xg_sensors::qc::QcScreen;
 use xg_sensors::telemetry::TelemetryRecord;
 use xg_sim::{Advance, SimNs};
+
+/// Reports per change-detection duty cycle (paper: 6 = 30 min).
+const DETECT_EVERY_REPORTS: usize = 6;
+
+/// The report cycle's cadence: the stations' own reporting interval, so
+/// the fabric and the sensor network cannot drift apart.
+fn report_interval() -> SimNs {
+    SimNs::from_secs_f64(REPORT_INTERVAL_S)
+}
 
 /// Full-fabric configuration.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// RNG seed for every stochastic component.
     pub seed: u64,
-    /// Telemetry reporting interval (s).
-    pub report_interval_s: f64,
-    /// Reports per change-detection duty cycle (paper: 6 = 30 min).
-    pub detect_every_reports: usize,
     /// The change detector.
     pub detector: ChangeDetector,
     /// The primary HPC site running the CFD.
@@ -151,8 +157,6 @@ impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             seed: 42,
-            report_interval_s: 300.0,
-            detect_every_reports: 6,
             detector: ChangeDetector::default(),
             site: SiteProfile::notre_dame_crc(),
             failover_sites: Vec::new(),
@@ -373,7 +377,6 @@ pub struct XgFabric {
     qc: QcScreen,
     backtester: Backtester,
     timeline: Timeline,
-    t_s: f64,
     reports_done: usize,
     /// Live fault schedule (advanced copy of `config.faults`).
     faults: FaultPlan,
@@ -481,7 +484,6 @@ impl XgFabric {
                 xg_obs::recorder::install_panic_hook(recorder, dir, seed);
             });
         }
-        let next_cycle = SimNs::from_secs_f64(config.report_interval_s);
         Ok(XgFabric {
             config,
             net,
@@ -496,7 +498,6 @@ impl XgFabric {
             qc: QcScreen::new(),
             backtester: Backtester::default(),
             timeline: Timeline::default(),
-            t_s: 0.0,
             reports_done: 0,
             faults,
             in_flight: Vec::new(),
@@ -527,7 +528,7 @@ impl XgFabric {
             bundles: Vec::new(),
             last_critical: None,
             now: SimNs::ZERO,
-            next_cycle,
+            next_cycle: report_interval(),
         })
     }
 
@@ -557,9 +558,12 @@ impl XgFabric {
         self.backtester.backtest(self.calibration?)
     }
 
-    /// Current virtual time (s).
+    /// Virtual time of the most recent report cycle (s): one interval
+    /// behind the next one due, so a mid-cycle advance does not move it.
     pub fn now_s(&self) -> f64 {
-        self.t_s
+        self.next_cycle
+            .saturating_sub(report_interval())
+            .as_secs_f64()
     }
 
     /// Current degradation ladder level.
@@ -597,11 +601,6 @@ impl XgFabric {
         self.ric.as_ref()
     }
 
-    /// Ground-truth facility access (scenario scripting).
-    pub fn facility_mut(&mut self) -> &mut CupsFacility {
-        &mut self.net.facility
-    }
-
     /// Inject a screen breach into the ground truth.
     pub fn inject_breach(&mut self, breach: Breach) {
         self.net.facility.add_breach(breach);
@@ -615,8 +614,7 @@ impl XgFabric {
     /// Run one 300-second report cycle (a wrapper over
     /// [`Advance::advance_to`], the primitive).
     pub fn run_report_cycle(&mut self) -> Result<(), FabricError> {
-        let interval = SimNs::from_secs_f64(self.config.report_interval_s);
-        self.advance_to(self.now.saturating_add(interval))
+        self.advance_to(self.now.saturating_add(report_interval()))
     }
 
     /// One report cycle: the paper's fixed-order pipeline, top to bottom.
@@ -626,7 +624,6 @@ impl XgFabric {
         // timestamps and flushed into a span tree at cycle close, feeding
         // the profiler's attribution tree and the cycle's critical path.
         let mut cyc = self.config.obs.tracer().map(CycleSpans::begin);
-        self.t_s += self.config.report_interval_s;
         phase(&mut cyc, "fabric.faults.advance", || self.advance_faults());
         // Step the RAN fleet one probe batch: measured per-cell goodput
         // lands on the registry (feeding the SLO window) and the worst
@@ -637,7 +634,7 @@ impl XgFabric {
             .min_by(|a, b| a.goodput_mbps.total_cmp(&b.goodput_mbps))
         {
             self.timeline.push(Event::RanProbed {
-                t_s: self.t_s,
+                t_s: self.now_s(),
                 cells: health.len(),
                 worst_cell: worst.name.clone(),
                 worst_goodput_mbps: worst.goodput_mbps,
@@ -652,14 +649,14 @@ impl XgFabric {
             o.report_cycles.inc();
         }
         self.timeline.push(Event::TelemetryShipped {
-            t_s: self.t_s,
+            t_s: self.now_s(),
             latency_ms: shipped.latency_ms,
             records: records.len(),
         });
         self.reports_done += 1;
         // Advance the HPC side, resubmit lost tasks, absorb completions.
         phase(&mut cyc, "fabric.hpc.advance", || {
-            self.hpc.advance_to(self.t_s);
+            self.hpc.advance_to(self.now_s());
             self.service_retries();
             self.service_completions();
         });
@@ -684,7 +681,7 @@ impl XgFabric {
     /// state at report-cycle resolution; their downtime accounting inside
     /// the plan stays exact regardless.
     fn advance_faults(&mut self) {
-        let changes = self.faults.advance_to(self.t_s);
+        let changes = self.faults.advance_to(self.now_s());
         for c in &changes {
             self.apply_fault(c);
         }
@@ -698,6 +695,7 @@ impl XgFabric {
     /// pure reads + resets; with zero xApps the whole step emits nothing
     /// and the run is bitwise identical to a RIC-less one.
     fn step_ric(&mut self) {
+        let now_s = self.now_s();
         let Some(ric) = &mut self.ric else { return };
         let mut fresh = self.ran.collect_indications();
         let ran = &self.ran;
@@ -706,7 +704,7 @@ impl XgFabric {
             Some(name) => !ran.cell_down(name) && !dropped.contains(name),
             None => false,
         });
-        let outcome = ric.step(fresh, self.t_s);
+        let outcome = ric.step(fresh, now_s);
         if let Some(o) = &self.obs {
             o.ric_actions.add(outcome.actions.len() as u64);
             o.ric_held.add(outcome.held as u64);
@@ -717,7 +715,7 @@ impl XgFabric {
             // the xApp re-decides from the next indication.
             if self.ran.apply_ric_action(action).is_ok() {
                 self.timeline.push(Event::RicAction {
-                    t_s: self.t_s,
+                    t_s: now_s,
                     xapp: (*xapp).to_string(),
                     action: action.describe(),
                 });
@@ -730,11 +728,7 @@ impl XgFabric {
     /// before anything becomes a CFD boundary condition (§2's
     /// data-calibration concern).
     fn poll_sensors(&mut self) -> Vec<TelemetryRecord> {
-        let next = self
-            .net
-            .now()
-            .saturating_add(SimNs::from_secs_f64(xg_sensors::network::REPORT_INTERVAL_S));
-        let _ = self.net.advance_to(next);
+        let _ = self.net.advance_to(self.now);
         let raw = self.net.take_reports();
         self.qc.filter(&raw).0
     }
@@ -747,21 +741,18 @@ impl XgFabric {
         records: &[TelemetryRecord],
         transfer_ms: f64,
     ) -> Result<(), FabricError> {
-        if !self
-            .reports_done
-            .is_multiple_of(self.config.detect_every_reports)
-        {
+        if !self.reports_done.is_multiple_of(DETECT_EVERY_REPORTS) {
             return Ok(());
         }
         let repo_len = self.gateway.repo_wind_len();
         if repo_len >= 2 * self.config.detector.window
-            && repo_len >= self.wind_len_at_last_detect + self.config.detect_every_reports
+            && repo_len >= self.wind_len_at_last_detect + DETECT_EVERY_REPORTS
         {
             self.run_change_detection(records, repo_len, transfer_ms)?;
         } else if self.gateway.backlog() > 0 && self.deferred_check_since.is_none() {
             // The duty cycle wanted to run but the partition starved the
             // repository: start the deferral clock.
-            self.deferred_check_since = Some(self.t_s);
+            self.deferred_check_since = Some(self.now_s());
         }
         Ok(())
     }
@@ -813,7 +804,7 @@ impl XgFabric {
 
     /// Reliability accounting for the run so far.
     pub fn reliability_report(&self) -> ReliabilityReport {
-        let horizon = self.t_s;
+        let horizon = self.now_s();
         // Either the WAN route or the gateway's own cell going down
         // makes the repository unreachable from the field.
         let gateway_cell = self.ran.gateway_cell_name();
@@ -832,7 +823,7 @@ impl XgFabric {
         let mut total_s = self.impairment_total_s;
         if let Some(start) = self.impaired_since {
             episodes += 1;
-            total_s += self.t_s - start;
+            total_s += self.now_s() - start;
         }
         ReliabilityReport {
             horizon_s: horizon,
@@ -939,13 +930,13 @@ impl XgFabric {
             }
         }
         self.timeline.push(Event::FaultChanged {
-            t_s: self.t_s,
+            t_s: self.now_s(),
             fault: format!("{:?}", change.kind),
             active: change.active,
         });
         if let Some(rec) = self.config.obs.recorder() {
             rec.note(
-                secs_to_us(self.t_s),
+                secs_to_us(self.now_s()),
                 format!(
                     "fault {}: {}",
                     if change.active {
@@ -975,7 +966,7 @@ impl XgFabric {
     /// Move every task expected to still be running at the dead site into
     /// the retry queue.
     fn orphan_in_flight_at(&mut self, site: &str) {
-        let now = self.t_s;
+        let now = self.now_s();
         let mut kept = Vec::new();
         for f in self.in_flight.drain(..) {
             if f.site == site && f.finishes_at > now {
@@ -1001,7 +992,7 @@ impl XgFabric {
         let task_runtime = self.config.perf.total_time_s(self.config.cfd_cores);
         let mut waiting = Vec::new();
         for r in std::mem::take(&mut self.retries) {
-            if r.next_try_s > self.t_s {
+            if r.next_try_s > self.now_s() {
                 waiting.push(r);
                 continue;
             }
@@ -1009,26 +1000,26 @@ impl XgFabric {
                 Some(p) => {
                     self.failovers += 1;
                     self.timeline.push(Event::FailoverTriggered {
-                        t_s: self.t_s,
+                        t_s: self.now_s(),
                         from_site: r.from_site,
                         to_site: Some(p.site.clone()),
                     });
                     self.in_flight.push(InFlightCfd {
                         pending: r.pending,
                         site: p.site,
-                        finishes_at: self.t_s + p.expected_completion_s,
+                        finishes_at: self.now_s() + p.expected_completion_s,
                         attempts: r.attempts,
                     });
                 }
                 None => {
                     // Every site still unreachable: back off harder.
                     self.timeline.push(Event::FailoverTriggered {
-                        t_s: self.t_s,
+                        t_s: self.now_s(),
                         from_site: r.from_site.clone(),
                         to_site: None,
                     });
                     waiting.push(RetryCfd {
-                        next_try_s: self.t_s + Self::backoff_s(r.attempts),
+                        next_try_s: self.now_s() + Self::backoff_s(r.attempts),
                         attempts: r.attempts + 1,
                         ..r
                     });
@@ -1039,7 +1030,7 @@ impl XgFabric {
     }
 
     fn service_completions(&mut self) {
-        let now = self.t_s;
+        let now = self.now_s();
         let mut done: Vec<InFlightCfd> = Vec::new();
         let mut running = Vec::new();
         for f in self.in_flight.drain(..) {
@@ -1067,6 +1058,7 @@ impl XgFabric {
     /// (when a `blackbox_dir` is configured) on disk as bundles; the
     /// resulting degradation request feeds [`Self::update_degradation`].
     fn observe_cycle(&mut self, transfer_latency_ms: f64) {
+        let now_s = self.now_s();
         let Some(o) = &mut self.obs else { return };
         o.cycle_transfer_ms.record(transfer_latency_ms);
         o.gateway_backlog.set(self.gateway.backlog() as f64);
@@ -1081,8 +1073,8 @@ impl XgFabric {
         let Some(reg) = self.config.obs.registry() else {
             return;
         };
-        o.window.tick(reg, self.t_s);
-        let events = o.watchdog.evaluate(self.t_s, &o.window.view());
+        o.window.tick(reg, now_s);
+        let events = o.watchdog.evaluate(now_s, &o.window.view());
         self.slo_degradation = o.watchdog.degradation_target();
         for ev in events {
             let breached = ev.kind == SloEventKind::Breached;
@@ -1095,7 +1087,7 @@ impl XgFabric {
             }
             if let Some(rec) = self.config.obs.recorder() {
                 rec.note(
-                    secs_to_us(self.t_s),
+                    secs_to_us(now_s),
                     format!(
                         "slo {}: {} (value {:.3} vs {:.3}, window {:.0}..{:.0}s)",
                         if breached { "breached" } else { "recovered" },
@@ -1109,14 +1101,14 @@ impl XgFabric {
             }
             self.timeline.push(if breached {
                 Event::SloBreached {
-                    t_s: self.t_s,
+                    t_s: now_s,
                     slo: ev.slo.clone(),
                     value: ev.value,
                     threshold: ev.threshold,
                 }
             } else {
                 Event::SloRecovered {
-                    t_s: self.t_s,
+                    t_s: now_s,
                     slo: ev.slo.clone(),
                     value: ev.value,
                     threshold: ev.threshold,
@@ -1149,7 +1141,7 @@ impl XgFabric {
             .unwrap_or_default();
         let ctx = BundleContext {
             reason: reason.to_string(),
-            t_s: self.t_s,
+            t_s: self.now_s(),
             seed: self.config.seed,
             context: vec![
                 ("active_faults".into(), self.faults.describe_active()),
@@ -1189,7 +1181,7 @@ impl XgFabric {
             }
             if let Some(rec) = self.config.obs.recorder() {
                 rec.note(
-                    secs_to_us(self.t_s),
+                    secs_to_us(self.now_s()),
                     format!(
                         "degradation -> level {level} (backlog level {backlog_level}, slo level {})",
                         self.slo_degradation
@@ -1197,7 +1189,7 @@ impl XgFabric {
                 );
             }
             self.timeline.push(Event::DegradationChanged {
-                t_s: self.t_s,
+                t_s: self.now_s(),
                 level,
             });
         }
@@ -1233,10 +1225,10 @@ impl XgFabric {
             || self.gateway.backlog() > 0
             || !self.retries.is_empty();
         match (self.impaired_since, impaired) {
-            (None, true) => self.impaired_since = Some(self.t_s),
+            (None, true) => self.impaired_since = Some(self.now_s()),
             (Some(start), false) => {
                 self.impairment_episodes += 1;
-                self.impairment_total_s += self.t_s - start;
+                self.impairment_total_s += self.now_s() - start;
                 self.impaired_since = None;
             }
             _ => {}
@@ -1253,25 +1245,23 @@ impl XgFabric {
         // them through the deployed Laminar change-detection graph — the
         // program §3.7 runs at UCSB on a 30-minute duty cycle.
         let window = self.config.detector.window;
-        let history = self.gateway.wind_history(2 * window)?;
-        if history.len() < 2 * window {
+        let Some((prev, recent)) = latest_windows(&self.gateway.repo, WIND_LOG, window)? else {
             return Ok(());
-        }
-        let (prev, recent) = history.split_at(window);
+        };
+        // Votes are recomputed for the timeline detail (the Laminar node
+        // returns only the arbitration outcome, as in the paper).
+        let vote = self.config.detector.evaluate_windows(&prev, &recent);
         self.detect_epoch += 1;
         let epoch = self.detect_epoch;
         self.laminar
-            .inject("prev_window", epoch, Value::F64Vec(prev.to_vec()))?;
+            .inject("prev_window", epoch, Value::F64Vec(prev))?;
         self.laminar
-            .inject("recent_window", epoch, Value::F64Vec(recent.to_vec()))?;
+            .inject("recent_window", epoch, Value::F64Vec(recent))?;
         let changed = self
             .laminar
             .read("detect", epoch)?
             .and_then(|v| v.as_bool())
             .unwrap_or(false);
-        // Votes are recomputed for the timeline detail (the Laminar node
-        // returns only the arbitration outcome, as in the paper).
-        let vote = self.config.detector.evaluate_windows(prev, recent);
         debug_assert_eq!(changed, vote.changed, "Laminar and direct paths agree");
         self.detections += 1;
         self.wind_len_at_last_detect = repo_len;
@@ -1281,11 +1271,11 @@ impl XgFabric {
         let inflation_s = self
             .deferred_check_since
             .take()
-            .map(|since| (self.t_s - since).max(0.0))
+            .map(|since| (self.now_s() - since).max(0.0))
             .unwrap_or(0.0);
         self.detection_inflation_sum_s += inflation_s;
         self.timeline.push(Event::ChangeChecked {
-            t_s: self.t_s,
+            t_s: self.now_s(),
             changed,
             votes: vote.votes,
         });
@@ -1296,8 +1286,7 @@ impl XgFabric {
         // volume of one detection window, placed at the best reachable
         // site. The degradation ladder decides the solve resolution now,
         // at trigger time.
-        let data_bytes =
-            (records.len() * TelemetryRecord::WIRE_SIZE * self.config.detect_every_reports) as f64;
+        let data_bytes = (records.len() * TelemetryRecord::WIRE_SIZE * DETECT_EVERY_REPORTS) as f64;
         let task_runtime = self.config.perf.total_time_s(self.config.cfd_cores);
         let Some(bc) = self.net.boundary_conditions(records) else {
             return Ok(());
@@ -1308,12 +1297,12 @@ impl XgFabric {
         // stages chain onto the detection span when the run completes.
         let trace = self.config.obs.tracer().map(|tr| {
             let trace = tr.new_trace();
-            let transfer_end_s = self.t_s + transfer_ms / 1e3;
+            let transfer_end_s = self.now_s() + transfer_ms / 1e3;
             let transfer = tr.record_sim_s(
                 trace,
                 None,
                 "telemetry.transfer",
-                self.t_s,
+                self.now_s(),
                 transfer_end_s,
                 vec![("records".into(), records.len().to_string())],
             );
@@ -1331,7 +1320,7 @@ impl XgFabric {
             (trace, detect)
         });
         let pending = PendingCfd {
-            trigger_t_s: self.t_s,
+            trigger_t_s: self.now_s(),
             bc,
             interior: self.interior_measurements(records),
             cells,
@@ -1345,7 +1334,7 @@ impl XgFabric {
         {
             Some((placement, decision)) => {
                 self.timeline.push(Event::PilotEvaluated {
-                    t_s: self.t_s,
+                    t_s: self.now_s(),
                     n_required: decision.n_required,
                     n_available: decision.n_available,
                     submitted: decision.submitted.is_some(),
@@ -1353,7 +1342,7 @@ impl XgFabric {
                 self.in_flight.push(InFlightCfd {
                     pending,
                     site: placement.site,
-                    finishes_at: self.t_s + placement.expected_completion_s,
+                    finishes_at: self.now_s() + placement.expected_completion_s,
                     attempts: 0,
                 });
             }
@@ -1364,7 +1353,7 @@ impl XgFabric {
                     pending,
                     from_site: self.config.site.name.clone(),
                     attempts: 1,
-                    next_try_s: self.t_s + Self::backoff_s(0),
+                    next_try_s: self.now_s() + Self::backoff_s(0),
                 });
             }
         }
@@ -1407,7 +1396,7 @@ impl XgFabric {
         sim.set_obs(&self.config.obs);
         sim.run(pending.steps);
         let model_runtime = self.config.perf.total_time_s(self.config.cfd_cores);
-        let window_s = self.config.report_interval_s * self.config.detect_every_reports as f64;
+        let window_s = REPORT_INTERVAL_S * DETECT_EVERY_REPORTS as f64;
         // Close out the trace's HPC stages: expected completion minus the
         // modelled runtime is queue wait masked (or not) by warm pilots.
         let return_parent = self.config.obs.tracer().and_then(|tr| {
@@ -1580,7 +1569,7 @@ impl Advance for XgFabric {
     /// error (a gateway refusal, a failed detection) leaves it intact and
     /// the caller can resume by advancing again.
     fn advance_to(&mut self, t: SimNs) -> std::result::Result<(), FabricError> {
-        let interval = SimNs::from_secs_f64(self.config.report_interval_s);
+        let interval = report_interval();
         while self.next_cycle <= t {
             self.now = self.next_cycle;
             self.next_cycle = self.next_cycle.saturating_add(interval);

@@ -14,6 +14,7 @@ use xg_cspot::netsim::{SimClock, Topology};
 use xg_cspot::node::CspotNode;
 use xg_cspot::protocol::{RemoteAppender, RemoteConfig};
 use xg_cspot::CspotError;
+use xg_laminar::bridge::read_f64_series;
 use xg_sensors::telemetry::TelemetryRecord;
 
 /// Name of the raw-telemetry log at the repository.
@@ -25,20 +26,6 @@ pub const WIND_LOG: &str = "cups.wind";
 pub const RESULTS_LOG: &str = "cups.results";
 /// History retained in the repository logs (plenty for 30-min windows).
 pub const LOG_HISTORY: usize = 8192;
-
-/// Decode an 8-byte little-endian `f64` log element or fail with a typed
-/// error (a wind log only ever holds 8-byte elements, so a mismatch means
-/// corruption, which callers should see rather than panic over).
-fn decode_wind(bytes: &[u8]) -> Result<f64, CspotError> {
-    bytes
-        .get(..8)
-        .and_then(|b| b.try_into().ok())
-        .map(f64::from_le_bytes)
-        .ok_or(CspotError::ElementSizeMismatch {
-            expected: 8,
-            got: bytes.len(),
-        })
-}
 
 /// Resolve a paper-topology route or fail with a typed error.
 fn route_between(from: &str, to: &str) -> Result<xg_cspot::netsim::RoutePath, FabricError> {
@@ -195,13 +182,7 @@ impl FieldGateway {
     /// The most recent `n` mean-wind values **at the repository** (what
     /// the change detector can actually see), oldest first.
     pub fn wind_history(&self, n: usize) -> Result<Vec<f64>, FabricError> {
-        let log = self.repo.log(WIND_LOG)?;
-        let hist: Result<Vec<f64>, CspotError> = log
-            .tail(n)
-            .into_iter()
-            .map(|(_, bytes)| decode_wind(&bytes))
-            .collect();
-        Ok(hist?)
+        Ok(read_f64_series(&self.repo, WIND_LOG, n)?)
     }
 
     /// Mean-wind samples that have reached the repository.

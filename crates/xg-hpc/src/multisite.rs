@@ -195,11 +195,6 @@ impl MultiSiteController {
         }
     }
 
-    /// Names of all configured sites, in routing order.
-    pub fn site_names(&self) -> Vec<String> {
-        self.sites.iter().map(|s| s.profile.name.clone()).collect()
-    }
-
     /// Number of sites currently reachable.
     pub fn reachable_sites(&self) -> usize {
         self.sites

@@ -250,11 +250,6 @@ impl PilotController {
         self.offline
     }
 
-    /// Whether the batch queue is currently stalled (fault-injected).
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
-    }
-
     /// Tasks accepted but not yet dispatched into a pilot.
     pub fn pending_count(&self) -> usize {
         self.pending.len()

@@ -85,64 +85,6 @@ pub fn build_change_graph(program: &str, detector: ChangeDetector) -> Result<Gra
     g.build()
 }
 
-/// Build a multi-field change-detection graph: one detector per named
-/// field (e.g. `["wind", "temp", "humidity"]`), or-merged into a single
-/// `alert` output. Sources are named `<field>_prev` and `<field>_recent`.
-///
-/// This is the natural extension of §4.2's single-series program to the
-/// full telemetry tuple the stations report: a statistically measurable
-/// change in *any* field warrants a new CFD run, since all of them are
-/// CFD boundary conditions.
-pub fn build_multi_field_graph(
-    program: &str,
-    fields: &[&str],
-    detector: ChangeDetector,
-) -> Result<Graph> {
-    assert!(!fields.is_empty(), "need at least one field");
-    let mut g = GraphBuilder::new(program);
-    let mut merged = None;
-    for field in fields {
-        let prev = g.source(&format!("{field}_prev"), TypeTag::F64Vec)?;
-        let recent = g.source(&format!("{field}_recent"), TypeTag::F64Vec)?;
-        let detect = g.op(
-            &format!("{field}_detect"),
-            vec![TypeTag::F64Vec, TypeTag::F64Vec],
-            TypeTag::Bool,
-            ops::change_detect(detector.alpha, detector.votes_needed),
-        )?;
-        g.connect(prev, detect, 0);
-        g.connect(recent, detect, 1);
-        merged = Some(match merged {
-            None => detect,
-            Some(prev_merge) => {
-                let or = g.op(
-                    &format!("or_{field}"),
-                    vec![TypeTag::Bool, TypeTag::Bool],
-                    TypeTag::Bool,
-                    ops::or2(),
-                )?;
-                g.connect(prev_merge, or, 0);
-                g.connect(detect, or, 1);
-                or
-            }
-        });
-    }
-    // A stable name for the final output regardless of field count.
-    let alert = g.op(
-        "alert",
-        vec![TypeTag::Bool],
-        TypeTag::Bool,
-        ops::closure(|inp| {
-            inp.first()
-                .and_then(crate::value::Value::as_bool)
-                .map(crate::value::Value::Bool)
-                .ok_or_else(|| "alert input must be Bool".into())
-        }),
-    )?;
-    g.connect(merged.expect("at least one field"), alert, 0);
-    g.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,54 +165,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rt.read("detect", 2).unwrap(), Some(Value::Bool(true)));
-    }
-
-    #[test]
-    fn multi_field_graph_alerts_on_any_field() {
-        let g =
-            build_multi_field_graph("multi", &["wind", "temp"], ChangeDetector::default()).unwrap();
-        let node = Arc::new(CspotNode::in_memory("UCSB"));
-        let rt = LaminarRuntime::deploy(g, node).unwrap();
-        let stable = || Value::F64Vec(vec![3.0, 3.1, 2.9, 3.05, 2.95, 3.0]);
-        let shifted = || Value::F64Vec(vec![9.0, 9.1, 8.9, 9.05, 8.95, 9.0]);
-
-        // Epoch 1: nothing changes.
-        for f in ["wind", "temp"] {
-            rt.inject(&format!("{f}_prev"), 1, stable()).unwrap();
-            rt.inject(&format!("{f}_recent"), 1, stable()).unwrap();
-        }
-        assert_eq!(rt.read("alert", 1).unwrap(), Some(Value::Bool(false)));
-
-        // Epoch 2: only temperature shifts — still an alert.
-        rt.inject("wind_prev", 2, stable()).unwrap();
-        rt.inject("wind_recent", 2, stable()).unwrap();
-        rt.inject("temp_prev", 2, stable()).unwrap();
-        rt.inject("temp_recent", 2, shifted()).unwrap();
-        assert_eq!(rt.read("alert", 2).unwrap(), Some(Value::Bool(true)));
-
-        // Per-field outputs are also visible.
-        assert_eq!(rt.read("wind_detect", 2).unwrap(), Some(Value::Bool(false)));
-        assert_eq!(rt.read("temp_detect", 2).unwrap(), Some(Value::Bool(true)));
-    }
-
-    #[test]
-    fn multi_field_single_field_degenerates_to_simple() {
-        let g = build_multi_field_graph("single", &["wind"], ChangeDetector::default()).unwrap();
-        let node = Arc::new(CspotNode::in_memory("UCSB"));
-        let rt = LaminarRuntime::deploy(g, node).unwrap();
-        rt.inject(
-            "wind_prev",
-            1,
-            Value::F64Vec(vec![2.0, 2.1, 1.9, 2.05, 1.95, 2.0]),
-        )
-        .unwrap();
-        rt.inject(
-            "wind_recent",
-            1,
-            Value::F64Vec(vec![8.0, 8.2, 7.8, 8.1, 7.9, 8.05]),
-        )
-        .unwrap();
-        assert_eq!(rt.read("alert", 1).unwrap(), Some(Value::Bool(true)));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod value;
 /// Commonly used types.
 pub mod prelude {
     pub use crate::bridge::{append_f64, latest_windows, read_f64_series, run_change_epoch};
-    pub use crate::change::{build_change_graph, build_multi_field_graph, ChangeDetector};
+    pub use crate::change::{build_change_graph, ChangeDetector};
     pub use crate::error::LaminarError;
     pub use crate::graph::{Graph, GraphBuilder, NodeId};
     pub use crate::ops;

@@ -92,21 +92,6 @@ pub fn change_detect(alpha: f64, votes_needed: u8) -> OpFn {
     })
 }
 
-/// `Bool × Bool → Bool` logical OR (used to merge per-field alerts).
-pub fn or2() -> OpFn {
-    closure(|inp| {
-        let a = inp
-            .first()
-            .and_then(Value::as_bool)
-            .ok_or("input 0 is not Bool")?;
-        let b = inp
-            .get(1)
-            .and_then(Value::as_bool)
-            .ok_or("input 1 is not Bool")?;
-        Ok(Value::Bool(a || b))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,19 +144,5 @@ mod tests {
         let op = change_detect(0.05, 2);
         assert_eq!(op(&[stable.clone(), shifted]).unwrap(), Value::Bool(true));
         assert_eq!(op(&[stable.clone(), stable]).unwrap(), Value::Bool(false));
-    }
-
-    #[test]
-    fn or_merge() {
-        let op = or2();
-        assert_eq!(
-            op(&[Value::Bool(false), Value::Bool(true)]).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            op(&[Value::Bool(false), Value::Bool(false)]).unwrap(),
-            Value::Bool(false)
-        );
-        assert!(op(&[Value::F64(1.0), Value::Bool(false)]).is_err());
     }
 }

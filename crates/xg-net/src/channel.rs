@@ -52,11 +52,6 @@ impl ShadowingChannel {
         let fast = gaussian(rng) * self.sigma_fast;
         Db(self.state + fast)
     }
-
-    /// Current shadowing state without advancing (dB).
-    pub fn shadow_db(&self) -> f64 {
-        self.state
-    }
 }
 
 /// Standard normal variate via the Box–Muller transform.

@@ -82,14 +82,6 @@ impl CellBatch {
             sum / n as f64
         }
     }
-
-    /// All samples of one UE across the batch, in second order.
-    pub fn ue_samples(&self, ue: UeHandle) -> Vec<f64> {
-        self.seconds
-            .iter()
-            .filter_map(|sec| sec.iter().find(|(h, _)| *h == ue).map(|&(_, m)| m))
-            .collect()
-    }
 }
 
 /// Derive one cell's RNG seed from the fleet seed and the cell id.

@@ -138,11 +138,6 @@ impl TrafficModel {
         }
     }
 
-    /// A 1080p surveillance stream (~8 Mbps).
-    pub fn surveillance_video() -> Self {
-        TrafficModel::Cbr { rate_mbps: 8.0 }
-    }
-
     /// A pest-detection camera: keep-alive imagery at `base_mbps`,
     /// jumping to `burst_mbps` for `[start_s, end_s)` when traps fire.
     pub fn pest_camera(base_mbps: f64, burst_mbps: f64, start_s: f64, end_s: f64) -> Self {

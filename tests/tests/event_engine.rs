@@ -9,6 +9,7 @@ use xg_fabric::orchestrator::{FabricConfig, XgFabric};
 use xg_faults::{FaultKind, FaultPlan};
 use xg_net::prelude::*;
 use xg_net::traffic::TrafficModel;
+use xg_sensors::network::REPORT_INTERVAL_S;
 
 /// One of four qualitatively different offered-load shapes: always-on,
 /// trickle telemetry, constant video, and a mid-window burst.
@@ -175,7 +176,7 @@ fn fabric_advance_to_replays_run_cycles_bitwise() {
     let mut legacy = XgFabric::new(config());
     let mut event = XgFabric::new(config());
     legacy.run_cycles(12).expect("healthy loop");
-    let horizon = SimNs::from_secs_f64(12.0 * event.config.report_interval_s);
+    let horizon = SimNs::from_secs_f64(12.0 * REPORT_INTERVAL_S);
     event.advance_to(horizon).expect("healthy loop");
     assert_eq!(legacy.timeline(), event.timeline());
     assert_eq!(legacy.now_s(), event.now_s());
@@ -200,7 +201,7 @@ fn partial_advance_buffers_cleanly() {
         cfd_steps: 10,
         ..Default::default()
     });
-    let interval = fab.config.report_interval_s;
+    let interval = REPORT_INTERVAL_S;
     let half = SimNs::from_secs_f64(interval / 2.0);
     fab.advance_to(half).expect("no cycle due");
     assert_eq!(fab.timeline().telemetry_latencies_ms().len(), 0);

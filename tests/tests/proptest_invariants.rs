@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use xg_cspot::log::{Log, LogConfig};
 use xg_cspot::segment::{SegmentConfig, SegmentedBackend, SyncPolicy};
-use xg_cspot::storage::MemBackend;
 use xg_hpc::cluster::{ClusterSim, JobRequest};
 use xg_laminar::stats;
 use xg_net::mac::{MacScheduler, SchedulerKind, UlRequest};
@@ -74,10 +73,7 @@ proptest! {
         payloads in proptest::collection::vec(proptest::collection::vec(0u8..255, 4), 1..40),
         history in 1usize..50,
     ) {
-        let log = Log::create(
-            LogConfig { name: "p".into(), element_size: 4, history },
-            Box::new(MemBackend::new()),
-        ).unwrap();
+        let log = Log::volatile(LogConfig { name: "p".into(), element_size: 4, history });
         let mut seqs = Vec::new();
         for p in &payloads {
             seqs.push(log.append(p).unwrap());
@@ -101,10 +97,7 @@ proptest! {
     /// Dedup is idempotent under arbitrary retry interleavings.
     #[test]
     fn dedup_idempotent(retries in proptest::collection::vec(0usize..4, 1..20)) {
-        let log = Log::create(
-            LogConfig { name: "d".into(), element_size: 8, history: 1000 },
-            Box::new(MemBackend::new()),
-        ).unwrap();
+        let log = Log::volatile(LogConfig { name: "d".into(), element_size: 8, history: 1000 });
         for (i, &extra) in retries.iter().enumerate() {
             let token = (i + 1) as u128;
             let payload = (i as u64).to_le_bytes();
