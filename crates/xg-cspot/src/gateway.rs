@@ -115,29 +115,30 @@ impl Gateway {
     /// an idempotency token derived from its buffer sequence number, so a
     /// drain interrupted after the remote append but before the cursor
     /// update cannot duplicate on retry.
+    ///
+    /// Elements are read one at a time, so a parked backlog costs a
+    /// failed drain nothing; a buffer ring overwritten past the cursor
+    /// resumes from its earliest retained element.
     pub fn drain(&mut self, remote: &CspotNode) -> DrainReport {
         let mut relayed = 0usize;
         let mut latency_ms = 0.0;
-        let pending: Vec<(u64, Vec<u8>)> = match self.local.log(&self.buffer_log) {
-            Ok(log) => log.scan_from(self.cursor + 1),
-            Err(_) => Vec::new(),
-        };
-        let total = pending.len();
-        for (seq, payload) in pending {
-            match self.relay_one(remote, seq, &payload) {
-                Ok(outcome) => {
-                    latency_ms += outcome.latency_ms;
-                    if self.advance_cursor(seq).is_err() {
-                        break;
-                    }
-                    relayed += 1;
+        if let Ok(log) = self.local.log(&self.buffer_log) {
+            loop {
+                let seq = (self.cursor + 1).max(log.earliest_seq().unwrap_or(0));
+                let Ok(payload) = log.get(seq) else { break };
+                let Ok(outcome) = self.relay_one(remote, seq, &payload) else {
+                    break;
+                };
+                latency_ms += outcome.latency_ms;
+                if self.advance_cursor(seq).is_err() {
+                    break;
                 }
-                Err(_) => break,
+                relayed += 1;
             }
         }
         DrainReport {
             relayed,
-            remaining: total - relayed,
+            remaining: self.backlog(),
             latency_ms,
         }
     }
@@ -241,6 +242,31 @@ mod tests {
         assert_eq!(remote.log("telemetry").unwrap().len(), 4, "exactly once");
         // A second drain relays nothing.
         assert_eq!(gw.drain(&remote).relayed, 0);
+    }
+
+    #[test]
+    fn overwritten_ring_resumes_from_earliest_retained() {
+        // A raw gateway has no capacity guard: a partition that outlasts
+        // the 1 024-element buffer ring overwrites elements the cursor
+        // never reached.
+        let (mut gw, remote) = setup();
+        gw.buffer(&0u64.to_le_bytes()).unwrap();
+        assert_eq!(gw.drain(&remote).relayed, 1);
+        gw.route_mut().set_partitioned(true);
+        for i in 1..=1030u64 {
+            gw.buffer(&i.to_le_bytes()).unwrap();
+        }
+        assert_eq!(gw.backlog(), 1024, "the ring holds what it holds");
+        let during = gw.drain(&remote);
+        assert_eq!((during.relayed, during.remaining), (0, 1024));
+        assert_eq!((gw.backlog(), gw.cursor()), (1024, 1), "nothing moved");
+        // Healed: the drain clips to the earliest retained element (seq 8,
+        // payload 7) instead of stopping dead at the evicted seq 2.
+        gw.route_mut().set_partitioned(false);
+        let after = gw.drain(&remote);
+        assert_eq!((after.relayed, after.remaining), (1024, 0));
+        assert_eq!(gw.cursor(), 1031);
+        assert_eq!(remote.get("telemetry", 2).unwrap(), 7u64.to_le_bytes());
     }
 
     #[test]

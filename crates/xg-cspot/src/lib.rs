@@ -9,7 +9,9 @@
 //! * [`log`] — fixed-element-size circular logs ("WooFs") with atomic
 //!   sequence-number assignment, concurrent access, and idempotency-token
 //!   deduplication for exactly-once delivery. A volatile log *is* its
-//!   bounded ring: each retained record is held once and nothing else.
+//!   bounded ring: each retained record is held once and nothing else,
+//!   and history is scanned where it lies (`Log::scan_newest_first`
+//!   lends each element to a closure; no reader copies the log).
 //! * [`storage`] — the record, its CRC-framed wire format, and the
 //!   [`StorageBackend`] trait a durable log writes through.
 //! * [`segment`] — the durable storage engine, the one [`StorageBackend`]:

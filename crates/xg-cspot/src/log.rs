@@ -274,21 +274,30 @@ impl Log {
         self.len() == 0
     }
 
-    /// Snapshot of all `(seq, payload)` pairs with `seq >= from`, in order.
+    /// Visit the retained window **where it lies**: `visit` sees each
+    /// `(seq, payload)` by reference, newest first, until it returns
+    /// `Some`, which is the result. No element is copied.
     ///
     /// This is the primitive CSPOT handlers use to implement multi-event
     /// synchronization: since a handler fires on exactly one append, joining
     /// multiple events requires scanning log history (paper §3.4).
-    pub fn scan_from(&self, from: u64) -> Vec<(u64, Vec<u8>)> {
+    ///
+    /// `visit` runs under this log's lock, which is not re-entrant: it must
+    /// not touch the same log (handlers run after `put` has released it).
+    pub fn scan_newest_first<T>(
+        &self,
+        mut visit: impl FnMut(u64, &[u8]) -> Option<T>,
+    ) -> Option<T> {
         let inner = self.inner.lock();
         inner
-            .retained_from(from)
-            .map(|r| (r.seq, r.payload.clone()))
-            .collect()
+            .entries
+            .iter()
+            .rev()
+            .find_map(|r| visit(r.seq, &r.payload))
     }
 
-    /// Number of retained elements with `seq >= from` — what
-    /// [`Self::scan_from`] would return, counted without copying a payload.
+    /// Number of retained elements with `seq >= from`, counted without
+    /// copying a payload.
     pub fn count_from(&self, from: u64) -> usize {
         self.inner.lock().retained_from(from).len()
     }
@@ -407,14 +416,25 @@ impl Log {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{SegmentConfig, SegmentedBackend};
     use std::sync::Arc;
 
-    fn mklog(element_size: usize, history: usize) -> Log {
-        Log::volatile(LogConfig {
+    fn config(element_size: usize, history: usize) -> LogConfig {
+        LogConfig {
             name: "t".into(),
             element_size,
             history,
-        })
+        }
+    }
+
+    fn mklog(element_size: usize, history: usize) -> Log {
+        Log::volatile(config(element_size, history))
+    }
+
+    /// A log over the durable engine in `dir`; re-opening recovers it.
+    fn durable_log(dir: &std::path::Path, element_size: usize, history: usize) -> Log {
+        let backend = SegmentedBackend::open(dir, SegmentConfig::default()).unwrap();
+        Log::create(config(element_size, history), Box::new(backend)).unwrap()
     }
 
     #[test]
@@ -552,15 +572,52 @@ mod tests {
         for b in [b"a", b"b", b"c", b"d"] {
             log.append(b.as_slice()).unwrap();
         }
-        let scanned = log.scan_from(3);
-        assert_eq!(scanned.len(), 2);
-        assert_eq!(scanned[0].0, 3);
         let tail = log.tail(2);
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].1, b"c");
         assert_eq!(tail[1].1, b"d");
         // Tail longer than the log returns everything.
         assert_eq!(log.tail(100).len(), 4);
+    }
+
+    /// The reader's contract, on whatever log `mk(element_size, history)`
+    /// builds: newest first, by reference, first `Some` wins, and only the
+    /// retained window is visible.
+    fn check_reader(mk: impl Fn(usize, usize) -> Log) {
+        let log = mk(1, 4);
+        assert_eq!(log.scan_newest_first(|seq, _| Some(seq)), None, "empty log");
+        for b in [b"a", b"b", b"c", b"b", b"e"] {
+            log.append(b.as_slice()).unwrap();
+        }
+        let mut visited = Vec::new();
+        let all = log.scan_newest_first(|seq, payload: &[u8]| {
+            visited.push((seq, payload[0]));
+            None::<()>
+        });
+        assert_eq!(all, None, "a visit that never answers sees everything");
+        assert_eq!(visited, vec![(5, b'e'), (4, b'b'), (3, b'c'), (2, b'b')]);
+        // Stops at the first answer: the newer of the two `b`s, without
+        // looking at anything older.
+        let mut looked_at = 0;
+        let hit = log.scan_newest_first(|seq, payload| {
+            looked_at += 1;
+            (payload == b"b").then_some(seq)
+        });
+        assert_eq!((hit, looked_at), (Some(4), 2));
+        // An evicted element is absent, not an error.
+        assert_eq!(
+            log.scan_newest_first(|seq, payload| (payload == b"a").then_some(seq)),
+            None
+        );
+    }
+
+    #[test]
+    fn reader_visits_retained_window_newest_first() {
+        check_reader(mklog);
+        let dir = std::env::temp_dir().join(format!("xg-log-reader-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        check_reader(|element_size, history| durable_log(&dir, element_size, history));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -592,22 +649,15 @@ mod tests {
 
     #[test]
     fn recovery_restores_state() {
-        use crate::segment::{SegmentConfig, SegmentedBackend};
         let dir = std::env::temp_dir().join(format!("xg-log-recovery-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let open = || Box::new(SegmentedBackend::open(&dir, SegmentConfig::default()).unwrap());
-        let cfg = LogConfig {
-            name: "r".into(),
-            element_size: 2,
-            history: 10,
-        };
         {
-            let log = Log::create(cfg.clone(), open()).unwrap();
+            let log = durable_log(&dir, 2, 10);
             log.append(b"ab").unwrap();
             log.append_with_token(7, b"cd").unwrap();
         }
         // "Restart" the node: recreate the log over the same directory.
-        let log = Log::create(cfg, open()).unwrap();
+        let log = durable_log(&dir, 2, 10);
         assert_eq!(log.latest_seq(), Some(2));
         assert_eq!(log.get(1).unwrap(), b"ab");
         // Dedup state survives restart: a retried append is still absorbed.

@@ -5,7 +5,7 @@
 //! to fire an event only after multiple appends (paper §3.4), which keeps
 //! the system deadlock-free: no handler ever blocks waiting for another.
 //! Multi-event synchronization is implemented *inside* handlers by scanning
-//! log history (see [`crate::log::Log::scan_from`]).
+//! log history (see [`crate::log::Log::scan_newest_first`]).
 
 use crate::error::{CspotError, Result};
 use crate::log::{Log, LogConfig};
@@ -208,7 +208,7 @@ impl CspotNode {
         let log = self.open_log(BLACKBOX_LOG, BLACKBOX_ELEMENT, BLACKBOX_HISTORY)?;
         let mut complete: Option<String> = None;
         let mut pending: Option<(usize, Vec<u8>)> = None;
-        for (_, element) in log.scan_from(0) {
+        for (_, element) in log.tail(BLACKBOX_HISTORY) {
             match element.first() {
                 Some(&TAG_BEGIN) if element.len() >= 5 => {
                     let total = u32::from_le_bytes([element[1], element[2], element[3], element[4]])

@@ -400,7 +400,7 @@ pub struct XgFabric {
     /// repository data (partition-starved); cleared by the detection
     /// that finally runs, which is charged the wait as inflation.
     deferred_check_since: Option<f64>,
-    wind_len_at_last_detect: usize,
+    wind_seq_at_last_detect: u64,
     detections: u32,
     detection_inflation_sum_s: f64,
     failovers: u32,
@@ -509,7 +509,7 @@ impl XgFabric {
             ric_dropped: std::collections::BTreeSet::new(),
             gateway_cell_partitioned: false,
             deferred_check_since: None,
-            wind_len_at_last_detect: 0,
+            wind_seq_at_last_detect: 0,
             detections: 0,
             detection_inflation_sum_s: 0.0,
             failovers: 0,
@@ -744,11 +744,11 @@ impl XgFabric {
         if !self.reports_done.is_multiple_of(DETECT_EVERY_REPORTS) {
             return Ok(());
         }
-        let repo_len = self.gateway.repo_wind_len();
-        if repo_len >= 2 * self.config.detector.window
-            && repo_len >= self.wind_len_at_last_detect + DETECT_EVERY_REPORTS
+        let repo_seq = self.gateway.repo_wind_seq();
+        if repo_seq >= 2 * self.config.detector.window as u64
+            && repo_seq >= self.wind_seq_at_last_detect + DETECT_EVERY_REPORTS as u64
         {
-            self.run_change_detection(records, repo_len, transfer_ms)?;
+            self.run_change_detection(records, repo_seq, transfer_ms)?;
         } else if self.gateway.backlog() > 0 && self.deferred_check_since.is_none() {
             // The duty cycle wanted to run but the partition starved the
             // repository: start the deferral clock.
@@ -1238,7 +1238,7 @@ impl XgFabric {
     fn run_change_detection(
         &mut self,
         records: &[TelemetryRecord],
-        repo_len: usize,
+        repo_seq: u64,
         transfer_ms: f64,
     ) -> Result<(), FabricError> {
         // Build the two windows from the repository's wind log and feed
@@ -1264,7 +1264,7 @@ impl XgFabric {
             .unwrap_or(false);
         debug_assert_eq!(changed, vote.changed, "Laminar and direct paths agree");
         self.detections += 1;
-        self.wind_len_at_last_detect = repo_len;
+        self.wind_seq_at_last_detect = repo_seq;
         // Inflation: how long the duty cycle sat deferred behind a
         // partition before this check could finally run (0 on a healthy
         // link).

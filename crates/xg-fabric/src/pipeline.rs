@@ -185,9 +185,11 @@ impl FieldGateway {
         Ok(read_f64_series(&self.repo, WIND_LOG, n)?)
     }
 
-    /// Mean-wind samples that have reached the repository.
-    pub fn repo_wind_len(&self) -> usize {
-        self.repo.log(WIND_LOG).map(|l| l.len()).unwrap_or(0)
+    /// Mean-wind samples that have ever reached the repository: the wind
+    /// log's latest sequence number, which keeps counting after the ring
+    /// wraps (its `len()` saturates at the retained history).
+    pub fn repo_wind_seq(&self) -> u64 {
+        self.repo.latest_seq(WIND_LOG).ok().flatten().unwrap_or(0)
     }
 
     /// Telemetry records parked locally, waiting for the link.

@@ -3,15 +3,13 @@
 //! The telemetry pipeline appends plain little-endian `f64` elements to
 //! CSPOT logs (one per report); Laminar programs consume `F64Vec` windows.
 //! This module is the seam between the two: reading scalar series and
-//! sliding windows out of a log, and feeding a change-detection graph one
-//! epoch per duty cycle — the deployment pattern §3.7 describes, where
-//! "the Laminar program components can be deployed either within the
-//! private 5G network or at UCSB in any combination".
+//! sliding windows out of a log, which `xg-fabric` injects into the
+//! change-detection graph one epoch per duty cycle — the deployment
+//! pattern §3.7 describes, where "the Laminar program components can be
+//! deployed either within the private 5G network or at UCSB in any
+//! combination".
 
-use crate::change::ChangeDetector;
 use crate::error::{LaminarError, Result};
-use crate::runtime::LaminarRuntime;
-use crate::value::Value;
 use xg_cspot::node::CspotNode;
 
 /// Read the most recent `n` little-endian `f64` elements of a log, oldest
@@ -30,11 +28,6 @@ pub fn read_f64_series(node: &CspotNode, log: &str, n: usize) -> Result<Vec<f64>
         .collect()
 }
 
-/// Append one `f64` sample to a log (the writer-side convention).
-pub fn append_f64(node: &CspotNode, log: &str, value: f64) -> Result<u64> {
-    Ok(node.put(log, &value.to_le_bytes())?)
-}
-
 /// The two most recent adjacent windows of a series: `(previous, recent)`.
 ///
 /// Returns `None` until the log holds at least `2 * window` samples.
@@ -51,30 +44,9 @@ pub fn latest_windows(
     Ok(Some((prev.to_vec(), recent.to_vec())))
 }
 
-/// Drive a deployed [`crate::change::build_change_graph`] program from a
-/// raw telemetry log: build the two windows, inject them as `epoch`, and
-/// read back the alert.
-///
-/// Returns `None` when the log does not yet hold two full windows.
-pub fn run_change_epoch(
-    runtime: &LaminarRuntime,
-    node: &CspotNode,
-    telemetry_log: &str,
-    detector: &ChangeDetector,
-    epoch: u64,
-) -> Result<Option<bool>> {
-    let Some((prev, recent)) = latest_windows(node, telemetry_log, detector.window)? else {
-        return Ok(None);
-    };
-    runtime.inject("prev_window", epoch, Value::F64Vec(prev))?;
-    runtime.inject("recent_window", epoch, Value::F64Vec(recent))?;
-    Ok(runtime.read("detect", epoch)?.and_then(|v| v.as_bool()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::change::build_change_graph;
     use std::sync::Arc;
 
     fn node_with_log() -> Arc<CspotNode> {
@@ -87,7 +59,7 @@ mod tests {
     fn series_roundtrip_and_order() {
         let node = node_with_log();
         for v in [1.0f64, 2.0, 3.0, 4.0] {
-            append_f64(&node, "wind", v).unwrap();
+            node.put("wind", &v.to_le_bytes()).unwrap();
         }
         assert_eq!(
             read_f64_series(&node, "wind", 3).unwrap(),
@@ -100,50 +72,13 @@ mod tests {
     fn windows_need_enough_history() {
         let node = node_with_log();
         for v in 0..11 {
-            append_f64(&node, "wind", v as f64).unwrap();
+            node.put("wind", &f64::from(v).to_le_bytes()).unwrap();
         }
         assert!(latest_windows(&node, "wind", 6).unwrap().is_none());
-        append_f64(&node, "wind", 11.0).unwrap();
+        node.put("wind", &11.0f64.to_le_bytes()).unwrap();
         let (prev, recent) = latest_windows(&node, "wind", 6).unwrap().unwrap();
         assert_eq!(prev, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(recent, vec![6.0, 7.0, 8.0, 9.0, 10.0, 11.0]);
-    }
-
-    #[test]
-    fn change_epoch_end_to_end() {
-        let node = node_with_log();
-        let detector = ChangeDetector::default();
-        let rt = LaminarRuntime::deploy(
-            build_change_graph("bridge_test", detector).unwrap(),
-            Arc::clone(&node),
-        )
-        .unwrap();
-        // Calm history.
-        for v in [3.0, 3.1, 2.9, 3.05, 2.95, 3.0] {
-            append_f64(&node, "wind", v).unwrap();
-        }
-        assert_eq!(
-            run_change_epoch(&rt, &node, "wind", &detector, 1).unwrap(),
-            None,
-            "one window is not enough"
-        );
-        // A front arrives.
-        for v in [8.0, 8.2, 7.8, 8.1, 7.9, 8.05] {
-            append_f64(&node, "wind", v).unwrap();
-        }
-        assert_eq!(
-            run_change_epoch(&rt, &node, "wind", &detector, 2).unwrap(),
-            Some(true)
-        );
-        // The front persists: the next two windows are both elevated.
-        for v in [8.1, 7.9, 8.0, 8.15, 7.95, 8.02] {
-            append_f64(&node, "wind", v).unwrap();
-        }
-        assert_eq!(
-            run_change_epoch(&rt, &node, "wind", &detector, 3).unwrap(),
-            Some(false),
-            "steady elevated conditions are not a new change"
-        );
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! * [`ops`] — built-in operators plus a closure escape hatch (the paper
 //!   embeds entire CFD executions as single Laminar nodes).
 //! * [`runtime`] — handler-driven execution on a [`xg_cspot::CspotNode`],
-//!   with crash recovery by log replay.
+//!   with crash recovery by log replay. A variable is read where it lies:
+//!   look-ups compare epoch headers in the log, newest first, and decode
+//!   only the element that matches; the logs are the only state.
 //! * [`stats`] — Welch t, Mann–Whitney U, Kolmogorov–Smirnov, and the
 //!   majority-vote battery.
 //! * [`change`] — the paper's §4.2 telemetry change-detection program, both
@@ -49,12 +51,12 @@ pub mod value;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::bridge::{append_f64, latest_windows, read_f64_series, run_change_epoch};
+    pub use crate::bridge::{latest_windows, read_f64_series};
     pub use crate::change::{build_change_graph, ChangeDetector};
     pub use crate::error::LaminarError;
     pub use crate::graph::{Graph, GraphBuilder, NodeId};
     pub use crate::ops;
-    pub use crate::runtime::{DeployConfig, LaminarRuntime};
+    pub use crate::runtime::LaminarRuntime;
     pub use crate::stats::{ks_test, mann_whitney_u, vote_change, welch_t_test, ChangeVote};
     pub use crate::value::{TypeTag, Value};
 }

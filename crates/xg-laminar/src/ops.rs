@@ -25,21 +25,16 @@ fn f64_arg(inputs: &[Value], i: usize) -> Result<f64, String> {
         .ok_or_else(|| format!("input {i} is not F64"))
 }
 
-fn vec_arg(inputs: &[Value], i: usize) -> Result<Vec<f64>, String> {
+fn vec_arg(inputs: &[Value], i: usize) -> Result<&[f64], String> {
     inputs
         .get(i)
-        .and_then(|v| v.as_f64_vec().map(|s| s.to_vec()))
+        .and_then(Value::as_f64_vec)
         .ok_or_else(|| format!("input {i} is not F64Vec"))
 }
 
 /// `F64 × F64 → F64` addition.
 pub fn add2() -> OpFn {
     closure(|inp| Ok(Value::F64(f64_arg(inp, 0)? + f64_arg(inp, 1)?)))
-}
-
-/// `F64 × F64 → F64` subtraction (`in0 - in1`).
-pub fn sub2() -> OpFn {
-    closure(|inp| Ok(Value::F64(f64_arg(inp, 0)? - f64_arg(inp, 1)?)))
 }
 
 /// `F64 × F64 → F64` multiplication.
@@ -57,37 +52,13 @@ pub fn scale(k: f64) -> OpFn {
     closure(move |inp| Ok(Value::F64(k * f64_arg(inp, 0)?)))
 }
 
-/// `F64Vec → F64` arithmetic mean (errors on an empty vector).
-pub fn vec_mean() -> OpFn {
-    closure(|inp| {
-        let v = vec_arg(inp, 0)?;
-        if v.is_empty() {
-            return Err("mean of empty vector".into());
-        }
-        Ok(Value::F64(v.iter().sum::<f64>() / v.len() as f64))
-    })
-}
-
-/// `F64Vec → F64` sample standard deviation (0 for fewer than 2 samples).
-pub fn vec_std() -> OpFn {
-    closure(|inp| {
-        let v = vec_arg(inp, 0)?;
-        if v.len() < 2 {
-            return Ok(Value::F64(0.0));
-        }
-        let m = v.iter().sum::<f64>() / v.len() as f64;
-        let var = v.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (v.len() - 1) as f64;
-        Ok(Value::F64(var.sqrt()))
-    })
-}
-
 /// `F64Vec × F64Vec → Bool` — the paper's three-test voting change
 /// detector: input 0 is the previous window, input 1 the recent window.
 pub fn change_detect(alpha: f64, votes_needed: u8) -> OpFn {
     closure(move |inp| {
         let prev = vec_arg(inp, 0)?;
         let recent = vec_arg(inp, 1)?;
-        let vote = stats::vote_change(&prev, &recent, alpha, votes_needed);
+        let vote = stats::vote_change(prev, recent, alpha, votes_needed);
         Ok(Value::Bool(vote.changed))
     })
 }
@@ -103,10 +74,6 @@ mod tests {
             Value::F64(5.0)
         );
         assert_eq!(
-            sub2()(&[Value::F64(2.0), Value::F64(3.0)]).unwrap(),
-            Value::F64(-1.0)
-        );
-        assert_eq!(
             mul2()(&[Value::F64(2.0), Value::F64(3.0)]).unwrap(),
             Value::F64(6.0)
         );
@@ -118,23 +85,7 @@ mod tests {
     fn type_errors_reported() {
         assert!(add2()(&[Value::Bool(true), Value::F64(1.0)]).is_err());
         assert!(add2()(&[Value::F64(1.0)]).is_err());
-        assert!(vec_mean()(&[Value::F64(1.0)]).is_err());
-    }
-
-    #[test]
-    fn vector_stats() {
-        let v = Value::F64Vec(vec![1.0, 2.0, 3.0]);
-        assert_eq!(
-            vec_mean()(std::slice::from_ref(&v)).unwrap(),
-            Value::F64(2.0)
-        );
-        let sd = vec_std()(&[v]).unwrap().as_f64().unwrap();
-        assert!((sd - 1.0).abs() < 1e-12);
-        assert!(vec_mean()(&[Value::F64Vec(vec![])]).is_err());
-        assert_eq!(
-            vec_std()(&[Value::F64Vec(vec![5.0])]).unwrap(),
-            Value::F64(0.0)
-        );
+        assert!(change_detect(0.05, 2)(&[Value::F64(1.0), Value::F64(1.0)]).is_err());
     }
 
     #[test]

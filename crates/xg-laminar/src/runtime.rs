@@ -10,8 +10,18 @@
 //! Execution is handler-driven: appending to any producer log fires a
 //! CSPOT handler that checks each consumer; a consumer fires when *all* its
 //! input epochs are present and its own output for that epoch is absent.
-//! The firing check is a log scan, not a blocking wait — no handler ever
-//! blocks on another, preserving CSPOT's deadlock freedom.
+//! The firing check is a scan of epoch headers where the elements lie
+//! ([`xg_cspot::log::Log::scan_newest_first`]), newest first because the
+//! epoch wanted is almost always the latest; only the element whose header
+//! matches is decoded, and nothing is copied. It is not a blocking wait —
+//! no handler ever blocks on another, preserving CSPOT's deadlock freedom.
+//!
+//! The logs are the only state: there is no epoch index beside them. A
+//! variable therefore lives exactly as long as its element stays in the
+//! log's circular history (`HISTORY` epochs). An evicted epoch reads as
+//! absent — `read` returns `None`, a consumer waiting on it never fires,
+//! and single assignment no longer guards it: the log has forgotten the
+//! variable was ever bound.
 //!
 //! Crash resilience: all state lives in the logs, so [`LaminarRuntime::recover`]
 //! replays any firing whose inputs are present but whose output is missing.
@@ -24,86 +34,65 @@ use crate::value::Value;
 use std::sync::Arc;
 use xg_cspot::node::CspotNode;
 
-/// Per-deployment log parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeployConfig {
-    /// Fixed element size of every Laminar log (bytes). Values that encode
-    /// larger than `element_size - 8` are rejected.
-    pub element_size: usize,
-    /// Circular history retained per log.
-    pub history: usize,
-}
-
-impl Default for DeployConfig {
-    fn default() -> Self {
-        DeployConfig {
-            element_size: 512,
-            history: 4096,
-        }
-    }
-}
+/// Fixed element size of every Laminar log (bytes). Values that encode
+/// larger than `ELEMENT_SIZE - 8` are rejected.
+const ELEMENT_SIZE: usize = 512;
+/// Circular history retained per log: how many epochs a variable outlives.
+const HISTORY: usize = 4096;
 
 /// A deployed Laminar program.
 pub struct LaminarRuntime {
     graph: Arc<Graph>,
     node: Arc<CspotNode>,
-    config: DeployConfig,
 }
 
-fn encode_entry(epoch: u64, value: &Value, element_size: usize) -> Result<Vec<u8>> {
+fn encode_entry(epoch: u64, value: &Value) -> Result<Vec<u8>> {
     let enc = value.encode();
-    if 8 + enc.len() > element_size {
+    if 8 + enc.len() > ELEMENT_SIZE {
         return Err(LaminarError::Codec(format!(
-            "value needs {} bytes; log element size is {element_size}",
+            "value needs {} bytes; log element size is {ELEMENT_SIZE}",
             8 + enc.len()
         )));
     }
-    let mut out = vec![0u8; element_size];
+    let mut out = vec![0u8; ELEMENT_SIZE];
     out[..8].copy_from_slice(&epoch.to_le_bytes());
     out[8..8 + enc.len()].copy_from_slice(&enc);
     Ok(out)
 }
 
-fn decode_entry(bytes: &[u8]) -> Result<(u64, Value)> {
-    if bytes.len() < 8 {
-        return Err(LaminarError::Codec("entry too short".into()));
-    }
-    let epoch = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-    let value = Value::decode(&bytes[8..])?;
-    Ok((epoch, value))
+/// The epoch header of a log element.
+fn entry_epoch(entry: &[u8]) -> Result<u64> {
+    let header = entry
+        .first_chunk()
+        .ok_or_else(|| LaminarError::Codec("entry too short".into()))?;
+    Ok(u64::from_le_bytes(*header))
 }
 
-/// Find the value stored for `epoch` in a node's log.
+/// Find the value stored for `epoch` in a node's log, decoding only the
+/// element whose header matches.
 fn find_epoch(cspot: &CspotNode, log_name: &str, epoch: u64) -> Result<Option<Value>> {
     let log = cspot.log(log_name)?;
-    for (_, payload) in log.scan_from(log.earliest_seq().unwrap_or(1)) {
-        let (e, v) = decode_entry(&payload)?;
-        if e == epoch {
-            return Ok(Some(v));
-        }
-    }
-    Ok(None)
+    log.scan_newest_first(|_, entry| match entry_epoch(entry) {
+        Ok(e) if e == epoch => Some(Value::decode(&entry[8..])),
+        Ok(_) => None,
+        Err(e) => Some(Err(e)),
+    })
+    .transpose()
 }
 
-/// All epochs present in a node's log.
+/// All epochs present in a node's log, oldest first.
 fn epochs_of(cspot: &CspotNode, log_name: &str) -> Result<Vec<u64>> {
-    let log = cspot.log(log_name)?;
-    let mut out = Vec::with_capacity(log.len());
-    for (_, payload) in log.scan_from(log.earliest_seq().unwrap_or(1)) {
-        out.push(decode_entry(&payload)?.0);
-    }
-    Ok(out)
+    let mut epochs = Vec::new();
+    let malformed = cspot
+        .log(log_name)?
+        .scan_newest_first(|_, entry| entry_epoch(entry).map(|e| epochs.push(e)).err());
+    epochs.reverse();
+    malformed.map_or(Ok(epochs), Err)
 }
 
 /// Attempt to fire `consumer` for `epoch`: if all inputs are present and the
 /// output is absent, compute and append it. Returns true if it fired.
-fn try_fire(
-    graph: &Graph,
-    cspot: &CspotNode,
-    config: DeployConfig,
-    consumer: NodeId,
-    epoch: u64,
-) -> Result<bool> {
+fn try_fire(graph: &Graph, cspot: &CspotNode, consumer: NodeId, epoch: u64) -> Result<bool> {
     let node = graph.node(consumer);
     let (f, out_ty) = match &node.kind {
         NodeKind::Source { .. } => return Ok(false),
@@ -137,27 +126,22 @@ fn try_fire(
             ),
         });
     }
-    let entry = encode_entry(epoch, &value, config.element_size)?;
+    let entry = encode_entry(epoch, &value)?;
     cspot.put(&out_log, &entry)?;
     Ok(true)
 }
 
 impl LaminarRuntime {
-    /// Deploy a graph on a CSPOT node with default log parameters.
-    pub fn deploy(graph: Graph, node: Arc<CspotNode>) -> Result<Self> {
-        Self::deploy_with(graph, node, DeployConfig::default())
-    }
-
-    /// Deploy with explicit log parameters.
+    /// Deploy a graph on a CSPOT node.
     ///
     /// Creates (or re-opens, after a restart) one log per graph node and
     /// registers the firing handlers.
-    pub fn deploy_with(graph: Graph, node: Arc<CspotNode>, config: DeployConfig) -> Result<Self> {
+    pub fn deploy(graph: Graph, node: Arc<CspotNode>) -> Result<Self> {
         let graph = Arc::new(graph);
         // Create or re-open each node's log.
         for id in graph.topo_order() {
             let name = graph.log_name(*id);
-            node.open_log(&name, config.element_size, config.history)?;
+            node.open_log(&name, ELEMENT_SIZE, HISTORY)?;
         }
         // Register a handler on every producer log that pokes its consumers.
         for id in graph.topo_order() {
@@ -166,25 +150,20 @@ impl LaminarRuntime {
                 continue;
             }
             let g = Arc::clone(&graph);
-            let cfg = config;
             node.register_handler(
                 &graph.log_name(*id),
                 Arc::new(move |cspot, _log, _seq, payload| {
-                    if let Ok((epoch, _)) = decode_entry(payload) {
+                    if let Ok(epoch) = entry_epoch(payload) {
                         for &c in &consumers {
                             // Firing errors inside handlers are swallowed;
                             // recover() can replay the missing firing.
-                            let _ = try_fire(&g, cspot, cfg, c, epoch);
+                            let _ = try_fire(&g, cspot, c, epoch);
                         }
                     }
                 }),
             );
         }
-        Ok(LaminarRuntime {
-            graph,
-            node,
-            config,
-        })
+        Ok(LaminarRuntime { graph, node })
     }
 
     /// The deployed graph.
@@ -222,7 +201,7 @@ impl LaminarRuntime {
                 epoch,
             });
         }
-        let entry = encode_entry(epoch, &value, self.config.element_size)?;
+        let entry = encode_entry(epoch, &value)?;
         self.node.put(&log_name, &entry)?;
         Ok(())
     }
@@ -249,7 +228,7 @@ impl LaminarRuntime {
             }
             let candidates = epochs_of(&self.node, &self.graph.log_name(producers[0]))?;
             for epoch in candidates {
-                if try_fire(&self.graph, &self.node, self.config, id, epoch)? {
+                if try_fire(&self.graph, &self.node, id, epoch)? {
                     fired += 1;
                 }
             }
@@ -386,29 +365,56 @@ mod tests {
         // the input logs without handlers, then deploying and recovering.
         let node = Arc::new(CspotNode::in_memory("UCSB"));
         let g = sum_graph();
-        let cfg = DeployConfig::default();
         for id in g.topo_order() {
-            node.open_log(&g.log_name(*id), cfg.element_size, cfg.history)
+            node.open_log(&g.log_name(*id), ELEMENT_SIZE, HISTORY)
                 .unwrap();
         }
         // Write both inputs directly (no handlers registered yet).
         let a = g.node_id("a").unwrap();
         let b = g.node_id("b").unwrap();
-        node.put(
-            &g.log_name(a),
-            &encode_entry(3, &Value::F64(1.0), cfg.element_size).unwrap(),
-        )
-        .unwrap();
-        node.put(
-            &g.log_name(b),
-            &encode_entry(3, &Value::F64(2.0), cfg.element_size).unwrap(),
-        )
-        .unwrap();
+        node.put(&g.log_name(a), &encode_entry(3, &Value::F64(1.0)).unwrap())
+            .unwrap();
+        node.put(&g.log_name(b), &encode_entry(3, &Value::F64(2.0)).unwrap())
+            .unwrap();
         let rt = LaminarRuntime::deploy(sum_graph(), Arc::clone(&node)).unwrap();
         assert_eq!(rt.read("sum", 3).unwrap(), None);
         assert_eq!(rt.recover().unwrap(), 1);
         assert_eq!(rt.read("sum", 3).unwrap(), Some(Value::F64(3.0)));
         // Recovery is idempotent.
+        assert_eq!(rt.recover().unwrap(), 0);
+    }
+
+    #[test]
+    fn lookups_survive_ring_wrap() {
+        use crate::change::{build_change_graph, ChangeDetector};
+        let node = Arc::new(CspotNode::in_memory("UCSB"));
+        let graph = build_change_graph("wrap", ChangeDetector::default()).unwrap();
+        let rt = LaminarRuntime::deploy(graph, Arc::clone(&node)).unwrap();
+        let window = |e: u64| Value::F64Vec((0..6).map(|i| (e + i) as f64).collect());
+        let detect = |e: u64| {
+            rt.inject("prev_window", e, window(e)).unwrap();
+            rt.inject("recent_window", e, window(e + 1)).unwrap();
+            rt.read("detect", e).unwrap()
+        };
+        let epochs = HISTORY as u64 + 104;
+        for e in 1..=epochs {
+            assert!(detect(e).is_some(), "epoch {e} fired");
+        }
+        // A late epoch whose halves are both retained fires out of order.
+        rt.inject("recent_window", 9_000, window(0)).unwrap();
+        assert!(detect(epochs + 1).is_some());
+        rt.inject("prev_window", 9_000, window(0)).unwrap();
+        assert!(rt.read("detect", 9_000).unwrap().is_some());
+        // Every log is a full ring, and what fell off it reads as absent:
+        // epoch 1 can be bound again, and strict firing then waits on its
+        // evicted other half.
+        for id in rt.graph().topo_order() {
+            let log = node.log(&rt.graph().log_name(*id)).unwrap();
+            assert_eq!(log.len(), HISTORY);
+        }
+        assert_eq!(rt.read("detect", 1).unwrap(), None);
+        rt.inject("prev_window", 1, window(1)).unwrap();
+        assert_eq!(rt.read("detect", 1).unwrap(), None);
         assert_eq!(rt.recover().unwrap(), 0);
     }
 

@@ -121,7 +121,7 @@ fn partition_heals_and_data_parks_in_logs() {
     // Heal; drain the parked backlog.
     relay.route_mut().set_partitioned(false);
     let log = field.log("buffer").unwrap();
-    for (_, payload) in log.scan_from(1) {
+    for (_, payload) in log.tail(10) {
         relay.append(&repo, "telemetry", &payload).unwrap();
     }
     assert_eq!(repo.latest_seq("telemetry").unwrap(), Some(10));

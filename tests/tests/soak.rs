@@ -1,16 +1,21 @@
-//! Long-run stability: three simulated days of the full fabric.
+//! Long-run stability: three simulated days of the full fabric, and a
+//! season long enough for the repository's wind log to wrap.
 
 use xg_fabric::orchestrator::{FabricConfig, XgFabric};
 use xg_fabric::timeline::Event;
 
-#[test]
-fn three_day_soak_stays_sane() {
-    let mut fab = XgFabric::new(FabricConfig {
+fn soak_fabric() -> XgFabric {
+    XgFabric::new(FabricConfig {
         seed: 2024,
         cfd_cells: [12, 10, 4],
         cfd_steps: 10,
         ..Default::default()
-    });
+    })
+}
+
+#[test]
+fn three_day_soak_stays_sane() {
+    let mut fab = soak_fabric();
     // 3 days = 864 report cycles; a front every ~8 hours.
     for day_eighth in 0..9 {
         fab.force_front();
@@ -46,4 +51,25 @@ fn three_day_soak_stays_sane() {
     assert!(fab.operator_view().is_some());
     // Virtual time adds up: 864 cycles * 300 s.
     assert!((fab.now_s() - 864.0 * 300.0).abs() < 1e-6);
+}
+
+#[test]
+fn season_soak_keeps_detecting() {
+    let mut fab = soak_fabric();
+    // 35 days: the repository's wind log (8 192 reports) wraps on day 29;
+    // the closed loop must not notice.
+    for _ in 0..35 * 3 {
+        fab.force_front();
+        fab.run_cycles(96).unwrap();
+    }
+    let tl = fab.timeline();
+    for day in 30..=35 {
+        let in_day = |t_s: &f64| (t_s / 86_400.0).ceil() == f64::from(day);
+        let checks = tl.count(|e| matches!(e, Event::ChangeChecked { t_s, .. } if in_day(t_s)));
+        let cfd = tl.count(|e| matches!(e, Event::CfdCompleted { t_s, .. } if in_day(t_s)));
+        assert!(checks >= 40, "day {day}: {checks} change checks");
+        assert!(cfd >= 1, "day {day}: no CFD completed");
+    }
+    let rel = fab.reliability_report();
+    assert!(rel.lossless(), "{rel}");
 }
