@@ -5,7 +5,7 @@
 //! solver sweeps.
 
 /// A scalar field on an `nx × ny × nz` grid.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Field3 {
     /// Cells along x.
     pub nx: usize,
@@ -77,7 +77,7 @@ impl Field3 {
 
     /// Fill with a constant.
     pub fn fill(&mut self, v: f64) {
-        self.data.iter_mut().for_each(|x| *x = v);
+        self.data.fill(v);
     }
 
     /// Maximum absolute value.

@@ -15,7 +15,7 @@
 //! * [`boundary`] — boundary conditions derived from wind speed/direction
 //!   and screen porosity (breaches appear as high-porosity panels that
 //!   admit jets).
-//! * [`poisson`] — the pressure Poisson solver (Jacobi, double-buffered:
+//! * [`poisson`] — the pressure Poisson solver (Jacobi over two buffers:
 //!   bitwise-deterministic regardless of thread count).
 //! * [`solver`] — the incompressible projection-method solver with upwind
 //!   advection, eddy-viscosity diffusion, Boussinesq buoyancy, and canopy
@@ -50,6 +50,8 @@ pub mod mesh;
 pub mod output;
 pub mod parallel;
 pub mod poisson;
+#[cfg(test)]
+mod reference;
 pub mod solver;
 pub mod twin;
 

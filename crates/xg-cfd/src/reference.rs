@@ -1,0 +1,387 @@
+//! The cell-by-cell kernels the row-sliced sweeps replaced, kept as the
+//! test oracle: one cell at a time, six mirror selects per Jacobi cell, a
+//! fresh field per sweep, no rayon, no obs. `Simulation::step` and
+//! `poisson::solve` must reproduce these bit for bit — the tests at the
+//! bottom and in `poisson` hold them to it — so nothing here is ever
+//! "optimised"; boundary conditions are the production code's own, which
+//! the sweeps' rewrite did not touch.
+
+use crate::field::Field3;
+use crate::mesh::CellType;
+use crate::poisson::PoissonStats;
+use crate::solver::Simulation;
+
+/// `poisson::solve`, cell by cell.
+pub(crate) fn solve(
+    p: &mut Field3,
+    rhs: &Field3,
+    d: [f64; 3],
+    max_iters: usize,
+    tol: f64,
+) -> PoissonStats {
+    let (nx, ny, nz) = (p.nx, p.ny, p.nz);
+    let slab = nx * ny;
+    let (idx2, idy2, idz2) = (
+        1.0 / (d[0] * d[0]),
+        1.0 / (d[1] * d[1]),
+        1.0 / (d[2] * d[2]),
+    );
+    let denom = 2.0 * (idx2 + idy2 + idz2);
+    let mut next = p.clone();
+    let mut stats = PoissonStats {
+        iterations: 0,
+        residual: f64::INFINITY,
+    };
+    for it in 0..max_iters {
+        let cur = p.as_slice();
+        let rhs_s = rhs.as_slice();
+        let mut max_delta: f64 = 0.0;
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let c = (k * ny + j) * nx + i;
+                    // Neumann: mirror at boundaries (ghost = interior).
+                    let xm = if i > 0 { cur[c - 1] } else { cur[c] };
+                    let xp = if i + 1 < nx { cur[c + 1] } else { cur[c] };
+                    let ym = if j > 0 { cur[c - nx] } else { cur[c] };
+                    let yp = if j + 1 < ny { cur[c + nx] } else { cur[c] };
+                    let zm = if k > 0 { cur[c - slab] } else { cur[c] };
+                    let zp = if k + 1 < nz { cur[c + slab] } else { cur[c] };
+                    let val =
+                        ((xm + xp) * idx2 + (ym + yp) * idy2 + (zm + zp) * idz2 - rhs_s[c]) / denom;
+                    max_delta = max_delta.max((val - cur[c]).abs());
+                    next.as_mut_slice()[c] = val;
+                }
+            }
+        }
+        std::mem::swap(p, &mut next);
+        stats.iterations = it + 1;
+        stats.residual = max_delta;
+        if max_delta < tol {
+            break;
+        }
+    }
+    // Fix the Neumann gauge: zero-mean pressure.
+    let mean = p.mean();
+    p.as_mut_slice().iter_mut().for_each(|x| *x -= mean);
+    stats
+}
+
+/// One explicit sweep for a transported scalar, returning the new field.
+fn transport_sweep(
+    sim: &Simulation,
+    phi: &Field3,
+    diffusivity: f64,
+    extra: impl Fn(usize, usize, usize, f64) -> f64,
+) -> Field3 {
+    let (nx, ny, nz) = (phi.nx, phi.ny, phi.nz);
+    let slab = nx * ny;
+    let dt = sim.config.dt_s;
+    let [dx, dy, dz] = sim.mesh.d;
+    let mut out = phi.clone();
+    let (u, v, w) = (sim.u.as_slice(), sim.v.as_slice(), sim.w.as_slice());
+    let cur = phi.as_slice();
+    for k in 1..nz - 1 {
+        for j in 1..ny - 1 {
+            for i in 1..nx - 1 {
+                let c = (k * ny + j) * nx + i;
+                let (uc, vc, wc) = (u[c], v[c], w[c]);
+                let phic = cur[c];
+                // First-order upwind advection.
+                let dphidx = if uc > 0.0 {
+                    (phic - cur[c - 1]) / dx
+                } else {
+                    (cur[c + 1] - phic) / dx
+                };
+                let dphidy = if vc > 0.0 {
+                    (phic - cur[c - nx]) / dy
+                } else {
+                    (cur[c + nx] - phic) / dy
+                };
+                let dphidz = if wc > 0.0 {
+                    (phic - cur[c - slab]) / dz
+                } else {
+                    (cur[c + slab] - phic) / dz
+                };
+                let adv = uc * dphidx + vc * dphidy + wc * dphidz;
+                // Central diffusion.
+                let lap = (cur[c - 1] + cur[c + 1] - 2.0 * phic) / (dx * dx)
+                    + (cur[c - nx] + cur[c + nx] - 2.0 * phic) / (dy * dy)
+                    + (cur[c - slab] + cur[c + slab] - 2.0 * phic) / (dz * dz);
+                let val = phic + dt * (-adv + diffusivity * lap);
+                out.as_mut_slice()[c] = extra(i, j, k, val);
+            }
+        }
+    }
+    out
+}
+
+/// Central-difference divergence of the velocity field (interior; zero on
+/// boundary cells).
+fn divergence(sim: &Simulation) -> Field3 {
+    let (nx, ny, nz) = (sim.u.nx, sim.u.ny, sim.u.nz);
+    let slab = nx * ny;
+    let [dx, dy, dz] = sim.mesh.d;
+    let mut div = Field3::zeros(nx, ny, nz);
+    let (u, v, w) = (sim.u.as_slice(), sim.v.as_slice(), sim.w.as_slice());
+    for k in 1..nz - 1 {
+        for j in 1..ny - 1 {
+            for i in 1..nx - 1 {
+                let c = (k * ny + j) * nx + i;
+                div.as_mut_slice()[c] = (u[c + 1] - u[c - 1]) / (2.0 * dx)
+                    + (v[c + nx] - v[c - nx]) / (2.0 * dy)
+                    + (w[c + slab] - w[c - slab]) / (2.0 * dz);
+            }
+        }
+    }
+    div
+}
+
+/// `Simulation::step` on the public fields of `sim`, cell by cell. The
+/// step counter is private to the solver, so the caller counts.
+pub(crate) fn step(sim: &mut Simulation) -> PoissonStats {
+    let cfg = sim.config;
+    let dt = cfg.dt_s;
+    let t_ref = sim.bc.ambient_temp_c;
+
+    // 1. Momentum predictor.
+    let drag = |sim: &Simulation, i: usize, j: usize, k: usize, comp: f64| -> f64 {
+        if sim.mesh.cell(i, j, k) == CellType::Canopy {
+            let speed =
+                (sim.u.at(i, j, k).powi(2) + sim.v.at(i, j, k).powi(2) + sim.w.at(i, j, k).powi(2))
+                    .sqrt();
+            comp / (1.0 + dt * cfg.canopy_cd_a * speed)
+        } else {
+            comp
+        }
+    };
+    let u_star = transport_sweep(sim, &sim.u, cfg.nu, |i, j, k, val| drag(sim, i, j, k, val));
+    let v_star = transport_sweep(sim, &sim.v, cfg.nu, |i, j, k, val| drag(sim, i, j, k, val));
+    let w_star = transport_sweep(sim, &sim.w, cfg.nu, |i, j, k, val| {
+        // Boussinesq buoyancy: warm air rises.
+        let buoy = cfg.gravity * cfg.beta * (sim.t.at(i, j, k) - t_ref);
+        drag(sim, i, j, k, val + dt * buoy)
+    });
+    sim.u = u_star;
+    sim.v = v_star;
+    sim.w = w_star;
+    sim.apply_velocity_bcs();
+
+    // 2. Projection: solve ∇²p = div(u*) / dt.
+    let mut rhs = divergence(sim);
+    let inv_dt = 1.0 / dt;
+    rhs.as_mut_slice().iter_mut().for_each(|x| *x *= inv_dt);
+    // Neumann compatibility: remove the mean source.
+    let mean = rhs.mean();
+    rhs.as_mut_slice().iter_mut().for_each(|x| *x -= mean);
+    let stats = solve(
+        &mut sim.p,
+        &rhs,
+        sim.mesh.d,
+        cfg.poisson_iters,
+        cfg.poisson_tol,
+    );
+
+    // 3. Velocity correction: u -= dt ∇p (interior, central gradient).
+    let (nx, ny, nz) = (sim.u.nx, sim.u.ny, sim.u.nz);
+    let slab = nx * ny;
+    let [dx, dy, dz] = sim.mesh.d;
+    let p = sim.p.as_slice();
+    for k in 1..nz - 1 {
+        for j in 1..ny - 1 {
+            for i in 1..nx - 1 {
+                let c = (k * ny + j) * nx + i;
+                sim.u.as_mut_slice()[c] -= dt * ((p[c + 1] - p[c - 1]) / (2.0 * dx));
+                sim.v.as_mut_slice()[c] -= dt * ((p[c + nx] - p[c - nx]) / (2.0 * dy));
+                sim.w.as_mut_slice()[c] -= dt * ((p[c + slab] - p[c - slab]) / (2.0 * dz));
+            }
+        }
+    }
+    sim.apply_velocity_bcs();
+
+    // 4. Temperature transport with ground heating and inflow at ambient
+    // temperature.
+    sim.t = transport_sweep(sim, &sim.t, cfg.alpha_t, |_, _, _, val| val);
+    for j in 0..ny {
+        for i in 0..nx {
+            sim.t.set(i, j, 0, sim.bc.ground_temp_c);
+            let below = sim.t.at(i, j, nz - 2);
+            sim.t.set(i, j, nz - 1, below);
+        }
+    }
+    for k in 0..nz {
+        for j in 0..ny {
+            sim.t.set(0, j, k, t_ref);
+            sim.t.set(nx - 1, j, k, t_ref);
+        }
+        for i in 0..nx {
+            sim.t.set(i, 0, k, t_ref);
+            sim.t.set(i, ny - 1, k, t_ref);
+        }
+    }
+    stats
+}
+
+/// Same bits in every cell (so `-0.0 != 0.0` and a NaN equals itself).
+pub(crate) fn assert_same_bits(what: &str, got: &Field3, want: &Field3) {
+    assert_eq!((got.nx, got.ny, got.nz), (want.nx, want.ny, want.nz));
+    for (c, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits(),
+            "{what}: cell {c} of {}x{}x{} is {g:e}, the reference has {w:e}",
+            want.nx,
+            want.ny,
+            want.nz
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::boundary::BoundarySpec;
+    use crate::mesh::{DomainSpec, Mesh};
+    use crate::solver::SolverConfig;
+    use proptest::prelude::*;
+    use xg_obs::Obs;
+
+    /// One scenario of the oracle suite.
+    #[derive(Debug, Clone, Copy)]
+    struct Case {
+        cells: [usize; 3],
+        wind_ms: f64,
+        dir_deg: f64,
+        /// Porosity of one panel on every wall (0.25 is the intact screen).
+        panel: (usize, f64),
+        canopy: bool,
+        hot_ground: bool,
+        /// Start from noise in every cell of every field, boundary cells
+        /// included, instead of the quiescent state `new` builds.
+        noisy_start: bool,
+        steps: usize,
+    }
+
+    /// The production step's `PoissonStats` are visible only through its
+    /// two histograms, which keep an exact max: one fresh registry per step.
+    fn observed_step(sim: &mut Simulation) -> PoissonStats {
+        let obs = Obs::enabled();
+        sim.set_obs(&obs);
+        sim.step();
+        let reg = obs.registry().unwrap();
+        let exact = |name: &str| reg.histogram(name).snapshot().max().unwrap();
+        PoissonStats {
+            iterations: exact("cfd.poisson.iterations") as usize,
+            residual: exact("cfd.poisson.residual"),
+        }
+    }
+
+    /// Step production and reference side by side; every field, the step
+    /// count and the Poisson stats must agree bit for bit after each step.
+    fn run_against_reference(case: Case) {
+        let mut spec =
+            DomainSpec::cups_default().with_cells(case.cells[0], case.cells[1], case.cells[2]);
+        if !case.canopy {
+            spec.canopy.clear();
+        }
+        let mut bc = BoundarySpec::intact(case.wind_ms, case.dir_deg, 22.0);
+        for wall in [&mut bc.west, &mut bc.east, &mut bc.south, &mut bc.north] {
+            wall.set_panel(case.panel.0, case.panel.1);
+        }
+        if case.hot_ground {
+            bc.ground_temp_c = 45.0;
+        }
+        let mut got = Simulation::new(Mesh::generate(&spec), bc, SolverConfig::default());
+        if case.noisy_start {
+            let Simulation { u, v, w, t, p, .. } = &mut got;
+            for (n, field) in [u, v, w, t, p].into_iter().enumerate() {
+                for (c, x) in field.as_mut_slice().iter_mut().enumerate() {
+                    *x += 0.3 * ((c + 977 * n) as f64 * 0.7312).sin();
+                }
+            }
+        }
+        let mut want = got.clone();
+        for n in 1..=case.steps {
+            let got_stats = observed_step(&mut got);
+            let want_stats = step(&mut want);
+            let fields = [
+                ("u", &got.u, &want.u),
+                ("v", &got.v, &want.v),
+                ("w", &got.w, &want.w),
+                ("t", &got.t, &want.t),
+                ("p", &got.p, &want.p),
+            ];
+            for (name, got, want) in fields {
+                assert_same_bits(&format!("{name} after step {n} of {case:?}"), got, want);
+            }
+            assert_eq!(got.steps_done(), n, "{case:?}");
+            assert_eq!(got_stats.iterations, want_stats.iterations, "{case:?}");
+            assert_eq!(
+                got_stats.residual.to_bits(),
+                want_stats.residual.to_bits(),
+                "{case:?} step {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn step_matches_reference_on_fixed_shapes() {
+        // 3×3×3 has one interior cell; 9×7×3 is the fabric's degraded mesh,
+        // 12×10×4 its study mesh; 13 and 9 leave odd interior rows.
+        const SHAPES: [[usize; 3]; 7] = [
+            [3, 3, 3],
+            [4, 5, 3],
+            [5, 7, 4],
+            [9, 7, 3],
+            [12, 10, 4],
+            [13, 9, 5],
+            [20, 16, 6],
+        ];
+        let mut n = 0;
+        for cells in SHAPES {
+            for dir_deg in [0.0, 90.0, 180.0, 225.0, 270.0] {
+                for wind_ms in [0.0, 2.0, 6.0] {
+                    for breached in [false, true] {
+                        // Canopy, ground heat, start state and run length
+                        // rotate so every shape and wind meets each of them.
+                        run_against_reference(Case {
+                            cells,
+                            wind_ms,
+                            dir_deg,
+                            panel: (6, if breached { 1.0 } else { 0.25 }),
+                            canopy: n % 3 != 2,
+                            hot_ground: n % 4 == 1,
+                            noisy_start: n % 5 == 3,
+                            steps: 1 + n % 8,
+                        });
+                        n += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn step_matches_reference_on_drawn_cases(
+            cells in (3usize..=14, 3usize..=12, 3usize..=7),
+            wind_ms in 0.0f64..9.0,
+            dir_deg in 0.0f64..360.0,
+            panel in (0usize..12, 0.0f64..=1.0),
+            flags in 0u8..8,
+            steps in 1usize..=4,
+        ) {
+            run_against_reference(Case {
+                cells: [cells.0, cells.1, cells.2],
+                wind_ms,
+                dir_deg,
+                panel,
+                canopy: flags & 1 == 0,
+                hot_ground: flags & 2 != 0,
+                noisy_start: flags & 4 != 0,
+                steps,
+            });
+        }
+    }
+}

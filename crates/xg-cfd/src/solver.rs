@@ -9,15 +9,18 @@
 //! 3. pressure Poisson projection ([`crate::poisson`]);
 //! 4. velocity correction and temperature advection–diffusion.
 //!
-//! Every sweep is double-buffered and slab-parallel with rayon, so results
-//! are bitwise identical for any thread count — verified by tests. This is
+//! Every sweep reads one buffer and writes another, one z-slab per
+//! `par_chunks_mut` chunk and row by row inside it, so results are bitwise
+//! identical for any thread count — verified by tests, as is bit equality
+//! with the cell-by-cell kernels kept in `crate::reference`. The buffers
+//! are the simulation's own, so a time step allocates nothing. This is
 //! the "OpenFOAM" of the reproduction: the same role, the same phase
 //! structure (serial meshing + parallel solve), at laptop scale.
 
 use crate::boundary::BoundarySpec;
 use crate::field::Field3;
 use crate::mesh::{CellType, Mesh};
-use crate::poisson;
+use crate::poisson::{self, row_at};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,9 +35,9 @@ struct CfdObs {
     step_wall_ms: Arc<Histogram>,
     /// Wall time of one transport sweep (momentum or temperature), ms.
     sweep_wall_ms: Arc<Histogram>,
-    /// Final Poisson residual per projection.
+    /// Last max-abs Jacobi update per projection.
     poisson_residual: Arc<Histogram>,
-    /// Jacobi iterations per projection.
+    /// Jacobi iterations executed per projection.
     poisson_iters: Arc<Histogram>,
     /// Time steps completed.
     steps: Arc<Counter>,
@@ -118,6 +121,13 @@ pub struct Simulation {
     pub p: Field3,
     steps_done: usize,
     obs: Option<CfdObs>,
+    /// Work arrays `[u*, v*, w*, rhs, jacobi]`, allocated once in `new`: the
+    /// momentum predictors (`u*` is also the temperature sweep's target),
+    /// the Poisson right-hand side and the second Jacobi buffer. `step`
+    /// swaps them with the fields above instead of cloning, which relies
+    /// on every field keeping the mesh's shape — nothing outside this
+    /// file assigns one.
+    work: [Field3; 5],
 }
 
 impl Simulation {
@@ -136,6 +146,7 @@ impl Simulation {
             p: Field3::zeros(nx, ny, nz),
             steps_done: 0,
             obs: None,
+            work: std::array::from_fn(|_| Field3::zeros(nx, ny, nz)),
         };
         sim.apply_velocity_bcs();
         sim
@@ -240,20 +251,21 @@ impl Simulation {
     }
 
     /// One explicit sweep for a transported scalar: upwind advection +
-    /// central diffusion, returning the updated interior field.
+    /// central diffusion of `phi` by the current velocity, written to the
+    /// interior of `out`; `out`'s boundary cells take `phi`'s values.
     fn transport_sweep(
         &self,
         phi: &Field3,
+        out: &mut Field3,
         diffusivity: f64,
-        extra: impl Fn(usize, usize, usize, f64) -> f64 + Sync,
-    ) -> Field3 {
+        extra: impl Fn(usize, f64) -> f64 + Sync,
+    ) {
         // xg-lint: allow(wall-clock, obs-gated wall timing of a real CPU solve; never feeds sim state)
         let sweep_timer = self.obs.as_ref().map(|_| Instant::now());
         let (nx, ny, nz) = (phi.nx, phi.ny, phi.nz);
         let slab = nx * ny;
         let dt = self.config.dt_s;
         let [dx, dy, dz] = self.mesh.d;
-        let mut out = phi.clone();
         let u = self.u.as_slice();
         let v = self.v.as_slice();
         let w = self.w.as_slice();
@@ -262,38 +274,43 @@ impl Simulation {
             .par_chunks_mut(slab)
             .enumerate()
             .for_each(|(k, slab_out)| {
+                slab_out.copy_from_slice(row_at(cur, k * slab, slab));
                 if k == 0 || k == nz - 1 {
                     return; // boundary slabs handled by BCs
                 }
+                let row = |f, at: usize| row_at(f, at, nx);
                 for j in 1..ny - 1 {
+                    let at = (k * ny + j) * nx;
+                    let (c, ur, vr, wr) = (row(cur, at), row(u, at), row(v, at), row(w, at));
+                    let (ym, yp) = (row(cur, at - nx), row(cur, at + nx));
+                    let (zm, zp) = (row(cur, at - slab), row(cur, at + slab));
+                    let o = &mut slab_out[j * nx..][..nx];
                     for i in 1..nx - 1 {
-                        let c = (k * ny + j) * nx + i;
-                        let (uc, vc, wc) = (u[c], v[c], w[c]);
-                        let phic = cur[c];
+                        let (uc, vc, wc) = (ur[i], vr[i], wr[i]);
+                        let phic = c[i];
                         // First-order upwind advection.
                         let dphidx = if uc > 0.0 {
-                            (phic - cur[c - 1]) / dx
+                            (phic - c[i - 1]) / dx
                         } else {
-                            (cur[c + 1] - phic) / dx
+                            (c[i + 1] - phic) / dx
                         };
                         let dphidy = if vc > 0.0 {
-                            (phic - cur[c - nx]) / dy
+                            (phic - ym[i]) / dy
                         } else {
-                            (cur[c + nx] - phic) / dy
+                            (yp[i] - phic) / dy
                         };
                         let dphidz = if wc > 0.0 {
-                            (phic - cur[c - slab]) / dz
+                            (phic - zm[i]) / dz
                         } else {
-                            (cur[c + slab] - phic) / dz
+                            (zp[i] - phic) / dz
                         };
                         let adv = uc * dphidx + vc * dphidy + wc * dphidz;
                         // Central diffusion.
-                        let lap = (cur[c - 1] + cur[c + 1] - 2.0 * phic) / (dx * dx)
-                            + (cur[c - nx] + cur[c + nx] - 2.0 * phic) / (dy * dy)
-                            + (cur[c - slab] + cur[c + slab] - 2.0 * phic) / (dz * dz);
-                        let mut val = phic + dt * (-adv + diffusivity * lap);
-                        val = extra(i, j, k, val);
-                        slab_out[j * nx + i] = val;
+                        let lap = (c[i - 1] + c[i + 1] - 2.0 * phic) / (dx * dx)
+                            + (ym[i] + yp[i] - 2.0 * phic) / (dy * dy)
+                            + (zm[i] + zp[i] - 2.0 * phic) / (dz * dz);
+                        let val = phic + dt * (-adv + diffusivity * lap);
+                        o[i] = extra(at + i, val);
                     }
                 }
             });
@@ -304,7 +321,6 @@ impl Simulation {
                 p.record_at("cfd.step/sweep", elapsed.as_nanos() as u64);
             }
         }
-        out
     }
 
     /// Advance one time step.
@@ -313,43 +329,38 @@ impl Simulation {
         let step_timer = self.obs.as_ref().map(|_| Instant::now());
         let cfg = self.config;
         let dt = cfg.dt_s;
-        let mesh = &self.mesh;
         let t_ref = self.bc.ambient_temp_c;
+        let mut work = std::mem::take(&mut self.work);
+        let [u_star, v_star, w_star, rhs, jacobi] = &mut work;
 
-        // 1. Momentum predictor.
-        let u_snapshot = self.u.clone();
-        let v_snapshot = self.v.clone();
-        let w_snapshot = self.w.clone();
-        let drag = |sim: &Simulation, i: usize, j: usize, k: usize, comp: f64| -> f64 {
-            if sim.mesh.cell(i, j, k) == CellType::Canopy {
-                let c = sim.u.idx(i, j, k);
-                let speed = (sim.u.as_slice()[c].powi(2)
-                    + sim.v.as_slice()[c].powi(2)
-                    + sim.w.as_slice()[c].powi(2))
+        // 1. Momentum predictor. The advecting velocity is read by all
+        // three sweeps, so it is swapped out only once all are written.
+        let drag = |c: usize, comp: f64| -> f64 {
+            if self.mesh.cell_type[c] == CellType::Canopy {
+                let speed = (self.u.as_slice()[c].powi(2)
+                    + self.v.as_slice()[c].powi(2)
+                    + self.w.as_slice()[c].powi(2))
                 .sqrt();
                 comp / (1.0 + dt * cfg.canopy_cd_a * speed)
             } else {
                 comp
             }
         };
-        let _ = mesh;
-        let u_star =
-            self.transport_sweep(&u_snapshot, cfg.nu, |i, j, k, val| drag(self, i, j, k, val));
-        let v_star =
-            self.transport_sweep(&v_snapshot, cfg.nu, |i, j, k, val| drag(self, i, j, k, val));
-        let t_field = &self.t;
-        let w_star = self.transport_sweep(&w_snapshot, cfg.nu, |i, j, k, val| {
+        self.transport_sweep(&self.u, u_star, cfg.nu, drag);
+        self.transport_sweep(&self.v, v_star, cfg.nu, drag);
+        let t = self.t.as_slice();
+        self.transport_sweep(&self.w, w_star, cfg.nu, |c, val| {
             // Boussinesq buoyancy: warm air rises.
-            let buoy = cfg.gravity * cfg.beta * (t_field.at(i, j, k) - t_ref);
-            drag(self, i, j, k, val + dt * buoy)
+            let buoy = cfg.gravity * cfg.beta * (t[c] - t_ref);
+            drag(c, val + dt * buoy)
         });
-        self.u = u_star;
-        self.v = v_star;
-        self.w = w_star;
+        std::mem::swap(&mut self.u, u_star);
+        std::mem::swap(&mut self.v, v_star);
+        std::mem::swap(&mut self.w, w_star);
         self.apply_velocity_bcs();
 
         // 2. Projection: solve ∇²p = div(u*) / dt.
-        let mut rhs = self.divergence();
+        self.divergence_into(rhs);
         let inv_dt = 1.0 / dt;
         rhs.as_mut_slice().iter_mut().for_each(|x| *x *= inv_dt);
         // Neumann compatibility: remove the mean source.
@@ -357,7 +368,8 @@ impl Simulation {
         rhs.as_mut_slice().iter_mut().for_each(|x| *x -= mean);
         let stats = poisson::solve(
             &mut self.p,
-            &rhs,
+            rhs,
+            jacobi,
             self.mesh.d,
             cfg.poisson_iters,
             cfg.poisson_tol,
@@ -367,12 +379,13 @@ impl Simulation {
             o.poisson_iters.record(stats.iterations as f64);
         }
 
-        // 3. Velocity correction: u -= dt ∇p (interior, central gradient).
+        // 3. Velocity correction: u -= dt ∇p (interior, central gradient
+        // along the axis whose neighbours lie `stride` cells apart).
         let (nx, ny, nz) = (self.u.nx, self.u.ny, self.u.nz);
         let slab = nx * ny;
         let [dx, dy, dz] = self.mesh.d;
-        let p = self.p.as_slice().to_vec();
-        let correct = |field: &mut Field3, axis: usize| {
+        let p = self.p.as_slice();
+        let correct = |field: &mut Field3, stride: usize, h: f64| {
             field
                 .as_mut_slice()
                 .par_chunks_mut(slab)
@@ -382,29 +395,27 @@ impl Simulation {
                         return;
                     }
                     for j in 1..ny - 1 {
+                        let at = (k * ny + j) * nx;
+                        let (lo, hi) = (row_at(p, at - stride, nx), row_at(p, at + stride, nx));
+                        let o = &mut out[j * nx..][..nx];
                         for i in 1..nx - 1 {
-                            let c = (k * ny + j) * nx + i;
-                            let grad = match axis {
-                                0 => (p[c + 1] - p[c - 1]) / (2.0 * dx),
-                                1 => (p[c + nx] - p[c - nx]) / (2.0 * dy),
-                                _ => (p[c + slab] - p[c - slab]) / (2.0 * dz),
-                            };
-                            out[j * nx + i] -= dt * grad;
+                            let grad = (hi[i] - lo[i]) / (2.0 * h);
+                            o[i] -= dt * grad;
                         }
                     }
                 });
         };
-        correct(&mut self.u, 0);
-        correct(&mut self.v, 1);
-        correct(&mut self.w, 2);
+        correct(&mut self.u, 1, dx);
+        correct(&mut self.v, nx, dy);
+        correct(&mut self.w, slab, dz);
         self.apply_velocity_bcs();
 
         // 4. Temperature transport with ground heating and inflow at
         // ambient temperature.
         let ground_t = self.bc.ground_temp_c;
-        let t_new = self.transport_sweep(&self.t.clone(), cfg.alpha_t, |_, _, _, val| val);
-        self.t = t_new;
-        let (nx, ny, nz) = (self.t.nx, self.t.ny, self.t.nz);
+        self.transport_sweep(&self.t, u_star, cfg.alpha_t, |_, val| val);
+        std::mem::swap(&mut self.t, u_star);
+        self.work = work;
         for j in 0..ny {
             for i in 0..nx {
                 self.t.set(i, j, 0, ground_t);
@@ -465,10 +476,16 @@ impl Simulation {
     /// Central-difference divergence of the velocity field (interior; zero
     /// on boundary cells).
     pub fn divergence(&self) -> Field3 {
+        let mut div = Field3::zeros(self.u.nx, self.u.ny, self.u.nz);
+        self.divergence_into(&mut div);
+        div
+    }
+
+    /// [`Self::divergence`] written over every cell of `div`.
+    fn divergence_into(&self, div: &mut Field3) {
         let (nx, ny, nz) = (self.u.nx, self.u.ny, self.u.nz);
         let slab = nx * ny;
         let [dx, dy, dz] = self.mesh.d;
-        let mut div = Field3::zeros(nx, ny, nz);
         let u = self.u.as_slice();
         let v = self.v.as_slice();
         let w = self.w.as_slice();
@@ -476,19 +493,24 @@ impl Simulation {
             .par_chunks_mut(slab)
             .enumerate()
             .for_each(|(k, out)| {
+                out.fill(0.0);
                 if k == 0 || k == nz - 1 {
                     return;
                 }
+                let row = |f, at: usize| row_at(f, at, nx);
                 for j in 1..ny - 1 {
+                    let at = (k * ny + j) * nx;
+                    let (xm, xp) = (row(u, at - 1), row(u, at + 1));
+                    let (ym, yp) = (row(v, at - nx), row(v, at + nx));
+                    let (zm, zp) = (row(w, at - slab), row(w, at + slab));
+                    let o = &mut out[j * nx..][..nx];
                     for i in 1..nx - 1 {
-                        let c = (k * ny + j) * nx + i;
-                        out[j * nx + i] = (u[c + 1] - u[c - 1]) / (2.0 * dx)
-                            + (v[c + nx] - v[c - nx]) / (2.0 * dy)
-                            + (w[c + slab] - w[c - slab]) / (2.0 * dz);
+                        o[i] = (xp[i] - xm[i]) / (2.0 * dx)
+                            + (yp[i] - ym[i]) / (2.0 * dy)
+                            + (zp[i] - zm[i]) / (2.0 * dz);
                     }
                 }
             });
-        div
     }
 
     /// Horizontal wind speed at a physical position (m), trilinearly

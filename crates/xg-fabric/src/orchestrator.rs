@@ -1395,6 +1395,7 @@ impl XgFabric {
         let mut sim = Simulation::new(mesh, bc, SolverConfig::default());
         sim.set_obs(&self.config.obs);
         sim.run(pending.steps);
+        let predicted_wind = sim.mean_interior_wind();
         let model_runtime = self.config.perf.total_time_s(self.config.cfd_cores);
         let window_s = REPORT_INTERVAL_S * DETECT_EVERY_REPORTS as f64;
         // Close out the trace's HPC stages: expected completion minus the
@@ -1435,7 +1436,7 @@ impl XgFabric {
         self.timeline.push(Event::CfdCompleted {
             t_s: finished_at,
             model_runtime_s: model_runtime,
-            predicted_interior_wind: sim.mean_interior_wind(),
+            predicted_interior_wind: predicted_wind,
             validity_s: (window_s - model_runtime).max(0.0),
         });
         // Return the result summary to the site operator over the 5G
@@ -1445,7 +1446,7 @@ impl XgFabric {
         if self.degradation < 2 {
             if let Ok(latency_ms) = self.results_return.deliver(&ResultSummary {
                 t_s: finished_at,
-                predicted_wind_ms: sim.mean_interior_wind(),
+                predicted_wind_ms: predicted_wind,
                 validity_s: (window_s - model_runtime).max(0.0),
                 breach_suspected: false,
             }) {
@@ -1473,7 +1474,7 @@ impl XgFabric {
                 / pending.interior.len() as f64;
             self.backtester.record(CalibrationSample {
                 t_s: finished_at,
-                predicted_ms: sim.mean_interior_wind(),
+                predicted_ms: predicted_wind,
                 measured_ms: mean_meas,
             });
         }
@@ -1484,7 +1485,7 @@ impl XgFabric {
                 // the screen intact on the first run.
                 let mean_meas = pending.interior.iter().map(|m| m.wind_ms).sum::<f64>()
                     / pending.interior.len().max(1) as f64;
-                let mean_pred = sim.mean_interior_wind().max(1e-9);
+                let mean_pred = predicted_wind.max(1e-9);
                 self.calibration = Some(mean_meas / mean_pred);
                 return;
             }
