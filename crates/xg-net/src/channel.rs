@@ -17,8 +17,8 @@ use rand::Rng;
 pub struct ShadowingChannel {
     /// AR(1) correlation coefficient per TTI.
     rho: f64,
-    /// Stationary shadowing standard deviation (dB).
-    sigma_shadow: f64,
+    /// Innovation gain `√(1-ρ²)·σ_sh` (dB), fixed at construction.
+    shadow_gain: f64,
     /// Fast-fading standard deviation (dB), independent per TTI.
     sigma_fast: f64,
     /// Current shadowing state (dB).
@@ -31,7 +31,7 @@ impl ShadowingChannel {
         assert!((0.0..1.0).contains(&rho), "rho must be in [0,1)");
         ShadowingChannel {
             rho,
-            sigma_shadow,
+            shadow_gain: (1.0 - rho * rho).sqrt() * sigma_shadow,
             sigma_fast,
             state: 0.0,
         }
@@ -47,8 +47,20 @@ impl ShadowingChannel {
     /// Advance one TTI and return the SNR offset to apply (dB).
     pub fn step<R: Rng>(&mut self, rng: &mut R) -> Db {
         let w = gaussian(rng);
-        self.state =
-            self.rho * self.state + (1.0 - self.rho * self.rho).sqrt() * self.sigma_shadow * w;
+        self.state = self.rho * self.state + self.shadow_gain * w;
+        let fast = gaussian(rng) * self.sigma_fast;
+        Db(self.state + fast)
+    }
+}
+
+#[cfg(test)]
+impl ShadowingChannel {
+    /// `step` as it read before the innovation gain was folded into a
+    /// field, `sqrt` in place; `sigma_shadow` is the constructor argument
+    /// the field absorbed. `sim::reference` steps its channels with this.
+    pub(crate) fn step_unfolded<R: Rng>(&mut self, sigma_shadow: f64, rng: &mut R) -> Db {
+        let w = gaussian(rng);
+        self.state = self.rho * self.state + (1.0 - self.rho * self.rho).sqrt() * sigma_shadow * w;
         let fast = gaussian(rng) * self.sigma_fast;
         Db(self.state + fast)
     }
@@ -118,6 +130,21 @@ mod tests {
             .sum::<f64>()
             / (n - 1) as f64;
         assert!(cov / var > 0.95, "lag-1 autocorr {}", cov / var);
+    }
+
+    #[test]
+    fn folded_gain_steps_bit_for_bit() {
+        for (rho, sigma) in [(0.999, 0.8), (0.95, 2.0), (0.0, 1.3), (0.5, 0.0)] {
+            let mut folded = ShadowingChannel::new(rho, sigma, 0.4);
+            let mut unfolded = folded.clone();
+            let mut rng_a = StdRng::seed_from_u64(5);
+            let mut rng_b = rng_a.clone();
+            for _ in 0..2_000 {
+                let a = folded.step(&mut rng_a).0;
+                let b = unfolded.step_unfolded(sigma, &mut rng_b).0;
+                assert_eq!(a.to_bits(), b.to_bits(), "rho {rho} sigma {sigma}");
+            }
+        }
     }
 
     #[test]

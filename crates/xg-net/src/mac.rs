@@ -9,8 +9,6 @@
 //! isolation of Fig. 6 is enforced here by allocating strictly within slice
 //! quotas.
 
-use std::collections::BTreeMap;
-
 /// Scheduling discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
@@ -45,8 +43,13 @@ pub struct MacScheduler {
     kind: SchedulerKind,
     /// Rotation offset for round-robin remainder assignment.
     rr_turn: u64,
-    /// EWMA of served bits per TTI, per UE (proportional fair).
-    avg_bits: BTreeMap<u32, f64>,
+    /// EWMA of served bits per TTI (proportional fair), indexed by the
+    /// dense cell-local UE id; a UE never observed, or removed, reads 0.
+    avg_bits: Vec<f64>,
+    /// Proportional-fair scratch kept across TTIs: each request's exact
+    /// PRB share, and the request indices by descending fractional share.
+    pf_exact: Vec<f64>,
+    pf_order: Vec<usize>,
 }
 
 impl MacScheduler {
@@ -55,7 +58,9 @@ impl MacScheduler {
         MacScheduler {
             kind,
             rr_turn: 0,
-            avg_bits: BTreeMap::new(),
+            avg_bits: Vec::new(),
+            pf_exact: Vec::new(),
+            pf_order: Vec::new(),
         }
     }
 
@@ -110,52 +115,64 @@ impl MacScheduler {
         }));
     }
 
-    fn allocate_pf_into(&self, quota: u32, requests: &[UlRequest], out: &mut Vec<(u32, u32)>) {
-        let mut weights: Vec<f64> = requests
-            .iter()
-            .map(|r| {
-                let avg = self.avg_bits.get(&r.ue).copied().unwrap_or(0.0);
-                r.weight.max(0.0) * r.inst_eff.max(1e-9) / avg.max(PF_FLOOR)
-            })
-            .collect();
-        if weights.iter().sum::<f64>() <= 0.0 {
+    fn allocate_pf_into(&mut self, quota: u32, requests: &[UlRequest], out: &mut Vec<(u32, u32)>) {
+        let (avg_bits, exact, order) = (&self.avg_bits, &mut self.pf_exact, &mut self.pf_order);
+        exact.clear();
+        exact.extend(requests.iter().map(|r| {
+            let avg = avg_bits.get(r.ue as usize).copied().unwrap_or(0.0);
+            r.weight.max(0.0) * r.inst_eff.max(1e-9) / avg.max(PF_FLOOR)
+        }));
+        if exact.iter().sum::<f64>() <= 0.0 {
             // Every requester was weighted to zero; degrade to an equal
             // split rather than dividing by zero below.
-            weights.iter_mut().for_each(|w| *w = 1.0);
+            exact.fill(1.0);
         }
-        let total: f64 = weights.iter().sum();
+        let total: f64 = exact.iter().sum();
         // Largest-remainder apportionment of the quota by weight.
-        let exact: Vec<f64> = weights.iter().map(|w| w / total * quota as f64).collect();
-        let mut grants: Vec<u32> = exact.iter().map(|e| e.floor() as u32).collect();
-        let assigned: u32 = grants.iter().sum();
-        let mut order: Vec<usize> = (0..grants.len()).collect();
+        for (r, e) in requests.iter().zip(exact.iter_mut()) {
+            *e = *e / total * quota as f64;
+            out.push((r.ue, e.floor() as u32));
+        }
+        let assigned: u32 = out.iter().map(|&(_, g)| g).sum();
+        order.clear();
+        order.extend(0..requests.len());
         order.sort_by(|&a, &b| {
             let fa = exact[a] - exact[a].floor();
             let fb = exact[b] - exact[b].floor();
             fb.partial_cmp(&fa).unwrap_or(std::cmp::Ordering::Equal)
         });
         for &i in order.iter().take(quota.saturating_sub(assigned) as usize) {
-            grants[i] += 1;
+            out[i].1 += 1;
         }
-        out.extend(requests.iter().zip(grants).map(|(r, g)| (r.ue, g)));
     }
 
     /// Record the bits actually served to a UE this TTI (drives the
-    /// proportional-fair average).
+    /// proportional-fair average, a vector the dense UE id indexes).
     pub fn observe(&mut self, ue: u32, bits: f64) {
-        let avg = self.avg_bits.entry(ue).or_insert(0.0);
-        *avg = (1.0 - PF_EWMA) * *avg + PF_EWMA * bits;
+        // Round-robin never reads the averages, so it keeps none.
+        if self.kind == SchedulerKind::RoundRobin {
+            return;
+        }
+        let i = ue as usize;
+        if i >= self.avg_bits.len() {
+            self.avg_bits.resize(i + 1, 0.0);
+        }
+        self.avg_bits[i] = (1.0 - PF_EWMA) * self.avg_bits[i] + PF_EWMA * bits;
     }
 
     /// Forget a UE's scheduling state (on detach).
     pub fn remove(&mut self, ue: u32) {
-        self.avg_bits.remove(&ue);
+        if let Some(avg) = self.avg_bits.get_mut(ue as usize) {
+            *avg = 0.0;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn reqs(n: u32) -> Vec<UlRequest> {
         (0..n)
@@ -313,9 +330,127 @@ mod tests {
 
     #[test]
     fn remove_clears_state() {
-        let mut s = MacScheduler::new(SchedulerKind::ProportionalFair);
-        s.observe(7, 500.0);
-        s.remove(7);
-        assert!(s.avg_bits.is_empty());
+        // After `remove(7)` a PF allocation treats UE 7 exactly as a UE
+        // it never observed — and not as the UE whose history it had.
+        let pair = [
+            UlRequest {
+                ue: 3,
+                inst_eff: 3.0,
+                weight: 1.0,
+            },
+            UlRequest {
+                ue: 7,
+                inst_eff: 3.0,
+                weight: 1.0,
+            },
+        ];
+        let mut never = MacScheduler::new(SchedulerKind::ProportionalFair);
+        never.observe(3, 800.0);
+        let mut kept = never.clone();
+        kept.observe(7, 500.0);
+        let mut removed = kept.clone();
+        removed.remove(7);
+        // Forgetting a UE the scheduler never saw is a no-op.
+        removed.remove(99);
+        let expected = never.allocate(100, &pair);
+        assert_eq!(removed.allocate(100, &pair), expected);
+        assert_ne!(kept.allocate(100, &pair), expected);
+    }
+
+    /// Proportional fair as it read before the dense average vector and
+    /// the kept scratch — a `BTreeMap` of averages, four fresh vectors per
+    /// allocation — every expression in place: the oracle
+    /// `pf_matches_the_map_based_original` holds the scheduler to.
+    #[derive(Default)]
+    struct MapPf {
+        avg_bits: BTreeMap<u32, f64>,
+    }
+
+    impl MapPf {
+        fn allocate(&self, quota: u32, requests: &[UlRequest]) -> Vec<(u32, u32)> {
+            if requests.is_empty() || quota == 0 {
+                return Vec::new();
+            }
+            let mut weights: Vec<f64> = requests
+                .iter()
+                .map(|r| {
+                    let avg = self.avg_bits.get(&r.ue).copied().unwrap_or(0.0);
+                    r.weight.max(0.0) * r.inst_eff.max(1e-9) / avg.max(PF_FLOOR)
+                })
+                .collect();
+            if weights.iter().sum::<f64>() <= 0.0 {
+                weights.iter_mut().for_each(|w| *w = 1.0);
+            }
+            let total: f64 = weights.iter().sum();
+            let exact: Vec<f64> = weights.iter().map(|w| w / total * quota as f64).collect();
+            let mut grants: Vec<u32> = exact.iter().map(|e| e.floor() as u32).collect();
+            let assigned: u32 = grants.iter().sum();
+            let mut order: Vec<usize> = (0..grants.len()).collect();
+            order.sort_by(|&a, &b| {
+                let fa = exact[a] - exact[a].floor();
+                let fb = exact[b] - exact[b].floor();
+                fb.partial_cmp(&fa).unwrap_or(std::cmp::Ordering::Equal)
+            });
+            for &i in order.iter().take(quota.saturating_sub(assigned) as usize) {
+                grants[i] += 1;
+            }
+            requests
+                .iter()
+                .zip(grants)
+                .map(|(r, g)| (r.ue, g))
+                .collect()
+        }
+
+        fn observe(&mut self, ue: u32, bits: f64) {
+            let avg = self.avg_bits.entry(ue).or_insert(0.0);
+            *avg = (1.0 - PF_EWMA) * *avg + PF_EWMA * bits;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random TTIs over a sparse UE population: a subset requests with
+        /// drawn efficiencies and weights (zero weights and exact ties
+        /// included), the grants are served at drawn rates, and now and
+        /// then a UE is removed. Every allocation matches the original's.
+        #[test]
+        fn pf_matches_the_map_based_original(
+            quota in 1u32..=273,
+            ttis in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u32..40, 0u32..4, 0u32..3), 1..12),
+                    0u32..1_000,
+                    0u32..60,
+                ),
+                1..40,
+            ),
+        ) {
+            let mut sched = MacScheduler::new(SchedulerKind::ProportionalFair);
+            let mut original = MapPf::default();
+            for (draws, rate, forget) in ttis {
+                let mut requests: Vec<UlRequest> = Vec::new();
+                for (ue, eff, weight) in draws {
+                    if requests.iter().all(|r| r.ue != ue) {
+                        requests.push(UlRequest {
+                            ue,
+                            inst_eff: eff as f64 * 1.7,
+                            weight: weight as f64 * 0.5,
+                        });
+                    }
+                }
+                let grants = sched.allocate(quota, &requests);
+                prop_assert_eq!(&grants, &original.allocate(quota, &requests));
+                for (ue, prbs) in grants {
+                    let bits = (prbs * rate) as f64 * 0.37;
+                    sched.observe(ue, bits);
+                    original.observe(ue, bits);
+                }
+                if forget < 40 {
+                    sched.remove(forget);
+                    original.avg_bits.remove(&forget);
+                }
+            }
+        }
     }
 }

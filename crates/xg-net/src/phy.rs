@@ -164,8 +164,13 @@ impl UplinkPower {
         if n_prb == 0 {
             return Db(f64::NEG_INFINITY);
         }
-        let spread = 10.0 * (n_prb as f64).log10();
-        Db((self.snr_one_prb.0 - spread).min(self.snr_cap.0))
+        self.snr_at_spread(10.0 * (n_prb as f64).log10())
+    }
+
+    /// Per-PRB SNR for a grant whose power spread `10·log10(n_prb)` the
+    /// caller already holds (the link simulator tabulates it per cell).
+    pub(crate) fn snr_at_spread(&self, spread_db: f64) -> Db {
+        Db((self.snr_one_prb.0 - spread_db).min(self.snr_cap.0))
     }
 }
 

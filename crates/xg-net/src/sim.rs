@@ -87,27 +87,21 @@ struct E2Acc {
     slots: u64,
     /// Uplink-capable slots since the last drain.
     ul_slots: u64,
-    /// Per-slice PRB·TTIs granted.
-    slice_granted: Vec<u64>,
-    /// Per-slice PRB·TTIs offered by the quota (quota × uplink slots).
-    slice_capacity: Vec<u64>,
-    /// Per-slice bits entering uplink queues.
-    slice_offered: Vec<f64>,
-    /// Per-slice MAC bits served.
-    slice_served: Vec<f64>,
+    /// The window's per-slice counters, by slice index.
+    slices: Vec<SliceAcc>,
 }
 
-impl E2Acc {
-    fn sized(slices: usize) -> Self {
-        E2Acc {
-            slots: 0,
-            ul_slots: 0,
-            slice_granted: vec![0; slices],
-            slice_capacity: vec![0; slices],
-            slice_offered: vec![0.0; slices],
-            slice_served: vec![0.0; slices],
-        }
-    }
+/// One slice's counters in the E2 window.
+#[derive(Debug, Clone, Copy, Default)]
+struct SliceAcc {
+    /// PRB·TTIs granted.
+    granted: u64,
+    /// PRB·TTIs offered by the quota (quota × uplink slots).
+    capacity: u64,
+    /// Bits entering uplink queues.
+    offered: f64,
+    /// MAC bits served.
+    served: f64,
 }
 
 /// The uplink link-level simulator for one cell.
@@ -121,6 +115,10 @@ pub struct LinkSimulator {
     slot: u64,
     next_sim_index: u32,
     total_prbs: u32,
+    /// The power spread `UplinkPower::snr` computes, `10·log10(n)` dB, by
+    /// grant width `n` in `1..=total_prbs`, tabulated with its expression.
+    /// Entry 0 is never read: a zero-PRB grant is skipped.
+    prb_spread_db: Vec<f64>,
     quotas: Vec<u32>,
     /// Cell-wide SNR offset (dB) for fault injection: a negative value
     /// models RAN degradation (interference, weather, detuned antenna)
@@ -135,7 +133,6 @@ pub struct LinkSimulator {
     active_slots: u64,
     /// Scratch buffers reused across TTIs so the hot loop performs no
     /// per-slot allocations.
-    scratch_members: Vec<u32>,
     scratch_requests: Vec<UlRequest>,
     scratch_grants: Vec<(u32, u32)>,
 }
@@ -226,7 +223,10 @@ impl LinkSimulator {
             .map(|_| MacScheduler::new(cell.scheduler))
             .collect();
         let link_adapt = LinkAdaptation::for_rat(cell.rat);
-        let e2 = E2Acc::sized(cell.slices.len());
+        let e2 = E2Acc {
+            slices: vec![SliceAcc::default(); cell.slices.len()],
+            ..E2Acc::default()
+        };
         Ok(LinkSimulator {
             cell,
             core: Core5g::new(),
@@ -237,12 +237,14 @@ impl LinkSimulator {
             slot: 0,
             next_sim_index: 0,
             total_prbs,
+            prb_spread_db: (0..=total_prbs)
+                .map(|n| 10.0 * (n as f64).log10())
+                .collect(),
             quotas,
             snr_offset_db: 0.0,
             e2,
             obs: None,
             active_slots: 0,
-            scratch_members: Vec::new(),
             scratch_requests: Vec::new(),
             scratch_grants: Vec::new(),
         })
@@ -262,6 +264,10 @@ impl LinkSimulator {
     /// operation.
     pub fn set_snr_offset_db(&mut self, offset_db: f64) {
         self.snr_offset_db = offset_db;
+        // Every memoised request efficiency was computed under the old one.
+        for u in &mut self.ues {
+            u.req_share = 0;
+        }
         if let Some(o) = &self.obs {
             o.snr_offset_db.set(offset_db);
         }
@@ -308,10 +314,7 @@ impl LinkSimulator {
         // Keep the E2 accumulator aligned with the slice table; counters
         // accumulated so far stay attached to their slice index (the
         // window closes at the next indication drain anyway).
-        self.e2.slice_granted.resize(slices.len(), 0);
-        self.e2.slice_capacity.resize(slices.len(), 0);
-        self.e2.slice_offered.resize(slices.len(), 0.0);
-        self.e2.slice_served.resize(slices.len(), 0.0);
+        self.e2.slices.resize(slices.len(), SliceAcc::default());
         self.cell.slices = slices;
         Ok(())
     }
@@ -356,7 +359,11 @@ impl LinkSimulator {
         self.core.provision(sim.clone(), vec![snssai]);
         self.core.register(&sim)?;
         self.core.establish_session(&sim.imsi, snssai, "internet")?;
-        let profile = RadioProfile::lookup(device, modem, self.cell.rat);
+        let mut profile = RadioProfile::lookup(device, modem, self.cell.rat);
+        if matches!(self.cell.duplex, Duplex::Fdd) {
+            // A UE's TDD power offset applies on TDD carriers only.
+            profile.tdd_power_offset = Db(0.0);
+        }
         let id = self.ues.len() as u32;
         let channel = ShadowingChannel::new(
             calib::SHADOW_RHO,
@@ -519,10 +526,10 @@ impl LinkSimulator {
                     snssai: p.snssai,
                     prb_share: p.prb_share,
                     quota_prbs: self.quotas[i],
-                    granted_prb_ttis: self.e2.slice_granted[i],
-                    capacity_prb_ttis: self.e2.slice_capacity[i],
-                    offered_bits: self.e2.slice_offered[i],
-                    served_bits: self.e2.slice_served[i],
+                    granted_prb_ttis: self.e2.slices[i].granted,
+                    capacity_prb_ttis: self.e2.slices[i].capacity,
+                    offered_bits: self.e2.slices[i].offered,
+                    served_bits: self.e2.slices[i].served,
                     queued_bits: slice_queued[i],
                 }
             })
@@ -535,7 +542,9 @@ impl LinkSimulator {
             ues,
             slices,
         };
-        self.e2 = E2Acc::sized(self.cell.slices.len());
+        // Open a fresh window in place, over the same slice table.
+        (self.e2.slots, self.e2.ul_slots) = (0, 0);
+        self.e2.slices.fill(SliceAcc::default());
         indication
     }
 
@@ -602,14 +611,6 @@ impl LinkSimulator {
         }
     }
 
-    /// TDD power offset applicable to a UE (0 on FDD carriers).
-    fn tdd_offset(&self, ue: &UeContext) -> f64 {
-        match self.cell.duplex {
-            Duplex::Fdd => 0.0,
-            Duplex::Tdd(_) => ue.profile.tdd_power_offset.0,
-        }
-    }
-
     /// Advance one slot.
     fn step_slot(&mut self) {
         let ul_frac = self.slot_ul_fraction();
@@ -624,48 +625,42 @@ impl LinkSimulator {
         }
         let prb_mhz = self.prb_mhz();
         let re_per_prb = res_per_prb_slot() as f64;
+        let snr_fault = self.snr_offset_db;
         // Scratch buffers are moved out for the duration of the slot so
         // the borrow checker lets the loop mutate `self.ues` alongside.
-        let mut members = std::mem::take(&mut self.scratch_members);
         let mut requests = std::mem::take(&mut self.scratch_requests);
         let mut grants = std::mem::take(&mut self.scratch_grants);
         for slice_idx in 0..self.quotas.len() {
             let quota = self.quotas[slice_idx];
-            self.e2.slice_capacity[slice_idx] += quota as u64;
-            // Gather backlogged UEs of this slice with an efficiency
+            self.e2.slices[slice_idx].capacity += quota as u64;
+            // Backlogged UEs of this slice request with an efficiency
             // estimate at their expected share (for proportional fair).
-            members.clear();
-            members.extend(
-                self.ues
-                    .iter()
-                    .filter(|u| Self::wants_uplink(u) && u.slice.0 as usize == slice_idx)
-                    .map(|u| u.id),
-            );
-            if members.is_empty() || quota == 0 {
+            let member = |u: &UeContext| Self::wants_uplink(u) && u.slice.0 as usize == slice_idx;
+            let members = self.ues.iter().filter(|u| member(u)).count();
+            if members == 0 || quota == 0 {
                 continue;
             }
-            let share = (quota / members.len() as u32).max(1);
+            let share = (quota / members as u32).max(1);
             requests.clear();
-            for &id in &members {
-                let u = &mut self.ues[id as usize];
-                let tdd_off = match self.cell.duplex {
-                    Duplex::Fdd => 0.0,
-                    Duplex::Tdd(_) => u.profile.tdd_power_offset.0,
-                };
-                let snr = Db(u.profile.power.snr(share).0 + tdd_off + self.snr_offset_db);
-                let eff = self.link_adapt.efficiency(snr);
+            for u in self.ues.iter_mut().filter(|u| member(u)) {
+                // The estimate depends on nothing a TTI changes: the
+                // profile is fixed at attach, and setting the cell SNR
+                // offset clears the memo.
+                if u.req_share != share {
+                    let power = u.profile.power.snr(share).0;
+                    let snr = Db(power + u.profile.tdd_power_offset.0 + snr_fault);
+                    u.req_eff = self.link_adapt.efficiency(snr);
+                    u.req_share = share;
+                }
+                let eff = u.req_eff;
                 // CQI reports the raw channel; the RIC's MCS cap only
                 // constrains what the scheduler may use (a capped report
                 // would make the capper feed back on itself).
                 u.e2_eff_sum += eff;
                 u.e2_eff_ttis += 1;
-                let inst_eff = match u.mcs_cap {
-                    Some(cap) => eff.min(cap),
-                    None => eff,
-                };
                 requests.push(UlRequest {
-                    ue: id,
-                    inst_eff,
+                    ue: u.id,
+                    inst_eff: u.mcs_cap.map_or(eff, |cap| eff.min(cap)),
                     weight: u.pf_weight,
                 });
             }
@@ -678,15 +673,13 @@ impl LinkSimulator {
                 if prbs == 0 {
                     continue;
                 }
-                let tdd_off = self.tdd_offset(&self.ues[ue_id as usize]);
-                let snr_fault = self.snr_offset_db;
                 let u = &mut self.ues[ue_id as usize];
                 let jitter = u.channel.step(&mut self.rng);
-                let snr = Db(u.profile.power.snr(prbs).0 + tdd_off + jitter.0 + snr_fault);
-                let mut eff = self.link_adapt.efficiency(snr);
-                if let Some(cap) = u.mcs_cap {
-                    eff = eff.min(cap);
-                }
+                let spread = self.prb_spread_db[prbs as usize];
+                let power = u.profile.power.snr_at_spread(spread).0;
+                let snr = Db(power + u.profile.tdd_power_offset.0 + jitter.0 + snr_fault);
+                let eff = self.link_adapt.efficiency(snr);
+                let eff = u.mcs_cap.map_or(eff, |cap| eff.min(cap));
                 let modem = u.profile.modem_factor(prbs as f64 * prb_mhz);
                 let capacity = prbs as f64 * re_per_prb * eff * ul_frac * modem;
                 // Finite traffic models serve at most their queue.
@@ -698,19 +691,17 @@ impl LinkSimulator {
                     served
                 };
                 u.window_bits += bits;
-                u.window_granted_prb_ttis += prbs as u64;
                 u.e2_granted_prb_ttis += prbs as u64;
                 u.e2_sched_ttis += 1;
                 u.e2_served_bits += bits;
                 if jitter.0 + snr_fault <= HARQ_NACK_FADE_DB {
                     u.e2_nack_ttis += 1;
                 }
-                self.e2.slice_granted[slice_idx] += prbs as u64;
-                self.e2.slice_served[slice_idx] += bits;
+                self.e2.slices[slice_idx].granted += prbs as u64;
+                self.e2.slices[slice_idx].served += bits;
                 self.scheds[slice_idx].observe(ue_id, bits);
             }
         }
-        self.scratch_members = members;
         self.scratch_requests = requests;
         self.scratch_grants = grants;
     }
@@ -722,8 +713,8 @@ impl LinkSimulator {
         for u in &mut self.ues {
             if let Some(bits) = u.traffic.offered_bits(t) {
                 u.pending_bits += bits;
-                if let Some(o) = e2.slice_offered.get_mut(u.slice.0 as usize) {
-                    *o += bits;
+                if let Some(s) = e2.slices.get_mut(u.slice.0 as usize) {
+                    s.offered += bits;
                 }
             }
         }
@@ -793,7 +784,7 @@ impl LinkSimulator {
             o.slots.add(ul_slots);
         }
         for slice_idx in 0..self.quotas.len() {
-            self.e2.slice_capacity[slice_idx] += self.quotas[slice_idx] as u64 * ul_slots;
+            self.e2.slices[slice_idx].capacity += self.quotas[slice_idx] as u64 * ul_slots;
         }
     }
 
@@ -827,25 +818,6 @@ impl LinkSimulator {
                 end
             };
             self.skip_idle_slots(skip_to - self.slot);
-        }
-    }
-
-    /// Stepped reference engine: byte-for-byte the pre-event-engine
-    /// behaviour, walking every TTI with no idle skipping. Kept public so
-    /// the bitwise-equality proptest (and anyone auditing the event
-    /// engine) can replay the same window both ways and compare state.
-    pub fn advance_to_stepped(&mut self, t: SimNs) {
-        let target = t.0 / self.slot_ns();
-        let per_second = self.cell.scs.slots_per_second() as u64;
-        while self.slot < target {
-            if self.slot.is_multiple_of(per_second) {
-                self.enqueue_offered();
-            }
-            let active = self.any_wants_uplink();
-            self.step_slot();
-            if active {
-                self.active_slots += 1;
-            }
         }
     }
 
@@ -998,6 +970,9 @@ impl Advance for LinkSimulator {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1375,11 +1350,17 @@ mod tests {
         assert!((s1.offered_bits - 2.0 * 60e6).abs() < 1.0);
         assert!(s1.queued_bits > 1e6);
 
-        // Drain semantics: a fresh window starts at zero.
+        // Drain semantics: a fresh window starts at zero, every counter
+        // of every slice.
         let empty = sim.take_indication(5);
+        assert_eq!(empty.window_s, 0.0);
         assert_eq!(empty.ul_slots, 0);
         assert_eq!(empty.ues[0].granted_prb_ttis, 0);
-        assert_eq!(empty.slices[0].offered_bits, 0.0);
+        assert_eq!(empty.slices.len(), 2);
+        for s in &empty.slices {
+            assert_eq!((s.granted_prb_ttis, s.capacity_prb_ttis), (0, 0));
+            assert_eq!((s.offered_bits, s.served_bits), (0.0, 0.0));
+        }
     }
 
     #[test]

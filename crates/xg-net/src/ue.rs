@@ -15,7 +15,8 @@ pub struct UeContext {
     pub device: DeviceClass,
     /// Modem in use.
     pub modem: Modem,
-    /// Calibrated radio profile (with unit variation already applied).
+    /// Calibrated radio profile as it applies on this cell: unit variation
+    /// added, TDD power offset zeroed on an FDD carrier.
     pub profile: RadioProfile,
     /// SIM the UE registered with.
     pub sim: SimCard,
@@ -32,9 +33,11 @@ pub struct UeContext {
     pub pending_bits: f64,
     /// Bits delivered during the current one-second accounting window.
     pub window_bits: f64,
-    /// Sum of per-TTI modem factors weighted by granted bits, used to apply
-    /// the modem's allocation-bandwidth decay to the window total.
-    pub window_granted_prb_ttis: u64,
+    /// PRB share `req_eff` was computed at; 0 (no real share) = no memo.
+    pub(crate) req_share: u32,
+    /// Uncapped request-phase spectral efficiency at `req_share` PRBs and
+    /// the cell's SNR offset, which clears the memo whenever it is set.
+    pub(crate) req_eff: f64,
     /// RIC-imposed spectral-efficiency ceiling (MCS cap); `None` leaves
     /// link adaptation unconstrained.
     pub mcs_cap: Option<f64>,
@@ -82,7 +85,8 @@ impl UeContext {
             traffic: TrafficModel::FullBuffer,
             pending_bits: 0.0,
             window_bits: 0.0,
-            window_granted_prb_ttis: 0,
+            req_share: 0,
+            req_eff: 0.0,
             mcs_cap: None,
             pf_weight: 1.0,
             e2_granted_prb_ttis: 0,
@@ -97,7 +101,6 @@ impl UeContext {
     /// Reset the one-second accounting window.
     pub fn reset_window(&mut self) {
         self.window_bits = 0.0;
-        self.window_granted_prb_ttis = 0;
     }
 
     /// Reset the E2 indication window (after a drain).
@@ -153,10 +156,8 @@ mod tests {
             ShadowingChannel::default_lab(),
         );
         ue.window_bits = 1e6;
-        ue.window_granted_prb_ttis = 42;
         ue.reset_window();
         assert_eq!(ue.window_bits, 0.0);
-        assert_eq!(ue.window_granted_prb_ttis, 0);
     }
 
     #[test]

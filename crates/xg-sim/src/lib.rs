@@ -20,9 +20,9 @@
 //!   order. See [`queue`] for the layout and the tie-breaking rule.
 //!
 //! `advance_to` is the only way to move time; the stepped reference
-//! engine (`LinkSimulator::advance_to_stepped`) survives solely as the
-//! oracle of the stepped-vs-event bitwise-equality proptest in
-//! `tests/tests/event_engine.rs`. Host-time cost of the queue is
+//! engine survives solely as a test-only module of `xg-net`
+//! (`sim::reference`), the oracle of the stepped-vs-event
+//! bitwise-equality proptest beside it. Host-time cost of the queue is
 //! measured in `benchmark/` (`xg-sim.event_ns`, see
 //! `benchmark/README.md`).
 

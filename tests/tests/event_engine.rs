@@ -1,8 +1,10 @@
-//! Acceptance tests for the event-driven simulation core: the
-//! calendar-queue engine behind [`Advance::advance_to`] must be
-//! bitwise-indistinguishable from the stepped reference engine, idle
-//! time must cost O(events) rather than O(slots), and the unified time
-//! API must replay a whole fabric run seed-for-seed.
+//! Acceptance tests for the event-driven simulation core: the state
+//! [`Advance::advance_to`] reaches must not depend on how the advance is
+//! chunked, idle time must cost O(events) rather than O(slots), and the
+//! unified time API must replay a whole fabric run seed-for-seed. (That
+//! the event engine is bitwise-indistinguishable from the stepped
+//! reference is held where the reference lives, in
+//! `xg-net/src/sim/reference.rs`.)
 
 use proptest::prelude::*;
 use xg_fabric::orchestrator::{FabricConfig, XgFabric};
@@ -46,41 +48,6 @@ fn build_sim(seed: u64, n_ues: usize, traffic_base: usize) -> LinkSimulator {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The headline equivalence: advancing the event engine to `t` and
-    /// walking the stepped reference engine to the same `t` leave two
-    /// same-seed simulators in bitwise-identical observable state — the
-    /// closed measurement window, and the *next* measured second (which
-    /// fails if the engines' RNG streams diverged by even one draw).
-    #[test]
-    fn event_engine_is_bitwise_identical_to_stepped(
-        seed in 0u64..u64::MAX,
-        n_ues in 1usize..4,
-        secs in 1u64..4,
-        traffic_base in 0usize..4,
-    ) {
-        let mut event = build_sim(seed, n_ues, traffic_base);
-        let mut stepped = build_sim(seed, n_ues, traffic_base);
-        let t = SimNs::from_secs(secs);
-        event.advance_to(t).expect("infallible");
-        stepped.advance_to_stepped(t);
-        prop_assert_eq!(event.slots_elapsed(), stepped.slots_elapsed());
-        let a = event.flush_second_window(secs as f64);
-        let b = stepped.flush_second_window(secs as f64);
-        prop_assert_eq!(a.len(), b.len());
-        for ((ua, ma), (ub, mb)) in a.iter().zip(&b) {
-            prop_assert_eq!(ua, ub);
-            prop_assert_eq!(ma.to_bits(), mb.to_bits(),
-                "window sample diverged: {} vs {}", ma, mb);
-        }
-        let a2 = event.measure_second();
-        let b2 = stepped.measure_second();
-        for ((ua, ma), (ub, mb)) in a2.iter().zip(&b2) {
-            prop_assert_eq!(ua, ub);
-            prop_assert_eq!(ma.to_bits(), mb.to_bits(),
-                "post-window RNG streams diverged: {} vs {}", ma, mb);
-        }
-    }
 
     /// Chunking invariance: reaching `t` through several uneven
     /// `advance_to` calls is identical to one jump — the scheduler's
