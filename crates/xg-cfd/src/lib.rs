@@ -45,6 +45,8 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod boundary;
+#[cfg(test)]
+mod conformance;
 pub mod field;
 pub mod mesh;
 pub mod output;
