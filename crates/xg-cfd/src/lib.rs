@@ -15,8 +15,11 @@
 //! * [`boundary`] — boundary conditions derived from wind speed/direction
 //!   and screen porosity (breaches appear as high-porosity panels that
 //!   admit jets).
-//! * [`poisson`] — the pressure Poisson solver (Jacobi over two buffers:
-//!   bitwise-deterministic regardless of thread count).
+//! * [`poisson`] — the pressure Poisson solver: one direct solve per
+//!   projection by cosine transforms, which diagonalise the Laplacian of a
+//!   uniform box with Neumann walls exactly (round-off residual, no
+//!   iteration count or tolerance to tune, bitwise-deterministic
+//!   regardless of thread count).
 //! * [`solver`] — the incompressible projection-method solver with upwind
 //!   advection, eddy-viscosity diffusion, Boussinesq buoyancy, and canopy
 //!   drag.

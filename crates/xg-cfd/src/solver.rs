@@ -9,18 +9,19 @@
 //! 3. pressure Poisson projection ([`crate::poisson`]);
 //! 4. velocity correction and temperature advection–diffusion.
 //!
-//! Every sweep reads one buffer and writes another, one z-slab per
-//! `par_chunks_mut` chunk and row by row inside it, so results are bitwise
-//! identical for any thread count — verified by tests, as is bit equality
-//! with the cell-by-cell kernels kept in `crate::reference`. The buffers
-//! are the simulation's own, so a time step allocates nothing. This is
+//! Every sweep, and every pass of the direct pressure solve, reads one
+//! buffer and writes another, one z-slab per `par_chunks_mut` chunk and
+//! row by row inside it, so results are bitwise identical for any thread
+//! count — verified by tests, as is bit equality with the cell-by-cell
+//! kernels kept in `crate::reference`. The buffers are the simulation's
+//! own, so a time step allocates nothing. This is
 //! the "OpenFOAM" of the reproduction: the same role, the same phase
 //! structure (serial meshing + parallel solve), at laptop scale.
 
 use crate::boundary::BoundarySpec;
 use crate::field::Field3;
 use crate::mesh::{CellType, Mesh};
-use crate::poisson::{self, row_at};
+use crate::poisson::{self, row_at, PoissonPlan};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,10 +36,8 @@ struct CfdObs {
     step_wall_ms: Arc<Histogram>,
     /// Wall time of one transport sweep (momentum or temperature), ms.
     sweep_wall_ms: Arc<Histogram>,
-    /// Last max-abs Jacobi update per projection.
+    /// `max |∇²p − rhs|` left by each projection's pressure solve.
     poisson_residual: Arc<Histogram>,
-    /// Jacobi iterations executed per projection.
-    poisson_iters: Arc<Histogram>,
     /// Time steps completed.
     steps: Arc<Counter>,
     /// Rayon worker count in effect.
@@ -57,7 +56,6 @@ impl CfdObs {
             step_wall_ms: reg.histogram("cfd.step.wall_ms"),
             sweep_wall_ms: reg.histogram("cfd.sweep.wall_ms"),
             poisson_residual: reg.histogram("cfd.poisson.residual"),
-            poisson_iters: reg.histogram("cfd.poisson.iterations"),
             steps: reg.counter("cfd.steps"),
             workers: reg.gauge("cfd.rayon.workers"),
         })
@@ -79,10 +77,6 @@ pub struct SolverConfig {
     pub gravity: f64,
     /// Canopy drag coefficient × leaf area density (1/m).
     pub canopy_cd_a: f64,
-    /// Max Jacobi iterations per projection.
-    pub poisson_iters: usize,
-    /// Poisson convergence tolerance.
-    pub poisson_tol: f64,
 }
 
 impl Default for SolverConfig {
@@ -94,8 +88,6 @@ impl Default for SolverConfig {
             beta: 3.4e-3,
             gravity: 9.81,
             canopy_cd_a: 0.4,
-            poisson_iters: 120,
-            poisson_tol: 1e-6,
         }
     }
 }
@@ -121,13 +113,15 @@ pub struct Simulation {
     pub p: Field3,
     steps_done: usize,
     obs: Option<CfdObs>,
-    /// Work arrays `[u*, v*, w*, rhs, jacobi]`, allocated once in `new`: the
-    /// momentum predictors (`u*` is also the temperature sweep's target),
-    /// the Poisson right-hand side and the second Jacobi buffer. `step`
-    /// swaps them with the fields above instead of cloning, which relies
-    /// on every field keeping the mesh's shape — nothing outside this
-    /// file assigns one.
-    work: [Field3; 5],
+    /// The pressure solve's cosine matrices for this mesh.
+    plan: PoissonPlan,
+    /// Work arrays `[u*, v*, w*, rhs]`, allocated once in `new`: the
+    /// momentum predictors (`u*` is also the temperature sweep's target)
+    /// and the Poisson right-hand side, which the solve trades for `p`.
+    /// `step` swaps them with the fields above instead of cloning, which
+    /// relies on every field keeping the mesh's shape — nothing outside
+    /// this file assigns one.
+    work: [Field3; 4],
 }
 
 impl Simulation {
@@ -135,6 +129,7 @@ impl Simulation {
     pub fn new(mesh: Mesh, bc: BoundarySpec, config: SolverConfig) -> Self {
         let (nx, ny, nz) = (mesh.nx, mesh.ny, mesh.nz);
         let t = Field3::filled(nx, ny, nz, bc.ambient_temp_c);
+        let plan = PoissonPlan::new([nx, ny, nz], mesh.d);
         let mut sim = Simulation {
             mesh,
             bc,
@@ -146,6 +141,7 @@ impl Simulation {
             p: Field3::zeros(nx, ny, nz),
             steps_done: 0,
             obs: None,
+            plan,
             work: std::array::from_fn(|_| Field3::zeros(nx, ny, nz)),
         };
         sim.apply_velocity_bcs();
@@ -153,9 +149,10 @@ impl Simulation {
     }
 
     /// Attach an observability handle: per-step wall time, per-sweep
-    /// wall time, and per-projection residual/iteration histograms land
-    /// in its registry. Instrumentation only reads clocks — the solve
-    /// stays bitwise deterministic across thread counts.
+    /// wall time, and a per-projection residual histogram land in its
+    /// registry. Instrumentation reads clocks and fields and writes only
+    /// scratch — the solve stays bitwise deterministic across thread
+    /// counts, and the same with or without it.
     pub fn set_obs(&mut self, obs: &Obs) {
         self.obs = CfdObs::new(obs);
     }
@@ -331,7 +328,7 @@ impl Simulation {
         let dt = cfg.dt_s;
         let t_ref = self.bc.ambient_temp_c;
         let mut work = std::mem::take(&mut self.work);
-        let [u_star, v_star, w_star, rhs, jacobi] = &mut work;
+        let [u_star, v_star, w_star, rhs] = &mut work;
 
         // 1. Momentum predictor. The advecting velocity is read by all
         // three sweeps, so it is swapped out only once all are written.
@@ -360,23 +357,13 @@ impl Simulation {
         self.apply_velocity_bcs();
 
         // 2. Projection: solve ∇²p = div(u*) / dt.
-        self.divergence_into(rhs);
-        let inv_dt = 1.0 / dt;
-        rhs.as_mut_slice().iter_mut().for_each(|x| *x *= inv_dt);
-        // Neumann compatibility: remove the mean source.
-        let mean = rhs.mean();
-        rhs.as_mut_slice().iter_mut().for_each(|x| *x -= mean);
-        let stats = poisson::solve(
-            &mut self.p,
-            rhs,
-            jacobi,
-            self.mesh.d,
-            cfg.poisson_iters,
-            cfg.poisson_tol,
-        );
+        self.projection_rhs_into(rhs);
+        self.plan.solve(&mut self.p, rhs);
         if let Some(o) = &self.obs {
-            o.poisson_residual.record(stats.residual);
-            o.poisson_iters.record(stats.iterations as f64);
+            // The solve consumed its right-hand side: build it again.
+            self.projection_rhs_into(rhs);
+            o.poisson_residual
+                .record(poisson::residual(&self.p, rhs, self.mesh.d));
         }
 
         // 3. Velocity correction: u -= dt ∇p (interior, central gradient
@@ -481,6 +468,16 @@ impl Simulation {
         div
     }
 
+    /// The projection's right-hand side `div(u) / dt` over every cell of
+    /// `rhs`, less its mean (Neumann compatibility).
+    fn projection_rhs_into(&self, rhs: &mut Field3) {
+        self.divergence_into(rhs);
+        let inv_dt = 1.0 / self.config.dt_s;
+        rhs.as_mut_slice().iter_mut().for_each(|x| *x *= inv_dt);
+        let mean = rhs.mean();
+        rhs.as_mut_slice().iter_mut().for_each(|x| *x -= mean);
+    }
+
     /// [`Self::divergence`] written over every cell of `div`.
     fn divergence_into(&self, div: &mut Field3) {
         let (nx, ny, nz) = (self.u.nx, self.u.ny, self.u.nz);
@@ -569,8 +566,10 @@ mod tests {
         assert_eq!(reg.histogram("cfd.step.wall_ms").count(), 3);
         // Four sweeps per step: u, v, w, temperature.
         assert_eq!(reg.histogram("cfd.sweep.wall_ms").count(), 12);
-        assert_eq!(reg.histogram("cfd.poisson.residual").count(), 3);
-        assert_eq!(reg.histogram("cfd.poisson.iterations").count(), 3);
+        // One equation residual per projection, each at round-off.
+        let residual = reg.histogram("cfd.poisson.residual").snapshot();
+        assert_eq!(residual.count(), 3);
+        assert!(residual.max().unwrap() < 1e-12, "{:?}", residual.max());
         assert!(reg.gauge("cfd.rayon.workers").get() >= 1.0);
         // Instrumentation must not perturb the solve itself.
         let mut plain = small_sim(5.0, 270.0);

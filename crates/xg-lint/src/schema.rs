@@ -93,9 +93,11 @@ impl ObsSchema {
                     "metrics" => ObsKind::Metric,
                     "spans" => ObsKind::Span,
                     "profiles" => ObsKind::Profile,
-                    other => return Err(format!(
+                    other => {
+                        return Err(format!(
                         "line {lineno}: unknown table [{other}] (expected metrics|spans|profiles)"
-                    )),
+                    ))
+                    }
                 });
                 continue;
             }
