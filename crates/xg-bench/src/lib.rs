@@ -7,6 +7,8 @@
 
 use std::path::PathBuf;
 
+#[cfg(test)]
+mod conformance;
 pub mod scenario;
 pub mod trace;
 
