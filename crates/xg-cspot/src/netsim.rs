@@ -11,6 +11,7 @@ use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use xg_sim::normal;
 
 /// A shared virtual clock in microseconds.
 ///
@@ -91,7 +92,7 @@ impl PathModel {
         if self.loss_prob > 0.0 && rng.gen::<f64>() < self.loss_prob {
             return None;
         }
-        let jitter = gaussian(rng) * self.jitter_sigma_ms;
+        let jitter = normal::standard(rng) * self.jitter_sigma_ms;
         Some((self.base_one_way_ms + jitter).max(self.min_ms))
     }
 }
@@ -196,13 +197,6 @@ impl Topology {
         t.add_route("UCSB", "ND", RoutePath::single(PathModel::wired(22.5, 0.5)));
         t
     }
-}
-
-/// Standard normal via Box–Muller (in-tree, same as `xg-net`).
-fn gaussian<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

@@ -18,10 +18,11 @@ use crate::error::{CspotError, Result};
 use crate::netsim::{RoutePath, SimClock};
 use crate::node::CspotNode;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use xg_obs::{Counter, Histogram, Obs};
+use xg_sim::normal;
 
 /// Pre-resolved instruments for the append protocol (one registry lookup
 /// at attach time; the hot path touches only `Arc`s).
@@ -274,7 +275,7 @@ impl RemoteAppender {
             }
             // Server: durable append (idempotent under our token).
             let storage = (self.config.storage_append_ms
-                + gaussian(&mut self.rng) * self.config.storage_jitter_ms)
+                + normal::standard(&mut self.rng) * self.config.storage_jitter_ms)
                 .max(0.1);
             self.clock.advance_ms(storage);
             let seq = target.put_with_token(log, token, payload)?;
@@ -335,12 +336,6 @@ impl RemoteAppender {
         }
         Ok(out)
     }
-}
-
-fn gaussian<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

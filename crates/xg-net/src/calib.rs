@@ -16,6 +16,7 @@
 use crate::device::RadioProfile;
 use crate::phy::UplinkPower;
 use crate::units::Db;
+use xg_sim::math;
 
 /// Laptop + SIM7600G-H on 4G FDD.
 ///
@@ -29,7 +30,7 @@ pub const LAPTOP_4G: RadioProfile = RadioProfile {
     },
     tdd_power_offset: Db(0.0),
     stable_alloc_mhz: 10.0,
-    over_bw_decay_per_mhz: 0.865,
+    ln_decay_per_mhz: math::ln(0.865),
     host_cap_mbps: None,
 };
 
@@ -45,7 +46,7 @@ pub const RPI_4G: RadioProfile = RadioProfile {
     },
     tdd_power_offset: Db(0.0),
     stable_alloc_mhz: 5.0,
-    over_bw_decay_per_mhz: 0.825,
+    ln_decay_per_mhz: math::ln(0.825),
     host_cap_mbps: Some(12.0),
 };
 
@@ -60,7 +61,7 @@ pub const SMARTPHONE_4G: RadioProfile = RadioProfile {
     },
     tdd_power_offset: Db(0.0),
     stable_alloc_mhz: 20.0,
-    over_bw_decay_per_mhz: 1.0,
+    ln_decay_per_mhz: 0.0,
     host_cap_mbps: None,
 };
 
@@ -75,7 +76,7 @@ pub const LAPTOP_5G: RadioProfile = RadioProfile {
     },
     tdd_power_offset: Db(3.0),
     stable_alloc_mhz: 50.0,
-    over_bw_decay_per_mhz: 1.0,
+    ln_decay_per_mhz: 0.0,
     host_cap_mbps: None,
 };
 
@@ -91,7 +92,7 @@ pub const RPI_5G: RadioProfile = RadioProfile {
     },
     tdd_power_offset: Db(3.0),
     stable_alloc_mhz: 50.0,
-    over_bw_decay_per_mhz: 1.0,
+    ln_decay_per_mhz: 0.0,
     host_cap_mbps: None,
 };
 
@@ -107,7 +108,7 @@ pub const SMARTPHONE_5G: RadioProfile = RadioProfile {
     },
     tdd_power_offset: Db(-12.0),
     stable_alloc_mhz: 50.0,
-    over_bw_decay_per_mhz: 1.0,
+    ln_decay_per_mhz: 0.0,
     host_cap_mbps: None,
 };
 

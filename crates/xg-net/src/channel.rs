@@ -4,10 +4,12 @@
 //! (first-order autoregressive in dB) plus fast per-TTI fading jitter. The
 //! combination produces the per-sample throughput variance the paper reports
 //! (standard deviations of roughly 3–5 Mbps at mid throughput, growing with
-//! bandwidth).
+//! bandwidth). Both draws come from the workspace's one normal sampler,
+//! [`xg_sim::normal`], whose variates are a function of the stream alone.
 
 use crate::units::Db;
 use rand::Rng;
+use xg_sim::normal;
 
 /// AR(1) shadowing + Gaussian fast-fading channel.
 ///
@@ -46,9 +48,9 @@ impl ShadowingChannel {
 
     /// Advance one TTI and return the SNR offset to apply (dB).
     pub fn step<R: Rng>(&mut self, rng: &mut R) -> Db {
-        let w = gaussian(rng);
+        let w = normal::standard(rng);
         self.state = self.rho * self.state + self.shadow_gain * w;
-        let fast = gaussian(rng) * self.sigma_fast;
+        let fast = normal::standard(rng) * self.sigma_fast;
         Db(self.state + fast)
     }
 }
@@ -56,25 +58,14 @@ impl ShadowingChannel {
 #[cfg(test)]
 impl ShadowingChannel {
     /// `step` as it read before the innovation gain was folded into a
-    /// field, `sqrt` in place; `sigma_shadow` is the constructor argument
-    /// the field absorbed. `sim::reference` steps its channels with this.
-    pub(crate) fn step_unfolded<R: Rng>(&mut self, sigma_shadow: f64, rng: &mut R) -> Db {
-        let w = gaussian(rng);
+    /// field, `sqrt` in place, on two standard normals the caller drew
+    /// (shadowing innovation first); `sigma_shadow` is the constructor
+    /// argument the field absorbed. `sim::reference` steps its channels
+    /// with this and its own sampler.
+    pub(crate) fn step_unfolded(&mut self, sigma_shadow: f64, w: f64, fast_w: f64) -> Db {
         self.state = self.rho * self.state + (1.0 - self.rho * self.rho).sqrt() * sigma_shadow * w;
-        let fast = gaussian(rng) * self.sigma_fast;
-        Db(self.state + fast)
+        Db(self.state + fast_w * self.sigma_fast)
     }
-}
-
-/// Standard normal variate via the Box–Muller transform.
-///
-/// Implemented in-tree to keep the dependency set to the approved list
-/// (`rand` core only, no `rand_distr`).
-pub fn gaussian<R: Rng>(rng: &mut R) -> f64 {
-    // Draw u1 in (0,1] to avoid ln(0).
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -87,7 +78,7 @@ mod tests {
     fn gaussian_moments() {
         let mut rng = StdRng::seed_from_u64(7);
         let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| normal::standard(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
@@ -141,7 +132,10 @@ mod tests {
             let mut rng_b = rng_a.clone();
             for _ in 0..2_000 {
                 let a = folded.step(&mut rng_a).0;
-                let b = unfolded.step_unfolded(sigma, &mut rng_b).0;
+                let w = normal::standard(&mut rng_b);
+                let b = unfolded
+                    .step_unfolded(sigma, w, normal::standard(&mut rng_b))
+                    .0;
                 assert_eq!(a.to_bits(), b.to_bits(), "rho {rho} sigma {sigma}");
             }
         }

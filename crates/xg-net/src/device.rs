@@ -11,6 +11,7 @@ use crate::calib;
 use crate::phy::UplinkPower;
 use crate::rat::Rat;
 use crate::units::Db;
+use xg_sim::math;
 
 /// The host device class of a UE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,9 +112,10 @@ pub struct RadioProfile {
     pub tdd_power_offset: Db,
     /// Widest *allocated* bandwidth (MHz) the modem handles at full rate.
     pub stable_alloc_mhz: f64,
-    /// Multiplicative throughput decay per MHz of allocation beyond
-    /// [`Self::stable_alloc_mhz`] (1.0 = no decay).
-    pub over_bw_decay_per_mhz: f64,
+    /// Natural log of the multiplicative throughput decay per MHz of
+    /// allocation beyond [`Self::stable_alloc_mhz`] (0.0 = no decay), so a
+    /// grant pays one `exp` and no `ln`.
+    pub ln_decay_per_mhz: f64,
     /// Hard cap on sustained uplink rate imposed by the host interface
     /// (e.g. the Raspberry Pi's USB path), in Mbps. `None` = unconstrained.
     pub host_cap_mbps: Option<f64>,
@@ -156,8 +158,7 @@ impl RadioProfile {
         if alloc_mhz <= self.stable_alloc_mhz {
             1.0
         } else {
-            self.over_bw_decay_per_mhz
-                .powf(alloc_mhz - self.stable_alloc_mhz)
+            math::exp((alloc_mhz - self.stable_alloc_mhz) * self.ln_decay_per_mhz)
         }
     }
 }

@@ -7,6 +7,8 @@
 use crate::error::{NetError, Result};
 use crate::rat::Rat;
 use crate::units::{Db, MHz};
+use std::f64::consts::{LN_10, LN_2};
+use xg_sim::math;
 
 /// Subcarriers per physical resource block (both LTE and NR).
 pub const SUBCARRIERS_PER_PRB: u32 = 12;
@@ -106,13 +108,41 @@ pub fn res_per_prb_slot() -> u32 {
     SUBCARRIERS_PER_PRB * SYMBOLS_PER_SLOT
 }
 
+/// Lowest SNR of `SHANNON_BITS` (dB).
+pub(crate) const SHANNON_MIN_DB: f64 = -40.0;
+/// Highest SNR of `SHANNON_BITS` (dB).
+pub(crate) const SHANNON_MAX_DB: f64 = 40.0;
+/// `SHANNON_BITS` entries per dB.
+pub(crate) const SHANNON_PER_DB: f64 = 20.0;
+/// Entries of `SHANNON_BITS`: −40 to 40 dB in 0.05 dB steps.
+const SHANNON_LEN: usize = 1601;
+/// Slope of the curve's high-SNR asymptote, `log2(10)/10` bits per dB.
+pub(crate) const SHANNON_BITS_PER_DB: f64 = LN_10 / (10.0 * LN_2);
+
+/// `log2(1 + 10^(s/10))` bits per resource element at
+/// `s = −40 + i/20` dB: the Shannon curve on a 0.05 dB grid, built by the
+/// compiler with [`xg_sim::math`] (13 KB of read-only data). Linear
+/// interpolation between its points is within 1e-5 bits of the curve.
+pub(crate) static SHANNON_BITS: [f64; SHANNON_LEN] = {
+    let mut t = [0.0; SHANNON_LEN];
+    let mut i = 0;
+    while i < SHANNON_LEN {
+        let s = SHANNON_MIN_DB + i as f64 / SHANNON_PER_DB;
+        t[i] = math::ln(1.0 + math::exp(s * (LN_10 / 10.0))) / LN_2;
+        i += 1;
+    }
+    t
+};
+
 /// Link-adaptation model: maps post-equalization SNR to spectral efficiency
 /// in bits per resource element.
 ///
 /// Uses an attenuated Shannon bound, `eff = α · log2(1 + snr)`, clamped to
 /// the maximum modulation-and-coding efficiency of the RAT. α ≈ 0.75 is the
 /// standard implementation-loss factor used in system-level LTE/NR
-/// simulators.
+/// simulators. The curve is read from a table of it on a 0.05 dB grid,
+/// built at compile time: a TTI pays two table reads and a multiply-add,
+/// not a `powf` and a `log2`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkAdaptation {
     /// Shannon attenuation factor (implementation loss).
@@ -137,10 +167,22 @@ impl LinkAdaptation {
         }
     }
 
-    /// Spectral efficiency (bits per resource element) at the given SNR.
+    /// Spectral efficiency (bits per resource element) at the given SNR:
+    /// linear interpolation in the table over [−40, 40] dB, 0 at −∞ and
+    /// below it, the curve's linear asymptote above it.
     pub fn efficiency(&self, snr: Db) -> f64 {
-        let eff = self.alpha * (1.0 + snr.linear()).log2();
-        eff.clamp(0.0, self.max_eff)
+        let pos = (snr.0 - SHANNON_MIN_DB) * SHANNON_PER_DB;
+        let last = SHANNON_LEN - 1;
+        let bits = if pos >= 0.0 && pos < last as f64 {
+            let i = pos as usize;
+            let lo = SHANNON_BITS[i];
+            lo + (pos - i as f64) * (SHANNON_BITS[i + 1] - lo)
+        } else if pos >= last as f64 {
+            SHANNON_BITS[last] + (snr.0 - SHANNON_MAX_DB) * SHANNON_BITS_PER_DB
+        } else {
+            0.0
+        };
+        (self.alpha * bits).clamp(0.0, self.max_eff)
     }
 }
 
@@ -158,17 +200,23 @@ pub struct UplinkPower {
     pub snr_cap: Db,
 }
 
+/// The power spread of an `n_prb`-wide grant, `10·log10(n_prb)` dB
+/// (−∞ for no PRBs), from [`xg_sim::math::ln`].
+pub(crate) fn power_spread_db(n_prb: u32) -> f64 {
+    10.0 * math::ln(n_prb as f64) / LN_10
+}
+
 impl UplinkPower {
     /// Per-PRB SNR when transmitting over `n_prb` PRBs.
     pub fn snr(&self, n_prb: u32) -> Db {
         if n_prb == 0 {
             return Db(f64::NEG_INFINITY);
         }
-        self.snr_at_spread(10.0 * (n_prb as f64).log10())
+        self.snr_at_spread(power_spread_db(n_prb))
     }
 
-    /// Per-PRB SNR for a grant whose power spread `10·log10(n_prb)` the
-    /// caller already holds (the link simulator tabulates it per cell).
+    /// Per-PRB SNR for a grant whose power spread the caller already
+    /// holds (the link simulator tabulates it per cell).
     pub(crate) fn snr_at_spread(&self, spread_db: f64) -> Db {
         Db((self.snr_one_prb.0 - spread_db).min(self.snr_cap.0))
     }
@@ -221,6 +269,56 @@ mod tests {
         let la = LinkAdaptation::for_rat(Rat::Lte4g);
         assert!(la.efficiency(Db(60.0)) <= la.max_eff + 1e-12);
         assert!(la.efficiency(Db(-100.0)) < 1e-9);
+    }
+
+    /// The retired curve, `α·log2(1 + 10^(s/10))` on libm, is the accuracy
+    /// oracle of the table that replaced it.
+    #[allow(clippy::disallowed_methods)]
+    fn libm_bits(snr_db: f64) -> f64 {
+        (1.0 + 10f64.powf(snr_db / 10.0)).log2()
+    }
+
+    #[test]
+    fn shannon_table_is_within_1e5_bits_of_the_libm_curve() {
+        let bare = LinkAdaptation {
+            alpha: 1.0,
+            max_eff: f64::INFINITY,
+        };
+        for (i, &bits) in SHANNON_BITS.iter().enumerate() {
+            let s = SHANNON_MIN_DB + i as f64 / SHANNON_PER_DB;
+            assert!((bits - libm_bits(s)).abs() <= 1e-13, "entry {i}");
+        }
+        let mut worst = (0.0f64, 0.0);
+        for k in 0..=80_000 {
+            let s = SHANNON_MIN_DB + k as f64 * 0.001;
+            let err = (bare.efficiency(Db(s)) - libm_bits(s)).abs();
+            if err > worst.0 {
+                worst = (err, s);
+            }
+        }
+        assert!(worst.0 <= 1e-5, "{:e} bits at {} dB", worst.0, worst.1);
+        // Outside the table: nothing below it, the asymptote above it,
+        // continuous at both ends.
+        assert_eq!(bare.efficiency(Db(f64::NEG_INFINITY)), 0.0);
+        assert_eq!(bare.efficiency(Db(-40.01)), 0.0);
+        assert_eq!(bare.efficiency(Db(40.0)), SHANNON_BITS[SHANNON_LEN - 1]);
+        for s in [40.5, 50.0, 90.0] {
+            assert!(
+                (bare.efficiency(Db(s)) - libm_bits(s)).abs() < 2e-4,
+                "{s} dB"
+            );
+        }
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)]
+    fn power_spread_matches_libm_log10() {
+        for n in 1..=273u32 {
+            let want = 10.0 * (n as f64).log10();
+            assert!((power_spread_db(n) - want).abs() <= 1e-13, "{n}");
+        }
+        assert_eq!(power_spread_db(1), 0.0);
+        assert_eq!(power_spread_db(0), f64::NEG_INFINITY);
     }
 
     #[test]

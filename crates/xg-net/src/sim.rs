@@ -14,7 +14,7 @@ use crate::e2::{eff_to_cqi, CellIndication, SliceReport, UeReport};
 use crate::error::{NetError, Result};
 use crate::iperf::IperfRun;
 use crate::mac::{MacScheduler, UlRequest};
-use crate::phy::{res_per_prb_slot, LinkAdaptation, Scs};
+use crate::phy::{power_spread_db, res_per_prb_slot, LinkAdaptation, Scs};
 use crate::rat::{Duplex, SlotDir, SPECIAL_SLOT_UL_FRACTION};
 use crate::slice::{SliceId, Snssai};
 use crate::traffic::TrafficModel;
@@ -115,9 +115,10 @@ pub struct LinkSimulator {
     slot: u64,
     next_sim_index: u32,
     total_prbs: u32,
-    /// The power spread `UplinkPower::snr` computes, `10·log10(n)` dB, by
-    /// grant width `n` in `1..=total_prbs`, tabulated with its expression.
-    /// Entry 0 is never read: a zero-PRB grant is skipped.
+    /// `power_spread_db(n)`, the `10·log10(n)` dB `UplinkPower::snr`
+    /// subtracts, by grant width `n` in `1..=total_prbs`: what the request
+    /// and grant paths read instead of computing it. Entry 0 is never
+    /// read: a zero-PRB grant or share is skipped.
     prb_spread_db: Vec<f64>,
     quotas: Vec<u32>,
     /// Cell-wide SNR offset (dB) for fault injection: a negative value
@@ -237,9 +238,7 @@ impl LinkSimulator {
             slot: 0,
             next_sim_index: 0,
             total_prbs,
-            prb_spread_db: (0..=total_prbs)
-                .map(|n| 10.0 * (n as f64).log10())
-                .collect(),
+            prb_spread_db: (0..=total_prbs).map(power_spread_db).collect(),
             quotas,
             snr_offset_db: 0.0,
             e2,
@@ -647,7 +646,8 @@ impl LinkSimulator {
                 // profile is fixed at attach, and setting the cell SNR
                 // offset clears the memo.
                 if u.req_share != share {
-                    let power = u.profile.power.snr(share).0;
+                    let spread = self.prb_spread_db[share as usize];
+                    let power = u.profile.power.snr_at_spread(spread).0;
                     let snr = Db(power + u.profile.tdd_power_offset.0 + snr_fault);
                     u.req_eff = self.link_adapt.efficiency(snr);
                     u.req_share = share;

@@ -1,14 +1,84 @@
 //! The slot kernel the memoised one replaced and the stepped walk around
-//! it, kept as the test oracle: every TTI walked, every libm call where
-//! the original made it — a `log10 + powf + log2` per request, a `log10`
-//! per grant, a `sqrt` per channel step — no memo, no table, no idle
-//! skip. `Advance::advance_to` and `measure_second` must leave a
-//! simulator in the same state as these, bit for bit; the proptest at the
-//! bottom holds them to it, so nothing here is ever "optimised". The MAC
-//! scheduler is the production one (`mac::tests` holds it to its own
-//! original).
+//! it, kept as the test oracle: every TTI walked, every value computed
+//! where the original computed it — a power spread and an efficiency per
+//! request, a power spread per grant, a `sqrt` per channel step — no memo,
+//! no spread table, no idle skip. `Advance::advance_to` and
+//! `measure_second` must leave a simulator in the same state as these, bit
+//! for bit; the proptest at the bottom holds them to it, so nothing here is
+//! ever "optimised".
+//!
+//! Nor does it share the code it checks. It draws its normals with its own
+//! ziggurat loop and reads the efficiency curve by a binary search of the
+//! grid instead of index arithmetic; only the tables themselves
+//! (`xg_sim::normal::LAYER_*`, `phy::SHANNON_BITS`) and `xg_sim::math` are
+//! common, and those are held to std's libm by their own accuracy tests.
+//! The MAC scheduler is the production one (`mac::tests` holds it to its
+//! own original).
 
 use super::*;
+use crate::phy::{
+    SHANNON_BITS, SHANNON_BITS_PER_DB, SHANNON_MAX_DB, SHANNON_MIN_DB, SHANNON_PER_DB,
+};
+use rand::Rng;
+use xg_sim::{math, normal};
+
+/// A standard normal, written out from the ziggurat's definition over the
+/// production tables: the low byte of a word picks the layer, bit 11 the
+/// sign, the top 52 bits the magnitude; inside the next layer's edge it is
+/// accepted outright, else layer 0 goes to the tail and the others test
+/// their wedge against the density.
+fn normal_naive<R: Rng>(rng: &mut R) -> f64 {
+    loop {
+        let word = rng.next_u64();
+        let layer = (word % 256) as usize;
+        let negative = (word >> 11) & 1 == 1;
+        let magnitude = ((word >> 12) as f64 + 0.5) / (1u64 << 52) as f64;
+        let width = magnitude * normal::LAYER_X[layer];
+        let x = if negative { -width } else { width };
+        if width < normal::LAYER_X[layer + 1] {
+            return x;
+        }
+        if layer == 0 {
+            loop {
+                let a = math::ln(1.0 - rng.gen::<f64>()) / normal::TAIL_START;
+                let b = math::ln(1.0 - rng.gen::<f64>());
+                if a * a <= -2.0 * b {
+                    let tail = normal::TAIL_START - a;
+                    return if negative { -tail } else { tail };
+                }
+            }
+        }
+        let (low, high) = (normal::LAYER_F[layer], normal::LAYER_F[layer + 1]);
+        let height = low + rng.gen::<f64>() * (high - low);
+        if height < math::exp(-0.5 * x * x) {
+            return x;
+        }
+    }
+}
+
+/// Spectral efficiency by bisecting the table's grid for the point at or
+/// below `snr`, then interpolating.
+fn efficiency_by_search(la: &LinkAdaptation, snr: Db) -> f64 {
+    let pos = (snr.0 - SHANNON_MIN_DB) * SHANNON_PER_DB;
+    let last = SHANNON_BITS.len() - 1;
+    let bits = if pos.is_nan() || pos < 0.0 {
+        0.0
+    } else if pos >= last as f64 {
+        SHANNON_BITS[last] + (snr.0 - SHANNON_MAX_DB) * SHANNON_BITS_PER_DB
+    } else {
+        let (mut lo, mut hi) = (0, last);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if mid as f64 <= pos {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        SHANNON_BITS[lo] + (pos - lo as f64) * (SHANNON_BITS[hi] - SHANNON_BITS[lo])
+    };
+    (la.alpha * bits).clamp(0.0, la.max_eff)
+}
 
 impl LinkSimulator {
     /// TDD power offset applicable to a UE (0 on FDD carriers).
@@ -58,7 +128,7 @@ impl LinkSimulator {
                     Duplex::Tdd(_) => u.profile.tdd_power_offset.0,
                 };
                 let snr = Db(u.profile.power.snr(share).0 + tdd_off + self.snr_offset_db);
-                let eff = self.link_adapt.efficiency(snr);
+                let eff = efficiency_by_search(&self.link_adapt, snr);
                 u.e2_eff_sum += eff;
                 u.e2_eff_ttis += 1;
                 let inst_eff = match u.mcs_cap {
@@ -83,11 +153,11 @@ impl LinkSimulator {
                 let tdd_off = self.tdd_offset(&self.ues[ue_id as usize]);
                 let snr_fault = self.snr_offset_db;
                 let u = &mut self.ues[ue_id as usize];
-                let jitter = u
-                    .channel
-                    .step_unfolded(calib::SHADOW_SIGMA_DB, &mut self.rng);
+                let w = normal_naive(&mut self.rng);
+                let fast_w = normal_naive(&mut self.rng);
+                let jitter = u.channel.step_unfolded(calib::SHADOW_SIGMA_DB, w, fast_w);
                 let snr = Db(u.profile.power.snr(prbs).0 + tdd_off + jitter.0 + snr_fault);
-                let mut eff = self.link_adapt.efficiency(snr);
+                let mut eff = efficiency_by_search(&self.link_adapt, snr);
                 if let Some(cap) = u.mcs_cap {
                     eff = eff.min(cap);
                 }

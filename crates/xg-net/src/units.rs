@@ -52,20 +52,6 @@ impl fmt::Display for Mbps {
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Db(pub f64);
 
-impl Db {
-    /// Convert to a linear power ratio.
-    #[inline]
-    pub fn linear(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
-    }
-
-    /// Convert a linear power ratio to decibels.
-    #[inline]
-    pub fn from_linear(lin: f64) -> Self {
-        Db(10.0 * lin.log10())
-    }
-}
-
 impl fmt::Display for Db {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.1} dB", self.0)
@@ -138,15 +124,6 @@ impl SampleStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn db_roundtrip() {
-        let d = Db(3.0);
-        let lin = d.linear();
-        assert!((lin - 1.995).abs() < 0.01);
-        let back = Db::from_linear(lin);
-        assert!((back.0 - 3.0).abs() < 1e-9);
-    }
 
     #[test]
     fn db_arithmetic() {

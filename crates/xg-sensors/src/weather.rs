@@ -8,6 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xg_sim::normal;
 
 /// Instantaneous true atmospheric state at the site.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,7 +113,7 @@ impl WeatherSim {
         let temp = c.temp_mean_c
             + c.temp_diurnal_c * (2.0 * std::f64::consts::PI * (day_frac - 0.625)).cos();
         // AR(1) gust process.
-        let w = gaussian(&mut self.rng);
+        let w = normal::standard(&mut self.rng);
         self.gust =
             c.wind_rho * self.gust + (1.0 - c.wind_rho * c.wind_rho).sqrt() * c.wind_gust_sd_ms * w;
         // Weather fronts.
@@ -127,11 +128,12 @@ impl WeatherSim {
         };
         let wind = (c.wind_mean_ms + self.gust + front_boost).max(0.0);
         // Direction drifts slowly; fronts veer it.
-        self.dir_deg += gaussian(&mut self.rng) * 1.5 + if front_boost > 0.0 { 0.8 } else { 0.0 };
+        self.dir_deg +=
+            normal::standard(&mut self.rng) * 1.5 + if front_boost > 0.0 { 0.8 } else { 0.0 };
         self.dir_deg = self.dir_deg.rem_euclid(360.0);
         // Humidity anti-correlates with temperature.
-        let rh =
-            (78.0 - 1.8 * (temp - c.temp_mean_c) + gaussian(&mut self.rng) * 1.5).clamp(5.0, 100.0);
+        let rh = (78.0 - 1.8 * (temp - c.temp_mean_c) + normal::standard(&mut self.rng) * 1.5)
+            .clamp(5.0, 100.0);
         WeatherState {
             t_s: self.t_s,
             wind_speed_ms: wind,
@@ -149,12 +151,6 @@ impl WeatherSim {
         }
         last
     }
-}
-
-fn gaussian<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

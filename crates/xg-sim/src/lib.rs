@@ -19,6 +19,16 @@
 //!   function of what was scheduled, never of container iteration
 //!   order. See [`queue`] for the layout and the tie-breaking rule.
 //!
+//!
+//! Two small numeric modules sit beside them, because a draw that depends
+//! on the host's libm makes a digest a property of the platform as well as
+//! of the seed:
+//!
+//! * [`math`] — `const fn` [`math::exp`] and [`math::ln`] from IEEE 754
+//!   basic operations only, the same bits on every host.
+//! * [`normal`] — the one standard-normal sampler of the workspace, a
+//!   256-layer ziggurat whose tables the compiler builds with [`math`].
+//!
 //! `advance_to` is the only way to move time; the stepped reference
 //! engine survives solely as a test-only module of `xg-net`
 //! (`sim::reference`), the oracle of the stepped-vs-event
@@ -26,6 +36,8 @@
 //! measured in `benchmark/` (`xg-sim.event_ns`, see
 //! `benchmark/README.md`).
 
+pub mod math;
+pub mod normal;
 pub mod queue;
 
 pub use queue::{EventQueue, Scheduled};

@@ -190,10 +190,13 @@ fn demand_slicing_alone_breaches_the_weather_slo() {
     // a standing multi-window queue — every report now arrives more
     // than a full reporting interval late, a delivery-latency breach —
     // even though queued bits feeding back into the demand signal keep
-    // the long-run served/offered ratio deceptively close to 1.
-    let (weather, _) = run_pest_scenario(false, 40, 10.0);
+    // the long-run served/offered ratio deceptively close to 1. The
+    // squeezed slice serves just under the offered 8 Mbps, so the queue
+    // is a noisy walk with a small upward drift: it is checked once it
+    // has had 35 cycles to build, not on a seed's lucky early start.
+    let (weather, _) = run_pest_scenario(false, 70, 10.0);
     let window_bits = WEATHER_MBPS * 1e6;
-    for (i, w) in weather.iter().enumerate().skip(30) {
+    for (i, w) in weather.iter().enumerate().skip(45) {
         assert!(
             w.queued_bits > window_bits,
             "unguarded weather must carry over a window of backlog, got {:.2e} bits at cycle {}",
@@ -206,8 +209,8 @@ fn demand_slicing_alone_breaches_the_weather_slo() {
             w.prb_share
         );
     }
-    let mid_queue = weather[24].queued_bits;
-    let final_queue = weather.last().expect("40 cycles ran").queued_bits;
+    let mid_queue = weather[34].queued_bits;
+    let final_queue = weather.last().expect("70 cycles ran").queued_bits;
     assert!(
         final_queue > 10e6 && final_queue > mid_queue,
         "unguarded weather backlog must keep growing: {mid_queue:.2e} -> {final_queue:.2e} bits"
