@@ -11,7 +11,7 @@
 //! * `latency_budget_trace.jsonl` — every recorded span, one JSON object
 //!   per line, for external trace viewers;
 //! * `latency_budget_metrics.prom` — the full metrics snapshot
-//!   (per-phase CSPOT RTTs, pilot waits, CFD sweep times, RAN occupancy).
+//!   (per-phase CSPOT RTTs, pilot waits, CFD sweep times, RAN goodput).
 //!
 //! The run hard-asserts the §4.4 shape — CFD dominates the budget and the
 //! HPC queue wait is masked by warm pilots — so the CI smoke job fails if

@@ -98,7 +98,9 @@ pub struct RanTopology {
     /// batch. Goodput is sampled over this burst; the rest of the batch
     /// idle-skips through the event engine, so a nominal cycle costs
     /// O(burst), not O(`probe_seconds` × slots-per-second). Clamped to
-    /// the batch length.
+    /// the batch length. The burst lasts this many of the longest TTI
+    /// among the cells, so every cell measures at least this many TTIs
+    /// and a topology of one numerology exactly this many.
     pub probe_burst_slots: usize,
     /// Worker-pool width for batched stepping (1 = serial; results are
     /// identical either way).
@@ -165,7 +167,8 @@ pub struct RanProbe {
     cells: Vec<CellState>,
     gateway_cell: usize,
     probe_seconds: usize,
-    burst_slots: usize,
+    /// Probe-burst length: `probe_burst_slots` of the longest TTI.
+    burst_ns: u64,
     goodput_hist: Option<Arc<xg_obs::Histogram>>,
 }
 
@@ -221,12 +224,16 @@ impl RanProbe {
                 fade_gauge: reg.map(|r| r.gauge(&format!("fabric.ran.{}.fade_db", spec.name))),
             });
         }
+        let longest_slot_ns = (0..fleet.len() as u32)
+            .filter_map(|i| fleet.cell(CellId(i)).ok().map(|c| c.slot_ns()))
+            .max()
+            .unwrap_or_default();
         Ok(RanProbe {
             fleet,
             cells,
             gateway_cell,
             probe_seconds: topology.probe_seconds.max(1),
-            burst_slots: topology.probe_burst_slots.max(1),
+            burst_ns: topology.probe_burst_slots.max(1) as u64 * longest_slot_ns,
             goodput_hist: reg.map(|r| r.histogram("fabric.ran.cell_goodput_mbps")),
         })
     }
@@ -302,7 +309,7 @@ impl RanProbe {
     pub fn probe(&mut self) -> Vec<CellHealth> {
         let start = self.fleet.now();
         let end = SimNs(start.0 + self.probe_seconds as u64 * 1_000_000_000);
-        let burst_end = SimNs((start.0 + self.burst_slots as u64 * 1_000_000).min(end.0));
+        let burst_end = SimNs((start.0 + self.burst_ns).min(end.0));
         for (i, c) in self.cells.iter().enumerate() {
             let cell = self
                 .fleet
@@ -594,5 +601,20 @@ mod tests {
         assert!(reg.gauge("fabric.ran.UNL-5G.goodput_mbps").get() > 20.0);
         assert_eq!(reg.gauge("fabric.ran.FIELD-B.fade_db").get(), -30.0);
         assert_eq!(reg.histogram("fabric.ran.cell_goodput_mbps").count(), 2);
+    }
+
+    #[test]
+    fn probe_burst_counts_ttis_on_a_30_khz_cell() {
+        // NR TDD runs 0.5 ms slots: the burst is 32 of them, not 32 ms.
+        let mut topo = RanTopology::default();
+        topo.cells[0] = RanCellSpec::paper_default("UNL-5G").with_config(CellConfig::new(
+            Rat::Nr5g,
+            Duplex::tdd_default(),
+            MHz(40.0),
+        ));
+        let mut probe = RanProbe::try_new(&topo, 5, &Obs::disabled()).unwrap();
+        probe.probe();
+        let cell = probe.fleet().cell(CellId(0)).unwrap();
+        assert_eq!(cell.active_slots(), topo.probe_burst_slots as u64);
     }
 }

@@ -452,5 +452,48 @@ mod tests {
                 }
             }
         }
+
+        /// The contract that made a per-TTI occupancy histogram a constant:
+        /// with a non-zero quota and any request, either discipline grants
+        /// one entry per request summing to exactly the quota — over drawn
+        /// efficiencies, weights (all zero, and ties), PF history, and more
+        /// requesters than PRBs. A scheduler that under-allocated would fail
+        /// here, and show per window in E2's granted/capacity.
+        #[test]
+        fn grants_sum_to_exactly_the_quota(
+            pf in proptest::bool::ANY,
+            quota in prop_oneof![1u32..=8, 1u32..=273],
+            zero_weights in proptest::bool::ANY,
+            ttis in proptest::collection::vec(
+                (proptest::collection::vec((0u32..64, 0u32..6, 0u32..3), 1..24), 0u32..1_000),
+                1..30,
+            ),
+        ) {
+            let kind = if pf {
+                SchedulerKind::ProportionalFair
+            } else {
+                SchedulerKind::RoundRobin
+            };
+            let mut sched = MacScheduler::new(kind);
+            for (draws, rate) in ttis {
+                let mut requests: Vec<UlRequest> = Vec::new();
+                for (ue, eff, weight) in draws {
+                    if requests.iter().all(|r| r.ue != ue) {
+                        requests.push(UlRequest {
+                            ue,
+                            inst_eff: eff as f64 * 1.7,
+                            weight: if zero_weights { 0.0 } else { weight as f64 * 0.5 },
+                        });
+                    }
+                }
+                let grants = sched.allocate(quota, &requests);
+                prop_assert_eq!(grants.len(), requests.len());
+                let granted: u32 = grants.iter().map(|&(_, prbs)| prbs).sum();
+                prop_assert_eq!(granted, quota, "{:?}: {:?}", kind, requests);
+                for (ue, prbs) in grants {
+                    sched.observe(ue, (prbs * rate) as f64 * 0.37);
+                }
+            }
+        }
     }
 }

@@ -2,10 +2,10 @@
 //! it, kept as the test oracle: every TTI walked, every value computed
 //! where the original computed it — a power spread and an efficiency per
 //! request, a power spread per grant, a `sqrt` per channel step — no memo,
-//! no spread table, no idle skip. `Advance::advance_to` and
-//! `measure_second` must leave a simulator in the same state as these, bit
-//! for bit; the proptest at the bottom holds them to it, so nothing here is
-//! ever "optimised".
+//! no spread table, no idle skip. `Advance::advance_to`, `measure_second`
+//! and `measure_burst_latency_ms` must leave a simulator in the same state
+//! as these, bit for bit, and count the same uplink TTIs; the proptest at
+//! the bottom holds them to it, so nothing here is ever "optimised".
 //!
 //! Nor does it share the code it checks. It draws its normals with its own
 //! ziggurat loop and reads the efficiency curve by a binary search of the
@@ -142,10 +142,6 @@ impl LinkSimulator {
                 });
             }
             self.scheds[slice_idx].allocate_into(quota, &requests, &mut grants);
-            if let Some(o) = &self.obs {
-                let granted: u32 = grants.iter().map(|&(_, prbs)| prbs).sum();
-                o.occupancy.record(granted as f64 / quota as f64);
-            }
             for &(ue_id, prbs) in &grants {
                 if prbs == 0 {
                     continue;
@@ -209,6 +205,36 @@ impl LinkSimulator {
         self.flush_second_window(1.0)
     }
 
+    /// `measure_burst_latency_ms` on the reference kernel.
+    fn measure_burst_latency_ms_stepped(
+        &mut self,
+        ue: UeHandle,
+        payload_bytes: usize,
+    ) -> Result<f64> {
+        let u = self
+            .ues
+            .get_mut(ue.0 as usize)
+            .ok_or(NetError::UnknownUe(ue.0))?;
+        if matches!(u.traffic, TrafficModel::FullBuffer) {
+            return Err(NetError::InvalidSessionState(
+                "burst latency needs a finite traffic model".into(),
+            ));
+        }
+        u.pending_bits += payload_bytes as f64 * 8.0;
+        let slot_ms = 1_000.0 / self.cell.scs.slots_per_second() as f64;
+        let mut elapsed = 0.0;
+        for _ in 0..self.cell.scs.slots_per_second() * 10 {
+            self.step_slot_reference();
+            elapsed += slot_ms;
+            if self.ues[ue.0 as usize].pending_bits <= 0.0 {
+                return Ok(elapsed);
+            }
+        }
+        Err(NetError::InvalidSessionState(
+            "burst did not drain within 10 s".into(),
+        ))
+    }
+
     fn step_counting_active(&mut self) {
         let active = self.any_wants_uplink();
         self.step_slot_reference();
@@ -257,6 +283,14 @@ mod tests {
         let from = at.unwrap_or(0).saturating_sub(120);
         let near = |s: &str| s.chars().skip(from).take(200).collect::<String>();
         Some(format!("event   …{}…\nstepped …{}…", near(&a), near(&b)))
+    }
+
+    /// What a simulator's RAN instruments hold — the uplink-TTI count and
+    /// the goodput histogram — as text, so equal text is equal bits.
+    fn instruments(obs: &Obs) -> (u64, String) {
+        let reg = obs.registry().unwrap();
+        let goodput = reg.histogram("ran.ue.goodput_mbps").snapshot();
+        (reg.counter("ran.tti.slots").get(), format!("{goodput:?}"))
     }
 
     /// `n` slices (S-NSSAIs `miot(1..=n)`) with shares that leave some
@@ -323,10 +357,13 @@ mod tests {
         /// The headline equivalence, over everything that can invalidate
         /// the memo or move a grant: a drawn cell (FDD or TDD, RR or PF,
         /// 1–3 slices) is driven through a drawn script of time advances,
-        /// measured seconds, indication drains and control-plane calls,
-        /// once on the event engine and once on the reference, and after
-        /// every step the two hold the same state, bit for bit — which
-        /// fails if the RNG streams part by one draw.
+        /// measured seconds, burst-latency measurements, indication drains
+        /// and control-plane calls, once on the event engine and once on
+        /// the reference, and after every step the two hold the same
+        /// state, bit for bit — which fails if the RNG streams part by one
+        /// draw — and their instruments read alike: the event engine's
+        /// once-per-advance `ran.tti.slots` equals the reference's per-TTI
+        /// count.
         #[test]
         fn event_engine_is_bitwise_identical_to_stepped(
             seed in 0u64..u64::MAX,
@@ -335,7 +372,7 @@ mod tests {
                 (0u32..3, 0u32..3, proptest::bool::ANY, 0u32..6),
                 1..5,
             ),
-            script in proptest::collection::vec((0u32..16, 0u32..10_000, 0u32..1_000), 4..14),
+            script in proptest::collection::vec((0u32..17, 0u32..10_000, 0u32..1_000), 4..14),
         ) {
             let (tdd, pf, n_slices, shares) = cell;
             let duplex = if tdd { Duplex::tdd_default() } else { Duplex::Fdd };
@@ -349,6 +386,9 @@ mod tests {
                 .with_scheduler(scheduler);
             let mut event = LinkSimulator::try_new(config.clone(), seed).unwrap();
             let mut stepped = LinkSimulator::try_new(config, seed).unwrap();
+            let (event_obs, stepped_obs) = (Obs::enabled(), Obs::enabled());
+            event.set_obs(&event_obs);
+            stepped.set_obs(&stepped_obs);
             let mut attached = 0u32;
             for (device, slice, weak, model) in ues {
                 if attach([&mut event, &mut stepped], device, slice % n_slices as u32, weak) {
@@ -382,6 +422,12 @@ mod tests {
                             attached += 1;
                         }
                     }
+                    16 => {
+                        let bytes = a as usize % 4_000;
+                        let x = event.measure_burst_latency_ms(ue, bytes);
+                        let y = stepped.measure_burst_latency_ms_stepped(ue, bytes);
+                        prop_assert_eq!(format!("{x:?}"), format!("{y:?}"), "step {}", step);
+                    }
                     // Control plane: both engines take the same call and
                     // answer alike, errors included (a detached UE, an
                     // S-NSSAI the new table lost).
@@ -406,6 +452,13 @@ mod tests {
                 }
                 let diff = state_difference(&event, &stepped);
                 prop_assert!(diff.is_none(), "after step {} (op {}):\n{}", step, op, diff.unwrap());
+                prop_assert_eq!(
+                    instruments(&event_obs),
+                    instruments(&stepped_obs),
+                    "after step {} (op {})",
+                    step,
+                    op
+                );
             }
             // One more measured second on each engine from where the
             // script left them.
@@ -413,6 +466,7 @@ mod tests {
             prop_assert_eq!(format!("{x:?}"), format!("{y:?}"));
             let diff = state_difference(&event, &stepped);
             prop_assert!(diff.is_none(), "after the script:\n{}", diff.unwrap());
+            prop_assert_eq!(instruments(&event_obs), instruments(&stepped_obs));
         }
     }
 
