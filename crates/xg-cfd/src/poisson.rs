@@ -10,15 +10,22 @@
 //! solve satisfies the discrete equation to round-off; there is no
 //! iteration count and no tolerance.
 //!
-//! The transforms are dense: each axis is a matrix product applied as
-//! row updates `out_row += coef · in_row` over x-contiguous rows, which
-//! the compiler vectorises, at `O(N · (nx + ny + nz))` per solve. Every
-//! output element is summed in one fixed order and every pass writes one
-//! z-slab per `par_chunks_mut` chunk, so the result is **bitwise identical
-//! for any thread count** — the determinism property the solver tests rely
-//! on — and equal, bit for bit, to the cell-by-cell cosine sums kept in
-//! `crate::reference`. The matrices are built once per mesh
-//! ([`PoissonPlan::new`]); a solve ping-pongs between its two fields and
+//! Each transform is folded by the cosine matrix's mirror symmetry,
+//! `C[a][n−1−i] = (−1)ᵃ C[a][i]`: even modes see only `x_i + x_{n−1−i}`
+//! and odd modes only `x_{n−1−i} − x_i`. So an axis is a butterfly and
+//! two half-matrices, `⌈n/2⌉²` and `⌊n/2⌋²`, applied as row updates
+//! `out_row += coef · in_row` over x-contiguous rows, which the compiler
+//! vectorises: `2N · Σ (⌈n/2⌉² + ⌊n/2⌋²) / n` multiply-adds per solve,
+//! `N · (nx + ny + nz)` on even axes, half the dense `n × n` products'.
+//! Along each axis the spectrum is stored evens then odds, the
+//! eigenvalues in the same order, so the constant mode is still index 0.
+//! Every output element is summed in one fixed order, the butterflies are
+//! element-wise, and every pass writes one z-slab per `par_chunks_mut`
+//! chunk, so the result is **bitwise identical for any thread count** —
+//! the determinism property the solver tests rely on — and equal, bit for
+//! bit, to the cell-by-cell folded sums in `crate::reference`, which also
+//! keeps the dense sums as an accuracy oracle. The tables are built once per mesh ([`PoissonPlan::new`]), in
+//! one allocation; a solve ping-pongs between its two fields and
 //! allocates nothing.
 
 use crate::field::Field3;
@@ -32,20 +39,78 @@ pub(crate) fn row_at(f: &[f64], start: usize, nx: usize) -> &[f64] {
     &f[start..][..nx]
 }
 
-/// The orthonormal DCT-II matrix of an axis of `n` cells, row `a` holding
-/// mode `a`: its transpose is its inverse.
-fn cosine_matrix(n: usize) -> Vec<f64> {
-    let mut c = Vec::with_capacity(n * n);
-    for a in 0..n {
-        let norm = (if a == 0 { 1.0 } else { 2.0 } / n as f64).sqrt();
-        // The angle is reduced in integers, so high modes lose nothing to
-        // a large argument.
-        c.extend((0..n).map(|i| {
-            let m = (a * (2 * i + 1)) % (4 * n);
-            norm * (PI * m as f64 / (2 * n) as f64).cos()
-        }));
+/// Entry `(a, i)` of the orthonormal DCT-II matrix of an axis of `n`
+/// cells: mode `a` at cell `i`.
+fn cosine(n: usize, a: usize, i: usize) -> f64 {
+    let norm = (if a == 0 { 1.0 } else { 2.0 } / n as f64).sqrt();
+    // The angle is reduced in integers, so high modes lose nothing to a
+    // large argument.
+    let m = (a * (2 * i + 1)) % (4 * n);
+    norm * (PI * m as f64 / (2 * n) as f64).cos()
+}
+
+/// The even and odd halves of an axis of `n` cells: `⌈n/2⌉` and `⌊n/2⌋`.
+fn halves(n: usize) -> [usize; 2] {
+    [n - n / 2, n / 2]
+}
+
+/// The mode at index `r` of an axis's spectrum: evens, then odds.
+fn mode_at(n: usize, r: usize) -> usize {
+    let [evens, _] = halves(n);
+    if r < evens {
+        2 * r
+    } else {
+        2 * (r - evens) + 1
     }
-    c
+}
+
+/// Appends the half-matrices of an axis of `n` cells to `t`: the even
+/// one, modes `2e` over the cells `j < ⌈n/2⌉`, then the odd one, modes
+/// `2o + 1` over the cells `⌈n/2⌉ + j`. Row `r` holds mode `r` of its
+/// half or, `transposed`, cell `r`.
+fn push_halves(t: &mut Vec<f64>, n: usize, transposed: bool) {
+    let [evens, odds] = halves(n);
+    for (len, parity, first_cell) in [(evens, 0, 0), (odds, 1, evens)] {
+        for r in 0..len {
+            for c in 0..len {
+                let (mode, cell) = if transposed { (c, r) } else { (r, c) };
+                t.push(cosine(n, 2 * mode + parity, first_cell + cell));
+            }
+        }
+    }
+}
+
+/// The butterfly of a fold: the mirror cells `a = x_j`, `b = x_{n−1−j}`
+/// become the even half's `a + b` and the odd half's `b − a`.
+#[inline]
+fn fold(a: f64, b: f64) -> (f64, f64) {
+    (a + b, b - a)
+}
+
+/// [`fold`] undone: the even half's `u_j` and the odd half's `v_{n−1−j}`
+/// become the cells `x_j = u − v` and `x_{n−1−j} = u + v`.
+#[inline]
+fn unfold(u: f64, v: f64) -> (f64, f64) {
+    (u - v, u + v)
+}
+
+/// `pair` applied in place to the mirror lines `(j, n − 1 − j)` of the
+/// `n` lines of `len` values in `f`. An odd axis's middle line is its
+/// own mirror and stays as it is.
+fn butterfly(f: &mut [f64], len: usize, pair: impl Fn(f64, f64) -> (f64, f64)) {
+    let [evens, _] = halves(f.len() / len);
+    let (lo, hi) = f.split_at_mut(evens * len);
+    for (lo, hi) in lo.chunks_exact_mut(len).zip(hi.chunks_exact_mut(len).rev()) {
+        for (a, b) in lo.iter_mut().zip(hi) {
+            (*a, *b) = pair(*a, *b);
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Multiply-adds [`combine`] has done on this thread.
+    static MULTIPLY_ADDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// `out = Σ_r coef[r] · rows[r]` over the rows of `out`'s length in `rows`,
@@ -53,7 +118,12 @@ fn cosine_matrix(n: usize) -> Vec<f64> {
 #[inline]
 fn combine(out: &mut [f64], rows: &[f64], coef: impl Iterator<Item = f64>) {
     out.fill(0.0);
+    if out.is_empty() {
+        return; // the odd half of an axis of one cell
+    }
     for (row, c) in rows.chunks_exact(out.len()).zip(coef) {
+        #[cfg(test)]
+        MULTIPLY_ADDS.with(|m| m.set(m.get() + row.len() as u64));
         for (o, x) in out.iter_mut().zip(row) {
             *o += c * x;
         }
@@ -63,6 +133,26 @@ fn combine(out: &mut [f64], rows: &[f64], coef: impl Iterator<Item = f64>) {
 /// Column `col` of a row-major `n × n` matrix.
 fn column(m: &[f64], n: usize, col: usize) -> impl Iterator<Item = f64> + '_ {
     m[col..].iter().step_by(n).copied()
+}
+
+/// Line `r` of one axis's transform of the `n` folded lines of `input`,
+/// each as long as `out`: the even half-matrix mixes the first `⌈n/2⌉`
+/// lines into lines `r < ⌈n/2⌉`, the odd one the rest into the rest.
+/// Forward, `r` is a mode and the half-matrix is read by row; `inverse`,
+/// a cell and by column.
+fn mix(out: &mut [f64], input: &[f64], r: usize, [even, odd]: [&[f64]; 2], inverse: bool) {
+    let [evens, odds] = halves(input.len() / out.len());
+    let (lo, hi) = input.split_at(evens * out.len());
+    let (rows, m, k, r) = if r < evens {
+        (lo, even, evens, r)
+    } else {
+        (hi, odd, odds, r - evens)
+    };
+    if inverse {
+        combine(out, rows, column(m, k, r));
+    } else {
+        combine(out, rows, row_at(m, r * k, k).iter().copied());
+    }
 }
 
 /// One pass of a solve: every z-slab of `out` from all of `input`.
@@ -75,45 +165,36 @@ fn each_slab(out: &mut Field3, input: &Field3, f: impl Fn(usize, &mut [f64], &[f
         .for_each(|(k, o)| f(k, o, input));
 }
 
-/// The cosine matrices and eigenvalues of one mesh: what a direct solve
+/// The half-matrices and eigenvalues of one mesh: what a direct solve
 /// needs beyond its two fields.
 #[derive(Debug, Clone)]
 pub struct PoissonPlan {
     shape: [usize; 3],
-    /// [`cosine_matrix`] per axis. Mixing rows along y or z reads one
-    /// matrix by row (forward) or by column (inverse); along x the rows
-    /// mixed are the matrix's own, so the forward pass keeps a transpose.
-    cx: Vec<f64>,
-    cx_t: Vec<f64>,
-    cy: Vec<f64>,
-    cz: Vec<f64>,
-    /// Eigenvalues of the mirrored second difference, x then y then z.
-    eig: Vec<f64>,
+    /// Every table of a solve, in one allocation: [`push_halves`] of x, y
+    /// and z, then of x transposed (along x the cells of a row are mixed,
+    /// so the forward pass there mixes the half-matrices' columns), then the
+    /// eigenvalues of the mirrored second difference of x, y and z, in
+    /// spectrum order.
+    tables: Vec<f64>,
 }
 
 impl PoissonPlan {
     /// Plan solves on an `[nx, ny, nz]` grid of cell sizes `d`.
     pub fn new(shape: [usize; 3], d: [f64; 3]) -> Self {
         let [nx, ny, nz] = shape;
-        let cx = cosine_matrix(nx);
-        let cx_t = (0..nx * nx).map(|at| cx[at % nx * nx + at / nx]).collect();
-        let eig = (0..3)
-            .flat_map(|axis| {
-                let (n, h) = (shape[axis], d[axis]);
-                (0..n).map(move |a| {
-                    let s = (PI * a as f64 / (2 * n) as f64).sin();
-                    -4.0 * s * s / (h * h)
-                })
-            })
-            .collect();
-        PoissonPlan {
-            shape,
-            cx,
-            cx_t,
-            cy: cosine_matrix(ny),
-            cz: cosine_matrix(nz),
-            eig,
+        let squares = |n| halves(n).iter().map(|h| h * h).sum::<usize>();
+        let len = 2 * squares(nx) + squares(ny) + squares(nz) + nx + ny + nz;
+        let mut tables = Vec::with_capacity(len);
+        for (n, transposed) in [(nx, false), (ny, false), (nz, false), (nx, true)] {
+            push_halves(&mut tables, n, transposed);
         }
+        for (n, h) in shape.into_iter().zip(d) {
+            tables.extend((0..n).map(|r| {
+                let s = (PI * mode_at(n, r) as f64 / (2 * n) as f64).sin();
+                -4.0 * s * s / (h * h)
+            }));
+        }
+        PoissonPlan { shape, tables }
     }
 
     /// Solve `∇²p = rhs`. `p`'s contents on entry do not matter (there is
@@ -125,31 +206,42 @@ impl PoissonPlan {
         let same_shape = |f: &Field3| [f.nx, f.ny, f.nz] == self.shape;
         assert!(same_shape(p) && same_shape(rhs), "p, rhs, plan differ");
         let slab = nx * ny;
-        let (cx, cx_t, cy, cz) = (&self.cx[..], &self.cx_t[..], &self.cy[..], &self.cz[..]);
-        let (ex, eyz) = self.eig.split_at(nx);
-        let (ey, ez) = eyz.split_at(ny);
-
-        // Along x the cells of a row are mixed, so the row's values are
-        // the coefficients and the matrix supplies the rows.
-        let along_x = |matrix| {
-            move |k: usize, out: &mut [f64], input: &[f64]| {
-                let rows = row_at(input, k * slab, slab).chunks_exact(nx);
-                for (o, row) in out.chunks_exact_mut(nx).zip(rows) {
-                    combine(o, matrix, row.iter().copied());
-                }
-            }
+        let mut rest = &self.tables[..];
+        let mut take = |len: usize| {
+            let (head, tail) = rest.split_at(len);
+            rest = tail;
+            head
         };
+        let [cx, cy, cz, cx_t] = [nx, ny, nz, nx].map(|n| halves(n).map(|h| take(h * h)));
+        let [ex, ey, ez] = self.shape.map(take);
+        let [evens, odds] = halves(nx);
+
         // To modes, x then y then z, dividing by the eigenvalue where the
-        // last pass has the spectrum in hand.
-        each_slab(p, rhs, along_x(cx_t));
+        // last pass has the spectrum in hand. Along x the cells of a row
+        // are mixed, so the row's folded values are the coefficients and
+        // the half-matrices supply the rows; the slab is then folded along
+        // y, and the field along z, for the passes that mix whole rows.
+        each_slab(p, rhs, |k, out, input| {
+            let rows = row_at(input, k * slab, slab).chunks_exact(nx);
+            for (o, row) in out.chunks_exact_mut(nx).zip(rows) {
+                let (lo, hi) = row.split_at(evens);
+                let (even, odd) = o.split_at_mut(evens);
+                let sums = lo.iter().zip(hi.iter().rev()).map(|(&a, &b)| fold(a, b).0);
+                combine(even, cx_t[0], sums.chain(lo[odds..].iter().copied()));
+                let diffs = hi.iter().zip(lo[..odds].iter().rev());
+                combine(odd, cx_t[1], diffs.map(|(&b, &a)| fold(a, b).1));
+            }
+            butterfly(out, nx, fold);
+        });
         each_slab(rhs, p, |k, out, input| {
             let rows = row_at(input, k * slab, slab);
             for (b, o) in out.chunks_exact_mut(nx).enumerate() {
-                combine(o, rows, row_at(cy, b * ny, ny).iter().copied());
+                mix(o, rows, b, cy, false);
             }
         });
+        butterfly(rhs.as_mut_slice(), slab, fold);
         each_slab(p, rhs, |c, out, input| {
-            combine(out, input, row_at(cz, c * nz, nz).iter().copied());
+            mix(out, input, c, cz, false);
             for (b, o) in out.chunks_exact_mut(nx).enumerate() {
                 let eyz = ey[b] + ez[c];
                 for (x, ex_a) in o.iter_mut().zip(ex) {
@@ -160,17 +252,25 @@ impl PoissonPlan {
                 out[0] = 0.0; // the constant mode: 0/0 above
             }
         });
-        // And back, z then y then x.
-        each_slab(rhs, p, |k, out, input| {
-            combine(out, input, column(cz, nz, k))
-        });
+        // And back, z then y then x, each axis mixed and then unfolded.
+        each_slab(rhs, p, |k, out, input| mix(out, input, k, cz, true));
+        butterfly(rhs.as_mut_slice(), slab, unfold);
         each_slab(p, rhs, |k, out, input| {
             let rows = row_at(input, k * slab, slab);
             for (j, o) in out.chunks_exact_mut(nx).enumerate() {
-                combine(o, rows, column(cy, ny, j));
+                mix(o, rows, j, cy, true);
+            }
+            butterfly(out, nx, unfold);
+        });
+        each_slab(rhs, p, |k, out, input| {
+            let rows = row_at(input, k * slab, slab).chunks_exact(nx);
+            for (o, row) in out.chunks_exact_mut(nx).zip(rows) {
+                let (even, odd) = o.split_at_mut(evens);
+                combine(even, cx[0], row[..evens].iter().copied());
+                combine(odd, cx[1], row[evens..].iter().copied());
+                butterfly(o, 1, unfold);
             }
         });
-        each_slab(rhs, p, along_x(cx));
         std::mem::swap(p, rhs);
     }
 }
@@ -202,6 +302,7 @@ pub fn residual(p: &Field3, rhs: &Field3, d: [f64; 3]) -> f64 {
 mod tests {
     use super::*;
     use crate::reference::{self, assert_same_bits, laplacian, max_abs_diff};
+    use proptest::prelude::*;
 
     /// Deterministic zero-mean noise.
     fn noise(nx: usize, ny: usize, nz: usize) -> Field3 {
@@ -284,32 +385,100 @@ mod tests {
         );
     }
 
+    /// Axis lengths of 1, 2 and 3, odd and prime ones, rows that end in a
+    /// scalar tail, and cells eight times flatter than they are wide.
+    const SHAPES: [[usize; 3]; 10] = [
+        [1, 1, 1],
+        [2, 5, 1],
+        [7, 1, 3],
+        [2, 2, 2],
+        [3, 4, 2],
+        [5, 3, 4],
+        [6, 5, 3],
+        [9, 2, 5],
+        [11, 6, 2],
+        [13, 3, 7],
+    ];
+    const D: [f64; 3] = [2.5, 1.7, 0.3];
+
     #[test]
     fn any_grid_matches_reference_bit_for_bit() {
-        // Axis lengths of 1, 2 and 3, odd and prime ones, rows that end in
-        // a scalar tail, and cells eight times flatter than they are wide.
-        let shapes = [
-            [1, 1, 1],
-            [2, 5, 1],
-            [7, 1, 3],
-            [2, 2, 2],
-            [3, 4, 2],
-            [5, 3, 4],
-            [6, 5, 3],
-            [9, 2, 5],
-            [11, 6, 2],
-            [13, 3, 7],
-        ];
-        for [nx, ny, nz] in shapes {
-            let d = [2.5, 1.7, 0.3];
+        for [nx, ny, nz] in SHAPES {
             let rhs = noise(nx, ny, nz);
-            let p = solved(&rhs, d);
-            assert_same_bits("p", &p, &reference::solve(&rhs, d));
+            let p = solved(&rhs, D);
+            assert_same_bits("p", &p, &reference::solve(&rhs, D));
             let scale = rhs.max_abs();
-            let res = residual(&p, &rhs, d);
+            let res = residual(&p, &rhs, D);
             assert!(res <= 1e-12 * scale, "{nx}x{ny}x{nz}: {res:e} of {scale}");
             assert!(p.mean().abs() <= 1e-13 * p.max_abs(), "{nx}x{ny}x{nz}");
         }
+    }
+
+    /// The folded solve against the dense sums it replaced: the same maths
+    /// summed in another order, so equal to round-off, not to the bit.
+    fn assert_near_dense(rhs: &Field3, d: [f64; 3]) {
+        let p = solved(rhs, d);
+        let gap = max_abs_diff(&p, &reference::solve_dense(rhs, d));
+        let shape = (rhs.nx, rhs.ny, rhs.nz);
+        assert!(
+            gap <= 1e-13 * p.max_abs(),
+            "{shape:?}: {gap:e} of {}",
+            p.max_abs()
+        );
+    }
+
+    #[test]
+    fn folded_solve_matches_dense_sums() {
+        // The fabric's study mesh and the benchmark's mesh besides.
+        for [nx, ny, nz] in SHAPES.into_iter().chain([[12, 10, 4], [48, 40, 10]]) {
+            assert_near_dense(&noise(nx, ny, nz), D);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn folded_solve_matches_dense_sums_on_drawn_shapes(
+            cells in (1usize..=17, 1usize..=13, 1usize..=9),
+            d in (0.3f64..3.0, 0.3f64..3.0, 0.3f64..3.0),
+        ) {
+            assert_near_dense(&noise(cells.0, cells.1, cells.2), [d.0, d.1, d.2]);
+        }
+    }
+
+    #[test]
+    fn one_solve_does_half_the_dense_multiply_adds() {
+        // One worker thread, so every `combine` of the solve counts on it.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        for (shape, want) in [([12, 10, 4], 12_480), ([48, 40, 10], 1_881_600)] {
+            let [nx, ny, nz] = shape;
+            let cells = nx * ny * nz;
+            // Each way, `⌈n/2⌉² + ⌊n/2⌋²` per line of `n` cells, where the
+            // dense product did `n²`.
+            let per_axis = |n: usize| cells / n * halves(n).iter().map(|h| h * h).sum::<usize>();
+            let folded = 2 * shape.map(per_axis).iter().sum::<usize>() as u64;
+            let dense = 2 * (cells * (nx + ny + nz)) as u64;
+            assert_eq!((folded, 2 * folded), (want, dense), "{shape:?}");
+            let got = pool.install(|| {
+                MULTIPLY_ADDS.with(|m| m.set(0));
+                solved(&noise(nx, ny, nz), [1.0, 1.0, 1.0]);
+                MULTIPLY_ADDS.with(|m| m.get())
+            });
+            assert_eq!(got, want, "{shape:?}");
+        }
+    }
+
+    #[test]
+    fn a_plan_is_one_exact_allocation() {
+        // Half-matrices of x (twice), y and z, and 98 eigenvalues: 26 KB,
+        // where the dense matrices took 51 KB.
+        let plan = PoissonPlan::new([48, 40, 10], [1.0; 3]);
+        let bytes = std::mem::size_of_val(&plan.tables[..]);
+        assert_eq!((plan.tables.capacity(), bytes), (plan.tables.len(), 26_016));
     }
 
     #[test]

@@ -2,60 +2,56 @@
 //! checks: one cell at a time, a fresh field per sweep, no rayon, no obs.
 //!
 //! * [`step`] is `Simulation::step` cell by cell, with the pressure from
-//!   [`solve`] — the cosine-transform solve as plain sums over its own
-//!   tables. Production must reproduce both bit for bit (the tests at the
-//!   bottom and in `poisson` hold it to that), so nothing here is ever
-//!   "optimised"; boundary conditions are the production code's own.
-//! * [`jacobi`] is the Jacobi iteration the direct solve retired,
-//!   kept as an *accuracy* oracle: run to convergence it reaches the same
-//!   field by a route that shares no arithmetic with a transform.
+//!   [`solve`] — the folded cosine-transform solve as plain sums over its
+//!   own half tables. Production must reproduce both bit for bit (the
+//!   tests at the bottom and in `poisson` hold it to that), so nothing
+//!   here is ever "optimised"; boundary conditions are the production
+//!   code's own.
+//! * [`solve_dense`] is the dense cosine-transform solve the fold
+//!   retired, and [`jacobi`] the Jacobi iteration the direct solve
+//!   retired, both kept as *accuracy* oracles: they reach the same field
+//!   by routes that sum in other orders or share no arithmetic with a
+//!   transform at all.
 
 use crate::field::Field3;
 use crate::mesh::CellType;
 use crate::solver::Simulation;
 use std::f64::consts::PI;
 
-/// `PoissonPlan::solve` as cell-by-cell cosine sums: each axis in turn to
-/// modes (x, y, z), the division by the eigenvalue, and back (z, y, x).
-pub(crate) fn solve(rhs: &Field3, d: [f64; 3]) -> Field3 {
+/// The orthonormal DCT-II of an axis of `n` cells: mode `a` at cell `i`.
+fn cosine(n: usize, a: usize, i: usize) -> f64 {
+    let norm = (if a == 0 { 1.0 } else { 2.0 } / n as f64).sqrt();
+    let m = (a * (2 * i + 1)) % (4 * n);
+    norm * (PI * m as f64 / (2 * n) as f64).cos()
+}
+
+/// The skeleton both solves share: each axis in turn to modes (x, y, z),
+/// the division by the eigenvalue, and back (z, y, x). `value(axis,
+/// inverse, o, line)` is index `o` along `axis` of the transform of the
+/// line of cells (forward) or modes (`inverse`) `line(m)`; `mode(n, r)`
+/// is the mode at spectrum index `r` of an axis of `n` cells.
+fn spectral_solve(
+    rhs: &Field3,
+    d: [f64; 3],
+    value: impl Fn(usize, bool, usize, &dyn Fn(usize) -> f64) -> f64,
+    mode: impl Fn(usize, usize) -> usize,
+) -> Field3 {
     let shape = [rhs.nx, rhs.ny, rhs.nz];
-    // basis[axis][a][i]: orthonormal mode `a` at cell `i`.
-    let basis = shape.map(|n| {
-        let mode = |a: usize| {
-            let norm = (if a == 0 { 1.0 } else { 2.0 } / n as f64).sqrt();
-            let at = |i: usize| {
-                let m = (a * (2 * i + 1)) % (4 * n);
-                norm * (PI * m as f64 / (2 * n) as f64).cos()
-            };
-            (0..n).map(at).collect::<Vec<f64>>()
-        };
-        (0..n).map(mode).collect::<Vec<_>>()
-    });
-    let eig = |axis: usize, a: usize| {
-        let s = (PI * a as f64 / (2 * shape[axis]) as f64).sin();
+    let eig = |axis: usize, r: usize| {
+        let s = (PI * mode(shape[axis], r) as f64 / (2 * shape[axis]) as f64).sin();
         -4.0 * s * s / (d[axis] * d[axis])
     };
-    // One axis of `f` transformed: output index `o` along the axis sums
-    // the cells `m` of its line in order.
     let transform = |f: &Field3, axis: usize, inverse: bool| {
-        let mode_at = |a: usize, cell: usize| basis[axis][a][cell];
         let mut out = Field3::zeros(f.nx, f.ny, f.nz);
         for k in 0..f.nz {
             for j in 0..f.ny {
                 for i in 0..f.nx {
-                    let o = [i, j, k][axis];
-                    let mut s = 0.0;
-                    for m in 0..shape[axis] {
+                    let line = |m: usize| {
                         let mut src = [i, j, k];
                         src[axis] = m;
-                        let c = if inverse {
-                            mode_at(m, o)
-                        } else {
-                            mode_at(o, m)
-                        };
-                        s += c * f.at(src[0], src[1], src[2]);
-                    }
-                    out.set(i, j, k, s);
+                        f.at(src[0], src[1], src[2])
+                    };
+                    out.set(i, j, k, value(axis, inverse, [i, j, k][axis], &line));
                 }
             }
         }
@@ -77,6 +73,87 @@ pub(crate) fn solve(rhs: &Field3, d: [f64; 3]) -> Field3 {
         f = transform(&f, axis, true);
     }
     f
+}
+
+/// `PoissonPlan::solve` as cell-by-cell sums, every axis folded by its
+/// mirror symmetry. On an axis of `n` cells with `c = ⌈n/2⌉` and
+/// `h = ⌊n/2⌋`, spectrum index `e < c` is mode `2e`, summed over the cells
+/// `j < c` of `x_j + x_{n−1−j}` (an odd axis's middle cell alone), and
+/// index `c + o` is mode `2o + 1`, summed over the cells `t ≥ c` of
+/// `x_t − x_{n−1−t}`. Back, the even sums `u_j` (`j < c`) and the odd sums
+/// `v_t` (`t ≥ c`) give `x_j = u_j − v_{n−1−j}` and `x_t = u_{n−1−t} + v_t`.
+pub(crate) fn solve(rhs: &Field3, d: [f64; 3]) -> Field3 {
+    // half[axis][0][e][j] = mode 2e at cell j; half[axis][1][o][t] = mode
+    // 2o + 1 at cell c + t.
+    let half = [rhs.nx, rhs.ny, rhs.nz].map(|n| {
+        let (c, h) = (n - n / 2, n / 2);
+        let table = |len: usize, parity: usize, first: usize| -> Vec<Vec<f64>> {
+            (0..len)
+                .map(|o| {
+                    (0..len)
+                        .map(|t| cosine(n, 2 * o + parity, first + t))
+                        .collect()
+                })
+                .collect()
+        };
+        [table(c, 0, 0), table(h, 1, c)]
+    });
+    let value = |axis: usize, inverse: bool, o: usize, line: &dyn Fn(usize) -> f64| {
+        let [even, odd] = &half[axis];
+        let (c, h) = (even.len(), odd.len());
+        let n = c + h;
+        if !inverse {
+            return if o < c {
+                let folded = |j: usize| {
+                    if j < h {
+                        line(j) + line(n - 1 - j)
+                    } else {
+                        line(j)
+                    }
+                };
+                (even[o].iter().enumerate()).fold(0.0, |s, (j, m)| s + m * folded(j))
+            } else {
+                let folded = |t: usize| line(c + t) - line(h - 1 - t);
+                (odd[o - c].iter().enumerate()).fold(0.0, |s, (t, m)| s + m * folded(t))
+            };
+        }
+        let u = |j: usize| (0..c).fold(0.0, |s, e| s + even[e][j] * line(e));
+        let v = |t: usize| (0..h).fold(0.0, |s, m| s + odd[m][t - c] * line(c + m));
+        if o < h {
+            u(o) - v(n - 1 - o)
+        } else if o < c {
+            u(o)
+        } else {
+            u(n - 1 - o) + v(o)
+        }
+    };
+    let mode = |n: usize, r: usize| {
+        let c = n - n / 2;
+        if r < c {
+            2 * r
+        } else {
+            2 * (r - c) + 1
+        }
+    };
+    spectral_solve(rhs, d, value, mode)
+}
+
+/// The dense solve the fold retired: every output index of an axis sums
+/// all `n` cells (or modes) of its line in order, over the full cosine
+/// matrix, with the spectrum in natural mode order.
+pub(crate) fn solve_dense(rhs: &Field3, d: [f64; 3]) -> Field3 {
+    let value = |axis: usize, inverse: bool, o: usize, line: &dyn Fn(usize) -> f64| {
+        let n = [rhs.nx, rhs.ny, rhs.nz][axis];
+        let entry = |m: usize| {
+            if inverse {
+                cosine(n, m, o)
+            } else {
+                cosine(n, o, m)
+            }
+        };
+        (0..n).fold(0.0, |s, m| s + entry(m) * line(m))
+    };
+    spectral_solve(rhs, d, value, |_, r| r)
 }
 
 /// `∇²p` under mirrored Neumann walls, one cell at a time.
