@@ -22,10 +22,13 @@ use rayon::ThreadPool;
 /// All solver parallelism is scoped to the given pool, so nested callers
 /// can benchmark specific thread counts regardless of the global pool.
 pub fn run_with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
+    #[expect(
+        clippy::expect_used,
+        reason = "pool build only fails on OS thread exhaustion; no typed-error path to thread through bench callers"
+    )]
     let pool: ThreadPool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads.max(1))
         .build()
-        // xg-lint: allow(panicking-call, pool build only fails on OS thread exhaustion; no typed-error path to thread through bench callers)
         .expect("thread pool construction cannot fail for sane sizes");
     pool.install(f)
 }

@@ -257,7 +257,10 @@ impl Simulation {
         diffusivity: f64,
         extra: impl Fn(usize, f64) -> f64 + Sync,
     ) {
-        // xg-lint: allow(wall-clock, obs-gated wall timing of a real CPU solve; never feeds sim state)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "obs-gated wall timing of a real CPU solve; never feeds sim state"
+        )]
         let sweep_timer = self.obs.as_ref().map(|_| Instant::now());
         let (nx, ny, nz) = (phi.nx, phi.ny, phi.nz);
         let slab = nx * ny;
@@ -322,7 +325,10 @@ impl Simulation {
 
     /// Advance one time step.
     pub fn step(&mut self) {
-        // xg-lint: allow(wall-clock, obs-gated wall timing of a real CPU solve; never feeds sim state)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "obs-gated wall timing of a real CPU solve; never feeds sim state"
+        )]
         let step_timer = self.obs.as_ref().map(|_| Instant::now());
         let cfg = self.config;
         let dt = cfg.dt_s;

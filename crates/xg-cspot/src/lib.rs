@@ -59,8 +59,10 @@
 //! assert!(back.starts_with(b"t=21.5C"));
 //! ```
 
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod error;
 pub mod gateway;

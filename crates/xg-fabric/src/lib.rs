@@ -41,8 +41,10 @@
 //! gated: non-test code converts fallible paths to [`FabricError`] (or a
 //! propagated `CspotError`) instead of unwrapping.
 
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod backtest;
 pub mod error;

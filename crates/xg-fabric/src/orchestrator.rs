@@ -536,7 +536,10 @@ impl XgFabric {
     /// the built-in paper topology cannot fail; use [`XgFabric::try_new`]
     /// when building from non-default parts.
     pub fn new(config: FabricConfig) -> Self {
-        // xg-lint: allow(panicking-call, documented-infallible convenience constructor; fallible path is try_new)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented-infallible convenience constructor; fallible path is try_new"
+        )]
         Self::try_new(config).expect("construction over fresh in-memory nodes")
     }
 

@@ -289,9 +289,12 @@ impl RanProbe {
     fn apply_offset(&mut self, i: usize) {
         let c = &self.cells[i];
         let offset = if c.down { CELL_DOWN_SNR_DB } else { c.fade_db };
+        #[expect(
+            clippy::expect_used,
+            reason = "index ranges over self.cells which is built to the fleet's length"
+        )]
         self.fleet
             .set_cell_snr_offset_db(CellId(i as u32), offset)
-            // xg-lint: allow(panicking-call, index ranges over self.cells which is built to the fleet's length)
             .expect("cell index is in range by construction");
     }
 
@@ -311,17 +314,23 @@ impl RanProbe {
         let end = SimNs(start.0 + self.probe_seconds as u64 * 1_000_000_000);
         let burst_end = SimNs((start.0 + self.burst_ns).min(end.0));
         for (i, c) in self.cells.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "index ranges over self.cells which is built to the fleet's length"
+            )]
             let cell = self
                 .fleet
                 .cell_mut(CellId(i as u32))
-                // xg-lint: allow(panicking-call, index ranges over self.cells which is built to the fleet's length)
                 .expect("cell index is in range by construction");
             // Open a fresh measurement window: bits queued during the
             // previous batch's idle-skip must not count into the burst.
             cell.reset_windows();
             for &ue in &c.ues {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "probe UEs were attached at construction and never detach"
+                )]
                 cell.set_backlogged(ue.ue, true)
-                    // xg-lint: allow(panicking-call, probe UEs were attached at construction and never detach)
                     .expect("probe UE handle is valid by construction");
             }
         }
@@ -329,10 +338,13 @@ impl RanProbe {
         let window_s = (burst_end.0 - start.0) as f64 / 1e9;
         let health: Vec<CellHealth> = (0..self.cells.len())
             .map(|i| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "index ranges over self.cells which is built to the fleet's length"
+                )]
                 let samples = self
                     .fleet
                     .cell_mut(CellId(i as u32))
-                    // xg-lint: allow(panicking-call, index ranges over self.cells which is built to the fleet's length)
                     .expect("cell index is in range by construction")
                     .flush_second_window(window_s);
                 let c = &mut self.cells[i];
@@ -361,14 +373,20 @@ impl RanProbe {
         // Quiesce the probes: the rest of the batch idle-skips unless
         // scenario traffic keeps a cell active.
         for (i, c) in self.cells.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "index ranges over self.cells which is built to the fleet's length"
+            )]
             let cell = self
                 .fleet
                 .cell_mut(CellId(i as u32))
-                // xg-lint: allow(panicking-call, index ranges over self.cells which is built to the fleet's length)
                 .expect("cell index is in range by construction");
             for &ue in &c.ues {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "probe UEs were attached at construction and never detach"
+                )]
                 cell.set_backlogged(ue.ue, false)
-                    // xg-lint: allow(panicking-call, probe UEs were attached at construction and never detach)
                     .expect("probe UE handle is valid by construction");
             }
         }

@@ -61,7 +61,7 @@ proptest! {
             g.build().unwrap()
         };
         // Dedup epochs (single-assignment would reject repeats).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let pairs: Vec<_> = pairs
             .into_iter()
             .filter(|(e, _, _)| seen.insert(*e))

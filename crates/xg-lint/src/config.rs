@@ -2,18 +2,10 @@
 //! slashes; scoping is by prefix so whole crates or directories can be
 //! brought into (or exempted from) a rule.
 
-/// Rule scoping for one lint run.
+/// Rule scoping for one lint run. `float-reduce` applies everywhere, so
+/// it has no field.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Prefixes where `unordered-iter` applies: crates whose outputs
-    /// must be a deterministic function of the seed.
-    pub deterministic_paths: Vec<String>,
-    /// Prefixes where `panicking-call` applies: library code of the
-    /// simulator crates (bench bins and fixtures excluded).
-    pub panicking_paths: Vec<String>,
-    /// Prefixes exempt from `wall-clock`: modules whose whole purpose
-    /// is wall-domain measurement.
-    pub wall_allowlist: Vec<String>,
     /// Prefixes where `time-unit` applies: code that mixes `SimNs` with
     /// suffixed durations and must convert explicitly.
     pub time_paths: Vec<String>,
@@ -27,44 +19,12 @@ pub struct Config {
 }
 
 impl Config {
-    /// The workspace policy. This is the single source of truth for
-    /// which crates sit in the deterministic core — CONTRIBUTING.md's
-    /// "Determinism rules" section documents the same lists.
+    /// The workspace policy for xg-lint's rules. CONTRIBUTING.md's
+    /// "Determinism rules" table documents the same scopes, next to the
+    /// rules clippy enforces.
     pub fn workspace() -> Self {
         let s = |v: &[&str]| v.iter().map(|p| p.to_string()).collect();
         Config {
-            deterministic_paths: s(&[
-                "crates/xg-net/src/",
-                "crates/xg-ric/src/",
-                "crates/xg-cfd/src/",
-                "crates/xg-fabric/src/",
-                "crates/xg-cspot/src/",
-                "crates/xg-sensors/src/",
-                // The calendar-queue scheduler every engine drains: event
-                // order must be a pure function of what was scheduled.
-                "crates/xg-sim/src/",
-                // Offline span analytics: two runs of `xg-trace` over the
-                // same dump must render byte-identical reports.
-                "crates/xg-bench/src/trace.rs",
-            ]),
-            panicking_paths: s(&[
-                "crates/xg-net/src/",
-                "crates/xg-ric/src/",
-                "crates/xg-cfd/src/",
-                "crates/xg-fabric/src/",
-                "crates/xg-cspot/src/",
-                "crates/xg-sensors/src/",
-                "crates/xg-sim/src/",
-                "crates/xg-obs/src/",
-                "crates/xg-hpc/src/",
-            ]),
-            wall_allowlist: s(&[
-                // The one blessed wall-clock source: everything else
-                // must go through xg_obs::clock::Clock.
-                "crates/xg-obs/src/clock.rs",
-                // Bench bins time real work on the wall by design.
-                "crates/xg-bench/src/bin/",
-            ]),
             time_paths: s(&[
                 // Everywhere ns-precision SimNs meets suffixed wall/sim
                 // durations: the deterministic core plus the HPC models
@@ -95,9 +55,6 @@ impl Config {
     pub fn everything() -> Self {
         let all = vec![String::new()]; // empty prefix matches any path
         Config {
-            deterministic_paths: all.clone(),
-            panicking_paths: all.clone(),
-            wall_allowlist: Vec::new(),
             time_paths: all.clone(),
             // Impl-scoped event-panic applies everywhere already; the
             // whole-file escalation stays opt-in so single-rule fixtures
@@ -111,27 +68,6 @@ impl Config {
     /// Should this file be skipped entirely?
     pub fn skipped(&self, relpath: &str) -> bool {
         self.skip.iter().any(|s| relpath.contains(s.as_str()))
-    }
-
-    /// Is `unordered-iter` in force for this file?
-    pub fn is_deterministic_path(&self, relpath: &str) -> bool {
-        self.deterministic_paths
-            .iter()
-            .any(|p| relpath.starts_with(p.as_str()))
-    }
-
-    /// Is `panicking-call` in force for this file?
-    pub fn is_panicking_scope(&self, relpath: &str) -> bool {
-        self.panicking_paths
-            .iter()
-            .any(|p| relpath.starts_with(p.as_str()))
-    }
-
-    /// Is this file exempt from `wall-clock`?
-    pub fn wall_allowlisted(&self, relpath: &str) -> bool {
-        self.wall_allowlist
-            .iter()
-            .any(|p| relpath.starts_with(p.as_str()))
     }
 
     /// Is `time-unit` in force for this file?
@@ -164,27 +100,14 @@ mod tests {
     #[test]
     fn workspace_scoping() {
         let c = Config::workspace();
-        assert!(c.is_deterministic_path("crates/xg-net/src/mac.rs"));
-        assert!(!c.is_deterministic_path("crates/xg-bench/src/bin/fig4_single_user.rs"));
-        assert!(c.is_deterministic_path("crates/xg-bench/src/trace.rs"));
-        // The event scheduler is the deterministic core's backbone: both
-        // rules in force there.
-        assert!(c.is_deterministic_path("crates/xg-sim/src/queue.rs"));
-        assert!(c.is_panicking_scope("crates/xg-sim/src/queue.rs"));
-        assert!(c.is_panicking_scope("crates/xg-obs/src/metrics.rs"));
-        // The profiler and critical-path modules ride the xg-obs prefix:
-        // in panicking scope, not wall-clock-exempt (they must take time
-        // through xg_obs::clock, never read it themselves).
-        assert!(c.is_panicking_scope("crates/xg-obs/src/profile.rs"));
-        assert!(!c.wall_allowlisted("crates/xg-obs/src/profile.rs"));
-        assert!(!c.wall_allowlisted("crates/xg-obs/src/critical.rs"));
-        // The xg-trace CLI is a bench bin: wall reads allowed there.
-        assert!(c.wall_allowlisted("crates/xg-bench/src/bin/xg_trace.rs"));
-        assert!(!c.is_panicking_scope("crates/xg-laminar/src/graph.rs"));
-        assert!(c.wall_allowlisted("crates/xg-obs/src/clock.rs"));
-        assert!(c.wall_allowlisted("crates/xg-bench/src/bin/latency_budget.rs"));
-        assert!(!c.wall_allowlisted("crates/xg-cfd/src/solver.rs"));
-        assert!(c.skipped("crates/xg-lint/tests/fixtures/wall_clock_pos.rs"));
+        // Fixtures break rules on purpose; build output is not source.
+        assert!(c.skipped("crates/xg-lint/tests/fixtures/time_unit_pos.rs"));
+        assert!(c.skipped("crates/xg-net/target/debug/build/out.rs"));
+        assert!(!c.skipped("crates/xg-net/src/mac.rs"));
+        // The span analytics module is the one time-unit file in xg-bench.
+        assert!(c.is_time_path("crates/xg-bench/src/trace.rs"));
+        assert!(!c.is_time_path("crates/xg-bench/src/bin/fig4_single_user.rs"));
+        assert!(!c.is_time_path("crates/xg-laminar/src/graph.rs"));
     }
 
     #[test]
@@ -208,8 +131,10 @@ mod tests {
     #[test]
     fn everything_config_is_all_scope() {
         let c = Config::everything();
-        assert!(c.is_deterministic_path("any/path.rs"));
-        assert!(c.is_panicking_scope("any/path.rs"));
-        assert!(!c.wall_allowlisted("any/path.rs"));
+        assert!(c.is_time_path("any/path.rs"));
+        assert!(c.is_obs_path("any/path.rs"));
+        assert!(!c.skipped("any/path.rs"));
+        // Whole-file event-panic stays opt-in (see `everything`).
+        assert!(!c.is_event_path("any/path.rs"));
     }
 }

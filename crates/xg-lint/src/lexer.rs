@@ -6,7 +6,7 @@
 //! byte-for-byte line structure preserved, every comment and every
 //! string/char literal body replaced by spaces — plus the list of
 //! comments with their line numbers (waivers live in comments). Scrubbing
-//! first means a rule can search for `Instant::now` or `HashMap` by plain
+//! first means a rule can search for `.fold(` or `par_iter` by plain
 //! substring without tripping over doc comments, log messages, or the
 //! linter's own pattern tables.
 //!

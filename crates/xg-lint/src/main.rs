@@ -1,41 +1,28 @@
-//! CLI for the workspace determinism-and-robustness linter.
+//! CLI for the workspace determinism linter.
 //!
 //! ```text
-//! xg-lint [--root DIR] [--format human|json] [--show-waived] [--rules]
-//!         [--compare PREV.json]
+//! xg-lint [--root DIR] [--show-waived] [--rules]
 //! ```
 //!
-//! `--compare` diffs the current run against a previously emitted JSON
-//! report (the artifact CI keeps from the last green run): the exit
-//! status then reflects *new* unwaived findings only, so a long-lived
-//! baseline of known findings cannot mask a fresh regression — and a
-//! fresh regression cannot hide behind the baseline's count.
-//!
-//! Exit status: 0 when every finding is covered by a reasoned waiver
-//! (or, with `--compare`, when no new unwaived findings appeared),
+//! Exit status: 0 when every finding is covered by a reasoned waiver,
 //! 1 otherwise, 2 on usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xg_lint::report::unwaived_fingerprints_from_json;
 use xg_lint::{lint_root, Config, Rule, RULES_VERSION};
 
 struct Args {
     root: PathBuf,
-    json: bool,
     show_waived: bool,
     list_rules: bool,
-    compare: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        json: false,
         show_waived: false,
         list_rules: false,
-        compare: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -44,23 +31,10 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--root needs a directory")?;
                 args.root = PathBuf::from(v);
             }
-            "--format" => match it.next().as_deref() {
-                Some("json") => args.json = true,
-                Some("human") => args.json = false,
-                other => return Err(format!("--format must be human|json, got {other:?}")),
-            },
             "--show-waived" => args.show_waived = true,
             "--rules" => args.list_rules = true,
-            "--compare" => {
-                let v = it.next().ok_or("--compare needs a previous JSON report")?;
-                args.compare = Some(PathBuf::from(v));
-            }
             "--help" | "-h" => {
-                return Err(
-                    "usage: xg-lint [--root DIR] [--format human|json] [--show-waived] \
-                            [--rules] [--compare PREV.json]"
-                        .to_string(),
-                )
+                return Err("usage: xg-lint [--root DIR] [--show-waived] [--rules]".to_string())
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -90,47 +64,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.to_human(args.show_waived));
-    }
-    if let Some(prev_path) = &args.compare {
-        let prev_text = match std::fs::read_to_string(prev_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("xg-lint: cannot read {}: {e}", prev_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let prev: std::collections::BTreeSet<String> = unwaived_fingerprints_from_json(&prev_text)
-            .into_iter()
-            .collect();
-        let fresh: Vec<_> = report
-            .unwaived()
-            .filter(|f| !prev.contains(&f.fingerprint()))
-            .collect();
-        eprintln!(
-            "xg-lint --compare: {} unwaived now, {} in baseline, {} new",
-            report.unwaived_count(),
-            prev.len(),
-            fresh.len()
-        );
-        for f in &fresh {
-            eprintln!(
-                "NEW {}:{}: {}: {}",
-                f.file,
-                f.line,
-                f.rule.name(),
-                f.message
-            );
-        }
-        return if fresh.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
+    print!("{}", report.to_human(args.show_waived));
     if report.unwaived_count() == 0 {
         ExitCode::SUCCESS
     } else {

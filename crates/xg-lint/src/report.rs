@@ -1,17 +1,12 @@
-//! Report rendering: machine-readable JSON (hand-rolled — the workspace
-//! carries no JSON dependency by policy) and human diagnostics.
+//! Report rendering: human diagnostics, one line per finding plus a
+//! summary line stamped with the rule-set version.
 
 use crate::rules::Finding;
 use crate::RULES_VERSION;
 
-/// The JSON document's schema tag.
-pub const REPORT_SCHEMA: &str = "xg-lint-report/2";
-
 /// A completed lint run.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Workspace root the paths are relative to (display only).
-    pub root: String,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// All findings, waived and unwaived, in (file, line) order.
@@ -27,37 +22,6 @@ impl Report {
     /// Count of unwaived findings (the gate statistic).
     pub fn unwaived_count(&self) -> usize {
         self.unwaived().count()
-    }
-
-    /// Render the machine-readable report. Header first so consumers can
-    /// check `rules_version` before parsing findings.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{REPORT_SCHEMA}\",\n"));
-        s.push_str(&format!("  \"rules_version\": \"{RULES_VERSION}\",\n"));
-        s.push_str(&format!("  \"root\": \"{}\",\n", escape(&self.root)));
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str(&format!("  \"unwaived\": {},\n", self.unwaived_count()));
-        s.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let reason = match &f.reason {
-                Some(r) => format!("\"{}\"", escape(r)),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "    {{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"waived\":{},\"reason\":{},\"message\":\"{}\"}}{}\n",
-                escape(&f.file),
-                f.line,
-                f.rule.name(),
-                f.waived,
-                reason,
-                escape(&f.message),
-                if i + 1 < self.findings.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
     }
 
     /// Render human diagnostics. Waived findings appear only with
@@ -99,89 +63,6 @@ impl Report {
     }
 }
 
-impl Finding {
-    /// Line-independent identity of a finding, used by `--compare` to
-    /// diff two reports without false alarms from shifted line numbers:
-    /// the same defect reported one line lower is not *new*.
-    pub fn fingerprint(&self) -> String {
-        format!("{}|{}|{}", self.file, self.rule.name(), self.message)
-    }
-}
-
-/// Unwaived-finding fingerprints extracted from a previously emitted
-/// JSON report (the artifact the CI gate downloads from the last green
-/// run). This parses only the format [`Report::to_json`] writes — one
-/// finding object per line — which is all the diff gate ever feeds it.
-pub fn unwaived_fingerprints_from_json(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"file\":") {
-            continue;
-        }
-        let (Some(file), Some(rule), Some(message)) = (
-            json_str_field(line, "file"),
-            json_str_field(line, "rule"),
-            json_str_field(line, "message"),
-        ) else {
-            continue;
-        };
-        if line.contains("\"waived\":false") {
-            out.push(format!("{file}|{rule}|{message}"));
-        }
-    }
-    out
-}
-
-/// Extract `"key":"value"` from one serialized finding, unescaping the
-/// value.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let bytes = line.as_bytes();
-    // Collect raw bytes so multibyte UTF-8 (em dashes in messages)
-    // survives, then validate once at the end.
-    let mut out: Vec<u8> = Vec::new();
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return String::from_utf8(out).ok(),
-            b'\\' => {
-                match bytes.get(i + 1) {
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(&c) => out.push(c),
-                    None => return None,
-                }
-                i += 2;
-            }
-            c => {
-                out.push(c);
-                i += 1;
-            }
-        }
-    }
-    None
-}
-
-/// Minimal JSON string escaping.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,14 +70,13 @@ mod tests {
 
     fn sample() -> Report {
         Report {
-            root: "/r".to_string(),
             files_scanned: 2,
             findings: vec![
                 Finding {
                     file: "a.rs".to_string(),
                     line: 3,
-                    rule: Rule::WallClock,
-                    message: "`Instant::now` in sim-domain code".to_string(),
+                    rule: Rule::TimeUnit,
+                    message: "`a_ms` (ms) and `b_ns` (ns) mixed across `+`".to_string(),
                     waived: false,
                     reason: None,
                 },
@@ -210,35 +90,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn json_has_header_and_escapes() {
-        let j = sample().to_json();
-        assert!(j.contains("\"schema\": \"xg-lint-report/2\""));
-        assert!(j.contains(&format!("\"rules_version\": \"{RULES_VERSION}\"")));
-        assert!(j.contains("\"unwaived\": 1"));
-        assert!(j.contains("max is \\\"order\\\"-independent"));
-    }
-
-    #[test]
-    fn fingerprints_round_trip_through_json() {
-        let r = sample();
-        let parsed = unwaived_fingerprints_from_json(&r.to_json());
-        let direct: Vec<String> = r.unwaived().map(|f| f.fingerprint()).collect();
-        assert_eq!(parsed, direct);
-        assert_eq!(
-            parsed,
-            vec!["a.rs|wall-clock|`Instant::now` in sim-domain code"]
-        );
-    }
-
-    #[test]
-    fn fingerprints_survive_escapes_and_multibyte() {
-        let mut r = sample();
-        r.findings[0].message = "mixed `a_ms` — \"quoted\" path".to_string();
-        let parsed = unwaived_fingerprints_from_json(&r.to_json());
-        assert_eq!(parsed, vec![r.findings[0].fingerprint()]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! The rule set. Version [`RULES_VERSION`](crate::RULES_VERSION) must be
-//! bumped whenever a rule is added, removed, or changes what it matches:
-//! JSON reports record the version they were produced under, so a
-//! `--compare` baseline can be told apart from the current rule set.
+//! The rule set: only what clippy cannot express. Version
+//! [`RULES_VERSION`](crate::RULES_VERSION) must be bumped whenever a rule
+//! is added, removed, or changes what it matches.
 
 use std::collections::BTreeSet;
 
@@ -14,14 +13,6 @@ use crate::waiver::{find_waiver, parse_waivers, Waiver};
 /// The enforced rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// `Instant::now` / `SystemTime::now` outside wall-domain modules.
-    WallClock,
-    /// `HashMap` / `HashSet` in deterministic simulator crates.
-    UnorderedIter,
-    /// `thread_rng`, `rand::random`, `from_entropy`, `OsRng` anywhere.
-    UnseededRandom,
-    /// `unwrap` / `expect` / panic-family macros in non-test library code.
-    PanickingCall,
     /// `f32`/`f64` fold/sum/reduce inside a parallel statement without a
     /// documented order guarantee.
     FloatReduce,
@@ -35,8 +26,8 @@ pub enum Rule {
     /// A waiver comment that suppresses no finding. Not itself waivable:
     /// the fix is deleting the waiver.
     StaleWaiver,
-    /// Panic paths (`unwrap`/`expect`/panic- and assert-family macros)
-    /// inside `Advance` impls or the `xg-sim` queue.
+    /// Assert-family macros inside `Advance` impls or the `xg-sim` queue
+    /// (clippy's panic lints cover the rest of the panic family there).
     EventPanic,
     /// A waiver comment that is malformed, reasonless, or names an
     /// unknown rule. Not itself waivable.
@@ -47,10 +38,6 @@ impl Rule {
     /// Stable kebab-case name used in reports and waiver comments.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::WallClock => "wall-clock",
-            Rule::UnorderedIter => "unordered-iter",
-            Rule::UnseededRandom => "unseeded-random",
-            Rule::PanickingCall => "panicking-call",
             Rule::FloatReduce => "float-reduce",
             Rule::TimeUnit => "time-unit",
             Rule::ObsName => "obs-name",
@@ -65,10 +52,6 @@ impl Rule {
     /// the only fix is repairing or deleting it.
     pub fn from_name(name: &str) -> Option<Rule> {
         match name {
-            "wall-clock" => Some(Rule::WallClock),
-            "unordered-iter" => Some(Rule::UnorderedIter),
-            "unseeded-random" => Some(Rule::UnseededRandom),
-            "panicking-call" => Some(Rule::PanickingCall),
             "float-reduce" => Some(Rule::FloatReduce),
             "time-unit" => Some(Rule::TimeUnit),
             "obs-name" => Some(Rule::ObsName),
@@ -80,10 +63,6 @@ impl Rule {
     /// Every waivable rule, for `--rules` output.
     pub fn all() -> &'static [Rule] {
         &[
-            Rule::WallClock,
-            Rule::UnorderedIter,
-            Rule::UnseededRandom,
-            Rule::PanickingCall,
             Rule::FloatReduce,
             Rule::TimeUnit,
             Rule::ObsName,
@@ -94,24 +73,6 @@ impl Rule {
     /// One-line description for `--rules` and the docs.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::WallClock => {
-                "no Instant::now/SystemTime::now outside wall-domain modules \
-                 (xg-obs clock, bench bins): sim results must not depend on wall time"
-            }
-            Rule::UnorderedIter => {
-                "no HashMap/HashSet in deterministic simulator crates: iteration \
-                 order varies per process and breaks same-seed reproducibility; \
-                 use BTreeMap/BTreeSet or waive with a reason"
-            }
-            Rule::UnseededRandom => {
-                "no thread_rng/rand::random/from_entropy/OsRng anywhere: every \
-                 random stream must derive from the run seed"
-            }
-            Rule::PanickingCall => {
-                "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in \
-                 non-test library code of the simulator crates: thread typed \
-                 errors instead"
-            }
             Rule::FloatReduce => {
                 "no f32/f64 fold/sum/reduce inside parallel statements unless \
                  the reduction is order-independent (document it in the waiver)"
@@ -131,9 +92,9 @@ impl Rule {
                  it (or fix the rule name) so the audit trail stays honest"
             }
             Rule::EventPanic => {
-                "no unwrap/expect/panic- or assert-family macros inside \
-                 Advance impls or the xg-sim queue: the event \
-                 engine must degrade through typed errors, never abort"
+                "no assert!/assert_eq!/assert_ne! inside Advance impls or the \
+                 xg-sim queue: the event engine must degrade through typed \
+                 errors, never abort"
             }
             Rule::BadWaiver => "a waiver comment that is malformed or lacks a reason",
         }
@@ -157,26 +118,7 @@ pub struct Finding {
     pub reason: Option<String>,
 }
 
-/// Substring patterns per rule. `HashMap`-style bare identifiers are
-/// checked for identifier boundaries; `::`/`.`-anchored patterns are
-/// matched as-is.
-const WALL_CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime::now"];
-const UNORDERED_PATTERNS: &[&str] = &["HashMap", "HashSet"];
-const UNSEEDED_PATTERNS: &[&str] = &[
-    "thread_rng",
-    "rand::random",
-    "from_entropy",
-    "OsRng",
-    "getrandom",
-];
-const PANICKING_PATTERNS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
+/// `float-reduce` substrings, matched as-is on scrubbed lines.
 const FLOAT_REDUCE_PATTERNS: &[&str] = &[
     ".sum::<f32>",
     ".sum::<f64>",
@@ -234,61 +176,9 @@ pub fn analyze_file(relpath: &str, source: &str, cfg: &Config) -> FileAnalysis {
         });
     }
 
-    let in_wall_allowlist = cfg.wall_allowlisted(relpath);
-    let deterministic = cfg.is_deterministic_path(relpath);
-    let panicking_scope = cfg.is_panicking_scope(relpath);
-
     for (idx, line) in scrubbed.lines.iter().enumerate() {
         let lineno = idx + 1;
-        let in_test = tests.contains(lineno);
-
-        if !in_wall_allowlist {
-            for pat in WALL_CLOCK_PATTERNS {
-                if line.contains(pat) {
-                    push(
-                        &mut a,
-                        lineno,
-                        Rule::WallClock,
-                        format!("`{pat}` in sim-domain code"),
-                    );
-                }
-            }
-        }
-        if deterministic && !in_test {
-            for pat in UNORDERED_PATTERNS {
-                if contains_ident(line, pat) {
-                    push(
-                        &mut a,
-                        lineno,
-                        Rule::UnorderedIter,
-                        format!("`{pat}` in a deterministic crate (iteration order is unseeded)"),
-                    );
-                }
-            }
-        }
-        for pat in UNSEEDED_PATTERNS {
-            if line.contains(pat) {
-                push(
-                    &mut a,
-                    lineno,
-                    Rule::UnseededRandom,
-                    format!("`{pat}` draws entropy outside the run seed"),
-                );
-            }
-        }
-        if panicking_scope && !in_test {
-            for pat in PANICKING_PATTERNS {
-                if line.contains(pat) {
-                    push(
-                        &mut a,
-                        lineno,
-                        Rule::PanickingCall,
-                        format!("`{pat}` in non-test library code"),
-                    );
-                }
-            }
-        }
-        if parallel.contains(lineno) && !in_test {
+        if parallel.contains(lineno) && !tests.contains(lineno) {
             for pat in FLOAT_REDUCE_PATTERNS {
                 if line.contains(pat) {
                     push(
@@ -314,13 +204,10 @@ pub fn analyze_file(relpath: &str, source: &str, cfg: &Config) -> FileAnalysis {
     }
 
     // event-panic: impl-scoped everywhere, whole-file in event paths.
-    // Where `panicking-call` already covers the file, only the
-    // assert-family escalation is new — the rest would double-report.
     if !integration_test {
         let whole_file = cfg.is_event_path(relpath);
         for (line, msg) in semantic::event_panic_findings(&sem, whole_file) {
-            let already_covered = panicking_scope && !msg.starts_with("`assert");
-            if !tests.contains(line) && !already_covered {
+            if !tests.contains(line) {
                 push(&mut a, line, Rule::EventPanic, msg);
             }
         }
@@ -443,24 +330,6 @@ fn push(a: &mut FileAnalysis, line: usize, rule: Rule, message: String) {
     });
 }
 
-/// `needle` present in `hay` with identifier boundaries on both sides.
-fn contains_ident(hay: &str, needle: &str) -> bool {
-    let bytes = hay.as_bytes();
-    for (pos, _) in hay.match_indices(needle) {
-        let before_ok = pos == 0 || !is_ident_byte(bytes[pos - 1]);
-        let after = pos + needle.len();
-        let after_ok = after >= bytes.len() || !is_ident_byte(bytes[after]);
-        if before_ok && after_ok {
-            return true;
-        }
-    }
-    false
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,40 +344,50 @@ mod tests {
 
     #[test]
     fn ident_boundaries() {
-        assert!(contains_ident("let m: HashMap<u8, u8>;", "HashMap"));
-        assert!(!contains_ident("struct HashMapLike;", "HashMap"));
-        assert!(!contains_ident(
-            "let my_hash_map = MyHashMap::new();",
-            "HashMap"
-        ));
+        // Units come from whole tokens: `_ms` inside a longer identifier,
+        // or a bare `ms`, is not a suffix.
+        let mix = |l: &str, r: &str| findings(&format!("fn f() -> u64 {{ {l} + {r} }}\n"));
+        assert_eq!(mix("a_ms", "b_ns").len(), 1);
+        assert!(mix("a_ms_total", "b_ns").is_empty());
+        assert!(mix("ms", "b_ns").is_empty());
     }
 
     #[test]
     fn string_contents_do_not_trigger() {
-        let f = findings("let msg = \"never call Instant::now here\";\n");
+        let f = findings("let msg = \"a_ms + b_ns inside xs.par_iter().sum::<f64>()\";\n");
         assert!(f.is_empty());
     }
 
     #[test]
     fn waived_finding_is_marked_not_dropped() {
-        let f =
-            findings("// xg-lint: allow(wall-clock, wall-domain probe)\nlet t = Instant::now();\n");
+        let f = findings(
+            "// xg-lint: allow(time-unit, the sum is logged, never fed back)\n\
+             fn f(a_ms: u64, b_ns: u64) -> u64 { a_ms + b_ns }\n",
+        );
         assert_eq!(f.len(), 1);
         assert!(f[0].waived);
-        assert_eq!(f[0].reason.as_deref(), Some("wall-domain probe"));
+        assert_eq!(
+            f[0].reason.as_deref(),
+            Some("the sum is logged, never fed back")
+        );
     }
 
     #[test]
-    fn unwrap_in_test_mod_is_exempt() {
+    fn unit_mix_in_test_mod_is_exempt() {
         let src = "\
-fn lib() -> Option<u8> { None }
+fn lib(a_ms: u64) -> u64 { a_ms }
 #[cfg(test)]
 mod tests {
     #[test]
-    fn t() { super::lib().unwrap(); }
+    fn t() { let (c_ms, b_ns) = (super::lib(3), 1); let _ = c_ms + b_ns; }
 }
 ";
         assert!(findings(src).is_empty());
+        // The same statement outside the test module is a finding.
+        assert_eq!(
+            findings("fn f(c_ms: u64, b_ns: u64) -> u64 { c_ms + b_ns }\n").len(),
+            1
+        );
     }
 
     #[test]

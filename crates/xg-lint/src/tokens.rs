@@ -1,6 +1,6 @@
 //! Token stream and token-tree construction over scrubbed source.
 //!
-//! The v1 rules were line-level substring checks; the v2 semantic rules
+//! `float-reduce` is a line-level substring check; the semantic rules
 //! (`time-unit`, `obs-name`, `event-panic`) need to see *structure*:
 //! which identifier is an operand of which operator, which string
 //! literal is the n-th argument of which call, which lines sit inside

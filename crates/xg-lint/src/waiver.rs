@@ -5,7 +5,7 @@
 //! comment and as a comment immediately above the offending line). The
 //! reason is mandatory: a waiver without one — or naming an unknown rule
 //! — is itself reported as a `bad-waiver` finding, which cannot be
-//! waived. Reasons are carried verbatim into the JSON report so a
+//! waived. Reasons are carried verbatim into the report so a
 //! reviewer can audit every exemption with `--show-waived`.
 
 use crate::lexer::Comment;
@@ -122,12 +122,12 @@ mod tests {
     fn well_formed_waiver_parses() {
         let (w, bad) = parse_waivers(&[comment(
             3,
-            " xg-lint: allow(wall-clock, obs-gated wall timing of a real solve)",
+            " xg-lint: allow(time-unit, the sum is logged, never fed back)",
         )]);
         assert!(bad.is_empty());
         assert_eq!(w.len(), 1);
-        assert_eq!(w[0].rule, Rule::WallClock);
-        assert_eq!(w[0].reason, "obs-gated wall timing of a real solve");
+        assert_eq!(w[0].rule, Rule::TimeUnit);
+        assert_eq!(w[0].reason, "the sum is logged, never fed back");
     }
 
     #[test]
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn missing_reason_is_bad() {
-        let (w, bad) = parse_waivers(&[comment(1, "xg-lint: allow(wall-clock)")]);
+        let (w, bad) = parse_waivers(&[comment(1, "xg-lint: allow(time-unit)")]);
         assert!(w.is_empty());
         assert_eq!(bad.len(), 1);
         assert!(bad[0].message.contains("no reason"));
@@ -166,7 +166,7 @@ mod tests {
     fn doc_comments_never_carry_waivers() {
         // A doc comment's directive reaches the parser with a leading `/`.
         let (w, bad) = parse_waivers(&[
-            comment(1, "/ xg-lint: allow(wall-clock, documented example)"),
+            comment(1, "/ xg-lint: allow(time-unit, documented example)"),
             comment(2, "! xg-lint: allow(bogus-rule)"),
         ]);
         assert!(w.is_empty());
@@ -175,10 +175,13 @@ mod tests {
 
     #[test]
     fn waiver_covers_own_and_next_line() {
-        let (w, _) = parse_waivers(&[comment(5, "xg-lint: allow(unordered-iter, scratch set)")]);
-        assert!(find_waiver(&w, Rule::UnorderedIter, 5).is_some());
-        assert!(find_waiver(&w, Rule::UnorderedIter, 6).is_some());
-        assert!(find_waiver(&w, Rule::UnorderedIter, 7).is_none());
-        assert!(find_waiver(&w, Rule::WallClock, 6).is_none());
+        let (w, _) = parse_waivers(&[comment(
+            5,
+            "xg-lint: allow(float-reduce, max is order-independent)",
+        )]);
+        assert!(find_waiver(&w, Rule::FloatReduce, 5).is_some());
+        assert!(find_waiver(&w, Rule::FloatReduce, 6).is_some());
+        assert!(find_waiver(&w, Rule::FloatReduce, 7).is_none());
+        assert!(find_waiver(&w, Rule::TimeUnit, 6).is_none());
     }
 }

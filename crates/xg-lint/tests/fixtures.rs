@@ -49,86 +49,6 @@ fn lines_of(findings: &[Finding], rule: Rule) -> Vec<usize> {
 }
 
 #[test]
-fn wall_clock_positive() {
-    let f = lint_fixture("wall_clock_pos.rs");
-    assert_eq!(lines_of(&f, Rule::WallClock), vec![5, 6]);
-}
-
-#[test]
-fn wall_clock_negative() {
-    let f = lint_fixture("wall_clock_neg.rs");
-    assert!(f.is_empty(), "unexpected findings: {f:?}");
-}
-
-#[test]
-fn wall_clock_allowlisted_path_is_exempt() {
-    // The same source that fires under the fixture config is silent when
-    // the file sits on the workspace wall-clock allowlist.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wall_clock_pos.rs");
-    let source = std::fs::read_to_string(path).expect("fixture readable");
-    let f = lint_source("crates/xg-obs/src/clock.rs", &source, &Config::workspace());
-    assert!(lines_of(&f, Rule::WallClock).is_empty());
-}
-
-#[test]
-fn unordered_iter_positive() {
-    let f = lint_fixture("unordered_iter_pos.rs");
-    let lines = lines_of(&f, Rule::UnorderedIter);
-    // Import line (both types), two field declarations.
-    assert!(lines.contains(&2), "import must be flagged: {lines:?}");
-    assert!(lines.contains(&5));
-    assert!(lines.contains(&6));
-}
-
-#[test]
-fn unordered_iter_negative() {
-    let f = lint_fixture("unordered_iter_neg.rs");
-    assert!(
-        f.is_empty(),
-        "BTree* and test-only HashSet must pass: {f:?}"
-    );
-}
-
-#[test]
-fn unseeded_random_positive() {
-    let f = lint_fixture("unseeded_random_pos.rs");
-    let lines = lines_of(&f, Rule::UnseededRandom);
-    assert!(lines.contains(&5), "thread_rng: {lines:?}");
-    assert!(lines.contains(&6), "rand::random in lib code: {lines:?}");
-    assert!(
-        lines.contains(&13),
-        "rand::random in tests is still a finding: {lines:?}"
-    );
-}
-
-#[test]
-fn unseeded_random_negative() {
-    let f = lint_fixture("unseeded_random_neg.rs");
-    assert!(f.is_empty(), "seeded RNG must pass: {f:?}");
-}
-
-#[test]
-fn panicking_call_positive() {
-    let f = lint_fixture("panicking_call_pos.rs");
-    let lines = lines_of(&f, Rule::PanickingCall);
-    for expected in [4, 5, 7, 10, 11, 12] {
-        assert!(
-            lines.contains(&expected),
-            "line {expected} missing: {lines:?}"
-        );
-    }
-}
-
-#[test]
-fn panicking_call_negative() {
-    let f = lint_fixture("panicking_call_neg.rs");
-    assert!(
-        f.is_empty(),
-        "typed errors + test-only unwraps must pass: {f:?}"
-    );
-}
-
-#[test]
 fn float_reduce_positive() {
     let f = lint_fixture("float_reduce_pos.rs");
     let lines = lines_of(&f, Rule::FloatReduce);
@@ -151,23 +71,23 @@ fn float_reduce_negative() {
 #[test]
 fn waiver_parsing() {
     let f = lint_fixture("waivers.rs");
-    // Two wall-clock findings waived with reasons (line-above and trailing).
+    // Two time-unit findings waived with reasons (line-above and trailing).
     let waived: Vec<_> = f
         .iter()
-        .filter(|f| f.rule == Rule::WallClock && f.waived)
+        .filter(|f| f.rule == Rule::TimeUnit && f.waived)
         .collect();
-    assert_eq!(waived.len(), 2, "both probe legs waived: {f:?}");
+    assert_eq!(waived.len(), 2, "both logged legs waived: {f:?}");
     assert_eq!(
         waived[0].reason.as_deref(),
-        Some("wall-domain probe measuring real elapsed time")
+        Some("logged beside the ns leg, never fed back")
     );
     assert_eq!(
         waived[1].reason.as_deref(),
-        Some("second leg of the same probe")
+        Some("second leg of the same log line")
     );
     // The reasonless waiver does not waive, and is itself a finding.
-    let unwaived_wall = lines_of(&f, Rule::WallClock);
-    assert_eq!(unwaived_wall, vec![14], "reasonless waiver must not waive");
+    let unwaived = lines_of(&f, Rule::TimeUnit);
+    assert_eq!(unwaived, vec![14], "reasonless waiver must not waive");
     let bad = lines_of(&f, Rule::BadWaiver);
     assert_eq!(
         bad,
@@ -257,7 +177,7 @@ fn stale_waiver_positive() {
         "the waiver suppressing nothing: {f:?}"
     );
     assert!(
-        lines_of(&f, Rule::WallClock).is_empty(),
+        lines_of(&f, Rule::TimeUnit).is_empty(),
         "the live waiver still waives: {f:?}"
     );
 }
@@ -269,14 +189,13 @@ fn stale_waiver_negative() {
         lines_of(&f, Rule::StaleWaiver).is_empty(),
         "a waiver with a live finding is not stale: {f:?}"
     );
-    assert!(lines_of(&f, Rule::WallClock).is_empty());
+    assert!(lines_of(&f, Rule::TimeUnit).is_empty());
 }
 
-/// Event-panic fixture config: panicking-call muted so the findings are
-/// pure event-panic, and the whole file treated as event-queue code.
+/// Event-panic fixture config: the whole file treated as event-queue
+/// code.
 fn event_cfg() -> Config {
     let mut cfg = Config::everything();
-    cfg.panicking_paths.clear();
     cfg.event_paths = vec![String::new()];
     cfg
 }
@@ -284,30 +203,24 @@ fn event_cfg() -> Config {
 #[test]
 fn event_panic_positive_whole_file() {
     let f = lint_fixture_with("event_panic_pos.rs", &event_cfg());
-    // unwrap + assert! in the Advance impl; the inherent impl's panic!
-    // and the free fn's expect are caught by queue scope only.
+    // assert! + assert_ne! in the Advance impl; the inherent impl's
+    // assert_eq! and the free fn's assert! are caught by queue scope
+    // only. The impl's `.unwrap()` is clippy's (`unwrap_used`).
     assert_eq!(
         lines_of(&f, Rule::EventPanic),
-        vec![8, 9, 16, 21],
+        vec![9, 10, 17, 23],
         "findings: {f:?}"
     );
 }
 
 #[test]
 fn event_panic_impl_scoped_under_default_config() {
-    // Under the default config the file is panicking scope, so only the
-    // assert-family escalation inside the Advance impl is new; the
-    // out-of-impl expect stays a plain panicking-call finding.
+    // Outside the queue's own files, only the Advance impl is in scope.
     let f = lint_fixture("event_panic_pos.rs");
     assert_eq!(
         lines_of(&f, Rule::EventPanic),
-        vec![9],
-        "assert escalation only: {f:?}"
-    );
-    let panics = lines_of(&f, Rule::PanickingCall);
-    assert!(
-        panics.contains(&21),
-        "out-of-impl expect stays panicking-call: {panics:?}"
+        vec![9, 10],
+        "impl-scoped asserts only: {f:?}"
     );
 }
 

@@ -1,5 +1,5 @@
-//! Positive fixture: panic paths inside an `Advance` impl, plus two
-//! outside it that only the whole-file (queue) scope catches.
+//! Positive fixture: assert-family macros inside an `Advance` impl, plus
+//! two outside it that only the whole-file (queue) scope catches.
 
 pub struct Q;
 
@@ -7,16 +7,18 @@ impl Advance for Q {
     fn advance_to(&mut self, t_ns: u64) -> Result<(), Stall> {
         let ev = self.heap.pop().unwrap();
         assert!(ev.at_ns >= t_ns);
+        assert_ne!(ev.source, u32::MAX);
         Ok(())
     }
 }
 
 impl Q {
     pub fn next_event(&self) -> Option<u64> {
-        panic!("no events")
+        assert_eq!(self.len(), 0, "no events");
+        None
     }
 }
 
 pub fn outside(q: &Q) {
-    q.peek().expect("only the whole-file scope catches this");
+    assert!(q.peek().is_some(), "only the whole-file scope catches this");
 }

@@ -1,9 +1,9 @@
 //! Positive fixture: a waiver whose finding is long gone.
 
-// xg-lint: allow(wall-clock, stale - the probe this covered was removed)
+// xg-lint: allow(time-unit, stale - the mixed sum this covered was removed)
 pub fn nothing_to_suppress() {}
 
-pub fn used() -> std::time::Instant {
-    // xg-lint: allow(wall-clock, real probe, this waiver is live)
-    std::time::Instant::now()
+pub fn used(a_ms: u64, b_ns: u64) -> u64 {
+    // xg-lint: allow(time-unit, logged beside the ns leg, this waiver is live)
+    a_ms + b_ns
 }

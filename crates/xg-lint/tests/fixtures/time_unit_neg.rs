@@ -28,3 +28,8 @@ fn ms_to_ns(v_ms: u64) -> u64 {
 pub fn small_consts(t_ns: u64) -> (SimNs, SimNs, SimNs) {
     (SimNs(t_ns), SimNs(0), SimNs(100))
 }
+
+impl SimNs {
+    /// The named const the raw-literal message asks for.
+    pub const SECOND: SimNs = SimNs(1_000_000_000);
+}

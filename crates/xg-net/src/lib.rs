@@ -48,10 +48,13 @@
 //! assert!(mbps > 30.0 && mbps < 70.0, "got {mbps}");
 //! ```
 
-// Non-test library code must thread typed errors instead of panicking:
-// the same invariant xg-lint's panicking-call rule enforces for expect/panic.
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Non-test library code must thread typed errors instead of panicking.
+// These lints are the gate (CI runs clippy with `-D warnings`); a site
+// that must abort carries `#[expect(clippy::expect_used, reason = …)]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod calib;
 pub mod cell;

@@ -244,7 +244,6 @@ impl LinkSimulator {
     }
 }
 
-// The whole file is test-only; the attribute is what tells xg-lint so.
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,6 +9,11 @@
 //! [`ClockDomain`] and timestamps are integer microseconds in that
 //! domain.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the one blessed wall-clock source: every other wall read goes through this module"
+)]
+
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -46,7 +51,8 @@ pub fn wall_now_us() -> u64 {
 
 /// Nanoseconds of wall time since the process epoch — the profiler's
 /// time base, kept here so every wall-clock read in the workspace stays
-/// inside this allowlisted module.
+/// inside this module, which is exempt from the `Instant::now` ban as a
+/// whole.
 pub fn wall_now_ns() -> u64 {
     wall_epoch().elapsed().as_nanos() as u64
 }

@@ -41,10 +41,17 @@
 //! assert_eq!(snap.counters["cycles"], 1);
 //! ```
 
-// Non-test library code must thread typed errors instead of panicking:
-// the same invariant xg-lint's panicking-call rule enforces for expect/panic.
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Non-test library code must thread typed errors instead of panicking.
+// These lints are the gate (CI runs clippy with `-D warnings`); a site
+// that must abort carries `#[expect(clippy::expect_used, reason = …)]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the metrics registry shards and the recorder's span index are HashMap/HashSet look-ups; snapshots collect into BTreeMaps before anything is read out"
+)]
 
 pub mod clock;
 pub mod critical;

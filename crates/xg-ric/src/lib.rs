@@ -21,8 +21,10 @@
 //! indications once per report cycle, steps the engine, and applies the
 //! resolved actions between cycles.
 
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod action;
 pub mod ric;

@@ -108,8 +108,8 @@ impl Indication {
 /// Contract: `on_indication` is called once per period, in registration
 /// order, and must derive its output only from the indication, its own
 /// state, and the seeded [`XAppCtx`] — never from wall clock, global
-/// RNGs, or unordered maps (`xg-lint` enforces the same rules here as
-/// in the simulator crates).
+/// RNGs, or unordered maps (the workspace `clippy.toml` bans wall-clock
+/// reads and `HashMap`/`HashSet` here as in the simulator crates).
 pub trait XApp: XAppClone + Send {
     /// Stable identifier used in timeline events and conflict logs.
     fn name(&self) -> &'static str;

@@ -36,6 +36,14 @@
 //! measured in `benchmark/` (`xg-sim.event_ns`, see
 //! `benchmark/README.md`).
 
+// Non-test library code must thread typed errors instead of panicking.
+// These lints are the gate (CI runs clippy with `-D warnings`); a site
+// that must abort carries `#[expect(clippy::expect_used, reason = …)]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod math;
 pub mod normal;
 pub mod queue;
@@ -57,11 +65,9 @@ impl SimNs {
     pub const MICRO: SimNs = SimNs(1_000);
 
     /// One millisecond (one 15 kHz-SCS TTI).
-    // xg-lint: allow(time-unit, MILLI is the named const the rule asks for)
     pub const MILLI: SimNs = SimNs(1_000_000);
 
     /// One second.
-    // xg-lint: allow(time-unit, SECOND is the named const the rule asks for)
     pub const SECOND: SimNs = SimNs(1_000_000_000);
 
     /// Whole seconds, exact for integer-second times.

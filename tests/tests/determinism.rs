@@ -1,14 +1,15 @@
 //! Same-seed reproducibility regression tests.
 //!
-//! The xg-lint `unordered-iter` rule exists because one `HashMap`
-//! iteration on a deterministic path silently breaks the repo's core
-//! claim: every figure-shaped result is a function of the seed. These
+//! The workspace `clippy.toml` bans `HashMap`/`HashSet` because one
+//! unordered iteration on a deterministic path silently breaks the
+//! repo's core claim: every figure-shaped result is a function of the
+//! seed. These
 //! tests pin the claim end-to-end — two closed-loop runs under the same
 //! seed (with faults active, so the netsim/route, RAN-fleet, and
 //! store-and-forward paths all execute) must produce *byte-identical*
 //! timelines. They passed before the `BTreeMap` migrations and must
 //! keep passing after; a reintroduced unordered container that leaks
-//! into event order fails here even if it slips past the linter.
+//! into event order fails here even if it slips past clippy.
 
 use xg_fabric::orchestrator::{FabricConfig, XgFabric};
 use xg_faults::{FaultKind, FaultPlan};
