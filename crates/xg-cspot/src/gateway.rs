@@ -8,9 +8,11 @@
 //! data: samples park in the local log and drain exactly once when the
 //! path heals.
 
-use crate::error::{CspotError, Result};
+use crate::error::Result;
+use crate::log::Log;
 use crate::node::CspotNode;
-use crate::protocol::{AppendOutcome, RemoteAppender};
+use crate::protocol::RemoteAppender;
+use std::sync::Arc;
 
 /// Cursor state: the gateway tracks the highest locally-buffered sequence
 /// number it has successfully relayed (persisted in its own meta log so a
@@ -20,17 +22,23 @@ const CURSOR_LOG: &str = "gateway.cursor";
 /// A store-and-forward gateway from a local buffer log to a remote log.
 pub struct Gateway {
     /// The field node holding the local buffer.
-    local: std::sync::Arc<CspotNode>,
+    local: Arc<CspotNode>,
     /// Name of the local buffer log.
     buffer_log: String,
+    /// The local buffer log, looked up once.
+    buffer: Arc<Log>,
     /// Name of the remote destination log.
     remote_log: String,
     /// Name of the cursor log (distinct per gateway when several share a
     /// field node).
     cursor_log: String,
     /// Highest buffered sequence relayed: loaded from the cursor log once
-    /// at construction, written through on every advance.
+    /// at construction, advanced in memory per relayed element.
     cursor: u64,
+    /// The cursor as last written to the cursor log.
+    persisted: u64,
+    /// Reused copy of the element being relayed.
+    payload: Vec<u8>,
     appender: RemoteAppender,
 }
 
@@ -49,7 +57,7 @@ impl Gateway {
     /// Create a gateway. The buffer log must already exist on `local`;
     /// the cursor log is created (or recovered) automatically.
     pub fn new(
-        local: std::sync::Arc<CspotNode>,
+        local: Arc<CspotNode>,
         buffer_log: &str,
         remote_log: &str,
         appender: RemoteAppender,
@@ -61,7 +69,7 @@ impl Gateway {
     /// several gateways can share one field node without clobbering each
     /// other's drain cursors.
     pub fn with_cursor_log(
-        local: std::sync::Arc<CspotNode>,
+        local: Arc<CspotNode>,
         buffer_log: &str,
         remote_log: &str,
         cursor_log: &str,
@@ -75,13 +83,16 @@ impl Gateway {
             .and_then(|seq| log.get(seq).ok())
             .and_then(|b| b.get(..8).and_then(|s| s.try_into().ok()))
             .map_or(0, u64::from_le_bytes);
-        local.log(buffer_log)?; // validate existence
+        let buffer = local.log(buffer_log)?;
         Ok(Gateway {
             local,
             buffer_log: buffer_log.to_string(),
+            payload: Vec::with_capacity(buffer.element_size()),
+            buffer,
             remote_log: remote_log.to_string(),
             cursor_log: cursor_log.to_string(),
             cursor,
+            persisted: cursor,
             appender,
         })
     }
@@ -91,12 +102,6 @@ impl Gateway {
         self.cursor
     }
 
-    fn advance_cursor(&mut self, to: u64) -> Result<()> {
-        self.local.put(&self.cursor_log, &to.to_le_bytes())?;
-        self.cursor = to;
-        Ok(())
-    }
-
     /// Buffer one sample locally (never touches the network).
     pub fn buffer(&self, payload: &[u8]) -> Result<u64> {
         self.local.put(&self.buffer_log, payload)
@@ -104,56 +109,58 @@ impl Gateway {
 
     /// Elements buffered but not yet relayed.
     pub fn backlog(&self) -> usize {
-        match self.local.log(&self.buffer_log) {
-            Ok(log) => log.count_from(self.cursor + 1),
-            Err(_) => 0,
-        }
+        self.buffer.count_from(self.cursor + 1)
     }
 
     /// Drain the backlog to the remote node, stopping at the first
     /// failure (e.g. an ongoing partition). Each element is relayed with
     /// an idempotency token derived from its buffer sequence number, so a
-    /// drain interrupted after the remote append but before the cursor
-    /// update cannot duplicate on retry.
+    /// relay repeated after a crash lands once, at its original remote
+    /// sequence.
     ///
-    /// Elements are read one at a time, so a parked backlog costs a
-    /// failed drain nothing; a buffer ring overwritten past the cursor
-    /// resumes from its earliest retained element.
+    /// That is why the cursor is written to the cursor log once per pass,
+    /// after the last relay, rather than once per element: a gateway that
+    /// dies mid-pass (or whose cursor write fails) resumes from the last
+    /// written cursor and re-relays what lay behind it idempotently. A
+    /// failed cursor write is retried at the end of the next pass.
+    ///
+    /// Elements are copied one at a time into a reused buffer, so a
+    /// parked backlog costs a failed drain nothing; a buffer ring
+    /// overwritten past the cursor resumes from its earliest retained
+    /// element.
     pub fn drain(&mut self, remote: &CspotNode) -> DrainReport {
         let mut relayed = 0usize;
         let mut latency_ms = 0.0;
-        if let Ok(log) = self.local.log(&self.buffer_log) {
-            loop {
-                let seq = (self.cursor + 1).max(log.earliest_seq().unwrap_or(0));
-                let Ok(payload) = log.get(seq) else { break };
-                let Ok(outcome) = self.relay_one(remote, seq, &payload) else {
-                    break;
-                };
-                latency_ms += outcome.latency_ms;
-                if self.advance_cursor(seq).is_err() {
-                    break;
-                }
-                relayed += 1;
+        loop {
+            let seq = (self.cursor + 1).max(self.buffer.earliest_seq().unwrap_or(0));
+            if self.buffer.read_into(seq, &mut self.payload).is_err() {
+                break;
             }
+            let Ok(outcome) = self.appender.append_with_token(
+                remote,
+                &self.remote_log,
+                &self.payload,
+                relay_token(seq),
+            ) else {
+                break;
+            };
+            latency_ms += outcome.latency_ms;
+            self.cursor = seq;
+            relayed += 1;
+        }
+        if self.cursor != self.persisted
+            && self
+                .local
+                .put(&self.cursor_log, &self.cursor.to_le_bytes())
+                .is_ok()
+        {
+            self.persisted = self.cursor;
         }
         DrainReport {
             relayed,
             remaining: self.backlog(),
             latency_ms,
         }
-    }
-
-    fn relay_one(
-        &mut self,
-        remote: &CspotNode,
-        buffer_seq: u64,
-        payload: &[u8],
-    ) -> std::result::Result<AppendOutcome, CspotError> {
-        // Token namespace: gateway buffer sequence numbers, offset so they
-        // never collide with the appender's own token counter space.
-        let token = 0x6A7E_0000_0000_0000_u128 << 64 | buffer_seq as u128;
-        self.appender
-            .append_with_token(remote, &self.remote_log, payload, token)
     }
 
     /// Mutable access to the underlying route (partition injection).
@@ -166,6 +173,13 @@ impl Gateway {
     pub fn set_obs(&mut self, obs: &xg_obs::Obs) {
         self.appender.set_obs(obs);
     }
+}
+
+/// The idempotency token relaying buffer element `buffer_seq`: the
+/// buffer sequence number, offset so it never collides with the
+/// appender's own token counter space.
+fn relay_token(buffer_seq: u64) -> u128 {
+    0x6A7E_0000_0000_0000_u128 << 64 | buffer_seq as u128
 }
 
 #[cfg(test)]
@@ -347,6 +361,58 @@ mod tests {
         assert_eq!(b.drain(&remote).relayed, 1);
         assert_eq!(remote.log("dst_a").unwrap().len(), 3);
         assert_eq!(remote.log("dst_b").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn failed_cursor_write_re_relays_exactly_once_after_restart() {
+        let dir = std::env::temp_dir().join(format!("xg-gw-cursor-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let remote = Arc::new(CspotNode::in_memory("UCSB"));
+        remote.create_log("telemetry", 8, 1024).unwrap();
+        let mk_appender = || {
+            RemoteAppender::new(
+                SimClock::new(),
+                RoutePath::single(PathModel::wired(3.0, 0.2)),
+                RemoteConfig::default(),
+                1,
+            )
+        };
+        let durable_gateway = || {
+            let local = Arc::new(CspotNode::durable("UNL", &dir));
+            local.open_log("buf", 8, 1024).unwrap();
+            Gateway::new(local, "buf", "telemetry", mk_appender()).unwrap()
+        };
+        {
+            let mut gw = durable_gateway();
+            gw.buffer(&1u64.to_le_bytes()).unwrap();
+            assert_eq!(gw.drain(&remote).relayed, 1);
+            for i in 2..=4u64 {
+                gw.buffer(&i.to_le_bytes()).unwrap();
+            }
+            // The pass relays all three, then its one cursor write fails.
+            let cursor_log = gw.local.log(CURSOR_LOG).unwrap();
+            cursor_log.inject_append_failures(1);
+            let report = gw.drain(&remote);
+            assert_eq!((report.relayed, report.remaining), (3, 0));
+            assert_eq!(cursor_log.pending_injected_failures(), 0);
+            assert_eq!(
+                cursor_log.len(),
+                1,
+                "one write per pass, and this one failed"
+            );
+            // Crash before any later pass retries the write.
+        }
+        let mut gw = durable_gateway();
+        assert_eq!(gw.cursor(), 1, "the cursor written by the first pass");
+        assert_eq!(gw.drain(&remote).relayed, 3, "re-relayed");
+        let log = remote.log("telemetry").unwrap();
+        assert_eq!(log.len(), 4, "each element exactly once");
+        for i in 1..=4u64 {
+            assert_eq!(log.get(i).unwrap(), i.to_le_bytes(), "at its original seq");
+        }
+        drop(gw);
+        assert_eq!(durable_gateway().cursor(), 4, "the re-drain wrote it");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

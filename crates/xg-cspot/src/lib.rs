@@ -9,9 +9,10 @@
 //! * [`log`] — fixed-element-size circular logs ("WooFs") with atomic
 //!   sequence-number assignment, concurrent access, and idempotency-token
 //!   deduplication for exactly-once delivery. A volatile log *is* its
-//!   bounded ring: each retained record is held once and nothing else,
-//!   and history is scanned where it lies (`Log::scan_newest_first`
-//!   lends each element to a closure; no reader copies the log).
+//!   bounded ring — one flat buffer of fixed-size slots, so an append
+//!   copies bytes into place — and history is scanned where it lies
+//!   (`Log::scan_newest_first` lends each element to a closure; no reader
+//!   copies the log). Tokens are indexed as sequential runs.
 //! * [`storage`] — the record, its CRC-framed wire format, and the
 //!   [`StorageBackend`] trait a durable log writes through.
 //! * [`segment`] — the durable storage engine, the one [`StorageBackend`]:
@@ -79,7 +80,7 @@ pub mod storage;
 pub mod prelude {
     pub use crate::error::CspotError;
     pub use crate::gateway::{DrainReport, Gateway};
-    pub use crate::log::{Log, LogConfig, ReplicaApply};
+    pub use crate::log::{Appended, Log, LogConfig, ReplicaApply};
     pub use crate::netsim::{PathModel, RoutePath, SimClock, Topology};
     pub use crate::node::CspotNode;
     pub use crate::outage::{OutageConfig, OutageProcess};

@@ -15,11 +15,23 @@
 //! * Elements have a fixed size declared at creation (the remote protocol
 //!   fetches this size before sending data — the paper's two-phase append).
 //! * History is circular: a log retains its most recent `history` elements.
+//!
+//! The retained window is one flat ring of `element_size`-byte slots
+//! beside a token per slot. Sequences are dense, so a slot's sequence is
+//! implied by its position, and the ring grows lazily to at most
+//! `history × element_size` bytes: once it is full, a volatile append
+//! copies the payload into the oldest slot and allocates nothing.
+//! Idempotency tokens are indexed as runs of consecutive (token, sequence)
+//! pairs, and a token keeps its sequence after its element leaves the
+//! window. A writer that numbers its tokens sequentially extends one run
+//! for as long as no other token-carrying writer interleaves on the same
+//! log — how every log in the fabric is written — so the index grows with
+//! writers, not with appends.
 
 use crate::error::{CspotError, Result};
 use crate::storage::{Record, RecoverySummary, StorageBackend};
 use parking_lot::Mutex;
-use std::collections::{vec_deque, BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Outcome of offering one replicated record to a follower log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +42,16 @@ pub enum ReplicaApply {
     /// The follower already holds this sequence; the offer was dropped
     /// (idempotent re-ship after a partial batch).
     Duplicate,
+}
+
+/// Where one append landed (see [`Log::offer`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Appended {
+    /// The element's sequence number.
+    pub seq: u64,
+    /// False for a retry of a token already appended: `seq` is the
+    /// original sequence and nothing was written.
+    pub fresh: bool,
 }
 
 /// Static configuration of a log.
@@ -43,13 +65,136 @@ pub struct LogConfig {
     pub history: usize,
 }
 
+/// Slots a ring reserves on its first append (fewer if `history` is).
+const FIRST_SLOTS: usize = 8;
+
+/// The retained window: up to `history` fixed-size payload slots and a
+/// token per slot. On a volatile log this is the only copy of each record.
+struct Ring {
+    element_size: usize,
+    history: usize,
+    /// Slot `i`'s payload is `bytes[i * element_size..(i + 1) * element_size]`.
+    bytes: Vec<u8>,
+    /// Slot `i`'s idempotency token (0 = none); its length is the number
+    /// of filled slots.
+    tokens: Vec<u128>,
+    /// Slot of the oldest element (0 until the ring wraps).
+    head: usize,
+}
+
+impl Ring {
+    fn new(element_size: usize, history: usize) -> Self {
+        Ring {
+            element_size,
+            history,
+            bytes: Vec::new(),
+            tokens: Vec::new(),
+            head: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// Slot holding the `k`-th oldest element (`k < len`).
+    fn slot(&self, k: usize) -> usize {
+        (self.head + k) % self.tokens.len()
+    }
+
+    /// Payload of the `k`-th oldest element.
+    fn payload(&self, k: usize) -> &[u8] {
+        let at = self.slot(k) * self.element_size;
+        &self.bytes[at..at + self.element_size]
+    }
+
+    /// Token of the `k`-th oldest element.
+    fn token(&self, k: usize) -> u128 {
+        self.tokens[self.slot(k)]
+    }
+
+    /// Append `payload` (exactly `element_size` bytes), evicting the oldest
+    /// element once `history` slots are filled.
+    fn push(&mut self, token: u128, payload: &[u8]) {
+        let filled = self.tokens.len();
+        if filled < self.history {
+            if filled == self.tokens.capacity() {
+                // Double, but never past the cap: a full ring holds exactly
+                // `history` slots.
+                let slots = (2 * filled).max(FIRST_SLOTS).min(self.history);
+                self.tokens.reserve_exact(slots - filled);
+                self.bytes
+                    .reserve_exact((slots - filled) * self.element_size);
+            }
+            self.tokens.push(token);
+            self.bytes.extend_from_slice(payload);
+        } else if filled > 0 {
+            let at = self.head * self.element_size;
+            self.bytes[at..at + self.element_size].copy_from_slice(payload);
+            self.tokens[self.head] = token;
+            self.head = (self.head + 1) % filled;
+        }
+    }
+
+    /// Bytes reserved for payloads.
+    #[cfg(test)]
+    fn byte_capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+}
+
+/// Idempotency token → sequence, as runs: an entry `start → (seq, len)`
+/// says tokens `start..start + len` were assigned sequences
+/// `seq..seq + len`.
+#[derive(Default)]
+struct TokenRuns(BTreeMap<u128, (u64, u64)>);
+
+impl TokenRuns {
+    /// The run holding `token`: its start token, first sequence and length.
+    fn run_of(&self, token: u128) -> Option<(u128, u64, u64)> {
+        let (&start, &(seq, len)) = self.0.range(..=token).next_back()?;
+        (token - start < u128::from(len)).then_some((start, seq, len))
+    }
+
+    fn get(&self, token: u128) -> Option<u64> {
+        self.run_of(token)
+            .map(|(start, seq, _)| seq + (token - start) as u64)
+    }
+
+    /// Record `token → seq`, extending the run that ends just before it
+    /// when `seq` also follows that run's last sequence.
+    fn insert(&mut self, token: u128, seq: u64) {
+        if let Some((start, first, len)) = self.run_of(token) {
+            // A replica re-assigning a held token: cut it out of its run.
+            self.0.remove(&start);
+            let off = (token - start) as u64;
+            if off > 0 {
+                self.0.insert(start, (first, off));
+            }
+            if off + 1 < len {
+                self.0.insert(token + 1, (first + off + 1, len - off - 1));
+            }
+        }
+        if let Some((&start, run)) = self.0.range_mut(..token).next_back() {
+            if token - start == u128::from(run.1) && seq.checked_sub(run.0) == Some(run.1) {
+                run.1 += 1;
+                return;
+            }
+        }
+        self.0.insert(token, (seq, 1));
+    }
+
+    /// Number of runs held.
+    #[cfg(test)]
+    fn runs(&self) -> usize {
+        self.0.len()
+    }
+}
+
 struct LogInner {
     next_seq: u64,
-    /// The retained window: the most recent `history` records, dense in
-    /// sequence. On a volatile log this is the only copy of each record.
-    entries: VecDeque<Record>,
-    /// Idempotency-token → sequence map for exactly-once retries.
-    dedup: BTreeMap<u128, u64>,
+    ring: Ring,
+    tokens: TokenRuns,
     /// The durable engine; `None` for a volatile log.
     backend: Option<Box<dyn StorageBackend>>,
     /// Fault injection: number of upcoming appends that fail as storage
@@ -58,30 +203,85 @@ struct LogInner {
 }
 
 impl LogInner {
-    /// Retained records with `seq >= from`, oldest first. Sequences are
-    /// dense, so this is an index offset rather than a search.
-    fn retained_from(&self, from: u64) -> vec_deque::Iter<'_, Record> {
-        let earliest = self.entries.front().map_or(0, |r| r.seq);
-        let skip = from.saturating_sub(earliest).min(self.entries.len() as u64);
-        self.entries.range(skip as usize..)
+    fn new(config: &LogConfig, backend: Option<Box<dyn StorageBackend>>) -> Self {
+        LogInner {
+            next_seq: 1,
+            ring: Ring::new(config.element_size, config.history),
+            tokens: TokenRuns::default(),
+            backend,
+            inject_failures: 0,
+        }
     }
 
-    /// Commit the record carrying the next sequence: through the durable
+    /// Sequence of the element at ring position `k` (`k < len`): dense
+    /// sequences end at `next_seq - 1`.
+    fn seq_at(&self, k: usize) -> u64 {
+        self.next_seq - (self.ring.len() - k) as u64
+    }
+
+    /// Sequence of the oldest retained element.
+    fn earliest(&self) -> Option<u64> {
+        (self.ring.len() > 0).then(|| self.seq_at(0))
+    }
+
+    /// Sequence of the newest retained element.
+    fn latest(&self) -> Option<u64> {
+        (self.ring.len() > 0).then(|| self.next_seq - 1)
+    }
+
+    /// Ring position of the first retained element with `seq >= from`.
+    /// Sequences are dense, so this is an offset rather than a search.
+    fn position_from(&self, from: u64) -> usize {
+        let earliest = self.earliest().unwrap_or(0);
+        from.saturating_sub(earliest).min(self.ring.len() as u64) as usize
+    }
+
+    /// The payload retained at `seq`.
+    fn retained(&self, seq: u64) -> Result<&[u8]> {
+        match self.earliest() {
+            Some(earliest) if seq >= earliest && seq < self.next_seq => {
+                Ok(self.ring.payload((seq - earliest) as usize))
+            }
+            earliest => Err(CspotError::SeqOutOfRange {
+                seq,
+                earliest,
+                latest: self.latest(),
+            }),
+        }
+    }
+
+    /// The retained record at ring position `k`.
+    fn record(&self, k: usize) -> Record {
+        Record {
+            seq: self.seq_at(k),
+            token: self.ring.token(k),
+            payload: self.ring.payload(k).to_vec(),
+        }
+    }
+
+    /// Commit the element carrying the next sequence: through the durable
     /// engine first (so a storage error leaves the log untouched), then
     /// into the ring, evicting beyond `history`.
-    fn commit(&mut self, record: Record, history: usize) -> Result<()> {
+    fn commit(&mut self, seq: u64, token: u128, payload: &[u8]) -> Result<()> {
         if let Some(backend) = &mut self.backend {
-            backend.append(&record)?;
+            backend.append(&Record {
+                seq,
+                token,
+                payload: payload.to_vec(),
+            })?;
         }
-        self.next_seq = record.seq + 1;
-        if record.token != 0 {
-            self.dedup.insert(record.token, record.seq);
-        }
-        self.entries.push_back(record);
-        if self.entries.len() > history {
-            self.entries.pop_front();
-        }
+        self.retain(seq, token, payload);
         Ok(())
+    }
+
+    /// Index and ring an element that storage already holds (or that a
+    /// volatile log holds nowhere else).
+    fn retain(&mut self, seq: u64, token: u128, payload: &[u8]) {
+        self.next_seq = seq + 1;
+        if token != 0 {
+            self.tokens.insert(token, seq);
+        }
+        self.ring.push(token, payload);
     }
 }
 
@@ -98,32 +298,31 @@ impl Log {
     ///
     /// Recovery is streaming: records flow through one at a time and only
     /// the most recent `history` records are retained, so memory stays
-    /// O(history + tokens) even over multi-gigabyte logs. Corruption in a
-    /// sealed segment surfaces here as [`CspotError::CorruptSegment`].
+    /// O(history + writers) even over multi-gigabyte logs. Corruption in a
+    /// sealed segment surfaces here as [`CspotError::CorruptSegment`]; a
+    /// recovered element of another size than `config.element_size` as
+    /// [`CspotError::ElementSizeMismatch`].
     pub fn create(config: LogConfig, mut backend: Box<dyn StorageBackend>) -> Result<Self> {
-        let mut entries = VecDeque::new();
-        let mut dedup = BTreeMap::new();
-        let mut next_seq = 1u64;
+        let mut inner = LogInner::new(&config, None);
+        let mut misfit = None;
         let summary = backend.recover_scan(&mut |r: Record| {
-            if r.token != 0 {
-                dedup.insert(r.token, r.seq);
-            }
-            next_seq = r.seq + 1;
-            entries.push_back(r);
-            if entries.len() > config.history {
-                entries.pop_front();
+            if r.payload.len() != config.element_size {
+                misfit.get_or_insert(r.payload.len());
+            } else if misfit.is_none() {
+                inner.retain(r.seq, r.token, &r.payload);
             }
         })?;
+        if let Some(got) = misfit {
+            return Err(CspotError::ElementSizeMismatch {
+                expected: config.element_size,
+                got,
+            });
+        }
+        inner.backend = Some(backend);
         Ok(Log {
             config,
             recovery: summary,
-            inner: Mutex::new(LogInner {
-                next_seq,
-                entries,
-                dedup,
-                backend: Some(backend),
-                inject_failures: 0,
-            }),
+            inner: Mutex::new(inner),
         })
     }
 
@@ -133,15 +332,9 @@ impl Log {
     /// inject).
     pub fn volatile(config: LogConfig) -> Self {
         Log {
+            inner: Mutex::new(LogInner::new(&config, None)),
             config,
             recovery: RecoverySummary::default(),
-            inner: Mutex::new(LogInner {
-                next_seq: 1,
-                entries: VecDeque::new(),
-                dedup: BTreeMap::new(),
-                backend: None,
-                inject_failures: 0,
-            }),
         }
     }
 
@@ -192,11 +385,18 @@ impl Log {
     ///
     /// Token 0 means "no token" (no deduplication).
     pub fn append_with_token(&self, token: u128, payload: &[u8]) -> Result<u64> {
+        self.offer(token, payload).map(|a| a.seq)
+    }
+
+    /// [`Self::append_with_token`], also reporting whether the element is
+    /// new, under the one lock acquisition (a node fires handlers only
+    /// for fresh appends).
+    pub fn offer(&self, token: u128, payload: &[u8]) -> Result<Appended> {
         self.check_size(payload)?;
         let mut inner = self.inner.lock();
         if token != 0 {
-            if let Some(&seq) = inner.dedup.get(&token) {
-                return Ok(seq);
+            if let Some(seq) = inner.tokens.get(token) {
+                return Ok(Appended { seq, fresh: false });
             }
         }
         if inner.inject_failures > 0 {
@@ -206,13 +406,8 @@ impl Log {
             )));
         }
         let seq = inner.next_seq;
-        let record = Record {
-            seq,
-            token,
-            payload: payload.to_vec(),
-        };
-        inner.commit(record, self.config.history)?;
-        Ok(seq)
+        inner.commit(seq, token, payload)?;
+        Ok(Appended { seq, fresh: true })
     }
 
     /// Inject `n` storage append failures: the next `n` (non-deduplicated)
@@ -230,43 +425,32 @@ impl Log {
 
     /// Read the element at `seq`.
     pub fn get(&self, seq: u64) -> Result<Vec<u8>> {
+        self.inner.lock().retained(seq).map(<[u8]>::to_vec)
+    }
+
+    /// Read the element at `seq` into `out`, replacing its contents and
+    /// reusing its allocation (a drain loop's read).
+    pub fn read_into(&self, seq: u64, out: &mut Vec<u8>) -> Result<()> {
         let inner = self.inner.lock();
-        let earliest = inner.entries.front().map(|r| r.seq);
-        let latest = inner.entries.back().map(|r| r.seq);
-        match (earliest, latest) {
-            (Some(e), Some(_)) if seq >= e => {
-                let idx = (seq - e) as usize;
-                inner
-                    .entries
-                    .get(idx)
-                    .map(|r| r.payload.clone())
-                    .ok_or(CspotError::SeqOutOfRange {
-                        seq,
-                        earliest,
-                        latest,
-                    })
-            }
-            _ => Err(CspotError::SeqOutOfRange {
-                seq,
-                earliest,
-                latest,
-            }),
-        }
+        let payload = inner.retained(seq)?;
+        out.clear();
+        out.extend_from_slice(payload);
+        Ok(())
     }
 
     /// Latest assigned sequence number, if any element has been appended.
     pub fn latest_seq(&self) -> Option<u64> {
-        self.inner.lock().entries.back().map(|r| r.seq)
+        self.inner.lock().latest()
     }
 
     /// Earliest retained sequence number.
     pub fn earliest_seq(&self) -> Option<u64> {
-        self.inner.lock().entries.front().map(|r| r.seq)
+        self.inner.lock().earliest()
     }
 
     /// Number of retained elements.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().ring.len()
     }
 
     /// True if no elements are retained.
@@ -289,27 +473,24 @@ impl Log {
         mut visit: impl FnMut(u64, &[u8]) -> Option<T>,
     ) -> Option<T> {
         let inner = self.inner.lock();
-        inner
-            .entries
-            .iter()
+        (0..inner.ring.len())
             .rev()
-            .find_map(|r| visit(r.seq, &r.payload))
+            .find_map(|k| visit(inner.seq_at(k), inner.ring.payload(k)))
     }
 
     /// Number of retained elements with `seq >= from`, counted without
     /// copying a payload.
     pub fn count_from(&self, from: u64) -> usize {
-        self.inner.lock().retained_from(from).len()
+        let inner = self.inner.lock();
+        inner.ring.len() - inner.position_from(from)
     }
 
     /// The most recent `n` elements, oldest first.
     pub fn tail(&self, n: usize) -> Vec<(u64, Vec<u8>)> {
         let inner = self.inner.lock();
-        let skip = inner.entries.len().saturating_sub(n);
-        inner
-            .entries
-            .range(skip..)
-            .map(|r| (r.seq, r.payload.clone()))
+        let len = inner.ring.len();
+        (len.saturating_sub(n)..len)
+            .map(|k| (inner.seq_at(k), inner.ring.payload(k).to_vec()))
             .collect()
     }
 
@@ -329,7 +510,7 @@ impl Log {
         let inner = self.inner.lock();
         match &inner.backend {
             Some(backend) => backend.committed_seq(),
-            None => inner.entries.back().map(|r| r.seq),
+            None => inner.latest(),
         }
     }
 
@@ -340,7 +521,7 @@ impl Log {
         if token == 0 {
             return None;
         }
-        self.inner.lock().dedup.get(&token).copied()
+        self.inner.lock().tokens.get(token)
     }
 
     /// Read full records (seq, token, payload) starting at `from`, at most
@@ -350,10 +531,12 @@ impl Log {
     /// is all it has.
     pub fn read_records_from(&self, from: u64, max: usize) -> Result<Vec<Record>> {
         let mut inner = self.inner.lock();
-        match &mut inner.backend {
-            Some(backend) => backend.read_from(from, max),
-            None => Ok(inner.retained_from(from).take(max).cloned().collect()),
+        if let Some(backend) = &mut inner.backend {
+            return backend.read_from(from, max);
         }
+        let start = inner.position_from(from);
+        let end = start.saturating_add(max).min(inner.ring.len());
+        Ok((start..end).map(|k| inner.record(k)).collect())
     }
 
     /// If `from` falls inside a sealed segment, return that segment's
@@ -382,7 +565,7 @@ impl Log {
                 got: record.seq,
             });
         }
-        inner.commit(record.clone(), self.config.history)?;
+        inner.commit(record.seq, record.token, &record.payload)?;
         Ok(ReplicaApply::Applied)
     }
 
@@ -460,6 +643,91 @@ mod tests {
         assert!(log.get(1).is_err(), "seq 1 was evicted");
         assert_eq!(log.append_with_token(1, &1u64.to_le_bytes()).unwrap(), 1);
         assert_eq!(log.latest_seq(), Some(3 * history as u64));
+    }
+
+    #[test]
+    fn ring_caps_its_bytes_at_history_slots() {
+        let (element_size, history) = (48, 100);
+        let log = mklog(element_size, history);
+        let full = history * element_size;
+        for i in 1..=3 * history as u64 {
+            let mut payload = [0u8; 48];
+            payload[..8].copy_from_slice(&i.to_le_bytes());
+            log.append(&payload).unwrap();
+            let inner = log.inner.lock();
+            assert!(inner.ring.byte_capacity() <= full, "grew past the cap");
+        }
+        assert_eq!(log.inner.lock().ring.byte_capacity(), full);
+        // Wrapped twice over: the window is still the newest `history`,
+        // oldest first.
+        let tail = log.tail(history);
+        assert_eq!(tail.first().map(|(seq, _)| *seq), Some(201));
+        for (seq, payload) in tail {
+            assert_eq!(payload[..8], seq.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn zero_history_log_holds_nothing() {
+        let log = mklog(4, 0);
+        for (i, token) in (1..=3u64).zip([0, 5, 6]) {
+            assert_eq!(log.append_with_token(token, b"abcd").unwrap(), i);
+        }
+        assert_eq!(
+            (log.len(), log.latest_seq(), log.earliest_seq()),
+            (0, None, None)
+        );
+        assert!(log.get(3).is_err());
+        assert!(log.tail(8).is_empty());
+        assert!(log.read_records_from(1, 8).unwrap().is_empty());
+        assert_eq!(log.inner.lock().ring.byte_capacity(), 0);
+        // Tokens are still remembered.
+        assert_eq!(log.append_with_token(5, b"abcd").unwrap(), 2);
+    }
+
+    #[test]
+    fn sequential_writers_hold_one_token_run_each() {
+        let log = mklog(8, 16);
+        let writers = [1u128 << 64, 2 << 64, 3 << 64];
+        for i in 1..=1_000u128 {
+            for w in writers {
+                log.append_with_token(w | i, &[0; 8]).unwrap();
+            }
+        }
+        // Interleaved writers break each other's sequence runs …
+        assert_eq!(log.inner.lock().tokens.runs(), 3_000);
+        let log = mklog(8, 16);
+        for w in writers {
+            for i in 1..=1_000u128 {
+                log.append_with_token(w | i, &[0; 8]).unwrap();
+            }
+        }
+        // … while back-to-back writers (the gateway's relays, an
+        // appender's counter) collapse to one run apiece.
+        assert_eq!(log.inner.lock().tokens.runs(), 3);
+        assert_eq!(log.has_token(2 << 64 | 500), Some(1_500));
+        assert_eq!(log.has_token(2 << 64 | 1_001), None);
+    }
+
+    #[test]
+    fn a_replica_reassigning_a_token_moves_it_out_of_its_run() {
+        let log = mklog(1, 16);
+        for t in 10..15u128 {
+            log.append_with_token(t, b"x").unwrap();
+        }
+        // A follower promoted after its own appends may be offered a
+        // record whose token it already holds: the newer sequence wins.
+        let record = Record {
+            seq: 6,
+            token: 12,
+            payload: b"y".to_vec(),
+        };
+        assert_eq!(log.apply_replica(&record).unwrap(), ReplicaApply::Applied);
+        let seqs: Vec<_> = (9..16).map(|t| log.has_token(t)).collect();
+        assert_eq!(
+            seqs,
+            [None, Some(1), Some(2), Some(6), Some(4), Some(5), None]
+        );
     }
 
     #[test]
@@ -645,6 +913,26 @@ mod tests {
         all.sort_unstable();
         let expect: Vec<u64> = (1..=(threads * per_thread) as u64).collect();
         assert_eq!(all, expect, "sequence numbers must be unique and dense");
+    }
+
+    #[test]
+    fn recovery_rejects_elements_of_another_size() {
+        // Ring slots are fixed-size: a log re-opened with a different
+        // element size than it was written with is an error, not a
+        // misaligned ring.
+        let dir = std::env::temp_dir().join(format!("xg-log-misfit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        durable_log(&dir, 2, 10).append(b"ab").unwrap();
+        let backend = SegmentedBackend::open(&dir, SegmentConfig::default()).unwrap();
+        assert!(matches!(
+            Log::create(config(3, 10), Box::new(backend)),
+            Err(CspotError::ElementSizeMismatch {
+                expected: 3,
+                got: 2
+            })
+        ));
+        assert_eq!(durable_log(&dir, 2, 10).get(1).unwrap(), b"ab");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub struct CspotNode {
     site: String,
     persistence: Persistence,
     logs: RwLock<BTreeMap<String, Arc<Log>>>,
-    handlers: RwLock<BTreeMap<String, Vec<Handler>>>,
+    /// Each log's handlers as a shared snapshot: firing clones the `Arc`,
+    /// registering replaces the slice (copy-on-write).
+    handlers: RwLock<BTreeMap<String, Arc<[Handler]>>>,
 }
 
 impl CspotNode {
@@ -139,11 +141,11 @@ impl CspotNode {
 
     /// Register a handler fired on every append to `log_name`.
     pub fn register_handler(&self, log_name: &str, handler: Handler) {
-        self.handlers
-            .write()
+        let mut handlers = self.handlers.write();
+        let list = handlers
             .entry(log_name.to_string())
-            .or_default()
-            .push(handler);
+            .or_insert_with(|| Arc::new([]));
+        *list = list.iter().cloned().chain([handler]).collect();
     }
 
     /// Append to a log and fire its handlers (CSPOT's `WooFPut`).
@@ -157,14 +159,11 @@ impl CspotNode {
     /// the original sequence number without re-firing (exactly-once handler
     /// semantics).
     pub fn put_with_token(&self, log_name: &str, token: u128, payload: &[u8]) -> Result<u64> {
-        let log = self.log(log_name)?;
-        let before = log.latest_seq();
-        let seq = log.append_with_token(token, payload)?;
-        let fresh = before.is_none_or(|b| seq > b);
-        if fresh {
-            self.fire_handlers(log_name, seq, payload);
+        let appended = self.log(log_name)?.offer(token, payload)?;
+        if appended.fresh {
+            self.fire_handlers(log_name, appended.seq, payload);
         }
-        Ok(seq)
+        Ok(appended.seq)
     }
 
     /// Read an element (CSPOT's `WooFGet`).
@@ -238,15 +237,13 @@ impl CspotNode {
     }
 
     fn fire_handlers(&self, log_name: &str, seq: u64, payload: &[u8]) {
-        // Clone the handler list before invoking so handlers can register
-        // further handlers or put to other logs without deadlock.
-        let to_fire: Vec<Handler> = self
-            .handlers
-            .read()
-            .get(log_name)
-            .map(|v| v.to_vec())
-            .unwrap_or_default();
-        for h in to_fire {
+        // Take the snapshot and release the lock before invoking, so
+        // handlers can register further handlers or put to other logs
+        // without deadlock.
+        let Some(to_fire) = self.handlers.read().get(log_name).cloned() else {
+            return;
+        };
+        for h in to_fire.iter() {
             h(self, log_name, seq, payload);
         }
     }

@@ -10,8 +10,12 @@
 //! the active segment and fail-stop semantics for at-rest corruption.
 //!
 //! A volatile log ([`crate::log::Log::volatile`]) has no backend at all:
-//! its bounded circular history is its only storage, so simulations that
-//! do not exercise crash recovery hold each record exactly once.
+//! its bounded circular history — one flat ring of fixed-size slots — is
+//! its only storage, so simulations that do not exercise crash recovery
+//! hold each payload exactly once, in place, and append without
+//! allocating. [`Record`] is what crosses this seam (and replication); it
+//! is built for a durable append or a read of whole records, never to
+//! retain an element.
 //!
 //! The record wire format (little endian) is
 //! `[u32 payload_len][u64 seq][u128 token][payload][u32 fnv1a]` where the

@@ -1,6 +1,7 @@
 //! Property-based invariants of the CSPOT runtime.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use xg_cspot::prelude::*;
 
@@ -30,6 +31,73 @@ proptest! {
         for (i, p) in payloads.iter().enumerate() {
             prop_assert_eq!(&log.get(i as u64 + 1).unwrap(), p);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The run-length token index answers exactly like a plain
+    /// token → sequence map: the same sequence from every append and the
+    /// same `has_token` answer for every token, under interleaved
+    /// sequential writers, shuffled tokens, retries of live and evicted
+    /// tokens, and recovery replays from disk.
+    #[test]
+    fn token_index_matches_a_plain_map(
+        ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..48), 1..160),
+        history in 1usize..10,
+        case_id in 0u64..u64::MAX,
+    ) {
+        let dir = std::env::temp_dir()
+            .join(format!("xg-prop-tokens-{}-{case_id:x}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let storage = SegmentConfig {
+            sync: SyncPolicy::GroupCommit { every: 1024 },
+            ..SegmentConfig::default()
+        };
+        let open = || {
+            CspotNode::durable_with_storage("UNL", &dir, storage.clone())
+                .open_log("t", 8, history)
+                .unwrap()
+        };
+        let mut log = open();
+        let mut oracle: BTreeMap<u128, u64> = BTreeMap::new();
+        let mut counters = [1u64; 3];
+        let mut appended = 0u64;
+        for (kind, writer, x) in ops {
+            let space = (writer as u128 + 1) << 64;
+            let token = match kind {
+                // A writer's next sequential token.
+                0..=4 => {
+                    counters[writer] += 1;
+                    space | u128::from(counters[writer] - 1)
+                }
+                // Shuffled: anywhere in the writer's space, ahead of its
+                // counter or behind it (then a retry).
+                5 | 6 => space | u128::from(x),
+                // A retry of a token already appended, live or evicted.
+                7 | 8 => match oracle.keys().nth(x as usize % oracle.len().max(1)) {
+                    Some(&token) => token,
+                    None => continue,
+                },
+                // Recovery replay: restart and rebuild the index from disk.
+                _ => {
+                    log.sync().unwrap();
+                    drop(log);
+                    log = open();
+                    continue;
+                }
+            };
+            let expect = *oracle.entry(token).or_insert_with(|| {
+                appended += 1;
+                appended
+            });
+            prop_assert_eq!(log.append_with_token(token, &x.to_le_bytes()).unwrap(), expect);
+        }
+        for writer in 0..3u128 {
+            for k in 0..64u128 {
+                let token = (writer + 1) << 64 | k;
+                prop_assert_eq!(log.has_token(token), oracle.get(&token).copied());
+            }
+        }
+        prop_assert_eq!(log.latest_seq(), (appended > 0).then_some(appended));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

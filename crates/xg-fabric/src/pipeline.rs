@@ -10,7 +10,7 @@
 use crate::error::FabricError;
 use std::sync::Arc;
 use xg_cspot::gateway::Gateway;
-use xg_cspot::netsim::{SimClock, Topology};
+use xg_cspot::netsim::{PathModel, RoutePath, SimClock, Topology};
 use xg_cspot::node::CspotNode;
 use xg_cspot::protocol::{RemoteAppender, RemoteConfig};
 use xg_cspot::CspotError;
@@ -28,7 +28,7 @@ pub const RESULTS_LOG: &str = "cups.results";
 pub const LOG_HISTORY: usize = 8192;
 
 /// Resolve a paper-topology route or fail with a typed error.
-fn route_between(from: &str, to: &str) -> Result<xg_cspot::netsim::RoutePath, FabricError> {
+fn route_between(from: &str, to: &str) -> Result<RoutePath, FabricError> {
     let topo = Topology::paper();
     topo.route(from, to)
         .cloned()
@@ -75,8 +75,12 @@ pub struct FieldGateway {
     wind: Gateway,
     capacity: usize,
     clock: SimClock,
-    /// Nominal access-segment model, kept for degradation restore.
-    access_nominal: xg_cspot::netsim::PathModel,
+    /// The uplink as calibrated; every impairment is applied on top of it.
+    nominal: RoutePath,
+    /// Loss probability of an active packet-loss surge (0 = none).
+    surge_loss: f64,
+    /// SNR offset of an active fade on the gateway's serving cell (dB).
+    fade_db: Option<f64>,
     buffered: u64,
     dropped: u64,
     delivered: u64,
@@ -104,7 +108,6 @@ impl FieldGateway {
         field.open_log(BUFFER_TELEMETRY_LOG, TelemetryRecord::WIRE_SIZE, history)?;
         field.open_log(BUFFER_WIND_LOG, 8, history)?;
         let route = route_between("UNL-5G", "UCSB")?;
-        let access_nominal = route.segments[0].clone();
         // Fail fast on a dead link: the gateway re-drains next cycle, so
         // burning a long retry budget here would only waste virtual time.
         let cfg = RemoteConfig {
@@ -124,7 +127,7 @@ impl FieldGateway {
             BUFFER_WIND_LOG,
             WIND_LOG,
             "gw.wind.cursor",
-            RemoteAppender::new(clock.clone(), route, cfg, seed ^ 0x57494E44),
+            RemoteAppender::new(clock.clone(), route.clone(), cfg, seed ^ 0x57494E44),
         )?;
         Ok(FieldGateway {
             repo,
@@ -133,7 +136,9 @@ impl FieldGateway {
             wind,
             capacity,
             clock,
-            access_nominal,
+            nominal: route,
+            surge_loss: 0.0,
+            fade_db: None,
             buffered: 0,
             dropped: 0,
             delivered: 0,
@@ -223,13 +228,11 @@ impl FieldGateway {
         self.wind.route_mut().set_partitioned(partitioned);
     }
 
-    /// Inject a packet-loss surge on every segment of the uplink.
+    /// Inject a packet-loss surge on every segment of the uplink (0 clears
+    /// it). A fade on the access segment stays in force.
     pub fn set_loss(&mut self, loss_prob: f64) {
-        for route in [self.records.route_mut(), self.wind.route_mut()] {
-            for seg in &mut route.segments {
-                seg.loss_prob = loss_prob;
-            }
-        }
+        self.surge_loss = loss_prob;
+        self.relink();
     }
 
     /// Attach observability to both gateway streams' remote appenders
@@ -246,18 +249,32 @@ impl FieldGateway {
     /// hop (long serialization at the lowest MCS). Only a *deep* fade
     /// (≤ −20 dB) also loses packets: above that, HARQ retransmissions
     /// recover every transport block and the IP layer sees pure latency.
+    /// A packet-loss surge stays in force: the two losses combine as
+    /// independent drops.
     pub fn set_access_degraded(&mut self, fade: Option<f64>) {
-        let nominal = self.access_nominal.clone();
+        self.fade_db = fade;
+        self.relink();
+    }
+
+    /// Rebuild both streams' uplinks from the nominal route under the
+    /// active surge and fade, keeping each segment's partition state.
+    fn relink(&mut self) {
+        // Either of two independent drops: exact when one of them is 0.
+        let either = |p: f64, q: f64| p + q - p * q;
         for route in [self.records.route_mut(), self.wind.route_mut()] {
-            let seg = &mut route.segments[0];
-            if let Some(snr_offset_db) = fade {
-                seg.base_one_way_ms = nominal.base_one_way_ms * 8.0;
-                seg.jitter_sigma_ms = nominal.jitter_sigma_ms * 4.0;
-                seg.loss_prob = if snr_offset_db <= -20.0 { 0.25 } else { 0.0 };
-            } else {
-                let partitioned = seg.partitioned;
-                *seg = nominal.clone();
-                seg.partitioned = partitioned;
+            for (seg, nominal) in route.segments.iter_mut().zip(&self.nominal.segments) {
+                *seg = PathModel {
+                    partitioned: seg.partitioned,
+                    loss_prob: either(nominal.loss_prob, self.surge_loss),
+                    ..nominal.clone()
+                };
+            }
+            if let (Some(snr_offset_db), Some(access)) = (self.fade_db, route.segments.first_mut())
+            {
+                access.base_one_way_ms *= 8.0;
+                access.jitter_sigma_ms *= 4.0;
+                let fade_loss = if snr_offset_db <= -20.0 { 0.25 } else { 0.0 };
+                access.loss_prob = either(access.loss_prob, fade_loss);
             }
         }
     }
@@ -492,6 +509,56 @@ mod tests {
         assert_eq!(fg.dropped(), 4);
         assert_eq!(fg.backlog(), 5);
         assert_eq!(fg.max_backlog(), 5);
+    }
+
+    #[test]
+    fn overlapping_surge_and_fade_keep_each_other_in_force() {
+        // Per-segment loss of the telemetry stream's uplink, access first.
+        fn losses(fg: &mut FieldGateway) -> Vec<f64> {
+            let route = fg.records.route_mut();
+            route.segments.iter().map(|s| s.loss_prob).collect()
+        }
+        let (mut fg, _repo) = field_gateway(1024);
+        let nominal = fg.nominal.clone();
+        let internet = nominal.segments.len() - 1;
+        assert!(internet > 0, "the uplink is access + Internet");
+        let both = 1.0 - (1.0 - 0.4) * (1.0 - 0.25);
+        for surge_clears_first in [true, false] {
+            fg.set_loss(0.4);
+            fg.set_access_degraded(Some(-25.0));
+            let l = losses(&mut fg);
+            assert!((l[0] - both).abs() < 1e-12, "{l:?}");
+            assert_eq!(l[internet], 0.4);
+            if surge_clears_first {
+                fg.set_loss(0.0);
+                assert_eq!(
+                    losses(&mut fg)[..2],
+                    [0.25, 0.0],
+                    "the fade outlives the surge"
+                );
+                fg.set_access_degraded(None);
+            } else {
+                fg.set_access_degraded(None);
+                assert_eq!(
+                    losses(&mut fg)[..2],
+                    [0.4, 0.4],
+                    "the surge outlives the fade"
+                );
+                fg.set_loss(0.0);
+            }
+            assert_eq!(fg.records.route_mut(), &nominal, "both cleared: nominal");
+            assert_eq!(fg.wind.route_mut(), &nominal);
+        }
+        // The fade's latency penalty rides along with any surge and leaves
+        // with the fade.
+        fg.set_access_degraded(Some(-10.0));
+        fg.set_loss(0.4);
+        let access = fg.wind.route_mut().segments[0].clone();
+        assert_eq!(
+            access.base_one_way_ms,
+            nominal.segments[0].base_one_way_ms * 8.0
+        );
+        assert_eq!(access.loss_prob, 0.4, "a shallow fade adds no loss");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -76,10 +77,15 @@ const ZERO_THRESHOLD: f64 = 1e-12;
 
 /// One stripe's bucket state. Sparse: the closed loop's latencies span
 /// ~10 decades (µs transfers to multi-minute solves) but touch only a
-/// few hundred buckets.
+/// few hundred buckets. A histogram with a dense range keeps that range's
+/// counts in `dense` instead (snapshots fold them back into `buckets`).
 #[derive(Debug, Default, Clone, PartialEq)]
 struct HistCore {
     buckets: BTreeMap<i32, u64>,
+    /// Counts of bucket indices `dense_lo..dense_lo + dense.len()`;
+    /// allocated whole on the first record that lands in the range.
+    dense: Vec<u64>,
+    dense_lo: i32,
     zero: u64,
     count: u64,
     sum: f64,
@@ -88,10 +94,17 @@ struct HistCore {
 }
 
 impl HistCore {
-    fn record(&mut self, v: f64, idx: Option<i32>) {
-        match idx {
-            Some(i) => *self.buckets.entry(i).or_insert(0) += 1,
-            None => self.zero += 1,
+    fn record(&mut self, v: f64, idx: Option<i32>, dense: Option<&RangeInclusive<i32>>) {
+        match (idx, dense) {
+            (Some(i), Some(range)) if range.contains(&i) => {
+                if self.dense.is_empty() {
+                    self.dense = vec![0; range.clone().count()];
+                    self.dense_lo = *range.start();
+                }
+                self.dense[(i - self.dense_lo) as usize] += 1;
+            }
+            (Some(i), _) => *self.buckets.entry(i).or_insert(0) += 1,
+            (None, _) => self.zero += 1,
         }
         if self.count == 0 {
             self.min = v;
@@ -105,7 +118,11 @@ impl HistCore {
     }
 
     fn merge(&mut self, other: &HistCore) {
-        for (&i, &n) in &other.buckets {
+        let dense = (other.dense_lo..)
+            .zip(&other.dense)
+            .filter(|&(_, &n)| n > 0);
+        let sparse = other.buckets.iter().map(|(&i, n)| (i, n));
+        for (i, &n) in dense.chain(sparse) {
             *self.buckets.entry(i).or_insert(0) += n;
         }
         self.zero += other.zero;
@@ -131,6 +148,8 @@ impl HistCore {
 pub struct Histogram {
     rel_err: f64,
     ln_gamma: f64,
+    /// Bucket indices held densely (see [`Histogram::with_dense_range`]).
+    dense: Option<RangeInclusive<i32>>,
     stripes: Vec<Mutex<HistCore>>,
 }
 
@@ -153,10 +172,26 @@ impl Histogram {
         Histogram {
             rel_err,
             ln_gamma: gamma.ln(),
+            dense: None,
             stripes: (0..cfg.stripes.max(1))
                 .map(|_| Mutex::new(HistCore::default()))
                 .collect(),
         }
+    }
+
+    /// Like [`Self::with_config`], but the buckets of values in `[lo, hi]`
+    /// live in one array a stripe allocates whole on its first record;
+    /// values outside stay sparse. For a histogram fed wall-clock
+    /// durations: the bucket a sample lands in depends on the host's
+    /// timing noise, so sparse storage would make the number of
+    /// allocations depend on it too.
+    pub(crate) fn with_dense_range(cfg: HistogramConfig, lo: f64, hi: f64) -> Self {
+        let mut h = Histogram::with_config(cfg);
+        h.dense = h
+            .bucket_index(lo)
+            .zip(h.bucket_index(hi))
+            .map(|(a, b)| a..=b);
+        h
     }
 
     /// The configured relative-error bound α.
@@ -181,7 +216,9 @@ impl Histogram {
         let v = v.max(0.0);
         let idx = self.bucket_index(v);
         let slot = stripe_slot() % self.stripes.len();
-        self.stripes[slot].lock().record(v, idx);
+        self.stripes[slot]
+            .lock()
+            .record(v, idx, self.dense.as_ref());
     }
 
     /// A point-in-time snapshot merging all stripes.
@@ -340,6 +377,7 @@ impl HistogramSnapshot {
                 sum,
                 min,
                 max,
+                ..HistCore::default()
             },
         }
     }
@@ -524,6 +562,37 @@ pub struct MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dense_range_only_changes_storage() {
+        let cfg = || HistogramConfig {
+            rel_err: 0.01,
+            stripes: 2,
+        };
+        let sparse = Histogram::with_config(cfg());
+        let dense = Histogram::with_dense_range(cfg(), 1.0, 1e3);
+        // Zero, below, inside (both edges) and above the dense range.
+        for v in [0.0, 0.25, 1.0, 7.5, 7.5, 640.0, 1e3, 4e4] {
+            sparse.record(v);
+            dense.record(v);
+        }
+        let (s, d) = (sparse.snapshot(), dense.snapshot());
+        assert_eq!(s, d);
+        let earlier = dense.snapshot();
+        dense.record(7.5);
+        sparse.record(7.5);
+        assert_eq!(
+            sparse.snapshot().delta_since(&s),
+            dense.snapshot().delta_since(&earlier)
+        );
+        let slot = stripe_slot() % 2;
+        assert_eq!(
+            dense.stripes[slot].lock().dense.len(),
+            347,
+            "1 ..= 1e3 at 1 %"
+        );
+        assert_eq!(dense.stripes[slot].lock().buckets.len(), 2, "0.25 and 4e4");
+    }
 
     #[test]
     fn counter_and_gauge_roundtrip() {
