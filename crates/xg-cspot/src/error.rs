@@ -52,15 +52,6 @@ pub enum CspotError {
         /// What failed (frame CRC, footer CRC, missing footer, …).
         detail: String,
     },
-    /// A replica was offered a record whose sequence number skips ahead
-    /// of its next expected one — records were lost in between (e.g.
-    /// compacted away on the primary before the follower caught up).
-    ReplicaGap {
-        /// The follower's next expected sequence number.
-        expected: u64,
-        /// The sequence number actually offered.
-        got: u64,
-    },
 }
 
 impl fmt::Display for CspotError {
@@ -92,12 +83,6 @@ impl fmt::Display for CspotError {
             CspotError::Storage(e) => write!(f, "storage error: {e}"),
             CspotError::CorruptSegment { segment, detail } => {
                 write!(f, "sealed segment '{segment}' is corrupt: {detail}")
-            }
-            CspotError::ReplicaGap { expected, got } => {
-                write!(
-                    f,
-                    "replica gap: expected sequence {expected}, offered {got}"
-                )
             }
         }
     }
@@ -150,12 +135,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("00000000000000000001.seg"));
         assert!(s.contains("offset 128"));
-        let e = CspotError::ReplicaGap {
-            expected: 10,
-            got: 15,
-        };
-        let s = e.to_string();
-        assert!(s.contains("10") && s.contains("15"));
     }
 
     #[test]

@@ -20,9 +20,6 @@
 //!   durability, retention compaction, streaming crash recovery (torn
 //!   tails truncated, sealed corruption fail-stops), and storage fault
 //!   injection.
-//! * [`replication`] — asynchronous primary → follower replication over
-//!   [`netsim`]: sealed-segment catch-up plus tail streaming, idempotent
-//!   re-ship, deterministic under seed.
 //! * [`node`] — a CSPOT namespace at a site: log directory + handler
 //!   registry. Handlers fire on exactly one append and never block each
 //!   other (no lock API exists, by design — see §3.4 of the paper).
@@ -72,7 +69,6 @@ pub mod netsim;
 pub mod node;
 pub mod outage;
 pub mod protocol;
-pub mod replication;
 pub mod segment;
 pub mod storage;
 
@@ -80,12 +76,11 @@ pub mod storage;
 pub mod prelude {
     pub use crate::error::CspotError;
     pub use crate::gateway::{DrainReport, Gateway};
-    pub use crate::log::{Appended, Log, LogConfig, ReplicaApply};
+    pub use crate::log::{Appended, Log, LogConfig};
     pub use crate::netsim::{PathModel, RoutePath, SimClock, Topology};
     pub use crate::node::CspotNode;
     pub use crate::outage::{OutageConfig, OutageProcess};
     pub use crate::protocol::{AppendOutcome, RemoteAppender, RemoteConfig};
-    pub use crate::replication::{PumpOutcome, ReplicationConfig, Replicator};
     pub use crate::segment::{SegmentConfig, SegmentedBackend, SyncPolicy};
     pub use crate::storage::{AppendAck, Record, RecoverySummary, StorageBackend};
 }

@@ -33,17 +33,6 @@ use crate::storage::{Record, RecoverySummary, StorageBackend};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
-/// Outcome of offering one replicated record to a follower log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaApply {
-    /// The record was the follower's next expected sequence and was
-    /// appended (durably, through the follower's own backend).
-    Applied,
-    /// The follower already holds this sequence; the offer was dropped
-    /// (idempotent re-ship after a partial batch).
-    Duplicate,
-}
-
 /// Where one append landed (see [`Log::offer`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Appended {
@@ -163,18 +152,12 @@ impl TokenRuns {
 
     /// Record `token → seq`, extending the run that ends just before it
     /// when `seq` also follows that run's last sequence.
+    ///
+    /// `token` must not be held yet: [`Log::offer`] dedups before every
+    /// commit, and recovery replays only tokens that went through `offer`,
+    /// so no path re-assigns a token.
     fn insert(&mut self, token: u128, seq: u64) {
-        if let Some((start, first, len)) = self.run_of(token) {
-            // A replica re-assigning a held token: cut it out of its run.
-            self.0.remove(&start);
-            let off = (token - start) as u64;
-            if off > 0 {
-                self.0.insert(start, (first, off));
-            }
-            if off + 1 < len {
-                self.0.insert(token + 1, (first + off + 1, len - off - 1));
-            }
-        }
+        debug_assert!(self.run_of(token).is_none(), "token {token} already held");
         if let Some((&start, run)) = self.0.range_mut(..token).next_back() {
             if token - start == u128::from(run.1) && seq.checked_sub(run.0) == Some(run.1) {
                 run.1 += 1;
@@ -525,10 +508,9 @@ impl Log {
     }
 
     /// Read full records (seq, token, payload) starting at `from`, at most
-    /// `max` — the primitive replication ships. A durable log reads
-    /// through its engine, so it sees records already evicted from the
-    /// circular window; a volatile log serves the retained window, which
-    /// is all it has.
+    /// `max`. A durable log reads through its engine, so it sees records
+    /// already evicted from the circular window; a volatile log serves the
+    /// retained window, which is all it has.
     pub fn read_records_from(&self, from: u64, max: usize) -> Result<Vec<Record>> {
         let mut inner = self.inner.lock();
         if let Some(backend) = &mut inner.backend {
@@ -537,36 +519,6 @@ impl Log {
         let start = inner.position_from(from);
         let end = start.saturating_add(max).min(inner.ring.len());
         Ok((start..end).map(|k| inner.record(k)).collect())
-    }
-
-    /// If `from` falls inside a sealed segment, return that segment's
-    /// records from `from` to its end (the whole-segment catch-up fast
-    /// path). `None` when `from` is in the active segment or the log is
-    /// volatile (no segment structure).
-    pub fn sealed_records_from(&self, from: u64) -> Result<Option<Vec<Record>>> {
-        self.engine(Ok(None), |b| b.sealed_records_from(from))
-    }
-
-    /// Offer a replicated record to this log (follower side).
-    ///
-    /// The record must be the next expected sequence (apply), an already-
-    /// held one (idempotently dropped), or the offer is a gap error —
-    /// followers never invent or reorder history.
-    pub fn apply_replica(&self, record: &Record) -> Result<ReplicaApply> {
-        self.check_size(&record.payload)?;
-        let mut inner = self.inner.lock();
-        let next = inner.next_seq;
-        if record.seq < next {
-            return Ok(ReplicaApply::Duplicate);
-        }
-        if record.seq > next {
-            return Err(CspotError::ReplicaGap {
-                expected: next,
-                got: record.seq,
-            });
-        }
-        inner.commit(record.seq, record.token, &record.payload)?;
-        Ok(ReplicaApply::Applied)
     }
 
     /// Fault injection: simulate power loss (unsynced bytes vanish).
@@ -707,27 +659,6 @@ mod tests {
         assert_eq!(log.inner.lock().tokens.runs(), 3);
         assert_eq!(log.has_token(2 << 64 | 500), Some(1_500));
         assert_eq!(log.has_token(2 << 64 | 1_001), None);
-    }
-
-    #[test]
-    fn a_replica_reassigning_a_token_moves_it_out_of_its_run() {
-        let log = mklog(1, 16);
-        for t in 10..15u128 {
-            log.append_with_token(t, b"x").unwrap();
-        }
-        // A follower promoted after its own appends may be offered a
-        // record whose token it already holds: the newer sequence wins.
-        let record = Record {
-            seq: 6,
-            token: 12,
-            payload: b"y".to_vec(),
-        };
-        assert_eq!(log.apply_replica(&record).unwrap(), ReplicaApply::Applied);
-        let seqs: Vec<_> = (9..16).map(|t| log.has_token(t)).collect();
-        assert_eq!(
-            seqs,
-            [None, Some(1), Some(2), Some(6), Some(4), Some(5), None]
-        );
     }
 
     #[test]

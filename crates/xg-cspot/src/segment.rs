@@ -20,7 +20,7 @@
 //! * **Sealed segments**: any damage (record CRC, footer mismatch,
 //!   missing footer) means *acknowledged* data rotted at rest. Recovery
 //!   fail-stops with [`CspotError::CorruptSegment`] instead of silently
-//!   shortening history that replicas or handlers may have acted on.
+//!   shortening history that readers or handlers may have acted on.
 //!
 //! Durability is tunable via [`SyncPolicy`]: `EveryAppend` fsyncs each
 //! record (safest, slowest); `GroupCommit { every }` batches fsyncs so
@@ -732,19 +732,6 @@ impl StorageBackend for SegmentedBackend {
         Ok(out)
     }
 
-    fn sealed_records_from(&mut self, from: u64) -> Result<Option<Vec<Record>>> {
-        let Some(meta) = self
-            .sealed
-            .iter()
-            .find(|m| m.footer.first_seq <= from && from <= m.footer.last_seq)
-        else {
-            return Ok(None);
-        };
-        let mut out = Vec::with_capacity(meta.footer.count as usize);
-        Self::read_segment_from(&meta.path, &meta.index, from, usize::MAX, &mut out)?;
-        Ok(Some(out))
-    }
-
     fn simulate_power_loss(&mut self) -> Result<bool> {
         // Adversarial model: everything not fsynced is gone — both the
         // process's write buffer and the OS page cache.
@@ -1092,21 +1079,6 @@ mod tests {
         assert!(b.read_from(11, 1).unwrap().is_empty());
         // Payload integrity through the read path.
         assert_eq!(b.read_from(4, 1).unwrap()[0].payload, vec![4u8; 8]);
-    }
-
-    #[test]
-    fn sealed_records_from_ships_whole_segments() {
-        let dir = tmpdir("shipseg");
-        let mut b = SegmentedBackend::open(&dir, small_config()).unwrap();
-        for s in 1..=7 {
-            b.append(&rec(s, 1, 8)).unwrap();
-        }
-        // Seq 2 lives in the first sealed segment (1..=3): the whole
-        // remainder of that segment ships.
-        let seg = b.sealed_records_from(2).unwrap().unwrap();
-        assert_eq!(seg.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![2, 3]);
-        // Seq 7 is in the active segment: no sealed unit to ship.
-        assert!(b.sealed_records_from(7).unwrap().is_none());
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! its bounded circular history — one flat ring of fixed-size slots — is
 //! its only storage, so simulations that do not exercise crash recovery
 //! hold each payload exactly once, in place, and append without
-//! allocating. [`Record`] is what crosses this seam (and replication); it
-//! is built for a durable append or a read of whole records, never to
-//! retain an element.
+//! allocating. [`Record`] is what crosses this seam; it is built for a
+//! durable append or a read of whole records, never to retain an element.
 //!
 //! The record wire format (little endian) is
 //! `[u32 payload_len][u64 seq][u128 token][payload][u32 fnv1a]` where the
@@ -90,14 +89,9 @@ pub trait StorageBackend: Send {
     fn recover_scan(&mut self, sink: &mut dyn FnMut(Record)) -> Result<RecoverySummary>;
 
     /// Re-read up to `max` records with `seq >= from` from storage, in
-    /// order. This reads persisted state (replication uses it), so
-    /// buffered-but-unflushed appends may not yet be visible.
+    /// order. This reads persisted state, so buffered-but-unflushed
+    /// appends may not yet be visible.
     fn read_from(&mut self, from: u64, max: usize) -> Result<Vec<Record>>;
-
-    /// All records of the sealed region containing `from`, so a whole
-    /// sealed unit ships at once (`None` when `from` is not behind a seal
-    /// — the replicator falls back to batched tail streaming).
-    fn sealed_records_from(&mut self, from: u64) -> Result<Option<Vec<Record>>>;
 
     // --- fault injection -------------------------------------------------
 

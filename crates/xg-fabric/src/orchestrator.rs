@@ -69,6 +69,12 @@ use xg_sim::{Advance, SimNs};
 /// Reports per change-detection duty cycle (paper: 6 = 30 min).
 const DETECT_EVERY_REPORTS: usize = 6;
 
+/// Cores a paper-scale CFD task is modelled on (Fig. 7's Notre Dame runs).
+const CFD_CORES: u32 = 64;
+
+/// Records the field gateway's store-and-forward buffer holds.
+const GATEWAY_CAPACITY: usize = 4096;
+
 /// The report cycle's cadence: the stations' own reporting interval, so
 /// the fabric and the sensor network cannot drift apart.
 fn report_interval() -> SimNs {
@@ -80,8 +86,6 @@ fn report_interval() -> SimNs {
 pub struct FabricConfig {
     /// RNG seed for every stochastic component.
     pub seed: u64,
-    /// The change detector.
-    pub detector: ChangeDetector,
     /// The primary HPC site running the CFD.
     pub site: SiteProfile,
     /// Additional sites the failover layer may route CFD tasks to.
@@ -92,14 +96,6 @@ pub struct FabricConfig {
     pub cfd_cells: [usize; 3],
     /// Actual CFD steps per solve.
     pub cfd_steps: usize,
-    /// Paper-scale performance model (task runtimes, Fig. 7).
-    pub perf: CfdPerfModel,
-    /// Cores assumed for the in-loop CFD tasks.
-    pub cfd_cores: u32,
-    /// The digital twin comparator.
-    pub twin: DigitalTwin,
-    /// Bounded capacity of the field gateway buffer (records).
-    pub gateway_capacity: usize,
     /// Multi-cell RAN layout: which cells exist, which one carries the
     /// field gateway, and how the per-cycle probe batches are stepped.
     pub ran: RanTopology,
@@ -157,16 +153,11 @@ impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             seed: 42,
-            detector: ChangeDetector::default(),
             site: SiteProfile::notre_dame_crc(),
             failover_sites: Vec::new(),
             busy_cluster: false,
             cfd_cells: [20, 16, 6],
             cfd_steps: 40,
-            perf: CfdPerfModel::notre_dame(),
-            cfd_cores: 64,
-            twin: DigitalTwin::default(),
-            gateway_capacity: 4096,
             ran: RanTopology::default(),
             ric: None,
             faults: FaultPlan::none(),
@@ -363,6 +354,8 @@ struct RetryCfd {
 pub struct XgFabric {
     /// Configuration.
     pub config: FabricConfig,
+    /// Modelled run time of one paper-scale CFD task (s).
+    task_runtime_s: f64,
     net: SensorNetwork,
     gateway: FieldGateway,
     hpc: MultiSiteController,
@@ -447,7 +440,7 @@ impl XgFabric {
             Arc::clone(&field),
             SimClock::new(),
             config.seed,
-            config.gateway_capacity,
+            GATEWAY_CAPACITY,
         )?;
         gateway.set_obs(&config.obs);
         let mut sites = vec![(config.site.clone(), config.busy_cluster)];
@@ -455,12 +448,13 @@ impl XgFabric {
             sites.push((s.clone(), config.busy_cluster));
         }
         let mut hpc = MultiSiteController::new(sites, config.seed);
-        hpc.set_est_task_runtime(config.perf.total_time_s(config.cfd_cores));
+        let task_runtime_s = CfdPerfModel::notre_dame().total_time_s(CFD_CORES);
+        hpc.set_est_task_runtime(task_runtime_s);
         hpc.set_obs(&config.obs);
         let mut results_return = ResultsReturn::new(field, SimClock::new(), config.seed ^ 0x5255)?;
         results_return.set_obs(&config.obs);
         let laminar = LaminarRuntime::deploy(
-            build_change_graph("cups_change", config.detector)?,
+            build_change_graph("cups_change", ChangeDetector::default())?,
             Arc::clone(&gateway.repo),
         )?;
         let faults = config.faults.clone();
@@ -486,6 +480,7 @@ impl XgFabric {
         }
         Ok(XgFabric {
             config,
+            task_runtime_s,
             net,
             gateway,
             hpc,
@@ -748,7 +743,7 @@ impl XgFabric {
             return Ok(());
         }
         let repo_seq = self.gateway.repo_wind_seq();
-        if repo_seq >= 2 * self.config.detector.window as u64
+        if repo_seq >= 2 * ChangeDetector::default().window as u64
             && repo_seq >= self.wind_seq_at_last_detect + DETECT_EVERY_REPORTS as u64
         {
             self.run_change_detection(records, repo_seq, transfer_ms)?;
@@ -910,27 +905,6 @@ impl XgFabric {
                     }
                 }
             }
-            FaultKind::StorageTornWrite { log } => {
-                if change.active {
-                    if let Ok(l) = self.gateway.repo.log(log) {
-                        l.inject_torn_write();
-                    }
-                }
-            }
-            FaultKind::StorageSegmentCorrupt { log, segment } => {
-                if change.active {
-                    if let Ok(l) = self.gateway.repo.log(log) {
-                        // Damage is applied (or skipped when no such sealed
-                        // segment exists); it surfaces at the next recovery.
-                        let _ = l.corrupt_sealed_segment(*segment as usize);
-                    }
-                }
-            }
-            FaultKind::StorageSyncStall { log } => {
-                if let Ok(l) = self.gateway.repo.log(log) {
-                    l.set_sync_stall(change.active);
-                }
-            }
         }
         self.timeline.push(Event::FaultChanged {
             t_s: self.now_s(),
@@ -992,14 +966,13 @@ impl XgFabric {
     }
 
     fn service_retries(&mut self) {
-        let task_runtime = self.config.perf.total_time_s(self.config.cfd_cores);
         let mut waiting = Vec::new();
         for r in std::mem::take(&mut self.retries) {
             if r.next_try_s > self.now_s() {
                 waiting.push(r);
                 continue;
             }
-            match self.hpc.submit_task_avoiding(1, task_runtime, &[]) {
+            match self.hpc.submit_task_avoiding(1, self.task_runtime_s, &[]) {
                 Some(p) => {
                     self.failovers += 1;
                     self.timeline.push(Event::FailoverTriggered {
@@ -1247,13 +1220,14 @@ impl XgFabric {
         // Build the two windows from the repository's wind log and feed
         // them through the deployed Laminar change-detection graph — the
         // program §3.7 runs at UCSB on a 30-minute duty cycle.
-        let window = self.config.detector.window;
+        let detector = ChangeDetector::default();
+        let window = detector.window;
         let Some((prev, recent)) = latest_windows(&self.gateway.repo, WIND_LOG, window)? else {
             return Ok(());
         };
         // Votes are recomputed for the timeline detail (the Laminar node
         // returns only the arbitration outcome, as in the paper).
-        let vote = self.config.detector.evaluate_windows(&prev, &recent);
+        let vote = detector.evaluate_windows(&prev, &recent);
         self.detect_epoch += 1;
         let epoch = self.detect_epoch;
         self.laminar
@@ -1290,7 +1264,6 @@ impl XgFabric {
         // site. The degradation ladder decides the solve resolution now,
         // at trigger time.
         let data_bytes = (records.len() * TelemetryRecord::WIRE_SIZE * DETECT_EVERY_REPORTS) as f64;
-        let task_runtime = self.config.perf.total_time_s(self.config.cfd_cores);
         let Some(bc) = self.net.boundary_conditions(records) else {
             return Ok(());
         };
@@ -1333,7 +1306,7 @@ impl XgFabric {
         self.cfd_triggered += 1;
         match self
             .hpc
-            .submit_task_with_data(1, task_runtime, data_bytes, &[])
+            .submit_task_with_data(1, self.task_runtime_s, data_bytes, &[])
         {
             Some((placement, decision)) => {
                 self.timeline.push(Event::PilotEvaluated {
@@ -1399,7 +1372,7 @@ impl XgFabric {
         sim.set_obs(&self.config.obs);
         sim.run(pending.steps);
         let predicted_wind = sim.mean_interior_wind();
-        let model_runtime = self.config.perf.total_time_s(self.config.cfd_cores);
+        let model_runtime = self.task_runtime_s;
         let window_s = REPORT_INTERVAL_S * DETECT_EVERY_REPORTS as f64;
         // Close out the trace's HPC stages: expected completion minus the
         // modelled runtime is queue wait masked (or not) by warm pilots.
@@ -1538,9 +1511,7 @@ impl XgFabric {
             }
         }
         if let Some(report) =
-            self.config
-                .twin
-                .compare_with_candidates(&sim, &measurements, &candidates)
+            DigitalTwin::default().compare_with_candidates(&sim, &measurements, &candidates)
         {
             self.timeline.push(Event::TwinCompared {
                 t_s: finished_at,
@@ -1816,8 +1787,6 @@ mod tests {
             .build();
         let mut fab = XgFabric::new(FabricConfig {
             faults,
-            // Keep CFD out of the way; this test is about the 5G path.
-            detector: ChangeDetector::default(),
             ..fast_config(11)
         });
         fab.run_cycles(2_000).unwrap(); // ~1 week of virtual time
@@ -2028,9 +1997,19 @@ mod tests {
             faults,
             ..fast_config(23)
         });
-        fab.run_cycles(24).unwrap();
+        let telemetry = fab
+            .gateway
+            .repo
+            .log(crate::pipeline::TELEMETRY_LOG)
+            .unwrap();
+        fab.run_cycles(5).unwrap();
+        // The append failures landed on the repository's log: the
+        // t = 1500 s drain hit one and parked its backlog.
+        assert!(telemetry.pending_injected_failures() > 0);
+        fab.run_cycles(19).unwrap();
+        // Later drains consumed every failure, and nothing was lost.
+        assert_eq!(telemetry.pending_injected_failures(), 0);
         let rel = fab.reliability_report();
-        // Storage/loss faults delay but must not lose buffered telemetry.
         assert!(rel.lossless(), "{rel}");
         assert!(fab.timeline().fault_activations() >= 5);
     }

@@ -4,7 +4,7 @@
 //! production fabric spans several: the field gateway camps on one cell
 //! while remote sensor clusters ride their own. [`RanTopology`]
 //! describes that layout, and [`RanProbe`] keeps a live
-//! [`RanFleet`](xg_net::fleet::RanFleet) stepping alongside the
+//! [`RanFleet`] stepping alongside the
 //! orchestrator so per-cell goodput and fade state are *measured* every
 //! report cycle — feeding the SLO window, the timeline, and per-cell
 //! fault targeting — instead of inferred from the gateway's latency

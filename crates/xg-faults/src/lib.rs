@@ -104,29 +104,6 @@ pub enum FaultKind {
         /// Appends to fail per activation.
         failures: u32,
     },
-    /// A CSPOT log's next append is torn mid-frame — the write crosses a
-    /// sector boundary as power dies, leaving a partial record on disk
-    /// for recovery to truncate (`xg_cspot::log::Log::inject_torn_write`).
-    StorageTornWrite {
-        /// Log name within the node's namespace.
-        log: String,
-    },
-    /// A bit flips at rest inside one of a CSPOT log's *sealed* segments
-    /// (media decay, firmware bug). Recovery must fail-stop, never
-    /// silently truncate (`xg_cspot::log::Log::corrupt_sealed_segment`).
-    StorageSegmentCorrupt {
-        /// Log name within the node's namespace.
-        log: String,
-        /// Index of the sealed segment to damage (0 = oldest).
-        segment: u64,
-    },
-    /// A CSPOT log's fsync path hangs (dying disk, saturated controller):
-    /// appends land in volatile buffers but the durable watermark freezes
-    /// while active (`xg_cspot::log::Log::set_sync_stall`).
-    StorageSyncStall {
-        /// Log name within the node's namespace.
-        log: String,
-    },
 }
 
 impl FaultKind {
@@ -154,11 +131,6 @@ impl FaultKind {
             FaultKind::StorageAppendFailure { log, failures } => {
                 format!("storage-append-failure {log} x{failures}")
             }
-            FaultKind::StorageTornWrite { log } => format!("storage-torn-write {log}"),
-            FaultKind::StorageSegmentCorrupt { log, segment } => {
-                format!("storage-segment-corrupt {log} seg{segment}")
-            }
-            FaultKind::StorageSyncStall { log } => format!("storage-sync-stall {log}"),
         }
     }
 }
@@ -273,45 +245,6 @@ impl FaultPlanBuilder {
             duration_s,
             FaultKind::RicIndicationDrop {
                 cell: cell.to_string(),
-            },
-        )
-    }
-
-    /// Convenience: tear the named log's next append at `at_s`. The event
-    /// is instantaneous — the 1 s window only gives the orchestrator's
-    /// observation loop a chance to see the edge.
-    pub fn torn_write(self, at_s: f64, log: &str) -> Self {
-        self.scripted(
-            at_s,
-            1.0,
-            FaultKind::StorageTornWrite {
-                log: log.to_string(),
-            },
-        )
-    }
-
-    /// Convenience: flip a bit in sealed segment `segment` of the named
-    /// log at `at_s` (instantaneous, 1 s observation window).
-    pub fn corrupt_segment(self, at_s: f64, log: &str, segment: u64) -> Self {
-        self.scripted(
-            at_s,
-            1.0,
-            FaultKind::StorageSegmentCorrupt {
-                log: log.to_string(),
-                segment,
-            },
-        )
-    }
-
-    /// Convenience: stall the named log's fsync path on
-    /// `[start_s, start_s + duration_s)`; the stall releases when the
-    /// window closes.
-    pub fn sync_stall(self, start_s: f64, duration_s: f64, log: &str) -> Self {
-        self.scripted(
-            start_s,
-            duration_s,
-            FaultKind::StorageSyncStall {
-                log: log.to_string(),
             },
         )
     }
@@ -662,36 +595,6 @@ mod tests {
                 < 1e-9
         );
         assert_eq!(plan.activations(|_| true), 2);
-    }
-
-    #[test]
-    fn storage_fault_conveniences_and_descriptions() {
-        let mut plan = FaultPlan::builder(6)
-            .torn_write(10.0, "telemetry")
-            .corrupt_segment(20.0, "telemetry", 3)
-            .sync_stall(30.0, 15.0, "telemetry")
-            .build();
-        plan.advance_to(10.5);
-        assert_eq!(plan.describe_active(), "storage-torn-write telemetry");
-        plan.advance_to(20.5);
-        assert!(plan.is_active(&FaultKind::StorageSegmentCorrupt {
-            log: "telemetry".into(),
-            segment: 3,
-        }));
-        assert_eq!(
-            plan.describe_active(),
-            "storage-segment-corrupt telemetry seg3"
-        );
-        plan.advance_to(35.0);
-        assert_eq!(plan.describe_active(), "storage-sync-stall telemetry");
-        plan.advance_to(50.0);
-        assert_eq!(plan.describe_active(), "none");
-        // The stall window is accounted exactly.
-        assert!(
-            (plan.active_seconds(|k| matches!(k, FaultKind::StorageSyncStall { .. })) - 15.0).abs()
-                < 1e-9
-        );
-        assert_eq!(plan.activations(|_| true), 3);
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod cluster;
 pub mod multisite;
 pub mod pilot;
 pub mod predictor;
-pub mod script;
 pub mod site;
 
 /// Commonly used types.
@@ -51,7 +50,6 @@ pub mod prelude {
     pub use crate::multisite::{MultiSiteController, Placement};
     pub use crate::pilot::{PilotController, PilotControllerConfig, PilotStrategy, TaskOutcome};
     pub use crate::predictor::{AdaptivePilotPlanner, QueueWaitPredictor};
-    pub use crate::script::{render_script, submit_command, JobSpec};
     pub use crate::site::{SchedulerKind, SiteProfile};
 }
 

@@ -19,7 +19,7 @@
 //! * [`core5g`] — a miniature standalone 5G core: SIM/IMSI registry,
 //!   registration and PDU-session state machines, slice admission (Open5GS
 //!   substitute).
-//! * [`slice`] — network slicing: S-NSSAI identified slices with fixed PRB
+//! * [`slice`](mod@slice) — network slicing: S-NSSAI identified slices with fixed PRB
 //!   ratio allocations (the paper's Fig. 6 experiment).
 //! * [`mac`] — per-TTI uplink MAC scheduler (round-robin and
 //!   proportional-fair) operating inside slice quotas.

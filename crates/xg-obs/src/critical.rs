@@ -2,7 +2,7 @@
 //!
 //! The §4.4 latency budget sums stage durations as if they were serial;
 //! once stages overlap (parallel fleet shards, pipelined CSPOT
-//! replication) the number that bounds the closed loop is the *longest
+//! relays) the number that bounds the closed loop is the *longest
 //! root-to-leaf chain* of the cycle's span tree. [`extract_critical`]
 //! finds that chain greedily (at each node, descend into the
 //! longest-duration child) and annotates every step with its *slack* —

@@ -20,7 +20,7 @@
 //!
 //! * [`Profiler::scope`] / [`ProfScope::child`] — wall-clock scoped
 //!   guards for hot paths (fleet cell stepping, CFD sweeps, the RIC
-//!   period, CSPOT replication rounds);
+//!   period, CSPOT remote appends);
 //! * [`Profiler::record_at`] — explicit durations for deterministic
 //!   (sim-domain) attribution, where bitwise serial/parallel equality
 //!   must hold;

@@ -7,7 +7,6 @@ use xg_cspot::log::{Log, LogConfig};
 use xg_cspot::netsim::{PathModel, RoutePath, SimClock};
 use xg_cspot::node::CspotNode;
 use xg_cspot::protocol::{RemoteAppender, RemoteConfig};
-use xg_cspot::replication::{ReplicationConfig, Replicator};
 use xg_cspot::segment::{SegmentConfig, SegmentedBackend, SyncPolicy};
 use xg_laminar::graph::GraphBuilder;
 use xg_laminar::ops;
@@ -211,64 +210,6 @@ fn corrupt_middle_segment_fail_stops_never_truncates() {
             );
         }
         other => panic!("expected CorruptSegment, got {other}"),
-    }
-}
-
-#[test]
-fn follower_catchup_after_partition_is_byte_identical() {
-    let pdir = tmp("repl-primary");
-    let fdir = tmp("repl-follower");
-    let primary = seg_log(&pdir, small_segments());
-    let follower = seg_log(&fdir, small_segments());
-    let mut repl = Replicator::new(
-        SimClock::new(),
-        RoutePath::single(PathModel::wired(3.75, 0.2)),
-        ReplicationConfig {
-            batch: 3,
-            timeout_ms: 50.0,
-        },
-        11,
-    );
-    // Phase 1: replicate a prefix.
-    for i in 1..=5u64 {
-        primary
-            .append_with_token(i as u128, &i.to_le_bytes())
-            .unwrap();
-    }
-    repl.catch_up(&primary, &follower, 100).unwrap();
-    // Phase 2: partition; the primary keeps writing alone.
-    repl.route_mut().set_partitioned(true);
-    for i in 6..=20u64 {
-        primary
-            .append_with_token(i as u128, &i.to_le_bytes())
-            .unwrap();
-    }
-    assert!(matches!(
-        repl.pump(&primary, &follower).unwrap(),
-        xg_cspot::replication::PumpOutcome::Unreachable
-    ));
-    assert_eq!(follower.latest_seq(), Some(5));
-    // Phase 3: heal; the follower catches up (sealed segments ship whole).
-    repl.route_mut().set_partitioned(false);
-    repl.catch_up(&primary, &follower, 100).unwrap();
-    assert_eq!(follower.latest_seq(), Some(20));
-    // Same records through the same engine config: the follower's segment
-    // files are byte-for-byte identical to the primary's.
-    let read_dir = |d: &std::path::Path| {
-        let mut names: Vec<String> = std::fs::read_dir(d)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        names
-    };
-    let names = read_dir(&pdir);
-    assert_eq!(names, read_dir(&fdir), "same segment layout");
-    assert!(names.len() >= 5, "several sealed segments: {names:?}");
-    for name in &names {
-        let p = std::fs::read(pdir.join(name)).unwrap();
-        let f = std::fs::read(fdir.join(name)).unwrap();
-        assert_eq!(p, f, "segment {name} differs between primary and follower");
     }
 }
 
