@@ -147,11 +147,6 @@ impl CsvWriter {
     pub fn as_str(&self) -> &str {
         &self.out
     }
-
-    /// Consume into the final document.
-    pub fn into_string(self) -> String {
-        self.out
-    }
 }
 
 /// The paper's bandwidth sweeps (MHz).
@@ -227,6 +222,5 @@ mod tests {
         w.row(["stage", "mean_s"]);
         w.row(["cfd, solve".to_string(), format!("{:.2}", 420.39)]);
         assert_eq!(w.as_str(), "stage,mean_s\n\"cfd, solve\",420.39\n");
-        assert_eq!(w.into_string().lines().count(), 2);
     }
 }

@@ -105,17 +105,9 @@ impl Field3 {
         self.nx * self.ny
     }
 
-    /// Trilinear-free nearest-cell probe at fractional grid coordinates.
-    pub fn probe_nearest(&self, fx: f64, fy: f64, fz: f64) -> f64 {
-        let i = (fx.round().max(0.0) as usize).min(self.nx - 1);
-        let j = (fy.round().max(0.0) as usize).min(self.ny - 1);
-        let k = (fz.round().max(0.0) as usize).min(self.nz - 1);
-        self.at(i, j, k)
-    }
-
     /// Trilinear interpolation at fractional grid coordinates (clamped to
-    /// the grid). Smoother than [`Self::probe_nearest`] for point probes
-    /// like the digital twin's station comparisons.
+    /// the grid), for point probes like the digital twin's station
+    /// comparisons.
     pub fn probe_trilinear(&self, fx: f64, fy: f64, fz: f64) -> f64 {
         let cx = fx.clamp(0.0, (self.nx - 1) as f64);
         let cy = fy.clamp(0.0, (self.ny - 1) as f64);
@@ -170,9 +162,9 @@ mod tests {
     fn probe_clamps() {
         let mut f = Field3::zeros(3, 3, 3);
         f.set(2, 2, 2, 9.0);
-        assert_eq!(f.probe_nearest(10.0, 10.0, 10.0), 9.0);
+        assert_eq!(f.probe_trilinear(10.0, 10.0, 10.0), 9.0);
         f.set(0, 0, 0, 4.0);
-        assert_eq!(f.probe_nearest(-3.0, -1.0, 0.2), 4.0);
+        assert_eq!(f.probe_trilinear(-3.0, -1.0, 0.0), 4.0);
     }
 
     #[test]

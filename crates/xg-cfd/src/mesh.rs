@@ -138,16 +138,6 @@ impl Mesh {
         self.cell_type[(k * self.ny + j) * self.nx + i]
     }
 
-    /// Fraction of cells inside canopy.
-    pub fn canopy_fraction(&self) -> f64 {
-        let canopy = self
-            .cell_type
-            .iter()
-            .filter(|&&c| c == CellType::Canopy)
-            .count();
-        canopy as f64 / self.cell_count() as f64
-    }
-
     /// Domain size (m).
     pub fn size_m(&self) -> [f64; 3] {
         [
@@ -162,11 +152,20 @@ impl Mesh {
 mod tests {
     use super::*;
 
+    fn canopy_fraction(mesh: &Mesh) -> f64 {
+        let canopy = mesh
+            .cell_type
+            .iter()
+            .filter(|&&c| c == CellType::Canopy)
+            .count();
+        canopy as f64 / mesh.cell_count() as f64
+    }
+
     #[test]
     fn cups_mesh_generates() {
         let mesh = Mesh::generate(&DomainSpec::cups_default());
         assert_eq!(mesh.cell_count(), 48 * 40 * 10);
-        let frac = mesh.canopy_fraction();
+        let frac = canopy_fraction(&mesh);
         assert!(
             frac > 0.05 && frac < 0.5,
             "tree rows should occupy a plausible fraction: {frac}"
@@ -206,10 +205,10 @@ mod tests {
         let coarse = Mesh::generate(&DomainSpec::cups_default().with_cells(24, 20, 6));
         let fine = Mesh::generate(&DomainSpec::cups_default().with_cells(96, 80, 20));
         assert!(
-            (coarse.canopy_fraction() - fine.canopy_fraction()).abs() < 0.08,
+            (canopy_fraction(&coarse) - canopy_fraction(&fine)).abs() < 0.08,
             "{} vs {}",
-            coarse.canopy_fraction(),
-            fine.canopy_fraction()
+            canopy_fraction(&coarse),
+            canopy_fraction(&fine)
         );
     }
 

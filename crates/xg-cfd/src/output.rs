@@ -43,24 +43,6 @@ pub fn slice_to_csv(nx: usize, ny: usize, values: &[f64]) -> String {
     s
 }
 
-/// Velocity-magnitude raster of the vertical slice at row `j` (an x–z
-/// cross-section, useful for seeing the canopy wind shadow and the roof
-/// boundary layer).
-pub fn velocity_magnitude_vertical_slice(sim: &Simulation, j: usize) -> (usize, usize, Vec<f64>) {
-    let (nx, nz) = (sim.u.nx, sim.u.nz);
-    let j = j.min(sim.u.ny - 1);
-    let mut out = vec![0.0; nx * nz];
-    for k in 0..nz {
-        for i in 0..nx {
-            let u = sim.u.at(i, j, k);
-            let v = sim.v.at(i, j, k);
-            let w = sim.w.at(i, j, k);
-            out[k * nx + i] = (u * u + v * v + w * w).sqrt();
-        }
-    }
-    (nx, nz, out)
-}
-
 /// Legacy-ASCII VTK structured-points dataset of the full state: velocity
 /// vectors, velocity magnitude, pressure, and temperature. This is the
 /// format the paper's pipeline hands to ParaView.
@@ -151,18 +133,6 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), ny);
         assert_eq!(lines[0].split(',').count(), nx);
-    }
-
-    #[test]
-    fn vertical_slice_shape() {
-        let s = sim();
-        let (nx, nz, vals) = velocity_magnitude_vertical_slice(&s, 5);
-        assert_eq!(nx, s.u.nx);
-        assert_eq!(nz, s.u.nz);
-        assert_eq!(vals.len(), nx * nz);
-        assert!(vals.iter().all(|v| v.is_finite() && *v >= 0.0));
-        // Ground row (k = 0) is no-slip: zero speed.
-        assert!(vals[..nx].iter().all(|&v| v == 0.0));
     }
 
     #[test]

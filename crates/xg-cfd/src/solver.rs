@@ -445,27 +445,6 @@ impl Simulation {
         }
     }
 
-    /// Step until the flow is statistically steady: stop when the mean
-    /// interior wind changes by less than `tol` (relative) between
-    /// consecutive 10-step blocks, or after `max_steps`. Returns the steps
-    /// taken.
-    pub fn run_until_steady(&mut self, max_steps: usize, tol: f64) -> usize {
-        let mut last = self.mean_interior_wind();
-        let mut steps = 0;
-        while steps < max_steps {
-            let block = 10.min(max_steps - steps);
-            self.run(block);
-            steps += block;
-            let cur = self.mean_interior_wind();
-            let rel = (cur - last).abs() / cur.abs().max(1e-9);
-            if rel < tol {
-                return steps;
-            }
-            last = cur;
-        }
-        steps
-    }
-
     /// Central-difference divergence of the velocity field (interior; zero
     /// on boundary cells).
     pub fn divergence(&self) -> Field3 {
@@ -689,19 +668,6 @@ mod tests {
             p3.as_slice(),
             "pressure must be bitwise equal"
         );
-    }
-
-    #[test]
-    fn steady_state_detection() {
-        let mut sim = small_sim(5.0, 270.0);
-        let steps = sim.run_until_steady(400, 0.01);
-        assert!(steps < 400, "must converge before the cap: {steps}");
-        assert!(steps >= 20, "cannot be steady instantly: {steps}");
-        // Once steady, further stepping barely changes the bulk statistic.
-        let before = sim.mean_interior_wind();
-        sim.run(20);
-        let after = sim.mean_interior_wind();
-        assert!((after - before).abs() / before.max(1e-9) < 0.05);
     }
 
     #[test]

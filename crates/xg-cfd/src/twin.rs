@@ -60,15 +60,6 @@ impl Default for DigitalTwin {
 const LOCALIZE_DECAY_M: f64 = 40.0;
 
 impl DigitalTwin {
-    /// Compare measurements with the prediction in `sim`.
-    ///
-    /// Returns `None` for an empty measurement set. Localization projects
-    /// the most anomalous point to the nearest wall; with sparse interior
-    /// stations prefer [`Self::compare_with_candidates`].
-    pub fn compare(&self, sim: &Simulation, measurements: &[Measurement]) -> Option<TwinReport> {
-        self.compare_with_candidates(sim, measurements, &[])
-    }
-
     /// Compare and, on suspicion, localize the breach against a candidate
     /// list of wall-panel centres (m) via a matched filter: the panel whose
     /// exponential-decay footprint best correlates with the residual
@@ -189,7 +180,9 @@ mod tests {
                 wind_ms: sim.wind_speed_at(x, y, z) + 0.05, // small sensor noise
             })
             .collect();
-        let report = DigitalTwin::default().compare(&sim, &measurements).unwrap();
+        let report = DigitalTwin::default()
+            .compare_with_candidates(&sim, &measurements, &[])
+            .unwrap();
         assert!(!report.breach_suspected, "{report:?}");
         assert!(report.suspect_region.is_none());
         assert!(report.mean_residual_ms.abs() < 0.2);
@@ -211,7 +204,9 @@ mod tests {
                 wind_ms: sim.wind_speed_at(x, y, z) + if i == 0 { 1.5 } else { 0.02 },
             })
             .collect();
-        let report = DigitalTwin::default().compare(&sim, &measurements).unwrap();
+        let report = DigitalTwin::default()
+            .compare_with_candidates(&sim, &measurements, &[])
+            .unwrap();
         assert!(report.breach_suspected);
         assert_eq!(report.max_residual_point, 0);
         let (_, wy) = report.suspect_region.unwrap();
@@ -221,7 +216,9 @@ mod tests {
     #[test]
     fn empty_measurements_none() {
         let sim = predicted_sim();
-        assert!(DigitalTwin::default().compare(&sim, &[]).is_none());
+        assert!(DigitalTwin::default()
+            .compare_with_candidates(&sim, &[], &[])
+            .is_none());
     }
 
     #[test]
@@ -253,10 +250,14 @@ mod tests {
         };
         assert!(
             strict
-                .compare(&sim, &measurements)
+                .compare_with_candidates(&sim, &measurements, &[])
                 .unwrap()
                 .breach_suspected
         );
-        assert!(!lax.compare(&sim, &measurements).unwrap().breach_suspected);
+        assert!(
+            !lax.compare_with_candidates(&sim, &measurements, &[])
+                .unwrap()
+                .breach_suspected
+        );
     }
 }

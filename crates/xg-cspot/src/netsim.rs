@@ -130,11 +130,6 @@ impl RoutePath {
             seg.partitioned = partitioned;
         }
     }
-
-    /// Mean one-way latency ignoring loss (sum of segment bases).
-    pub fn mean_one_way_ms(&self) -> f64 {
-        self.segments.iter().map(|s| s.base_one_way_ms).sum()
-    }
 }
 
 /// Named-site topology: a directory of routes between sites.
@@ -259,7 +254,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let s = r.sample_one_way(&mut rng).unwrap();
         assert!((s - 7.0).abs() < 1e-9);
-        assert_eq!(r.mean_one_way_ms(), 7.0);
     }
 
     #[test]
@@ -304,8 +298,11 @@ mod tests {
     #[test]
     fn paper_topology_5g_route_is_slower() {
         let t = Topology::paper();
-        let wired = t.route("UNL", "UCSB").unwrap().mean_one_way_ms();
-        let over_5g = t.route("UNL-5G", "UCSB").unwrap().mean_one_way_ms();
+        let base_ms = |from, to| -> f64 {
+            let r = t.route(from, to).unwrap();
+            r.segments.iter().map(|s| s.base_one_way_ms).sum()
+        };
+        let (wired, over_5g) = (base_ms("UNL", "UCSB"), base_ms("UNL-5G", "UCSB"));
         assert!(
             over_5g > 5.0 * wired,
             "5G access dominates: {over_5g} vs {wired}"

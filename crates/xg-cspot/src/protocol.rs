@@ -156,12 +156,6 @@ impl RemoteAppender {
         self.drop_acks += n;
     }
 
-    /// Invalidate the client-side size cache for a log (required after a
-    /// server-side element-size change; see the paper's caveat).
-    pub fn invalidate_size_cache(&mut self, log: &str) {
-        self.size_cache.remove(log);
-    }
-
     fn fresh_token(&mut self) -> u128 {
         self.token_counter += 1;
         self.token_seed | self.token_counter
@@ -424,7 +418,7 @@ mod tests {
         let err = a.append(&server2, "data", &[0u8; 32]).unwrap_err();
         assert!(matches!(err, CspotError::ElementSizeMismatch { .. }));
         // After invalidating the cache, the append succeeds.
-        a.invalidate_size_cache("data");
+        a.size_cache.remove("data");
         assert!(a.append(&server2, "data", &[0u8; 32]).is_ok());
     }
 

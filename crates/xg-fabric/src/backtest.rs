@@ -63,16 +63,6 @@ impl Backtester {
         }
     }
 
-    /// Samples currently retained.
-    pub fn len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// True if no history has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
-    }
-
     /// Back-test the live calibration factor against the retained history.
     ///
     /// Returns `None` with fewer than 4 samples (no meaningful fit). The
@@ -186,7 +176,7 @@ mod tests {
         for i in 10..15 {
             bt.record(sample(i as f64, 1.0, 3.0, 0.0));
         }
-        assert_eq!(bt.len(), 5);
+        assert_eq!(bt.history.len(), 5);
         let report = bt.backtest(1.0).unwrap();
         assert!((report.fitted_factor - 3.0).abs() < 1e-9);
         assert!(report.recalibrate);

@@ -1,10 +1,11 @@
 //! Typed errors for the fabric.
 //!
 //! Fault injection turns previously "can't happen" conditions — a missing
-//! route, an exhausted retry budget, an unreachable HPC facility — into
+//! route, an exhausted retry budget, a failed storage append — into
 //! ordinary runtime outcomes. Every fallible fabric path surfaces them as
 //! a [`FabricError`] instead of a panic, so a chaos run degrades instead
-//! of aborting.
+//! of aborting. (An unreachable HPC facility is not an error: the task
+//! waits in the failover queue.)
 
 use std::fmt;
 use xg_cspot::CspotError;
@@ -25,8 +26,6 @@ pub enum FabricError {
     Cspot(CspotError),
     /// The deployed Laminar change-detection dataflow failed.
     Laminar(LaminarError),
-    /// Every configured HPC site is offline; a CFD task cannot be placed.
-    NoHpcSiteAvailable,
     /// The RAN fleet rejected its topology (invalid cell config, unknown
     /// gateway cell).
     Net(NetError),
@@ -40,9 +39,6 @@ impl fmt::Display for FabricError {
             }
             FabricError::Cspot(e) => write!(f, "cspot: {e}"),
             FabricError::Laminar(e) => write!(f, "laminar: {e}"),
-            FabricError::NoHpcSiteAvailable => {
-                write!(f, "no HPC site reachable for task placement")
-            }
             FabricError::Net(e) => write!(f, "ran: {e}"),
         }
     }

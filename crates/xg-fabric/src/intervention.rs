@@ -45,36 +45,18 @@ pub enum Intervention {
     },
 }
 
-/// Thresholds for the advisor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdvisorConfig {
-    /// Canopy temperature (°C) below which frost protection starts.
-    pub frost_threshold_c: f64,
-    /// Interior wind (m/s) above which spray drift is unacceptable.
-    pub spray_wind_limit_ms: f64,
-    /// Minimum humidity (%) for spraying (evaporation control).
-    pub spray_min_rh: f64,
-    /// Minimum canopy fraction that must be under the wind limit.
-    pub spray_min_coverage: f64,
-}
-
-impl Default for AdvisorConfig {
-    fn default() -> Self {
-        AdvisorConfig {
-            frost_threshold_c: 1.0,
-            spray_wind_limit_ms: 1.5,
-            spray_min_rh: 35.0,
-            spray_min_coverage: 0.8,
-        }
-    }
-}
+/// Canopy temperature (°C) below which frost protection starts.
+const FROST_THRESHOLD_C: f64 = 1.0;
+/// Interior wind (m/s) above which spray drift is unacceptable.
+const SPRAY_WIND_LIMIT_MS: f64 = 1.5;
+/// Minimum humidity (%) for spraying (evaporation control).
+const SPRAY_MIN_RH: f64 = 35.0;
+/// Minimum canopy fraction that must be under the wind limit.
+const SPRAY_MIN_COVERAGE: f64 = 0.8;
 
 /// The intervention advisor.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct InterventionAdvisor {
-    /// Thresholds.
-    pub config: AdvisorConfig,
-}
+pub struct InterventionAdvisor;
 
 impl InterventionAdvisor {
     /// Evaluate the latest CFD result and conditions, returning zero or
@@ -87,31 +69,29 @@ impl InterventionAdvisor {
         let canopy_temp = self.canopy_min_temp(sim);
         let predicted_canopy_min_c =
             conditions.forecast_min_temp_c + (canopy_temp - conditions.ambient_temp_c);
-        if predicted_canopy_min_c <= self.config.frost_threshold_c {
+        if predicted_canopy_min_c <= FROST_THRESHOLD_C {
             out.push(Intervention::FrostProtection {
                 predicted_canopy_min_c,
                 // Water needs to be flowing well before the minimum: lead
                 // grows with the deficit.
-                lead_s: 1800.0
-                    + 600.0 * (self.config.frost_threshold_c - predicted_canopy_min_c).max(0.0),
+                lead_s: 1800.0 + 600.0 * (FROST_THRESHOLD_C - predicted_canopy_min_c).max(0.0),
             });
         }
         // Spray decision from the wind field inside the canopy layer.
         let (mean_wind, coverage) = self.canopy_wind_stats(sim);
-        if mean_wind > self.config.spray_wind_limit_ms || coverage < self.config.spray_min_coverage
-        {
+        if mean_wind > SPRAY_WIND_LIMIT_MS || coverage < SPRAY_MIN_COVERAGE {
             out.push(Intervention::SprayHold {
                 reason: format!(
                     "canopy wind {mean_wind:.2} m/s, only {:.0}% under the {:.1} m/s drift limit",
                     coverage * 100.0,
-                    self.config.spray_wind_limit_ms
+                    SPRAY_WIND_LIMIT_MS
                 ),
             });
-        } else if conditions.rel_humidity < self.config.spray_min_rh {
+        } else if conditions.rel_humidity < SPRAY_MIN_RH {
             out.push(Intervention::SprayHold {
                 reason: format!(
                     "humidity {:.0}% below the {:.0}% evaporation limit",
-                    conditions.rel_humidity, self.config.spray_min_rh
+                    conditions.rel_humidity, SPRAY_MIN_RH
                 ),
             });
         } else {
@@ -150,7 +130,7 @@ impl InterventionAdvisor {
                     let v = sim.v.at(i, j, k);
                     let speed = (u * u + v * v).sqrt();
                     sum += speed;
-                    if speed <= self.config.spray_wind_limit_ms {
+                    if speed <= SPRAY_WIND_LIMIT_MS {
                         under += 1;
                     }
                     count += 1;
@@ -194,7 +174,7 @@ mod tests {
     #[test]
     fn calm_mild_night_opens_spray_window() {
         let sim = run_sim(1.0, 22.0);
-        let advice = InterventionAdvisor::default().advise(&sim, &mild());
+        let advice = InterventionAdvisor.advise(&sim, &mild());
         assert!(
             advice
                 .iter()
@@ -209,7 +189,7 @@ mod tests {
     #[test]
     fn windy_day_holds_spraying() {
         let sim = run_sim(9.0, 22.0);
-        let advice = InterventionAdvisor::default().advise(&sim, &mild());
+        let advice = InterventionAdvisor.advise(&sim, &mild());
         match advice
             .iter()
             .find(|a| matches!(a, Intervention::SprayHold { .. }))
@@ -229,7 +209,7 @@ mod tests {
             forecast_min_temp_c: -2.0,
             rel_humidity: 70.0,
         };
-        let advice = InterventionAdvisor::default().advise(&sim, &frosty);
+        let advice = InterventionAdvisor.advise(&sim, &frosty);
         match advice
             .iter()
             .find(|a| matches!(a, Intervention::FrostProtection { .. }))
@@ -252,7 +232,7 @@ mod tests {
             rel_humidity: 20.0,
             ..mild()
         };
-        let advice = InterventionAdvisor::default().advise(&sim, &dry);
+        let advice = InterventionAdvisor.advise(&sim, &dry);
         match advice
             .iter()
             .find(|a| matches!(a, Intervention::SprayHold { .. }))
@@ -267,7 +247,7 @@ mod tests {
     #[test]
     fn colder_forecast_more_lead() {
         let sim = run_sim(1.0, 10.0);
-        let advisor = InterventionAdvisor::default();
+        let advisor = InterventionAdvisor;
         let lead_at = |min_c: f64| {
             let cond = SiteConditions {
                 ambient_temp_c: 10.0,

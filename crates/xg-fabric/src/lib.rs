@@ -19,8 +19,11 @@
 //! * [`pipeline`] — the telemetry data path: station reports shipped over
 //!   the private-5G + Internet route into the UCSB CSPOT repository.
 //! * [`orchestrator`] — the full closed loop with virtual-time accounting:
-//!   5-minute telemetry duty cycle, 30-minute change detection, pilot
-//!   triggering, CFD execution, twin comparison, robot dispatch.
+//!   construction, the 5-minute report cycle and fault dispatch. Each
+//!   phase it drives owns its state in a private module: `hpc` (CFD-task
+//!   placement, failover, completion), `ladder` (degradation ladder and
+//!   SLOs), `detect` (the 30-minute change-detection duty cycle) and
+//!   `twin` (the solve, calibration, advisories, robot dispatch).
 //! * [`robot`] — the Farm-NG wheeled robot: route planning to a suspect
 //!   wall region and visual confirmation (§2's future-work loop, closed).
 //! * [`timeline`] — the §4.4 end-to-end latency budget.
@@ -41,14 +44,18 @@
 //! gated: non-test code converts fallible paths to [`FabricError`] (or a
 //! propagated `CspotError`) instead of unwrapping.
 
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod backtest;
+mod detect;
 pub mod error;
+mod hpc;
 pub mod intervention;
+mod ladder;
 pub mod orchestrator;
 pub mod pipeline;
 pub mod ran;
@@ -56,6 +63,7 @@ pub mod reliability;
 pub mod robot;
 pub mod route;
 pub mod timeline;
+mod twin;
 
 /// Commonly used types.
 pub mod prelude {

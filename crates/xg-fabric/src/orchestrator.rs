@@ -1,76 +1,66 @@
-//! The xGFabric closed loop.
+//! The xGFabric closed loop: construction, the report cycle, and fault
+//! dispatch.
 //!
-//! [`XgFabric`] advances the whole system on the paper's duty cycles:
+//! [`XgFabric`] advances the whole system on the paper's duty cycles.
+//! One report cycle runs fixed phases in a fixed order, each a wall span
+//! when traced:
 //!
-//! * every **300 s** the stations report and the records enter the field
-//!   gateway's bounded store-and-forward buffer, which drains over
-//!   5G + Internet into the UCSB repository whenever the link allows
-//!   (§3.1's delay tolerance);
-//! * every **30 min** (6 reports) the Laminar change detector compares the
-//!   two most recent 30-minute windows *of data that actually reached the
-//!   repository*; a statistically measurable change triggers the Pilot
-//!   controller (Eqs. 1–4) and a CFD task routed to the best reachable
-//!   HPC site;
-//! * CFD tasks complete after their expected completion time; a site
-//!   outage mid-run triggers failover — the task is resubmitted to the
-//!   next-best site with capped exponential backoff — and on completion
-//!   the **actual** solver runs at (possibly degraded) resolution, the
-//!   digital twin compares prediction with measurement, and a suspected
-//!   breach dispatches the Farm-NG robot.
+//! * **faults** — the [`FaultPlan`] opens and closes windows (partitions,
+//!   RAN collapse, site outages, sensor and storage faults), dispatched
+//!   to the part of the loop each one hits;
+//! * **ran / ric** — the RAN fleet is probed and the near-RT RIC steers
+//!   it;
+//! * **sense / gateway** — every **300 s** the stations report and the
+//!   records enter the field gateway's bounded store-and-forward buffer,
+//!   which drains over 5G + Internet into the UCSB repository whenever
+//!   the link allows (§3.1's delay tolerance);
+//! * **hpc** — CFD tasks advance through placement, failover and
+//!   completion (`hpc`); each finished task runs the actual
+//!   solver and the digital twin acts on it (`twin`);
+//! * **slo** — the degradation ladder and its SLO watchdog judge the
+//!   cycle (`ladder`);
+//! * **detect** — every **30 min** (6 reports) the Laminar change detector
+//!   compares the two most recent windows *of data that actually reached
+//!   the repository* (`detect`); a change triggers the Pilot
+//!   (Eqs. 1–4) and a CFD task at the best reachable site.
 //!
-//! A [`FaultPlan`] in the configuration injects partitions, RAN collapse,
-//! site outages, sensor faults, and storage faults as virtual time
-//! advances; the loop degrades gracefully (buffering, failover, reduced
-//! CFD resolution, skipped results-return) instead of panicking, and
-//! every run can emit a [`ReliabilityReport`]. All time is virtual;
-//! nothing sleeps.
+//! The loop degrades gracefully (buffering, failover, reduced CFD
+//! resolution, skipped results-return) instead of panicking, and every
+//! run can emit a [`ReliabilityReport`]. All time is virtual; nothing
+//! sleeps.
 
-use crate::backtest::{Backtester, CalibrationSample};
+use crate::detect::{Detect, DETECT_EVERY_REPORTS};
 use crate::error::FabricError;
-use crate::intervention::{Intervention, InterventionAdvisor, SiteConditions};
-use crate::pipeline::{FieldGateway, ResultSummary, ResultsReturn, WIND_LOG};
+use crate::hpc::{Hpc, PendingCfd};
+use crate::ladder::Ladder;
+use crate::pipeline::{FieldGateway, FieldLink, ResultSummary, ResultsReturn};
 use crate::ran::{RanProbe, RanTopology};
-use crate::reliability::ReliabilityReport;
-use crate::robot::Robot;
-use crate::route::RoutePlanner;
+use crate::reliability::{Impairment, ReliabilityReport};
 use crate::timeline::{Event, Timeline};
+use crate::twin::Twin;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
-use xg_cfd::boundary::BoundarySpec;
-use xg_cfd::mesh::{DomainSpec, Mesh};
-use xg_cfd::parallel::CfdPerfModel;
-use xg_cfd::solver::{Simulation, SolverConfig};
-use xg_cfd::twin::{DigitalTwin, Measurement};
+use xg_cfd::twin::Measurement;
 use xg_cspot::netsim::SimClock;
 use xg_cspot::node::CspotNode;
 use xg_faults::{FaultChange, FaultKind, FaultPlan};
-use xg_hpc::multisite::MultiSiteController;
 use xg_hpc::site::SiteProfile;
-use xg_laminar::bridge::latest_windows;
-use xg_laminar::change::{build_change_graph, ChangeDetector};
-use xg_laminar::runtime::LaminarRuntime;
-use xg_laminar::value::Value;
 use xg_obs::clock::{secs_to_us, wall_now_us};
 use xg_obs::critical::{extract_critical, CriticalPath};
 use xg_obs::recorder::{dump_bundle, BundleContext};
-use xg_obs::slo::{Hysteresis, SloEventKind, SloOp, SloSpec, SloStat, SloWatchdog};
+use xg_obs::slo::{Hysteresis, SloOp, SloSpec, SloStat, SloWatchdog};
 use xg_obs::span::SpanRecord;
-use xg_obs::window::{MetricsWindow, WindowConfig};
+use xg_obs::window::WindowConfig;
 use xg_obs::ClockDomain;
-use xg_obs::{Obs, SpanId, TraceId, Tracer};
+use xg_obs::{Obs, TraceId, Tracer};
 use xg_ric::Ric;
 use xg_sensors::breach::Breach;
 use xg_sensors::facility::CupsFacility;
-use xg_sensors::network::{BoundaryConditions, SensorNetwork, REPORT_INTERVAL_S};
+use xg_sensors::network::{SensorNetwork, REPORT_INTERVAL_S};
 use xg_sensors::qc::QcScreen;
 use xg_sensors::telemetry::TelemetryRecord;
 use xg_sim::{Advance, SimNs};
-
-/// Reports per change-detection duty cycle (paper: 6 = 30 min).
-const DETECT_EVERY_REPORTS: usize = 6;
-
-/// Cores a paper-scale CFD task is modelled on (Fig. 7's Notre Dame runs).
-const CFD_CORES: u32 = 64;
 
 /// Records the field gateway's store-and-forward buffer holds.
 const GATEWAY_CAPACITY: usize = 4096;
@@ -81,7 +71,7 @@ fn report_interval() -> SimNs {
     SimNs::from_secs_f64(REPORT_INTERVAL_S)
 }
 
-/// Full-fabric configuration.
+/// Full-fabric configuration, consumed by [`XgFabric::try_new`].
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// RNG seed for every stochastic component.
@@ -170,62 +160,21 @@ impl Default for FabricConfig {
     }
 }
 
-/// Everything the fabric keeps only while observability is on: its
-/// pre-resolved instruments (one registry lookup at attach) and the SLO
-/// window + watchdog that judge them.
+/// The cycle's own instruments, pre-resolved at construction (enabled
+/// observability only); the ladder holds the ones its SLOs read.
 struct FabricObs {
     report_cycles: Arc<xg_obs::Counter>,
-    degradation_level: Arc<xg_obs::Gauge>,
-    degradation_transitions: Arc<xg_obs::Counter>,
-    cycle_transfer_ms: Arc<xg_obs::Histogram>,
-    gateway_backlog: Arc<xg_obs::Gauge>,
-    gateway_dropped: Arc<xg_obs::Counter>,
-    gateway_delivered: Arc<xg_obs::Counter>,
-    slo_breaches: Arc<xg_obs::Counter>,
-    slo_recoveries: Arc<xg_obs::Counter>,
     ric_actions: Arc<xg_obs::Counter>,
     ric_held: Arc<xg_obs::Counter>,
     ric_stale_cells: Arc<xg_obs::Gauge>,
     critical_total_ms: Arc<xg_obs::Histogram>,
     critical_depth: Arc<xg_obs::Gauge>,
-    /// Sliding window over the registry, judged by the watchdog.
-    window: MetricsWindow,
-    watchdog: SloWatchdog,
 }
 
 impl FabricObs {
-    fn new(config: &FabricConfig) -> Option<Self> {
-        let reg = config.obs.registry()?;
-        Self::register_help(reg);
-        let watchdog = SloWatchdog::new(config.slos.clone(), config.slo_hysteresis);
-        // The window feeds the watchdog alone, so it only needs to diff
-        // the instruments the objectives actually read — not every live
-        // histogram in the registry, every cycle.
-        let mut window = MetricsWindow::new(config.slo_window);
-        window.focus(watchdog.metrics());
-        Some(FabricObs {
-            report_cycles: reg.counter("fabric.report_cycles"),
-            degradation_level: reg.gauge("fabric.degradation.level"),
-            degradation_transitions: reg.counter("fabric.degradation.transitions"),
-            cycle_transfer_ms: reg.histogram("fabric.cycle.transfer_ms"),
-            gateway_backlog: reg.gauge("fabric.gateway.backlog"),
-            gateway_dropped: reg.counter("fabric.gateway.dropped"),
-            gateway_delivered: reg.counter("fabric.gateway.delivered"),
-            slo_breaches: reg.counter("fabric.slo.breaches"),
-            slo_recoveries: reg.counter("fabric.slo.recoveries"),
-            ric_actions: reg.counter("fabric.ric.actions"),
-            ric_held: reg.counter("fabric.ric.held"),
-            ric_stale_cells: reg.gauge("fabric.ric.stale_cells"),
-            critical_total_ms: reg.histogram("fabric.cycle.critical.total_ms"),
-            critical_depth: reg.gauge("fabric.cycle.critical.depth"),
-            window,
-            watchdog,
-        })
-    }
-
-    /// Register `# HELP` texts for the fabric's headline instruments so a
-    /// scraped snapshot is self-describing.
-    fn register_help(reg: &xg_obs::MetricsRegistry) {
+    fn new(reg: &xg_obs::MetricsRegistry) -> Self {
+        // `# HELP` texts for the headline instruments, so a scraped
+        // snapshot is self-describing.
         for (name, help) in [
             ("fabric.report_cycles", "Report cycles completed"),
             (
@@ -250,6 +199,14 @@ impl FabricObs {
             ),
         ] {
             reg.set_help(name, help);
+        }
+        FabricObs {
+            report_cycles: reg.counter("fabric.report_cycles"),
+            ric_actions: reg.counter("fabric.ric.actions"),
+            ric_held: reg.counter("fabric.ric.held"),
+            ric_stale_cells: reg.gauge("fabric.ric.stale_cells"),
+            critical_total_ms: reg.histogram("fabric.cycle.critical.total_ms"),
+            critical_depth: reg.gauge("fabric.cycle.critical.depth"),
         }
     }
 }
@@ -319,105 +276,32 @@ fn phase<T>(cyc: &mut Option<CycleSpans>, name: &'static str, body: impl FnOnce(
     out
 }
 
-/// Captured trigger context for one CFD run, including the resolution
-/// chosen by the degradation ladder at trigger time.
-struct PendingCfd {
-    trigger_t_s: f64,
-    bc: BoundaryConditions,
-    interior: Vec<Measurement>,
-    cells: [usize; 3],
-    steps: usize,
-    /// Closed-loop trace this run belongs to, with the detection span it
-    /// is causally downstream of (None when observability is disabled).
-    trace: Option<(TraceId, SpanId)>,
-}
-
-/// A CFD task placed at a site, expected to finish at `finishes_at`.
-struct InFlightCfd {
-    pending: PendingCfd,
-    site: String,
-    finishes_at: f64,
-    /// Placement attempts so far (0 = first placement succeeded).
-    attempts: u32,
-}
-
-/// A CFD task lost to a site outage (or refused by every site), waiting
-/// out its backoff before resubmission.
-struct RetryCfd {
-    pending: PendingCfd,
-    from_site: String,
-    attempts: u32,
-    next_try_s: f64,
-}
-
 /// The orchestrated end-to-end system.
 pub struct XgFabric {
-    /// Configuration.
-    pub config: FabricConfig,
-    /// Modelled run time of one paper-scale CFD task (s).
-    task_runtime_s: f64,
+    obs: Obs,
+    /// Cycle-level instruments (enabled `obs` only).
+    instruments: Option<FabricObs>,
+    seed: u64,
+    blackbox_dir: Option<PathBuf>,
+    /// Black-box bundles dumped so far (paths in `blackbox_dir`).
+    bundles: Vec<PathBuf>,
     net: SensorNetwork,
-    gateway: FieldGateway,
-    hpc: MultiSiteController,
-    robot: Robot,
-    planner: RoutePlanner,
-    advisor: InterventionAdvisor,
-    /// The §3.7 change-detection program, deployed as a real Laminar
-    /// dataflow on the repository's CSPOT node.
-    laminar: LaminarRuntime,
-    detect_epoch: u64,
-    results_return: ResultsReturn,
     qc: QcScreen,
-    backtester: Backtester,
-    timeline: Timeline,
-    reports_done: usize,
-    /// Live fault schedule (advanced copy of `config.faults`).
-    faults: FaultPlan,
-    in_flight: Vec<InFlightCfd>,
-    retries: Vec<RetryCfd>,
-    /// Degradation ladder level: 0 nominal, 1 reduced CFD resolution,
-    /// 2 also skip non-critical results-return.
-    degradation: u8,
-    route_down: bool,
+    link: FieldLink,
     /// The live multi-cell RAN, probed every report cycle.
     ran: RanProbe,
-    /// The near-RT RIC engine (a live, stepping copy of `config.ric`).
+    /// The near-RT RIC engine, if one is configured.
     ric: Option<Ric>,
     /// Cells whose E2 indication stream is currently dropped by a
     /// `RicIndicationDrop` fault.
-    ric_dropped: std::collections::BTreeSet<String>,
-    /// Whether the gateway's serving cell is partitioned (tracked apart
-    /// from `route_down` so either alone severs the telemetry path).
-    gateway_cell_partitioned: bool,
-    /// When a detect duty cycle was first deferred for lack of fresh
-    /// repository data (partition-starved); cleared by the detection
-    /// that finally runs, which is charged the wait as inflation.
-    deferred_check_since: Option<f64>,
-    wind_seq_at_last_detect: u64,
-    detections: u32,
-    detection_inflation_sum_s: f64,
-    failovers: u32,
-    cfd_triggered: u32,
-    cfd_completed: u32,
-    cfd_recovered: u32,
-    degraded_cycles: u32,
-    impaired_since: Option<f64>,
-    impairment_episodes: u32,
-    impairment_total_s: f64,
-    /// Twin calibration factor (measured/predicted), set by the first
-    /// completed comparison ("once the model is calibrated", §2).
-    calibration: Option<f64>,
-    /// Fabric-level instruments, SLO window and watchdog (enabled `obs`
-    /// only).
-    obs: Option<FabricObs>,
-    /// Degradation level the active SLO breaches currently request; the
-    /// ladder runs at max(backlog level, this).
-    slo_degradation: u8,
-    /// Cumulative gateway counters at the previous cycle, for deltas.
-    prev_dropped: u64,
-    prev_delivered: u64,
-    /// Black-box bundles dumped so far (paths in `blackbox_dir`).
-    bundles: Vec<PathBuf>,
+    ric_dropped: BTreeSet<String>,
+    faults: FaultPlan,
+    hpc: Hpc,
+    ladder: Ladder,
+    detect: Detect,
+    twin: Twin,
+    timeline: Timeline,
+    impairment: Impairment,
     /// The most recent report cycle's wall-time critical path (enabled
     /// `obs` only); attached to every black-box bundle.
     last_critical: Option<CriticalPath>,
@@ -431,96 +315,76 @@ impl XgFabric {
     /// Assemble the fabric, surfacing construction failures (a topology
     /// without the paper routes, colliding logs) as typed errors.
     pub fn try_new(config: FabricConfig) -> Result<Self, FabricError> {
-        let facility = CupsFacility::default();
-        let net = SensorNetwork::cups_default(facility, config.seed);
+        let FabricConfig {
+            seed,
+            site,
+            failover_sites,
+            busy_cluster,
+            cfd_cells,
+            cfd_steps,
+            ran,
+            mut ric,
+            faults,
+            obs,
+            slos,
+            slo_window,
+            slo_hysteresis,
+            blackbox_dir,
+        } = config;
+        let net = SensorNetwork::cups_default(CupsFacility::default(), seed);
         let repo = Arc::new(CspotNode::in_memory("UCSB"));
         let field = Arc::new(CspotNode::in_memory("UNL"));
         let mut gateway = FieldGateway::new(
             Arc::clone(&repo),
             Arc::clone(&field),
             SimClock::new(),
-            config.seed,
+            seed,
             GATEWAY_CAPACITY,
         )?;
-        gateway.set_obs(&config.obs);
-        let mut sites = vec![(config.site.clone(), config.busy_cluster)];
-        for s in &config.failover_sites {
-            sites.push((s.clone(), config.busy_cluster));
-        }
-        let mut hpc = MultiSiteController::new(sites, config.seed);
-        let task_runtime_s = CfdPerfModel::notre_dame().total_time_s(CFD_CORES);
-        hpc.set_est_task_runtime(task_runtime_s);
-        hpc.set_obs(&config.obs);
-        let mut results_return = ResultsReturn::new(field, SimClock::new(), config.seed ^ 0x5255)?;
-        results_return.set_obs(&config.obs);
-        let laminar = LaminarRuntime::deploy(
-            build_change_graph("cups_change", ChangeDetector::default())?,
-            Arc::clone(&gateway.repo),
-        )?;
-        let faults = config.faults.clone();
+        gateway.set_obs(&obs);
+        let hpc = Hpc::new(site, failover_sites, busy_cluster, seed, &obs);
+        let mut results = ResultsReturn::new(field, SimClock::new(), seed ^ 0x5255)?;
+        results.set_obs(&obs);
+        let detect = Detect::deploy(repo)?;
         // The RAN fleet gets its own seed stream so growing the topology
         // never perturbs the sensor or gateway RNGs.
-        let ran = RanProbe::try_new(&config.ran, config.seed ^ 0x0052_414E, &config.obs)?;
-        let mut ric = config.ric.clone();
+        let ran = RanProbe::try_new(&ran, seed ^ 0x0052_414E, &obs)?;
         if let Some(r) = &mut ric {
-            r.set_obs(&config.obs);
+            r.set_obs(&obs);
         }
-        let obs = FabricObs::new(&config);
+        let instruments = obs.registry().map(FabricObs::new);
+        let ladder = Ladder::new(&obs, slos, slo_window, slo_hysteresis, cfd_cells, cfd_steps);
         // The first fabric configured with a black-box directory arms the
         // process-wide panic hook: a crash anywhere dumps that fabric's
         // flight recorder next to the SLO/fault bundles. One recorder per
         // process is deliberate — stacking a hook per fabric would dump
         // the same panic many times over.
-        if let (Some(dir), Some(recorder)) = (&config.blackbox_dir, config.obs.recorder()) {
+        if let (Some(dir), Some(recorder)) = (&blackbox_dir, obs.recorder()) {
             static PANIC_HOOK: std::sync::Once = std::sync::Once::new();
-            let (recorder, dir, seed) = (Arc::clone(recorder), dir.clone(), config.seed);
+            let (recorder, dir) = (Arc::clone(recorder), dir.clone());
             PANIC_HOOK.call_once(move || {
                 xg_obs::recorder::install_panic_hook(recorder, dir, seed);
             });
         }
         Ok(XgFabric {
-            config,
-            task_runtime_s,
+            obs,
+            instruments,
+            seed,
+            blackbox_dir,
+            bundles: Vec::new(),
             net,
-            gateway,
-            hpc,
-            robot: Robot::default(),
-            planner: RoutePlanner::from_domain(&DomainSpec::cups_default()),
-            advisor: InterventionAdvisor::default(),
-            laminar,
-            detect_epoch: 0,
-            results_return,
             qc: QcScreen::new(),
-            backtester: Backtester::default(),
-            timeline: Timeline::default(),
-            reports_done: 0,
-            faults,
-            in_flight: Vec::new(),
-            retries: Vec::new(),
-            degradation: 0,
-            route_down: false,
+            link: FieldLink::new(gateway, results),
             ran,
             ric,
-            ric_dropped: std::collections::BTreeSet::new(),
-            gateway_cell_partitioned: false,
-            deferred_check_since: None,
-            wind_seq_at_last_detect: 0,
-            detections: 0,
-            detection_inflation_sum_s: 0.0,
-            failovers: 0,
-            cfd_triggered: 0,
-            cfd_completed: 0,
-            cfd_recovered: 0,
-            degraded_cycles: 0,
-            impaired_since: None,
-            impairment_episodes: 0,
-            impairment_total_s: 0.0,
-            calibration: None,
-            obs,
-            slo_degradation: 0,
-            prev_dropped: 0,
-            prev_delivered: 0,
-            bundles: Vec::new(),
+            ric_dropped: BTreeSet::new(),
+            faults,
+            hpc,
+            ladder,
+            detect,
+            twin: Twin::new(),
+            timeline: Timeline::default(),
+            impairment: Impairment::default(),
             last_critical: None,
             now: SimNs::ZERO,
             next_cycle: report_interval(),
@@ -546,14 +410,14 @@ impl XgFabric {
     /// The most recent CFD summary visible at the field node (what the
     /// site operator's dashboard shows).
     pub fn operator_view(&self) -> Option<ResultSummary> {
-        self.results_return.latest()
+        self.link.results.latest()
     }
 
     /// Back-test the live twin calibration against the accumulated
     /// prediction/measurement history (None before enough CFD runs, or
     /// before the twin is calibrated).
     pub fn backtest_calibration(&self) -> Option<crate::backtest::BacktestReport> {
-        self.backtester.backtest(self.calibration?)
+        self.twin.backtest()
     }
 
     /// Virtual time of the most recent report cycle (s): one interval
@@ -566,17 +430,17 @@ impl XgFabric {
 
     /// Current degradation ladder level.
     pub fn degradation_level(&self) -> u8 {
-        self.degradation
+        self.ladder.level()
     }
 
     /// The SLO watchdog, when observability is enabled.
     pub fn slo_watchdog(&self) -> Option<&SloWatchdog> {
-        self.obs.as_ref().map(|o| &o.watchdog)
+        self.ladder.watchdog()
     }
 
     /// Degradation level the active SLO breaches currently request.
     pub fn slo_degradation_target(&self) -> u8 {
-        self.slo_degradation
+        self.ladder.slo_level()
     }
 
     /// Black-box bundles dumped so far, in dump order.
@@ -586,7 +450,7 @@ impl XgFabric {
 
     /// Telemetry records parked at the field gateway.
     pub fn telemetry_backlog(&self) -> usize {
-        self.gateway.backlog()
+        self.link.gateway.backlog()
     }
 
     /// The live multi-cell RAN probe (per-cell goodput and fade state).
@@ -615,14 +479,73 @@ impl XgFabric {
         self.advance_to(self.now.saturating_add(report_interval()))
     }
 
+    /// Run `n` report cycles (a compatibility wrapper over
+    /// [`Advance::advance_to`], like [`XgFabric::run_report_cycle`]).
+    pub fn run_cycles(&mut self, n: usize) -> Result<(), FabricError> {
+        for _ in 0..n {
+            self.run_report_cycle()?;
+        }
+        Ok(())
+    }
+
+    /// The most recent report cycle's wall-time critical path (None until
+    /// a cycle has run with observability enabled).
+    pub fn last_critical(&self) -> Option<&CriticalPath> {
+        self.last_critical.as_ref()
+    }
+
+    /// Reliability accounting for the run so far.
+    pub fn reliability_report(&self) -> ReliabilityReport {
+        let horizon = self.now_s();
+        // Either the WAN route or the gateway's own cell going down
+        // makes the repository unreachable from the field.
+        let gateway_cell = self.ran.gateway_cell_name();
+        let partition_down_s = self.faults.active_seconds(|k| match k {
+            FaultKind::RoutePartition { .. } => true,
+            FaultKind::CellPartition { cell } => cell == gateway_cell,
+            _ => false,
+        });
+        let availability = if horizon > 0.0 {
+            (1.0 - partition_down_s / horizon).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        let (episodes, loop_mttr_s) = self.impairment.closed_at(horizon);
+        let gateway = &self.link.gateway;
+        let cfd = self.hpc.counts();
+        ReliabilityReport {
+            horizon_s: horizon,
+            availability_experienced: availability,
+            records_buffered: gateway.buffered(),
+            records_dropped: gateway.dropped(),
+            records_delivered: gateway.delivered(),
+            max_backlog: gateway.max_backlog(),
+            final_backlog: gateway.backlog(),
+            detections: self.detect.detections(),
+            mean_detection_inflation_s: self.detect.mean_inflation_s(),
+            failovers: cfd.failovers,
+            cfd_triggered: cfd.triggered,
+            cfd_completed: cfd.completed,
+            cfd_recovered: cfd.recovered,
+            degraded_cycles: self.ladder.degraded_cycles(),
+            impairment_episodes: episodes,
+            loop_mttr_s,
+        }
+    }
+
     /// One report cycle: the paper's fixed-order pipeline, top to bottom.
     /// An erroring phase aborts the rest of its own cycle only.
     fn run_cycle(&mut self) -> Result<(), FabricError> {
         // One wall trace per cycle: phase boundaries are captured as
         // timestamps and flushed into a span tree at cycle close, feeding
         // the profiler's attribution tree and the cycle's critical path.
-        let mut cyc = self.config.obs.tracer().map(CycleSpans::begin);
-        phase(&mut cyc, "fabric.faults.advance", || self.advance_faults());
+        let mut cyc = self.obs.tracer().map(CycleSpans::begin);
+        let now = self.now_s();
+        phase(&mut cyc, "fabric.faults.advance", || {
+            for c in &self.faults.advance_to(now) {
+                self.apply_fault(c);
+            }
+        });
         // Step the RAN fleet one probe batch: measured per-cell goodput
         // lands on the registry (feeding the SLO window) and the worst
         // cell lands on the timeline, every cycle.
@@ -632,57 +555,71 @@ impl XgFabric {
             .min_by(|a, b| a.goodput_mbps.total_cmp(&b.goodput_mbps))
         {
             self.timeline.push(Event::RanProbed {
-                t_s: self.now_s(),
+                t_s: now,
                 cells: health.len(),
                 worst_cell: worst.name.clone(),
                 worst_goodput_mbps: worst.goodput_mbps,
             });
         }
         phase(&mut cyc, "fabric.ric.step", || self.step_ric());
-        let records = phase(&mut cyc, "fabric.sense.poll", || self.poll_sensors());
+        let records = phase(&mut cyc, "fabric.sense.poll", || {
+            // Quality control before anything becomes a CFD boundary
+            // condition (§2's data-calibration concern).
+            let _ = self.net.advance_to(self.now);
+            self.qc.filter(&self.net.take_reports()).0
+        });
         let shipped = phase(&mut cyc, "fabric.gateway.ship", || {
-            self.gateway.ship_cycle(&records)
+            self.link.gateway.ship_cycle(&records)
         })?;
-        if let Some(o) = &self.obs {
+        if let Some(o) = &self.instruments {
             o.report_cycles.inc();
         }
         self.timeline.push(Event::TelemetryShipped {
-            t_s: self.now_s(),
+            t_s: now,
             latency_ms: shipped.latency_ms,
             records: records.len(),
         });
-        self.reports_done += 1;
         // Advance the HPC side, resubmit lost tasks, absorb completions.
         phase(&mut cyc, "fabric.hpc.advance", || {
-            self.hpc.advance_to(self.now_s());
-            self.service_retries();
-            self.service_completions();
+            for task in self.hpc.advance(now, &mut self.timeline) {
+                // Level 2 sheds the non-critical results-return.
+                let results = (self.ladder.level() < 2).then_some(&mut self.link.results);
+                let runtime_s = self.hpc.task_runtime_s();
+                let (net, timeline) = (&self.net, &mut self.timeline);
+                self.twin
+                    .complete(task, runtime_s, &self.obs, results, net, timeline);
+            }
         });
         // Measured SLO evaluation before change detection, so this
         // cycle's breach can move the ladder this cycle (within the 300 s
         // duty cycle).
         phase(&mut cyc, "fabric.slo.observe", || {
-            self.observe_cycle(shipped.latency_ms);
-            self.update_degradation(records.len());
+            for ev in self.ladder.observe(now, &shipped, self.obs.registry()) {
+                let reason = self
+                    .ladder
+                    .record_edge(&ev, &mut self.timeline, self.obs.recorder());
+                self.dump_blackbox(&reason);
+            }
+            let behind = shipped.backlog / records.len().max(1);
+            let failover = self.hpc.waiting_on_failover();
+            let recorder = self.obs.recorder();
+            self.ladder
+                .update(now, behind, failover, &mut self.timeline, recorder);
         });
         phase(&mut cyc, "fabric.change.detect", || {
             self.detect_change(&records, shipped.latency_ms)
         })?;
-        self.track_impairment();
+        // An impairment episode runs from the first cycle where the loop
+        // is visibly hurt (link severed, telemetry parked, or a CFD task
+        // waiting on failover) until everything is clean again.
+        let impaired = self.link.severed()
+            || self.link.gateway.backlog() > 0
+            || self.hpc.waiting_on_failover();
+        self.impairment.track(now, impaired);
         if let Some(cyc) = cyc {
             self.finish_cycle_profiling(cyc);
         }
         Ok(())
-    }
-
-    /// Advance the fault plan and apply state changes. Faults change
-    /// state at report-cycle resolution; their downtime accounting inside
-    /// the plan stays exact regardless.
-    fn advance_faults(&mut self) {
-        let changes = self.faults.advance_to(self.now_s());
-        for c in &changes {
-            self.apply_fault(c);
-        }
     }
 
     /// Near-RT RIC loop: deliver this cycle's E2 indications (cells that
@@ -703,7 +640,7 @@ impl XgFabric {
             None => false,
         });
         let outcome = ric.step(fresh, now_s);
-        if let Some(o) = &self.obs {
+        if let Some(o) = &self.instruments {
             o.ric_actions.add(outcome.actions.len() as u64);
             o.ric_held.add(outcome.held as u64);
             o.ric_stale_cells.set(outcome.stale_cells.len() as f64);
@@ -721,37 +658,54 @@ impl XgFabric {
         }
     }
 
-    /// Drain the sensor network's own event engine through one report
-    /// round and return what it buffered, after quality control —
-    /// before anything becomes a CFD boundary condition (§2's
-    /// data-calibration concern).
-    fn poll_sensors(&mut self) -> Vec<TelemetryRecord> {
-        let _ = self.net.advance_to(self.now);
-        let raw = self.net.take_reports();
-        self.qc.filter(&raw).0
-    }
-
-    /// The 30-minute change-detection duty cycle, gated on telemetry that
-    /// actually reached the repository: a partition defers detection
-    /// instead of re-reading stale windows.
+    /// Run the detection duty cycle; on a change, size a CFD task to one
+    /// detection window of telemetry, at the resolution the ladder sets
+    /// now, and hand it to the HPC side.
     fn detect_change(
         &mut self,
         records: &[TelemetryRecord],
         transfer_ms: f64,
     ) -> Result<(), FabricError> {
-        if !self.reports_done.is_multiple_of(DETECT_EVERY_REPORTS) {
+        let now = self.now_s();
+        let gateway = &self.link.gateway;
+        let backlog = gateway.backlog();
+        let detected = self
+            .detect
+            .cycle(now, &gateway.repo, backlog, &mut self.timeline)?;
+        let Some(change) = detected else {
             return Ok(());
-        }
-        let repo_seq = self.gateway.repo_wind_seq();
-        if repo_seq >= 2 * ChangeDetector::default().window as u64
-            && repo_seq >= self.wind_seq_at_last_detect + DETECT_EVERY_REPORTS as u64
-        {
-            self.run_change_detection(records, repo_seq, transfer_ms)?;
-        } else if self.gateway.backlog() > 0 && self.deferred_check_since.is_none() {
-            // The duty cycle wanted to run but the partition starved the
-            // repository: start the deferral clock.
-            self.deferred_check_since = Some(self.now_s());
-        }
+        };
+        let data_bytes = (records.len() * TelemetryRecord::WIRE_SIZE * DETECT_EVERY_REPORTS) as f64;
+        let Some(bc) = self.net.boundary_conditions(records) else {
+            return Ok(());
+        };
+        let (cells, steps) = self.ladder.effective_resolution();
+        let trace = self
+            .obs
+            .tracer()
+            .map(|tr| change.open_trace(tr, now, transfer_ms, records.len()));
+        let interior = records
+            .iter()
+            .filter_map(|r| match self.net.station_position(r.station_id)? {
+                (x, y, true) => Some(Measurement {
+                    x,
+                    y,
+                    z: 4.0,
+                    wind_ms: r.wind_speed_ms,
+                }),
+                _ => None,
+            })
+            .collect();
+        let pending = PendingCfd {
+            trigger_t_s: now,
+            bc,
+            interior,
+            cells,
+            steps,
+            trace,
+        };
+        self.hpc
+            .submit(pending, data_bytes, now, &mut self.timeline);
         Ok(())
     }
 
@@ -759,7 +713,7 @@ impl XgFabric {
     /// attribution tree, and extract this cycle's critical path (emitted
     /// as `fabric.cycle.critical.*` and attached to black-box bundles).
     fn finish_cycle_profiling(&mut self, cyc: CycleSpans) {
-        let obs = &self.config.obs;
+        let obs = &self.obs;
         let Some(tracer) = obs.tracer() else { return };
         let (trace, spans) = cyc.flush(tracer);
         if let Some(prof) = obs.profiler() {
@@ -768,7 +722,7 @@ impl XgFabric {
         let Some(path) = extract_critical(&spans, trace) else {
             return;
         };
-        if let Some(o) = &self.obs {
+        if let Some(o) = &self.instruments {
             o.critical_total_ms.record(path.total_us as f64 / 1e3);
             o.critical_depth.set(path.depth() as f64);
         }
@@ -785,317 +739,72 @@ impl XgFabric {
         self.last_critical = Some(path);
     }
 
-    /// The most recent report cycle's wall-time critical path (None until
-    /// a cycle has run with observability enabled).
-    pub fn last_critical(&self) -> Option<&CriticalPath> {
-        self.last_critical.as_ref()
-    }
-
-    /// Run `n` report cycles (a compatibility wrapper over
-    /// [`Advance::advance_to`], like [`XgFabric::run_report_cycle`]).
-    pub fn run_cycles(&mut self, n: usize) -> Result<(), FabricError> {
-        for _ in 0..n {
-            self.run_report_cycle()?;
-        }
-        Ok(())
-    }
-
-    /// Reliability accounting for the run so far.
-    pub fn reliability_report(&self) -> ReliabilityReport {
-        let horizon = self.now_s();
-        // Either the WAN route or the gateway's own cell going down
-        // makes the repository unreachable from the field.
-        let gateway_cell = self.ran.gateway_cell_name();
-        let partition_down_s = self.faults.active_seconds(|k| match k {
-            FaultKind::RoutePartition { .. } => true,
-            FaultKind::CellPartition { cell } => cell == gateway_cell,
-            _ => false,
-        });
-        let availability = if horizon > 0.0 {
-            (1.0 - partition_down_s / horizon).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        // Close any still-open impairment episode for reporting.
-        let mut episodes = self.impairment_episodes;
-        let mut total_s = self.impairment_total_s;
-        if let Some(start) = self.impaired_since {
-            episodes += 1;
-            total_s += self.now_s() - start;
-        }
-        ReliabilityReport {
-            horizon_s: horizon,
-            availability_experienced: availability,
-            records_buffered: self.gateway.buffered(),
-            records_dropped: self.gateway.dropped(),
-            records_delivered: self.gateway.delivered(),
-            max_backlog: self.gateway.max_backlog(),
-            final_backlog: self.gateway.backlog(),
-            detections: self.detections,
-            mean_detection_inflation_s: self.detection_inflation_sum_s
-                / f64::from(self.detections.max(1)),
-            failovers: self.failovers,
-            cfd_triggered: self.cfd_triggered,
-            cfd_completed: self.cfd_completed,
-            cfd_recovered: self.cfd_recovered,
-            degraded_cycles: self.degraded_cycles,
-            impairment_episodes: episodes,
-            loop_mttr_s: total_s / f64::from(episodes.max(1)),
-        }
-    }
-
+    /// Apply one fault-window edge to the part of the loop it hits.
+    /// Faults change state at report-cycle resolution; their downtime
+    /// accounting inside the plan stays exact regardless.
     fn apply_fault(&mut self, change: &FaultChange) {
+        let now = self.now_s();
+        let active = change.active;
         match &change.kind {
             // The WAN route is shared; a partition entry severs both the
             // uplink and the results downlink for every cell.
-            FaultKind::RoutePartition { .. } => {
-                self.route_down = change.active;
-                self.sync_partition();
-            }
+            FaultKind::RoutePartition { .. } => self.link.set_route_down(active),
             FaultKind::PacketLossSurge { loss_prob, .. } => {
-                self.gateway
-                    .set_loss(if change.active { *loss_prob } else { 0.0 });
+                let loss = if active { *loss_prob } else { 0.0 };
+                self.link.gateway.set_loss(loss);
             }
             FaultKind::RanDegradation {
                 cell,
                 snr_offset_db,
             } => {
-                let offset = change.active.then_some(*snr_offset_db);
+                let offset = active.then_some(*snr_offset_db);
                 let known = self.ran.fade(cell, offset);
                 // Only the gateway's serving cell carries telemetry; a
                 // fade on any other cell stays local to the facilities
                 // pinned to it (visible in that cell's probe goodput).
-                if known && self.ran.serves_gateway(cell) {
-                    self.gateway.set_access_degraded(offset);
+                if known && self.ran.gateway_cell_name() == cell {
+                    self.link.gateway.set_access_degraded(offset);
                 }
             }
             FaultKind::CellPartition { cell } => {
-                let known = self.ran.set_cell_down(cell, change.active);
-                if known && self.ran.serves_gateway(cell) {
-                    self.gateway_cell_partitioned = change.active;
-                    self.sync_partition();
+                let known = self.ran.set_cell_down(cell, active);
+                if known && self.ran.gateway_cell_name() == cell {
+                    self.link.set_cell_down(active);
                 }
             }
             FaultKind::RicIndicationDrop { cell } => {
-                if change.active {
+                if active {
                     self.ric_dropped.insert(cell.clone());
                 } else {
                     self.ric_dropped.remove(cell);
                 }
             }
-            FaultKind::HpcSiteOutage { site } => {
-                self.hpc.set_site_down(site, change.active);
-                if change.active {
-                    self.orphan_in_flight_at(&site.clone());
-                }
-            }
-            FaultKind::HpcQueueStall { site } => {
-                self.hpc.set_site_stalled(site, change.active);
-            }
-            FaultKind::SensorDropout { station } => {
-                self.net.set_station_down(*station, change.active);
-            }
-            FaultKind::SensorStuck { station } => {
-                self.net.set_station_stuck(*station, change.active);
-            }
+            FaultKind::HpcSiteOutage { site } => self.hpc.set_site_down(site, active, now),
+            FaultKind::HpcQueueStall { site } => self.hpc.set_site_stalled(site, active),
+            FaultKind::SensorDropout { station } => self.net.set_station_down(*station, active),
+            FaultKind::SensorStuck { station } => self.net.set_station_stuck(*station, active),
             FaultKind::StorageAppendFailure { log, failures } => {
-                if change.active {
-                    if let Ok(l) = self.gateway.repo.log(log) {
+                if active {
+                    if let Ok(l) = self.link.gateway.repo.log(log) {
                         l.inject_append_failures(*failures);
                     }
                 }
             }
         }
         self.timeline.push(Event::FaultChanged {
-            t_s: self.now_s(),
+            t_s: now,
             fault: format!("{:?}", change.kind),
-            active: change.active,
+            active,
         });
-        if let Some(rec) = self.config.obs.recorder() {
-            rec.note(
-                secs_to_us(self.now_s()),
-                format!(
-                    "fault {}: {}",
-                    if change.active {
-                        "activated"
-                    } else {
-                        "cleared"
-                    },
-                    change.kind.describe()
-                ),
-            );
+        if let Some(rec) = self.obs.recorder() {
+            let edge = if active { "activated" } else { "cleared" };
+            let text = format!("fault {edge}: {}", change.kind.describe());
+            rec.note(secs_to_us(now), text);
         }
         // An injected-fault window opening is itself a dump trigger: the
         // bundle captures the loop state the fault is about to distort.
-        if change.active {
+        if active {
             self.dump_blackbox(&format!("fault-window: {}", change.kind.describe()));
-        }
-    }
-
-    /// The telemetry path is severed while either the WAN route or the
-    /// gateway's serving cell is down; it heals only when both are back.
-    fn sync_partition(&mut self) {
-        let down = self.route_down || self.gateway_cell_partitioned;
-        self.gateway.set_partitioned(down);
-        self.results_return.set_partitioned(down);
-    }
-
-    /// Move every task expected to still be running at the dead site into
-    /// the retry queue.
-    fn orphan_in_flight_at(&mut self, site: &str) {
-        let now = self.now_s();
-        let mut kept = Vec::new();
-        for f in self.in_flight.drain(..) {
-            if f.site == site && f.finishes_at > now {
-                self.retries.push(RetryCfd {
-                    next_try_s: now + Self::backoff_s(f.attempts),
-                    from_site: f.site,
-                    attempts: f.attempts + 1,
-                    pending: f.pending,
-                });
-            } else {
-                kept.push(f);
-            }
-        }
-        self.in_flight = kept;
-    }
-
-    /// Capped exponential backoff between failover placement attempts.
-    fn backoff_s(attempts: u32) -> f64 {
-        (300.0 * 2f64.powi(attempts.min(3) as i32)).min(1800.0)
-    }
-
-    fn service_retries(&mut self) {
-        let mut waiting = Vec::new();
-        for r in std::mem::take(&mut self.retries) {
-            if r.next_try_s > self.now_s() {
-                waiting.push(r);
-                continue;
-            }
-            match self.hpc.submit_task_avoiding(1, self.task_runtime_s, &[]) {
-                Some(p) => {
-                    self.failovers += 1;
-                    self.timeline.push(Event::FailoverTriggered {
-                        t_s: self.now_s(),
-                        from_site: r.from_site,
-                        to_site: Some(p.site.clone()),
-                    });
-                    self.in_flight.push(InFlightCfd {
-                        pending: r.pending,
-                        site: p.site,
-                        finishes_at: self.now_s() + p.expected_completion_s,
-                        attempts: r.attempts,
-                    });
-                }
-                None => {
-                    // Every site still unreachable: back off harder.
-                    self.timeline.push(Event::FailoverTriggered {
-                        t_s: self.now_s(),
-                        from_site: r.from_site.clone(),
-                        to_site: None,
-                    });
-                    waiting.push(RetryCfd {
-                        next_try_s: self.now_s() + Self::backoff_s(r.attempts),
-                        attempts: r.attempts + 1,
-                        ..r
-                    });
-                }
-            }
-        }
-        self.retries = waiting;
-    }
-
-    fn service_completions(&mut self) {
-        let now = self.now_s();
-        let mut done: Vec<InFlightCfd> = Vec::new();
-        let mut running = Vec::new();
-        for f in self.in_flight.drain(..) {
-            if f.finishes_at <= now {
-                done.push(f);
-            } else {
-                running.push(f);
-            }
-        }
-        self.in_flight = running;
-        done.sort_by(|a, b| a.finishes_at.total_cmp(&b.finishes_at));
-        for f in done {
-            self.cfd_completed += 1;
-            if f.attempts > 0 {
-                self.cfd_recovered += 1;
-            }
-            let site = f.site;
-            self.execute_cfd(f.pending, f.finishes_at, &site, f.attempts);
-        }
-    }
-
-    /// Feed this cycle's measurements into the registry, advance the
-    /// sliding window, and let the SLO watchdog judge it. Breach and
-    /// recovery edges land on the timeline, in the flight recorder, and
-    /// (when a `blackbox_dir` is configured) on disk as bundles; the
-    /// resulting degradation request feeds [`Self::update_degradation`].
-    fn observe_cycle(&mut self, transfer_latency_ms: f64) {
-        let now_s = self.now_s();
-        let Some(o) = &mut self.obs else { return };
-        o.cycle_transfer_ms.record(transfer_latency_ms);
-        o.gateway_backlog.set(self.gateway.backlog() as f64);
-        let dropped = self.gateway.dropped();
-        let delivered = self.gateway.delivered();
-        o.gateway_dropped
-            .add(dropped.saturating_sub(self.prev_dropped));
-        o.gateway_delivered
-            .add(delivered.saturating_sub(self.prev_delivered));
-        self.prev_dropped = dropped;
-        self.prev_delivered = delivered;
-        let Some(reg) = self.config.obs.registry() else {
-            return;
-        };
-        o.window.tick(reg, now_s);
-        let events = o.watchdog.evaluate(now_s, &o.window.view());
-        self.slo_degradation = o.watchdog.degradation_target();
-        for ev in events {
-            let breached = ev.kind == SloEventKind::Breached;
-            if let Some(o) = &self.obs {
-                if breached {
-                    o.slo_breaches.inc();
-                } else {
-                    o.slo_recoveries.inc();
-                }
-            }
-            if let Some(rec) = self.config.obs.recorder() {
-                rec.note(
-                    secs_to_us(now_s),
-                    format!(
-                        "slo {}: {} (value {:.3} vs {:.3}, window {:.0}..{:.0}s)",
-                        if breached { "breached" } else { "recovered" },
-                        ev.slo,
-                        ev.value,
-                        ev.threshold,
-                        ev.window_from_s,
-                        ev.window_to_s,
-                    ),
-                );
-            }
-            self.timeline.push(if breached {
-                Event::SloBreached {
-                    t_s: now_s,
-                    slo: ev.slo.clone(),
-                    value: ev.value,
-                    threshold: ev.threshold,
-                }
-            } else {
-                Event::SloRecovered {
-                    t_s: now_s,
-                    slo: ev.slo.clone(),
-                    value: ev.value,
-                    threshold: ev.threshold,
-                }
-            });
-            let reason = format!(
-                "slo-{}: {}",
-                if breached { "breach" } else { "recovery" },
-                ev.slo
-            );
-            self.dump_blackbox(&reason);
         }
     }
 
@@ -1103,431 +812,33 @@ impl XgFabric {
     /// observability layer is live; failures to write are swallowed (the
     /// black box must never take down the loop it is diagnosing).
     fn dump_blackbox(&mut self, reason: &str) {
-        let Some(dir) = &self.config.blackbox_dir else {
+        let (Some(dir), Some(rec)) = (&self.blackbox_dir, self.obs.recorder()) else {
             return;
         };
-        let Some(rec) = self.config.obs.recorder() else {
-            return;
-        };
-        let snapshot = self.config.obs.registry().map(|r| r.snapshot());
+        let snapshot = self.obs.registry().map(|r| r.snapshot());
         let breached = self
-            .obs
-            .as_ref()
-            .map(|o| o.watchdog.breached().join("; "))
+            .ladder
+            .watchdog()
+            .map(|w| w.breached().join("; "))
             .unwrap_or_default();
         let ctx = BundleContext {
             reason: reason.to_string(),
             t_s: self.now_s(),
-            seed: self.config.seed,
+            seed: self.seed,
             context: vec![
                 ("active_faults".into(), self.faults.describe_active()),
-                ("degradation_level".into(), self.degradation.to_string()),
+                ("degradation_level".into(), self.ladder.level().to_string()),
                 ("breached_slos".into(), breached),
-                ("gateway_backlog".into(), self.gateway.backlog().to_string()),
+                (
+                    "gateway_backlog".into(),
+                    self.link.gateway.backlog().to_string(),
+                ),
             ],
-            profile: self.config.obs.profiler().map(|p| p.snapshot()),
+            profile: self.obs.profiler().map(|p| p.snapshot()),
             critical: self.last_critical.clone(),
         };
         if let Ok(path) = dump_bundle(dir, rec, snapshot.as_ref(), &ctx) {
             self.bundles.push(path);
-        }
-    }
-
-    /// Degradation ladder: level 1 once the loop runs ~2 cycles behind
-    /// (or a CFD task waits on failover), level 2 once it is badly
-    /// behind. The measured side raises it further: the ladder runs at
-    /// the max of the backlog level and whatever the active SLO breaches
-    /// request, so a latency collapse that creates *no* backlog (a RAN
-    /// fade: every record still delivers, slowly) still degrades the CFD.
-    fn update_degradation(&mut self, records_per_cycle: usize) {
-        let cycles_behind = self.gateway.backlog() / records_per_cycle.max(1);
-        let backlog_level = if cycles_behind >= 6 {
-            2
-        } else if cycles_behind >= 2 || !self.retries.is_empty() {
-            1
-        } else {
-            0
-        };
-        let level = backlog_level.max(self.slo_degradation);
-        if level != self.degradation {
-            self.degradation = level;
-            if let Some(o) = &self.obs {
-                o.degradation_transitions.inc();
-                o.degradation_level.set(f64::from(level));
-            }
-            if let Some(rec) = self.config.obs.recorder() {
-                rec.note(
-                    secs_to_us(self.now_s()),
-                    format!(
-                        "degradation -> level {level} (backlog level {backlog_level}, slo level {})",
-                        self.slo_degradation
-                    ),
-                );
-            }
-            self.timeline.push(Event::DegradationChanged {
-                t_s: self.now_s(),
-                level,
-            });
-        }
-        if level > 0 {
-            self.degraded_cycles += 1;
-        }
-    }
-
-    /// CFD resolution for a run triggered now: full resolution at level 0,
-    /// 3/4-per-axis (≈42% of the cells) once degraded.
-    fn effective_resolution(&self) -> ([usize; 3], usize) {
-        if self.degradation >= 1 {
-            let c = self.config.cfd_cells;
-            (
-                [
-                    (c[0] * 3 / 4).max(4),
-                    (c[1] * 3 / 4).max(4),
-                    (c[2] * 3 / 4).max(3),
-                ],
-                (self.config.cfd_steps * 3 / 4).max(10),
-            )
-        } else {
-            (self.config.cfd_cells, self.config.cfd_steps)
-        }
-    }
-
-    /// An impairment episode runs from the first cycle where the loop is
-    /// visibly hurt (route down, telemetry parked, or a CFD task waiting
-    /// on failover) until everything is clean again.
-    fn track_impairment(&mut self) {
-        let impaired = self.route_down
-            || self.gateway_cell_partitioned
-            || self.gateway.backlog() > 0
-            || !self.retries.is_empty();
-        match (self.impaired_since, impaired) {
-            (None, true) => self.impaired_since = Some(self.now_s()),
-            (Some(start), false) => {
-                self.impairment_episodes += 1;
-                self.impairment_total_s += self.now_s() - start;
-                self.impaired_since = None;
-            }
-            _ => {}
-        }
-    }
-
-    fn run_change_detection(
-        &mut self,
-        records: &[TelemetryRecord],
-        repo_seq: u64,
-        transfer_ms: f64,
-    ) -> Result<(), FabricError> {
-        // Build the two windows from the repository's wind log and feed
-        // them through the deployed Laminar change-detection graph — the
-        // program §3.7 runs at UCSB on a 30-minute duty cycle.
-        let detector = ChangeDetector::default();
-        let window = detector.window;
-        let Some((prev, recent)) = latest_windows(&self.gateway.repo, WIND_LOG, window)? else {
-            return Ok(());
-        };
-        // Votes are recomputed for the timeline detail (the Laminar node
-        // returns only the arbitration outcome, as in the paper).
-        let vote = detector.evaluate_windows(&prev, &recent);
-        self.detect_epoch += 1;
-        let epoch = self.detect_epoch;
-        self.laminar
-            .inject("prev_window", epoch, Value::F64Vec(prev))?;
-        self.laminar
-            .inject("recent_window", epoch, Value::F64Vec(recent))?;
-        let changed = self
-            .laminar
-            .read("detect", epoch)?
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false);
-        debug_assert_eq!(changed, vote.changed, "Laminar and direct paths agree");
-        self.detections += 1;
-        self.wind_seq_at_last_detect = repo_seq;
-        // Inflation: how long the duty cycle sat deferred behind a
-        // partition before this check could finally run (0 on a healthy
-        // link).
-        let inflation_s = self
-            .deferred_check_since
-            .take()
-            .map(|since| (self.now_s() - since).max(0.0))
-            .unwrap_or(0.0);
-        self.detection_inflation_sum_s += inflation_s;
-        self.timeline.push(Event::ChangeChecked {
-            t_s: self.now_s(),
-            changed,
-            votes: vote.votes,
-        });
-        if !changed {
-            return Ok(());
-        }
-        // Trigger: Eqs. (1)-(4), then a CFD task sized to the telemetry
-        // volume of one detection window, placed at the best reachable
-        // site. The degradation ladder decides the solve resolution now,
-        // at trigger time.
-        let data_bytes = (records.len() * TelemetryRecord::WIRE_SIZE * DETECT_EVERY_REPORTS) as f64;
-        let Some(bc) = self.net.boundary_conditions(records) else {
-            return Ok(());
-        };
-        let (cells, steps) = self.effective_resolution();
-        // Open the closed-loop trace: the transfer that carried the
-        // triggering window, then the detection that fired. The CFD
-        // stages chain onto the detection span when the run completes.
-        let trace = self.config.obs.tracer().map(|tr| {
-            let trace = tr.new_trace();
-            let transfer_end_s = self.now_s() + transfer_ms / 1e3;
-            let transfer = tr.record_sim_s(
-                trace,
-                None,
-                "telemetry.transfer",
-                self.now_s(),
-                transfer_end_s,
-                vec![("records".into(), records.len().to_string())],
-            );
-            let detect = tr.record_sim_s(
-                trace,
-                Some(transfer),
-                "change.detection",
-                transfer_end_s,
-                transfer_end_s + inflation_s,
-                vec![
-                    ("votes".into(), vote.votes.to_string()),
-                    ("deferred_s".into(), format!("{inflation_s:.0}")),
-                ],
-            );
-            (trace, detect)
-        });
-        let pending = PendingCfd {
-            trigger_t_s: self.now_s(),
-            bc,
-            interior: self.interior_measurements(records),
-            cells,
-            steps,
-            trace,
-        };
-        self.cfd_triggered += 1;
-        match self
-            .hpc
-            .submit_task_with_data(1, self.task_runtime_s, data_bytes, &[])
-        {
-            Some((placement, decision)) => {
-                self.timeline.push(Event::PilotEvaluated {
-                    t_s: self.now_s(),
-                    n_required: decision.n_required,
-                    n_available: decision.n_available,
-                    submitted: decision.submitted.is_some(),
-                });
-                self.in_flight.push(InFlightCfd {
-                    pending,
-                    site: placement.site,
-                    finishes_at: self.now_s() + placement.expected_completion_s,
-                    attempts: 0,
-                });
-            }
-            None => {
-                // Every site offline at trigger time: park the task in
-                // the failover queue instead of dropping the trigger.
-                self.retries.push(RetryCfd {
-                    pending,
-                    from_site: self.config.site.name.clone(),
-                    attempts: 1,
-                    next_try_s: self.now_s() + Self::backoff_s(0),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn interior_measurements(&self, records: &[TelemetryRecord]) -> Vec<Measurement> {
-        records
-            .iter()
-            .filter_map(|r| {
-                let (x, y, interior) = self.net.station_position(r.station_id)?;
-                if !interior {
-                    return None;
-                }
-                Some(Measurement {
-                    x,
-                    y,
-                    z: 4.0,
-                    wind_ms: r.wind_speed_ms,
-                })
-            })
-            .collect()
-    }
-
-    fn execute_cfd(&mut self, pending: PendingCfd, finished_at: f64, site: &str, attempts: u32) {
-        // Predicted field: always intact-screen boundary conditions — the
-        // twin detects breaches as measurement/model divergence.
-        let spec = DomainSpec::cups_default().with_cells(
-            pending.cells[0],
-            pending.cells[1],
-            pending.cells[2],
-        );
-        let mesh = Mesh::generate(&spec);
-        let bc = BoundarySpec::intact(
-            pending.bc.wind_speed_ms,
-            pending.bc.wind_dir_deg,
-            pending.bc.ambient_temp_c,
-        );
-        let mut sim = Simulation::new(mesh, bc, SolverConfig::default());
-        sim.set_obs(&self.config.obs);
-        sim.run(pending.steps);
-        let predicted_wind = sim.mean_interior_wind();
-        let model_runtime = self.task_runtime_s;
-        let window_s = REPORT_INTERVAL_S * DETECT_EVERY_REPORTS as f64;
-        // Close out the trace's HPC stages: expected completion minus the
-        // modelled runtime is queue wait masked (or not) by warm pilots.
-        let return_parent = self.config.obs.tracer().and_then(|tr| {
-            let (trace, detect) = pending.trace?;
-            let solve_start = (finished_at - model_runtime).max(pending.trigger_t_s);
-            let qm = tr.record_sim_s(
-                trace,
-                Some(detect),
-                "hpc.queue_mask",
-                pending.trigger_t_s,
-                solve_start,
-                vec![
-                    ("site".into(), site.to_string()),
-                    ("attempts".into(), attempts.to_string()),
-                ],
-            );
-            let cfd = tr.record_sim_s(
-                trace,
-                Some(qm),
-                "cfd.solve",
-                solve_start,
-                finished_at,
-                vec![
-                    (
-                        "cells".into(),
-                        format!(
-                            "{}x{}x{}",
-                            pending.cells[0], pending.cells[1], pending.cells[2]
-                        ),
-                    ),
-                    ("steps".into(), pending.steps.to_string()),
-                ],
-            );
-            Some((trace, cfd))
-        });
-        self.timeline.push(Event::CfdCompleted {
-            t_s: finished_at,
-            model_runtime_s: model_runtime,
-            predicted_interior_wind: predicted_wind,
-            validity_s: (window_s - model_runtime).max(0.0),
-        });
-        // Return the result summary to the site operator over the 5G
-        // downlink (breach status is refined below; the operator gets the
-        // headline numbers immediately). At degradation level 2 this
-        // non-critical return is skipped to shed load.
-        if self.degradation < 2 {
-            if let Ok(latency_ms) = self.results_return.deliver(&ResultSummary {
-                t_s: finished_at,
-                predicted_wind_ms: predicted_wind,
-                validity_s: (window_s - model_runtime).max(0.0),
-                breach_suspected: false,
-            }) {
-                if let (Some(tr), Some((trace, cfd))) = (self.config.obs.tracer(), return_parent) {
-                    tr.record_sim_s(
-                        trace,
-                        Some(cfd),
-                        "results.return",
-                        finished_at,
-                        finished_at + latency_ms / 1e3,
-                        Vec::new(),
-                    );
-                }
-                self.timeline.push(Event::ResultsReturned {
-                    t_s: finished_at,
-                    latency_ms,
-                });
-            }
-        }
-        // Twin comparison with first-run calibration.
-        // Feed the back-tester with the raw (predicted, measured) pair so
-        // calibration drift is observable over time (§2's back-testing).
-        if !pending.interior.is_empty() {
-            let mean_meas = pending.interior.iter().map(|m| m.wind_ms).sum::<f64>()
-                / pending.interior.len() as f64;
-            self.backtester.record(CalibrationSample {
-                t_s: finished_at,
-                predicted_ms: predicted_wind,
-                measured_ms: mean_meas,
-            });
-        }
-        let cal = self.calibration;
-        let measurements: Vec<Measurement> = match cal {
-            None => {
-                // Calibrate: align predicted with measured means, assume
-                // the screen intact on the first run.
-                let mean_meas = pending.interior.iter().map(|m| m.wind_ms).sum::<f64>()
-                    / pending.interior.len().max(1) as f64;
-                let mean_pred = predicted_wind.max(1e-9);
-                self.calibration = Some(mean_meas / mean_pred);
-                return;
-            }
-            Some(c) => pending
-                .interior
-                .iter()
-                .map(|m| Measurement {
-                    wind_ms: m.wind_ms / c.max(1e-9),
-                    ..*m
-                })
-                .collect(),
-        };
-        // Candidate breach sites: every panel centre of every wall.
-        let facility = &self.net.facility;
-        let candidates: Vec<(f64, f64)> = xg_sensors::facility::Wall::all()
-            .into_iter()
-            .flat_map(|wall| (0..facility.panels_per_wall).map(move |p| (wall, p)))
-            .map(|(wall, p)| facility.panel_center(wall, p))
-            .collect();
-        // Intervention advisory from this CFD result (§5 future work 3).
-        if let Some(state) = self.net.current_state() {
-            let conditions = SiteConditions {
-                ambient_temp_c: state.temp_c,
-                // Simple overnight forecast: diurnal trough ~9°C below the
-                // current reading.
-                forecast_min_temp_c: state.temp_c - 9.0,
-                rel_humidity: state.rel_humidity,
-            };
-            for advice in self.advisor.advise(&sim, &conditions) {
-                let summary = match advice {
-                    Intervention::FrostProtection {
-                        predicted_canopy_min_c,
-                        lead_s,
-                    } => format!(
-                        "frost protection: canopy min {predicted_canopy_min_c:.1} C, start {:.0} min early",
-                        lead_s / 60.0
-                    ),
-                    Intervention::SprayWindow {
-                        interior_wind_ms, ..
-                    } => format!("spray window open (canopy wind {interior_wind_ms:.2} m/s)"),
-                    Intervention::SprayHold { reason } => format!("spray hold: {reason}"),
-                };
-                self.timeline.push(Event::AdvisoryIssued {
-                    t_s: finished_at,
-                    summary,
-                });
-            }
-        }
-        if let Some(report) =
-            DigitalTwin::default().compare_with_candidates(&sim, &measurements, &candidates)
-        {
-            self.timeline.push(Event::TwinCompared {
-                t_s: finished_at,
-                max_residual_ms: report.max_residual_ms,
-                breach_suspected: report.breach_suspected,
-            });
-            if let Some(region) = report.suspect_region {
-                let robot_report =
-                    self.robot
-                        .dispatch_planned(region, &self.net.facility, &self.planner);
-                self.timeline.push(Event::RobotDispatched {
-                    t_s: finished_at + robot_report.mission_s,
-                    mission_s: robot_report.mission_s,
-                    confirmed: robot_report.breach_confirmed,
-                });
-            }
         }
     }
 }
@@ -1998,6 +1309,7 @@ mod tests {
             ..fast_config(23)
         });
         let telemetry = fab
+            .link
             .gateway
             .repo
             .log(crate::pipeline::TELEMETRY_LOG)

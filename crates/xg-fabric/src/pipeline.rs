@@ -14,7 +14,6 @@ use xg_cspot::netsim::{PathModel, RoutePath, SimClock, Topology};
 use xg_cspot::node::CspotNode;
 use xg_cspot::protocol::{RemoteAppender, RemoteConfig};
 use xg_cspot::CspotError;
-use xg_laminar::bridge::read_f64_series;
 use xg_sensors::telemetry::TelemetryRecord;
 
 /// Name of the raw-telemetry log at the repository.
@@ -23,7 +22,7 @@ pub const TELEMETRY_LOG: &str = "cups.telemetry";
 pub const WIND_LOG: &str = "cups.wind";
 /// Name of the results log at the field node (CFD summaries returned to
 /// the site operator).
-pub const RESULTS_LOG: &str = "cups.results";
+const RESULTS_LOG: &str = "cups.results";
 /// History retained in the repository logs (plenty for 30-min windows).
 pub const LOG_HISTORY: usize = 8192;
 
@@ -39,9 +38,9 @@ fn route_between(from: &str, to: &str) -> Result<RoutePath, FabricError> {
 }
 
 /// Name of the field gateway's local telemetry buffer log.
-pub const BUFFER_TELEMETRY_LOG: &str = "gw.telemetry";
+const BUFFER_TELEMETRY_LOG: &str = "gw.telemetry";
 /// Name of the field gateway's local mean-wind buffer log.
-pub const BUFFER_WIND_LOG: &str = "gw.wind";
+const BUFFER_WIND_LOG: &str = "gw.wind";
 
 /// One report cycle's outcome at the field gateway.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,8 +54,6 @@ pub struct CycleReport {
     pub dropped: usize,
     /// Records still parked locally after the drain.
     pub backlog: usize,
-    /// Whether this cycle's mean-wind sample entered the wind buffer.
-    pub wind_buffered: bool,
 }
 
 /// The delay-tolerant telemetry path: a bounded store-and-forward buffer
@@ -162,11 +159,11 @@ impl FieldGateway {
                 Err(_) => dropped_now += 1,
             }
         }
-        let mut wind_buffered = false;
         if !records.is_empty() && self.wind.backlog() < self.capacity {
             let mean_wind =
                 records.iter().map(|r| r.wind_speed_ms).sum::<f64>() / records.len() as f64;
-            wind_buffered = self.wind.buffer(&mean_wind.to_le_bytes()).is_ok();
+            // A local storage fault loses this cycle's wind sample only.
+            let _ = self.wind.buffer(&mean_wind.to_le_bytes());
         }
         self.dropped += dropped_now as u64;
         self.max_backlog = self.max_backlog.max(self.records.backlog());
@@ -180,21 +177,7 @@ impl FieldGateway {
             delivered: r.relayed,
             dropped: dropped_now,
             backlog: r.remaining,
-            wind_buffered,
         })
-    }
-
-    /// The most recent `n` mean-wind values **at the repository** (what
-    /// the change detector can actually see), oldest first.
-    pub fn wind_history(&self, n: usize) -> Result<Vec<f64>, FabricError> {
-        Ok(read_f64_series(&self.repo, WIND_LOG, n)?)
-    }
-
-    /// Mean-wind samples that have ever reached the repository: the wind
-    /// log's latest sequence number, which keeps counting after the ring
-    /// wraps (its `len()` saturates at the retained history).
-    pub fn repo_wind_seq(&self) -> u64 {
-        self.repo.latest_seq(WIND_LOG).ok().flatten().unwrap_or(0)
     }
 
     /// Telemetry records parked locally, waiting for the link.
@@ -277,6 +260,49 @@ impl FieldGateway {
                 access.loss_prob = either(access.loss_prob, fade_loss);
             }
         }
+    }
+}
+
+/// The field↔repository link as the fault layer sees it: telemetry up
+/// through the gateway, results down the return path. The WAN route or
+/// the gateway's serving cell going down severs both directions; the
+/// link heals only when both are back.
+pub(crate) struct FieldLink {
+    pub(crate) gateway: FieldGateway,
+    pub(crate) results: ResultsReturn,
+    route_down: bool,
+    cell_down: bool,
+}
+
+impl FieldLink {
+    pub(crate) fn new(gateway: FieldGateway, results: ResultsReturn) -> Self {
+        FieldLink {
+            gateway,
+            results,
+            route_down: false,
+            cell_down: false,
+        }
+    }
+
+    /// Whether the field is cut off from the repository.
+    pub(crate) fn severed(&self) -> bool {
+        self.route_down || self.cell_down
+    }
+
+    pub(crate) fn set_route_down(&mut self, down: bool) {
+        self.route_down = down;
+        self.sync();
+    }
+
+    pub(crate) fn set_cell_down(&mut self, down: bool) {
+        self.cell_down = down;
+        self.sync();
+    }
+
+    fn sync(&mut self) {
+        let severed = self.severed();
+        self.gateway.set_partitioned(severed);
+        self.results.set_partitioned(severed);
     }
 }
 
@@ -371,6 +397,7 @@ impl ResultsReturn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xg_laminar::bridge::read_f64_series;
 
     fn record(wind: f64, t: f64) -> TelemetryRecord {
         TelemetryRecord {
@@ -392,7 +419,7 @@ mod tests {
         assert!(cycle.latency_ms > 0.0);
         assert_eq!(repo.latest_seq(TELEMETRY_LOG).unwrap(), Some(2));
         assert_eq!(repo.latest_seq(WIND_LOG).unwrap(), Some(1));
-        let hist = fg.wind_history(5).unwrap();
+        let hist = read_f64_series(&repo, WIND_LOG, 5).unwrap();
         assert_eq!(hist.len(), 1);
         assert!((hist[0] - 3.2).abs() < 1e-12);
     }
@@ -423,12 +450,12 @@ mod tests {
 
     #[test]
     fn wind_history_ordering() {
-        let (mut fg, _repo) = field_gateway(1024);
+        let (mut fg, repo) = field_gateway(1024);
         for w in [1.0, 2.0, 3.0] {
             fg.ship_cycle(&[record(w, 0.0)]).unwrap();
         }
-        assert_eq!(fg.wind_history(2).unwrap(), vec![2.0, 3.0]);
-        assert_eq!(fg.wind_history(10).unwrap().len(), 3);
+        assert_eq!(read_f64_series(&repo, WIND_LOG, 2).unwrap(), vec![2.0, 3.0]);
+        assert_eq!(read_f64_series(&repo, WIND_LOG, 10).unwrap().len(), 3);
     }
 
     #[test]
@@ -489,7 +516,7 @@ mod tests {
         // 2 from the healthy first cycle + the 8 drained now, no dupes.
         assert_eq!(repo.log(TELEMETRY_LOG).unwrap().len(), 10, "exactly once");
         // Wind means arrive in order despite the outage.
-        let hist = fg.wind_history(10).unwrap();
+        let hist = read_f64_series(&repo, WIND_LOG, 10).unwrap();
         assert_eq!(hist.len(), 5);
         assert!((hist[0] - 1.1).abs() < 1e-9 && (hist[4] - 9.1).abs() < 1e-9);
         assert_eq!(fg.dropped(), 0);
@@ -509,6 +536,28 @@ mod tests {
         assert_eq!(fg.dropped(), 4);
         assert_eq!(fg.backlog(), 5);
         assert_eq!(fg.max_backlog(), 5);
+    }
+
+    #[test]
+    fn cycle_reports_sum_to_the_cumulative_counters() {
+        // The gateway's counters move only in `ship_cycle`, so each
+        // cycle's report is exactly that cycle's delta — through a
+        // partition, a full buffer, and the heal that drains it.
+        let (mut fg, _repo) = field_gateway(5);
+        let records: Vec<TelemetryRecord> = (0..3).map(|i| record(1.0 + i as f64, 0.0)).collect();
+        let mut sums = (0, 0);
+        let mut ship = |fg: &mut FieldGateway| {
+            let r = fg.ship_cycle(&records).unwrap();
+            sums = (sums.0 + r.delivered, sums.1 + r.dropped);
+        };
+        ship(&mut fg);
+        fg.set_partitioned(true);
+        (0..3).for_each(|_| ship(&mut fg));
+        fg.set_partitioned(false);
+        (0..2).for_each(|_| ship(&mut fg));
+        assert_eq!((sums.0, sums.1), (11, 7));
+        assert_eq!(sums.0 as u64, fg.delivered());
+        assert_eq!(sums.1 as u64, fg.dropped());
     }
 
     #[test]

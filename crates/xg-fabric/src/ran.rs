@@ -15,7 +15,7 @@ use xg_net::device::UnitVariation;
 use xg_net::e2::CellIndication;
 use xg_net::fleet::{CellId, FleetUe, RanFleet};
 use xg_net::prelude::{Advance, CellConfig, DeviceClass, Duplex, MHz, Modem, NetError, Rat, SimNs};
-use xg_net::sim::UeHandle;
+use xg_net::sim::{LinkSimulator, UeHandle};
 use xg_net::slice::{SliceConfig, SliceProfile, Snssai};
 use xg_net::traffic::TrafficModel;
 use xg_obs::Obs;
@@ -144,21 +144,26 @@ pub struct CellHealth {
     pub name: String,
     /// Mean probe goodput over the batch (Mbps).
     pub goodput_mbps: f64,
-    /// Fade currently injected (dB, 0 = nominal).
-    pub fade_db: f64,
-    /// Whether the cell is partitioned off the backhaul.
-    pub down: bool,
 }
 
 /// Per-cell bookkeeping alongside the fleet.
 struct CellState {
     name: String,
     ues: Vec<FleetUe>,
-    scenario: Vec<FleetUe>,
     fade_db: f64,
     down: bool,
     goodput_gauge: Option<Arc<xg_obs::Gauge>>,
     fade_gauge: Option<Arc<xg_obs::Gauge>>,
+}
+
+impl CellState {
+    fn set_probes_backlogged(&self, cell: &mut LinkSimulator, backlogged: bool) {
+        for ue in &self.ues {
+            // Probe UEs are attached at construction and never detach, so
+            // their handles cannot be refused.
+            let _ = cell.set_backlogged(ue.ue, backlogged);
+        }
+    }
 }
 
 /// A live multi-cell RAN the orchestrator probes every report cycle.
@@ -201,7 +206,6 @@ impl RanProbe {
                 fleet.set_backlogged(ue, true)?;
                 ues.push(ue);
             }
-            let mut scenario = Vec::with_capacity(spec.scenario_ues.len());
             for s in &spec.scenario_ues {
                 let ue = fleet.attach_with(
                     CellId(i as u32),
@@ -211,12 +215,10 @@ impl RanProbe {
                     UnitVariation::default(),
                 )?;
                 fleet.set_traffic(ue, s.traffic)?;
-                scenario.push(ue);
             }
             cells.push(CellState {
                 name: spec.name.clone(),
                 ues,
-                scenario,
                 fade_db: 0.0,
                 down: false,
                 goodput_gauge: reg
@@ -224,8 +226,9 @@ impl RanProbe {
                 fade_gauge: reg.map(|r| r.gauge(&format!("fabric.ran.{}.fade_db", spec.name))),
             });
         }
-        let longest_slot_ns = (0..fleet.len() as u32)
-            .filter_map(|i| fleet.cell(CellId(i)).ok().map(|c| c.slot_ns()))
+        let longest_slot_ns = fleet
+            .cells_mut()
+            .map(|c| c.slot_ns())
             .max()
             .unwrap_or_default();
         Ok(RanProbe {
@@ -238,24 +241,9 @@ impl RanProbe {
         })
     }
 
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the topology holds no cells (never true for a built probe).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// The gateway cell's deployment label.
     pub fn gateway_cell_name(&self) -> &str {
         &self.cells[self.gateway_cell].name
-    }
-
-    /// Whether `name` is the cell the field gateway camps on.
-    pub fn serves_gateway(&self, name: &str) -> bool {
-        self.cells[self.gateway_cell].name == name
     }
 
     /// Whether the gateway's cell is currently partitioned.
@@ -266,36 +254,25 @@ impl RanProbe {
     /// Inject (or clear, with `None`) a fade on the named cell. Returns
     /// `false` when no such cell exists (the fault is ignored).
     pub fn fade(&mut self, name: &str, snr_offset_db: Option<f64>) -> bool {
-        let Some(i) = self.cells.iter().position(|c| c.name == name) else {
-            return false;
-        };
-        self.cells[i].fade_db = snr_offset_db.unwrap_or(0.0);
-        self.apply_offset(i);
-        true
+        self.update_cell(name, |c| c.fade_db = snr_offset_db.unwrap_or(0.0))
     }
 
     /// Partition the named cell on or off the backhaul. Returns `false`
     /// when no such cell exists.
     pub fn set_cell_down(&mut self, name: &str, down: bool) -> bool {
-        let Some(i) = self.cells.iter().position(|c| c.name == name) else {
-            return false;
-        };
-        self.cells[i].down = down;
-        self.apply_offset(i);
-        true
+        self.update_cell(name, |c| c.down = down)
     }
 
-    /// Push the combined fade/partition offset into the cell's simulator.
-    fn apply_offset(&mut self, i: usize) {
-        let c = &self.cells[i];
-        let offset = if c.down { CELL_DOWN_SNR_DB } else { c.fade_db };
-        #[expect(
-            clippy::expect_used,
-            reason = "index ranges over self.cells which is built to the fleet's length"
-        )]
-        self.fleet
-            .set_cell_snr_offset_db(CellId(i as u32), offset)
-            .expect("cell index is in range by construction");
+    /// Update the named cell's state and push its combined
+    /// fade/partition offset into the cell's simulator.
+    fn update_cell(&mut self, name: &str, update: impl FnOnce(&mut CellState)) -> bool {
+        let mut cells = self.cells.iter_mut().zip(self.fleet.cells_mut());
+        let Some((c, sim)) = cells.find(|(c, _)| c.name == name) else {
+            return false;
+        };
+        update(c);
+        sim.set_snr_offset_db(if c.down { CELL_DOWN_SNR_DB } else { c.fade_db });
+        true
     }
 
     /// Advance every cell one probe batch (sharded across the fleet's
@@ -313,41 +290,21 @@ impl RanProbe {
         let start = self.fleet.now();
         let end = SimNs(start.0 + self.probe_seconds as u64 * 1_000_000_000);
         let burst_end = SimNs((start.0 + self.burst_ns).min(end.0));
-        for (i, c) in self.cells.iter().enumerate() {
-            #[expect(
-                clippy::expect_used,
-                reason = "index ranges over self.cells which is built to the fleet's length"
-            )]
-            let cell = self
-                .fleet
-                .cell_mut(CellId(i as u32))
-                .expect("cell index is in range by construction");
+        for (c, cell) in self.cells.iter().zip(self.fleet.cells_mut()) {
             // Open a fresh measurement window: bits queued during the
             // previous batch's idle-skip must not count into the burst.
             cell.reset_windows();
-            for &ue in &c.ues {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "probe UEs were attached at construction and never detach"
-                )]
-                cell.set_backlogged(ue.ue, true)
-                    .expect("probe UE handle is valid by construction");
-            }
+            c.set_probes_backlogged(cell, true);
         }
         let _ = self.fleet.advance_to(burst_end);
         let window_s = (burst_end.0 - start.0) as f64 / 1e9;
-        let health: Vec<CellHealth> = (0..self.cells.len())
-            .map(|i| {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "index ranges over self.cells which is built to the fleet's length"
-                )]
-                let samples = self
-                    .fleet
-                    .cell_mut(CellId(i as u32))
-                    .expect("cell index is in range by construction")
-                    .flush_second_window(window_s);
-                let c = &mut self.cells[i];
+        let goodput_hist = &self.goodput_hist;
+        let health: Vec<CellHealth> = self
+            .cells
+            .iter()
+            .zip(self.fleet.cells_mut())
+            .map(|(c, cell)| {
+                let samples = cell.flush_second_window(window_s);
                 let goodput = if samples.is_empty() {
                     0.0
                 } else {
@@ -359,44 +316,22 @@ impl RanProbe {
                 if let Some(g) = &c.fade_gauge {
                     g.set(if c.down { CELL_DOWN_SNR_DB } else { c.fade_db });
                 }
-                if let Some(h) = &self.goodput_hist {
+                if let Some(h) = goodput_hist {
                     h.record(goodput);
                 }
                 CellHealth {
                     name: c.name.clone(),
                     goodput_mbps: goodput,
-                    fade_db: c.fade_db,
-                    down: c.down,
                 }
             })
             .collect();
         // Quiesce the probes: the rest of the batch idle-skips unless
         // scenario traffic keeps a cell active.
-        for (i, c) in self.cells.iter().enumerate() {
-            #[expect(
-                clippy::expect_used,
-                reason = "index ranges over self.cells which is built to the fleet's length"
-            )]
-            let cell = self
-                .fleet
-                .cell_mut(CellId(i as u32))
-                .expect("cell index is in range by construction");
-            for &ue in &c.ues {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "probe UEs were attached at construction and never detach"
-                )]
-                cell.set_backlogged(ue.ue, false)
-                    .expect("probe UE handle is valid by construction");
-            }
+        for (c, cell) in self.cells.iter().zip(self.fleet.cells_mut()) {
+            c.set_probes_backlogged(cell, false);
         }
         let _ = self.fleet.advance_to(end);
         health
-    }
-
-    /// Borrow the underlying fleet (diagnostics, tests).
-    pub fn fleet(&self) -> &RanFleet {
-        &self.fleet
     }
 
     /// The deployment label of fleet cell `id`, if it exists.
@@ -404,26 +339,9 @@ impl RanProbe {
         self.cells.get(id as usize).map(|c| c.name.as_str())
     }
 
-    /// The fleet cell id carrying the named cell, if it exists.
-    pub fn cell_id(&self, name: &str) -> Option<u32> {
-        self.cells
-            .iter()
-            .position(|c| c.name == name)
-            .map(|i| i as u32)
-    }
-
     /// Whether the named cell is currently partitioned off the backhaul.
     pub fn cell_down(&self, name: &str) -> bool {
         self.cells.iter().any(|c| c.name == name && c.down)
-    }
-
-    /// The scenario UEs attached to the named cell (`None` for unknown
-    /// cells; empty for cells without scripted traffic).
-    pub fn scenario_ues(&self, name: &str) -> Option<&[FleetUe]> {
-        self.cells
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.scenario.as_slice())
     }
 
     /// Drain every cell's E2 indication window, in cell order. Pure
@@ -477,8 +395,8 @@ mod tests {
     fn default_topology_matches_the_paper() {
         let topo = RanTopology::default();
         let mut probe = RanProbe::try_new(&topo, 42, &Obs::disabled()).unwrap();
-        assert_eq!(probe.len(), 1);
-        assert!(probe.serves_gateway("UNL-5G"));
+        assert_eq!(probe.cells.len(), 1);
+        assert_eq!(probe.gateway_cell_name(), "UNL-5G");
         let health = probe.probe();
         assert_eq!(health.len(), 1);
         assert!(
@@ -554,11 +472,10 @@ mod tests {
             });
         topo.cells[0].probe_ues = 1;
         let mut probe = RanProbe::try_new(&topo, 11, &Obs::disabled()).unwrap();
-        assert_eq!(probe.cell_id("UNL-5G"), Some(0));
         assert_eq!(probe.cell_name(0), Some("UNL-5G"));
-        assert!(probe.cell_id("NOWHERE").is_none());
-        let scenario = probe.scenario_ues("UNL-5G").unwrap().to_vec();
-        assert_eq!(scenario.len(), 1);
+        assert!(probe.cell_name(1).is_none());
+        // The scenario UE's cell-local id follows the probe UE's.
+        let scenario = UeHandle::from_id(1);
         probe.probe();
         let inds = probe.collect_indications();
         assert_eq!(inds.len(), 1);
@@ -577,20 +494,20 @@ mod tests {
         probe
             .apply_ric_action(&RicAction::SetPfWeight {
                 cell: 0,
-                ue: scenario[0].ue.id(),
+                ue: scenario.id(),
                 weight: 2.5,
             })
             .unwrap();
         probe
             .apply_ric_action(&RicAction::CapUeMcs {
                 cell: 0,
-                ue: scenario[0].ue.id(),
+                ue: scenario.id(),
                 max_eff: Some(1.0),
             })
             .unwrap();
-        let cell = probe.fleet().cell(CellId(0)).unwrap();
-        assert_eq!(cell.pf_weight(scenario[0].ue).unwrap(), 2.5);
-        assert_eq!(cell.mcs_cap(scenario[0].ue).unwrap(), Some(1.0));
+        let cell = probe.fleet.cell(CellId(0)).unwrap();
+        assert_eq!(cell.pf_weight(scenario).unwrap(), 2.5);
+        assert_eq!(cell.mcs_cap(scenario).unwrap(), Some(1.0));
         // Invalid targets surface as typed errors, never panics.
         assert!(probe
             .apply_ric_action(&RicAction::SetPfWeight {
@@ -632,7 +549,7 @@ mod tests {
         ));
         let mut probe = RanProbe::try_new(&topo, 5, &Obs::disabled()).unwrap();
         probe.probe();
-        let cell = probe.fleet().cell(CellId(0)).unwrap();
+        let cell = probe.fleet.cell(CellId(0)).unwrap();
         assert_eq!(cell.active_slots(), topo.probe_burst_slots as u64);
     }
 }

@@ -9,6 +9,40 @@
 
 use std::fmt;
 
+/// Impairment episodes: each runs from the first cycle the loop is
+/// visibly hurt until everything is clean again.
+#[derive(Default)]
+pub(crate) struct Impairment {
+    since: Option<f64>,
+    episodes: u32,
+    total_s: f64,
+}
+
+impl Impairment {
+    pub(crate) fn track(&mut self, now_s: f64, impaired: bool) {
+        match (self.since, impaired) {
+            (None, true) => self.since = Some(now_s),
+            (Some(start), false) => {
+                self.episodes += 1;
+                self.total_s += now_s - start;
+                self.since = None;
+            }
+            _ => {}
+        }
+    }
+
+    /// Episodes so far and their mean length (s), closing any open one
+    /// at `now_s`.
+    pub(crate) fn closed_at(&self, now_s: f64) -> (u32, f64) {
+        let (mut episodes, mut total_s) = (self.episodes, self.total_s);
+        if let Some(start) = self.since {
+            episodes += 1;
+            total_s += now_s - start;
+        }
+        (episodes, total_s / f64::from(episodes.max(1)))
+    }
+}
+
 /// Reliability summary of one orchestrated run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityReport {

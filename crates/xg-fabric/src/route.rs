@@ -52,12 +52,6 @@ impl RoutePlanner {
         (i, j)
     }
 
-    /// True if the position is inside an (inflated) obstacle.
-    pub fn is_blocked(&self, x: f64, y: f64) -> bool {
-        let (i, j) = self.cell(x, y);
-        self.blocked[j * self.nx + i]
-    }
-
     /// Nearest free cell to a position (breadth-first ring search), used
     /// when a target sits against an inflated wall obstacle.
     fn nearest_free(&self, i: usize, j: usize) -> Option<(usize, usize)> {
@@ -218,15 +212,19 @@ mod tests {
     #[test]
     fn tree_rows_are_avoided() {
         let p = planner();
+        let is_blocked = |x, y| {
+            let (i, j) = p.cell(x, y);
+            p.blocked[j * p.nx + i]
+        };
         // Between rows x=8..12 at y=50: interior of a tree row is blocked.
-        assert!(p.is_blocked(10.0, 50.0));
+        assert!(is_blocked(10.0, 50.0));
         // Aisle at x=6 (rows start at 8, inflated to 7): drivable.
-        assert!(!p.is_blocked(5.0, 50.0));
+        assert!(!is_blocked(5.0, 50.0));
         // A path across the orchard must exist (via the perimeter or
         // aisles) and never touch a blocked cell.
         let path = p.plan((2.0, 2.0), (118.0, 98.0)).expect("route exists");
         for &(x, y) in &path[1..path.len() - 1] {
-            assert!(!p.is_blocked(x, y), "waypoint ({x},{y}) in canopy");
+            assert!(!is_blocked(x, y), "waypoint ({x},{y}) in canopy");
         }
     }
 

@@ -384,15 +384,6 @@ impl FaultPlan {
             .map(|e| e.activations)
             .sum()
     }
-
-    /// Fraction of elapsed time that matching faults were active
-    /// (0.0 when no time has elapsed).
-    pub fn unavailability<F: Fn(&FaultKind) -> bool>(&self, pred: F) -> f64 {
-        if self.now_s <= 0.0 {
-            return 0.0;
-        }
-        self.active_seconds(pred) / self.now_s
-    }
 }
 
 #[cfg(test)]
@@ -436,7 +427,7 @@ mod tests {
         assert!(ch.is_empty(), "state never visibly changed");
         assert!((plan.active_seconds(|_| true) - 50.0).abs() < 1e-9);
         assert_eq!(plan.activations(|_| true), 1);
-        assert!((plan.unavailability(|_| true) - 0.05).abs() < 1e-9);
+        assert!((plan.active_seconds(|_| true) / plan.now_s - 0.05).abs() < 1e-9);
     }
 
     #[test]
@@ -473,7 +464,7 @@ mod tests {
             t += 2_000.0;
             plan.advance_to(t);
         }
-        let measured = 1.0 - plan.unavailability(|_| true);
+        let measured = 1.0 - plan.active_seconds(|_| true) / plan.now_s;
         assert!(
             (measured - cfg.availability()).abs() < 0.02,
             "availability {measured} vs {}",

@@ -124,12 +124,6 @@ impl ClusterSim {
         }
     }
 
-    /// Disable backfill (pure FCFS).
-    pub fn without_backfill(mut self) -> Self {
-        self.backfill = false;
-        self
-    }
-
     /// Enable synthetic background load: Poisson arrivals of jobs with
     /// exponential runtimes, occupying up to `max_nodes` each. Higher
     /// arrival rates produce the multi-hour queue waits of §4.4.
@@ -439,7 +433,8 @@ mod tests {
 
     #[test]
     fn fcfs_queueing() {
-        let mut c = ClusterSim::new(4).without_backfill();
+        let mut c = ClusterSim::new(4);
+        c.backfill = false;
         let a = c.submit(req(4, 100.0)).unwrap();
         let b = c.submit(req(4, 50.0)).unwrap();
         assert!(matches!(c.job_state(a), Some(JobState::Running { .. })));

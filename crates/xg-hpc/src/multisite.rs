@@ -8,15 +8,13 @@
 //! the site with the best expected completion time
 //! (predicted wait + runtime / perf factor).
 
-use crate::pilot::{DataDecision, PilotController, PilotControllerConfig, TaskOutcome};
+use crate::pilot::{DataDecision, PilotController, PilotControllerConfig};
 use crate::site::SiteProfile;
 
 /// One site's stack inside the controller.
 struct SiteSlot {
     profile: SiteProfile,
     controller: PilotController,
-    /// Tasks routed here.
-    routed: usize,
 }
 
 /// A task router across several HPC facilities.
@@ -55,7 +53,6 @@ impl MultiSiteController {
                 SiteSlot {
                     profile,
                     controller,
-                    routed: 0,
                 }
             })
             .collect();
@@ -88,19 +85,7 @@ impl MultiSiteController {
     /// Returns `None` when every site is offline — the caller's failover
     /// layer decides whether to retry later.
     pub fn submit_task(&mut self, nodes: u32, runtime_s: f64) -> Option<Placement> {
-        self.submit_task_avoiding(nodes, runtime_s, &[])
-    }
-
-    /// Like [`submit_task`](Self::submit_task) but never places on a site
-    /// named in `avoid` — used by failover to resubmit a task somewhere
-    /// other than the site that just lost it.
-    pub fn submit_task_avoiding(
-        &mut self,
-        nodes: u32,
-        runtime_s: f64,
-        avoid: &[String],
-    ) -> Option<Placement> {
-        self.submit_task_with_data(nodes, runtime_s, nodes as f64 * 1024.0, avoid)
+        self.submit_task_with_data(nodes, runtime_s, nodes as f64 * 1024.0)
             .map(|(p, _)| p)
     }
 
@@ -114,13 +99,9 @@ impl MultiSiteController {
         nodes: u32,
         runtime_s: f64,
         data_bytes: f64,
-        avoid: &[String],
     ) -> Option<(Placement, DataDecision)> {
         let best = (0..self.sites.len())
-            .filter(|&i| {
-                !self.sites[i].controller.is_offline()
-                    && !avoid.contains(&self.sites[i].profile.name)
-            })
+            .filter(|&i| !self.sites[i].controller.is_offline())
             .min_by(|&a, &b| {
                 let ea = self.expected_completion_s(&self.sites[a], nodes, runtime_s);
                 let eb = self.expected_completion_s(&self.sites[b], nodes, runtime_s);
@@ -130,7 +111,6 @@ impl MultiSiteController {
         let slot = &mut self.sites[best];
         let decision = slot.controller.on_data(data_bytes);
         slot.controller.submit_task(nodes, runtime_s);
-        slot.routed += 1;
         Some((
             Placement {
                 site: slot.profile.name.clone(),
@@ -202,33 +182,28 @@ impl MultiSiteController {
             .filter(|s| !s.controller.is_offline())
             .count()
     }
-
-    /// Completed tasks per site, `(name, tasks, routed)`.
-    pub fn per_site_stats(&self) -> Vec<(String, &[TaskOutcome], usize)> {
-        self.sites
-            .iter()
-            .map(|s| {
-                (
-                    s.profile.name.clone(),
-                    s.controller.completed_tasks(),
-                    s.routed,
-                )
-            })
-            .collect()
-    }
-
-    /// Total completed tasks across every site.
-    pub fn completed_total(&self) -> usize {
-        self.sites
-            .iter()
-            .map(|s| s.controller.completed_tasks().len())
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Tasks completed at each site, by name.
+    fn completed(ctl: &MultiSiteController) -> Vec<(&str, usize)> {
+        ctl.sites
+            .iter()
+            .map(|s| {
+                (
+                    s.profile.name.as_str(),
+                    s.controller.completed_tasks().len(),
+                )
+            })
+            .collect()
+    }
+
+    fn completed_total(ctl: &MultiSiteController) -> usize {
+        completed(ctl).iter().map(|&(_, n)| n).sum()
+    }
 
     #[test]
     fn routes_to_idle_site_when_one_is_saturated() {
@@ -250,10 +225,10 @@ mod tests {
             ctl.submit_task(1, 420.0).unwrap();
         }
         ctl.advance_to(10.0 * 3600.0);
-        let stats = ctl.per_site_stats();
-        let anvil_routed = stats.iter().find(|(n, _, _)| n == "ANVIL").unwrap().2;
-        assert!(anvil_routed >= 6, "idle site must absorb load: {stats:?}");
-        assert_eq!(ctl.completed_total(), 12, "all tasks complete somewhere");
+        let stats = completed(&ctl);
+        let anvil_done = stats.iter().find(|&&(n, _)| n == "ANVIL").unwrap().1;
+        assert!(anvil_done >= 6, "idle site must absorb load: {stats:?}");
+        assert_eq!(completed_total(&ctl), 12, "all tasks complete somewhere");
     }
 
     #[test]
@@ -284,7 +259,7 @@ mod tests {
         ctl.advance_to(3600.0);
         ctl.submit_task(1, 420.0).unwrap();
         ctl.advance_to(16.0 * 3600.0);
-        assert!(ctl.completed_total() >= 1, "task must eventually run");
+        assert!(completed_total(&ctl) >= 1, "task must eventually run");
     }
 
     #[test]
@@ -303,13 +278,11 @@ mod tests {
         let lost = ctl.set_site_down("ANVIL", true);
         assert_eq!(lost, 1, "in-flight task lost to the outage");
         assert_eq!(ctl.reachable_sites(), 1);
-        // Resubmission avoids the dead site and completes on ND.
-        let p2 = ctl
-            .submit_task_avoiding(1, 420.0, &["ANVIL".to_string()])
-            .unwrap();
+        // Resubmission skips the dead site and completes on ND.
+        let p2 = ctl.submit_task(1, 420.0).unwrap();
         assert_eq!(p2.site, "ND-CRC");
         ctl.advance_to(4.0 * 3600.0);
-        assert_eq!(ctl.completed_total(), 1, "failover task completed");
+        assert_eq!(completed_total(&ctl), 1, "failover task completed");
         // Both sites down: placement is refused, not panicked.
         ctl.set_site_down("ND-CRC", true);
         assert!(ctl.submit_task(1, 420.0).is_none());

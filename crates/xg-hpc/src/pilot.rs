@@ -217,11 +217,6 @@ impl PilotController {
         &self.cluster
     }
 
-    /// All pilots ever submitted.
-    pub fn pilots(&self) -> &[Pilot] {
-        &self.pilots
-    }
-
     /// Completed tasks.
     pub fn completed_tasks(&self) -> &[TaskOutcome] {
         &self.completed
@@ -248,11 +243,6 @@ impl PilotController {
     /// Whether the site is currently offline (fault-injected outage).
     pub fn is_offline(&self) -> bool {
         self.offline
-    }
-
-    /// Tasks accepted but not yet dispatched into a pilot.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Inject or clear a site outage. Going offline kills every pilot
@@ -566,8 +556,8 @@ mod tests {
     #[test]
     fn on_demand_submits_initial_pilot() {
         let mut ctl = idle_controller(PilotStrategy::OnDemand);
-        assert_eq!(ctl.pilots().len(), 1);
-        assert_eq!(ctl.pilots()[0].nodes, 1);
+        assert_eq!(ctl.pilots.len(), 1);
+        assert_eq!(ctl.pilots[0].nodes, 1);
         ctl.advance_to(60.0);
         assert_eq!(ctl.n_available(), 1, "initial pilot active on idle cluster");
     }
@@ -575,7 +565,7 @@ mod tests {
     #[test]
     fn reactive_submits_nothing_until_data() {
         let mut ctl = idle_controller(PilotStrategy::Reactive);
-        assert!(ctl.pilots().is_empty());
+        assert!(ctl.pilots.is_empty());
         ctl.advance_to(60.0);
         assert_eq!(ctl.n_available(), 0);
         let d = ctl.on_data(4.0 * 1024.0);
@@ -607,7 +597,7 @@ mod tests {
         // Request far more than the machine: clamped to 8 nodes.
         let d = ctl.on_data(100.0 * 1024.0);
         assert!(d.submitted.is_some());
-        assert_eq!(ctl.pilots().last().unwrap().nodes, 8);
+        assert_eq!(ctl.pilots.last().unwrap().nodes, 8);
     }
 
     #[test]
@@ -667,7 +657,7 @@ mod tests {
         // Long after the first pilot's walltime, the pool is still warm.
         ctl.advance_to(6.0 * 3600.0);
         assert!(ctl.n_available() >= 4, "pool must be replenished");
-        assert!(ctl.pilots().len() >= 2);
+        assert!(ctl.pilots.len() >= 2);
     }
 
     #[test]
@@ -729,7 +719,7 @@ mod tests {
         ctl.on_data(4.0 * 1024.0);
         ctl.advance_to(1_200.0);
         assert!(ctl.completed_tasks().is_empty());
-        assert_eq!(ctl.pending_count(), 1);
+        assert_eq!(ctl.pending.len(), 1);
         // Recovery: fresh capacity is provisioned and the queued task runs.
         assert!(ctl.set_offline(false).is_empty());
         ctl.on_data(1024.0);
@@ -791,7 +781,7 @@ mod tests {
         ctl.submit_task(1, 420.0);
         let drained = ctl.drain_pending();
         assert_eq!(drained, vec![(2, 300.0), (1, 420.0)]);
-        assert_eq!(ctl.pending_count(), 0);
+        assert_eq!(ctl.pending.len(), 0);
     }
 
     #[test]

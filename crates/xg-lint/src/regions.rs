@@ -17,11 +17,6 @@ impl LineRanges {
     pub fn contains(&self, line: usize) -> bool {
         self.0.iter().any(|&(a, b)| a <= line && line <= b)
     }
-
-    /// The collected ranges (fixture tests inspect these).
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.0
-    }
 }
 
 /// Lines belonging to test-only code: the body (and attribute lines) of

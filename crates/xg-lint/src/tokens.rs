@@ -343,11 +343,6 @@ impl ItemContext {
             .iter()
             .any(|(a, b, t)| *a <= line && line <= *b && traits.contains(&t.as_str()))
     }
-
-    /// All recovered impl-block trait names (tests inspect these).
-    pub fn impl_traits(&self) -> impl Iterator<Item = &str> {
-        self.impls.iter().map(|(_, _, t)| t.as_str())
-    }
 }
 
 /// Recover fn bodies and trait-impl extents from the tree.
@@ -610,7 +605,8 @@ fn free() {
             "inherent impl is not a trait impl"
         );
         assert!(!cx.in_impl_of(11, &["Advance"]));
-        assert_eq!(cx.impl_traits().collect::<Vec<_>>(), vec!["Advance"]);
+        let traits: Vec<&str> = cx.impls.iter().map(|(_, _, t)| t.as_str()).collect();
+        assert_eq!(traits, vec!["Advance"]);
     }
 
     #[test]

@@ -164,33 +164,9 @@ impl Core5g {
         Ok(session)
     }
 
-    /// Release a PDU session by id.
-    pub fn release_session(&mut self, imsi: &str, session_id: u8) -> Result<()> {
-        let sub = self
-            .subscribers
-            .get_mut(imsi)
-            .ok_or_else(|| NetError::AuthenticationFailed { imsi: imsi.into() })?;
-        let before = sub.sessions.len();
-        sub.sessions.retain(|s| s.id != session_id);
-        if sub.sessions.len() == before {
-            return Err(NetError::InvalidSessionState(format!(
-                "session {session_id} not found for {imsi}"
-            )));
-        }
-        Ok(())
-    }
-
     /// Registration state of a subscriber.
     pub fn state(&self, imsi: &str) -> Option<RegState> {
         self.subscribers.get(imsi).map(|s| s.state)
-    }
-
-    /// Active PDU sessions of a subscriber.
-    pub fn sessions(&self, imsi: &str) -> &[PduSession] {
-        self.subscribers
-            .get(imsi)
-            .map(|s| s.sessions.as_slice())
-            .unwrap_or(&[])
     }
 
     /// Number of registered subscribers.
@@ -268,7 +244,7 @@ mod tests {
             .establish_session(&sim.imsi, Snssai::miot(1), "internet")
             .unwrap();
         assert_eq!(s.id, 1);
-        assert_eq!(core.sessions(&sim.imsi).len(), 1);
+        assert_eq!(core.subscribers[&sim.imsi].sessions.len(), 1);
     }
 
     #[test]
@@ -287,21 +263,9 @@ mod tests {
         core.establish_session(&sim.imsi, Snssai::miot(1), "internet")
             .unwrap();
         core.deregister(&sim.imsi).unwrap();
-        assert!(core.sessions(&sim.imsi).is_empty());
+        assert!(core.subscribers[&sim.imsi].sessions.is_empty());
         assert_eq!(core.state(&sim.imsi), Some(RegState::Deregistered));
         // Can re-register afterwards (power-cycle behaviour).
         core.register(&sim).unwrap();
-    }
-
-    #[test]
-    fn release_session() {
-        let (mut core, sim) = core_with(1, vec![Snssai::miot(1)]);
-        core.register(&sim).unwrap();
-        let s = core
-            .establish_session(&sim.imsi, Snssai::miot(1), "internet")
-            .unwrap();
-        core.release_session(&sim.imsi, s.id).unwrap();
-        assert!(core.sessions(&sim.imsi).is_empty());
-        assert!(core.release_session(&sim.imsi, s.id).is_err());
     }
 }

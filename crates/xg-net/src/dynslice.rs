@@ -69,11 +69,6 @@ impl DynamicSlicer {
         }
     }
 
-    /// Smoothed demand estimates.
-    pub fn demand(&self) -> &[f64] {
-        &self.demand
-    }
-
     /// Compute the share apportionment for the current demand: floors
     /// first, the remainder split proportionally to demand (evenly when
     /// total demand is zero).

@@ -64,25 +64,7 @@ pub struct CellBatch {
     pub seconds: Vec<Vec<(UeHandle, f64)>>,
 }
 
-impl CellBatch {
-    /// Mean goodput (Mbps) over every UE-second sample in the batch, or
-    /// 0.0 when no UE was backlogged.
-    pub fn mean_goodput_mbps(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for sec in &self.seconds {
-            for &(_, mbps) in sec {
-                sum += mbps;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-}
+impl CellBatch {}
 
 /// Derive one cell's RNG seed from the fleet seed and the cell id.
 ///
@@ -267,6 +249,11 @@ impl RanFleet {
         self.cells
             .get_mut(id.0 as usize)
             .ok_or(NetError::UnknownCell(id.0))
+    }
+
+    /// Every cell, mutably, in cell order (`CellId(i)` is the i-th).
+    pub fn cells_mut(&mut self) -> impl Iterator<Item = &mut LinkSimulator> {
+        self.cells.iter_mut()
     }
 
     /// Attach a UE on `cell`'s first slice with no unit variation.
@@ -458,6 +445,12 @@ mod tests {
         CellConfig::new(Rat::Nr5g, Duplex::Fdd, MHz(20.0))
     }
 
+    /// Mean goodput (Mbps) over every UE-second sample in a batch.
+    fn mean_goodput(b: &CellBatch) -> f64 {
+        let samples: Vec<f64> = b.seconds.iter().flatten().map(|&(_, m)| m).collect();
+        samples.iter().sum::<f64>() / samples.len().max(1) as f64
+    }
+
     /// Every worker thread moves `&mut LinkSimulator` across the scope.
     #[test]
     fn link_simulator_is_send() {
@@ -534,10 +527,10 @@ mod tests {
         assert_eq!(f[0], n[0]);
         // Cell 1 collapses under the fade.
         assert!(
-            f[1].mean_goodput_mbps() < n[1].mean_goodput_mbps() * 0.25,
+            mean_goodput(&f[1]) < mean_goodput(&n[1]) * 0.25,
             "faded {} vs nominal {}",
-            f[1].mean_goodput_mbps(),
-            n[1].mean_goodput_mbps()
+            mean_goodput(&f[1]),
+            mean_goodput(&n[1])
         );
     }
 

@@ -82,11 +82,6 @@ impl IperfSummary {
             self.config, self.device, self.n, self.mean_mbps, self.sd_mbps
         )
     }
-
-    /// CSV header matching [`Self::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "config,device,n,mean_mbps,sd_mbps"
-    }
 }
 
 #[cfg(test)]
@@ -115,6 +110,5 @@ mod tests {
         let run = IperfRun::new("Laptop".into(), "4G FDD 10 MHz".into(), vec![5.0, 7.0]);
         let row = run.summary().csv_row();
         assert_eq!(row, "4G FDD 10 MHz,Laptop,2,6.00,1.41");
-        assert!(IperfSummary::csv_header().starts_with("config,"));
     }
 }

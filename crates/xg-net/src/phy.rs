@@ -33,11 +33,6 @@ impl Scs {
             Scs::Khz30 => 2_000,
         }
     }
-
-    /// Slot duration in milliseconds.
-    pub fn slot_ms(self) -> f64 {
-        1_000.0 / self.slots_per_second() as f64
-    }
 }
 
 /// Number of uplink PRBs for a given RAT, subcarrier spacing, and channel
@@ -347,6 +342,5 @@ mod tests {
     fn slot_timing() {
         assert_eq!(Scs::Khz15.slots_per_second(), 1000);
         assert_eq!(Scs::Khz30.slots_per_second(), 2000);
-        assert_eq!(Scs::Khz30.slot_ms(), 0.5);
     }
 }

@@ -10,13 +10,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct MHz(pub f64);
 
-impl MHz {
-    /// Bandwidth in hertz.
-    #[inline]
-    pub fn hz(self) -> f64 {
-        self.0 * 1e6
-    }
-}
+impl MHz {}
 
 impl fmt::Display for MHz {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -33,12 +27,6 @@ impl Mbps {
     #[inline]
     pub fn bps(self) -> f64 {
         self.0 * 1e6
-    }
-
-    /// Construct from bits per second.
-    #[inline]
-    pub fn from_bps(bps: f64) -> Self {
-        Mbps(bps / 1e6)
     }
 }
 
@@ -134,12 +122,6 @@ mod tests {
     #[test]
     fn mbps_conversion() {
         assert_eq!(Mbps(1.5).bps(), 1_500_000.0);
-        assert_eq!(Mbps::from_bps(2_000_000.0).0, 2.0);
-    }
-
-    #[test]
-    fn mhz_conversion() {
-        assert_eq!(MHz(20.0).hz(), 20e6);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use recorder::{
 };
 pub use slo::{Hysteresis, SloEvent, SloEventKind, SloOp, SloSpec, SloStat, SloWatchdog};
 pub use span::{SpanId, SpanRecord, TraceId, Tracer, WallSpan};
-pub use window::{GaugeStats, MetricsWindow, WindowConfig, WindowView};
+pub use window::{MetricsWindow, WindowConfig, WindowView};
 
 use std::sync::Arc;
 

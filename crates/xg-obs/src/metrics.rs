@@ -194,11 +194,6 @@ impl Histogram {
         h
     }
 
-    /// The configured relative-error bound α.
-    pub fn rel_err(&self) -> f64 {
-        self.rel_err
-    }
-
     fn bucket_index(&self, v: f64) -> Option<i32> {
         if v <= ZERO_THRESHOLD {
             None
@@ -280,11 +275,6 @@ impl HistogramSnapshot {
     /// Exact largest sample, or `None` if empty.
     pub fn max(&self) -> Option<f64> {
         (self.core.count > 0).then_some(self.core.max)
-    }
-
-    /// Mean of all samples, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.core.count > 0).then_some(self.core.sum / self.core.count as f64)
     }
 
     /// The q-quantile (`0.0 ..= 1.0`): an estimate within relative error

@@ -3,7 +3,7 @@
 //! The paper's §4.4 budget is only a *claim* until the running fabric can
 //! notice it being violated. An [`SloSpec`] states one objective against a
 //! windowed statistic — `p99(cycle.transfer_ms) < 5000`,
-//! `delta(gateway.dropped) <= 0`, `mean(ran.goodput_mbps) > 10` — and the
+//! `delta(gateway.dropped) <= 0` — and the
 //! [`SloWatchdog`] evaluates the whole set once per tick against a
 //! [`WindowView`], applying hysteresis (K consecutive bad ticks to
 //! breach, M consecutive good ticks to recover) so a single noisy
@@ -17,38 +17,17 @@ use std::fmt;
 /// Which windowed statistic an objective reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SloStat {
-    /// Median of a windowed histogram.
-    P50,
-    /// 90th percentile of a windowed histogram.
-    P90,
     /// 99th percentile of a windowed histogram.
     P99,
-    /// Mean of a windowed histogram.
-    Mean,
-    /// Max of a windowed histogram (bucket estimate).
-    Max,
     /// Counter increments over the window.
     Delta,
-    /// Counter increments per second over the window.
-    Rate,
-    /// Mean of the gauge samples in the window.
-    GaugeMean,
-    /// Most recent gauge sample in the window.
-    GaugeLast,
 }
 
 impl SloStat {
     fn label(self) -> &'static str {
         match self {
-            SloStat::P50 => "p50",
-            SloStat::P90 => "p90",
             SloStat::P99 => "p99",
-            SloStat::Mean => "mean",
-            SloStat::Max => "max",
             SloStat::Delta => "delta",
-            SloStat::Rate => "rate",
-            SloStat::GaugeMean => "gauge_mean",
-            SloStat::GaugeLast => "gauge_last",
         }
     }
 }
@@ -62,8 +41,6 @@ pub enum SloOp {
     Le,
     /// Healthy while `stat > threshold`.
     Gt,
-    /// Healthy while `stat >= threshold`.
-    Ge,
 }
 
 impl SloOp {
@@ -72,7 +49,6 @@ impl SloOp {
             SloOp::Lt => value < threshold,
             SloOp::Le => value <= threshold,
             SloOp::Gt => value > threshold,
-            SloOp::Ge => value >= threshold,
         }
     }
 
@@ -81,7 +57,6 @@ impl SloOp {
             SloOp::Lt => "<",
             SloOp::Le => "<=",
             SloOp::Gt => ">",
-            SloOp::Ge => ">=",
         }
     }
 }
@@ -121,12 +96,6 @@ impl SloSpec {
         }
     }
 
-    /// Override the objective's name.
-    pub fn named(mut self, name: &str) -> Self {
-        self.name = name.to_string();
-        self
-    }
-
     /// Require at least `n` windowed samples before judging.
     pub fn min_count(mut self, n: u64) -> Self {
         self.min_count = n;
@@ -144,25 +113,16 @@ impl SloSpec {
     /// treated as healthy.
     pub fn observe(&self, view: &WindowView) -> Option<f64> {
         match self.stat {
-            SloStat::P50 | SloStat::P90 | SloStat::P99 | SloStat::Mean | SloStat::Max => {
+            SloStat::P99 => {
                 if view.hist_count(&self.metric) < self.min_count {
                     return None;
                 }
-                match self.stat {
-                    SloStat::P50 => view.quantile(&self.metric, 0.50),
-                    SloStat::P90 => view.quantile(&self.metric, 0.90),
-                    SloStat::P99 => view.quantile(&self.metric, 0.99),
-                    SloStat::Mean => view.hist_mean(&self.metric),
-                    _ => view.histograms.get(&self.metric)?.max(),
-                }
+                view.quantile(&self.metric, 0.99)
             }
             // Counters exist from the first tick; a window with no
             // matching counter reads as zero increments, which is a real
             // observation (e.g. "delivered nothing this half hour").
             SloStat::Delta => Some(view.delta(&self.metric) as f64),
-            SloStat::Rate => Some(view.rate(&self.metric)),
-            SloStat::GaugeMean => view.gauge(&self.metric)?.mean(),
-            SloStat::GaugeLast => Some(view.gauge(&self.metric)?.last),
         }
     }
 
@@ -257,11 +217,6 @@ impl SloWatchdog {
         }
     }
 
-    /// The objectives under watch.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
-    }
-
     /// Every metric name the objectives read — the exact instrument set
     /// a feeding [`MetricsWindow`](crate::window::MetricsWindow) needs
     /// to track (pass to its `focus`).
@@ -322,14 +277,6 @@ impl SloWatchdog {
             }
         }
         events
-    }
-
-    /// Whether the named objective is currently in breach.
-    pub fn is_breached(&self, name: &str) -> bool {
-        self.specs
-            .iter()
-            .zip(&self.states)
-            .any(|(s, st)| st.breached && s.name == name)
     }
 
     /// Names of every objective currently in breach.
@@ -407,7 +354,7 @@ mod tests {
         // First bad tick: no event yet (hysteresis).
         burst(500.0);
         assert!(drive(&mut wd, &mut w, &reg, &mut t).is_empty());
-        assert!(!wd.is_breached("p99(lat_ms) < 100"));
+        assert!(wd.breached().is_empty());
         // Second bad tick: breach fires with the offending value.
         burst(500.0);
         let ev = drive(&mut wd, &mut w, &reg, &mut t);
@@ -494,41 +441,5 @@ mod tests {
         let ev = drive(&mut wd, &mut w, &reg, &mut t);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].kind, SloEventKind::Breached);
-    }
-
-    #[test]
-    fn gauge_objectives_read_window_samples() {
-        let reg = MetricsRegistry::new();
-        let mut w = MetricsWindow::new(WindowConfig {
-            interval_s: 300.0,
-            intervals: 2,
-        });
-        let mut wd = SloWatchdog::new(
-            vec![
-                SloSpec::new("goodput", SloStat::GaugeMean, SloOp::Gt, 5.0).degrade_to(1),
-                SloSpec::new("sites_up", SloStat::GaugeLast, SloOp::Ge, 1.0).degrade_to(2),
-            ],
-            Hysteresis {
-                breach_after: 1,
-                clear_after: 1,
-            },
-        );
-        let gp = reg.gauge("goodput");
-        let su = reg.gauge("sites_up");
-        let mut t = 0.0;
-        gp.set(20.0);
-        su.set(2.0);
-        assert!(drive(&mut wd, &mut w, &reg, &mut t).is_empty());
-        gp.set(0.5);
-        su.set(0.0);
-        let _ = drive(&mut wd, &mut w, &reg, &mut t);
-        // goodput mean over 2 samples = 10.25 (healthy); sites_up last = 0
-        // (breach at level 2).
-        assert_eq!(wd.degradation_target(), 2);
-        gp.set(0.5);
-        let _ = drive(&mut wd, &mut w, &reg, &mut t);
-        // now goodput mean = 0.5 too: both breached, still level 2.
-        assert_eq!(wd.breached().len(), 2);
-        assert_eq!(wd.degradation_target(), 2);
     }
 }

@@ -5,8 +5,8 @@
 //! 30 minutes". [`MetricsWindow`] bridges the two without touching the
 //! hot recording path: each tick it snapshots the registry and diffs
 //! against the previous snapshot, producing one *interval delta* — per
-//! metric, the counter increments, gauge samples, and histogram
-//! sub-snapshots of that interval. A bounded ring of the most recent
+//! metric, the counter increments and histogram sub-snapshots of that
+//! interval. A bounded ring of the most recent
 //! intervals then merges on demand into a [`WindowView`], reusing the
 //! log-linear histograms' mergeability (bucket-count addition runs both
 //! forwards for merges and backwards for deltas), so windowed quantiles
@@ -34,48 +34,11 @@ impl Default for WindowConfig {
     }
 }
 
-/// Summary of one gauge's samples inside a window (gauges are sampled at
-/// tick resolution, not per write).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct GaugeStats {
-    /// Ticks sampled.
-    pub samples: u64,
-    /// Sum of sampled values (for the mean).
-    pub sum: f64,
-    /// Smallest sampled value.
-    pub min: f64,
-    /// Largest sampled value.
-    pub max: f64,
-    /// Most recent sampled value.
-    pub last: f64,
-}
-
-impl GaugeStats {
-    fn observe(&mut self, v: f64) {
-        if self.samples == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.samples += 1;
-        self.sum += v;
-        self.last = v;
-    }
-
-    /// Mean of the sampled values, or `None` if never sampled.
-    pub fn mean(&self) -> Option<f64> {
-        (self.samples > 0).then(|| self.sum / self.samples as f64)
-    }
-}
-
 /// One tick's worth of activity.
 #[derive(Clone, Debug, Default)]
 struct IntervalDelta {
     t_s: f64,
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -88,32 +51,14 @@ pub struct WindowView {
     pub to_s: f64,
     /// Counter increments over the window, by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge sample summaries over the window, by name.
-    pub gauges: BTreeMap<String, GaugeStats>,
     /// Merged histogram deltas over the window, by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Total wall of virtual time the view covers (s).
-    span_s: f64,
 }
 
 impl WindowView {
-    /// Virtual seconds the view covers.
-    pub fn span_s(&self) -> f64 {
-        self.span_s
-    }
-
     /// Counter increments over the window (0 for an unknown counter).
     pub fn delta(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Counter rate over the window, events per second.
-    pub fn rate(&self, name: &str) -> f64 {
-        if self.span_s <= 0.0 {
-            0.0
-        } else {
-            self.delta(name) as f64 / self.span_s
-        }
     }
 
     /// Windowed histogram quantile (`None` if absent or empty).
@@ -122,19 +67,9 @@ impl WindowView {
         h.quantile(q)
     }
 
-    /// Windowed histogram mean (`None` if absent or empty).
-    pub fn hist_mean(&self, name: &str) -> Option<f64> {
-        self.histograms.get(name)?.mean()
-    }
-
     /// Windowed histogram sample count.
     pub fn hist_count(&self, name: &str) -> u64 {
         self.histograms.get(name).map(|h| h.count()).unwrap_or(0)
-    }
-
-    /// Gauge sample summary over the window.
-    pub fn gauge(&self, name: &str) -> Option<&GaugeStats> {
-        self.gauges.get(name)
     }
 }
 
@@ -148,7 +83,6 @@ pub struct MetricsWindow {
     cfg: WindowConfig,
     prev: Option<MetricsSnapshot>,
     ring: VecDeque<IntervalDelta>,
-    ticks: u64,
     /// When set, ticks snapshot only these instruments. A window that
     /// feeds a fixed consumer (the SLO watchdog) then costs per tick
     /// what that consumer reads, not what the whole registry holds.
@@ -162,7 +96,6 @@ impl MetricsWindow {
             cfg,
             prev: None,
             ring: VecDeque::with_capacity(cfg.intervals.max(1)),
-            ticks: 0,
             focus: None,
         }
     }
@@ -172,16 +105,6 @@ impl MetricsWindow {
     /// tick so the window's history is uniform.
     pub fn focus(&mut self, names: BTreeSet<String>) {
         self.focus = Some(names);
-    }
-
-    /// The configured shape.
-    pub fn config(&self) -> WindowConfig {
-        self.cfg
-    }
-
-    /// Ticks observed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
     }
 
     /// Close the current interval at virtual time `t_s`: diff the registry
@@ -207,9 +130,6 @@ impl MetricsWindow {
                 .counters
                 .insert(name.clone(), v.saturating_sub(before));
         }
-        for (name, &v) in &snap.gauges {
-            delta.gauges.insert(name.clone(), v);
-        }
         for (name, h) in &snap.histograms {
             let d = match self.prev.as_ref().and_then(|p| p.histograms.get(name)) {
                 Some(before) => h.delta_since(before),
@@ -222,7 +142,6 @@ impl MetricsWindow {
             self.ring.pop_front();
         }
         self.prev = Some(snap);
-        self.ticks += 1;
     }
 
     /// Merge the retained intervals into one view.
@@ -230,15 +149,11 @@ impl MetricsWindow {
         let mut view = WindowView {
             from_s: self.ring.front().map(|d| d.t_s).unwrap_or(0.0),
             to_s: self.ring.back().map(|d| d.t_s).unwrap_or(0.0),
-            span_s: self.ring.len() as f64 * self.cfg.interval_s,
             ..Default::default()
         };
         for d in &self.ring {
             for (name, &v) in &d.counters {
                 *view.counters.entry(name.clone()).or_insert(0) += v;
-            }
-            for (name, &v) in &d.gauges {
-                view.gauges.entry(name.clone()).or_default().observe(v);
             }
             for (name, h) in &d.histograms {
                 view.histograms
@@ -277,8 +192,7 @@ mod tests {
         }
         // Interval 1 has slid out: the burst is gone from the view.
         assert_eq!(w.view().delta("events"), 0);
-        assert_eq!(w.view().rate("events"), 0.0);
-        assert_eq!(w.view().span_s(), 900.0);
+        assert_eq!((w.view().from_s, w.view().to_s), (600.0, 1200.0));
     }
 
     #[test]
@@ -307,26 +221,6 @@ mod tests {
         assert_eq!(view.hist_count("latency_ms"), 100);
         let p50 = view.quantile("latency_ms", 0.5).unwrap();
         assert!((p50 - 1000.0).abs() <= 0.02 * 1000.0, "p50 {p50}");
-        assert!((view.hist_mean("latency_ms").unwrap() - 1000.0).abs() < 25.0);
-    }
-
-    #[test]
-    fn gauges_are_sampled_per_tick() {
-        let reg = MetricsRegistry::new();
-        let mut w = window();
-        let g = reg.gauge("backlog");
-        for (t, v) in [(300.0, 5.0), (600.0, 9.0), (900.0, 1.0)] {
-            g.set(v);
-            w.tick(&reg, t);
-        }
-        let view = w.view();
-        let stats = view.gauge("backlog").unwrap();
-        assert_eq!(stats.samples, 3);
-        assert_eq!(stats.max, 9.0);
-        assert_eq!(stats.last, 1.0);
-        assert!((stats.mean().unwrap() - 5.0).abs() < 1e-9);
-        assert_eq!(view.from_s, 300.0);
-        assert_eq!(view.to_s, 900.0);
     }
 
     #[test]
@@ -334,8 +228,6 @@ mod tests {
         let w = window();
         let view = w.view();
         assert_eq!(view.delta("anything"), 0);
-        assert_eq!(view.rate("anything"), 0.0);
         assert!(view.quantile("anything", 0.5).is_none());
-        assert_eq!(view.span_s(), 0.0);
     }
 }

@@ -214,21 +214,6 @@ impl Ric {
         self
     }
 
-    /// Number of registered xApps.
-    pub fn xapp_count(&self) -> usize {
-        self.xapps.len()
-    }
-
-    /// Names of the registered xApps, in registration order.
-    pub fn xapp_names(&self) -> Vec<&'static str> {
-        self.xapps.iter().map(|r| r.app.name()).collect()
-    }
-
-    /// The nominal indication period (s).
-    pub fn period_s(&self) -> f64 {
-        self.period_s
-    }
-
     /// Periods stepped so far.
     pub fn periods(&self) -> u64 {
         self.seq
@@ -437,8 +422,8 @@ mod tests {
             calls: 0,
         });
         let mut copy = ric.clone();
-        assert_eq!(copy.xapp_count(), 1);
-        assert_eq!(copy.xapp_names(), vec!["probe"]);
+        let names: Vec<&str> = copy.xapps.iter().map(|r| r.app.name()).collect();
+        assert_eq!(names, vec!["probe"]);
         assert!(format!("{ric:?}").contains("probe"));
         // The clone steps independently of the original.
         let a = copy.step(vec![indication_for(0)], 1.0);

@@ -174,11 +174,6 @@ impl BurstGuard {
             engaged: std::collections::BTreeSet::new(),
         }
     }
-
-    /// Cells the guard is currently steering.
-    pub fn engaged_cells(&self) -> Vec<u32> {
-        self.engaged.iter().copied().collect()
-    }
 }
 
 impl XApp for BurstGuard {
@@ -292,11 +287,6 @@ impl McsCapper {
             backoff: 0.8,
             capped: BTreeMap::new(),
         })
-    }
-
-    /// UEs currently capped, as `(cell, ue)` pairs.
-    pub fn capped_ues(&self) -> Vec<(u32, u32)> {
-        self.capped.keys().copied().collect()
     }
 }
 
@@ -480,7 +470,7 @@ mod tests {
         };
         // Calm: total demand 16 Mbit < 0.9 × 50 Mbit. No action.
         assert!(app.on_indication(&mut c, &cell(8e6, 0.0)).is_empty());
-        assert!(app.engaged_cells().is_empty());
+        assert!(app.engaged.is_empty());
         // Burst: 88 Mbit demand > 45 Mbit threshold. Guard engages and
         // pins the protected slice 8 × 1.5 / 50 = 0.24 of the grid.
         let actions = app.on_indication(&mut c, &cell(80e6, 0.0));
@@ -490,13 +480,13 @@ mod tests {
         };
         assert!((shares[0].1 - 0.24).abs() < 0.01, "{shares:?}");
         assert!((shares[0].1 + shares[1].1 - 1.0).abs() < 1e-9);
-        assert_eq!(app.engaged_cells(), vec![0]);
+        assert!(app.engaged.iter().eq([&0]));
         // Demand drops into the hysteresis band (31.5..45 Mbit): the
         // guard keeps steering.
         assert_eq!(app.on_indication(&mut c, &cell(32e6, 0.0)).len(), 1);
         // Demand collapses below 70% of the threshold: guard releases.
         assert!(app.on_indication(&mut c, &cell(8e6, 0.0)).is_empty());
-        assert!(app.engaged_cells().is_empty());
+        assert!(app.engaged.is_empty());
     }
 
     #[test]
@@ -554,7 +544,7 @@ mod tests {
             actions[0],
             RicAction::CapUeMcs { max_eff: Some(e), .. } if (e - expected).abs() < 1e-9
         ));
-        assert_eq!(app.capped_ues(), vec![(0, 2)]);
+        assert!(app.capped.keys().eq([&(0, 2)]));
         // Still failing at the same CQI: cap unchanged, no re-emission.
         assert!(app.on_indication(&mut c, &ue(10, 0.3)).is_empty());
         // Channel keeps degrading: cap tightens.
@@ -571,7 +561,7 @@ mod tests {
             actions[0],
             RicAction::CapUeMcs { max_eff: None, .. }
         ));
-        assert!(app.capped_ues().is_empty());
+        assert!(app.capped.is_empty());
         // Tuning validation.
         assert!(McsCapper::try_new(0.0).is_err());
         assert!(McsCapper::try_new(f64::NAN).is_err());

@@ -70,45 +70,11 @@ impl Default for CupsFacility {
 }
 
 impl CupsFacility {
-    /// Interior volume in cubic metres.
-    pub fn volume_m3(&self) -> f64 {
-        self.length_m * self.width_m * self.height_m
-    }
-
     /// Inject a breach. Panels are indexed 0..panels_per_wall along the
     /// wall; out-of-range indices are clamped.
     pub fn add_breach(&mut self, mut breach: Breach) {
         breach.panel = breach.panel.min(self.panels_per_wall.saturating_sub(1));
         self.breaches.push(breach);
-    }
-
-    /// Remove all breaches (repair completed).
-    pub fn repair_all(&mut self) {
-        self.breaches.clear();
-    }
-
-    /// Effective porosity of a panel: intact screen porosity, or near-open
-    /// where a breach exists (breach area fraction of the panel passes air
-    /// freely).
-    pub fn panel_porosity(&self, wall: Wall, panel: usize) -> f64 {
-        let panel_area = self.panel_area_m2(wall);
-        let breach_area: f64 = self
-            .breaches
-            .iter()
-            .filter(|b| b.wall == wall && b.panel == panel)
-            .map(|b| b.area_m2)
-            .sum();
-        let open_frac = (breach_area / panel_area).min(1.0);
-        self.screen_porosity * (1.0 - open_frac) + 1.0 * open_frac
-    }
-
-    /// Area of one panel of a wall (m²).
-    pub fn panel_area_m2(&self, wall: Wall) -> f64 {
-        let wall_len = match wall {
-            Wall::West | Wall::East => self.width_m,
-            Wall::South | Wall::North => self.length_m,
-        };
-        wall_len * self.height_m / self.panels_per_wall as f64
     }
 
     /// Centre position of a panel in facility coordinates (x, y).
@@ -121,11 +87,6 @@ impl CupsFacility {
             Wall::North => (frac * self.length_m, self.width_m),
         }
     }
-
-    /// True if any breach is active.
-    pub fn is_breached(&self) -> bool {
-        !self.breaches.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -135,41 +96,11 @@ mod tests {
     #[test]
     fn default_volume_near_paper() {
         let f = CupsFacility::default();
-        let v = f.volume_m3();
+        let v = f.length_m * f.width_m * f.height_m;
         assert!(
             (90_000.0..=110_000.0).contains(&v),
             "paper: 100,000 m^3; got {v}"
         );
-    }
-
-    #[test]
-    fn intact_panel_has_screen_porosity() {
-        let f = CupsFacility::default();
-        for wall in Wall::all() {
-            assert_eq!(f.panel_porosity(wall, 0), f.screen_porosity);
-        }
-    }
-
-    #[test]
-    fn breach_raises_porosity() {
-        let mut f = CupsFacility::default();
-        let intact = f.panel_porosity(Wall::North, 3);
-        f.add_breach(Breach::new(Wall::North, 3, 4.0));
-        let broken = f.panel_porosity(Wall::North, 3);
-        assert!(broken > intact);
-        // Neighbouring panels unaffected.
-        assert_eq!(f.panel_porosity(Wall::North, 2), intact);
-        assert_eq!(f.panel_porosity(Wall::South, 3), intact);
-        f.repair_all();
-        assert_eq!(f.panel_porosity(Wall::North, 3), intact);
-        assert!(!f.is_breached());
-    }
-
-    #[test]
-    fn huge_breach_saturates_at_open() {
-        let mut f = CupsFacility::default();
-        f.add_breach(Breach::new(Wall::East, 0, 1e9));
-        assert!((f.panel_porosity(Wall::East, 0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -178,20 +178,6 @@ impl SensorNetwork {
         }
     }
 
-    /// Number of stations currently reporting live values (not down, not
-    /// stuck).
-    pub fn healthy_station_count(&self) -> usize {
-        self.stations
-            .iter()
-            .filter(|s| !self.down.contains(&s.id) && !self.stuck.contains(&s.id))
-            .count()
-    }
-
-    /// Number of stations.
-    pub fn station_count(&self) -> usize {
-        self.stations.len()
-    }
-
     /// Position and placement of a station: `(x, y, is_interior)`.
     pub fn station_position(&self, id: u32) -> Option<(f64, f64, bool)> {
         self.stations.iter().find(|s| s.id == id).map(|s| {
@@ -348,7 +334,7 @@ mod tests {
     fn poll_reports_all_stations() {
         let mut net = network(1);
         let reports = poll(&mut net);
-        assert_eq!(reports.len(), net.station_count());
+        assert_eq!(reports.len(), net.stations.len());
         let t = reports[0].t_s;
         assert!(reports.iter().all(|r| r.t_s == t), "simultaneous reports");
         assert!((t - REPORT_INTERVAL_S).abs() < 1e-9);
@@ -418,21 +404,20 @@ mod tests {
     #[test]
     fn station_dropout_removes_reports() {
         let mut net = network(7);
-        assert_eq!(net.healthy_station_count(), net.station_count());
+        let stations = net.stations.len();
         net.set_station_down(0, true);
         net.set_station_down(4, true);
         let reports = poll(&mut net);
-        assert_eq!(reports.len(), net.station_count() - 2);
+        assert_eq!(reports.len(), stations - 2);
         assert!(reports
             .iter()
             .all(|r| r.station_id != 0 && r.station_id != 4));
-        assert_eq!(net.healthy_station_count(), net.station_count() - 2);
         // Remaining stations still produce usable boundary conditions.
         assert!(net.boundary_conditions(&reports).is_some());
         // Repair: the station reports again next poll.
         net.set_station_down(0, false);
         net.set_station_down(4, false);
-        assert_eq!(poll(&mut net).len(), net.station_count());
+        assert_eq!(poll(&mut net).len(), stations);
     }
 
     #[test]
@@ -508,7 +493,7 @@ mod tests {
         assert!(net.current_state().is_some(), "weather ticks still fire");
         // The next second crosses the report instant.
         net.advance_to(SimNs::from_secs(300)).unwrap();
-        assert_eq!(net.take_reports().len(), net.station_count());
+        assert_eq!(net.take_reports().len(), net.stations.len());
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl WeatherSim {
         self.front_remaining = self.config.front_duration_steps;
     }
 
-    /// True while a front passage is in progress.
-    pub fn front_active(&self) -> bool {
-        self.front_remaining > 0
-    }
-
     /// Advance one step and return the new true state.
     pub fn step(&mut self) -> WeatherState {
         let c = self.config;
@@ -202,7 +197,7 @@ mod tests {
         // Baseline mean over 30 steps.
         let base: f64 = (0..30).map(|_| sim.step().wind_speed_ms).sum::<f64>() / 30.0;
         sim.force_front();
-        assert!(sim.front_active());
+        assert!(sim.front_remaining > 0);
         let frontal: f64 = (0..20).map(|_| sim.step().wind_speed_ms).sum::<f64>() / 20.0;
         assert!(
             frontal > base + 2.0,

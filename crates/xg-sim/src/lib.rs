@@ -61,9 +61,6 @@ impl SimNs {
     /// t = 0.
     pub const ZERO: SimNs = SimNs(0);
 
-    /// One microsecond.
-    pub const MICRO: SimNs = SimNs(1_000);
-
     /// One millisecond (one 15 kHz-SCS TTI).
     pub const MILLI: SimNs = SimNs(1_000_000);
 
@@ -89,11 +86,6 @@ impl SimNs {
     /// This time as float seconds (for the `f64`-second legacy surfaces).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// This time as float milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Saturating addition.
@@ -156,7 +148,6 @@ mod tests {
         assert_eq!(SimNs::from_secs_f64(300.0), SimNs::from_secs(300));
         assert_eq!(SimNs::from_millis(1), SimNs::MILLI);
         assert_eq!(SimNs::from_secs(1).as_secs_f64(), 1.0);
-        assert_eq!(SimNs::MILLI.as_millis_f64(), 1.0);
         assert_eq!(SimNs::from_secs_f64(-1.0), SimNs::ZERO);
     }
 
