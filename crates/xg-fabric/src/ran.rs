@@ -142,7 +142,10 @@ impl RanTopology {
 pub struct CellHealth {
     /// Deployment label.
     pub name: String,
-    /// Mean probe goodput over the batch (Mbps).
+    /// Mean burst goodput over every UE backlogged in the cell during
+    /// the probe burst (Mbps): the probe UEs and any scenario UEs alike,
+    /// so a cell carrying CBR or camera traffic reports their mean, not
+    /// the probes' alone.
     pub goodput_mbps: f64,
 }
 
@@ -286,6 +289,12 @@ impl RanProbe {
     /// simulated time advanced per cycle is unchanged from the legacy
     /// full-batch probe, so the `ran.fleet.sim` attribution subtree
     /// keeps the same per-cycle nanosecond totals.
+    ///
+    /// A cell's goodput is the mean of every backlogged UE's burst
+    /// sample, scenario UEs included, and those UEs also count toward
+    /// the active-UE SDR and overhead penalty of the window: it is the
+    /// cell's mean per-UE goodput under the burst, not the probes' own
+    /// (ROADMAP 4(c) lists the fix, which moves `fabric_storm`'s digest).
     pub fn probe(&mut self) -> Vec<CellHealth> {
         let start = self.fleet.now();
         let end = SimNs(start.0 + self.probe_seconds as u64 * 1_000_000_000);

@@ -36,6 +36,11 @@ pub struct UlRequest {
 const PF_EWMA: f64 = 0.05;
 /// Floor on the tracked average to avoid division blow-ups at start-up.
 const PF_FLOOR: f64 = 1e-6;
+/// The largest proportional-fair weight a UE may carry. With the average
+/// floored at `PF_FLOOR` and efficiencies of a few bits per resource
+/// element, every share `weight · eff / avg` and their sum stay finite
+/// (~10¹³ at most), so the apportionment never divides by infinity.
+pub const MAX_PF_WEIGHT: f64 = 1e6;
 
 /// Per-cell MAC scheduler state.
 #[derive(Debug, Clone)]
@@ -69,28 +74,26 @@ impl MacScheduler {
         self.kind
     }
 
-    /// Divide `quota` PRBs among the requesting UEs.
+    /// Divide `quota` PRBs among the requesting UEs into a caller-owned
+    /// buffer (cleared first), as `(ue, prbs)` pairs in request order:
+    /// the TTI hot loop reuses one grants vector across slots.
     ///
-    /// Returns `(ue, prbs)` pairs. The sum of granted PRBs never exceeds
-    /// `quota`, and equals `quota` whenever any UE is backlogged.
-    pub fn allocate(&mut self, quota: u32, requests: &[UlRequest]) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        self.allocate_into(quota, requests, &mut out);
-        out
-    }
-
-    /// Allocation into a caller-owned buffer (cleared first): the TTI
-    /// hot loop reuses one grants vector across slots instead of
-    /// allocating per (slice, TTI) pair. Identical scheduling state
-    /// transitions to [`allocate`](Self::allocate).
+    /// The sum of granted PRBs never exceeds `quota`, and equals `quota`
+    /// whenever any UE is backlogged.
     pub fn allocate_into(&mut self, quota: u32, requests: &[UlRequest], out: &mut Vec<(u32, u32)>) {
         out.clear();
         if requests.is_empty() || quota == 0 {
             return;
         }
-        match self.kind {
-            SchedulerKind::RoundRobin => self.allocate_rr_into(quota, requests, out),
-            SchedulerKind::ProportionalFair => self.allocate_pf_into(quota, requests, out),
+        match (requests, self.kind) {
+            // A lone requester takes the whole quota under either
+            // discipline: what the round-robin split and the
+            // proportional-fair apportionment (`e / e · quota`, exact for
+            // a finite positive share) both compute, without their
+            // divisions, vectors and sort.
+            ([only], _) => out.push((only.ue, quota)),
+            (_, SchedulerKind::RoundRobin) => self.allocate_rr_into(quota, requests, out),
+            (_, SchedulerKind::ProportionalFair) => self.allocate_pf_into(quota, requests, out),
         }
         self.rr_turn = self.rr_turn.wrapping_add(1);
         debug_assert!(
@@ -122,12 +125,15 @@ impl MacScheduler {
             let avg = avg_bits.get(r.ue as usize).copied().unwrap_or(0.0);
             r.weight.max(0.0) * r.inst_eff.max(1e-9) / avg.max(PF_FLOOR)
         }));
-        if exact.iter().sum::<f64>() <= 0.0 {
-            // Every requester was weighted to zero; degrade to an equal
-            // split rather than dividing by zero below.
+        let mut total: f64 = exact.iter().sum();
+        if !(total > 0.0 && total.is_finite()) {
+            // Every requester was weighted to zero, or the shares
+            // overflowed (a weight past `MAX_PF_WEIGHT`, or an infinite
+            // efficiency, on a caller that skips the simulator's check):
+            // degrade to an equal split rather than apportioning by NaN.
             exact.fill(1.0);
+            total = requests.len() as f64;
         }
-        let total: f64 = exact.iter().sum();
         // Largest-remainder apportionment of the quota by weight.
         for (r, e) in requests.iter().zip(exact.iter_mut()) {
             *e = *e / total * quota as f64;
@@ -174,6 +180,13 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    /// [`MacScheduler::allocate_into`] into a fresh vector.
+    fn allocate(s: &mut MacScheduler, quota: u32, requests: &[UlRequest]) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        s.allocate_into(quota, requests, &mut out);
+        out
+    }
+
     fn reqs(n: u32) -> Vec<UlRequest> {
         (0..n)
             .map(|ue| UlRequest {
@@ -187,21 +200,21 @@ mod tests {
     #[test]
     fn empty_requests_grant_nothing() {
         let mut s = MacScheduler::new(SchedulerKind::RoundRobin);
-        assert!(s.allocate(100, &[]).is_empty());
-        assert!(s.allocate(0, &reqs(2)).is_empty());
+        assert!(allocate(&mut s, 100, &[]).is_empty());
+        assert!(allocate(&mut s, 0, &reqs(2)).is_empty());
     }
 
     #[test]
     fn single_ue_gets_all() {
         let mut s = MacScheduler::new(SchedulerKind::RoundRobin);
-        let g = s.allocate(106, &reqs(1));
+        let g = allocate(&mut s, 106, &reqs(1));
         assert_eq!(g, vec![(0, 106)]);
     }
 
     #[test]
     fn rr_split_is_even() {
         let mut s = MacScheduler::new(SchedulerKind::RoundRobin);
-        let g = s.allocate(100, &reqs(2));
+        let g = allocate(&mut s, 100, &reqs(2));
         assert_eq!(g.iter().map(|&(_, p)| p).sum::<u32>(), 100);
         assert_eq!(g[0].1, 50);
         assert_eq!(g[1].1, 50);
@@ -213,7 +226,7 @@ mod tests {
         // 101 PRBs / 2 UEs: one UE gets 51, alternating over TTIs.
         let mut got_extra = [0u32; 2];
         for _ in 0..10 {
-            let g = s.allocate(101, &reqs(2));
+            let g = allocate(&mut s, 101, &reqs(2));
             assert_eq!(g.iter().map(|&(_, p)| p).sum::<u32>(), 101);
             for (ue, p) in g {
                 if p == 51 {
@@ -228,7 +241,7 @@ mod tests {
     #[test]
     fn pf_full_quota_used() {
         let mut s = MacScheduler::new(SchedulerKind::ProportionalFair);
-        let g = s.allocate(106, &reqs(3));
+        let g = allocate(&mut s, 106, &reqs(3));
         assert_eq!(g.iter().map(|&(_, p)| p).sum::<u32>(), 106);
     }
 
@@ -239,7 +252,7 @@ mod tests {
         for _ in 0..50 {
             s.observe(0, 10_000.0);
         }
-        let g = s.allocate(100, &reqs(2));
+        let g = allocate(&mut s, 100, &reqs(2));
         let g0 = g.iter().find(|&&(ue, _)| ue == 0).unwrap().1;
         let g1 = g.iter().find(|&&(ue, _)| ue == 1).unwrap().1;
         assert!(g1 > g0, "starved UE must be favored: {g0} vs {g1}");
@@ -264,7 +277,7 @@ mod tests {
                 weight: 1.0,
             },
         ];
-        let g = s.allocate(120, &requests);
+        let g = allocate(&mut s, 120, &requests);
         let g0 = g.iter().find(|&&(ue, _)| ue == 0).unwrap().1;
         let g1 = g.iter().find(|&&(ue, _)| ue == 1).unwrap().1;
         assert!(g0 > 3 * g1, "high-SNR UE should dominate: {g0} vs {g1}");
@@ -289,7 +302,7 @@ mod tests {
                 weight: 4.0,
             },
         ];
-        let g = s.allocate(100, &requests);
+        let g = allocate(&mut s, 100, &requests);
         let g0 = g.iter().find(|&&(ue, _)| ue == 0).unwrap().1;
         let g1 = g.iter().find(|&&(ue, _)| ue == 1).unwrap().1;
         assert_eq!(g0 + g1, 100);
@@ -311,7 +324,7 @@ mod tests {
                 weight: 0.0,
             },
         ];
-        let g = s.allocate(100, &requests);
+        let g = allocate(&mut s, 100, &requests);
         assert_eq!(g.iter().map(|&(_, p)| p).sum::<u32>(), 100);
     }
 
@@ -321,7 +334,7 @@ mod tests {
             let mut s = MacScheduler::new(kind);
             for quota in [1u32, 7, 51, 106] {
                 for n in 1..=5 {
-                    let g = s.allocate(quota, &reqs(n));
+                    let g = allocate(&mut s, quota, &reqs(n));
                     assert!(g.iter().map(|&(_, p)| p).sum::<u32>() <= quota);
                 }
             }
@@ -352,9 +365,9 @@ mod tests {
         removed.remove(7);
         // Forgetting a UE the scheduler never saw is a no-op.
         removed.remove(99);
-        let expected = never.allocate(100, &pair);
-        assert_eq!(removed.allocate(100, &pair), expected);
-        assert_ne!(kept.allocate(100, &pair), expected);
+        let expected = allocate(&mut never, 100, &pair);
+        assert_eq!(allocate(&mut removed, 100, &pair), expected);
+        assert_ne!(allocate(&mut kept, 100, &pair), expected);
     }
 
     /// Proportional fair as it read before the dense average vector and
@@ -407,13 +420,93 @@ mod tests {
         }
     }
 
+    /// Round-robin as it read before the lone-requester grant, every `%`
+    /// in place: the oracle `rr_matches_the_original` holds the scheduler
+    /// to.
+    struct ParentRr {
+        rr_turn: u64,
+    }
+
+    impl ParentRr {
+        fn allocate(&mut self, quota: u32, requests: &[UlRequest]) -> Vec<(u32, u32)> {
+            let mut out = Vec::new();
+            if requests.is_empty() || quota == 0 {
+                return out;
+            }
+            let n = requests.len() as u32;
+            let base = quota / n;
+            let remainder = quota % n;
+            let offset = (self.rr_turn % n as u64) as u32;
+            out.extend(requests.iter().enumerate().map(|(i, r)| {
+                // Rotate which UEs receive the remainder PRBs.
+                let extra = if ((i as u32 + n - offset) % n) < remainder {
+                    1
+                } else {
+                    0
+                };
+                (r.ue, base + extra)
+            }));
+            self.rr_turn = self.rr_turn.wrapping_add(1);
+            out
+        }
+    }
+
+    #[test]
+    fn a_huge_pf_weight_keeps_the_grant_contract() {
+        // A share total past f64::MAX degrades to an equal split: by NaN
+        // shares the largest-remainder pass would grant 2 of 53 PRBs here.
+        for weight in [MAX_PF_WEIGHT, 1e305, f64::MAX] {
+            let heavy = UlRequest {
+                ue: 0,
+                inst_eff: 7.4,
+                weight,
+            };
+            let light = UlRequest {
+                ue: 1,
+                inst_eff: 3.0,
+                weight: 1.0,
+            };
+            let mut s = MacScheduler::new(SchedulerKind::ProportionalFair);
+            assert_eq!(allocate(&mut s, 53, &[heavy]), vec![(0, 53)]);
+            let g = allocate(&mut s, 53, &[heavy, light]);
+            assert_eq!(
+                g.iter().map(|&(_, p)| p).sum::<u32>(),
+                53,
+                "{weight:e}: {g:?}"
+            );
+            // Within the bound, the weight still decides the split.
+            if weight == MAX_PF_WEIGHT {
+                assert_eq!(g, vec![(0, 53), (1, 0)]);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// Random TTIs of 0–40 requesters (lone ones included) from a
+        /// drawn rotation, wrap-around included: every round-robin grant,
+        /// and the rotation it leaves, matches the original's.
+        #[test]
+        fn rr_matches_the_original(
+            rr_turn in prop_oneof![0u64..1_000, (u64::MAX - 50)..=u64::MAX],
+            ttis in proptest::collection::vec((0u32..=273, 0u32..=40), 1..40),
+        ) {
+            let mut sched = MacScheduler::new(SchedulerKind::RoundRobin);
+            sched.rr_turn = rr_turn;
+            let mut original = ParentRr { rr_turn };
+            for (quota, n) in ttis {
+                let requests = reqs(n);
+                prop_assert_eq!(allocate(&mut sched, quota, &requests), original.allocate(quota, &requests));
+                prop_assert_eq!(sched.rr_turn, original.rr_turn);
+            }
+        }
+
         /// Random TTIs over a sparse UE population: a subset requests with
         /// drawn efficiencies and weights (zero weights and exact ties
-        /// included), the grants are served at drawn rates, and now and
-        /// then a UE is removed. Every allocation matches the original's.
+        /// included), a quarter of the TTIs with a lone requester, the
+        /// grants are served at drawn rates, and now and then a UE is
+        /// removed. Every allocation matches the original's.
         #[test]
         fn pf_matches_the_map_based_original(
             quota in 1u32..=273,
@@ -422,15 +515,17 @@ mod tests {
                     proptest::collection::vec((0u32..40, 0u32..4, 0u32..3), 1..12),
                     0u32..1_000,
                     0u32..60,
+                    0u32..4,
                 ),
                 1..40,
             ),
         ) {
             let mut sched = MacScheduler::new(SchedulerKind::ProportionalFair);
             let mut original = MapPf::default();
-            for (draws, rate, forget) in ttis {
+            for (draws, rate, forget, lone) in ttis {
+                let draws = if lone == 0 { &draws[..1] } else { &draws[..] };
                 let mut requests: Vec<UlRequest> = Vec::new();
-                for (ue, eff, weight) in draws {
+                for &(ue, eff, weight) in draws {
                     if requests.iter().all(|r| r.ue != ue) {
                         requests.push(UlRequest {
                             ue,
@@ -439,7 +534,7 @@ mod tests {
                         });
                     }
                 }
-                let grants = sched.allocate(quota, &requests);
+                let grants = allocate(&mut sched, quota, &requests);
                 prop_assert_eq!(&grants, &original.allocate(quota, &requests));
                 for (ue, prbs) in grants {
                     let bits = (prbs * rate) as f64 * 0.37;
@@ -456,7 +551,8 @@ mod tests {
         /// The contract that made a per-TTI occupancy histogram a constant:
         /// with a non-zero quota and any request, either discipline grants
         /// one entry per request summing to exactly the quota — over drawn
-        /// efficiencies, weights (all zero, and ties), PF history, and more
+        /// efficiencies, weights (all zero, ties, the largest the simulator
+        /// accepts, and ones whose shares overflow), PF history, and more
         /// requesters than PRBs. A scheduler that under-allocated would fail
         /// here, and show per window in E2's granted/capacity.
         #[test]
@@ -465,7 +561,7 @@ mod tests {
             quota in prop_oneof![1u32..=8, 1u32..=273],
             zero_weights in proptest::bool::ANY,
             ttis in proptest::collection::vec(
-                (proptest::collection::vec((0u32..64, 0u32..6, 0u32..3), 1..24), 0u32..1_000),
+                (proptest::collection::vec((0u32..64, 0u32..6, 0usize..6), 1..24), 0u32..1_000),
                 1..30,
             ),
         ) {
@@ -482,11 +578,15 @@ mod tests {
                         requests.push(UlRequest {
                             ue,
                             inst_eff: eff as f64 * 1.7,
-                            weight: if zero_weights { 0.0 } else { weight as f64 * 0.5 },
+                            weight: if zero_weights {
+                                0.0
+                            } else {
+                                [0.0, 0.5, 1.0, MAX_PF_WEIGHT, 1e305, f64::MAX][weight]
+                            },
                         });
                     }
                 }
-                let grants = sched.allocate(quota, &requests);
+                let grants = allocate(&mut sched, quota, &requests);
                 prop_assert_eq!(grants.len(), requests.len());
                 let granted: u32 = grants.iter().map(|&(_, prbs)| prbs).sum();
                 prop_assert_eq!(granted, quota, "{:?}: {:?}", kind, requests);

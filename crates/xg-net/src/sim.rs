@@ -13,7 +13,7 @@ use crate::device::{DeviceClass, Modem, RadioProfile, UnitVariation};
 use crate::e2::{eff_to_cqi, CellIndication, SliceReport, UeReport};
 use crate::error::{NetError, Result};
 use crate::iperf::IperfRun;
-use crate::mac::{MacScheduler, UlRequest};
+use crate::mac::{MacScheduler, UlRequest, MAX_PF_WEIGHT};
 use crate::phy::{power_spread_db, res_per_prb_slot, LinkAdaptation, Scs};
 use crate::rat::{Duplex, SlotDir, SPECIAL_SLOT_UL_FRACTION};
 use crate::slice::{SliceId, Snssai};
@@ -408,11 +408,12 @@ impl LinkSimulator {
     }
 
     /// Set a UE's proportional-fair scheduler weight (RIC control).
-    /// Must be positive and finite; 1.0 restores the neutral weight.
+    /// Must be positive and at most [`MAX_PF_WEIGHT`], so the
+    /// scheduler's shares stay finite; 1.0 restores the neutral weight.
     pub fn set_pf_weight(&mut self, ue: UeHandle, weight: f64) -> Result<()> {
-        if !weight.is_finite() || weight <= 0.0 {
+        if !(weight > 0.0 && weight <= MAX_PF_WEIGHT) {
             return Err(NetError::InvalidParameter(format!(
-                "PF weight must be positive and finite, got {weight}"
+                "PF weight must be in (0, {MAX_PF_WEIGHT:e}], got {weight}"
             )));
         }
         self.ues
@@ -1406,10 +1407,23 @@ mod tests {
             sim.set_mcs_cap(ue, Some(0.0)),
             Err(NetError::InvalidParameter(_))
         ));
-        assert!(matches!(
-            sim.set_pf_weight(ue, f64::NAN),
-            Err(NetError::InvalidParameter(_))
-        ));
+        for weight in [
+            f64::NAN,
+            0.0,
+            -1.0,
+            MAX_PF_WEIGHT * 1.01,
+            1e305,
+            f64::INFINITY,
+        ] {
+            assert!(
+                matches!(
+                    sim.set_pf_weight(ue, weight),
+                    Err(NetError::InvalidParameter(_))
+                ),
+                "{weight:e}"
+            );
+        }
+        sim.set_pf_weight(ue, MAX_PF_WEIGHT).unwrap();
         assert!(sim.set_mcs_cap(UeHandle(9), None).is_err());
         assert!(sim.set_pf_weight(UeHandle(9), 1.0).is_err());
     }

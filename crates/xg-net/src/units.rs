@@ -22,14 +22,6 @@ impl fmt::Display for MHz {
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Mbps(pub f64);
 
-impl Mbps {
-    /// Throughput in bits per second.
-    #[inline]
-    pub fn bps(self) -> f64 {
-        self.0 * 1e6
-    }
-}
-
 impl fmt::Display for Mbps {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.2} Mbps", self.0)
@@ -117,11 +109,6 @@ mod tests {
     fn db_arithmetic() {
         assert_eq!((Db(10.0) + Db(5.0)).0, 15.0);
         assert_eq!((Db(10.0) - Db(5.0)).0, 5.0);
-    }
-
-    #[test]
-    fn mbps_conversion() {
-        assert_eq!(Mbps(1.5).bps(), 1_500_000.0);
     }
 
     #[test]

@@ -3,14 +3,23 @@
 //! The density `e^{−x²/2}` is covered by 256 layers of equal area `V`: a
 //! base strip (the rectangle under `x ≤ R` plus the tail beyond it) and 255
 //! rectangles stacked on it. A draw takes one `next_u64`: its low 8 bits
-//! pick a layer `i`, bit 11 a sign and the top 52 bits a magnitude
-//! `m ∈ (0, 1)`, and `x = ±m·X[i]`. When `|x| < X[i+1]` the point lies
-//! under the curve whatever its height, and `x` is returned — ~99 % of
-//! draws end there, on a multiply and a compare. Otherwise the point is in
-//! layer `i`'s wedge, accepted against `e^{−x²/2}` by one more uniform, or
-//! (layer 0) in the tail, sampled by Marsaglia's exponential method. Both
-//! rare paths use [`crate::math`], so every draw is a function of the
-//! stream alone, on any host.
+//! pick a layer `i`, bit 11 a sign and the top 52 bits `k` a magnitude
+//! `m = (2k+1)·2⁻⁵³ ∈ (0, 1)`, and `x = ±m·X[i]`. When `m·X[i] < X[i+1]`
+//! the point lies under the curve whatever its height, and `x` is returned
+//! — ~99 % of draws end there. That fast path is inlined into the caller
+//! and is one word, one multiply, one compare: `m` is built by writing `k`
+//! under the exponent of 1.0 and subtracting (no int→float conversion),
+//! and the sign is one XOR into the product's sign bit (no branch to
+//! mispredict). The conversion matters more than its latency suggests:
+//! `cvtsi2sd` writes only the low lane of its register, so without a
+//! dependency-breaking `xorps` every draw waits for the caller's last
+//! long-latency write of that register; a version that kept it ran 4.5×
+//! faster on its own yet made the RAN slot loop slower. Otherwise the
+//! point is in layer `i`'s wedge, accepted against `e^{−x²/2}` by one
+//! more uniform, or (layer 0) in the tail, sampled by Marsaglia's
+//! exponential method; both live out of line in `rare`. They use
+//! [`crate::math`], so every draw is a function of the stream alone, on
+//! any host.
 //!
 //! The layer edges `X` and heights `F = e^{−X²/2}` are `static`s the
 //! compiler computes from `R` and `V` (Marsaglia & Tsang, "The Ziggurat
@@ -66,36 +75,60 @@ pub static LAYER_X: [f64; LAYERS + 1] = LAYER_TABLES.0;
 /// `e^{−X[i]²/2}` for each edge of [`LAYER_X`].
 pub static LAYER_F: [f64; LAYERS + 1] = LAYER_TABLES.1;
 
-/// `2⁻⁵²`.
-const TWO_POW_M52: f64 = 1.0 / (1u64 << 52) as f64;
 /// `2⁻⁵³`.
 const TWO_POW_M53: f64 = 1.0 / (1u64 << 53) as f64;
+/// The bits of `1.0`: a 52-bit integer OR-ed under them reads `1 + k·2⁻⁵²`.
+const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
 
 /// Uniform on `[0, 1)` from the top 53 bits of one draw.
 fn unit<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     (rng.next_u64() >> 11) as f64 * TWO_POW_M53
 }
 
+/// One word's layer `i`, its candidate `x = ±m·X[i]`, and whether `|x|`
+/// lies inside the next layer's edge (the draw is accepted as it stands).
+///
+/// `m = (1 + k·2⁻⁵²) − 1 + 2⁻⁵³` is exact at each step (the subtraction
+/// by Sterbenz, the sum because `(2k+1)·2⁻⁵³` has 53 significant bits),
+/// so it equals `(k + ½)·2⁻⁵²` bit for bit; and flipping the sign bit of
+/// `m·X` is exact because IEEE rounding is symmetric, `(−m)·X = −(m·X)`.
+#[inline(always)]
+fn candidate(bits: u64) -> (usize, f64, bool) {
+    let i = (bits & 0xff) as usize;
+    let m = (f64::from_bits(ONE_BITS | bits >> 12) - 1.0) + TWO_POW_M53;
+    let y = m * LAYER_X[i];
+    let x = f64::from_bits(y.to_bits() ^ ((bits & 1 << 11) << 52));
+    (i, x, y < LAYER_X[i + 1])
+}
+
 /// One standard normal variate.
+#[inline]
 pub fn standard<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+    let (i, x, inside) = candidate(rng.next_u64());
+    if inside {
+        return x;
+    }
+    rare(rng, i, x)
+}
+
+/// The ~1 % of draws whose first word falls outside its layer's core:
+/// the tail (layer 0), or a wedge test that accepts `x` or redraws a whole
+/// word and starts over.
+#[cold]
+#[inline(never)]
+fn rare<R: RngCore + ?Sized>(rng: &mut R, mut i: usize, mut x: f64) -> f64 {
     loop {
-        let bits = rng.next_u64();
-        let i = (bits & 0xff) as usize;
-        let magnitude = ((bits >> 12) as f64 + 0.5) * TWO_POW_M52;
-        let x = if bits & (1 << 11) == 0 {
-            magnitude * LAYER_X[i]
-        } else {
-            -magnitude * LAYER_X[i]
-        };
-        if x.abs() < LAYER_X[i + 1] {
-            return x;
-        }
         if i == 0 {
             let tail = tail(rng);
             return if x < 0.0 { -tail } else { tail };
         }
         let height = LAYER_F[i] + unit(rng) * (LAYER_F[i + 1] - LAYER_F[i]);
         if height < math::exp(-0.5 * x * x) {
+            return x;
+        }
+        let inside;
+        (i, x, inside) = candidate(rng.next_u64());
+        if inside {
             return x;
         }
     }
@@ -127,6 +160,36 @@ mod tests {
         let u1: f64 = 1.0 - rng.gen::<f64>();
         let u2: f64 = rng.gen();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+
+    /// `2⁻⁵²`.
+    const TWO_POW_M52: f64 = 1.0 / (1u64 << 52) as f64;
+
+    /// The sampler as it read before the inline fast path, verbatim: the
+    /// oracle `fast_path_matches_the_parent_bit_for_bit` holds
+    /// [`standard`] to. It shares only the tables, `unit` and `tail`.
+    fn parent_standard<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+        loop {
+            let bits = rng.next_u64();
+            let i = (bits & 0xff) as usize;
+            let magnitude = ((bits >> 12) as f64 + 0.5) * TWO_POW_M52;
+            let x = if bits & (1 << 11) == 0 {
+                magnitude * LAYER_X[i]
+            } else {
+                -magnitude * LAYER_X[i]
+            };
+            if x.abs() < LAYER_X[i + 1] {
+                return x;
+            }
+            if i == 0 {
+                let tail = tail(rng);
+                return if x < 0.0 { -tail } else { tail };
+            }
+            let height = LAYER_F[i] + unit(rng) * (LAYER_F[i + 1] - LAYER_F[i]);
+            if height < math::exp(-0.5 * x * x) {
+                return x;
+            }
+        }
     }
 
     /// `Φ(x)` to ~1e-15 absolute: `erf(z) = 2/√π · e^{−z²} · Σ 2ⁿ z^{2n+1}
@@ -284,5 +347,110 @@ mod tests {
     #[test]
     fn same_stream_same_variates() {
         assert_eq!(draws(9, 1_000, standard), draws(9, 1_000, standard));
+    }
+
+    /// Words from a script, then from a seeded stream, counted: every
+    /// branch of the sampler is reached by choosing the first words.
+    struct Scripted {
+        script: Vec<u64>,
+        rest: StdRng,
+        taken: usize,
+    }
+
+    impl Scripted {
+        fn new(script: &[u64]) -> Self {
+            Scripted {
+                script: script.to_vec(),
+                rest: StdRng::seed_from_u64(0x5C21),
+                taken: 0,
+            }
+        }
+    }
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.taken += 1;
+            match self.script.get(self.taken - 1) {
+                Some(&word) => word,
+                None => self.rest.next_u64(),
+            }
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.rest.fill_bytes(dest)
+        }
+    }
+
+    /// A word with layer `i`, magnitude bits `k` and the sign bit set or
+    /// clear.
+    fn word(i: u64, k: u64, negative: bool) -> u64 {
+        k << 12 | (negative as u64) << 11 | i
+    }
+
+    #[test]
+    fn fast_path_matches_the_parent_bit_for_bit() {
+        // 2.5 million draws from each of four seeds, compared as bits.
+        for seed in [42, 7, 13, 0xDEAD_BEEF] {
+            let (mut new, mut old) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for n in 0..2_500_000 {
+                let (a, b) = (standard(&mut new), parent_standard(&mut old));
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "seed {seed}, draw {n}: {a} vs {b}"
+                );
+            }
+            assert_eq!(
+                new.next_u64(),
+                old.next_u64(),
+                "seed {seed}: streams diverged"
+            );
+        }
+
+        // Scripted first words that reach each branch: (script, the words
+        // the draw must take, or `None` for "more than two", and whether
+        // the first word's sign bit is the variate's sign).
+        let top = (1u64 << 52) - 1;
+        // A wedge point of layer 100, halfway between its two edges.
+        let mid = (LAYER_X[100] + LAYER_X[101]) / (2.0 * LAYER_X[100]);
+        let k_mid = (mid * (1u64 << 52) as f64) as u64;
+        let mut cases: Vec<(Vec<u64>, Option<usize>, bool)> = Vec::new();
+        for negative in [false, true] {
+            cases.extend([
+                // The smallest magnitude, and a middling one, in a core.
+                (vec![word(7, 0, negative)], Some(1), true),
+                (vec![word(0, 0, negative)], Some(1), true),
+                (vec![word(1, top / 2, negative)], Some(1), true),
+                // The largest magnitude is past every core: layer 0's
+                // tail (two uniforms per attempt), or a wedge rejected at
+                // the highest height and redrawn from a whole new word.
+                (vec![word(0, top, negative)], None, true),
+                (vec![word(200, top, negative), u64::MAX], None, false),
+                // A wedge accept (lowest height) and a wedge reject.
+                (vec![word(100, k_mid, negative), 0], Some(2), true),
+                (vec![word(100, k_mid, negative), u64::MAX], None, false),
+                // The top layer has no core: always a wedge test.
+                (vec![word(255, 0, negative), 0], Some(2), true),
+            ]);
+        }
+        for (script, words, first_word_signs) in cases {
+            let (mut new, mut old) = (Scripted::new(&script), Scripted::new(&script));
+            let (a, b) = (standard(&mut new), parent_standard(&mut old));
+            assert_eq!(a.to_bits(), b.to_bits(), "{script:x?}: {a} vs {b}");
+            assert_eq!(new.taken, old.taken, "{script:x?}");
+            match words {
+                Some(n) => assert_eq!(new.taken, n, "{script:x?}"),
+                None => assert!(new.taken > 2, "{script:x?} took {}", new.taken),
+            }
+            if first_word_signs {
+                assert_eq!(
+                    a < 0.0,
+                    script[0] & 1 << 11 != 0,
+                    "{script:x?}: sign of {a}"
+                );
+            }
+        }
     }
 }

@@ -50,8 +50,9 @@ proptest! {
         let requests: Vec<UlRequest> = (0..n_ues)
             .map(|i| UlRequest { ue: i as u32, inst_eff: effs[i], weight: 1.0 })
             .collect();
+        let mut grants = Vec::new();
         for _ in 0..5 {
-            let grants = sched.allocate(quota, &requests);
+            sched.allocate_into(quota, &requests, &mut grants);
             let total: u32 = grants.iter().map(|&(_, p)| p).sum();
             prop_assert!(total <= quota, "over-allocation: {total} > {quota}");
             prop_assert_eq!(total, quota, "quota must be exhausted");
@@ -60,7 +61,7 @@ proptest! {
             ues.sort_unstable();
             ues.dedup();
             prop_assert_eq!(ues.len(), grants.len());
-            for (ue, bits) in grants {
+            for &(ue, bits) in &grants {
                 sched.observe(ue, bits as f64);
             }
         }
