@@ -107,6 +107,10 @@ impl Detect {
     /// samples have arrived since the last one; otherwise, with
     /// telemetry still parked at the gateway (`backlog`), the deferral
     /// clock starts.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug-build check that the Laminar and direct detectors agree; release builds compile it out"
+    )]
     pub(crate) fn cycle(
         &mut self,
         now_s: f64,

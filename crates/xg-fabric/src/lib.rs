@@ -49,6 +49,7 @@
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
 
 pub mod backtest;
 mod detect;

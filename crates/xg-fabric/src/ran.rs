@@ -124,6 +124,10 @@ impl Default for RanTopology {
 impl RanTopology {
     /// A topology of `names.len()` paper-default cells with the gateway
     /// pinned to the first.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a constructor precondition, checked once before any event runs"
+    )]
     pub fn with_cells(names: &[&str]) -> Self {
         assert!(!names.is_empty(), "a topology needs at least one cell");
         RanTopology {

@@ -29,6 +29,10 @@ pub struct ShadowingChannel {
 
 impl ShadowingChannel {
     /// Create a channel with the given correlation and standard deviations.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a constructor precondition, checked once before any event runs"
+    )]
     pub fn new(rho: f64, sigma_shadow: f64, sigma_fast: f64) -> Self {
         assert!((0.0..1.0).contains(&rho), "rho must be in [0,1)");
         ShadowingChannel {

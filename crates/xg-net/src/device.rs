@@ -126,6 +126,10 @@ impl RadioProfile {
     ///
     /// Panics if the modem does not support the RAT; call
     /// [`Modem::supports`] first when handling user input.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a documented precondition on configuration, checked before any event runs"
+    )]
     pub fn lookup(device: DeviceClass, modem: Modem, rat: Rat) -> RadioProfile {
         assert!(
             modem.supports(rat),

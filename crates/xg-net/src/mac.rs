@@ -80,6 +80,10 @@ impl MacScheduler {
     ///
     /// The sum of granted PRBs never exceeds `quota`, and equals `quota`
     /// whenever any UE is backlogged.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug-build check that the grant fits the quota; release builds compile it out"
+    )]
     pub fn allocate_into(&mut self, quota: u32, requests: &[UlRequest], out: &mut Vec<(u32, u32)>) {
         out.clear();
         if requests.is_empty() || quota == 0 {

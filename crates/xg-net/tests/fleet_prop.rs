@@ -2,6 +2,10 @@
 //! must be bitwise-identical to serial for arbitrary seeds, fleet
 //! shapes, and worker-pool widths.
 
+// Tests abort on failure by design; the crate's assert ban is for the
+// event engine.
+#![allow(clippy::disallowed_macros)]
+
 use proptest::prelude::*;
 use xg_net::prelude::*;
 

@@ -18,7 +18,7 @@
 //!
 //! Three recording surfaces:
 //!
-//! * [`Profiler::scope`] / [`ProfScope::child`] — wall-clock scoped
+//! * [`Profiler::scope`] / [`Profiler::scope_under`] — wall-clock scoped
 //!   guards for hot paths (fleet cell stepping, CFD sweeps, the RIC
 //!   period, CSPOT remote appends);
 //! * [`Profiler::record_at`] — explicit durations for deterministic
@@ -248,15 +248,6 @@ impl<'a> ProfScope<'a> {
         &self.path
     }
 
-    /// Open a child scope (time attributed under this scope's path).
-    pub fn child(&self, name: &str) -> ProfScope<'a> {
-        ProfScope {
-            prof: self.prof,
-            path: join(&self.path, name),
-            start_ns: wall_now_ns(),
-        }
-    }
-
     /// Close the scope now (equivalent to dropping it).
     pub fn finish(self) {}
 }
@@ -367,12 +358,12 @@ mod tests {
     fn scoped_guards_build_a_tree_with_self_and_child_time() {
         let prof = Profiler::with_stripes(1);
         {
-            let cycle = prof.scope("cycle");
+            let _cycle = prof.scope("cycle");
             {
-                let _probe = cycle.child("ran.probe");
+                let _probe = prof.scope_under("cycle", "ran.probe");
                 std::hint::black_box(0);
             }
-            cycle.child("gateway.ship").finish();
+            prof.scope_under("cycle", "gateway.ship").finish();
         }
         let snap = prof.snapshot();
         let cycle = &snap.nodes["cycle"];

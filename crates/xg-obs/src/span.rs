@@ -139,7 +139,6 @@ impl Tracer {
             parent,
             name: name.to_string(),
             start_us: wall_now_us(),
-            attrs: Vec::new(),
             done: false,
         }
     }
@@ -181,16 +180,10 @@ pub struct WallSpan<'a> {
     parent: Option<SpanId>,
     name: String,
     start_us: u64,
-    attrs: Vec<(String, String)>,
     done: bool,
 }
 
 impl WallSpan<'_> {
-    /// Attach an annotation.
-    pub fn attr(&mut self, key: &str, value: impl ToString) {
-        self.attrs.push((key.to_string(), value.to_string()));
-    }
-
     /// Finish now and return the recorded span id.
     pub fn finish(mut self) -> SpanId {
         self.done = true;
@@ -201,7 +194,7 @@ impl WallSpan<'_> {
             ClockDomain::Wall,
             self.start_us,
             wall_now_us(),
-            std::mem::take(&mut self.attrs),
+            Vec::new(),
         )
     }
 }
@@ -216,7 +209,7 @@ impl Drop for WallSpan<'_> {
                 ClockDomain::Wall,
                 self.start_us,
                 wall_now_us(),
-                std::mem::take(&mut self.attrs),
+                Vec::new(),
             );
         }
     }
@@ -252,9 +245,7 @@ mod tests {
     fn wall_span_guard_records_on_finish_and_drop() {
         let t = Tracer::new();
         let trace = t.new_trace();
-        let mut s = t.start_wall(trace, None, "solve");
-        s.attr("cells", 42);
-        s.finish();
+        t.start_wall(trace, None, "solve").finish();
         {
             let _dropped = t.start_wall(trace, None, "sweep");
         }
@@ -262,10 +253,6 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "solve");
         assert_eq!(spans[0].domain, ClockDomain::Wall);
-        assert_eq!(
-            spans[0].attrs,
-            vec![("cells".to_string(), "42".to_string())]
-        );
         assert_eq!(spans[1].name, "sweep");
         assert!(spans[1].end_us >= spans[1].start_us);
     }

@@ -37,12 +37,14 @@
 //! `benchmark/README.md`).
 
 // Non-test library code must thread typed errors instead of panicking.
-// These lints are the gate (CI runs clippy with `-D warnings`); a site
-// that must abort carries `#[expect(clippy::expect_used, reason = …)]`.
+// These lints, and the assert-family ban in this crate's clippy.toml,
+// are the gate (CI runs clippy with `-D warnings`); a site that must
+// abort carries `#[expect(clippy::expect_used, reason = …)]`.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
 
 pub mod math;
 pub mod normal;

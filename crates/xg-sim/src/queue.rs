@@ -234,6 +234,10 @@ impl<E> EventQueue<E> {
 
     /// Move the clock to `t` after a drain (no events may remain due at
     /// or before `t`; the skipped span is exactly the idle time saved).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug-build check of the caller's contract; release builds compile it out"
+    )]
     pub fn drain_clock_to(&mut self, t: SimNs) {
         debug_assert!(
             self.peek_at().map(|at| at > t).unwrap_or(true),
