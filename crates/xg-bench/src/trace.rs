@@ -36,7 +36,7 @@ pub fn trace_ids(spans: &[SpanRecord]) -> Vec<TraceId> {
 /// duration lands at its ancestor-chain path, exactly as the live
 /// profiler ingests cycles.
 pub fn attribution(spans: &[SpanRecord]) -> (ProfileSnapshot, usize) {
-    let prof = Profiler::with_stripes(1);
+    let prof = Profiler::new();
     prof.record_trace(spans);
     (prof.snapshot(), trace_ids(spans).len())
 }

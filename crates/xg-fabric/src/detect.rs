@@ -107,10 +107,6 @@ impl Detect {
     /// samples have arrived since the last one; otherwise, with
     /// telemetry still parked at the gateway (`backlog`), the deferral
     /// clock starts.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug-build check that the Laminar and direct detectors agree; release builds compile it out"
-    )]
     pub(crate) fn cycle(
         &mut self,
         now_s: f64,
@@ -149,7 +145,7 @@ impl Detect {
             .read("detect", epoch)?
             .and_then(|v| v.as_bool())
             .unwrap_or(false);
-        debug_assert_eq!(changed, vote.changed, "Laminar and direct paths agree");
+        debug_check_agree(changed, vote.changed);
         self.detections += 1;
         self.wind_seq_at_last_detect = repo_seq;
         let inflation_s = self
@@ -167,6 +163,16 @@ impl Detect {
             inflation_s,
         }))
     }
+}
+
+/// Debug builds check that the Laminar and direct detectors agree;
+/// release builds compile the check out.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a debug-build check that the Laminar and direct detectors agree; release builds compile it out"
+)]
+fn debug_check_agree(laminar: bool, direct: bool) {
+    debug_assert_eq!(laminar, direct, "Laminar and direct paths agree");
 }
 
 #[cfg(test)]

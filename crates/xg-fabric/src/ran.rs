@@ -121,15 +121,21 @@ impl Default for RanTopology {
     }
 }
 
+/// Panics on an empty cell list: [`RanTopology::with_cells`] pins the
+/// gateway to the first cell.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a constructor precondition, checked once before any event runs"
+)]
+fn check_nonempty(names: &[&str]) {
+    assert!(!names.is_empty(), "a topology needs at least one cell");
+}
+
 impl RanTopology {
     /// A topology of `names.len()` paper-default cells with the gateway
     /// pinned to the first.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a constructor precondition, checked once before any event runs"
-    )]
     pub fn with_cells(names: &[&str]) -> Self {
-        assert!(!names.is_empty(), "a topology needs at least one cell");
+        check_nonempty(names);
         RanTopology {
             cells: names
                 .iter()

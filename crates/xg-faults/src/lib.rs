@@ -23,7 +23,8 @@ use xg_cspot::outage::{OutageConfig, OutageProcess};
 /// One kind of injectable fault, spanning every layer of the stack.
 ///
 /// Identity matters: two entries with the same `FaultKind` value target
-/// the same resource, and [`FaultPlan::is_active`] compares by equality.
+/// the same resource, so readers of [`FaultPlan::active`] compare kinds by
+/// equality.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Both directions of a WAN route drop everything
@@ -163,8 +164,6 @@ struct Entry {
     /// Exact cumulative active time (s), including activity that starts
     /// and ends between observations.
     active_s: f64,
-    /// Times the fault became active.
-    activations: usize,
 }
 
 /// Builder for a [`FaultPlan`].
@@ -186,7 +185,6 @@ impl FaultPlanBuilder {
             },
             active: false,
             active_s: 0.0,
-            activations: 0,
         });
         self
     }
@@ -206,7 +204,6 @@ impl FaultPlanBuilder {
             source: Source::Stochastic(OutageProcess::new(config, stream)),
             active: false,
             active_s: 0.0,
-            activations: 0,
         });
         self
     }
@@ -299,28 +296,15 @@ impl FaultPlan {
             let was = e.active;
             match &mut e.source {
                 Source::Scripted { start_s, end_s } => {
-                    let overlap = (t.min(*end_s) - prev.max(*start_s)).max(0.0);
-                    e.active_s += overlap;
+                    // A window that fell wholly between observations still
+                    // counts as downtime.
+                    e.active_s += (t.min(*end_s) - prev.max(*start_s)).max(0.0);
                     e.active = *start_s <= t && t < *end_s;
-                    if e.active && !was {
-                        e.activations += 1;
-                    } else if !e.active && !was && overlap > 0.0 {
-                        // The whole window fell between observations: it
-                        // still counts as an activation (and as downtime).
-                        e.activations += 1;
-                    }
                 }
                 Source::Stochastic(p) => {
-                    let (transitions, down_s) = p.advance_time(t);
+                    let (_, down_s) = p.advance_time(t);
                     e.active_s += down_s;
                     e.active = !p.is_up();
-                    // Entries into the down state among `transitions`
-                    // alternating flips, given the state we started in.
-                    e.activations += if was {
-                        transitions / 2
-                    } else {
-                        transitions.div_ceil(2)
-                    };
                 }
             }
             if e.active != was {
@@ -342,11 +326,6 @@ impl FaultPlan {
             .filter(|e| e.active)
             .map(|e| &e.kind)
             .collect()
-    }
-
-    /// Whether this exact fault is currently active.
-    pub fn is_active(&self, kind: &FaultKind) -> bool {
-        self.entries.iter().any(|e| e.active && e.kind == *kind)
     }
 
     /// Human-readable summary of the currently active faults, or
@@ -375,20 +354,18 @@ impl FaultPlan {
             .map(|e| e.active_s)
             .sum()
     }
-
-    /// Number of activations across entries matching `pred`.
-    pub fn activations<F: Fn(&FaultKind) -> bool>(&self, pred: F) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| pred(&e.kind))
-            .map(|e| e.activations)
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// Whether this exact fault is currently active.
+        fn is_active(&self, kind: &FaultKind) -> bool {
+            self.entries.iter().any(|e| e.active && e.kind == *kind)
+        }
+    }
 
     fn partition_5g() -> FaultKind {
         FaultKind::RoutePartition {
@@ -411,9 +388,8 @@ mod tests {
         let ch = plan.advance_to(160.0);
         assert_eq!(ch.len(), 1);
         assert!(!ch[0].active);
-        // Exactly 50 s of downtime, one activation, no rounding.
+        // Exactly 50 s of downtime, no rounding.
         assert!((plan.active_seconds(|_| true) - 50.0).abs() < 1e-9);
-        assert_eq!(plan.activations(|_| true), 1);
     }
 
     #[test]
@@ -422,11 +398,10 @@ mod tests {
             .scripted(100.0, 50.0, partition_5g())
             .build();
         // Jump straight over the window: never visibly active, but the
-        // downtime and the activation are both recorded.
+        // downtime is recorded.
         let ch = plan.advance_to(1000.0);
         assert!(ch.is_empty(), "state never visibly changed");
         assert!((plan.active_seconds(|_| true) - 50.0).abs() < 1e-9);
-        assert_eq!(plan.activations(|_| true), 1);
         assert!((plan.active_seconds(|_| true) / plan.now_s - 0.05).abs() < 1e-9);
     }
 
@@ -470,7 +445,6 @@ mod tests {
             "availability {measured} vs {}",
             cfg.availability()
         );
-        assert!(plan.activations(|_| true) > 1_000);
     }
 
     #[test]
@@ -585,7 +559,6 @@ mod tests {
             (plan.active_seconds(|k| matches!(k, FaultKind::CellPartition { .. })) - 30.0).abs()
                 < 1e-9
         );
-        assert_eq!(plan.activations(|_| true), 2);
     }
 
     #[test]

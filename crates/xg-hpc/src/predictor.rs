@@ -3,14 +3,12 @@
 //! resource allocations in order to better avoid batch queueing delays").
 //!
 //! [`QueueWaitPredictor`] learns per-size queue-wait estimates from the
-//! cluster's completed-job records (the signal a real deployment gets from
-//! `squeue`/`qstat` history). [`AdaptivePilotPlanner`] turns the estimate
+//! waits the pilot controller observes (the signal a real deployment gets
+//! from `squeue`/`qstat` history). [`AdaptivePilotPlanner`] turns the estimate
 //! into a submission lead time: submit the next pilot early enough that it
 //! activates by the time the current one expires — proactive behaviour
 //! whose idle cost adapts to the actual queue, rather than a fixed warm
 //! pool.
-
-use crate::cluster::{ClusterSim, JobRecord};
 
 /// Node-count buckets for wait statistics (1, 2-4, 5-16, 17+).
 fn bucket(nodes: u32) -> usize {
@@ -29,8 +27,6 @@ pub struct QueueWaitPredictor {
     pub alpha: f64,
     estimates_s: [f64; 4],
     observations: [u64; 4],
-    /// Records already consumed (index into the cluster's record list).
-    cursor: usize,
 }
 
 impl QueueWaitPredictor {
@@ -41,25 +37,7 @@ impl QueueWaitPredictor {
             alpha,
             estimates_s: [0.0; 4],
             observations: [0; 4],
-            cursor: 0,
         }
-    }
-
-    /// Ingest any new completed-job records from the cluster.
-    pub fn ingest(&mut self, cluster: &ClusterSim) {
-        let records = cluster.records();
-        for r in &records[self.cursor.min(records.len())..] {
-            self.observe(r);
-        }
-        self.cursor = records.len();
-    }
-
-    fn observe(&mut self, record: &JobRecord) {
-        // Completed-job records do not carry node counts, so bulk ingest
-        // attributes them to the single-node bucket — the size the pilot
-        // controller's placeholder jobs use. Call [`Self::observe_wait`]
-        // for explicitly sized observations.
-        self.update(0, record.queue_wait_s);
     }
 
     /// Record an explicit `(nodes, wait)` observation.
@@ -142,7 +120,6 @@ impl AdaptivePilotPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::JobRequest;
 
     #[test]
     fn cold_start_predicts_zero() {
@@ -167,30 +144,6 @@ mod tests {
                                   // Unseen bucket 0 falls back to the nearest informed one.
         assert_eq!(p.predict_s(1), 500.0);
         assert_eq!(p.predict_s(64), 500.0);
-    }
-
-    #[test]
-    fn ingest_consumes_cluster_records_incrementally() {
-        let mut cluster = ClusterSim::new(2);
-        let mut p = QueueWaitPredictor::new(0.5);
-        cluster.submit(JobRequest {
-            nodes: 2,
-            walltime_s: 100.0,
-            runtime_s: 100.0,
-        });
-        cluster.submit(JobRequest {
-            nodes: 2,
-            walltime_s: 100.0,
-            runtime_s: 100.0,
-        });
-        cluster.advance_to(300.0);
-        p.ingest(&cluster);
-        assert_eq!(p.observation_count(), 2);
-        // Second job waited 100 s; EWMA of [0, 100] at alpha 0.5 = 50.
-        assert!((p.predict_s(1) - 50.0).abs() < 1e-9);
-        // Re-ingesting adds nothing.
-        p.ingest(&cluster);
-        assert_eq!(p.observation_count(), 2);
     }
 
     #[test]

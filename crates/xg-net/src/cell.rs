@@ -4,7 +4,6 @@ use crate::error::Result;
 use crate::mac::SchedulerKind;
 use crate::phy::{prb_count, Scs};
 use crate::rat::{Duplex, Rat};
-use crate::sdr::SdrFrontend;
 use crate::slice::SliceConfig;
 use crate::units::MHz;
 
@@ -19,8 +18,6 @@ pub struct CellConfig {
     pub bandwidth: MHz,
     /// Subcarrier spacing.
     pub scs: Scs,
-    /// RF front end.
-    pub sdr: SdrFrontend,
     /// Slice table.
     pub slices: SliceConfig,
     /// MAC scheduling discipline.
@@ -31,8 +28,8 @@ pub struct CellConfig {
 
 impl CellConfig {
     /// Build a cell with the deployment defaults the paper uses:
-    /// 15 kHz SCS for LTE and NR FDD, 30 kHz for NR TDD; B210 front end;
-    /// round-robin scheduling; a single unsliced grid; 32-UE capacity.
+    /// 15 kHz SCS for LTE and NR FDD, 30 kHz for NR TDD; round-robin
+    /// scheduling; a single unsliced grid; 32-UE capacity.
     pub fn new(rat: Rat, duplex: Duplex, bandwidth: MHz) -> Self {
         let scs = match (rat, &duplex) {
             (Rat::Lte4g, _) => Scs::Khz15,
@@ -44,7 +41,6 @@ impl CellConfig {
             duplex,
             bandwidth,
             scs,
-            sdr: SdrFrontend::production(),
             slices: SliceConfig::unsliced(),
             scheduler: SchedulerKind::RoundRobin,
             max_ues: 32,

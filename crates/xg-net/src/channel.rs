@@ -27,14 +27,20 @@ pub struct ShadowingChannel {
     state: f64,
 }
 
+/// Panics unless `rho` is in `[0, 1)`: the AR(1) recursion diverges
+/// otherwise.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a constructor precondition, checked once before any event runs"
+)]
+fn check_rho(rho: f64) {
+    assert!((0.0..1.0).contains(&rho), "rho must be in [0,1)");
+}
+
 impl ShadowingChannel {
     /// Create a channel with the given correlation and standard deviations.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a constructor precondition, checked once before any event runs"
-    )]
     pub fn new(rho: f64, sigma_shadow: f64, sigma_fast: f64) -> Self {
-        assert!((0.0..1.0).contains(&rho), "rho must be in [0,1)");
+        check_rho(rho);
         ShadowingChannel {
             rho,
             shadow_gain: (1.0 - rho * rho).sqrt() * sigma_shadow,

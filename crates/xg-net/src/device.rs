@@ -121,20 +121,26 @@ pub struct RadioProfile {
     pub host_cap_mbps: Option<f64>,
 }
 
+/// Panics unless `modem` supports `rat`: [`RadioProfile::lookup`]'s
+/// precondition.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a documented precondition on configuration, checked before any event runs"
+)]
+fn check_supports(modem: Modem, rat: Rat) {
+    assert!(
+        modem.supports(rat),
+        "{modem:?} does not support {rat:?}; pick a compatible modem"
+    );
+}
+
 impl RadioProfile {
     /// Look up the calibrated profile for a device + modem on a RAT.
     ///
     /// Panics if the modem does not support the RAT; call
     /// [`Modem::supports`] first when handling user input.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a documented precondition on configuration, checked before any event runs"
-    )]
     pub fn lookup(device: DeviceClass, modem: Modem, rat: Rat) -> RadioProfile {
-        assert!(
-            modem.supports(rat),
-            "{modem:?} does not support {rat:?}; pick a compatible modem"
-        );
+        check_supports(modem, rat);
         use DeviceClass::*;
         match (device, rat) {
             (Laptop, Rat::Lte4g) => calib::LAPTOP_4G,

@@ -23,10 +23,11 @@
 //!   [`LinkSimulator`]'s event engine, so a mostly-quiet fleet advances
 //!   in O(active slots), not O(elapsed slots).
 //!
-//! Observability: all cells share the fleet's [`Obs`] handle. The
-//! per-UE/per-TTI instruments are mergeable striped histograms and
-//! counters, so concurrent recording from worker threads is safe and the
-//! merged snapshot is independent of thread interleaving.
+//! Observability: all cells share the fleet's [`Obs`] handle. Its
+//! counters are atomics and its histograms and profiler each sit behind
+//! one lock, so concurrent recording from worker threads is safe; counts
+//! and integer nanoseconds add exactly, so the snapshot is independent
+//! of thread interleaving.
 
 use crate::cell::CellConfig;
 use crate::device::{DeviceClass, Modem, UnitVariation};

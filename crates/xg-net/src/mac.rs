@@ -80,10 +80,6 @@ impl MacScheduler {
     ///
     /// The sum of granted PRBs never exceeds `quota`, and equals `quota`
     /// whenever any UE is backlogged.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug-build check that the grant fits the quota; release builds compile it out"
-    )]
     pub fn allocate_into(&mut self, quota: u32, requests: &[UlRequest], out: &mut Vec<(u32, u32)>) {
         out.clear();
         if requests.is_empty() || quota == 0 {
@@ -100,10 +96,7 @@ impl MacScheduler {
             (_, SchedulerKind::ProportionalFair) => self.allocate_pf_into(quota, requests, out),
         }
         self.rr_turn = self.rr_turn.wrapping_add(1);
-        debug_assert!(
-            out.iter().map(|&(_, p)| p).sum::<u32>() <= quota,
-            "scheduler over-allocated"
-        );
+        debug_check_fits(out, quota);
     }
 
     fn allocate_rr_into(&self, quota: u32, requests: &[UlRequest], out: &mut Vec<(u32, u32)>) {
@@ -176,6 +169,19 @@ impl MacScheduler {
             *avg = 0.0;
         }
     }
+}
+
+/// Debug builds check that a grant fits its quota; release builds
+/// compile the check out.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a debug-build check that the grant fits the quota; release builds compile it out"
+)]
+fn debug_check_fits(grants: &[(u32, u32)], quota: u32) {
+    debug_assert!(
+        grants.iter().map(|&(_, p)| p).sum::<u32>() <= quota,
+        "scheduler over-allocated"
+    );
 }
 
 #[cfg(test)]

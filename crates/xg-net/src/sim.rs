@@ -867,7 +867,7 @@ impl LinkSimulator {
     /// the SDR and multi-UE calibration applied, then reset the window.
     pub fn flush_second_window(&mut self, window_s: f64) -> Vec<(UeHandle, f64)> {
         let n_active = self.ues.iter().filter(|u| u.backlogged).count();
-        let sdr_penalty = self.cell.sdr.penalty(
+        let sdr_penalty = crate::sdr::penalty(
             self.cell.rat,
             &self.cell.duplex,
             self.cell.bandwidth,

@@ -1,7 +1,7 @@
 //! Critical-path extraction over a per-cycle span DAG.
 //!
 //! The §4.4 latency budget sums stage durations as if they were serial;
-//! once stages overlap (parallel fleet shards, pipelined CSPOT
+//! once stages overlap (parallel fleet workers, pipelined CSPOT
 //! relays) the number that bounds the closed loop is the *longest
 //! root-to-leaf chain* of the cycle's span tree. [`extract_critical`]
 //! finds that chain greedily (at each node, descend into the

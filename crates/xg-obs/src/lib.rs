@@ -7,9 +7,9 @@
 //! *measure* that budget from the running fabric instead of asserting it
 //! from model parameters:
 //!
-//! * [`metrics`] — a sharded [`MetricsRegistry`] of counters, gauges, and
+//! * [`metrics`] — a [`MetricsRegistry`] of counters, gauges, and
 //!   log-linear [`Histogram`]s with a bounded relative error, mergeable
-//!   across shards, answering p50/p90/p99/max quantile queries.
+//!   by bucket addition, answering p50/p90/p99/max quantile queries.
 //! * [`span`] — causal [`Tracer`]/[`SpanRecord`] tracing with parent
 //!   links. Spans carry a [`ClockDomain`] so discrete-event layers
 //!   (xg-hpc, xg-net, the fault windows) record *simulated* time while
@@ -48,10 +48,6 @@
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
-#![expect(
-    clippy::disallowed_types,
-    reason = "the metrics registry shards and the recorder's span index are HashMap/HashSet look-ups; snapshots collect into BTreeMaps before anything is read out"
-)]
 
 pub mod clock;
 pub mod critical;
@@ -69,9 +65,7 @@ pub use export::{
     budget_table, parse_spans_jsonl, prometheus_text, render_budget_table, spans_to_jsonl,
     BudgetRow,
 };
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramConfig, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{render_profile, ProfScope, ProfileNode, ProfileSnapshot, Profiler};
 pub use recorder::{
     dump_bundle, install_panic_hook, render_bundle, BundleContext, FlightEntry, FlightRecorder,
@@ -114,11 +108,9 @@ impl Obs {
     /// the tracer forwards every span into the recorder's bounded ring.
     pub fn enabled() -> Self {
         let recorder = Arc::new(FlightRecorder::new(DEFAULT_RECORDER_CAPACITY));
-        let tracer = Tracer::new();
-        tracer.set_sink(recorder.clone());
         Obs(Some(Arc::new(ObsCore {
             registry: MetricsRegistry::new(),
-            tracer,
+            tracer: Tracer::with_sink(Arc::clone(&recorder)),
             recorder,
             profiler: Profiler::new(),
         })))
@@ -210,5 +202,62 @@ mod tests {
         t.record_sim_s(tr, None, "cycle", 0.0, 1.0, vec![]);
         assert_eq!(obs.recorder().unwrap().len(), 1);
         assert_eq!(Obs::disabled().status(), "off");
+    }
+
+    /// Four threads record through one handle into every store — the
+    /// registry's get-or-create, a histogram, the profiler, the tracer
+    /// and the recorder behind it — and every total comes out exact.
+    #[test]
+    fn concurrent_recording_keeps_exact_totals() {
+        const THREADS: u64 = 4;
+        const EACH: u64 = 500;
+        let obs = Obs::enabled();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let obs = &obs;
+                s.spawn(move || {
+                    let (reg, prof) = (obs.registry().unwrap(), obs.profiler().unwrap());
+                    let tracer = obs.tracer().unwrap();
+                    let own = format!("thread.{t}");
+                    for i in 1..=EACH {
+                        reg.counter("shared").inc();
+                        reg.counter(&own).inc();
+                        reg.histogram("lat").record((t * EACH + i) as f64);
+                        prof.record_at("fleet.step/cell", i);
+                        prof.scope_under("fleet.step", "guard").finish();
+                        tracer.record_sim_s(tracer.new_trace(), None, "s", 0.0, 1.0, vec![]);
+                        obs.recorder().unwrap().note(i, "n");
+                    }
+                });
+            }
+        });
+        let n = THREADS * EACH;
+        let snap = obs.registry().unwrap().snapshot();
+        assert_eq!(snap.counters["shared"], n);
+        for t in 0..THREADS {
+            assert_eq!(snap.counters[&format!("thread.{t}")], EACH);
+        }
+        let lat = &snap.histograms["lat"];
+        assert_eq!(lat.count(), n);
+        // Integer samples: the sum is exact in any interleaving.
+        assert_eq!(lat.sum(), (n * (n + 1) / 2) as f64);
+        assert_eq!((lat.min(), lat.max()), (Some(1.0), Some(n as f64)));
+        let prof = obs.profiler().unwrap().snapshot();
+        let (cell, guard) = (
+            &prof.nodes["fleet.step/cell"],
+            &prof.nodes["fleet.step/guard"],
+        );
+        assert_eq!((cell.calls, guard.calls), (n, n));
+        assert_eq!(cell.total_ns, THREADS * EACH * (EACH + 1) / 2);
+        assert_eq!(cell.hist.count(), n);
+        assert_eq!(
+            prof.nodes["fleet.step"].child_ns,
+            cell.total_ns + guard.total_ns
+        );
+        assert_eq!(obs.tracer().unwrap().len() as u64, n);
+        let rec = obs.recorder().unwrap();
+        assert_eq!(rec.dropped(), 0);
+        let seqs: Vec<u64> = rec.entries().iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, (0..2 * n).collect::<Vec<u64>>());
     }
 }

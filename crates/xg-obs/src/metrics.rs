@@ -1,19 +1,19 @@
-//! Sharded metrics registry: counters, gauges, log-linear histograms.
+//! Metrics registry: counters, gauges, log-linear histograms.
 //!
 //! The registry is built for the fabric's hot paths: name lookup happens
 //! once (components resolve their instruments at construction and hold
 //! the `Arc`s), after which a counter increment is a relaxed atomic add
-//! and a histogram record is one striped-mutex bucket bump. Histograms
+//! and a histogram record is one mutex-guarded bucket bump. Histograms
 //! are **log-linear** (DDSketch-style): bucket boundaries at powers of
 //! `γ = (1+α)/(1-α)` guarantee every quantile estimate is within relative
 //! error `α` of an actual sample, and two histograms merge by adding
-//! bucket counts — the property the shard striping (and multi-site
-//! aggregation) relies on.
+//! bucket counts — the property multi-site aggregation and the fleet's
+//! merged profiles rely on.
 
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A monotonically increasing counter.
@@ -53,29 +53,14 @@ impl Gauge {
     }
 }
 
-/// Histogram accuracy/concurrency knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct HistogramConfig {
-    /// Guaranteed relative error of quantile estimates (0 < α < 1).
-    pub rel_err: f64,
-    /// Number of independently locked stripes `record` spreads over.
-    pub stripes: usize,
-}
-
-impl Default for HistogramConfig {
-    fn default() -> Self {
-        HistogramConfig {
-            rel_err: 0.01,
-            stripes: 4,
-        }
-    }
-}
+/// Guaranteed relative error α of every quantile estimate.
+const REL_ERR: f64 = 0.01;
 
 /// Values at or below this threshold land in the dedicated zero bucket
 /// (log buckets cannot represent zero).
 const ZERO_THRESHOLD: f64 = 1e-12;
 
-/// One stripe's bucket state. Sparse: the closed loop's latencies span
+/// A histogram's bucket state. Sparse: the closed loop's latencies span
 /// ~10 decades (µs transfers to multi-minute solves) but touch only a
 /// few hundred buckets. A histogram with a dense range keeps that range's
 /// counts in `dense` instead (snapshots fold them back into `buckets`).
@@ -140,53 +125,34 @@ impl HistCore {
     }
 }
 
-/// A mergeable log-linear histogram with bounded relative error.
-///
-/// `record` is thread-safe and spreads contention over `stripes`
-/// independently locked cores; queries merge the stripes on demand.
+/// A mergeable log-linear histogram whose quantile estimates are within
+/// 1 % of a sample. `record` is thread-safe: one mutex guards the buckets.
 #[derive(Debug)]
 pub struct Histogram {
-    rel_err: f64,
     ln_gamma: f64,
     /// Bucket indices held densely (see [`Histogram::with_dense_range`]).
     dense: Option<RangeInclusive<i32>>,
-    stripes: Vec<Mutex<HistCore>>,
-}
-
-/// Round-robin stripe assignment, one slot per thread. Shared with the
-/// profiler so every striped structure in the crate agrees on a
-/// thread's slot.
-pub(crate) fn stripe_slot() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    SLOT.with(|s| *s)
+    core: Mutex<HistCore>,
 }
 
 impl Histogram {
-    /// A histogram with the given accuracy configuration.
-    pub fn with_config(cfg: HistogramConfig) -> Self {
-        let rel_err = cfg.rel_err.clamp(1e-6, 0.5);
-        let gamma = (1.0 + rel_err) / (1.0 - rel_err);
+    /// An empty histogram.
+    pub fn new() -> Self {
+        let gamma = (1.0 + REL_ERR) / (1.0 - REL_ERR);
         Histogram {
-            rel_err,
             ln_gamma: gamma.ln(),
             dense: None,
-            stripes: (0..cfg.stripes.max(1))
-                .map(|_| Mutex::new(HistCore::default()))
-                .collect(),
+            core: Mutex::new(HistCore::default()),
         }
     }
 
-    /// Like [`Self::with_config`], but the buckets of values in `[lo, hi]`
-    /// live in one array a stripe allocates whole on its first record;
-    /// values outside stay sparse. For a histogram fed wall-clock
-    /// durations: the bucket a sample lands in depends on the host's
-    /// timing noise, so sparse storage would make the number of
-    /// allocations depend on it too.
-    pub(crate) fn with_dense_range(cfg: HistogramConfig, lo: f64, hi: f64) -> Self {
-        let mut h = Histogram::with_config(cfg);
+    /// Like [`Self::new`], but the buckets of values in `[lo, hi]` live in
+    /// one array allocated whole on the first record; values outside stay
+    /// sparse. For a histogram fed wall-clock durations: the bucket a
+    /// sample lands in depends on the host's timing noise, so sparse
+    /// storage would make the number of allocations depend on it too.
+    pub(crate) fn with_dense_range(lo: f64, hi: f64) -> Self {
+        let mut h = Histogram::new();
         h.dense = h
             .bucket_index(lo)
             .zip(h.bucket_index(hi))
@@ -210,20 +176,14 @@ impl Histogram {
         }
         let v = v.max(0.0);
         let idx = self.bucket_index(v);
-        let slot = stripe_slot() % self.stripes.len();
-        self.stripes[slot]
-            .lock()
-            .record(v, idx, self.dense.as_ref());
+        self.core.lock().record(v, idx, self.dense.as_ref());
     }
 
-    /// A point-in-time snapshot merging all stripes.
+    /// A point-in-time snapshot (dense counts folded into sparse buckets).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut core = HistCore::default();
-        for s in &self.stripes {
-            core.merge(&s.lock());
-        }
+        core.merge(&self.core.lock());
         HistogramSnapshot {
-            rel_err: self.rel_err,
             ln_gamma: self.ln_gamma,
             core,
         }
@@ -236,22 +196,21 @@ impl Histogram {
 
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.stripes.iter().map(|s| s.lock().count).sum()
+        self.core.lock().count
     }
 }
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram::with_config(HistogramConfig::default())
+        Histogram::new()
     }
 }
 
-/// An immutable merged view of a [`Histogram`], itself mergeable: two
-/// snapshots with the same accuracy combine by bucket-count addition into
-/// exactly the state one histogram would hold had it seen both streams.
+/// An immutable view of a [`Histogram`], itself mergeable: two snapshots
+/// combine by bucket-count addition into exactly the state one histogram
+/// would hold had it seen both streams.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistogramSnapshot {
-    rel_err: f64,
     ln_gamma: f64,
     core: HistCore,
 }
@@ -300,12 +259,8 @@ impl HistogramSnapshot {
         self.max()
     }
 
-    /// Merge another snapshot into this one (accuracies must match).
+    /// Merge another snapshot into this one.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert!(
-            (self.rel_err - other.rel_err).abs() < f64::EPSILON,
-            "cannot merge histograms with different error bounds"
-        );
         self.core.merge(&other.core);
     }
 
@@ -317,13 +272,8 @@ impl HistogramSnapshot {
     /// occupied buckets, which stays within α of the true extremes.
     ///
     /// `earlier` must be an older snapshot of the *same* histogram;
-    /// mismatched accuracies panic and counter-intuitive (negative)
-    /// deltas saturate to empty.
+    /// counter-intuitive (negative) deltas saturate to empty.
     pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        assert!(
-            (self.rel_err - earlier.rel_err).abs() < f64::EPSILON,
-            "cannot diff histograms with different error bounds"
-        );
         let mut buckets = BTreeMap::new();
         for (&i, &n) in &self.core.buckets {
             let before = earlier.core.buckets.get(&i).copied().unwrap_or(0);
@@ -358,7 +308,6 @@ impl HistogramSnapshot {
             (lo, hi)
         };
         HistogramSnapshot {
-            rel_err: self.rel_err,
             ln_gamma: self.ln_gamma,
             core: HistCore {
                 buckets,
@@ -373,8 +322,6 @@ impl HistogramSnapshot {
     }
 }
 
-const REGISTRY_SHARDS: usize = 8;
-
 /// One named instrument.
 #[derive(Clone, Debug)]
 enum Instrument {
@@ -383,7 +330,7 @@ enum Instrument {
     Histogram(Arc<Histogram>),
 }
 
-/// A name-sharded instrument registry.
+/// A named instrument registry.
 ///
 /// Lookup is get-or-create; components resolve their instruments once
 /// and hold the `Arc`s. Re-registering a name as a different instrument
@@ -391,18 +338,14 @@ enum Instrument {
 /// visible by its absence from snapshots) rather than clobbering data.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    shards: [RwLock<HashMap<String, Instrument>>; REGISTRY_SHARDS],
-    help: RwLock<BTreeMap<String, String>>,
+    names: RwLock<Names>,
 }
 
-fn shard_of(name: &str) -> usize {
-    // FNV-1a, cheap and stable.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % REGISTRY_SHARDS as u64) as usize
+/// Everything a registry knows by name, behind its one lock.
+#[derive(Debug, Default)]
+struct Names {
+    instruments: BTreeMap<String, Instrument>,
+    help: BTreeMap<String, String>,
 }
 
 impl MetricsRegistry {
@@ -418,11 +361,10 @@ impl MetricsRegistry {
         unwrap: impl Fn(&Instrument) -> Option<Arc<T>>,
         make: impl Fn() -> T,
     ) -> Arc<T> {
-        let shard = &self.shards[shard_of(name)];
-        if let Some(found) = shard.read().get(name).and_then(&unwrap) {
+        if let Some(found) = self.names.read().instruments.get(name).and_then(&unwrap) {
             return found;
         }
-        let mut map = shard.write();
+        let map = &mut self.names.write().instruments;
         match map.get(name).and_then(&unwrap) {
             Some(found) => found,
             None if map.contains_key(name) => Arc::new(make()), // kind mismatch: detached
@@ -460,14 +402,8 @@ impl MetricsRegistry {
         )
     }
 
-    /// Get or create a histogram with default accuracy.
+    /// Get or create a histogram.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with(name, HistogramConfig::default())
-    }
-
-    /// Get or create a histogram with explicit accuracy (the config only
-    /// applies on first registration).
-    pub fn histogram_with(&self, name: &str, cfg: HistogramConfig) -> Arc<Histogram> {
         self.get_or_insert(
             name,
             Instrument::Histogram,
@@ -475,7 +411,7 @@ impl MetricsRegistry {
                 Instrument::Histogram(h) => Some(Arc::clone(h)),
                 _ => None,
             },
-            || Histogram::with_config(cfg),
+            Histogram::new,
         )
     }
 
@@ -483,25 +419,20 @@ impl MetricsRegistry {
     /// the Prometheus exporter as a `# HELP` line. Optional: names with
     /// no registered help render exactly as before. Last write wins.
     pub fn set_help(&self, name: &str, help: &str) {
-        self.help.write().insert(name.to_string(), help.to_string());
-    }
-
-    /// The registered help text for a name, if any.
-    pub fn help(&self, name: &str) -> Option<String> {
-        self.help.read().get(name).cloned()
+        let help_texts = &mut self.names.write().help;
+        help_texts.insert(name.to_string(), help.to_string());
     }
 
     /// A point-in-time snapshot of every registered instrument, sorted
     /// by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let names = self.names.read();
         let mut snap = MetricsSnapshot {
-            help: self.help.read().clone(),
+            help: names.help.clone(),
             ..MetricsSnapshot::default()
         };
-        for shard in &self.shards {
-            for (name, inst) in shard.read().iter() {
-                Self::snap_one(&mut snap, name, inst);
-            }
+        for (name, inst) in &names.instruments {
+            Self::snap_one(&mut snap, name, inst);
         }
         snap
     }
@@ -510,11 +441,11 @@ impl MetricsRegistry {
     /// A consumer that only ever reads a fixed metric set — the SLO
     /// window diffing the registry every report cycle — pays for those
     /// instruments alone instead of cloning every live histogram.
-    pub fn snapshot_of(&self, names: &std::collections::BTreeSet<String>) -> MetricsSnapshot {
+    pub fn snapshot_of(&self, names: &BTreeSet<String>) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
+        let map = &self.names.read().instruments;
         for name in names {
-            let guard = self.shards[shard_of(name)].read();
-            if let Some(inst) = guard.get(name) {
+            if let Some(inst) = map.get(name) {
                 Self::snap_one(&mut snap, name, inst);
             }
         }
@@ -555,12 +486,8 @@ mod tests {
 
     #[test]
     fn dense_range_only_changes_storage() {
-        let cfg = || HistogramConfig {
-            rel_err: 0.01,
-            stripes: 2,
-        };
-        let sparse = Histogram::with_config(cfg());
-        let dense = Histogram::with_dense_range(cfg(), 1.0, 1e3);
+        let sparse = Histogram::new();
+        let dense = Histogram::with_dense_range(1.0, 1e3);
         // Zero, below, inside (both edges) and above the dense range.
         for v in [0.0, 0.25, 1.0, 7.5, 7.5, 640.0, 1e3, 4e4] {
             sparse.record(v);
@@ -575,13 +502,8 @@ mod tests {
             sparse.snapshot().delta_since(&s),
             dense.snapshot().delta_since(&earlier)
         );
-        let slot = stripe_slot() % 2;
-        assert_eq!(
-            dense.stripes[slot].lock().dense.len(),
-            347,
-            "1 ..= 1e3 at 1 %"
-        );
-        assert_eq!(dense.stripes[slot].lock().buckets.len(), 2, "0.25 and 4e4");
+        assert_eq!(dense.core.lock().dense.len(), 347, "1 ..= 1e3 at 1 %");
+        assert_eq!(dense.core.lock().buckets.len(), 2, "0.25 and 4e4");
     }
 
     #[test]
@@ -607,10 +529,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bound_error() {
-        let h = Histogram::with_config(HistogramConfig {
-            rel_err: 0.01,
-            stripes: 4,
-        });
+        let h = Histogram::new();
         let mut vals: Vec<f64> = (1..=1000).map(|i| i as f64 * 0.37).collect();
         for &v in &vals {
             h.record(v);
@@ -641,15 +560,7 @@ mod tests {
 
     #[test]
     fn merged_snapshots_equal_single_stream() {
-        let cfg = HistogramConfig {
-            rel_err: 0.02,
-            stripes: 1,
-        };
-        let (a, b, all) = (
-            Histogram::with_config(cfg),
-            Histogram::with_config(cfg),
-            Histogram::with_config(cfg),
-        );
+        let (a, b, all) = (Histogram::new(), Histogram::new(), Histogram::new());
         for i in 0..100u64 {
             // Integer-valued samples: f64 sums are exact in any order, so
             // full snapshot equality (including `sum`) is well-defined.
@@ -668,10 +579,7 @@ mod tests {
 
     #[test]
     fn delta_since_recovers_the_interval_stream() {
-        let h = Histogram::with_config(HistogramConfig {
-            rel_err: 0.01,
-            stripes: 1,
-        });
+        let h = Histogram::new();
         for i in 1..=100 {
             h.record(i as f64);
         }
@@ -692,6 +600,8 @@ mod tests {
         assert_eq!(snap.delta_since(&snap).count(), 0);
     }
 
+    /// Four threads record into one histogram behind its single lock;
+    /// no sample is lost.
     #[test]
     fn concurrent_records_land_in_stripes() {
         let h = Arc::new(Histogram::default());

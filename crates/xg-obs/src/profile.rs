@@ -8,13 +8,12 @@
 //! `total − child`), and a log-linear duration histogram with the same
 //! bounded relative error as [`crate::metrics::Histogram`].
 //!
-//! Recording is striped per thread exactly like the metrics registry's
-//! histograms: a scoped-guard exit is one striped-mutex map update, so
-//! fleet shards on different worker threads never contend and the
-//! per-stripe trees **merge** into one attribution tree at snapshot
-//! time. [`ProfileSnapshot`]s merge across processes/shards the same
-//! way — the property the fleet rollups rely on to keep serial and
-//! parallel attribution comparable.
+//! Recording takes one mutex: a scoped-guard exit is one map update
+//! under it. [`ProfileSnapshot`]s **merge** by path with integer
+//! addition, so trees built in separate processes or runs combine into
+//! one — and durations recorded from several threads sum to the same
+//! integers in any order, which keeps serial and parallel fleet
+//! attribution bitwise equal.
 //!
 //! Three recording surfaces:
 //!
@@ -30,7 +29,7 @@
 //!   attribution without double timing.
 
 use crate::clock::wall_now_ns;
-use crate::metrics::{Histogram, HistogramConfig, HistogramSnapshot};
+use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::span::{SpanId, SpanRecord};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -39,18 +38,8 @@ use std::fmt::Write as _;
 /// Path separator joining attribution-tree levels.
 pub const PATH_SEP: char = '/';
 
-/// Histogram accuracy for per-node duration distributions.
-fn node_hist_config() -> HistogramConfig {
-    HistogramConfig {
-        rel_err: 0.01,
-        // The node map is already striped per thread; one inner stripe
-        // keeps the per-node histogram lock uncontended by construction.
-        stripes: 1,
-    }
-}
-
 /// Durations up to this (1 000 s) are bucketed densely: 1 383 buckets at
-/// 1 % accuracy, one 11 KB array per node and stripe, so how many
+/// 1 % accuracy, one 11 KB array per node, so how many
 /// allocations a profiled run makes does not depend on its timing noise.
 const NODE_DENSE_MAX_NS: f64 = 1e12;
 
@@ -69,40 +58,24 @@ impl NodeCore {
             calls: 0,
             total_ns: 0,
             child_ns: 0,
-            hist: Histogram::with_dense_range(node_hist_config(), 1.0, NODE_DENSE_MAX_NS),
+            hist: Histogram::with_dense_range(1.0, NODE_DENSE_MAX_NS),
         }
     }
 }
 
 /// A mergeable hierarchical wall-time profiler.
 ///
-/// Cheap enough for hot paths: one striped-mutex `BTreeMap` update per
+/// Cheap enough for hot paths: one mutex-guarded `BTreeMap` update per
 /// guard exit, no allocation when the node already exists.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Profiler {
-    stripes: Vec<Mutex<BTreeMap<String, NodeCore>>>,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Profiler::with_stripes(4)
-    }
+    nodes: Mutex<BTreeMap<String, NodeCore>>,
 }
 
 impl Profiler {
-    /// A profiler with the default stripe count.
+    /// An empty profiler.
     pub fn new() -> Self {
         Profiler::default()
-    }
-
-    /// A profiler spreading recording threads over `stripes` independent
-    /// trees (merged on snapshot). Tests use 1 for strict determinism.
-    pub fn with_stripes(stripes: usize) -> Self {
-        Profiler {
-            stripes: (0..stripes.max(1))
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
-        }
     }
 
     /// Open a root scope; time is attributed when the guard drops.
@@ -162,8 +135,7 @@ impl Profiler {
     }
 
     fn with_node(&self, path: &str, f: impl FnOnce(&mut NodeCore)) {
-        let slot = crate::metrics::stripe_slot() % self.stripes.len();
-        let mut map = self.stripes[slot].lock();
+        let mut map = self.nodes.lock();
         match map.get_mut(path) {
             Some(n) => f(n),
             None => {
@@ -174,26 +146,21 @@ impl Profiler {
         }
     }
 
-    /// A merged point-in-time snapshot of the attribution tree.
+    /// A point-in-time snapshot of the attribution tree.
     pub fn snapshot(&self) -> ProfileSnapshot {
-        let mut snap = ProfileSnapshot::default();
-        for stripe in &self.stripes {
-            for (path, core) in stripe.lock().iter() {
-                let node = ProfileNode {
-                    calls: core.calls,
-                    total_ns: core.total_ns,
-                    child_ns: core.child_ns,
-                    hist: core.hist.snapshot(),
-                };
-                match snap.nodes.get_mut(path) {
-                    Some(existing) => existing.merge(&node),
-                    None => {
-                        snap.nodes.insert(path.clone(), node);
-                    }
-                }
-            }
+        let map = self.nodes.lock();
+        let nodes = map.iter().map(|(path, core)| {
+            let node = ProfileNode {
+                calls: core.calls,
+                total_ns: core.total_ns,
+                child_ns: core.child_ns,
+                hist: core.hist.snapshot(),
+            };
+            (path.clone(), node)
+        });
+        ProfileSnapshot {
+            nodes: nodes.collect(),
         }
-        snap
     }
 }
 
@@ -287,8 +254,8 @@ impl ProfileNode {
     }
 }
 
-/// An immutable merged view of a [`Profiler`], itself mergeable across
-/// fleet shards: nodes combine by path with integer addition (and
+/// An immutable view of a [`Profiler`], itself mergeable across runs
+/// and processes: nodes combine by path with integer addition (and
 /// histogram bucket addition), so merge order never changes the result.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileSnapshot {
@@ -356,7 +323,7 @@ mod tests {
 
     #[test]
     fn scoped_guards_build_a_tree_with_self_and_child_time() {
-        let prof = Profiler::with_stripes(1);
+        let prof = Profiler::new();
         {
             let _cycle = prof.scope("cycle");
             {
@@ -380,8 +347,8 @@ mod tests {
 
     #[test]
     fn record_at_is_deterministic_and_charges_the_parent() {
-        let a = Profiler::with_stripes(1);
-        let b = Profiler::with_stripes(1);
+        let a = Profiler::new();
+        let b = Profiler::new();
         // Same records, different order: bitwise identical snapshots.
         for (path, ns) in [("step/cell", 5), ("step/cell", 7), ("step", 20)] {
             a.record_at(path, ns);
@@ -398,12 +365,12 @@ mod tests {
 
     #[test]
     fn snapshots_merge_like_one_profiler() {
-        let a = Profiler::with_stripes(1);
-        let b = Profiler::with_stripes(1);
-        let all = Profiler::with_stripes(1);
+        let a = Profiler::new();
+        let b = Profiler::new();
+        let all = Profiler::new();
         for i in 0..50u64 {
-            let (shard, ns) = (if i % 2 == 0 { &a } else { &b }, 100 + i);
-            shard.record_at("fleet/cell", ns);
+            let (half, ns) = (if i % 2 == 0 { &a } else { &b }, 100 + i);
+            half.record_at("fleet/cell", ns);
             all.record_at("fleet/cell", ns);
         }
         let mut merged = a.snapshot();
@@ -446,7 +413,7 @@ mod tests {
                 attrs: vec![],
             },
         ];
-        let prof = Profiler::with_stripes(1);
+        let prof = Profiler::new();
         prof.record_trace(&spans);
         let snap = prof.snapshot();
         assert_eq!(snap.nodes["cycle"].total_ns, 100_000);
@@ -456,6 +423,8 @@ mod tests {
         assert_eq!(snap.total_self_ns(), 100_000 + 5_000);
     }
 
+    /// Four threads exit guards into the one profiler tree; every call
+    /// and its child time is kept.
     #[test]
     fn concurrent_guard_exits_stripe_without_loss() {
         let prof = std::sync::Arc::new(Profiler::new());
@@ -474,14 +443,15 @@ mod tests {
         }
         let snap = prof.snapshot();
         assert_eq!(snap.nodes["fleet.step/cell"].calls, 2000);
-        assert_eq!(snap.nodes["fleet.step"].child_ns, {
+        assert_eq!(
+            snap.nodes["fleet.step"].child_ns,
             snap.nodes["fleet.step/cell"].total_ns
-        });
+        );
     }
 
     #[test]
     fn slashes_in_names_cannot_forge_hierarchy() {
-        let prof = Profiler::with_stripes(1);
+        let prof = Profiler::new();
         prof.scope("a/b").finish();
         let snap = prof.snapshot();
         assert!(snap.nodes.contains_key("a_b"));
@@ -490,7 +460,7 @@ mod tests {
 
     #[test]
     fn render_orders_by_self_time() {
-        let prof = Profiler::with_stripes(1);
+        let prof = Profiler::new();
         prof.record_at("big", 9_000_000);
         prof.record_at("small", 1_000_000);
         let text = render_profile(&prof.snapshot());

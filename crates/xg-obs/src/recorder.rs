@@ -2,7 +2,7 @@
 //!
 //! Aircraft flight recorders keep the *recent past* in a fixed budget and
 //! survive the crash. [`FlightRecorder`] does the same for the fabric: a
-//! sharded ring of the most recent spans and free-form notes (fault
+//! ring of the most recent spans and free-form notes (fault
 //! activations, degradation transitions, SLO edges), capped at a fixed
 //! entry count so an unattended soak can run forever without growing.
 //! When something goes wrong — SLO breach, injected-fault window, or a
@@ -22,7 +22,7 @@ use crate::metrics::MetricsSnapshot;
 use crate::profile::ProfileSnapshot;
 use crate::span::{SpanId, SpanRecord};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,52 +44,38 @@ pub enum FlightEntry {
 
 /// Bounded ring buffer of recent [`FlightEntry`]s.
 ///
-/// Entries are stamped with a global sequence number and spread across
-/// shards (each an independently locked ring) so concurrent recorders
-/// rarely contend; reads re-merge by sequence. Memory is bounded by
-/// `capacity` entries total — once full, the oldest entry *in the
-/// arriving entry's shard* is evicted, which keeps eviction O(1) and the
-/// global buffer within one shard-length of strict LRU order.
+/// One mutex guards a strict FIFO: once `capacity` entries are buffered,
+/// each arrival evicts the oldest. An entry's sequence number is its
+/// arrival index, so the ring never stores one: the front entry's is the
+/// eviction count.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    shards: Vec<Mutex<VecDeque<(u64, FlightEntry)>>>,
-    shard_cap: usize,
+    ring: Mutex<Ring>,
     capacity: usize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct Ring {
+    entries: VecDeque<FlightEntry>,
+    dropped: u64,
 }
 
 impl FlightRecorder {
-    /// A recorder holding at most `capacity` entries across 8 shards.
+    /// A recorder holding at most `capacity` (at least one) entries.
     pub fn new(capacity: usize) -> Self {
-        FlightRecorder::with_shards(capacity, 8)
-    }
-
-    /// A recorder with an explicit shard count (tests use 1 for strict
-    /// FIFO eviction). The budget rounds down to a multiple of the shard
-    /// count so the bound is exact: [`FlightRecorder::capacity`] reports
-    /// the effective value.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let shard_cap = (capacity / shards).max(1);
         FlightRecorder {
-            shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            shard_cap,
-            capacity: shard_cap * shards,
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring::default()),
+            capacity: capacity.max(1),
         }
     }
 
     fn push(&self, entry: FlightEntry) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[(seq as usize) % self.shards.len()];
-        let mut ring = shard.lock();
-        ring.push_back((seq, entry));
-        while ring.len() > self.shard_cap {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut ring = self.ring.lock();
+        if ring.entries.len() == self.capacity {
+            ring.entries.pop_front();
+            ring.dropped += 1;
         }
+        ring.entries.push_back(entry);
     }
 
     /// Buffer a completed span.
@@ -107,7 +93,7 @@ impl FlightRecorder {
 
     /// Entries currently buffered (≤ capacity by construction).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.ring.lock().entries.len()
     }
 
     /// Whether nothing is buffered.
@@ -122,17 +108,13 @@ impl FlightRecorder {
 
     /// Entries evicted so far to stay within budget.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.lock().dropped
     }
 
-    /// Snapshot the buffer in global sequence order.
+    /// Snapshot the buffer as `(sequence number, entry)`, oldest first.
     pub fn entries(&self) -> Vec<(u64, FlightEntry)> {
-        let mut all: Vec<(u64, FlightEntry)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.lock().iter().cloned());
-        }
-        all.sort_by_key(|(seq, _)| *seq);
-        all
+        let ring = self.ring.lock();
+        (ring.dropped..).zip(ring.entries.iter().cloned()).collect()
     }
 
     /// Buffered notes in sequence order.
@@ -160,7 +142,7 @@ impl FlightRecorder {
                 _ => None,
             })
             .collect();
-        let present: HashSet<(u64, SpanId)> = spans.iter().map(|s| (s.trace, s.id)).collect();
+        let present: BTreeSet<(u64, SpanId)> = spans.iter().map(|s| (s.trace, s.id)).collect();
         // Children grouped per buffered parent, arrival order preserved.
         let mut children: BTreeMap<(u64, SpanId), Vec<usize>> = BTreeMap::new();
         let mut roots: Vec<usize> = Vec::new();
@@ -421,21 +403,20 @@ mod tests {
 
     #[test]
     fn memory_stays_bounded_and_counts_drops() {
-        let rec = FlightRecorder::with_shards(64, 4);
+        let rec = FlightRecorder::new(64);
         for i in 0..1000u64 {
             rec.record_span(span(1, i + 1, None, "s"));
         }
-        assert!(rec.len() <= rec.capacity());
+        assert_eq!(rec.len(), rec.capacity());
         assert_eq!(rec.dropped() as usize, 1000 - rec.len());
-        // The survivors are the most recent entries.
-        let entries = rec.entries();
-        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(entries.last().unwrap().0, 999);
+        // The survivors are exactly the most recent entries, oldest first.
+        let seqs: Vec<u64> = rec.entries().iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, (936..1000).collect::<Vec<u64>>());
     }
 
     #[test]
     fn ordered_spans_put_parents_before_children() {
-        let rec = FlightRecorder::with_shards(64, 1);
+        let rec = FlightRecorder::new(64);
         // Record children before their parents — causal order must still
         // come out parent-first.
         rec.record_span(span(7, 3, Some(2), "grandchild"));
@@ -453,7 +434,7 @@ mod tests {
 
     #[test]
     fn eviction_of_a_parent_promotes_children_to_roots() {
-        let rec = FlightRecorder::with_shards(2, 1);
+        let rec = FlightRecorder::new(2);
         rec.record_span(span(1, 1, None, "root"));
         rec.record_span(span(1, 2, Some(1), "a"));
         rec.record_span(span(1, 3, Some(1), "b")); // evicts the root
@@ -501,7 +482,7 @@ mod tests {
     fn v2_bundle_carries_profile_and_critical_lines() {
         let rec = FlightRecorder::new(16);
         rec.record_span(span(1, 1, None, "fabric.cycle"));
-        let prof = crate::profile::Profiler::with_stripes(1);
+        let prof = crate::profile::Profiler::new();
         prof.record_at("cycle/ran.probe", 240_000);
         prof.record_at("cycle", 351_000);
         let critical = crate::critical::extract_critical(&rec.ordered_spans(), 1);
@@ -571,8 +552,7 @@ mod tests {
     #[test]
     fn tracer_sink_forwards_spans() {
         let rec = Arc::new(FlightRecorder::new(8));
-        let tracer = Tracer::new();
-        tracer.set_sink(rec.clone());
+        let tracer = Tracer::with_sink(Arc::clone(&rec));
         let tr = tracer.new_trace();
         let root = tracer.record_sim_s(tr, None, "cycle", 0.0, 1.0, vec![]);
         tracer.record_sim_s(tr, Some(root), "stage", 0.0, 0.5, vec![]);

@@ -52,7 +52,7 @@ impl SpanRecord {
 pub struct Tracer {
     next_id: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
-    sink: Mutex<Option<Arc<FlightRecorder>>>,
+    sink: Option<Arc<FlightRecorder>>,
 }
 
 impl Tracer {
@@ -61,11 +61,14 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// Forward every recorded span to a flight recorder as well. The
-    /// recorder keeps its own bounded copy, so the tracer's cumulative
-    /// list and the black box stay independent.
-    pub fn set_sink(&self, recorder: Arc<FlightRecorder>) {
-        *self.sink.lock() = Some(recorder);
+    /// An empty tracer that also forwards every recorded span to a
+    /// flight recorder. The recorder keeps its own bounded copy, so the
+    /// tracer's cumulative list and the black box stay independent.
+    pub fn with_sink(recorder: Arc<FlightRecorder>) -> Self {
+        Tracer {
+            sink: Some(recorder),
+            ..Tracer::default()
+        }
     }
 
     fn next(&self) -> u64 {
@@ -123,7 +126,7 @@ impl Tracer {
             end_us: end_us.max(start_us),
             attrs,
         };
-        if let Some(sink) = self.sink.lock().as_ref() {
+        if let Some(sink) = &self.sink {
             sink.record_span(record.clone());
         }
         self.spans.lock().push(record);

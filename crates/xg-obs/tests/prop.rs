@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 use xg_obs::clock::ClockDomain;
-use xg_obs::{FlightRecorder, Histogram, HistogramConfig, ProfileSnapshot, Profiler, SpanRecord};
+use xg_obs::{FlightRecorder, Histogram, ProfileSnapshot, Profiler, SpanRecord};
+
+/// The histograms' guaranteed relative error.
+const REL_ERR: f64 = 0.01;
 
 /// Exact nearest-rank quantile of a sorted sample vector, matching the
 /// rank convention `HistogramSnapshot::quantile` documents.
@@ -15,16 +18,14 @@ fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every quantile estimate is within the configured relative error of
+    /// Every quantile estimate is within the guaranteed relative error of
     /// the exact sample at that rank, for arbitrary positive streams
-    /// spanning many decades and arbitrary accuracy settings.
+    /// spanning many decades.
     #[test]
     fn quantiles_within_relative_error_bound(
         values in proptest::collection::vec(1e-6f64..1e9, 1..400),
-        rel_err in 0.001f64..0.1,
-        stripes in 1usize..6,
     ) {
-        let h = Histogram::with_config(HistogramConfig { rel_err, stripes });
+        let h = Histogram::new();
         for &v in &values {
             h.record(v);
         }
@@ -36,9 +37,9 @@ proptest! {
             let est = snap.quantile(q).unwrap();
             let exact = exact_quantile(&sorted, q);
             prop_assert!(
-                (est - exact).abs() <= rel_err * exact * 1.0001,
-                "q={} est={} exact={} rel_err={}",
-                q, est, exact, rel_err
+                (est - exact).abs() <= REL_ERR * exact * 1.0001,
+                "q={} est={} exact={}",
+                q, est, exact
             );
         }
         prop_assert_eq!(snap.min().unwrap(), sorted[0]);
@@ -54,11 +55,9 @@ proptest! {
     fn shard_merge_equals_single_stream(
         values in proptest::collection::vec(1u32..1_000_000, 1..300),
         assignment in proptest::collection::vec(0usize..4, 300),
-        rel_err in 0.005f64..0.05,
     ) {
-        let cfg = HistogramConfig { rel_err, stripes: 2 };
-        let shards: Vec<Histogram> = (0..4).map(|_| Histogram::with_config(cfg)).collect();
-        let single = Histogram::with_config(cfg);
+        let shards: Vec<Histogram> = (0..4).map(|_| Histogram::new()).collect();
+        let single = Histogram::new();
         for (i, &v) in values.iter().enumerate() {
             let v = f64::from(v);
             shards[assignment[i]].record(v);
@@ -73,17 +72,15 @@ proptest! {
 
     /// Merging per-shard snapshots is order-independent — forward and
     /// reverse merge orders answer every quantile identically — and the
-    /// merged result stays quantile-equivalent (within the configured
+    /// merged result stays quantile-equivalent (within the guaranteed
     /// relative error) to the exact stream, for arbitrary float streams
     /// where f64 sums are *not* exact.
     #[test]
     fn shard_merge_order_independent_and_quantile_equivalent(
         values in proptest::collection::vec(1e-3f64..1e7, 1..300),
         assignment in proptest::collection::vec(0usize..4, 300),
-        rel_err in 0.005f64..0.05,
     ) {
-        let cfg = HistogramConfig { rel_err, stripes: 1 };
-        let shards: Vec<Histogram> = (0..4).map(|_| Histogram::with_config(cfg)).collect();
+        let shards: Vec<Histogram> = (0..4).map(|_| Histogram::new()).collect();
         for (i, &v) in values.iter().enumerate() {
             shards[assignment[i]].record(v);
         }
@@ -112,9 +109,9 @@ proptest! {
             let est = fwd.quantile(q).unwrap();
             let exact = exact_quantile(&sorted, q);
             prop_assert!(
-                (est - exact).abs() <= rel_err * exact * 1.0001,
-                "q={} est={} exact={} rel_err={}",
-                q, est, exact, rel_err
+                (est - exact).abs() <= REL_ERR * exact * 1.0001,
+                "q={} est={} exact={}",
+                q, est, exact
             );
         }
     }
@@ -136,8 +133,8 @@ proptest! {
             "cycle/ran.probe/cell",
             "hpc.advance",
         ];
-        let shards: Vec<Profiler> = (0..3).map(|_| Profiler::with_stripes(1)).collect();
-        let all = Profiler::with_stripes(1);
+        let shards: Vec<Profiler> = (0..3).map(|_| Profiler::new()).collect();
+        let all = Profiler::new();
         for (i, &d) in durs.iter().enumerate() {
             let path = PATHS[path_pick[i]];
             shards[assignment[i]].record_at(path, d);
@@ -200,27 +197,23 @@ proptest! {
 
     /// The recorder's memory stays within its fixed budget under any
     /// stream, every eviction is accounted for, and the surviving
-    /// entries are the most recent ones in global sequence order.
+    /// entries are exactly the most recent ones, oldest first.
     #[test]
     fn recorder_memory_stays_bounded(
         traces in proptest::collection::vec(any::<u8>(), 1..250),
         capacity in 4usize..80,
-        shards in 1usize..6,
     ) {
         let n = traces.len();
-        let rec = FlightRecorder::with_shards(capacity, shards);
+        let rec = FlightRecorder::new(capacity);
         let (spans, _) = span_forest(&traces, &vec![0; n], &vec![0; n]);
         for s in spans {
             rec.record_span(s);
         }
-        prop_assert!(rec.len() <= rec.capacity(),
-            "len {} over capacity {}", rec.len(), rec.capacity());
+        prop_assert_eq!(rec.len(), n.min(capacity));
         prop_assert_eq!(rec.dropped() as usize + rec.len(), n);
-        let entries = rec.entries();
-        prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        if let Some((last_seq, _)) = entries.last() {
-            prop_assert_eq!(*last_seq, n as u64 - 1, "newest entry always survives");
-        }
+        let seqs: Vec<u64> = rec.entries().iter().map(|(seq, _)| *seq).collect();
+        let newest: Vec<u64> = (n.saturating_sub(capacity) as u64..n as u64).collect();
+        prop_assert_eq!(seqs, newest);
     }
 
     /// However spans interleave (children recorded before parents,
@@ -232,9 +225,8 @@ proptest! {
         parent_pick in proptest::collection::vec(any::<u8>(), 120),
         order_key in proptest::collection::vec(any::<u32>(), 120),
         capacity in 4usize..96,
-        shards in 1usize..5,
     ) {
-        let rec = FlightRecorder::with_shards(capacity, shards);
+        let rec = FlightRecorder::new(capacity);
         let (spans, order) = span_forest(&traces, &parent_pick, &order_key);
         for &i in &order {
             rec.record_span(spans[i].clone());

@@ -234,20 +234,26 @@ impl<E> EventQueue<E> {
 
     /// Move the clock to `t` after a drain (no events may remain due at
     /// or before `t`; the skipped span is exactly the idle time saved).
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug-build check of the caller's contract; release builds compile it out"
-    )]
     pub fn drain_clock_to(&mut self, t: SimNs) {
-        debug_assert!(
-            self.peek_at().map(|at| at > t).unwrap_or(true),
-            "drain_clock_to({t}) called with events still due"
-        );
+        debug_check_none_due(self, t);
         if t > self.now {
             self.now = t;
             self.cursor = self.cursor.max(t.0 / self.width);
         }
     }
+}
+
+/// Debug builds check [`EventQueue::drain_clock_to`]'s contract (the
+/// next event, if any, is due after `t`); release builds compile it out.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a debug-build check of the caller's contract; release builds compile it out"
+)]
+fn debug_check_none_due<E>(queue: &EventQueue<E>, t: SimNs) {
+    debug_assert!(
+        queue.peek_at().map(|at| at > t).unwrap_or(true),
+        "drain_clock_to({t}) called with events still due"
+    );
 }
 
 #[cfg(test)]
