@@ -494,8 +494,9 @@ mod tests {
     #[test]
     fn step_matches_reference_on_fixed_shapes() {
         // 3×3×3 has one interior cell; 9×7×3 is the fabric's degraded mesh,
-        // 12×10×4 its study mesh; 13 and 9 leave odd interior rows.
-        const SHAPES: [[usize; 3]; 7] = [
+        // 12×10×4 its study mesh; 13 and 9 leave odd interior rows, and
+        // 27's interior row of 25 spans several vector widths and a tail.
+        const SHAPES: [[usize; 3]; 8] = [
             [3, 3, 3],
             [4, 5, 3],
             [5, 7, 4],
@@ -503,6 +504,7 @@ mod tests {
             [12, 10, 4],
             [13, 9, 5],
             [20, 16, 6],
+            [27, 11, 4],
         ];
         let mut n = 0;
         for cells in SHAPES {

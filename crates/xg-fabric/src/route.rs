@@ -8,12 +8,28 @@
 //! waypoint path whose length feeds the mission-time estimate.
 
 use std::collections::BinaryHeap;
-use xg_cfd::mesh::{CanopyBlock, DomainSpec};
+use xg_cfd::mesh::DomainSpec;
 
 /// Planner grid resolution (m).
 const CELL_M: f64 = 2.0;
 /// Clearance added around obstacles (m) — half a robot width plus margin.
 const INFLATE_M: f64 = 1.0;
+
+/// The grid indices `i < n` whose coordinate `i · CELL_M` lies in
+/// `[lo, hi]`: `⌈lo / CELL_M⌉ ..= ⌊hi / CELL_M⌋`, clamped to the grid.
+/// `CELL_M` is a power of two, so dividing and multiplying by it are
+/// exact and this picks the same points as comparing each coordinate
+/// with `lo` and `hi`.
+fn span(lo: f64, hi: f64, n: usize) -> std::ops::Range<usize> {
+    let first = (lo / CELL_M).ceil().max(0.0);
+    let last = (hi / CELL_M).floor().min((n - 1) as f64);
+    // `max` and `min` drop a NaN, but no coordinate is within a NaN edge.
+    if first <= last && !lo.is_nan() && !hi.is_nan() {
+        first as usize..last as usize + 1
+    } else {
+        0..0
+    }
+}
 
 /// An occupancy-grid route planner.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,17 +46,10 @@ impl RoutePlanner {
         let nx = (spec.size_m[0] / CELL_M).ceil() as usize + 1;
         let ny = (spec.size_m[1] / CELL_M).ceil() as usize + 1;
         let mut blocked = vec![false; nx * ny];
-        for j in 0..ny {
-            for i in 0..nx {
-                let x = i as f64 * CELL_M;
-                let y = j as f64 * CELL_M;
-                let hit = spec.canopy.iter().any(|c: &CanopyBlock| {
-                    x >= c.min[0] - INFLATE_M
-                        && x <= c.max[0] + INFLATE_M
-                        && y >= c.min[1] - INFLATE_M
-                        && y <= c.max[1] + INFLATE_M
-                });
-                blocked[j * nx + i] = hit;
+        for c in &spec.canopy {
+            let xs = span(c.min[0] - INFLATE_M, c.max[0] + INFLATE_M, nx);
+            for j in span(c.min[1] - INFLATE_M, c.max[1] + INFLATE_M, ny) {
+                blocked[j * nx..][xs.clone()].fill(true);
             }
         }
         RoutePlanner { nx, ny, blocked }
@@ -190,9 +199,85 @@ impl RoutePlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xg_cfd::mesh::CanopyBlock;
 
     fn planner() -> RoutePlanner {
         RoutePlanner::from_domain(&DomainSpec::cups_default())
+    }
+
+    /// The grid `from_domain` built before it filled index rectangles:
+    /// every grid point tested against every inflated block.
+    fn scanned(spec: &DomainSpec) -> RoutePlanner {
+        let nx = (spec.size_m[0] / CELL_M).ceil() as usize + 1;
+        let ny = (spec.size_m[1] / CELL_M).ceil() as usize + 1;
+        let mut blocked = vec![false; nx * ny];
+        for j in 0..ny {
+            for i in 0..nx {
+                let x = i as f64 * CELL_M;
+                let y = j as f64 * CELL_M;
+                let hit = spec.canopy.iter().any(|c: &CanopyBlock| {
+                    x >= c.min[0] - INFLATE_M
+                        && x <= c.max[0] + INFLATE_M
+                        && y >= c.min[1] - INFLATE_M
+                        && y <= c.max[1] + INFLATE_M
+                });
+                blocked[j * nx + i] = hit;
+            }
+        }
+        RoutePlanner { nx, ny, blocked }
+    }
+
+    #[test]
+    fn filled_rectangles_match_the_point_scan() {
+        let cups = DomainSpec::cups_default();
+        assert_eq!(RoutePlanner::from_domain(&cups), scanned(&cups));
+        // Domains of 1–61 m and blocks drawn from 30 % before a domain's
+        // start to 30 % past its end, up to 8 m wide or tall, or of zero
+        // or negative width. Three draws in four snap to a half-metre
+        // lattice, so inflated edges land on grid points and between them.
+        let mut z = 0x9E37_79B9_7F4A_7C15u64;
+        let mut unit = || {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            ((z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for case in 0..400 {
+            let snap = |x: f64| {
+                if case % 4 == 3 {
+                    x
+                } else {
+                    (x * 2.0).round() / 2.0
+                }
+            };
+            let size_m = [1.0 + 60.0 * unit(), 1.0 + 50.0 * unit(), 8.0];
+            let canopy = (0..case % 6)
+                .map(|_| {
+                    let x0 = snap(size_m[0] * (1.6 * unit() - 0.3));
+                    let y0 = snap(size_m[1] * (1.6 * unit() - 0.3));
+                    let w = snap(if case % 5 == 0 {
+                        0.0
+                    } else {
+                        10.0 * unit() - 2.0
+                    });
+                    let h = snap(10.0 * unit() - 2.0);
+                    CanopyBlock {
+                        min: [x0, y0, 0.0],
+                        max: [x0 + w, y0 + h, 3.0],
+                    }
+                })
+                .collect();
+            let spec = DomainSpec {
+                size_m,
+                cells: [10, 10, 4],
+                canopy,
+            };
+            assert_eq!(RoutePlanner::from_domain(&spec), scanned(&spec), "{spec:?}");
+        }
+        let mut spec = DomainSpec::cups_default();
+        for (min, max) in [(f64::NAN, 10.0), (10.0, f64::NAN)] {
+            spec.canopy[0].min[0] = min;
+            spec.canopy[0].max[0] = max;
+            assert_eq!(RoutePlanner::from_domain(&spec), scanned(&spec), "{spec:?}");
+        }
     }
 
     #[test]

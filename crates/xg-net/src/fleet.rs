@@ -85,6 +85,8 @@ struct FleetObs {
     cells: Arc<xg_obs::Gauge>,
     batches: Arc<xg_obs::Counter>,
     cell_seconds: Arc<xg_obs::Counter>,
+    /// Cell-nanoseconds simulated but not yet a whole cell-second.
+    cell_ns_carry: u64,
 }
 
 impl FleetObs {
@@ -94,6 +96,7 @@ impl FleetObs {
             cells: reg.gauge("ran.fleet.cells"),
             batches: reg.counter("ran.fleet.batches"),
             cell_seconds: reg.counter("ran.fleet.cell_seconds"),
+            cell_ns_carry: 0,
         })
     }
 }
@@ -200,6 +203,9 @@ const PROF_BATCH: &str = "ran.fleet.batch";
 /// path-keyed tree — so the merged attribution under this path is
 /// **bitwise identical** for serial and sharded execution.
 const PROF_SIM_CELL: &str = "ran.fleet.sim/cell";
+
+/// Nanoseconds in a second, for the cell-second count.
+const NS_PER_S: u128 = 1_000_000_000;
 
 impl RanFleet {
     /// Start a staged [`RanFleetBuilder`] derived from `seed`.
@@ -326,7 +332,8 @@ impl RanFleet {
     /// mutable state, so execution order cannot influence any cell's RNG
     /// stream.
     pub fn measure_seconds(&mut self, seconds: usize) -> Vec<CellBatch> {
-        self.note_batch(seconds);
+        let elapsed_ns = seconds as u64 * 1_000_000_000;
+        self.note_batch(elapsed_ns);
         let obs = self.handle.clone();
         let prof = obs.profiler();
         let _batch = prof.map(|p| p.scope(PROF_BATCH));
@@ -340,14 +347,20 @@ impl RanFleet {
                 seconds: (0..seconds).map(|_| sim.measure_second()).collect(),
             }
         });
-        self.now_ns += seconds as u64 * 1_000_000_000;
+        self.now_ns += elapsed_ns;
         out
     }
 
-    fn note_batch(&self, seconds: usize) {
-        if let Some(o) = &self.obs {
+    /// Count one batch that moved every cell `elapsed_ns` forward: whole
+    /// cell-seconds go to `ran.fleet.cell_seconds` and the rest is
+    /// carried, so batches of partial seconds sum exactly.
+    fn note_batch(&mut self, elapsed_ns: u64) {
+        let cells = self.cells.len() as u128;
+        if let Some(o) = &mut self.obs {
             o.batches.inc();
-            o.cell_seconds.add((seconds * self.cells.len()) as u64);
+            let cell_ns = cells * u128::from(elapsed_ns) + u128::from(o.cell_ns_carry);
+            o.cell_seconds.add((cell_ns / NS_PER_S) as u64);
+            o.cell_ns_carry = (cell_ns % NS_PER_S) as u64;
         }
     }
 
@@ -416,9 +429,7 @@ impl Advance for RanFleet {
         if t.0 <= self.now_ns {
             return Ok(());
         }
-        if let Some(o) = &self.obs {
-            o.batches.inc();
-        }
+        self.note_batch(t.0 - self.now_ns);
         let obs = self.handle.clone();
         let prof = obs.profiler();
         let _batch = prof.map(|p| p.scope(PROF_BATCH));
@@ -573,6 +584,31 @@ mod tests {
         // merged across worker threads.
         assert_eq!(reg.histogram("ran.ue.goodput_mbps").count(), 6);
         assert_eq!(batches.len(), 3);
+    }
+
+    #[test]
+    fn advance_to_counts_cell_seconds_across_partial_seconds() {
+        let obs = Obs::enabled();
+        let mut fleet = RanFleet::builder(5)
+            .cells(3, cell_5g_fdd20())
+            .obs(&obs)
+            .build()
+            .unwrap();
+        let reg = obs.registry().unwrap();
+        let cell_seconds = || reg.counter("ran.fleet.cell_seconds").get();
+        // 3 cells × 1.5 s = 4.5: four whole cell-seconds, half carried.
+        fleet.advance_to(SimNs::from_millis(1_500)).unwrap();
+        assert_eq!(cell_seconds(), 4);
+        // + 3 × 0.7 s = 6.6 in all; + 3 × 0.8 s = 9.0 exactly.
+        fleet.advance_to(SimNs::from_millis(2_200)).unwrap();
+        assert_eq!(cell_seconds(), 6);
+        fleet.advance_to(SimNs::from_secs(3)).unwrap();
+        assert_eq!(cell_seconds(), 9);
+        // A call at `now()` is no batch; a measured second adds 3 more.
+        fleet.advance_to(SimNs::from_secs(3)).unwrap();
+        fleet.measure_seconds(1);
+        assert_eq!(cell_seconds(), 12);
+        assert_eq!(reg.counter("ran.fleet.batches").get(), 4);
     }
 
     #[test]

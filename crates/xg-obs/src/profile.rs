@@ -9,11 +9,9 @@
 //! bounded relative error as [`crate::metrics::Histogram`].
 //!
 //! Recording takes one mutex: a scoped-guard exit is one map update
-//! under it. [`ProfileSnapshot`]s **merge** by path with integer
-//! addition, so trees built in separate processes or runs combine into
-//! one — and durations recorded from several threads sum to the same
-//! integers in any order, which keeps serial and parallel fleet
-//! attribution bitwise equal.
+//! under it. Nodes accumulate by integer addition, so durations recorded
+//! from several threads sum to the same integers in any order, which
+//! keeps serial and parallel fleet attribution bitwise equal.
 //!
 //! Three recording surfaces:
 //!
@@ -63,7 +61,7 @@ impl NodeCore {
     }
 }
 
-/// A mergeable hierarchical wall-time profiler.
+/// A hierarchical wall-time profiler.
 ///
 /// Cheap enough for hot paths: one mutex-guarded `BTreeMap` update per
 /// guard exit, no allocation when the node already exists.
@@ -244,19 +242,9 @@ impl ProfileNode {
     pub fn self_ns(&self) -> u64 {
         self.total_ns.saturating_sub(self.child_ns)
     }
-
-    /// Merge another node's state into this one.
-    pub fn merge(&mut self, other: &ProfileNode) {
-        self.calls += other.calls;
-        self.total_ns += other.total_ns;
-        self.child_ns += other.child_ns;
-        self.hist.merge(&other.hist);
-    }
 }
 
-/// An immutable view of a [`Profiler`], itself mergeable across runs
-/// and processes: nodes combine by path with integer addition (and
-/// histogram bucket addition), so merge order never changes the result.
+/// An immutable view of a [`Profiler`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileSnapshot {
     /// Attribution nodes by slash-joined path, sorted.
@@ -264,18 +252,6 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// Merge another snapshot into this one.
-    pub fn merge(&mut self, other: &ProfileSnapshot) {
-        for (path, node) in &other.nodes {
-            match self.nodes.get_mut(path) {
-                Some(existing) => existing.merge(node),
-                None => {
-                    self.nodes.insert(path.clone(), node.clone());
-                }
-            }
-        }
-    }
-
     /// Total self-time across all nodes (= total attributed time, since
     /// every nanosecond is self-time of exactly one node).
     pub fn total_self_ns(&self) -> u64 {
@@ -361,22 +337,6 @@ mod tests {
         assert_eq!(snap.nodes["step"].child_ns, 12);
         assert_eq!(snap.nodes["step"].self_ns(), 8);
         assert_eq!(snap.nodes["step/cell"].calls, 2);
-    }
-
-    #[test]
-    fn snapshots_merge_like_one_profiler() {
-        let a = Profiler::new();
-        let b = Profiler::new();
-        let all = Profiler::new();
-        for i in 0..50u64 {
-            let (half, ns) = (if i % 2 == 0 { &a } else { &b }, 100 + i);
-            half.record_at("fleet/cell", ns);
-            all.record_at("fleet/cell", ns);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, all.snapshot());
-        assert_eq!(merged.nodes["fleet/cell"].calls, 50);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use xg_obs::clock::ClockDomain;
-use xg_obs::{FlightRecorder, Histogram, ProfileSnapshot, Profiler, SpanRecord};
+use xg_obs::{FlightRecorder, Histogram, SpanRecord};
 
 /// The histograms' guaranteed relative error.
 const REL_ERR: f64 = 0.01;
@@ -114,42 +114,6 @@ proptest! {
                 q, est, exact
             );
         }
-    }
-
-    /// The profiler's attribution tree has the same property: per-shard
-    /// snapshots merged in any order are bitwise identical to the tree
-    /// one profiler builds from the whole stream — the invariant that
-    /// makes parallel-fleet attribution comparable to serial.
-    #[test]
-    fn profile_shard_merge_is_order_independent(
-        durs in proptest::collection::vec(1u64..1_000_000, 1..200),
-        assignment in proptest::collection::vec(0usize..3, 200),
-        path_pick in proptest::collection::vec(0usize..5, 200),
-    ) {
-        const PATHS: [&str; 5] = [
-            "cycle",
-            "cycle/ran.probe",
-            "cycle/gateway.ship",
-            "cycle/ran.probe/cell",
-            "hpc.advance",
-        ];
-        let shards: Vec<Profiler> = (0..3).map(|_| Profiler::new()).collect();
-        let all = Profiler::new();
-        for (i, &d) in durs.iter().enumerate() {
-            let path = PATHS[path_pick[i]];
-            shards[assignment[i]].record_at(path, d);
-            all.record_at(path, d);
-        }
-        let mut fwd = ProfileSnapshot::default();
-        for s in &shards {
-            fwd.merge(&s.snapshot());
-        }
-        let mut rev = ProfileSnapshot::default();
-        for s in shards.iter().rev() {
-            rev.merge(&s.snapshot());
-        }
-        prop_assert_eq!(&fwd, &rev);
-        prop_assert_eq!(fwd, all.snapshot());
     }
 }
 
