@@ -44,10 +44,13 @@ pub fn attribution(spans: &[SpanRecord]) -> (ProfileSnapshot, usize) {
 /// Per-cycle critical-path report: one summary line per trace, then the
 /// full step table of the slowest cycle.
 pub fn critical_report(spans: &[SpanRecord]) -> String {
-    let ids = trace_ids(spans);
-    if ids.is_empty() {
+    if spans.is_empty() {
         return "no spans in dump\n".to_string();
     }
+    // One group per trace, ascending (a stable sort keeps each trace's
+    // recording order), so each extraction scans its own cycle only.
+    let mut by_trace = spans.to_vec();
+    by_trace.sort_by_key(|s| s.trace);
     let mut out = String::new();
     let mut slowest = None;
     let _ = writeln!(
@@ -55,8 +58,8 @@ pub fn critical_report(spans: &[SpanRecord]) -> String {
         "{:>8} {:>12} {:>6}  leaf",
         "trace", "total(ms)", "depth"
     );
-    for id in ids {
-        let Some(path) = extract_critical(spans, id) else {
+    for group in by_trace.chunk_by(|a, b| a.trace == b.trace) {
+        let Some(path) = extract_critical(group, group[0].trace) else {
             continue;
         };
         let _ = writeln!(
@@ -65,7 +68,7 @@ pub fn critical_report(spans: &[SpanRecord]) -> String {
             path.trace,
             path.total_us as f64 / 1e3,
             path.depth(),
-            path.leaf().map(|l| l.name.as_str()).unwrap_or("-"),
+            path.leaf().map(|l| l.name.as_ref()).unwrap_or("-"),
         );
         let worse = slowest
             .as_ref()
@@ -206,7 +209,7 @@ mod tests {
         trace: u64,
         id: u64,
         parent: Option<u64>,
-        name: &str,
+        name: &'static str,
         start: u64,
         end: u64,
     ) -> SpanRecord {

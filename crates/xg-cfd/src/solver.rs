@@ -42,6 +42,9 @@ struct CfdObs {
     sweep_wall_ms: Arc<Histogram>,
     /// `max |∇²p − rhs|` left by each projection's pressure solve.
     poisson_residual: Arc<Histogram>,
+    /// The projection's right-hand side, copied before the solve
+    /// consumes it, for the residual.
+    rhs: Field3,
     /// Time steps completed.
     steps: Arc<Counter>,
     /// Rayon worker count in effect.
@@ -53,13 +56,15 @@ struct CfdObs {
 }
 
 impl CfdObs {
-    fn new(obs: &Obs) -> Option<Self> {
+    fn new(obs: &Obs, shape: [usize; 3]) -> Option<Self> {
         let reg = obs.registry()?;
+        let [nx, ny, nz] = shape;
         Some(CfdObs {
             handle: obs.clone(),
-            step_wall_ms: reg.histogram("cfd.step.wall_ms"),
-            sweep_wall_ms: reg.histogram("cfd.sweep.wall_ms"),
+            step_wall_ms: reg.wall_histogram_ms("cfd.step.wall_ms"),
+            sweep_wall_ms: reg.wall_histogram_ms("cfd.sweep.wall_ms"),
             poisson_residual: reg.histogram("cfd.poisson.residual"),
+            rhs: Field3::zeros(nx, ny, nz),
             steps: reg.counter("cfd.steps"),
             workers: reg.gauge("cfd.rayon.workers"),
         })
@@ -167,7 +172,7 @@ impl Simulation {
     /// scratch — the solve stays bitwise deterministic across thread
     /// counts, and the same with or without it.
     pub fn set_obs(&mut self, obs: &Obs) {
-        self.obs = CfdObs::new(obs);
+        self.obs = CfdObs::new(obs, [self.p.nx, self.p.ny, self.p.nz]);
     }
 
     /// Steps taken so far.
@@ -376,12 +381,14 @@ impl Simulation {
 
         // 2. Projection: solve ∇²p = div(u*) / dt.
         self.projection_rhs_into(rhs);
+        if let Some(o) = &mut self.obs {
+            // The solve consumes its right-hand side: keep a copy.
+            o.rhs.as_mut_slice().copy_from_slice(rhs.as_slice());
+        }
         self.plan.solve(&mut self.p, rhs);
         if let Some(o) = &self.obs {
-            // The solve consumed its right-hand side: build it again.
-            self.projection_rhs_into(rhs);
             o.poisson_residual
-                .record(poisson::residual(&self.p, rhs, self.mesh.d));
+                .record(poisson::residual(&self.p, &o.rhs, self.mesh.d));
         }
 
         // 3. Velocity correction: u -= dt ∇p (interior, central gradient

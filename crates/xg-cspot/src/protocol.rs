@@ -21,7 +21,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use xg_obs::{Counter, Histogram, Obs};
+use xg_obs::clock::wall_now_ns;
+use xg_obs::{Counter, Histogram, Obs, ProfNode};
 use xg_sim::normal;
 
 /// Pre-resolved instruments for the append protocol (one registry lookup
@@ -44,6 +45,8 @@ struct ProtocolObs {
     exhausted: Arc<Counter>,
     /// The full handle, kept for profiler attribution of append work.
     handle: Obs,
+    /// `cspot.append`, resolved once.
+    append_node: Option<ProfNode>,
 }
 
 impl ProtocolObs {
@@ -51,6 +54,7 @@ impl ProtocolObs {
         let reg = obs.registry()?;
         Some(ProtocolObs {
             handle: obs.clone(),
+            append_node: obs.profiler().map(|p| p.node("cspot.append")),
             phase1_ms: reg.histogram("cspot.append.phase1_ms"),
             phase2_ms: reg.histogram("cspot.append.phase2_ms"),
             total_ms: reg.histogram("cspot.append.total_ms"),
@@ -205,14 +209,28 @@ impl RemoteAppender {
         payload: &[u8],
         token: u128,
     ) -> Result<AppendOutcome> {
-        let start = self.clock.now_ms();
         // Wall-time attribution of the append's compute cost (the virtual
         // protocol latency is already covered by the phase histograms).
-        let handle = self.obs.as_ref().map(|o| o.handle.clone());
-        let _prof = handle
-            .as_ref()
-            .and_then(Obs::profiler)
-            .map(|p| p.scope("cspot.append"));
+        let wall_start_ns = self.obs.as_ref().map(|_| wall_now_ns());
+        let out = self.append_attempts(target, log, payload, token);
+        if let (Some(o), Some(t0)) = (&self.obs, wall_start_ns) {
+            if let (Some(p), Some(node)) = (o.handle.profiler(), o.append_node) {
+                p.record_node(node, wall_now_ns().saturating_sub(t0));
+            }
+        }
+        out
+    }
+
+    /// The append's attempt loop: retry until acknowledged or the
+    /// budget runs out.
+    fn append_attempts(
+        &mut self,
+        target: &CspotNode,
+        log: &str,
+        payload: &[u8],
+        token: u128,
+    ) -> Result<AppendOutcome> {
+        let start = self.clock.now_ms();
         let mut attempts = 0u32;
         loop {
             attempts += 1;

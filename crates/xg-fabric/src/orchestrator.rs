@@ -47,10 +47,10 @@ use xg_cspot::node::CspotNode;
 use xg_faults::{FaultChange, FaultKind, FaultPlan};
 use xg_hpc::site::SiteProfile;
 use xg_obs::clock::{secs_to_us, wall_now_us};
-use xg_obs::critical::{extract_critical, CriticalPath};
+use xg_obs::critical::{extract_critical_into, CriticalPath};
 use xg_obs::recorder::{dump_bundle, BundleContext};
 use xg_obs::slo::{Hysteresis, SloOp, SloSpec, SloStat, SloWatchdog};
-use xg_obs::span::SpanRecord;
+use xg_obs::span::{SpanId, SpanName, SpanRecord};
 use xg_obs::window::WindowConfig;
 use xg_obs::ClockDomain;
 use xg_obs::{Obs, TraceId, Tracer};
@@ -169,6 +169,12 @@ struct FabricObs {
     ric_stale_cells: Arc<xg_obs::Gauge>,
     critical_total_ms: Arc<xg_obs::Histogram>,
     critical_depth: Arc<xg_obs::Gauge>,
+    critical_leaf_self_ms: Arc<xg_obs::Histogram>,
+    /// `fabric.cycle.critical.leaf.<phase>` per report-cycle phase,
+    /// registered from the first cycle's phases. Every cycle runs the
+    /// same phases, so which one gates a cycle (wall timing) never
+    /// decides what the run registers or allocates.
+    critical_leaves: Vec<(&'static str, Arc<xg_obs::Counter>)>,
 }
 
 impl FabricObs {
@@ -205,64 +211,96 @@ impl FabricObs {
             ric_actions: reg.counter("fabric.ric.actions"),
             ric_held: reg.counter("fabric.ric.held"),
             ric_stale_cells: reg.gauge("fabric.ric.stale_cells"),
-            critical_total_ms: reg.histogram("fabric.cycle.critical.total_ms"),
+            critical_total_ms: reg.wall_histogram_ms("fabric.cycle.critical.total_ms"),
             critical_depth: reg.gauge("fabric.cycle.critical.depth"),
+            critical_leaf_self_ms: reg.wall_histogram_ms("fabric.cycle.critical.leaf_self_ms"),
+            critical_leaves: Vec::new(),
         }
+    }
+
+    /// Emit one cycle's critical path over its `phases`: its length and
+    /// depth, which phase gated the cycle (a counter per phase) and by
+    /// how much of the cycle (the leaf's self-time distribution).
+    fn critical(
+        &mut self,
+        reg: &xg_obs::MetricsRegistry,
+        phases: &[(&'static str, u64, u64)],
+        path: &CriticalPath,
+    ) {
+        if self.critical_leaves.is_empty() {
+            self.critical_leaves = (phases.iter())
+                .map(|&(p, ..)| (p, reg.counter(&format!("fabric.cycle.critical.leaf.{p}"))))
+                .collect();
+        }
+        self.critical_total_ms.record(path.total_us as f64 / 1e3);
+        self.critical_depth.set(path.depth() as f64);
+        let Some(leaf) = path.leaf() else { return };
+        if let Some((_, c)) = self.critical_leaves.iter().find(|(p, _)| leaf.name == *p) {
+            c.inc();
+        }
+        self.critical_leaf_self_ms.record(leaf.self_us as f64 / 1e3);
     }
 }
 
-/// Per-cycle wall-span bookkeeping, built only when a tracer exists.
-/// Phase boundaries are captured as explicit timestamps during the cycle
-/// and flushed as one span tree at cycle end — root first, so every
-/// phase span can carry a parent link (the tracer assigns ids at record
-/// time).
+/// Per-cycle wall-span bookkeeping, kept only when a tracer exists and
+/// reused cycle to cycle. Phase boundaries are captured as explicit
+/// timestamps during the cycle and flushed as one span tree at cycle end
+/// — root first, so every phase span can carry a parent link (the
+/// tracer assigns ids at record time).
+#[derive(Default)]
 struct CycleSpans {
     trace: TraceId,
-    /// Tracer length at cycle start; `spans_from(mark)` is this cycle.
-    mark: usize,
     root_start_us: u64,
     phases: Vec<(&'static str, u64, u64)>,
+    /// The cycle's span tree as flushed, for the profiler and the
+    /// critical path to read.
+    spans: Vec<SpanRecord>,
 }
 
 impl CycleSpans {
-    fn begin(tracer: &Tracer) -> Self {
-        CycleSpans {
-            trace: tracer.new_trace(),
-            mark: tracer.len(),
-            root_start_us: wall_now_us(),
-            phases: Vec::with_capacity(8),
+    fn begin(&mut self, tracer: &Tracer) {
+        self.trace = tracer.new_trace();
+        self.root_start_us = wall_now_us();
+        self.phases.clear();
+        self.spans.clear();
+    }
+
+    /// Record the cycle's span tree; [`spans`](Self::spans) then holds it.
+    fn flush(&mut self, tracer: &Tracer) {
+        let root = self.record(
+            tracer,
+            None,
+            "fabric.cycle",
+            self.root_start_us,
+            wall_now_us(),
+        );
+        for i in 0..self.phases.len() {
+            let (name, s, e) = self.phases[i];
+            self.record(tracer, Some(root), name, s, e);
         }
     }
 
-    /// Record the cycle's span tree and return this cycle's wall spans
-    /// (the tree just recorded plus any other spans of this trace).
-    fn flush(self, tracer: &Tracer) -> (TraceId, Vec<SpanRecord>) {
-        let root = tracer.record_raw(
-            self.trace,
-            None,
-            "fabric.cycle",
-            ClockDomain::Wall,
-            self.root_start_us,
-            wall_now_us(),
-            vec![],
-        );
-        for (name, s, e) in &self.phases {
-            tracer.record_raw(
-                self.trace,
-                Some(root),
-                name,
-                ClockDomain::Wall,
-                *s,
-                *e,
-                vec![],
-            );
-        }
-        let spans: Vec<SpanRecord> = tracer
-            .spans_from(self.mark)
-            .into_iter()
-            .filter(|s| s.trace == self.trace)
-            .collect();
-        (self.trace, spans)
+    fn record(
+        &mut self,
+        tracer: &Tracer,
+        parent: Option<SpanId>,
+        name: &'static str,
+        start_us: u64,
+        end_us: u64,
+    ) -> SpanId {
+        let (trace, domain) = (self.trace, ClockDomain::Wall);
+        let id = tracer.record_raw(trace, parent, name, domain, start_us, end_us, vec![]);
+        self.spans.push(SpanRecord {
+            trace,
+            id,
+            parent,
+            name: SpanName::Borrowed(name),
+            domain,
+            start_us,
+            end_us: end_us.max(start_us),
+            attrs: vec![],
+        });
+        id
     }
 }
 
@@ -305,6 +343,8 @@ pub struct XgFabric {
     /// The most recent report cycle's wall-time critical path (enabled
     /// `obs` only); attached to every black-box bundle.
     last_critical: Option<CriticalPath>,
+    /// The cycle span buffer, between cycles (enabled `obs` only).
+    cycle_spans: Option<CycleSpans>,
     /// Sim time the fabric has been advanced to.
     now: SimNs,
     /// When the next report cycle is due.
@@ -386,6 +426,7 @@ impl XgFabric {
             timeline: Timeline::default(),
             impairment: Impairment::default(),
             last_critical: None,
+            cycle_spans: None,
             now: SimNs::ZERO,
             next_cycle: report_interval(),
         })
@@ -539,7 +580,11 @@ impl XgFabric {
         // One wall trace per cycle: phase boundaries are captured as
         // timestamps and flushed into a span tree at cycle close, feeding
         // the profiler's attribution tree and the cycle's critical path.
-        let mut cyc = self.obs.tracer().map(CycleSpans::begin);
+        let mut cyc = self.obs.tracer().map(|tracer| {
+            let mut c = self.cycle_spans.take().unwrap_or_default();
+            c.begin(tracer);
+            c
+        });
         let now = self.now_s();
         phase(&mut cyc, "fabric.faults.advance", || {
             for c in &self.faults.advance_to(now) {
@@ -712,31 +757,22 @@ impl XgFabric {
     /// Close the cycle's span tree, feed it to the profiler's
     /// attribution tree, and extract this cycle's critical path (emitted
     /// as `fabric.cycle.critical.*` and attached to black-box bundles).
-    fn finish_cycle_profiling(&mut self, cyc: CycleSpans) {
+    fn finish_cycle_profiling(&mut self, mut cyc: CycleSpans) {
         let obs = &self.obs;
         let Some(tracer) = obs.tracer() else { return };
-        let (trace, spans) = cyc.flush(tracer);
+        cyc.flush(tracer);
         if let Some(prof) = obs.profiler() {
-            prof.record_trace(&spans);
+            prof.record_trace(&cyc.spans);
         }
-        let Some(path) = extract_critical(&spans, trace) else {
-            return;
-        };
-        if let Some(o) = &self.instruments {
-            o.critical_total_ms.record(path.total_us as f64 / 1e3);
-            o.critical_depth.set(path.depth() as f64);
+        let path = self.last_critical.get_or_insert_with(CriticalPath::default);
+        if extract_critical_into(&cyc.spans, cyc.trace, path) {
+            if let (Some(o), Some(reg)) = (&mut self.instruments, obs.registry()) {
+                o.critical(reg, &cyc.phases, path);
+            }
+        } else if path.steps.is_empty() {
+            self.last_critical = None;
         }
-        if let (Some(reg), Some(leaf)) = (obs.registry(), path.leaf()) {
-            // Which stage gated the cycle, and by how much of the cycle:
-            // a counter per leaf name (the set of names is the fixed
-            // phase list, so cardinality stays bounded) plus its
-            // self-time distribution.
-            reg.counter(&format!("fabric.cycle.critical.leaf.{}", leaf.name))
-                .inc();
-            reg.histogram("fabric.cycle.critical.leaf_self_ms")
-                .record(leaf.self_us as f64 / 1e3);
-        }
-        self.last_critical = Some(path);
+        self.cycle_spans = Some(cyc);
     }
 
     /// Apply one fault-window edge to the part of the loop it hits.
@@ -893,7 +929,7 @@ mod tests {
         fab.run_cycles(12).unwrap();
         assert!(fab.timeline().cfd_runs() >= 1, "CFD must have run");
         let spans = obs.tracer().unwrap().spans();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_ref()).collect();
         for stage in [
             "telemetry.transfer",
             "change.detection",
@@ -923,6 +959,24 @@ mod tests {
         assert_eq!(reg.counter("fabric.report_cycles").get(), 24);
         assert!(reg.histogram("cspot.append.total_ms").count() > 0);
         assert!(reg.histogram("cfd.step.wall_ms").count() > 0);
+        // Every cycle's wall tree is `fabric.cycle` over the same eight
+        // phases, in order, so the leaf counters registered from the
+        // first cycle cover every cycle.
+        let phases: Vec<&str> = (spans.iter())
+            .filter(|s| s.domain == ClockDomain::Wall && s.parent.is_some())
+            .map(|s| s.name.as_ref())
+            .collect();
+        assert_eq!(phases.len(), 24 * 8);
+        for cycle in phases.chunks(8) {
+            assert_eq!(cycle, &phases[..8]);
+        }
+        let gated: u64 = (phases[..8].iter())
+            .map(|p| {
+                reg.counter(&format!("fabric.cycle.critical.leaf.{p}"))
+                    .get()
+            })
+            .sum();
+        assert_eq!(gated, 24, "one critical leaf per cycle");
     }
 
     #[test]

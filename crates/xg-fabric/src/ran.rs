@@ -188,6 +188,9 @@ pub struct RanProbe {
     /// Probe-burst length: `probe_burst_slots` of the longest TTI.
     burst_ns: u64,
     goodput_hist: Option<Arc<xg_obs::Histogram>>,
+    /// The last probe's per-cell health, in cell order; the names are
+    /// filled once, so a probe only rewrites the goodput.
+    health: Vec<CellHealth>,
 }
 
 impl RanProbe {
@@ -244,9 +247,16 @@ impl RanProbe {
             .map(|c| c.slot_ns())
             .max()
             .unwrap_or_default();
+        let health = (cells.iter())
+            .map(|c| CellHealth {
+                name: c.name.clone(),
+                goodput_mbps: 0.0,
+            })
+            .collect();
         Ok(RanProbe {
             fleet,
             cells,
+            health,
             gateway_cell,
             probe_seconds: topology.probe_seconds.max(1),
             burst_ns: topology.probe_burst_slots.max(1) as u64 * longest_slot_ns,
@@ -305,7 +315,7 @@ impl RanProbe {
     /// the active-UE SDR and overhead penalty of the window: it is the
     /// cell's mean per-UE goodput under the burst, not the probes' own
     /// (ROADMAP 4(c) lists the fix, which moves `fabric_storm`'s digest).
-    pub fn probe(&mut self) -> Vec<CellHealth> {
+    pub fn probe(&mut self) -> &[CellHealth] {
         let start = self.fleet.now();
         let end = SimNs(start.0 + self.probe_seconds as u64 * 1_000_000_000);
         let burst_end = SimNs((start.0 + self.burst_ns).min(end.0));
@@ -318,39 +328,32 @@ impl RanProbe {
         let _ = self.fleet.advance_to(burst_end);
         let window_s = (burst_end.0 - start.0) as f64 / 1e9;
         let goodput_hist = &self.goodput_hist;
-        let health: Vec<CellHealth> = self
-            .cells
-            .iter()
-            .zip(self.fleet.cells_mut())
-            .map(|(c, cell)| {
-                let samples = cell.flush_second_window(window_s);
-                let goodput = if samples.is_empty() {
-                    0.0
-                } else {
-                    samples.iter().map(|&(_, m)| m).sum::<f64>() / samples.len() as f64
-                };
-                if let Some(g) = &c.goodput_gauge {
-                    g.set(goodput);
-                }
-                if let Some(g) = &c.fade_gauge {
-                    g.set(if c.down { CELL_DOWN_SNR_DB } else { c.fade_db });
-                }
-                if let Some(h) = goodput_hist {
-                    h.record(goodput);
-                }
-                CellHealth {
-                    name: c.name.clone(),
-                    goodput_mbps: goodput,
-                }
-            })
-            .collect();
+        let cells = self.cells.iter().zip(self.fleet.cells_mut());
+        for ((c, cell), health) in cells.zip(&mut self.health) {
+            let samples = cell.flush_second_window(window_s);
+            let goodput = if samples.is_empty() {
+                0.0
+            } else {
+                samples.iter().map(|&(_, m)| m).sum::<f64>() / samples.len() as f64
+            };
+            if let Some(g) = &c.goodput_gauge {
+                g.set(goodput);
+            }
+            if let Some(g) = &c.fade_gauge {
+                g.set(if c.down { CELL_DOWN_SNR_DB } else { c.fade_db });
+            }
+            if let Some(h) = goodput_hist {
+                h.record(goodput);
+            }
+            health.goodput_mbps = goodput;
+        }
         // Quiesce the probes: the rest of the batch idle-skips unless
         // scenario traffic keeps a cell active.
         for (c, cell) in self.cells.iter().zip(self.fleet.cells_mut()) {
             c.set_probes_backlogged(cell, false);
         }
         let _ = self.fleet.advance_to(end);
-        health
+        &self.health
     }
 
     /// The deployment label of fleet cell `id`, if it exists.
@@ -441,10 +444,10 @@ mod tests {
     fn fade_and_partition_target_single_cells() {
         let topo = RanTopology::with_cells(&["UNL-5G", "FIELD-B"]);
         let mut probe = RanProbe::try_new(&topo, 7, &Obs::disabled()).unwrap();
-        let nominal = probe.probe();
+        let nominal = probe.probe().to_vec();
         assert!(probe.fade("FIELD-B", Some(-25.0)));
         assert!(!probe.fade("NOWHERE", Some(-25.0)), "unknown cell ignored");
-        let faded = probe.probe();
+        let faded = probe.probe().to_vec();
         assert!(
             faded[1].goodput_mbps < nominal[1].goodput_mbps * 0.25,
             "FIELD-B must collapse: {} vs {}",

@@ -93,6 +93,8 @@ pub struct ClusterSim {
     cancelled: Vec<JobId>,
     /// Background-load generator, if enabled.
     background: Option<BackgroundLoad>,
+    /// Scratch of `head_reservation_time`, kept to reuse its capacity.
+    ends: Vec<(f64, u32)>,
 }
 
 #[derive(Debug, Clone)]
@@ -121,6 +123,7 @@ impl ClusterSim {
             records: Vec::new(),
             cancelled: Vec::new(),
             background: None,
+            ends: Vec::new(),
         }
     }
 
@@ -313,12 +316,12 @@ impl ClusterSim {
             // before the head's reservation or fit in nodes the head does
             // not need.
             if self.backfill {
-                if let Some(head) = self.queue.front().cloned() {
-                    let reservation_t = self.head_reservation_time(head.req.nodes);
+                if let Some(head_nodes) = self.queue.front().map(|h| h.req.nodes) {
+                    let reservation_t = self.head_reservation_time(head_nodes);
                     // Nodes free at the reservation that the head will not
                     // consume ("extra" nodes usable indefinitely).
                     let free_at_reservation = self.free_nodes_at(reservation_t);
-                    let extra = free_at_reservation.saturating_sub(head.req.nodes);
+                    let extra = free_at_reservation.saturating_sub(head_nodes);
                     let mut i = 1;
                     while i < self.queue.len() {
                         let cand = &self.queue[i];
@@ -347,20 +350,21 @@ impl ClusterSim {
 
     /// Earliest time at which `nodes` nodes will be simultaneously free,
     /// assuming running jobs end at their end times.
-    fn head_reservation_time(&self, nodes: u32) -> f64 {
+    fn head_reservation_time(&mut self, nodes: u32) -> f64 {
         if nodes <= self.free_nodes() {
             return self.now_s;
         }
-        let mut ends: Vec<(f64, u32)> = self.running.iter().map(|r| (r.end_t, r.nodes)).collect();
+        let mut ends = std::mem::take(&mut self.ends);
+        ends.clear();
+        ends.extend(self.running.iter().map(|r| (r.end_t, r.nodes)));
         ends.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let mut free = self.free_nodes();
-        for (t, n) in ends {
+        let at = ends.iter().find_map(|&(t, n)| {
             free += n;
-            if free >= nodes {
-                return t;
-            }
-        }
-        f64::INFINITY
+            (free >= nodes).then_some(t)
+        });
+        self.ends = ends;
+        at.unwrap_or(f64::INFINITY)
     }
 
     /// Nodes free at time `t` assuming no new starts.

@@ -36,7 +36,7 @@ use crate::sim::{LinkSimulator, UeHandle};
 use crate::slice::Snssai;
 use crate::traffic::TrafficModel;
 use std::sync::Arc;
-use xg_obs::Obs;
+use xg_obs::{Obs, ProfNode};
 use xg_sim::{Advance, SimNs};
 
 /// Index of one cell within a fleet (stable for the fleet's lifetime).
@@ -87,16 +87,20 @@ struct FleetObs {
     cell_seconds: Arc<xg_obs::Counter>,
     /// Cell-nanoseconds simulated but not yet a whole cell-second.
     cell_ns_carry: u64,
+    /// Profiler nodes: [`PROF_BATCH`], its `cell` child, [`PROF_SIM_CELL`].
+    prof: [ProfNode; 3],
 }
 
 impl FleetObs {
     fn new(obs: &Obs) -> Option<Self> {
-        let reg = obs.registry()?;
+        let (reg, prof) = (obs.registry()?, obs.profiler()?);
+        let batch = prof.node(PROF_BATCH);
         Some(FleetObs {
             cells: reg.gauge("ran.fleet.cells"),
             batches: reg.counter("ran.fleet.batches"),
             cell_seconds: reg.counter("ran.fleet.cell_seconds"),
             cell_ns_carry: 0,
+            prof: [batch, prof.child(batch, "cell"), prof.node(PROF_SIM_CELL)],
         })
     }
 }
@@ -334,13 +338,15 @@ impl RanFleet {
     pub fn measure_seconds(&mut self, seconds: usize) -> Vec<CellBatch> {
         let elapsed_ns = seconds as u64 * 1_000_000_000;
         self.note_batch(elapsed_ns);
-        let obs = self.handle.clone();
-        let prof = obs.profiler();
-        let _batch = prof.map(|p| p.scope(PROF_BATCH));
-        let out = self.shard(|id, sim| {
-            let _cell = prof.map(|p| p.scope_under(PROF_BATCH, "cell"));
-            if let Some(p) = prof {
-                p.record_at(PROF_SIM_CELL, seconds as u64 * 1_000_000_000);
+        let prof = self
+            .handle
+            .profiler()
+            .zip(self.obs.as_ref().map(|o| o.prof));
+        let _batch = prof.map(|(p, [batch, ..])| p.scope_node(batch));
+        let out = shard(&mut self.cells, self.workers, |id, sim| {
+            let _cell = prof.map(|(p, [_, cell, _])| p.scope_node(cell));
+            if let Some((p, [.., sim_cell])) = prof {
+                p.record_node(sim_cell, seconds as u64 * 1_000_000_000);
             }
             CellBatch {
                 cell: id,
@@ -363,52 +369,50 @@ impl RanFleet {
             o.cell_ns_carry = (cell_ns % NS_PER_S) as u64;
         }
     }
+}
 
-    /// Run `f` over every cell, sharding contiguous cell ranges across
-    /// the worker pool; results come back in cell order. One
-    /// thread-scope join per call is the only synchronization point.
-    fn shard<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(CellId, &mut LinkSimulator) -> R + Sync,
-    {
-        let n = self.cells.len();
-        let workers = self.workers.min(n).max(1);
-        if workers <= 1 {
-            return self
-                .cells
-                .iter_mut()
-                .enumerate()
-                .map(|(i, sim)| f(CellId(i as u32), sim))
-                .collect();
-        }
-        let chunk = n.div_ceil(workers);
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        std::thread::scope(|scope| {
-            for (shard_idx, (sims, outs)) in self
-                .cells
-                .chunks_mut(chunk)
-                .zip(out.chunks_mut(chunk))
-                .enumerate()
-            {
-                let f = &f;
-                let base = shard_idx * chunk;
-                scope.spawn(move || {
-                    for (off, (sim, slot)) in sims.iter_mut().zip(outs.iter_mut()).enumerate() {
-                        *slot = Some(f(CellId((base + off) as u32), sim));
-                    }
-                });
-            }
-        });
-        #[expect(
-            clippy::expect_used,
-            reason = "scope join guarantees every slot was written; a None here is a lost shard and must abort"
-        )]
-        out.into_iter()
-            .map(|r| r.expect("every sharded cell produces a result"))
-            .collect()
+/// Run `f` over every cell, sharding contiguous cell ranges across
+/// the worker pool; results come back in cell order. One
+/// thread-scope join per call is the only synchronization point.
+fn shard<R, F>(cells: &mut [LinkSimulator], workers: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(CellId, &mut LinkSimulator) -> R + Sync,
+{
+    let n = cells.len();
+    let workers = workers.min(n).max(1);
+    if workers <= 1 {
+        return cells
+            .iter_mut()
+            .enumerate()
+            .map(|(i, sim)| f(CellId(i as u32), sim))
+            .collect();
     }
+    let chunk = n.div_ceil(workers);
+    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
+    out.resize_with(n, || None);
+    std::thread::scope(|scope| {
+        for (shard_idx, (sims, outs)) in cells
+            .chunks_mut(chunk)
+            .zip(out.chunks_mut(chunk))
+            .enumerate()
+        {
+            let f = &f;
+            let base = shard_idx * chunk;
+            scope.spawn(move || {
+                for (off, (sim, slot)) in sims.iter_mut().zip(outs.iter_mut()).enumerate() {
+                    *slot = Some(f(CellId((base + off) as u32), sim));
+                }
+            });
+        }
+    });
+    #[expect(
+        clippy::expect_used,
+        reason = "scope join guarantees every slot was written; a None here is a lost shard and must abort"
+    )]
+    out.into_iter()
+        .map(|r| r.expect("every sharded cell produces a result"))
+        .collect()
 }
 
 impl Advance for RanFleet {
@@ -430,15 +434,17 @@ impl Advance for RanFleet {
             return Ok(());
         }
         self.note_batch(t.0 - self.now_ns);
-        let obs = self.handle.clone();
-        let prof = obs.profiler();
-        let _batch = prof.map(|p| p.scope(PROF_BATCH));
-        let results = self.shard(|_, sim| {
-            let _cell = prof.map(|p| p.scope_under(PROF_BATCH, "cell"));
+        let prof = self
+            .handle
+            .profiler()
+            .zip(self.obs.as_ref().map(|o| o.prof));
+        let _batch = prof.map(|(p, [batch, ..])| p.scope_node(batch));
+        let results = shard(&mut self.cells, self.workers, |_, sim| {
+            let _cell = prof.map(|(p, [_, cell, _])| p.scope_node(cell));
             let before = sim.now().0;
             let r = sim.advance_to(t);
-            if let Some(p) = prof {
-                p.record_at(PROF_SIM_CELL, sim.now().0 - before);
+            if let Some((p, [.., sim_cell])) = prof {
+                p.record_node(sim_cell, sim.now().0 - before);
             }
             r
         });

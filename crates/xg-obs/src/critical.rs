@@ -16,15 +16,15 @@
 //! structure rides along in black-box bundles and is what the
 //! `xg-trace` CLI renders offline.
 
-use crate::span::{SpanId, SpanRecord, TraceId};
-use std::collections::BTreeMap;
+use crate::span::{SpanId, SpanName, SpanRecord, TraceId};
+use std::cmp::Reverse;
 use std::fmt::Write as _;
 
 /// One step of a critical path, root first.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CriticalStep {
     /// Span name, e.g. `"fabric.ran.probe"`.
-    pub name: String,
+    pub name: SpanName,
     /// The step's full duration in microseconds.
     pub duration_us: u64,
     /// Duration minus the sum of the step's children — time the step
@@ -37,7 +37,7 @@ pub struct CriticalStep {
 }
 
 /// The longest root-to-leaf chain of one trace's span tree.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CriticalPath {
     /// The trace the path was extracted from.
     pub trace: TraceId,
@@ -63,6 +63,15 @@ fn dur(s: &SpanRecord) -> u64 {
     s.end_us.saturating_sub(s.start_us)
 }
 
+/// The longer of two candidates; on equal durations the lower span id
+/// (then the earlier one) wins, so the result is deterministic.
+fn longer<'a>(best: Option<&'a SpanRecord>, s: &'a SpanRecord) -> Option<&'a SpanRecord> {
+    match best {
+        Some(b) if (dur(b), Reverse(b.id)) >= (dur(s), Reverse(s.id)) => Some(b),
+        _ => Some(s),
+    }
+}
+
 /// Extract the critical path of `trace` from a span list.
 ///
 /// Only spans of the given trace participate. The root is the
@@ -72,66 +81,45 @@ fn dur(s: &SpanRecord) -> u64 {
 /// longest-duration child until a leaf. Returns `None` when the trace
 /// has no spans.
 pub fn extract_critical(spans: &[SpanRecord], trace: TraceId) -> Option<CriticalPath> {
-    let in_trace: Vec<&SpanRecord> = spans.iter().filter(|s| s.trace == trace).collect();
-    if in_trace.is_empty() {
-        return None;
-    }
-    let ids: BTreeMap<SpanId, &SpanRecord> = in_trace.iter().map(|s| (s.id, *s)).collect();
-    let mut children: BTreeMap<SpanId, Vec<&SpanRecord>> = BTreeMap::new();
-    for s in &in_trace {
-        if let Some(p) = s.parent.filter(|p| ids.contains_key(p)) {
-            children.entry(p).or_default().push(s);
-        }
-    }
-    let root = in_trace
-        .iter()
-        .filter(|s| s.parent.is_none_or(|p| !ids.contains_key(&p)))
-        .copied()
-        // max_by_key keeps the *last* maximum; order by (duration, Reverse(id))
-        // via manual fold to keep the lowest id on ties.
-        .fold(None::<&SpanRecord>, |best, s| match best {
-            Some(b) if (dur(b), std::cmp::Reverse(b.id)) >= (dur(s), std::cmp::Reverse(s.id)) => {
-                Some(b)
-            }
-            _ => Some(s),
-        })?;
+    let mut path = CriticalPath::default();
+    extract_critical_into(spans, trace, &mut path).then_some(path)
+}
 
-    let mut steps = Vec::new();
+/// [`extract_critical`] into an existing path, reusing its step list.
+/// Returns `false`, leaving `out` untouched, when the trace has no spans.
+/// Scans the slice instead of indexing it, so it allocates nothing once
+/// `out` has room: a cycle's span tree is a handful of spans.
+pub fn extract_critical_into(spans: &[SpanRecord], trace: TraceId, out: &mut CriticalPath) -> bool {
+    let in_trace = || spans.iter().filter(move |s| s.trace == trace);
+    let present = |id: SpanId| in_trace().any(|s| s.id == id);
+    let kids = |id: SpanId| in_trace().filter(move |s| s.parent == Some(id));
+    let root = in_trace()
+        .filter(|s| s.parent.is_none_or(|p| !present(p)))
+        .fold(None, longer);
+    let Some(root) = root else {
+        return false;
+    };
+    out.trace = trace;
+    out.total_us = dur(root);
+    out.steps.clear();
     let mut node = root;
     let mut parent_dur: Option<u64> = None;
     loop {
-        let kids = children.get(&node.id).map(Vec::as_slice).unwrap_or(&[]);
-        let child_sum: u64 = kids.iter().map(|c| dur(c)).sum();
-        steps.push(CriticalStep {
+        let child_sum: u64 = kids(node.id).map(dur).sum();
+        out.steps.push(CriticalStep {
             name: node.name.clone(),
             duration_us: dur(node),
             self_us: dur(node).saturating_sub(child_sum),
             slack_us: parent_dur.map_or(0, |p| p.saturating_sub(dur(node))),
         });
-        let next = kids
-            .iter()
-            .copied()
-            .fold(None::<&SpanRecord>, |best, s| match best {
-                Some(b)
-                    if (dur(b), std::cmp::Reverse(b.id)) >= (dur(s), std::cmp::Reverse(s.id)) =>
-                {
-                    Some(b)
-                }
-                _ => Some(s),
-            });
-        match next {
+        match kids(node.id).fold(None, longer) {
             Some(n) => {
                 parent_dur = Some(dur(node));
                 node = n;
             }
-            None => break,
+            None => return true,
         }
     }
-    Some(CriticalPath {
-        trace,
-        total_us: dur(root),
-        steps,
-    })
 }
 
 /// Render a critical path as a fixed-width table, root first.
@@ -172,7 +160,7 @@ mod tests {
         trace: u64,
         id: u64,
         parent: Option<u64>,
-        name: &str,
+        name: &'static str,
         start: u64,
         end: u64,
     ) -> SpanRecord {
@@ -199,7 +187,7 @@ mod tests {
         ];
         let path = extract_critical(&spans, 7).expect("path");
         assert_eq!(path.total_us, 1000);
-        let names: Vec<&str> = path.steps.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = path.steps.iter().map(|s| s.name.as_ref()).collect();
         assert_eq!(names, ["cycle", "ran.probe", "fleet.step"]);
         assert_eq!(path.steps[0].slack_us, 0);
         assert_eq!(path.steps[0].self_us, 1000 - 700 - 200);

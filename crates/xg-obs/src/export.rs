@@ -256,7 +256,7 @@ fn parse_span_line(line: &str) -> Option<SpanRecord> {
         trace: trace?,
         id: id?,
         parent,
-        name: name?,
+        name: name?.into(),
         domain,
         start_us: start?,
         end_us: end?,

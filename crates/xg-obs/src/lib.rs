@@ -53,6 +53,8 @@ pub mod clock;
 pub mod critical;
 pub mod export;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod profile;
 pub mod recorder;
 pub mod slo;
@@ -60,19 +62,21 @@ pub mod span;
 pub mod window;
 
 pub use clock::ClockDomain;
-pub use critical::{extract_critical, render_critical, CriticalPath, CriticalStep};
+pub use critical::{
+    extract_critical, extract_critical_into, render_critical, CriticalPath, CriticalStep,
+};
 pub use export::{
     budget_table, parse_spans_jsonl, prometheus_text, render_budget_table, spans_to_jsonl,
     BudgetRow,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use profile::{render_profile, ProfScope, ProfileNode, ProfileSnapshot, Profiler};
+pub use profile::{render_profile, ProfNode, ProfScope, ProfileNode, ProfileSnapshot, Profiler};
 pub use recorder::{
     dump_bundle, install_panic_hook, render_bundle, BundleContext, FlightEntry, FlightRecorder,
     BUNDLE_SCHEMA,
 };
 pub use slo::{Hysteresis, SloEvent, SloEventKind, SloOp, SloSpec, SloStat, SloWatchdog};
-pub use span::{SpanId, SpanRecord, TraceId, Tracer, WallSpan};
+pub use span::{SpanId, SpanName, SpanRecord, TraceId, Tracer, WallSpan};
 pub use window::{MetricsWindow, WindowConfig, WindowView};
 
 use std::sync::Arc;

@@ -11,7 +11,7 @@
 //! merged profiles rely on.
 
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,6 +55,10 @@ impl Gauge {
 
 /// Guaranteed relative error α of every quantile estimate.
 const REL_ERR: f64 = 0.01;
+
+/// The dense range of [`MetricsRegistry::wall_histogram_ms`]: 1 ns to
+/// 1 000 s, in milliseconds.
+const WALL_DENSE_MS: (f64, f64) = (1e-6, 1e6);
 
 /// Values at or below this threshold land in the dedicated zero bucket
 /// (log buckets cannot represent zero).
@@ -179,6 +183,18 @@ impl Histogram {
         self.core.lock().record(v, idx, self.dense.as_ref());
     }
 
+    /// [`record`](Self::record) through exclusive access, which needs no
+    /// lock: for a histogram that sits behind its owner's (a profiler
+    /// node's).
+    pub(crate) fn record_mut(&mut self, v: f64) {
+        if !v.is_finite() {
+            return;
+        }
+        let v = v.max(0.0);
+        let idx = self.bucket_index(v);
+        self.core.get_mut().record(v, idx, self.dense.as_ref());
+    }
+
     /// A point-in-time snapshot (dense counts folded into sparse buckets).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut core = HistCore::default();
@@ -198,12 +214,76 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         self.core.lock().count
     }
+
+    /// Log of the bucket growth factor γ.
+    pub(crate) fn ln_gamma(&self) -> f64 {
+        self.ln_gamma
+    }
+
+    /// Write the occupied buckets, `(index, count)` in ascending index
+    /// order, into `out` (cleared first) and return `(count, zero)`: the
+    /// cumulative state a snapshot would fold, without building one.
+    pub(crate) fn read_buckets(&self, out: &mut Vec<(i32, u64)>) -> (u64, u64) {
+        let core = self.core.lock();
+        out.clear();
+        let sparse = |r: std::ops::RangeFrom<i32>, to: Option<i32>| {
+            core.buckets
+                .range(r)
+                .take_while(move |(&i, _)| to.is_none_or(|t| i < t))
+                .map(|(&i, &n)| (i, n))
+        };
+        if core.dense.is_empty() {
+            out.extend(sparse(i32::MIN.., None));
+        } else {
+            let (lo, hi) = (core.dense_lo, core.dense_lo + core.dense.len() as i32);
+            out.extend(sparse(i32::MIN.., Some(lo)));
+            let dense = (lo..).zip(&core.dense).filter(|&(_, &n)| n > 0);
+            out.extend(dense.map(|(i, &n)| (i, n)));
+            out.extend(sparse(hi.., None));
+        }
+        (core.count, core.zero)
+    }
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram::new()
     }
+}
+
+/// Midpoint estimate of bucket `i`, `2γ^i/(γ+1)`: within ±α of every
+/// value in the bucket's `(γ^(i-1), γ^i]` range.
+pub(crate) fn midpoint(ln_gamma: f64, i: i32) -> f64 {
+    let gamma = ln_gamma.exp();
+    (i as f64 * ln_gamma).exp() * 2.0 / (gamma + 1.0)
+}
+
+/// The q-quantile rule every quantile in this crate answers by: walk
+/// the zero bucket, then `buckets` in ascending index order, to the one
+/// holding rank `⌊q·(count−1)⌋`, and return its midpoint. `None` when
+/// the stream is empty or the buckets run out before the rank.
+pub(crate) fn bucket_quantile(
+    ln_gamma: f64,
+    count: u64,
+    zero: u64,
+    buckets: impl IntoIterator<Item = (i32, u64)>,
+    q: f64,
+) -> Option<f64> {
+    if count == 0 {
+        return None;
+    }
+    let rank = (q.clamp(0.0, 1.0) * (count - 1) as f64).floor() as u64;
+    let mut cum = zero;
+    if cum > rank {
+        return Some(0.0);
+    }
+    for (i, n) in buckets {
+        cum += n;
+        if cum > rank {
+            return Some(midpoint(ln_gamma, i));
+        }
+    }
+    None
 }
 
 /// An immutable view of a [`Histogram`], itself mergeable: two snapshots
@@ -239,24 +319,12 @@ impl HistogramSnapshot {
     /// The q-quantile (`0.0 ..= 1.0`): an estimate within relative error
     /// α of the sample at rank `⌊q·(n−1)⌋` of the sorted stream.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.core.count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * (self.core.count - 1) as f64).floor() as u64;
-        let mut cum = self.core.zero;
-        if cum > rank {
-            return Some(0.0);
-        }
-        for (&i, &n) in &self.core.buckets {
-            cum += n;
-            if cum > rank {
-                // Midpoint estimate 2γ^i/(γ+1): within ±α of every value
-                // in the bucket's (γ^(i-1), γ^i] range.
-                let gamma = self.ln_gamma.exp();
-                return Some((i as f64 * self.ln_gamma).exp() * 2.0 / (gamma + 1.0));
-            }
-        }
-        self.max()
+        let buckets = self.core.buckets.iter().map(|(&i, &n)| (i, n));
+        let max = self.max()?;
+        Some(
+            bucket_quantile(self.ln_gamma, self.core.count, self.core.zero, buckets, q)
+                .unwrap_or(max),
+        )
     }
 
     /// Merge another snapshot into this one.
@@ -285,7 +353,6 @@ impl HistogramSnapshot {
         let zero = self.core.zero.saturating_sub(earlier.core.zero);
         let count = self.core.count.saturating_sub(earlier.core.count);
         let sum = (self.core.sum - earlier.core.sum).max(0.0);
-        let gamma = self.ln_gamma.exp();
         let (min, max) = if count == 0 {
             (0.0, 0.0)
         } else {
@@ -297,13 +364,13 @@ impl HistogramSnapshot {
                 buckets
                     .keys()
                     .next()
-                    .map(|&i| (i as f64 * self.ln_gamma).exp() * 2.0 / (gamma + 1.0))
+                    .map(|&i| midpoint(self.ln_gamma, i))
                     .unwrap_or(0.0)
             };
             let hi = buckets
                 .keys()
                 .next_back()
-                .map(|&i| (i as f64 * self.ln_gamma).exp() * 2.0 / (gamma + 1.0))
+                .map(|&i| midpoint(self.ln_gamma, i))
                 .unwrap_or(0.0);
             (lo, hi)
         };
@@ -324,7 +391,7 @@ impl HistogramSnapshot {
 
 /// One named instrument.
 #[derive(Clone, Debug)]
-enum Instrument {
+pub(crate) enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
@@ -415,6 +482,35 @@ impl MetricsRegistry {
         )
     }
 
+    /// The instrument registered under `name`, if any (never creates).
+    pub(crate) fn find(&self, name: &str) -> Option<Instrument> {
+        self.names.read().instruments.get(name).cloned()
+    }
+
+    /// Call `f` on every registered instrument, in name order.
+    pub(crate) fn visit(&self, mut f: impl FnMut(&str, &Instrument)) {
+        for (name, inst) in &self.names.read().instruments {
+            f(name, inst);
+        }
+    }
+
+    /// Get or create a histogram for wall-clock durations in
+    /// milliseconds. Its buckets from 1 ns to 1 000 s (the profiler's
+    /// dense range) live in one array, so how many allocations recording
+    /// makes does not depend on the host's timing noise. Snapshots and
+    /// quantiles are those of [`histogram`](Self::histogram).
+    pub fn wall_histogram_ms(&self, name: &str) -> Arc<Histogram> {
+        self.get_or_insert(
+            name,
+            Instrument::Histogram,
+            |i| match i {
+                Instrument::Histogram(h) => Some(Arc::clone(h)),
+                _ => None,
+            },
+            || Histogram::with_dense_range(WALL_DENSE_MS.0, WALL_DENSE_MS.1),
+        )
+    }
+
     /// Register a one-line help text for an instrument name, surfaced by
     /// the Prometheus exporter as a `# HELP` line. Optional: names with
     /// no registered help render exactly as before. Last write wins.
@@ -437,11 +533,13 @@ impl MetricsRegistry {
         snap
     }
 
-    /// A snapshot restricted to the named instruments (no help texts).
-    /// A consumer that only ever reads a fixed metric set — the SLO
-    /// window diffing the registry every report cycle — pays for those
-    /// instruments alone instead of cloning every live histogram.
-    pub fn snapshot_of(&self, names: &BTreeSet<String>) -> MetricsSnapshot {
+    /// A snapshot restricted to the named instruments (no help texts),
+    /// as the retired string-keyed window took it.
+    #[cfg(test)]
+    pub(crate) fn snapshot_of(
+        &self,
+        names: &std::collections::BTreeSet<String>,
+    ) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         let map = &self.names.read().instruments;
         for name in names {

@@ -8,10 +8,15 @@
 //! `total − child`), and a log-linear duration histogram with the same
 //! bounded relative error as [`crate::metrics::Histogram`].
 //!
-//! Recording takes one mutex: a scoped-guard exit is one map update
+//! Recording takes one mutex: a scoped-guard exit is one node update
 //! under it. Nodes accumulate by integer addition, so durations recorded
 //! from several threads sum to the same integers in any order, which
 //! keeps serial and parallel fleet attribution bitwise equal.
+//!
+//! A path is resolved to its node once: the tree keeps its nodes in an
+//! arena, finds a root or a full path through one sorted index, and
+//! memoizes each (parent node, child name) pair on the parent, so a
+//! record at a path the tree already holds allocates nothing.
 //!
 //! Three recording surfaces:
 //!
@@ -28,7 +33,7 @@
 
 use crate::clock::wall_now_ns;
 use crate::metrics::{Histogram, HistogramSnapshot};
-use crate::span::{SpanId, SpanRecord};
+use crate::span::{SpanId, SpanRecord, TraceId};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -61,13 +66,182 @@ impl NodeCore {
     }
 }
 
+/// Where a node charges its child time.
+#[derive(Clone, Copy, Debug)]
+enum Parent {
+    /// Not looked up yet (resolved on the node's first record).
+    Unresolved,
+    /// A root path: no `/` in it.
+    Root,
+    /// The node of the path before the last `/`.
+    Node(usize),
+}
+
+#[derive(Debug)]
+struct Node {
+    path: String,
+    /// Recorded into, or charged child time: only such nodes are in a
+    /// snapshot, so resolving a [`ProfNode`] ahead of use changes none.
+    touched: bool,
+    parent: Parent,
+    /// Memo of children found by name (each child's name is the tail of
+    /// its path after this node's path and the separator).
+    children: Vec<usize>,
+    /// Where in `children` the next look-up starts: just past the last
+    /// hit, so children asked for in a fixed order (a cycle's phases)
+    /// are each found at the first compare.
+    hint: usize,
+    core: NodeCore,
+}
+
+/// The attribution tree behind the profiler's lock.
+#[derive(Debug, Default)]
+struct Tree {
+    nodes: Vec<Node>,
+    /// Node by full path; sorted, so snapshots need no sort.
+    by_path: BTreeMap<String, usize>,
+    /// Scratch of `record_trace`, kept to reuse its capacity: the spans'
+    /// `(trace, id, index)` sorted, and each key's node once found.
+    trace_keys: Vec<(TraceId, SpanId, usize)>,
+    trace_nodes: Vec<Option<usize>>,
+}
+
+/// Whether `stored` (a path level) is `name` with separators replaced.
+fn sanitized_eq(stored: &str, name: &str) -> bool {
+    if !name.contains(PATH_SEP) {
+        return stored == name;
+    }
+    stored.len() == name.len()
+        && (stored.bytes().zip(name.bytes()))
+            .all(|(a, b)| a == if b == PATH_SEP as u8 { b'_' } else { b })
+}
+
+impl Tree {
+    /// The node at `path`, created (unrecorded) if absent.
+    fn node(&mut self, path: &str) -> usize {
+        if let Some(&i) = self.by_path.get(path) {
+            return i;
+        }
+        self.insert(path.to_string(), Parent::Unresolved)
+    }
+
+    fn insert(&mut self, path: String, parent: Parent) -> usize {
+        let i = self.nodes.len();
+        self.by_path.insert(path.clone(), i);
+        self.nodes.push(Node {
+            path,
+            touched: false,
+            parent,
+            children: Vec::new(),
+            hint: 0,
+            core: NodeCore::new(),
+        });
+        i
+    }
+
+    /// The root node of a scope name (`/` sanitized away).
+    fn root(&mut self, name: &str) -> usize {
+        if name.contains(PATH_SEP) {
+            self.node(&sanitize(name))
+        } else {
+            self.node(name)
+        }
+    }
+
+    /// The child of `parent` named `name` (`/` sanitized away).
+    fn child(&mut self, parent: usize, name: &str) -> usize {
+        let node = &self.nodes[parent];
+        let (skip, kids) = (node.path.len() + 1, &node.children);
+        let from = node.hint;
+        let mut scan = (0..kids.len()).map(|k| (from + k) % kids.len());
+        if let Some(k) = scan.find(|&k| sanitized_eq(&self.nodes[kids[k]].path[skip..], name)) {
+            let c = kids[k];
+            self.nodes[parent].hint = k + 1;
+            return c;
+        }
+        let path = join(&self.nodes[parent].path, name);
+        let c = match self.by_path.get(&path) {
+            Some(&c) => c,
+            None => self.insert(path, Parent::Node(parent)),
+        };
+        let kids = &mut self.nodes[parent].children;
+        kids.push(c);
+        self.nodes[parent].hint = kids.len();
+        c
+    }
+
+    /// Attribute `dur_ns` to node `i` and its child time to its parent.
+    fn record(&mut self, i: usize, dur_ns: u64) {
+        self.nodes[i].touched = true;
+        let core = &mut self.nodes[i].core;
+        core.calls += 1;
+        core.total_ns += dur_ns;
+        core.hist.record_mut(dur_ns as f64);
+        let parent = match self.nodes[i].parent {
+            Parent::Unresolved => {
+                let parent = match self.nodes[i].path.rsplit_once(PATH_SEP) {
+                    Some((p, _)) => {
+                        let p = p.to_string();
+                        Parent::Node(self.node(&p))
+                    }
+                    None => Parent::Root,
+                };
+                self.nodes[i].parent = parent;
+                parent
+            }
+            known => known,
+        };
+        if let Parent::Node(p) = parent {
+            self.nodes[p].touched = true;
+            self.nodes[p].core.child_ns += dur_ns;
+        }
+    }
+
+    /// Where `record_trace` attributes `spans[i]`, whose key sits at `k`
+    /// in `trace_keys`: the node of its ancestor chain's names. One path
+    /// per `(trace, id)`, fixed by the first span of that key that asks.
+    fn span_node(&mut self, spans: &[SpanRecord], i: usize, k: usize) -> usize {
+        if let Some(n) = self.trace_nodes[k] {
+            return n;
+        }
+        let s = &spans[i];
+        let n = match s.parent.and_then(|p| self.key_pos(s.trace, p)) {
+            // A parent-cycle in malformed input would recurse forever; the
+            // tracer hands out strictly increasing ids, so parent < child
+            // holds for every well-formed DAG and depth bounds the walk.
+            Some(pk) if spans[self.trace_keys[pk].2].id < s.id => {
+                let p = self.span_node(spans, self.trace_keys[pk].2, pk);
+                self.child(p, &s.name)
+            }
+            _ => self.root(&s.name),
+        };
+        self.trace_nodes[k] = Some(n);
+        n
+    }
+
+    /// Position of the last span keyed `(trace, id)` in `trace_keys`.
+    fn key_pos(&self, trace: TraceId, id: SpanId) -> Option<usize> {
+        let end = self
+            .trace_keys
+            .partition_point(|&(t, s, _)| (t, s) <= (trace, id));
+        let last = end.checked_sub(1)?;
+        let (t, s, _) = self.trace_keys[last];
+        ((t, s) == (trace, id)).then_some(last)
+    }
+}
+
+/// A profiler path resolved to its node once, so recording against it
+/// looks nothing up. Valid with the profiler that resolved it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProfNode(usize);
+
 /// A hierarchical wall-time profiler.
 ///
-/// Cheap enough for hot paths: one mutex-guarded `BTreeMap` update per
-/// guard exit, no allocation when the node already exists.
+/// Cheap enough for hot paths: one mutex-guarded node update per guard
+/// exit, no allocation when the node already exists.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    nodes: Mutex<BTreeMap<String, NodeCore>>,
+    tree: Mutex<Tree>,
 }
 
 impl Profiler {
@@ -77,10 +251,10 @@ impl Profiler {
     }
 
     /// Open a root scope; time is attributed when the guard drops.
-    pub fn scope(&self, name: &str) -> ProfScope<'_> {
+    pub fn scope<'a>(&'a self, name: &'a str) -> ProfScope<'a> {
         ProfScope {
             prof: self,
-            path: sanitize(name),
+            at: At::Root(name),
             start_ns: wall_now_ns(),
         }
     }
@@ -88,10 +262,36 @@ impl Profiler {
     /// Open a scope under an explicit parent path — the cross-thread
     /// form: a fleet worker attributes its cell work under the path of
     /// a scope opened on the coordinating thread.
-    pub fn scope_under(&self, parent: &str, name: &str) -> ProfScope<'_> {
+    pub fn scope_under<'a>(&'a self, parent: &'a str, name: &'a str) -> ProfScope<'a> {
         ProfScope {
             prof: self,
-            path: join(parent, name),
+            at: At::Under(parent, name),
+            start_ns: wall_now_ns(),
+        }
+    }
+
+    /// Resolve `path` (as [`record_at`](Self::record_at) takes it) once.
+    /// The node enters snapshots on its first record.
+    pub fn node(&self, path: &str) -> ProfNode {
+        ProfNode(self.tree.lock().node(path))
+    }
+
+    /// Resolve the child `name` of `parent` once, named as
+    /// [`scope_under`](Self::scope_under) names it.
+    pub fn child(&self, parent: ProfNode, name: &str) -> ProfNode {
+        ProfNode(self.tree.lock().child(parent.0, name))
+    }
+
+    /// [`record_at`](Self::record_at) a resolved node.
+    pub fn record_node(&self, node: ProfNode, dur_ns: u64) {
+        self.tree.lock().record(node.0, dur_ns);
+    }
+
+    /// [`scope`](Self::scope) at a resolved node.
+    pub fn scope_node(&self, node: ProfNode) -> ProfScope<'_> {
+        ProfScope {
+            prof: self,
+            at: At::Node(node.0),
             start_ns: wall_now_ns(),
         }
     }
@@ -99,10 +299,12 @@ impl Profiler {
     /// Record an explicit duration at `path` (nanoseconds). The parent
     /// node (everything before the last `/`) is charged `dur_ns` of
     /// child time, so self-time stays consistent with guard recording.
-    /// Integer addition into ordered maps makes this bitwise
+    /// Integer addition into the tree makes this bitwise
     /// order-independent — the deterministic-attribution surface.
     pub fn record_at(&self, path: &str, dur_ns: u64) {
-        self.record_inner(path, dur_ns);
+        let mut tree = self.tree.lock();
+        let i = tree.node(path);
+        tree.record(i, dur_ns);
     }
 
     /// Ingest a completed span DAG: each span's attribution path is its
@@ -111,43 +313,38 @@ impl Profiler {
     /// own name. Pass spans of a single clock domain — mixing sim and
     /// wall durations in one tree makes the totals meaningless.
     pub fn record_trace(&self, spans: &[SpanRecord]) {
-        let by_id: BTreeMap<(u64, SpanId), &SpanRecord> =
-            spans.iter().map(|s| ((s.trace, s.id), s)).collect();
-        let mut paths: BTreeMap<(u64, SpanId), String> = BTreeMap::new();
-        for s in spans {
-            let path = trace_path(s, &by_id, &mut paths);
+        let mut tree = self.tree.lock();
+        let tree = &mut *tree;
+        tree.trace_keys.clear();
+        tree.trace_keys
+            .extend(spans.iter().enumerate().map(|(i, s)| (s.trace, s.id, i)));
+        // A tracer's spans come in key order: then span `i`'s key is the
+        // `i`-th, with no sort and no search.
+        let in_order = (tree.trace_keys.windows(2)).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1));
+        if !in_order {
+            tree.trace_keys.sort_unstable();
+        }
+        tree.trace_nodes.clear();
+        tree.trace_nodes.resize(spans.len(), None);
+        for (i, s) in spans.iter().enumerate() {
+            let k = match in_order {
+                true => Some(i),
+                false => tree.key_pos(s.trace, s.id),
+            };
+            // Every span's own key is in `trace_keys`.
+            let Some(k) = k else { continue };
+            let n = tree.span_node(spans, i, k);
             let dur_us = s.end_us.saturating_sub(s.start_us);
-            self.record_inner(&path, dur_us.saturating_mul(1_000));
-        }
-    }
-
-    fn record_inner(&self, path: &str, dur_ns: u64) {
-        self.with_node(path, |n| {
-            n.calls += 1;
-            n.total_ns += dur_ns;
-            n.hist.record(dur_ns as f64);
-        });
-        if let Some((parent, _)) = path.rsplit_once(PATH_SEP) {
-            self.with_node(parent, |n| n.child_ns += dur_ns);
-        }
-    }
-
-    fn with_node(&self, path: &str, f: impl FnOnce(&mut NodeCore)) {
-        let mut map = self.nodes.lock();
-        match map.get_mut(path) {
-            Some(n) => f(n),
-            None => {
-                let mut n = NodeCore::new();
-                f(&mut n);
-                map.insert(path.to_string(), n);
-            }
+            tree.record(n, dur_us.saturating_mul(1_000));
         }
     }
 
     /// A point-in-time snapshot of the attribution tree.
     pub fn snapshot(&self) -> ProfileSnapshot {
-        let map = self.nodes.lock();
-        let nodes = map.iter().map(|(path, core)| {
+        let tree = self.tree.lock();
+        let touched = tree.by_path.iter().filter(|&(_, &i)| tree.nodes[i].touched);
+        let nodes = touched.map(|(path, &i)| {
+            let core = &tree.nodes[i].core;
             let node = ProfileNode {
                 calls: core.calls,
                 total_ns: core.total_ns,
@@ -162,27 +359,7 @@ impl Profiler {
     }
 }
 
-/// Compute (and memoize) the ancestor-chain path of one span.
-fn trace_path(
-    span: &SpanRecord,
-    by_id: &BTreeMap<(u64, SpanId), &SpanRecord>,
-    paths: &mut BTreeMap<(u64, SpanId), String>,
-) -> String {
-    if let Some(p) = paths.get(&(span.trace, span.id)) {
-        return p.clone();
-    }
-    let path = match span.parent.and_then(|p| by_id.get(&(span.trace, p))) {
-        // A parent-cycle in malformed input would recurse forever; the
-        // tracer hands out strictly increasing ids, so parent < child
-        // holds for every well-formed DAG and depth bounds the walk.
-        Some(parent) if parent.id < span.id => join(&trace_path(parent, by_id, paths), &span.name),
-        _ => sanitize(&span.name),
-    };
-    paths.insert((span.trace, span.id), path.clone());
-    path
-}
-
-fn sanitize(name: &str) -> String {
+pub(crate) fn sanitize(name: &str) -> String {
     if name.contains(PATH_SEP) {
         name.replace(PATH_SEP, "_")
     } else {
@@ -190,7 +367,7 @@ fn sanitize(name: &str) -> String {
     }
 }
 
-fn join(parent: &str, name: &str) -> String {
+pub(crate) fn join(parent: &str, name: &str) -> String {
     let mut s = String::with_capacity(parent.len() + 1 + name.len());
     s.push_str(parent);
     s.push(PATH_SEP);
@@ -203,16 +380,19 @@ fn join(parent: &str, name: &str) -> String {
 #[derive(Debug)]
 pub struct ProfScope<'a> {
     prof: &'a Profiler,
-    path: String,
+    at: At<'a>,
     start_ns: u64,
 }
 
-impl<'a> ProfScope<'a> {
-    /// This scope's full attribution path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
+/// Where a scope attributes its time, resolved when it closes.
+#[derive(Debug)]
+enum At<'a> {
+    Root(&'a str),
+    Under(&'a str, &'a str),
+    Node(usize),
+}
 
+impl ProfScope<'_> {
     /// Close the scope now (equivalent to dropping it).
     pub fn finish(self) {}
 }
@@ -220,7 +400,16 @@ impl<'a> ProfScope<'a> {
 impl Drop for ProfScope<'_> {
     fn drop(&mut self) {
         let dur = wall_now_ns().saturating_sub(self.start_ns);
-        self.prof.record_inner(&self.path, dur);
+        let mut tree = self.prof.tree.lock();
+        let i = match self.at {
+            At::Root(name) => tree.root(name),
+            At::Under(parent, name) => {
+                let p = tree.node(parent);
+                tree.child(p, name)
+            }
+            At::Node(i) => i,
+        };
+        tree.record(i, dur);
     }
 }
 
@@ -296,6 +485,8 @@ pub fn render_profile(snap: &ProfileSnapshot) -> String {
 mod tests {
     use super::*;
     use crate::clock::ClockDomain;
+    use crate::oracle::StringProfiler;
+    use proptest::prelude::*;
 
     #[test]
     fn scoped_guards_build_a_tree_with_self_and_child_time() {
@@ -416,6 +607,121 @@ mod tests {
         let snap = prof.snapshot();
         assert!(snap.nodes.contains_key("a_b"));
         assert!(!snap.nodes.contains_key("a/b"));
+    }
+
+    const PATHS: [&str; 7] = ["a", "a/b", "a/b/c", "x/y", "cycle", "cycle/ran.probe", "z/"];
+    const NAMES: [&str; 6] = ["cycle", "ran.probe", "a", "b", "odd/name", "c"];
+
+    /// A random span list: unique ids, random traces, names (one with a
+    /// separator) and parents, some absent and some newer than the child.
+    fn spans() -> impl Strategy<Value = Vec<SpanRecord>> {
+        let span = (
+            1u64..3,
+            0usize..NAMES.len(),
+            0u64..12,
+            0u64..5_000,
+            0u64..40,
+        );
+        proptest::collection::vec(span, 0..10).prop_map(|raw| {
+            let ids: Vec<u64> = (1..=raw.len() as u64).map(|i| i * 3).collect();
+            raw.iter()
+                .zip(&ids)
+                .map(|(&(trace, name, parent, dur, start), &id)| SpanRecord {
+                    trace,
+                    id,
+                    parent: (parent > 0).then_some(parent * 3 + (parent % 4 == 0) as u64),
+                    name: NAMES[name].into(),
+                    domain: ClockDomain::Wall,
+                    start_us: start,
+                    end_us: start + dur,
+                    attrs: vec![],
+                })
+                .collect()
+        })
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        At(usize, u64),
+        Trace(Vec<SpanRecord>),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The node-arena profiler keeps exactly the snapshot of the
+        /// retired string-keyed one over any mix of explicit records and
+        /// span-tree ingests.
+        #[test]
+        fn matches_the_string_keyed_oracle(
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    (0usize..PATHS.len(), 0u64..1_000_000).prop_map(|(p, ns)| Op::At(p, ns)),
+                    spans().prop_map(Op::Trace),
+                ],
+                1..12,
+            ),
+        ) {
+            let (prof, mut oracle) = (Profiler::new(), StringProfiler::default());
+            for op in &ops {
+                match op {
+                    Op::At(p, ns) => {
+                        prof.record_at(PATHS[*p], *ns);
+                        oracle.record_at(PATHS[*p], *ns);
+                    }
+                    Op::Trace(spans) => {
+                        prof.record_trace(spans);
+                        oracle.record_trace(spans);
+                    }
+                }
+            }
+            prop_assert_eq!(prof.snapshot(), oracle.snapshot());
+        }
+    }
+
+    /// Guards land where the string-keyed paths put them: same nodes,
+    /// same call counts (durations are wall time, so only those differ).
+    #[test]
+    fn scopes_resolve_to_the_string_keyed_paths() {
+        let (prof, mut oracle) = (Profiler::new(), StringProfiler::default());
+        for (parent, name) in [
+            (None, "ric.step"),
+            (Some("ric.step"), "demand/slicer"),
+            (Some("ran.fleet.batch"), "cell"),
+            (Some("ran.fleet.batch"), "cell"),
+            (None, "a/b"),
+            (Some("a_b"), "c"),
+        ] {
+            match parent {
+                Some(p) => prof.scope_under(p, name).finish(),
+                None => prof.scope(name).finish(),
+            }
+            oracle.scope_exit(parent, name, 1);
+        }
+        let calls = |s: ProfileSnapshot| -> Vec<(String, u64)> {
+            s.nodes.into_iter().map(|(p, n)| (p, n.calls)).collect()
+        };
+        assert_eq!(calls(prof.snapshot()), calls(oracle.snapshot()));
+    }
+
+    /// Resolved nodes record exactly as their paths do, and stay out of
+    /// snapshots until recorded.
+    #[test]
+    fn resolved_nodes_match_their_paths() {
+        let (prof, by_path) = (Profiler::new(), Profiler::new());
+        let batch = prof.node("ran.fleet.batch");
+        let cell = prof.child(batch, "cell/x");
+        let sim = prof.node("ran.fleet.sim/cell");
+        assert!(prof.snapshot().is_empty());
+        prof.record_node(cell, 7);
+        prof.record_node(sim, 11);
+        prof.record_node(batch, 20);
+        by_path.record_at("ran.fleet.batch/cell_x", 7);
+        by_path.record_at("ran.fleet.sim/cell", 11);
+        by_path.record_at("ran.fleet.batch", 20);
+        assert_eq!(prof.snapshot(), by_path.snapshot());
+        prof.scope_node(cell).finish();
+        assert_eq!(prof.snapshot().nodes["ran.fleet.batch/cell_x"].calls, 2);
     }
 
     #[test]

@@ -48,6 +48,10 @@ pub enum FlightEntry {
 /// each arrival evicts the oldest. An entry's sequence number is its
 /// arrival index, so the ring never stores one: the front entry's is the
 /// eviction count.
+///
+/// A recorder that feeds a [`Tracer`](crate::span::Tracer) also holds
+/// that tracer's span list, so each span is stored once: a span the ring
+/// evicts before the tracer hands it out moves to an archive.
 #[derive(Debug)]
 pub struct FlightRecorder {
     ring: Mutex<Ring>,
@@ -58,6 +62,16 @@ pub struct FlightRecorder {
 struct Ring {
     entries: VecDeque<FlightEntry>,
     dropped: u64,
+    /// Whether a tracer reads its span list from this recorder.
+    traced: bool,
+    /// Evicted spans the tracer has not handed out yet, oldest first.
+    archive: Vec<SpanRecord>,
+    /// Ring entries at or past this sequence number belong to the
+    /// tracer's list.
+    untaken_from: u64,
+    /// Spans in the tracer's list: the archive plus the ring's spans at
+    /// or past `untaken_from`.
+    traced_len: usize,
 }
 
 impl FlightRecorder {
@@ -71,16 +85,65 @@ impl FlightRecorder {
 
     fn push(&self, entry: FlightEntry) {
         let mut ring = self.ring.lock();
+        let ring = &mut *ring;
+        if matches!(entry, FlightEntry::Span(_)) && ring.traced {
+            ring.traced_len += 1;
+        }
         if ring.entries.len() == self.capacity {
-            ring.entries.pop_front();
+            let evicted = ring.entries.pop_front();
+            if let Some(FlightEntry::Span(s)) = evicted {
+                if ring.traced && ring.dropped >= ring.untaken_from {
+                    ring.archive.push(s);
+                }
+            }
             ring.dropped += 1;
         }
         ring.entries.push_back(entry);
     }
 
-    /// Buffer a completed span.
+    /// Buffer a completed span. On a recorder that feeds a tracer, the
+    /// span also joins that tracer's span list.
     pub fn record_span(&self, span: SpanRecord) {
         self.push(FlightEntry::Span(span));
+    }
+
+    /// From now on every buffered span also belongs to a tracer's list.
+    /// A recorder feeds at most one tracer: a second one would share the
+    /// first one's list.
+    pub(crate) fn attach_tracer(&self) {
+        let mut ring = self.ring.lock();
+        assert!(!ring.traced, "a flight recorder feeds at most one tracer");
+        ring.traced = true;
+        ring.untaken_from = ring.dropped + ring.entries.len() as u64;
+    }
+
+    /// Length of the attached tracer's span list.
+    pub(crate) fn traced_len(&self) -> usize {
+        self.ring.lock().traced_len
+    }
+
+    /// The attached tracer's span list in recording order; `take` hands
+    /// it out, so later calls start empty. The ring keeps its entries.
+    pub(crate) fn traced_spans(&self, take: bool) -> Vec<SpanRecord> {
+        let mut ring = self.ring.lock();
+        let ring = &mut *ring;
+        let mut out = if take {
+            std::mem::take(&mut ring.archive)
+        } else {
+            ring.archive.clone()
+        };
+        out.reserve_exact(ring.traced_len.saturating_sub(out.len()));
+        let skip = ring.untaken_from.saturating_sub(ring.dropped) as usize;
+        for e in ring.entries.iter().skip(skip) {
+            if let FlightEntry::Span(s) = e {
+                out.push(s.clone());
+            }
+        }
+        if take {
+            ring.untaken_from = ring.dropped + ring.entries.len() as u64;
+            ring.traced_len = 0;
+        }
+        out
     }
 
     /// Buffer an annotation at `t_us` microseconds.
@@ -388,12 +451,12 @@ mod tests {
     use crate::clock::ClockDomain;
     use crate::span::Tracer;
 
-    fn span(trace: u64, id: u64, parent: Option<u64>, name: &str) -> SpanRecord {
+    fn span(trace: u64, id: u64, parent: Option<u64>, name: &'static str) -> SpanRecord {
         SpanRecord {
             trace,
             id,
             parent,
-            name: name.to_string(),
+            name: name.into(),
             domain: ClockDomain::Sim,
             start_us: id * 1000,
             end_us: id * 1000 + 500,
@@ -560,5 +623,13 @@ mod tests {
         let ordered = rec.ordered_spans();
         assert_eq!(ordered[0].name, "cycle");
         assert_eq!(ordered[1].name, "stage");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most one tracer")]
+    fn a_recorder_feeds_one_tracer() {
+        let rec = Arc::new(FlightRecorder::new(8));
+        let _first = Tracer::with_sink(Arc::clone(&rec));
+        let _second = Tracer::with_sink(rec);
     }
 }

@@ -111,7 +111,7 @@ impl SloSpec {
     /// Read this objective's statistic from a window. `None` means "not
     /// judgeable yet" (metric absent or below `min_count`), which is
     /// treated as healthy.
-    pub fn observe(&self, view: &WindowView) -> Option<f64> {
+    pub fn observe(&self, view: &WindowView<'_>) -> Option<f64> {
         match self.stat {
             SloStat::P99 => {
                 if view.hist_count(&self.metric) < self.min_count {
@@ -226,7 +226,7 @@ impl SloWatchdog {
 
     /// Evaluate every objective against `view`, returning the edges that
     /// fired this tick (after hysteresis).
-    pub fn evaluate(&mut self, t_s: f64, view: &WindowView) -> Vec<SloEvent> {
+    pub fn evaluate(&mut self, t_s: f64, view: &WindowView<'_>) -> Vec<SloEvent> {
         let mut events = Vec::new();
         for (spec, state) in self.specs.iter().zip(self.states.iter_mut()) {
             let observed = spec.observe(view);

@@ -10,7 +10,8 @@
 
 use crate::clock::{secs_to_us, wall_now_us, ClockDomain};
 use crate::recorder::FlightRecorder;
-use parking_lot::Mutex;
+use crate::DEFAULT_RECORDER_CAPACITY;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,6 +19,10 @@ use std::sync::Arc;
 pub type TraceId = u64;
 /// Identifies one span within a tracer.
 pub type SpanId = u64;
+
+/// A span or stage name: a string literal costs no allocation, a name
+/// built at run time is owned.
+pub type SpanName = Cow<'static, str>;
 
 /// One completed stage of a trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,7 +34,7 @@ pub struct SpanRecord {
     /// Parent span id, `None` for a trace root.
     pub parent: Option<SpanId>,
     /// Stage name, e.g. `"cfd.solve"`.
-    pub name: String,
+    pub name: SpanName,
     /// Which clock produced the timestamps.
     pub domain: ClockDomain,
     /// Start, microseconds in `domain`.
@@ -47,27 +52,39 @@ impl SpanRecord {
     }
 }
 
-/// Collects [`SpanRecord`]s and hands out trace/span ids.
-#[derive(Debug, Default)]
+/// Collects [`SpanRecord`]s and hands out trace/span ids. Its spans live
+/// in a flight recorder, stored once: the recorder's bounded ring holds
+/// the recent ones, and a span it evicts moves to the recorder's archive
+/// until [`take_spans`](Tracer::take_spans) hands it out.
+#[derive(Debug)]
 pub struct Tracer {
     next_id: AtomicU64,
-    spans: Mutex<Vec<SpanRecord>>,
-    sink: Option<Arc<FlightRecorder>>,
+    recorder: Arc<FlightRecorder>,
+}
+
+impl Default for Tracer {
+    fn default() -> Self {
+        Tracer::new()
+    }
 }
 
 impl Tracer {
-    /// An empty tracer.
+    /// An empty tracer with a recorder of its own.
     pub fn new() -> Self {
-        Tracer::default()
+        Tracer::with_sink(Arc::new(FlightRecorder::new(DEFAULT_RECORDER_CAPACITY)))
     }
 
-    /// An empty tracer that also forwards every recorded span to a
-    /// flight recorder. The recorder keeps its own bounded copy, so the
-    /// tracer's cumulative list and the black box stay independent.
+    /// An empty tracer whose spans live in `recorder`, which may feed no
+    /// other tracer.
+    ///
+    /// # Panics
+    ///
+    /// If `recorder` already feeds a tracer.
     pub fn with_sink(recorder: Arc<FlightRecorder>) -> Self {
+        recorder.attach_tracer();
         Tracer {
-            sink: Some(recorder),
-            ..Tracer::default()
+            next_id: AtomicU64::new(0),
+            recorder,
         }
     }
 
@@ -87,7 +104,7 @@ impl Tracer {
         &self,
         trace: TraceId,
         parent: Option<SpanId>,
-        name: &str,
+        name: impl Into<SpanName>,
         start_s: f64,
         end_s: f64,
         attrs: Vec<(String, String)>,
@@ -109,7 +126,7 @@ impl Tracer {
         &self,
         trace: TraceId,
         parent: Option<SpanId>,
-        name: &str,
+        name: impl Into<SpanName>,
         domain: ClockDomain,
         start_us: u64,
         end_us: u64,
@@ -120,35 +137,36 @@ impl Tracer {
             trace,
             id,
             parent,
-            name: name.to_string(),
+            name: name.into(),
             domain,
             start_us,
             end_us: end_us.max(start_us),
             attrs,
         };
-        if let Some(sink) = &self.sink {
-            sink.record_span(record.clone());
-        }
-        self.spans.lock().push(record);
+        self.recorder.record_span(record);
         id
     }
 
     /// Start a wall-clock span; finish it with [`WallSpan::finish`] (or
     /// let the guard drop).
-    pub fn start_wall(&self, trace: TraceId, parent: Option<SpanId>, name: &str) -> WallSpan<'_> {
+    pub fn start_wall(
+        &self,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        name: impl Into<SpanName>,
+    ) -> WallSpan<'_> {
         WallSpan {
             tracer: self,
             trace,
             parent,
-            name: name.to_string(),
+            name: Some(name.into()),
             start_us: wall_now_us(),
-            done: false,
         }
     }
 
-    /// Number of spans recorded.
+    /// Number of spans recorded (since the last [`take_spans`](Tracer::take_spans)).
     pub fn len(&self) -> usize {
-        self.spans.lock().len()
+        self.recorder.traced_len()
     }
 
     /// Whether no spans have been recorded.
@@ -158,20 +176,13 @@ impl Tracer {
 
     /// Clone out every recorded span, ordered by recording time.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().clone()
+        self.recorder.traced_spans(false)
     }
 
-    /// Clone out the spans recorded at index `start` and later. Pairing
-    /// this with [`len`](Tracer::len) taken at cycle start gives O(cycle)
-    /// per-cycle extraction instead of re-cloning the whole run.
-    pub fn spans_from(&self, start: usize) -> Vec<SpanRecord> {
-        let spans = self.spans.lock();
-        spans.get(start.min(spans.len())..).unwrap_or(&[]).to_vec()
-    }
-
-    /// Drain every recorded span.
+    /// Drain every recorded span. The recorder's black box keeps its own
+    /// recent spans.
     pub fn take_spans(&self) -> Vec<SpanRecord> {
-        std::mem::take(&mut *self.spans.lock())
+        self.recorder.traced_spans(true)
     }
 }
 
@@ -181,40 +192,34 @@ pub struct WallSpan<'a> {
     tracer: &'a Tracer,
     trace: TraceId,
     parent: Option<SpanId>,
-    name: String,
+    /// `None` once recorded.
+    name: Option<SpanName>,
     start_us: u64,
-    done: bool,
 }
 
 impl WallSpan<'_> {
     /// Finish now and return the recorded span id.
     pub fn finish(mut self) -> SpanId {
-        self.done = true;
-        self.tracer.record_raw(
+        self.record().unwrap_or_default()
+    }
+
+    fn record(&mut self) -> Option<SpanId> {
+        let name = self.name.take()?;
+        Some(self.tracer.record_raw(
             self.trace,
             self.parent,
-            &self.name,
+            name,
             ClockDomain::Wall,
             self.start_us,
             wall_now_us(),
             Vec::new(),
-        )
+        ))
     }
 }
 
 impl Drop for WallSpan<'_> {
     fn drop(&mut self) {
-        if !self.done {
-            self.tracer.record_raw(
-                self.trace,
-                self.parent,
-                &self.name,
-                ClockDomain::Wall,
-                self.start_us,
-                wall_now_us(),
-                Vec::new(),
-            );
-        }
+        self.record();
     }
 }
 

@@ -144,7 +144,7 @@ fn span_forest(
             trace,
             id: i as u64 + 1,
             parent,
-            name: format!("stage{}", i % 7),
+            name: format!("stage{}", i % 7).into(),
             domain: ClockDomain::Sim,
             start_us: i as u64 * 100,
             end_us: i as u64 * 100 + 50,

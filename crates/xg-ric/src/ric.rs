@@ -177,6 +177,9 @@ pub struct Ric {
     cache: BTreeMap<u32, CellIndication>,
     last_seen: BTreeMap<u32, u64>,
     obs: xg_obs::Obs,
+    /// Profiler nodes, resolved on the first profiled step: `ric.step`,
+    /// then each xApp's under it in registration order.
+    prof_nodes: Vec<xg_obs::ProfNode>,
 }
 
 impl Ric {
@@ -191,6 +194,7 @@ impl Ric {
             cache: BTreeMap::new(),
             last_seen: BTreeMap::new(),
             obs: xg_obs::Obs::disabled(),
+            prof_nodes: Vec::new(),
         }
     }
 
@@ -200,6 +204,7 @@ impl Ric {
     /// action stream stays bitwise deterministic.
     pub fn set_obs(&mut self, obs: &xg_obs::Obs) {
         self.obs = obs.clone();
+        self.prof_nodes.clear();
     }
 
     /// Register an xApp. Later registrations are higher priority in
@@ -227,9 +232,14 @@ impl Ric {
     /// With zero registered xApps this is a pure bookkeeping step that
     /// emits nothing — the no-op contract the replay tests pin down.
     pub fn step(&mut self, fresh: Vec<CellIndication>, t_s: f64) -> RicOutcome {
-        let handle = self.obs.clone();
-        let prof = handle.profiler();
-        let _period = prof.map(|p| p.scope("ric.step"));
+        let prof = self.obs.profiler();
+        if let Some(p) = prof.filter(|_| self.prof_nodes.len() != self.xapps.len() + 1) {
+            let step = p.node("ric.step");
+            let xapps = self.xapps.iter().map(|r| p.child(step, r.app.name()));
+            self.prof_nodes = std::iter::once(step).chain(xapps).collect();
+        }
+        let nodes = &self.prof_nodes;
+        let _period = prof.map(|p| p.scope_node(nodes[0]));
         self.seq += 1;
         for ind in fresh {
             self.last_seen.insert(ind.cell, self.seq);
@@ -262,7 +272,7 @@ impl Ric {
         for (index, reg) in self.xapps.iter_mut().enumerate() {
             reg.ctx.period = self.seq;
             let name = reg.app.name();
-            let _xapp = prof.map(|p| p.scope_under("ric.step", name));
+            let _xapp = prof.map(|p| p.scope_node(nodes[index + 1]));
             for action in reg.app.on_indication(&mut reg.ctx, &indication) {
                 emitted.push(Emitted {
                     xapp_index: index,

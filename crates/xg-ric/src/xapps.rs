@@ -83,13 +83,13 @@ impl XApp for DemandSlicer {
             if report.slices.len() < 2 {
                 continue;
             }
-            let snssais: Vec<Snssai> = report.slices.iter().map(|s| s.snssai).collect();
-            let up_to_date =
-                matches!(self.slicers.get(&cell), Some(s) if s.snssais() == snssais.as_slice());
+            let snssais = || report.slices.iter().map(|s| s.snssai);
+            let up_to_date = matches!(self.slicers.get(&cell),
+                Some(s) if s.snssais().iter().copied().eq(snssais()));
             if !up_to_date {
                 // (Re)build on first sight or when the slice table changed.
                 let Ok(slicer) =
-                    DynamicSlicer::try_new(snssais.clone(), self.min_share, self.alpha)
+                    DynamicSlicer::try_new(snssais().collect(), self.min_share, self.alpha)
                 else {
                     continue; // floors infeasible for this cell's slice count
                 };
@@ -103,20 +103,20 @@ impl XApp for DemandSlicer {
                 slicer.observe(i, s.offered_bits + s.queued_bits);
             }
             let shares = slicer.shares();
-            let baseline: Vec<f64> = match self.applied.get(&cell) {
-                Some(applied) => applied.clone(),
-                None => report.slices.iter().map(|s| s.prb_share).collect(),
+            let drift = |baseline: &mut dyn Iterator<Item = f64>| {
+                (shares.iter().zip(baseline))
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max)
             };
-            let delta = shares
-                .iter()
-                .zip(&baseline)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
+            let delta = match self.applied.get(&cell) {
+                Some(applied) => drift(&mut applied.iter().copied()),
+                None => drift(&mut report.slices.iter().map(|s| s.prb_share)),
+            };
             if delta > self.epsilon {
                 self.applied.insert(cell, shares.clone());
                 out.push(RicAction::ReapportionSlices {
                     cell,
-                    shares: snssais.into_iter().zip(shares).collect(),
+                    shares: snssais().zip(shares).collect(),
                 });
             }
         }

@@ -115,7 +115,7 @@ fn every_emitted_obs_name_is_declared_and_every_row_is_emitted() {
         .cloned()
         .collect();
     let spans = (obs.tracer().expect("obs enabled").take_spans().into_iter())
-        .map(|s| s.name)
+        .map(|s| s.name.into_owned())
         .collect();
     let profiles = (obs.profiler().expect("obs enabled").snapshot().nodes)
         .into_keys()

@@ -36,7 +36,7 @@ fn assert_cycle_shape(spans: &[SpanRecord], cycles: usize) {
         let children: Vec<&str> = spans
             .iter()
             .filter(|s| s.parent == Some(root.id))
-            .map(|s| s.name.as_str())
+            .map(|s| s.name.as_ref())
             .collect();
         assert_eq!(children, PHASES, "cycle trace {}", root.trace);
     }
