@@ -5,6 +5,8 @@
 //! `results/` directory at the workspace root, printing a paper-vs-measured
 //! comparison to stdout.
 
+#![warn(unreachable_pub)]
+
 use std::path::PathBuf;
 
 #[cfg(test)]
@@ -13,7 +15,7 @@ pub mod scenario;
 pub mod trace;
 
 /// Directory where figure data lands (`results/` under the workspace).
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = workspace_root().join("results");
     std::fs::create_dir_all(&dir).expect("results directory must be creatable");
     dir
@@ -21,7 +23,7 @@ pub fn results_dir() -> PathBuf {
 
 /// Locate the workspace root by walking up from the current directory to
 /// the first `Cargo.toml` containing `[workspace]`.
-pub fn workspace_root() -> PathBuf {
+pub(crate) fn workspace_root() -> PathBuf {
     let mut dir = std::env::current_dir().expect("cwd readable");
     loop {
         let manifest = dir.join("Cargo.toml");
@@ -104,7 +106,7 @@ pub fn effective_seed(default: u64) -> u64 {
 
 /// Escape one CSV field per RFC 4180: fields containing a comma, quote,
 /// or line break are quoted, with embedded quotes doubled.
-pub fn csv_escape(field: &str) -> String {
+pub(crate) fn csv_escape(field: &str) -> String {
     if field.contains(['"', ',', '\n', '\r']) {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
@@ -114,7 +116,7 @@ pub fn csv_escape(field: &str) -> String {
 
 /// Minimal CSV builder shared by the binaries that emit CSV
 /// (`reliability_study`, `latency_budget`). Every field goes through
-/// [`csv_escape`], so scenario labels with commas stay one column.
+/// `csv_escape`, so scenario labels with commas stay one column.
 #[derive(Debug, Default)]
 pub struct CsvWriter {
     out: String,

@@ -10,7 +10,6 @@
 
 use xg_net::device::UnitVariation;
 use xg_net::prelude::*;
-use xg_obs::Obs;
 
 /// One UE to attach at build time.
 #[derive(Debug, Clone)]
@@ -27,7 +26,6 @@ struct UeSpec {
 pub struct ScenarioBuilder {
     cell: CellConfig,
     seed: u64,
-    obs: Obs,
     ues: Vec<UeSpec>,
 }
 
@@ -46,7 +44,6 @@ impl ScenarioBuilder {
         ScenarioBuilder {
             cell: CellConfig::new(rat, duplex, MHz(bandwidth_mhz)),
             seed: 0,
-            obs: Obs::disabled(),
             ues: Vec::new(),
         }
     }
@@ -57,21 +54,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replace the cell's MAC scheduler.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.cell = self.cell.with_scheduler(kind);
-        self
-    }
-
     /// RNG seed for the simulator.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Observability handle propagated to the simulator.
-    pub fn obs(mut self, obs: &Obs) -> Self {
-        self.obs = obs.clone();
         self
     }
 
@@ -95,7 +80,7 @@ impl ScenarioBuilder {
     }
 
     /// Attach a UE with everything explicit.
-    pub fn ue_full(
+    pub(crate) fn ue_full(
         mut self,
         device: DeviceClass,
         modem: Modem,
@@ -113,10 +98,7 @@ impl ScenarioBuilder {
 
     /// Build the simulator and attach the roster.
     pub fn build(self) -> Result<Scenario, NetError> {
-        let mut sim = LinkSimulator::builder(self.cell)
-            .seed(self.seed)
-            .obs(&self.obs)
-            .build()?;
+        let mut sim = LinkSimulator::builder(self.cell).seed(self.seed).build()?;
         let mut ues = Vec::with_capacity(self.ues.len());
         for spec in self.ues {
             let ue = match spec.snssai {

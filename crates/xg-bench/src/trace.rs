@@ -23,7 +23,7 @@ use xg_obs::{extract_critical, render_critical, render_profile, ProfileSnapshot,
 
 /// Distinct trace ids in a dump, ascending. Each closed-loop report
 /// cycle records exactly one trace, so this doubles as the cycle count.
-pub fn trace_ids(spans: &[SpanRecord]) -> Vec<TraceId> {
+pub(crate) fn trace_ids(spans: &[SpanRecord]) -> Vec<TraceId> {
     spans
         .iter()
         .map(|s| s.trace)
@@ -35,7 +35,7 @@ pub fn trace_ids(spans: &[SpanRecord]) -> Vec<TraceId> {
 /// Merged attribution tree of a dump plus its cycle count: every span's
 /// duration lands at its ancestor-chain path, exactly as the live
 /// profiler ingests cycles.
-pub fn attribution(spans: &[SpanRecord]) -> (ProfileSnapshot, usize) {
+pub(crate) fn attribution(spans: &[SpanRecord]) -> (ProfileSnapshot, usize) {
     let prof = Profiler::new();
     prof.record_trace(spans);
     (prof.snapshot(), trace_ids(spans).len())

@@ -14,14 +14,14 @@ pub struct WallPorosity {
 
 impl WallPorosity {
     /// A uniform wall.
-    pub fn uniform(porosity: f64, panels: usize) -> Self {
+    pub(crate) fn uniform(porosity: f64, panels: usize) -> Self {
         WallPorosity {
             panels: vec![porosity.clamp(0.0, 1.0); panels],
         }
     }
 
     /// Porosity at a fractional position `frac` ∈ [0, 1] along the wall.
-    pub fn at(&self, frac: f64) -> f64 {
+    pub(crate) fn at(&self, frac: f64) -> f64 {
         if self.panels.is_empty() {
             return 0.0;
         }
@@ -79,7 +79,7 @@ impl BoundarySpec {
     ///
     /// Meteorological convention: direction is where the wind comes FROM,
     /// so wind from the north (0°) blows southward (−y).
-    pub fn wind_uv(&self) -> (f64, f64) {
+    pub(crate) fn wind_uv(&self) -> (f64, f64) {
         let rad = self.wind_dir_deg.to_radians();
         let u = -self.wind_speed_ms * rad.sin();
         let v = -self.wind_speed_ms * rad.cos();

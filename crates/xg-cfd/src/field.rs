@@ -18,7 +18,7 @@ pub struct Field3 {
 
 impl Field3 {
     /// A field initialized to `value`.
-    pub fn filled(nx: usize, ny: usize, nz: usize, value: f64) -> Self {
+    pub(crate) fn filled(nx: usize, ny: usize, nz: usize, value: f64) -> Self {
         Field3 {
             nx,
             ny,
@@ -28,7 +28,7 @@ impl Field3 {
     }
 
     /// A zero field.
-    pub fn zeros(nx: usize, ny: usize, nz: usize) -> Self {
+    pub(crate) fn zeros(nx: usize, ny: usize, nz: usize) -> Self {
         Field3::filled(nx, ny, nz, 0.0)
     }
 
@@ -45,7 +45,7 @@ impl Field3 {
 
     /// Linear index of `(i, j, k)`.
     #[inline(always)]
-    pub fn idx(&self, i: usize, j: usize, k: usize) -> usize {
+    pub(crate) fn idx(&self, i: usize, j: usize, k: usize) -> usize {
         debug_assert!(i < self.nx && j < self.ny && k < self.nz);
         (k * self.ny + j) * self.nx + i
     }
@@ -58,7 +58,7 @@ impl Field3 {
 
     /// Write `(i, j, k)`.
     #[inline(always)]
-    pub fn set(&mut self, i: usize, j: usize, k: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, k: usize, v: f64) {
         let idx = self.idx(i, j, k);
         self.data[idx] = v;
     }
@@ -71,13 +71,8 @@ impl Field3 {
 
     /// Raw mutable slice.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Fill with a constant.
-    pub fn fill(&mut self, v: f64) {
-        self.data.fill(v);
     }
 
     /// Maximum absolute value.
@@ -86,7 +81,7 @@ impl Field3 {
     }
 
     /// Mean value.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.data.is_empty() {
             0.0
         } else {
@@ -94,21 +89,16 @@ impl Field3 {
         }
     }
 
-    /// Sum of values.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
     /// Cells per z-slab (`nx * ny`).
     #[inline]
-    pub fn slab_len(&self) -> usize {
+    pub(crate) fn slab_len(&self) -> usize {
         self.nx * self.ny
     }
 
     /// Trilinear interpolation at fractional grid coordinates (clamped to
     /// the grid), for point probes like the digital twin's station
     /// comparisons.
-    pub fn probe_trilinear(&self, fx: f64, fy: f64, fz: f64) -> f64 {
+    pub(crate) fn probe_trilinear(&self, fx: f64, fy: f64, fz: f64) -> f64 {
         let cx = fx.clamp(0.0, (self.nx - 1) as f64);
         let cy = fy.clamp(0.0, (self.ny - 1) as f64);
         let cz = fz.clamp(0.0, (self.nz - 1) as f64);
@@ -152,10 +142,7 @@ mod tests {
         let mut f = Field3::filled(2, 2, 1, 1.0);
         f.set(0, 0, 0, -5.0);
         assert_eq!(f.max_abs(), 5.0);
-        assert_eq!(f.sum(), -2.0);
         assert_eq!(f.mean(), -0.5);
-        f.fill(2.0);
-        assert_eq!(f.mean(), 2.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`boundary`] — boundary conditions derived from wind speed/direction
 //!   and screen porosity (breaches appear as high-porosity panels that
 //!   admit jets).
-//! * [`poisson`] — the pressure Poisson solver: one direct solve per
+//! * `poisson` — the pressure Poisson solver: one direct solve per
 //!   projection by cosine transforms, which diagonalise the Laplacian of a
 //!   uniform box with Neumann walls exactly (round-off residual, no
 //!   iteration count or tolerance to tune, bitwise-deterministic
@@ -45,6 +45,7 @@
 // Non-test library code must thread typed errors instead of panicking.
 // These lints are the gate (CI runs clippy with `-D warnings`); a site
 // that must abort carries `#[expect(clippy::expect_used, reason = …)]`.
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -57,7 +58,7 @@ pub mod field;
 pub mod mesh;
 pub mod output;
 pub mod parallel;
-pub mod poisson;
+mod poisson;
 #[cfg(test)]
 mod reference;
 pub mod solver;
@@ -65,12 +66,10 @@ pub mod twin;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::boundary::{BoundarySpec, WallPorosity};
-    pub use crate::field::Field3;
-    pub use crate::mesh::{CellType, DomainSpec, Mesh};
+    pub use crate::boundary::BoundarySpec;
+    pub use crate::mesh::{DomainSpec, Mesh};
     pub use crate::parallel::{run_with_threads, CfdPerfModel};
     pub use crate::solver::{Simulation, SolverConfig};
-    pub use crate::twin::{DigitalTwin, TwinReport};
 }
 
 pub use prelude::*;

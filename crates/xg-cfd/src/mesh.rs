@@ -133,8 +133,8 @@ impl Mesh {
     }
 
     /// Type of cell `(i, j, k)`.
-    #[inline(always)]
-    pub fn cell(&self, i: usize, j: usize, k: usize) -> CellType {
+    #[cfg(test)]
+    pub(crate) fn cell(&self, i: usize, j: usize, k: usize) -> CellType {
         self.cell_type[(k * self.ny + j) * self.nx + i]
     }
 

@@ -201,7 +201,7 @@ fn each_slab(out: &mut Field3, input: &Field3, f: impl Fn(usize, &mut [f64], &[f
 /// The half-matrices and eigenvalues of one mesh: what a direct solve
 /// needs beyond its two fields.
 #[derive(Debug, Clone)]
-pub struct PoissonPlan {
+pub(crate) struct PoissonPlan {
     shape: [usize; 3],
     /// Every table of a solve, in one allocation: [`push_halves`] of x, y
     /// and z, then of x transposed (along x the cells of a row are mixed,
@@ -213,7 +213,7 @@ pub struct PoissonPlan {
 
 impl PoissonPlan {
     /// Plan solves on an `[nx, ny, nz]` grid of cell sizes `d`.
-    pub fn new(shape: [usize; 3], d: [f64; 3]) -> Self {
+    pub(crate) fn new(shape: [usize; 3], d: [f64; 3]) -> Self {
         let [nx, ny, nz] = shape;
         let squares = |n| halves(n).iter().map(|h| h * h).sum::<usize>();
         let len = 2 * squares(nx) + squares(ny) + squares(nz) + nx + ny + nz;
@@ -234,7 +234,7 @@ impl PoissonPlan {
     /// no initial guess); `rhs` is the other buffer of the ping-pong and
     /// comes back overwritten. A `rhs` that is not zero-mean is solved for
     /// its zero-mean part.
-    pub fn solve(&self, p: &mut Field3, rhs: &mut Field3) {
+    pub(crate) fn solve(&self, p: &mut Field3, rhs: &mut Field3) {
         let [nx, ny, nz] = self.shape;
         let same_shape = |f: &Field3| [f.nx, f.ny, f.nz] == self.shape;
         assert!(same_shape(p) && same_shape(rhs), "p, rhs, plan differ");
@@ -310,7 +310,7 @@ impl PoissonPlan {
 
 /// `max |∇²p − rhs|` under the solver's mirrored Neumann walls: how far
 /// `p` is from satisfying the discrete equation.
-pub fn residual(p: &Field3, rhs: &Field3, d: [f64; 3]) -> f64 {
+pub(crate) fn residual(p: &Field3, rhs: &Field3, d: [f64; 3]) -> f64 {
     let (nx, ny, nz) = (p.nx, p.ny, p.nz);
     let [idx2, idy2, idz2] = d.map(|h| 1.0 / (h * h));
     let mut worst = 0.0f64;

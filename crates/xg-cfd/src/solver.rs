@@ -6,7 +6,7 @@
 //!    eddy-viscosity diffusion, Boussinesq buoyancy on `w`, quadratic
 //!    canopy drag in canopy cells;
 //! 2. porous-wall boundary conditions (screen inflow/outflow per panel);
-//! 3. pressure Poisson projection ([`crate::poisson`]);
+//! 3. pressure Poisson projection (`crate::poisson`);
 //! 4. velocity correction and temperature advection–diffusion.
 //!
 //! Every sweep, and every pass of the direct pressure solve, reads one
@@ -193,7 +193,7 @@ impl Simulation {
     ///   wind blows inward; zero-gradient outflow elsewhere.
     /// * Ground (k = 0): no-slip.
     /// * Roof (k = nz−1): rigid lid (w = 0), free slip for u, v.
-    pub fn apply_velocity_bcs(&mut self) {
+    pub(crate) fn apply_velocity_bcs(&mut self) {
         let (nx, ny, nz) = (self.u.nx, self.u.ny, self.u.nz);
         let (wind_u, wind_v) = self.bc.wind_uv();
         // West & east walls (x boundaries): normal component is u.
@@ -516,7 +516,7 @@ impl Simulation {
 
     /// Horizontal wind speed at a physical position (m), trilinearly
     /// interpolated between cell centres.
-    pub fn wind_speed_at(&self, x: f64, y: f64, z: f64) -> f64 {
+    pub(crate) fn wind_speed_at(&self, x: f64, y: f64, z: f64) -> f64 {
         let [dx, dy, dz] = self.mesh.d;
         let (fx, fy, fz) = (x / dx - 0.5, y / dy - 0.5, z / dz - 0.5);
         let u = self.u.probe_trilinear(fx, fy, fz);

@@ -104,7 +104,7 @@ impl From<std::io::Error> for CspotError {
 }
 
 /// Convenience alias used across the crate.
-pub type Result<T> = std::result::Result<T, CspotError>;
+pub(crate) type Result<T> = std::result::Result<T, CspotError>;
 
 #[cfg(test)]
 mod tests {

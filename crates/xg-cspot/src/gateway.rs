@@ -97,11 +97,6 @@ impl Gateway {
         })
     }
 
-    /// Highest buffered sequence successfully relayed (0 = none).
-    pub fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
     /// Buffer one sample locally (never touches the network).
     pub fn buffer(&self, payload: &[u8]) -> Result<u64> {
         self.local.put(&self.buffer_log, payload)
@@ -273,13 +268,13 @@ mod tests {
         assert_eq!(gw.backlog(), 1024, "the ring holds what it holds");
         let during = gw.drain(&remote);
         assert_eq!((during.relayed, during.remaining), (0, 1024));
-        assert_eq!((gw.backlog(), gw.cursor()), (1024, 1), "nothing moved");
+        assert_eq!((gw.backlog(), gw.cursor), (1024, 1), "nothing moved");
         // Healed: the drain clips to the earliest retained element (seq 8,
         // payload 7) instead of stopping dead at the evicted seq 2.
         gw.route_mut().set_partitioned(false);
         let after = gw.drain(&remote);
         assert_eq!((after.relayed, after.remaining), (1024, 0));
-        assert_eq!(gw.cursor(), 1031);
+        assert_eq!(gw.cursor, 1031);
         assert_eq!(remote.get("telemetry", 2).unwrap(), 7u64.to_le_bytes());
     }
 
@@ -300,7 +295,7 @@ mod tests {
         for _ in 0..5 {
             let r = gw.drain(&remote);
             partial += usize::from(r.relayed > 0 && r.remaining > 0);
-            assert_eq!(gw.backlog(), 1000 - gw.cursor() as usize);
+            assert_eq!(gw.backlog(), 1000 - gw.cursor as usize);
             assert_eq!(gw.backlog(), r.remaining);
         }
         assert!(partial >= 3, "only {partial} of 5 drains were partial");
@@ -403,7 +398,7 @@ mod tests {
             // Crash before any later pass retries the write.
         }
         let mut gw = durable_gateway();
-        assert_eq!(gw.cursor(), 1, "the cursor written by the first pass");
+        assert_eq!(gw.cursor, 1, "the cursor written by the first pass");
         assert_eq!(gw.drain(&remote).relayed, 3, "re-relayed");
         let log = remote.log("telemetry").unwrap();
         assert_eq!(log.len(), 4, "each element exactly once");
@@ -411,7 +406,7 @@ mod tests {
             assert_eq!(log.get(i).unwrap(), i.to_le_bytes(), "at its original seq");
         }
         drop(gw);
-        assert_eq!(durable_gateway().cursor(), 4, "the re-drain wrote it");
+        assert_eq!(durable_gateway().cursor, 4, "the re-drain wrote it");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -444,7 +439,7 @@ mod tests {
         let local = Arc::new(CspotNode::durable("UNL", &dir));
         local.open_log("buf", 8, 1024).unwrap();
         let mut gw = Gateway::new(local, "buf", "telemetry", mk_appender()).unwrap();
-        assert_eq!(gw.cursor(), 2, "cursor recovered");
+        assert_eq!(gw.cursor, 2, "cursor recovered");
         assert_eq!(gw.backlog(), 1);
         let r = gw.drain(&remote);
         assert_eq!(r.relayed, 1);

@@ -14,8 +14,8 @@
 //!   (`Log::scan_newest_first` lends each element to a closure; no reader
 //!   copies the log). Tokens are indexed as sequential runs.
 //! * [`storage`] — the record, its CRC-framed wire format, and the
-//!   [`StorageBackend`] trait a durable log writes through.
-//! * [`segment`] — the durable storage engine, the one [`StorageBackend`]:
+//!   `StorageBackend` trait a durable log writes through.
+//! * [`segment`] — the durable storage engine, the one `StorageBackend`:
 //!   segmented append-only log with sealed-segment footers, group-commit
 //!   durability, retention compaction, streaming crash recovery (torn
 //!   tails truncated, sealed corruption fail-stops), and storage fault
@@ -57,6 +57,7 @@
 //! assert!(back.starts_with(b"t=21.5C"));
 //! ```
 
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -75,14 +76,12 @@ pub mod storage;
 /// Commonly used types.
 pub mod prelude {
     pub use crate::error::CspotError;
-    pub use crate::gateway::{DrainReport, Gateway};
-    pub use crate::log::{Appended, Log, LogConfig};
+    pub use crate::gateway::Gateway;
     pub use crate::netsim::{PathModel, RoutePath, SimClock, Topology};
     pub use crate::node::CspotNode;
     pub use crate::outage::{OutageConfig, OutageProcess};
-    pub use crate::protocol::{AppendOutcome, RemoteAppender, RemoteConfig};
-    pub use crate::segment::{SegmentConfig, SegmentedBackend, SyncPolicy};
-    pub use crate::storage::{AppendAck, Record, RecoverySummary, StorageBackend};
+    pub use crate::protocol::{RemoteAppender, RemoteConfig};
+    pub use crate::segment::{SegmentConfig, SyncPolicy};
 }
 
 pub use prelude::*;

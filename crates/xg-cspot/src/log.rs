@@ -33,7 +33,7 @@ use crate::storage::{Record, RecoverySummary, StorageBackend};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
-/// Where one append landed (see [`Log::offer`]).
+/// Where one append landed (see `Log::offer`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Appended {
     /// The element's sequence number.
@@ -327,14 +327,9 @@ impl Log {
         self.recovery
     }
 
-    /// The log's configuration.
-    pub fn config(&self) -> &LogConfig {
-        &self.config
-    }
-
     /// The fixed element size (the datum the remote protocol's first phase
     /// fetches).
-    pub fn element_size(&self) -> usize {
+    pub(crate) fn element_size(&self) -> usize {
         self.config.element_size
     }
 
@@ -374,7 +369,7 @@ impl Log {
     /// [`Self::append_with_token`], also reporting whether the element is
     /// new, under the one lock acquisition (a node fires handlers only
     /// for fresh appends).
-    pub fn offer(&self, token: u128, payload: &[u8]) -> Result<Appended> {
+    pub(crate) fn offer(&self, token: u128, payload: &[u8]) -> Result<Appended> {
         self.check_size(payload)?;
         let mut inner = self.inner.lock();
         if token != 0 {
@@ -413,7 +408,7 @@ impl Log {
 
     /// Read the element at `seq` into `out`, replacing its contents and
     /// reusing its allocation (a drain loop's read).
-    pub fn read_into(&self, seq: u64, out: &mut Vec<u8>) -> Result<()> {
+    pub(crate) fn read_into(&self, seq: u64, out: &mut Vec<u8>) -> Result<()> {
         let inner = self.inner.lock();
         let payload = inner.retained(seq)?;
         out.clear();
@@ -463,7 +458,7 @@ impl Log {
 
     /// Number of retained elements with `seq >= from`, counted without
     /// copying a payload.
-    pub fn count_from(&self, from: u64) -> usize {
+    pub(crate) fn count_from(&self, from: u64) -> usize {
         let inner = self.inner.lock();
         inner.ring.len() - inner.position_from(from)
     }

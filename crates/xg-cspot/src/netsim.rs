@@ -34,7 +34,7 @@ impl SimClock {
     }
 
     /// Advance the clock by `ms` milliseconds.
-    pub fn advance_ms(&self, ms: f64) {
+    pub(crate) fn advance_ms(&self, ms: f64) {
         let delta = (ms * 1e3).max(0.0).round() as u64;
         self.micros.fetch_add(delta, Ordering::Relaxed);
     }
@@ -74,7 +74,7 @@ impl PathModel {
     /// source of Table 1's 17 ms standard deviation. Loss is zero here —
     /// the paper's measurement campaign completed without retries; loss and
     /// partition behaviour are exercised through explicit fault injection.
-    pub fn private_5g_access() -> Self {
+    pub(crate) fn private_5g_access() -> Self {
         PathModel {
             base_one_way_ms: 21.0,
             jitter_sigma_ms: 8.5,
@@ -85,7 +85,7 @@ impl PathModel {
     }
 
     /// Sample a one-way crossing. `None` means the message was lost.
-    pub fn sample_one_way<R: Rng>(&self, rng: &mut R) -> Option<f64> {
+    pub(crate) fn sample_one_way<R: Rng>(&self, rng: &mut R) -> Option<f64> {
         if self.partitioned {
             return None;
         }
@@ -116,7 +116,7 @@ impl RoutePath {
     }
 
     /// Sample one crossing over all segments.
-    pub fn sample_one_way<R: Rng>(&self, rng: &mut R) -> Option<f64> {
+    pub(crate) fn sample_one_way<R: Rng>(&self, rng: &mut R) -> Option<f64> {
         let mut total = 0.0;
         for seg in &self.segments {
             total += seg.sample_one_way(rng)?;
@@ -140,12 +140,12 @@ pub struct Topology {
 
 impl Topology {
     /// An empty topology.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Topology::default()
     }
 
     /// Register a bidirectional route between two sites.
-    pub fn add_route(&mut self, a: &str, b: &str, path: RoutePath) {
+    pub(crate) fn add_route(&mut self, a: &str, b: &str, path: RoutePath) {
         self.routes
             .insert((a.to_string(), b.to_string()), path.clone());
         self.routes.insert((b.to_string(), a.to_string()), path);
@@ -154,23 +154,6 @@ impl Topology {
     /// Route between two sites, if registered.
     pub fn route(&self, from: &str, to: &str) -> Option<&RoutePath> {
         self.routes.get(&(from.to_string(), to.to_string()))
-    }
-
-    /// Mutable route access (for partition injection).
-    pub fn route_mut(&mut self, from: &str, to: &str) -> Option<&mut RoutePath> {
-        self.routes.get_mut(&(from.to_string(), to.to_string()))
-    }
-
-    /// Partition or heal both directions of a route.
-    pub fn set_partitioned(&mut self, a: &str, b: &str, partitioned: bool) {
-        for key in [
-            (a.to_string(), b.to_string()),
-            (b.to_string(), a.to_string()),
-        ] {
-            if let Some(r) = self.routes.get_mut(&key) {
-                r.set_partitioned(partitioned);
-            }
-        }
     }
 
     /// The paper's three-site topology, calibrated against Table 1.
@@ -278,24 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn topology_partition_and_heal() {
-        let mut t = Topology::paper();
-        let mut rng = StdRng::seed_from_u64(6);
-        t.set_partitioned("UNL", "UCSB", true);
-        assert!(t
-            .route("UNL", "UCSB")
-            .unwrap()
-            .sample_one_way(&mut rng)
-            .is_none());
-        t.set_partitioned("UNL", "UCSB", false);
-        assert!(t
-            .route("UNL", "UCSB")
-            .unwrap()
-            .sample_one_way(&mut rng)
-            .is_some());
-    }
-
-    #[test]
     fn paper_topology_5g_route_is_slower() {
         let t = Topology::paper();
         let base_ms = |from, to| -> f64 {
@@ -307,5 +272,15 @@ mod tests {
             over_5g > 5.0 * wired,
             "5G access dominates: {over_5g} vs {wired}"
         );
+    }
+
+    #[test]
+    fn topology_partition_and_heal() {
+        let mut route = Topology::paper().route("UNL", "UCSB").unwrap().clone();
+        let mut rng = StdRng::seed_from_u64(6);
+        route.set_partitioned(true);
+        assert!(route.sample_one_way(&mut rng).is_none());
+        route.set_partitioned(false);
+        assert!(route.sample_one_way(&mut rng).is_some());
     }
 }

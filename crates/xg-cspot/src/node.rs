@@ -16,11 +16,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Handler signature: `(node, log_name, seq, payload)`.
-pub type Handler = Arc<dyn Fn(&CspotNode, &str, u64, &[u8]) + Send + Sync>;
+pub(crate) type Handler = Arc<dyn Fn(&CspotNode, &str, u64, &[u8]) + Send + Sync>;
 
 /// Reserved log receiving flight-recorder ("black box") bundles so crash
 /// forensics survive process death; see [`CspotNode::persist_blackbox`].
-pub const BLACKBOX_LOG: &str = "sys.blackbox";
+pub(crate) const BLACKBOX_LOG: &str = "sys.blackbox";
 const BLACKBOX_ELEMENT: usize = 256;
 const BLACKBOX_HISTORY: usize = 4096;
 /// Chunk framing inside `sys.blackbox` elements: a bundle begins with a
@@ -158,7 +158,12 @@ impl CspotNode {
     /// Handlers fire only for *fresh* appends: a deduplicated retry returns
     /// the original sequence number without re-firing (exactly-once handler
     /// semantics).
-    pub fn put_with_token(&self, log_name: &str, token: u128, payload: &[u8]) -> Result<u64> {
+    pub(crate) fn put_with_token(
+        &self,
+        log_name: &str,
+        token: u128,
+        payload: &[u8],
+    ) -> Result<u64> {
         let appended = self.log(log_name)?.offer(token, payload)?;
         if appended.fresh {
             self.fire_handlers(log_name, appended.seq, payload);

@@ -77,11 +77,6 @@ impl OutageProcess {
         self.up
     }
 
-    /// The process parameters.
-    pub fn config(&self) -> OutageConfig {
-        self.config
-    }
-
     /// Advance virtual time to `t` (s) without touching any route — the
     /// caller reads [`is_up`](Self::is_up) and applies the state itself.
     /// Returns the number of transitions and the time spent down in

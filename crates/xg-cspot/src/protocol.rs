@@ -202,7 +202,7 @@ impl RemoteAppender {
     /// (e.g. the store-and-forward gateway derives tokens from its buffer
     /// sequence numbers, so even a crash between the remote append and the
     /// cursor update cannot duplicate).
-    pub fn append_with_token(
+    pub(crate) fn append_with_token(
         &mut self,
         target: &CspotNode,
         log: &str,

@@ -337,16 +337,6 @@ impl SegmentedBackend {
         Ok(backend)
     }
 
-    /// The engine's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of sealed segments currently retained.
-    pub fn sealed_segments(&self) -> usize {
-        self.sealed.len()
-    }
-
     fn seal_active(&mut self) -> Result<()> {
         let Some(mut active) = self.active.take() else {
             return Ok(());
@@ -835,7 +825,7 @@ mod tests {
             assert!(ack.durable);
             assert_eq!(ack.seq, s);
         }
-        assert_eq!(b.sealed_segments(), 2, "3+3 sealed, 1 active");
+        assert_eq!(b.sealed.len(), 2, "3+3 sealed, 1 active");
         assert_eq!(b.committed_seq(), Some(7));
         let rs = recover_all(&mut b);
         assert_eq!(rs.len(), 7);
@@ -960,7 +950,7 @@ mod tests {
         let mut b = SegmentedBackend::open(&dir, small_config()).unwrap();
         let rs = recover_all(&mut b);
         assert_eq!(rs.len(), 3, "records before the torn footer survive");
-        assert_eq!(b.sealed_segments(), 0, "segment reverts to active");
+        assert_eq!(b.sealed.len(), 0, "segment reverts to active");
         b.append(&rec(4, 9, 8)).unwrap();
         assert_eq!(recover_all(&mut b).len(), 4);
     }
@@ -1055,7 +1045,7 @@ mod tests {
         for s in 1..=12 {
             b.append(&rec(s, 6, 8)).unwrap();
         }
-        assert_eq!(b.sealed_segments(), 2);
+        assert_eq!(b.sealed.len(), 2);
         // Segments 1..=6 compacted away; 7..=12 remain.
         let rs = recover_all(&mut b);
         assert_eq!(rs.first().map(|r| r.seq), Some(7));
@@ -1100,7 +1090,7 @@ mod tests {
         let mut b = SegmentedBackend::open(&dir, SegmentConfig::default()).unwrap();
         assert!(recover_all(&mut b).is_empty());
         assert_eq!(b.committed_seq(), None);
-        assert_eq!(b.sealed_segments(), 0);
+        assert_eq!(b.sealed.len(), 0);
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Default for Backtester {
 
 impl Backtester {
     /// Record a comparison (oldest samples are evicted at capacity).
-    pub fn record(&mut self, sample: CalibrationSample) {
+    pub(crate) fn record(&mut self, sample: CalibrationSample) {
         self.history.push(sample);
         if self.history.len() > self.capacity {
             self.history.remove(0);

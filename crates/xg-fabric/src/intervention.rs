@@ -12,7 +12,7 @@ use xg_cfd::solver::Simulation;
 
 /// Conditions snapshot used alongside the CFD result.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SiteConditions {
+pub(crate) struct SiteConditions {
     /// Exterior temperature (°C).
     pub ambient_temp_c: f64,
     /// Forecast minimum temperature for the coming night (°C).
@@ -23,7 +23,7 @@ pub struct SiteConditions {
 
 /// A recommended intervention.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Intervention {
+pub(crate) enum Intervention {
     /// Apply irrigation water for latent-heat frost protection.
     FrostProtection {
         /// Predicted minimum canopy temperature (°C).
@@ -56,12 +56,16 @@ const SPRAY_MIN_COVERAGE: f64 = 0.8;
 
 /// The intervention advisor.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct InterventionAdvisor;
+pub(crate) struct InterventionAdvisor;
 
 impl InterventionAdvisor {
     /// Evaluate the latest CFD result and conditions, returning zero or
     /// more recommendations.
-    pub fn advise(&self, sim: &Simulation, conditions: &SiteConditions) -> Vec<Intervention> {
+    pub(crate) fn advise(
+        &self,
+        sim: &Simulation,
+        conditions: &SiteConditions,
+    ) -> Vec<Intervention> {
         let mut out = Vec::new();
         // Frost: the interior cools toward the forecast minimum; screen
         // cover keeps the canopy slightly warmer than open field (~+1.5°C

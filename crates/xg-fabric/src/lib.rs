@@ -24,7 +24,7 @@
 //!   placement, failover, completion), `ladder` (degradation ladder and
 //!   SLOs), `detect` (the 30-minute change-detection duty cycle) and
 //!   `twin` (the solve, calibration, advisories, robot dispatch).
-//! * [`robot`] — the Farm-NG wheeled robot: route planning to a suspect
+//! * `robot` — the Farm-NG wheeled robot: route planning to a suspect
 //!   wall region and visual confirmation (§2's future-work loop, closed).
 //! * [`timeline`] — the §4.4 end-to-end latency budget.
 
@@ -41,7 +41,7 @@
 //! ```
 //!
 //! This crate drives the whole loop, so panicking escape hatches are
-//! gated: non-test code converts fallible paths to [`FabricError`] (or a
+//! gated: non-test code converts fallible paths to `FabricError` (or a
 //! propagated `CspotError`) instead of unwrapping.
 
 #![warn(unreachable_pub)]
@@ -53,31 +53,21 @@
 
 pub mod backtest;
 mod detect;
-pub mod error;
+mod error;
 mod hpc;
-pub mod intervention;
+mod intervention;
 mod ladder;
 pub mod orchestrator;
 pub mod pipeline;
 pub mod ran;
 pub mod reliability;
-pub mod robot;
-pub mod route;
+mod robot;
+mod route;
 pub mod timeline;
 mod twin;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::backtest::{BacktestReport, Backtester, CalibrationSample};
     pub use crate::error::FabricError;
-    pub use crate::intervention::{Intervention, InterventionAdvisor, SiteConditions};
-    pub use crate::orchestrator::{FabricConfig, XgFabric};
-    pub use crate::pipeline::FieldGateway;
-    pub use crate::ran::{CellHealth, RanCellSpec, RanProbe, RanTopology, ScenarioUe};
-    pub use crate::reliability::ReliabilityReport;
-    pub use crate::robot::{Robot, RobotReport};
-    pub use crate::route::RoutePlanner;
-    pub use crate::timeline::{Event, Timeline};
+    pub use crate::orchestrator::XgFabric;
 }
-
-pub use prelude::*;

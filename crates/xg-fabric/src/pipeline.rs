@@ -17,14 +17,14 @@ use xg_cspot::CspotError;
 use xg_sensors::telemetry::TelemetryRecord;
 
 /// Name of the raw-telemetry log at the repository.
-pub const TELEMETRY_LOG: &str = "cups.telemetry";
+pub(crate) const TELEMETRY_LOG: &str = "cups.telemetry";
 /// Name of the per-report mean-wind log the change detector reads.
-pub const WIND_LOG: &str = "cups.wind";
+pub(crate) const WIND_LOG: &str = "cups.wind";
 /// Name of the results log at the field node (CFD summaries returned to
 /// the site operator).
 const RESULTS_LOG: &str = "cups.results";
 /// History retained in the repository logs (plenty for 30-min windows).
-pub const LOG_HISTORY: usize = 8192;
+pub(crate) const LOG_HISTORY: usize = 8192;
 
 /// Resolve a paper-topology route or fail with a typed error.
 fn route_between(from: &str, to: &str) -> Result<RoutePath, FabricError> {
@@ -181,46 +181,46 @@ impl FieldGateway {
     }
 
     /// Telemetry records parked locally, waiting for the link.
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.records.backlog()
     }
 
     /// Records accepted into the buffer so far.
-    pub fn buffered(&self) -> u64 {
+    pub(crate) fn buffered(&self) -> u64 {
         self.buffered
     }
 
     /// Records dropped at the full buffer (or to local storage faults).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Records delivered to the repository.
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.delivered
     }
 
     /// Largest backlog observed.
-    pub fn max_backlog(&self) -> usize {
+    pub(crate) fn max_backlog(&self) -> usize {
         self.max_backlog
     }
 
     /// Partition or heal the uplink (both gateway streams).
-    pub fn set_partitioned(&mut self, partitioned: bool) {
+    pub(crate) fn set_partitioned(&mut self, partitioned: bool) {
         self.records.route_mut().set_partitioned(partitioned);
         self.wind.route_mut().set_partitioned(partitioned);
     }
 
     /// Inject a packet-loss surge on every segment of the uplink (0 clears
     /// it). A fade on the access segment stays in force.
-    pub fn set_loss(&mut self, loss_prob: f64) {
+    pub(crate) fn set_loss(&mut self, loss_prob: f64) {
         self.surge_loss = loss_prob;
         self.relink();
     }
 
     /// Attach observability to both gateway streams' remote appenders
     /// (per-phase CSPOT append RTTs for every drained element).
-    pub fn set_obs(&mut self, obs: &xg_obs::Obs) {
+    pub(crate) fn set_obs(&mut self, obs: &xg_obs::Obs) {
         self.records.set_obs(obs);
         self.wind.set_obs(obs);
     }
@@ -234,7 +234,7 @@ impl FieldGateway {
     /// recover every transport block and the IP layer sees pure latency.
     /// A packet-loss surge stays in force: the two losses combine as
     /// independent drops.
-    pub fn set_access_degraded(&mut self, fade: Option<f64>) {
+    pub(crate) fn set_access_degraded(&mut self, fade: Option<f64>) {
         self.fade_db = fade;
         self.relink();
     }
@@ -321,10 +321,10 @@ pub struct ResultSummary {
 
 impl ResultSummary {
     /// Fixed wire size of an encoded summary.
-    pub const WIRE_SIZE: usize = 32;
+    pub(crate) const WIRE_SIZE: usize = 32;
 
     /// Encode to exactly [`Self::WIRE_SIZE`] bytes.
-    pub fn encode(&self) -> [u8; Self::WIRE_SIZE] {
+    pub(crate) fn encode(&self) -> [u8; Self::WIRE_SIZE] {
         let mut out = [0u8; Self::WIRE_SIZE];
         out[0..8].copy_from_slice(&self.t_s.to_le_bytes());
         out[8..16].copy_from_slice(&self.predicted_wind_ms.to_le_bytes());
@@ -334,7 +334,7 @@ impl ResultSummary {
     }
 
     /// Decode; `None` on a wrong-length buffer.
-    pub fn decode(bytes: &[u8]) -> Option<ResultSummary> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<ResultSummary> {
         if bytes.len() != Self::WIRE_SIZE {
             return None;
         }
@@ -350,7 +350,7 @@ impl ResultSummary {
 /// The return data path: CFD summaries shipped from the repository back
 /// over the Internet + 5G downlink to the field node at the facility,
 /// where the site operator's dashboard reads them.
-pub struct ResultsReturn {
+pub(crate) struct ResultsReturn {
     /// The field node at UNL.
     pub field: Arc<CspotNode>,
     appender: RemoteAppender,
@@ -359,7 +359,11 @@ pub struct ResultsReturn {
 impl ResultsReturn {
     /// Build the return path over the paper topology's UCSB → UNL-5G
     /// route (the same physical route as the uplink, traversed back).
-    pub fn new(field: Arc<CspotNode>, clock: SimClock, seed: u64) -> Result<Self, FabricError> {
+    pub(crate) fn new(
+        field: Arc<CspotNode>,
+        clock: SimClock,
+        seed: u64,
+    ) -> Result<Self, FabricError> {
         field.open_log(RESULTS_LOG, ResultSummary::WIRE_SIZE, LOG_HISTORY)?;
         let route = route_between("UCSB", "UNL-5G")?;
         let appender = RemoteAppender::new(clock, route, RemoteConfig::default(), seed);
@@ -367,18 +371,18 @@ impl ResultsReturn {
     }
 
     /// Partition or heal the downlink route (failure injection).
-    pub fn set_partitioned(&mut self, partitioned: bool) {
+    pub(crate) fn set_partitioned(&mut self, partitioned: bool) {
         self.appender.route_mut().set_partitioned(partitioned);
     }
 
     /// Attach observability to the downlink appender.
-    pub fn set_obs(&mut self, obs: &xg_obs::Obs) {
+    pub(crate) fn set_obs(&mut self, obs: &xg_obs::Obs) {
         self.appender.set_obs(obs);
     }
 
     /// Deliver one result summary to the field node. Returns the transfer
     /// latency (ms, virtual time).
-    pub fn deliver(&mut self, summary: &ResultSummary) -> Result<f64, CspotError> {
+    pub(crate) fn deliver(&mut self, summary: &ResultSummary) -> Result<f64, CspotError> {
         let field = Arc::clone(&self.field);
         let outcome = self
             .appender
@@ -387,7 +391,7 @@ impl ResultsReturn {
     }
 
     /// The most recent result visible to the site operator.
-    pub fn latest(&self) -> Option<ResultSummary> {
+    pub(crate) fn latest(&self) -> Option<ResultSummary> {
         let log = self.field.log(RESULTS_LOG).ok()?;
         let seq = log.latest_seq()?;
         ResultSummary::decode(&log.get(seq).ok()?)

@@ -265,7 +265,7 @@ impl RanProbe {
     }
 
     /// The gateway cell's deployment label.
-    pub fn gateway_cell_name(&self) -> &str {
+    pub(crate) fn gateway_cell_name(&self) -> &str {
         &self.cells[self.gateway_cell].name
     }
 
@@ -276,13 +276,13 @@ impl RanProbe {
 
     /// Inject (or clear, with `None`) a fade on the named cell. Returns
     /// `false` when no such cell exists (the fault is ignored).
-    pub fn fade(&mut self, name: &str, snr_offset_db: Option<f64>) -> bool {
+    pub(crate) fn fade(&mut self, name: &str, snr_offset_db: Option<f64>) -> bool {
         self.update_cell(name, |c| c.fade_db = snr_offset_db.unwrap_or(0.0))
     }
 
     /// Partition the named cell on or off the backhaul. Returns `false`
     /// when no such cell exists.
-    pub fn set_cell_down(&mut self, name: &str, down: bool) -> bool {
+    pub(crate) fn set_cell_down(&mut self, name: &str, down: bool) -> bool {
         self.update_cell(name, |c| c.down = down)
     }
 
@@ -357,12 +357,12 @@ impl RanProbe {
     }
 
     /// The deployment label of fleet cell `id`, if it exists.
-    pub fn cell_name(&self, id: u32) -> Option<&str> {
+    pub(crate) fn cell_name(&self, id: u32) -> Option<&str> {
         self.cells.get(id as usize).map(|c| c.name.as_str())
     }
 
     /// Whether the named cell is currently partitioned off the backhaul.
-    pub fn cell_down(&self, name: &str) -> bool {
+    pub(crate) fn cell_down(&self, name: &str) -> bool {
         self.cells.iter().any(|c| c.name == name && c.down)
     }
 
@@ -397,15 +397,6 @@ impl RanProbe {
                 .cell_mut(CellId(*cell))?
                 .set_mcs_cap(UeHandle::from_id(*ue), *max_eff),
         }
-    }
-
-    /// The probe UEs attached to the named cell (`None` for unknown
-    /// cells).
-    pub fn probe_ues(&self, name: &str) -> Option<&[FleetUe]> {
-        self.cells
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.ues.as_slice())
     }
 }
 

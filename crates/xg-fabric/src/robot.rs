@@ -12,7 +12,7 @@ use xg_sensors::facility::CupsFacility;
 
 /// The wheeled robot.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Robot {
+pub(crate) struct Robot {
     /// Current position (m) in facility coordinates.
     pub position: (f64, f64),
     /// Driving speed (m/s). Farm-NG Amiga-class: ~1.5 m/s.
@@ -36,7 +36,7 @@ impl Default for Robot {
 
 /// Outcome of a dispatch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobotReport {
+pub(crate) struct RobotReport {
     /// Travel time to the suspect region (s).
     pub travel_s: f64,
     /// Total mission time (travel + inspection, s).
@@ -51,7 +51,7 @@ impl Robot {
     /// Drive to `target` (m) along the planned route through the orchard
     /// aisles, inspect, and report. Falls back to the straight-line
     /// estimate when no route exists (e.g. degenerate geometry).
-    pub fn dispatch_planned(
+    pub(crate) fn dispatch_planned(
         &mut self,
         target: (f64, f64),
         facility: &CupsFacility,
@@ -84,7 +84,7 @@ impl Robot {
 
     /// Drive straight to `target` (m), inspect, and report. The
     /// ground-truth `facility` decides whether a breach is visible there.
-    pub fn dispatch(&mut self, target: (f64, f64), facility: &CupsFacility) -> RobotReport {
+    pub(crate) fn dispatch(&mut self, target: (f64, f64), facility: &CupsFacility) -> RobotReport {
         let dist =
             ((target.0 - self.position.0).powi(2) + (target.1 - self.position.1).powi(2)).sqrt();
         let travel_s = dist / self.speed_ms.max(0.1);

@@ -33,7 +33,7 @@ fn span(lo: f64, hi: f64, n: usize) -> std::ops::Range<usize> {
 
 /// An occupancy-grid route planner.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RoutePlanner {
+pub(crate) struct RoutePlanner {
     nx: usize,
     ny: usize,
     blocked: Vec<bool>,
@@ -42,7 +42,7 @@ pub struct RoutePlanner {
 impl RoutePlanner {
     /// Build a planner from the facility's domain spec: canopy blocks are
     /// obstacles, everything else (aisles, perimeter road) is drivable.
-    pub fn from_domain(spec: &DomainSpec) -> Self {
+    pub(crate) fn from_domain(spec: &DomainSpec) -> Self {
         let nx = (spec.size_m[0] / CELL_M).ceil() as usize + 1;
         let ny = (spec.size_m[1] / CELL_M).ceil() as usize + 1;
         let mut blocked = vec![false; nx * ny];
@@ -88,7 +88,7 @@ impl RoutePlanner {
 
     /// Plan a path from `from` to `to` (m). Returns waypoints including
     /// both endpoints, or `None` if no drivable route exists.
-    pub fn plan(&self, from: (f64, f64), to: (f64, f64)) -> Option<Vec<(f64, f64)>> {
+    pub(crate) fn plan(&self, from: (f64, f64), to: (f64, f64)) -> Option<Vec<(f64, f64)>> {
         let (si, sj) = {
             let (i, j) = self.cell(from.0, from.1);
             self.nearest_free(i, j)?
@@ -189,7 +189,7 @@ impl RoutePlanner {
     }
 
     /// Length of a waypoint path (m).
-    pub fn path_length_m(path: &[(f64, f64)]) -> f64 {
+    pub(crate) fn path_length_m(path: &[(f64, f64)]) -> f64 {
         path.windows(2)
             .map(|w| ((w[1].0 - w[0].0).powi(2) + (w[1].1 - w[0].1).powi(2)).sqrt())
             .sum()

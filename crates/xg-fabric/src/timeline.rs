@@ -164,7 +164,7 @@ pub struct Timeline {
 
 impl Timeline {
     /// Record an event.
-    pub fn push(&mut self, e: Event) {
+    pub(crate) fn push(&mut self, e: Event) {
         self.events.push(e);
     }
 
@@ -194,19 +194,6 @@ impl Timeline {
         self.count(|e| matches!(e, Event::ChangeChecked { changed: true, .. }))
     }
 
-    /// Number of successful failover resubmissions.
-    pub fn failovers(&self) -> usize {
-        self.count(|e| {
-            matches!(
-                e,
-                Event::FailoverTriggered {
-                    to_site: Some(_),
-                    ..
-                }
-            )
-        })
-    }
-
     /// Number of RIC control actions applied.
     pub fn ric_actions(&self) -> usize {
         self.count(|e| matches!(e, Event::RicAction { .. }))
@@ -223,11 +210,6 @@ impl Timeline {
     /// Number of fault activations recorded.
     pub fn fault_activations(&self) -> usize {
         self.count(|e| matches!(e, Event::FaultChanged { active: true, .. }))
-    }
-
-    /// Number of SLO breach events.
-    pub fn slo_breaches(&self) -> usize {
-        self.count(|e| matches!(e, Event::SloBreached { .. }))
     }
 
     /// Number of SLO recovery events.

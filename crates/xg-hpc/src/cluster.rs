@@ -83,7 +83,7 @@ pub struct JobRecord {
 
 /// The cluster simulator.
 pub struct ClusterSim {
-    total_nodes: u32,
+    pub(crate) total_nodes: u32,
     now_s: f64,
     backfill: bool,
     next_id: u64,
@@ -152,11 +152,6 @@ impl ClusterSim {
         self.now_s
     }
 
-    /// Total nodes in the machine.
-    pub fn total_nodes(&self) -> u32 {
-        self.total_nodes
-    }
-
     /// Nodes not currently occupied.
     pub fn free_nodes(&self) -> u32 {
         self.total_nodes - self.running.iter().map(|r| r.nodes).sum::<u32>()
@@ -188,7 +183,7 @@ impl ClusterSim {
 
     /// Cancel a queued job. Running jobs cannot be cancelled (matches the
     /// pilot use case: pilots are cancelled while still queued).
-    pub fn cancel(&mut self, id: JobId) -> bool {
+    pub(crate) fn cancel(&mut self, id: JobId) -> bool {
         if let Some(pos) = self.queue.iter().position(|q| q.id == id) {
             self.queue.remove(pos);
             self.cancelled.push(id);

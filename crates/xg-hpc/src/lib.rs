@@ -33,6 +33,7 @@
 // Non-test library code must thread typed errors instead of panicking.
 // These lints are the gate (CI runs clippy with `-D warnings`); a site
 // that must abort carries `#[expect(clippy::expect_used, reason = …)]`.
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -41,16 +42,11 @@
 pub mod cluster;
 pub mod multisite;
 pub mod pilot;
-pub mod predictor;
+mod predictor;
 pub mod site;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::cluster::{ClusterSim, JobId, JobRequest, JobState};
-    pub use crate::multisite::{MultiSiteController, Placement};
-    pub use crate::pilot::{PilotController, PilotControllerConfig, PilotStrategy, TaskOutcome};
-    pub use crate::predictor::{AdaptivePilotPlanner, QueueWaitPredictor};
-    pub use crate::site::{SchedulerKind, SiteProfile};
+    pub use crate::pilot::{PilotController, PilotControllerConfig};
+    pub use crate::site::SiteProfile;
 }
-
-pub use prelude::*;

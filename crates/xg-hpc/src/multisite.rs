@@ -4,7 +4,7 @@
 //! sites in order to exploit the changing availability and performance of
 //! different facilities." The [`MultiSiteController`] runs one pilot
 //! controller per site, learns each site's queue behaviour through its
-//! [`crate::predictor::QueueWaitPredictor`], and routes each CFD task to
+//! `crate::predictor::QueueWaitPredictor`, and routes each CFD task to
 //! the site with the best expected completion time
 //! (predicted wait + runtime / perf factor).
 
@@ -176,7 +176,7 @@ impl MultiSiteController {
     }
 
     /// Number of sites currently reachable.
-    pub fn reachable_sites(&self) -> usize {
+    pub(crate) fn reachable_sites(&self) -> usize {
         self.sites
             .iter()
             .filter(|s| !s.controller.is_offline())

@@ -64,7 +64,7 @@ pub enum PilotStrategy {
     Reactive,
     /// Learn the queue-wait distribution and submit replacement pilots
     /// just early enough to mask it (the §5 future-work tuning, built on
-    /// [`QueueWaitPredictor`]).
+    /// `QueueWaitPredictor`).
     Adaptive {
         /// Nodes to keep effectively warm.
         warm_nodes: u32,
@@ -106,7 +106,7 @@ impl PilotControllerConfig {
 
 /// One pilot's bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pilot {
+pub(crate) struct Pilot {
     /// The placeholder batch job.
     pub job: JobId,
     /// Nodes held.
@@ -208,7 +208,7 @@ impl PilotController {
 
     /// Attach an observability handle: pilot queue waits, task mask
     /// times and submission counters land in its registry.
-    pub fn set_obs(&mut self, obs: &Obs) {
+    pub(crate) fn set_obs(&mut self, obs: &Obs) {
         self.obs = PilotObs::new(obs);
     }
 
@@ -223,12 +223,12 @@ impl PilotController {
     }
 
     /// Eq. 1: nodes required for `data_bytes` of incoming data.
-    pub fn n_required(&self, data_bytes: f64) -> u32 {
+    pub(crate) fn n_required(&self, data_bytes: f64) -> u32 {
         ((data_bytes / self.config.threshold_bytes).ceil() as u32).max(1)
     }
 
     /// Eq. 2: nodes across active, non-busy, non-expired pilots.
-    pub fn n_available(&self) -> u32 {
+    pub(crate) fn n_available(&self) -> u32 {
         if self.offline {
             return 0;
         }
@@ -241,7 +241,7 @@ impl PilotController {
     }
 
     /// Whether the site is currently offline (fault-injected outage).
-    pub fn is_offline(&self) -> bool {
+    pub(crate) fn is_offline(&self) -> bool {
         self.offline
     }
 
@@ -250,7 +250,7 @@ impl PilotController {
     /// the aborted tasks are returned so a failover layer can resubmit
     /// them elsewhere. Coming back online returns an empty vec — fresh
     /// pilots are provisioned by the normal Eq. (1)–(3) path.
-    pub fn set_offline(&mut self, offline: bool) -> Vec<TaskOutcome> {
+    pub(crate) fn set_offline(&mut self, offline: bool) -> Vec<TaskOutcome> {
         if offline == self.offline {
             return Vec::new();
         }
@@ -284,13 +284,13 @@ impl PilotController {
     }
 
     /// Inject or clear a batch-queue stall.
-    pub fn set_stalled(&mut self, stalled: bool) {
+    pub(crate) fn set_stalled(&mut self, stalled: bool) {
         self.stalled = stalled;
     }
 
     /// Remove and return tasks that were accepted but never dispatched —
     /// failover hands these to another site.
-    pub fn drain_pending(&mut self) -> Vec<(u32, f64)> {
+    pub(crate) fn drain_pending(&mut self) -> Vec<(u32, f64)> {
         std::mem::take(&mut self.pending)
             .into_iter()
             .map(|t| (t.nodes, t.runtime_s))
@@ -465,7 +465,7 @@ impl PilotController {
     }
 
     /// The learned queue-wait predictor (diagnostics).
-    pub fn predictor(&self) -> &QueueWaitPredictor {
+    pub(crate) fn predictor(&self) -> &QueueWaitPredictor {
         &self.predictor
     }
 
@@ -678,7 +678,7 @@ mod tests {
         let mut ctl = idle_controller(PilotStrategy::Adaptive { warm_nodes: 2 });
         ctl.advance_to(60.0);
         assert!(ctl.n_available() >= 2);
-        assert!(ctl.predictor().observation_count() >= 1);
+        assert!(ctl.predictor().observations.iter().sum::<u64>() >= 1);
         // Ride through two pilot walltimes; tasks keep being absorbed.
         for hour in 1..=9 {
             ctl.advance_to(hour as f64 * 3600.0);

@@ -22,16 +22,16 @@ fn bucket(nodes: u32) -> usize {
 
 /// EWMA queue-wait estimator per job-size bucket.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueueWaitPredictor {
+pub(crate) struct QueueWaitPredictor {
     /// Smoothing factor per observation.
     pub alpha: f64,
     estimates_s: [f64; 4],
-    observations: [u64; 4],
+    pub(crate) observations: [u64; 4],
 }
 
 impl QueueWaitPredictor {
     /// A predictor with the given smoothing factor.
-    pub fn new(alpha: f64) -> Self {
+    pub(crate) fn new(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0);
         QueueWaitPredictor {
             alpha,
@@ -41,7 +41,7 @@ impl QueueWaitPredictor {
     }
 
     /// Record an explicit `(nodes, wait)` observation.
-    pub fn observe_wait(&mut self, nodes: u32, wait_s: f64) {
+    pub(crate) fn observe_wait(&mut self, nodes: u32, wait_s: f64) {
         self.update(bucket(nodes), wait_s);
     }
 
@@ -57,7 +57,7 @@ impl QueueWaitPredictor {
 
     /// Predicted queue wait for a job of `nodes` nodes. Falls back to the
     /// nearest informed bucket, then to zero (an optimistic cold start).
-    pub fn predict_s(&self, nodes: u32) -> f64 {
+    pub(crate) fn predict_s(&self, nodes: u32) -> f64 {
         let b = bucket(nodes);
         if self.observations[b] > 0 {
             return self.estimates_s[b];
@@ -72,16 +72,11 @@ impl QueueWaitPredictor {
         }
         0.0
     }
-
-    /// Total observations ingested.
-    pub fn observation_count(&self) -> u64 {
-        self.observations.iter().sum()
-    }
 }
 
 /// Adaptive pilot-submission planner.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AdaptivePilotPlanner {
+pub(crate) struct AdaptivePilotPlanner {
     /// Safety factor on the predicted wait (submit this much earlier).
     pub safety: f64,
     /// Ceiling on the lead time (never hold more than this much headroom).
@@ -100,13 +95,13 @@ impl Default for AdaptivePilotPlanner {
 impl AdaptivePilotPlanner {
     /// How long before an anticipated need the next pilot should be
     /// submitted, given the predictor's current estimate.
-    pub fn lead_time_s(&self, predictor: &QueueWaitPredictor, nodes: u32) -> f64 {
+    pub(crate) fn lead_time_s(&self, predictor: &QueueWaitPredictor, nodes: u32) -> f64 {
         (predictor.predict_s(nodes) * self.safety).min(self.max_lead_s)
     }
 
     /// Decide whether to submit the replacement pilot now: `true` when the
     /// current pilot expires within the required lead time.
-    pub fn should_resubmit(
+    pub(crate) fn should_resubmit(
         &self,
         predictor: &QueueWaitPredictor,
         nodes: u32,
@@ -125,7 +120,7 @@ mod tests {
     fn cold_start_predicts_zero() {
         let p = QueueWaitPredictor::new(0.3);
         assert_eq!(p.predict_s(1), 0.0);
-        assert_eq!(p.observation_count(), 0);
+        assert_eq!(p.observations.iter().sum::<u64>(), 0);
     }
 
     #[test]

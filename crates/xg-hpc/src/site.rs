@@ -72,7 +72,7 @@ impl SiteProfile {
     }
 
     /// TACC Stampede3.
-    pub fn stampede3() -> Self {
+    pub(crate) fn stampede3() -> Self {
         SiteProfile {
             name: "Stampede3".into(),
             scheduler: SchedulerKind::Slurm,
@@ -138,8 +138,9 @@ mod tests {
         let site = SiteProfile::notre_dame_crc();
         let mut busy = site.build_cluster(1);
         let idle = site.build_idle_cluster();
-        assert_eq!(busy.total_nodes(), site.nodes);
-        assert_eq!(idle.total_nodes(), site.nodes);
+        assert_eq!(busy.total_nodes, site.nodes);
+        assert_eq!(idle.total_nodes, site.nodes);
+        assert_eq!(idle.free_nodes(), site.nodes);
         busy.advance_to(3600.0);
         // The busy cluster accumulated background work.
         assert!(

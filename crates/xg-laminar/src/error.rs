@@ -104,7 +104,7 @@ impl From<xg_cspot::CspotError> for LaminarError {
 }
 
 /// Convenience alias used across the crate.
-pub type Result<T> = std::result::Result<T, LaminarError>;
+pub(crate) type Result<T> = std::result::Result<T, LaminarError>;
 
 #[cfg(test)]
 mod tests {

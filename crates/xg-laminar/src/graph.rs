@@ -12,14 +12,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Operator function: maps one value per input port to the output value.
-pub type OpFn = Arc<dyn Fn(&[Value]) -> std::result::Result<Value, String> + Send + Sync>;
+pub(crate) type OpFn = Arc<dyn Fn(&[Value]) -> std::result::Result<Value, String> + Send + Sync>;
 
 /// Identifier of a graph node (source or operator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 /// What a node does.
-pub enum NodeKind {
+pub(crate) enum NodeKind {
     /// External input injected by the application.
     Source {
         /// Type of injected values.
@@ -38,7 +38,7 @@ pub enum NodeKind {
 }
 
 /// A node in the dataflow graph.
-pub struct Node {
+pub(crate) struct Node {
     /// Unique name (doubles as the CSPOT log name suffix).
     pub name: String,
     /// Role and typing.
@@ -47,7 +47,7 @@ pub struct Node {
 
 impl Node {
     /// The node's output type.
-    pub fn output_type(&self) -> TypeTag {
+    pub(crate) fn output_type(&self) -> TypeTag {
         match &self.kind {
             NodeKind::Source { ty } => *ty,
             NodeKind::Op { output, .. } => *output,
@@ -55,7 +55,7 @@ impl Node {
     }
 
     /// The node's input port types (empty for sources).
-    pub fn input_types(&self) -> &[TypeTag] {
+    pub(crate) fn input_types(&self) -> &[TypeTag] {
         match &self.kind {
             NodeKind::Source { .. } => &[],
             NodeKind::Op { inputs, .. } => inputs,
@@ -85,32 +85,22 @@ impl Graph {
     }
 
     /// The node structure.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0]
     }
 
-    /// Number of nodes (sources + operators).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Nodes in topological order.
-    pub fn topo_order(&self) -> &[NodeId] {
+    pub(crate) fn topo_order(&self) -> &[NodeId] {
         &self.topo
     }
 
     /// Producers feeding `id`'s input ports, in port order.
-    pub fn producers(&self, id: NodeId) -> &[NodeId] {
+    pub(crate) fn producers(&self, id: NodeId) -> &[NodeId] {
         &self.wiring[id.0]
     }
 
     /// Consumers downstream of `id` (any port).
-    pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
+    pub(crate) fn consumers(&self, id: NodeId) -> Vec<NodeId> {
         self.wiring
             .iter()
             .enumerate()
@@ -277,6 +267,11 @@ mod tests {
     use super::*;
     use crate::ops;
 
+    /// A one-input operator for graphs that never fire.
+    fn unary() -> OpFn {
+        ops::closure(|i| Ok(i[0].clone()))
+    }
+
     fn two_input_sum() -> GraphBuilder {
         let mut g = GraphBuilder::new("test");
         let a = g.source("a", TypeTag::F64).unwrap();
@@ -297,7 +292,7 @@ mod tests {
     #[test]
     fn valid_graph_builds() {
         let g = two_input_sum().build().unwrap();
-        assert_eq!(g.len(), 3);
+        assert_eq!(g.nodes.len(), 3);
         let sum = g.node_id("sum").unwrap();
         assert_eq!(g.producers(sum).len(), 2);
         assert_eq!(g.log_name(sum), "laminar.test.sum");
@@ -343,7 +338,7 @@ mod tests {
         let mut g = GraphBuilder::new("t");
         let a = g.source("a", TypeTag::Bool).unwrap();
         let neg = g
-            .op("neg", vec![TypeTag::F64], TypeTag::F64, ops::neg())
+            .op("neg", vec![TypeTag::F64], TypeTag::F64, unary())
             .unwrap();
         g.connect(a, neg, 0);
         assert!(matches!(g.build(), Err(LaminarError::TypeMismatch { .. })));
@@ -363,10 +358,10 @@ mod tests {
     fn cycle_rejected() {
         let mut g = GraphBuilder::new("t");
         let x = g
-            .op("x", vec![TypeTag::F64], TypeTag::F64, ops::neg())
+            .op("x", vec![TypeTag::F64], TypeTag::F64, unary())
             .unwrap();
         let y = g
-            .op("y", vec![TypeTag::F64], TypeTag::F64, ops::neg())
+            .op("y", vec![TypeTag::F64], TypeTag::F64, unary())
             .unwrap();
         g.connect(x, y, 0);
         g.connect(y, x, 0);
@@ -378,7 +373,7 @@ mod tests {
         let mut g = GraphBuilder::new("t");
         let a = g.source("a", TypeTag::F64).unwrap();
         let neg = g
-            .op("neg", vec![TypeTag::F64], TypeTag::F64, ops::neg())
+            .op("neg", vec![TypeTag::F64], TypeTag::F64, unary())
             .unwrap();
         g.connect(a, neg, 5);
         assert!(g.build().is_err());

@@ -40,6 +40,7 @@
 //! assert_eq!(rt.read("sum", 1).unwrap(), Some(Value::F64(42.0)));
 //! ```
 
+#![warn(unreachable_pub)]
 #![expect(
     clippy::disallowed_types,
     reason = "`GraphBuilder` keys nodes by name in a HashMap used for look-ups only; nothing iterates it"
@@ -56,14 +57,9 @@ pub mod value;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::bridge::{latest_windows, read_f64_series};
-    pub use crate::change::{build_change_graph, ChangeDetector};
-    pub use crate::error::LaminarError;
-    pub use crate::graph::{Graph, GraphBuilder, NodeId};
+    pub use crate::change::ChangeDetector;
+    pub use crate::graph::GraphBuilder;
     pub use crate::ops;
     pub use crate::runtime::LaminarRuntime;
-    pub use crate::stats::{ks_test, mann_whitney_u, vote_change, welch_t_test, ChangeVote};
     pub use crate::value::{TypeTag, Value};
 }
-
-pub use prelude::*;

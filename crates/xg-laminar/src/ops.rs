@@ -2,7 +2,7 @@
 //!
 //! Any stateless computation can be embedded in a Laminar node (§3.5) —
 //! these constructors cover the arithmetic and statistics used by the
-//! xGFabric pipeline, plus a generic [`closure`] escape hatch (which is how
+//! xGFabric pipeline, plus a generic `closure` escape hatch (which is how
 //! `xg-fabric` embeds the whole CFD run as a single node).
 
 use crate::graph::OpFn;
@@ -11,7 +11,7 @@ use crate::value::Value;
 use std::sync::Arc;
 
 /// Wrap an arbitrary function as an operator.
-pub fn closure<F>(f: F) -> OpFn
+pub(crate) fn closure<F>(f: F) -> OpFn
 where
     F: Fn(&[Value]) -> Result<Value, String> + Send + Sync + 'static,
 {
@@ -42,19 +42,9 @@ pub fn mul2() -> OpFn {
     closure(|inp| Ok(Value::F64(f64_arg(inp, 0)? * f64_arg(inp, 1)?)))
 }
 
-/// `F64 → F64` negation.
-pub fn neg() -> OpFn {
-    closure(|inp| Ok(Value::F64(-f64_arg(inp, 0)?)))
-}
-
-/// `F64 → F64` scaling by a constant.
-pub fn scale(k: f64) -> OpFn {
-    closure(move |inp| Ok(Value::F64(k * f64_arg(inp, 0)?)))
-}
-
 /// `F64Vec × F64Vec → Bool` — the paper's three-test voting change
 /// detector: input 0 is the previous window, input 1 the recent window.
-pub fn change_detect(alpha: f64, votes_needed: u8) -> OpFn {
+pub(crate) fn change_detect(alpha: f64, votes_needed: u8) -> OpFn {
     closure(move |inp| {
         let prev = vec_arg(inp, 0)?;
         let recent = vec_arg(inp, 1)?;
@@ -77,8 +67,6 @@ mod tests {
             mul2()(&[Value::F64(2.0), Value::F64(3.0)]).unwrap(),
             Value::F64(6.0)
         );
-        assert_eq!(neg()(&[Value::F64(2.0)]).unwrap(), Value::F64(-2.0));
-        assert_eq!(scale(10.0)(&[Value::F64(2.5)]).unwrap(), Value::F64(25.0));
     }
 
     #[test]

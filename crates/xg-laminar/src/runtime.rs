@@ -322,8 +322,12 @@ mod tests {
                 ops::add2(),
             )
             .unwrap();
+        let times_ten = ops::closure(|i| match i {
+            [Value::F64(x)] => Ok(Value::F64(10.0 * x)),
+            _ => Err("expected one f64".into()),
+        });
         let sc = g
-            .op("scaled", vec![TypeTag::F64], TypeTag::F64, ops::scale(10.0))
+            .op("scaled", vec![TypeTag::F64], TypeTag::F64, times_ten)
             .unwrap();
         g.connect(a, s, 0);
         g.connect(b, s, 1);

@@ -24,7 +24,7 @@ pub struct TestResult {
 
 impl TestResult {
     /// True if the test rejects "no change" at significance `alpha`.
-    pub fn rejects(&self, alpha: f64) -> bool {
+    pub(crate) fn rejects(&self, alpha: f64) -> bool {
         self.p_value < alpha
     }
 }
@@ -34,7 +34,7 @@ impl TestResult {
 // ---------------------------------------------------------------------------
 
 /// Natural log of the gamma function (Lanczos approximation).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Lanczos coefficients (g = 7, n = 9).
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -63,7 +63,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 
 /// Regularized incomplete beta function I_x(a, b) via the continued-fraction
 /// expansion (Numerical Recipes `betai`/`betacf`).
-pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 0.0;
     }
@@ -131,12 +131,12 @@ fn betacf(a: f64, b: f64, x: f64) -> f64 {
 
 /// Standard normal CDF via the complementary error function (Abramowitz &
 /// Stegun 7.1.26-style rational approximation, |error| < 1.5e-7).
-pub fn normal_cdf(z: f64) -> f64 {
+pub(crate) fn normal_cdf(z: f64) -> f64 {
     0.5 * erfc(-z / std::f64::consts::SQRT_2)
 }
 
 /// Complementary error function.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let ans = t
@@ -158,7 +158,7 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Two-sided p-value of a Student-t statistic with `df` degrees of freedom.
-pub fn student_t_two_sided_p(t: f64, df: f64) -> f64 {
+pub(crate) fn student_t_two_sided_p(t: f64, df: f64) -> f64 {
     if !t.is_finite() || df <= 0.0 {
         return 1.0;
     }

@@ -25,7 +25,7 @@ pub enum TypeTag {
 
 impl TypeTag {
     /// Static name for diagnostics.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TypeTag::F64 => "F64",
             TypeTag::I64 => "I64",
@@ -79,7 +79,7 @@ pub enum Value {
 
 impl Value {
     /// The value's type tag.
-    pub fn type_tag(&self) -> TypeTag {
+    pub(crate) fn type_tag(&self) -> TypeTag {
         match self {
             Value::F64(_) => TypeTag::F64,
             Value::I64(_) => TypeTag::I64,
@@ -91,7 +91,7 @@ impl Value {
     }
 
     /// Extract an `f64`, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::F64(x) => Some(*x),
             _ => None,
@@ -107,7 +107,7 @@ impl Value {
     }
 
     /// Extract a float vector, if this is one.
-    pub fn as_f64_vec(&self) -> Option<&[f64]> {
+    pub(crate) fn as_f64_vec(&self) -> Option<&[f64]> {
         match self {
             Value::F64Vec(v) => Some(v),
             _ => None,

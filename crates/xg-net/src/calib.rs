@@ -23,7 +23,7 @@ use xg_sim::math;
 /// Paper targets (Fig. 4): ~21 Mbps at 10 MHz, declining to 10.41 Mbps at
 /// 20 MHz ("limited performance ... beyond 10 MHz is likely due to
 /// constraints imposed by the external 4G modem").
-pub const LAPTOP_4G: RadioProfile = RadioProfile {
+pub(crate) const LAPTOP_4G: RadioProfile = RadioProfile {
     power: UplinkPower {
         snr_one_prb: Db(28.0),
         snr_cap: Db(10.0),
@@ -39,7 +39,7 @@ pub const LAPTOP_4G: RadioProfile = RadioProfile {
 /// Paper targets (Fig. 4): 2.23 Mbps at 20 MHz, "degrade with bandwidth due
 /// to 4G modem limitations" in the two-user case; the Pi's USB path also
 /// caps sustained throughput.
-pub const RPI_4G: RadioProfile = RadioProfile {
+pub(crate) const RPI_4G: RadioProfile = RadioProfile {
     power: UplinkPower {
         snr_one_prb: Db(27.0),
         snr_cap: Db(9.0),
@@ -54,7 +54,7 @@ pub const RPI_4G: RadioProfile = RadioProfile {
 ///
 /// Paper targets (Fig. 4): 43.83 Mbps at 20 MHz — the best 4G device;
 /// (Fig. 5) two-user aggregate 35.5 Mbps at 15 MHz.
-pub const SMARTPHONE_4G: RadioProfile = RadioProfile {
+pub(crate) const SMARTPHONE_4G: RadioProfile = RadioProfile {
     power: UplinkPower {
         snr_one_prb: Db(30.4),
         snr_cap: Db(11.0),
@@ -69,7 +69,7 @@ pub const SMARTPHONE_4G: RadioProfile = RadioProfile {
 ///
 /// Paper targets: 40.83 Mbps at 20 MHz FDD; 58.31 Mbps at 50 MHz TDD;
 /// (Fig. 5) two-user TDD aggregate 65.2 Mbps at 40 MHz.
-pub const LAPTOP_5G: RadioProfile = RadioProfile {
+pub(crate) const LAPTOP_5G: RadioProfile = RadioProfile {
     power: UplinkPower {
         snr_one_prb: Db(29.0),
         snr_cap: Db(14.0),
@@ -85,7 +85,7 @@ pub const LAPTOP_5G: RadioProfile = RadioProfile {
 /// Paper targets: 52.36 Mbps at 20 MHz FDD; 65.97 Mbps at 50 MHz TDD (the
 /// best overall device); Fig. 6 slicing endpoints 5.14 → 43.47 Mbps
 /// (this is "RPi2"; "RPi1" applies [`RPI_UNIT_A_SNR_ONE_PRB_OFFSET_DB`]).
-pub const RPI_5G: RadioProfile = RadioProfile {
+pub(crate) const RPI_5G: RadioProfile = RadioProfile {
     power: UplinkPower {
         snr_one_prb: Db(32.0),
         snr_cap: Db(13.0),
@@ -101,7 +101,7 @@ pub const RPI_5G: RadioProfile = RadioProfile {
 /// Paper targets: 58.89 Mbps at 20 MHz FDD (best 5G FDD device) but only
 /// 14.40 Mbps at 50 MHz TDD — the paper's starkest device anomaly, modelled
 /// as a large TDD power penalty.
-pub const SMARTPHONE_5G: RadioProfile = RadioProfile {
+pub(crate) const SMARTPHONE_5G: RadioProfile = RadioProfile {
     power: UplinkPower {
         snr_one_prb: Db(33.3),
         snr_cap: Db(13.5),
@@ -116,22 +116,22 @@ pub const SMARTPHONE_5G: RadioProfile = RadioProfile {
 /// share (34.73 vs 43.47 Mbps) while nearly matching it at 10% (4.95 vs
 /// 5.14), implying a lower single-PRB SNR (power-limited earlier) and a
 /// slightly lower saturation SNR.
-pub const RPI_UNIT_A_SNR_ONE_PRB_OFFSET_DB: f64 = -4.5;
+pub(crate) const RPI_UNIT_A_SNR_ONE_PRB_OFFSET_DB: f64 = -4.5;
 /// See [`RPI_UNIT_A_SNR_ONE_PRB_OFFSET_DB`].
-pub const RPI_UNIT_A_SNR_CAP_OFFSET_DB: f64 = -0.8;
+pub(crate) const RPI_UNIT_A_SNR_CAP_OFFSET_DB: f64 = -0.8;
 
 /// Stationary shadowing SD (dB) of the lab channel; chosen so per-second
 /// iperf3 samples vary with SD ≈ 3–5 Mbps at mid throughput, matching the
 /// spread the paper reports for Fig. 6.
-pub const SHADOW_SIGMA_DB: f64 = 1.2;
+pub(crate) const SHADOW_SIGMA_DB: f64 = 1.2;
 /// Fast (per-TTI) fading SD in dB.
-pub const FAST_FADE_SIGMA_DB: f64 = 0.4;
+pub(crate) const FAST_FADE_SIGMA_DB: f64 = 0.4;
 /// AR(1) coefficient of the shadowing process per TTI (coherence ≈ 1 s).
-pub const SHADOW_RHO: f64 = 0.999;
+pub(crate) const SHADOW_RHO: f64 = 0.999;
 
 /// Per-UE uplink control overhead (PUCCH/SRS) as a fractional rate loss for
 /// every connected UE beyond the first.
-pub const PER_EXTRA_UE_OVERHEAD: f64 = 0.04;
+pub(crate) const PER_EXTRA_UE_OVERHEAD: f64 = 0.04;
 
 #[cfg(test)]
 mod tests {

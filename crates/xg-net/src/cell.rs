@@ -61,7 +61,7 @@ impl CellConfig {
 
     /// Total uplink PRBs of the grid. Errors if the bandwidth is not a valid
     /// 3GPP channel bandwidth for the RAT/SCS combination.
-    pub fn total_prbs(&self) -> Result<u32> {
+    pub(crate) fn total_prbs(&self) -> Result<u32> {
         prb_count(self.rat, self.scs, self.bandwidth)
     }
 

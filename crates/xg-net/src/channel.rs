@@ -16,7 +16,7 @@ use xg_sim::normal;
 /// The shadowing state `s` evolves as `s' = ρ·s + √(1-ρ²)·σ_sh·w` with
 /// `w ~ N(0,1)`, so its stationary standard deviation is exactly `σ_sh`.
 #[derive(Debug, Clone)]
-pub struct ShadowingChannel {
+pub(crate) struct ShadowingChannel {
     /// AR(1) correlation coefficient per TTI.
     rho: f64,
     /// Innovation gain `√(1-ρ²)·σ_sh` (dB), fixed at construction.
@@ -39,7 +39,7 @@ fn check_rho(rho: f64) {
 
 impl ShadowingChannel {
     /// Create a channel with the given correlation and standard deviations.
-    pub fn new(rho: f64, sigma_shadow: f64, sigma_fast: f64) -> Self {
+    pub(crate) fn new(rho: f64, sigma_shadow: f64, sigma_fast: f64) -> Self {
         check_rho(rho);
         ShadowingChannel {
             rho,
@@ -49,15 +49,8 @@ impl ShadowingChannel {
         }
     }
 
-    /// The default channel used for the paper-calibrated experiments: highly
-    /// correlated shadowing (coherence of hundreds of TTIs) with ~0.8 dB
-    /// stationary SD and 0.4 dB fast fading.
-    pub fn default_lab() -> Self {
-        ShadowingChannel::new(0.999, 0.8, 0.4)
-    }
-
     /// Advance one TTI and return the SNR offset to apply (dB).
-    pub fn step<R: Rng>(&mut self, rng: &mut R) -> Db {
+    pub(crate) fn step<R: Rng>(&mut self, rng: &mut R) -> Db {
         let w = normal::standard(rng);
         self.state = self.rho * self.state + self.shadow_gain * w;
         let fast = normal::standard(rng) * self.sigma_fast;

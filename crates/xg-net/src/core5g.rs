@@ -47,7 +47,7 @@ impl SimCard {
 
 /// Registration state of a subscriber, following the 5GMM model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegState {
+pub(crate) enum RegState {
     /// Known to the core but not attached.
     Deregistered,
     /// Registered and reachable.
@@ -56,7 +56,7 @@ pub enum RegState {
 
 /// An established PDU session.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PduSession {
+pub(crate) struct PduSession {
     /// Session identifier, unique per subscriber.
     pub id: u8,
     /// The slice this session is bound to.
@@ -81,13 +81,13 @@ pub struct Core5g {
 
 impl Core5g {
     /// An empty core with no provisioned subscribers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Core5g::default()
     }
 
     /// Provision a subscriber: store its SIM credentials and the slices its
     /// subscription permits.
-    pub fn provision(&mut self, sim: SimCard, allowed_slices: Vec<Snssai>) {
+    pub(crate) fn provision(&mut self, sim: SimCard, allowed_slices: Vec<Snssai>) {
         self.subscribers.insert(
             sim.imsi.clone(),
             Subscriber {
@@ -103,7 +103,7 @@ impl Core5g {
     ///
     /// Authentication checks the key and OPc against the provisioned values
     /// (the AKA challenge is abstracted to a credential comparison).
-    pub fn register(&mut self, sim: &SimCard) -> Result<()> {
+    pub(crate) fn register(&mut self, sim: &SimCard) -> Result<()> {
         let sub =
             self.subscribers
                 .get_mut(&sim.imsi)
@@ -122,19 +122,8 @@ impl Core5g {
         Ok(())
     }
 
-    /// Deregister a UE, tearing down all its sessions.
-    pub fn deregister(&mut self, imsi: &str) -> Result<()> {
-        let sub = self
-            .subscribers
-            .get_mut(imsi)
-            .ok_or_else(|| NetError::AuthenticationFailed { imsi: imsi.into() })?;
-        sub.state = RegState::Deregistered;
-        sub.sessions.clear();
-        Ok(())
-    }
-
     /// Establish a PDU session on a slice for a registered UE.
-    pub fn establish_session(
+    pub(crate) fn establish_session(
         &mut self,
         imsi: &str,
         snssai: Snssai,
@@ -162,11 +151,6 @@ impl Core5g {
         };
         sub.sessions.push(session.clone());
         Ok(session)
-    }
-
-    /// Registration state of a subscriber.
-    pub fn state(&self, imsi: &str) -> Option<RegState> {
-        self.subscribers.get(imsi).map(|s| s.state)
     }
 
     /// Number of registered subscribers.
@@ -199,9 +183,15 @@ mod tests {
     #[test]
     fn register_happy_path() {
         let (mut core, sim) = core_with(1, vec![Snssai::embb(0)]);
-        assert_eq!(core.state(&sim.imsi), Some(RegState::Deregistered));
+        assert_eq!(
+            core.subscribers.get(&sim.imsi).map(|s| s.state),
+            Some(RegState::Deregistered)
+        );
         core.register(&sim).unwrap();
-        assert_eq!(core.state(&sim.imsi), Some(RegState::Registered));
+        assert_eq!(
+            core.subscribers.get(&sim.imsi).map(|s| s.state),
+            Some(RegState::Registered)
+        );
         assert_eq!(core.registered_count(), 1);
     }
 
@@ -254,18 +244,5 @@ mod tests {
         assert!(core
             .establish_session(&sim.imsi, Snssai::embb(0), "internet")
             .is_err());
-    }
-
-    #[test]
-    fn deregister_tears_down_sessions() {
-        let (mut core, sim) = core_with(1, vec![Snssai::miot(1)]);
-        core.register(&sim).unwrap();
-        core.establish_session(&sim.imsi, Snssai::miot(1), "internet")
-            .unwrap();
-        core.deregister(&sim.imsi).unwrap();
-        assert!(core.subscribers[&sim.imsi].sessions.is_empty());
-        assert_eq!(core.state(&sim.imsi), Some(RegState::Deregistered));
-        // Can re-register afterwards (power-cycle behaviour).
-        core.register(&sim).unwrap();
     }
 }

@@ -5,7 +5,7 @@
 //! 5G). Device differences dominate several of the paper's results — e.g. the
 //! SIM7600G-H collapses beyond 10 MHz, and the smartphone underperforms badly
 //! on 5G TDD — so this module encodes each device+modem combination as a
-//! [`RadioProfile`] whose constants are calibrated in [`crate::calib`].
+//! `RadioProfile` whose constants are calibrated in `crate::calib`.
 
 use crate::calib;
 use crate::phy::UplinkPower;
@@ -27,7 +27,7 @@ pub enum DeviceClass {
 
 impl DeviceClass {
     /// Label used in figure output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DeviceClass::Laptop => "Laptop",
             DeviceClass::RaspberryPi => "RPi",
@@ -58,7 +58,7 @@ pub enum Modem {
 
 impl Modem {
     /// Which RAT this modem supports.
-    pub fn supports(self, rat: Rat) -> bool {
+    pub(crate) fn supports(self, rat: Rat) -> bool {
         match self {
             Modem::Sim7600gh => rat == Rat::Lte4g,
             Modem::Rm530nGl => rat == Rat::Nr5g,
@@ -102,7 +102,7 @@ impl UnitVariation {
 
 /// The complete radio behaviour of a device + modem combination on one RAT.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RadioProfile {
+pub(crate) struct RadioProfile {
     /// Uplink transmit-power model.
     pub power: UplinkPower,
     /// Power offset applied when operating on a TDD carrier (dB). Positive
@@ -139,7 +139,7 @@ impl RadioProfile {
     ///
     /// Panics if the modem does not support the RAT; call
     /// [`Modem::supports`] first when handling user input.
-    pub fn lookup(device: DeviceClass, modem: Modem, rat: Rat) -> RadioProfile {
+    pub(crate) fn lookup(device: DeviceClass, modem: Modem, rat: Rat) -> RadioProfile {
         check_supports(modem, rat);
         use DeviceClass::*;
         match (device, rat) {
@@ -153,7 +153,7 @@ impl RadioProfile {
     }
 
     /// Apply a per-unit variation to this profile.
-    pub fn with_variation(mut self, var: UnitVariation) -> Self {
+    pub(crate) fn with_variation(mut self, var: UnitVariation) -> Self {
         self.power.snr_one_prb = Db(self.power.snr_one_prb.0 + var.snr_one_prb_db);
         self.power.snr_cap = Db(self.power.snr_cap.0 + var.snr_cap_db);
         self
@@ -164,7 +164,7 @@ impl RadioProfile {
     /// 1.0 within the stable range, decaying multiplicatively beyond it. This
     /// reproduces the paper's observation that the external SIM7600G-H
     /// "limits performance beyond 10 MHz".
-    pub fn modem_factor(&self, alloc_mhz: f64) -> f64 {
+    pub(crate) fn modem_factor(&self, alloc_mhz: f64) -> f64 {
         if alloc_mhz <= self.stable_alloc_mhz {
             1.0
         } else {

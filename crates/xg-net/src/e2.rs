@@ -8,7 +8,7 @@
 //! per-slice utilization / queue depth — accumulated by
 //! [`LinkSimulator`](crate::sim::LinkSimulator) while it steps and
 //! drained once per indication period via
-//! [`take_indication`](crate::sim::LinkSimulator::take_indication).
+//! `take_indication`.
 //!
 //! Everything here is plain accumulated arithmetic over state the
 //! simulator already computes; assembling an indication draws no
@@ -20,7 +20,7 @@ use crate::slice::Snssai;
 
 /// Map a mean spectral efficiency onto the 4-bit wideband CQI scale
 /// (1..=15). `0` is reserved for "never scheduled this window".
-pub fn eff_to_cqi(eff: f64, max_eff: f64) -> u8 {
+pub(crate) fn eff_to_cqi(eff: f64, max_eff: f64) -> u8 {
     if max_eff <= 0.0 {
         return 1;
     }
@@ -29,7 +29,7 @@ pub fn eff_to_cqi(eff: f64, max_eff: f64) -> u8 {
 }
 
 /// The conservative spectral-efficiency ceiling a RIC would map a CQI
-/// report back to when capping a UE's MCS (inverse of [`eff_to_cqi`]
+/// report back to when capping a UE's MCS (inverse of `eff_to_cqi`
 /// with a safety backoff).
 pub fn cqi_to_eff(cqi: u8, max_eff: f64) -> f64 {
     let cqi = cqi.clamp(1, 15);
@@ -86,18 +86,6 @@ pub struct SliceReport {
     pub queued_bits: f64,
 }
 
-impl SliceReport {
-    /// Fraction of the slice's PRB capacity actually granted (0 when the
-    /// window held no uplink TTIs).
-    pub fn utilization(&self) -> f64 {
-        if self.capacity_prb_ttis == 0 {
-            0.0
-        } else {
-            self.granted_prb_ttis as f64 / self.capacity_prb_ttis as f64
-        }
-    }
-}
-
 /// One cell's E2 indication: everything the MAC measured since the
 /// previous drain.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,18 +110,8 @@ impl CellIndication {
         self.slices.iter().find(|s| s.snssai == snssai)
     }
 
-    /// Bits offered across every slice this window.
-    pub fn offered_bits(&self) -> f64 {
-        self.slices.iter().map(|s| s.offered_bits).sum()
-    }
-
-    /// Bits queued across every slice at window close.
-    pub fn queued_bits(&self) -> f64 {
-        self.slices.iter().map(|s| s.queued_bits).sum()
-    }
-
     /// Bits served across every slice this window.
-    pub fn served_bits(&self) -> f64 {
+    pub(crate) fn served_bits(&self) -> f64 {
         self.slices.iter().map(|s| s.served_bits).sum()
     }
 
@@ -192,12 +170,6 @@ mod tests {
             served_bits: 8e5,
             queued_bits: 2e5,
         }
-    }
-
-    #[test]
-    fn utilization_handles_empty_windows() {
-        assert_eq!(slice_report(0, 0).utilization(), 0.0);
-        assert_eq!(slice_report(50, 100).utilization(), 0.5);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Two design rules keep that determinism cheap:
 //!
 //! * **Per-cell seeding.** Every cell's RNG seed is
-//!   [`cell_seed`]`(fleet_seed, cell_id)` — a SplitMix64-style mix — so a
+//!   `cell_seed(fleet_seed, cell_id)` — a SplitMix64-style mix — so a
 //!   cell's trajectory depends only on the fleet seed and its own id,
 //!   never on how many siblings exist or which worker steps it.
 //! * **Batched stepping.** [`Advance::advance_to`] and
@@ -65,14 +65,12 @@ pub struct CellBatch {
     pub seconds: Vec<Vec<(UeHandle, f64)>>,
 }
 
-impl CellBatch {}
-
 /// Derive one cell's RNG seed from the fleet seed and the cell id.
 ///
 /// SplitMix64-style finalizer over `fleet_seed ^ golden * (cell_id + 1)`:
 /// cheap, stateless, and avalanching, so neighbouring cell ids get
 /// uncorrelated streams and a cell's seed never depends on fleet size.
-pub fn cell_seed(fleet_seed: u64, cell_id: u32) -> u64 {
+pub(crate) fn cell_seed(fleet_seed: u64, cell_id: u32) -> u64 {
     let mut z = fleet_seed ^ (u64::from(cell_id) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -119,7 +117,7 @@ pub struct RanFleetBuilder {
 
 impl RanFleetBuilder {
     /// Start an empty fleet derived from `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         RanFleetBuilder {
             seed,
             cells: Vec::new(),
@@ -217,31 +215,6 @@ impl RanFleet {
         RanFleetBuilder::new(seed)
     }
 
-    /// Build a fleet directly from a list of cell configs (host-default
-    /// worker pool, no observability).
-    pub fn try_new(cells: Vec<CellConfig>, seed: u64) -> Result<Self> {
-        let mut b = Self::builder(seed);
-        for c in cells {
-            b = b.cell(c);
-        }
-        b.build()
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the fleet holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Width of the worker pool batches shard across.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Change the worker-pool width (`1` = serial). Worker count never
     /// affects results, only wall time.
     pub fn set_workers(&mut self, n: usize) {
@@ -296,23 +269,6 @@ impl RanFleet {
     /// Set a fleet UE's offered-traffic model.
     pub fn set_traffic(&mut self, ue: FleetUe, traffic: TrafficModel) -> Result<()> {
         self.cell_mut(ue.cell)?.set_traffic(ue.ue, traffic)
-    }
-
-    /// Apply a cell-wide SNR offset to one cell (fault injection); the
-    /// other cells are untouched.
-    pub fn set_cell_snr_offset_db(&mut self, cell: CellId, offset_db: f64) -> Result<()> {
-        self.cell_mut(cell)?.set_snr_offset_db(offset_db);
-        Ok(())
-    }
-
-    /// Set a fleet UE's proportional-fair scheduler weight (RIC control).
-    pub fn set_pf_weight(&mut self, ue: FleetUe, weight: f64) -> Result<()> {
-        self.cell_mut(ue.cell)?.set_pf_weight(ue.ue, weight)
-    }
-
-    /// Cap a fleet UE's link adaptation (RIC MCS cap); `None` removes it.
-    pub fn set_mcs_cap(&mut self, ue: FleetUe, max_eff: Option<f64>) -> Result<()> {
-        self.cell_mut(ue.cell)?.set_mcs_cap(ue.ue, max_eff)
     }
 
     /// Drain every cell's E2 indication window, in cell order. The drain
@@ -483,8 +439,11 @@ mod tests {
             RanFleet::builder(1).cell(bad).build(),
             Err(NetError::InvalidBandwidth(_))
         ));
-        let ok = RanFleet::builder(1).cells(3, cell_5g_fdd20()).build();
-        assert_eq!(ok.unwrap().len(), 3);
+        let ok = RanFleet::builder(1)
+            .cells(3, cell_5g_fdd20())
+            .build()
+            .unwrap();
+        assert!(ok.cell(CellId(2)).is_ok() && ok.cell(CellId(3)).is_err());
     }
 
     #[test]
@@ -538,7 +497,7 @@ mod tests {
     fn fading_one_cell_leaves_siblings_untouched() {
         let mut faded = backlogged_fleet(11, 2, 1, 2);
         let mut nominal = backlogged_fleet(11, 2, 1, 2);
-        faded.set_cell_snr_offset_db(CellId(1), -25.0).unwrap();
+        faded.cell_mut(CellId(1)).unwrap().set_snr_offset_db(-25.0);
         let f = faded.measure_seconds(3);
         let n = nominal.measure_seconds(3);
         // Cell 0 is bit-identical with and without the sibling's fade.
@@ -563,7 +522,7 @@ mod tests {
             Err(NetError::UnknownCell(5))
         ));
         assert!(fleet.cell(CellId(2)).is_err());
-        assert!(fleet.set_cell_snr_offset_db(CellId(9), -3.0).is_err());
+        assert!(fleet.cell_mut(CellId(9)).is_err());
     }
 
     #[test]
@@ -641,8 +600,9 @@ mod tests {
             cell: CellId(1),
             ue: UeHandle(0),
         };
-        fleet.set_pf_weight(ue, 2.0).unwrap();
-        fleet.set_mcs_cap(ue, Some(1.5)).unwrap();
+        let cell = fleet.cell_mut(ue.cell).unwrap();
+        cell.set_pf_weight(ue.ue, 2.0).unwrap();
+        cell.set_mcs_cap(ue.ue, Some(1.5)).unwrap();
         assert_eq!(
             fleet
                 .cell(CellId(1))
@@ -659,15 +619,7 @@ mod tests {
                 .unwrap(),
             1.0
         );
-        assert!(fleet
-            .set_mcs_cap(
-                FleetUe {
-                    cell: CellId(7),
-                    ue: UeHandle(0)
-                },
-                None
-            )
-            .is_err());
+        assert!(fleet.cell_mut(CellId(7)).is_err());
     }
 
     #[test]

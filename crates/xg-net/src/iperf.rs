@@ -20,7 +20,7 @@ pub struct IperfRun {
 
 impl IperfRun {
     /// Construct a run from its samples.
-    pub fn new(device: String, config: String, samples: Vec<f64>) -> Self {
+    pub(crate) fn new(device: String, config: String, samples: Vec<f64>) -> Self {
         IperfRun {
             device,
             config,

@@ -10,13 +10,13 @@
 //!   and NR, slot/symbol accounting, link adaptation (SNR → spectral
 //!   efficiency) with uplink power limitation.
 //! * [`rat`] — radio access technology, duplexing mode, and TDD slot patterns.
-//! * [`channel`] — stochastic radio channel (AR(1) shadowing + fast fading).
+//! * `channel` — stochastic radio channel (AR(1) shadowing + fast fading).
 //! * [`device`] — user-equipment hardware profiles (laptop / Raspberry Pi /
 //!   smartphone) and external modem models (SIM7600G-H 4G, RM530N-GL 5G),
 //!   calibrated against the paper's measured throughput caps.
-//! * [`sdr`] — SDR front-end limits (the B210's sampling constraints that the
+//! * `sdr` — SDR front-end limits (the B210's sampling constraints that the
 //!   paper blames for high-bandwidth throughput drops).
-//! * [`core5g`] — a miniature standalone 5G core: SIM/IMSI registry,
+//! * `core5g` — a miniature standalone 5G core: SIM/IMSI registry,
 //!   registration and PDU-session state machines, slice admission (Open5GS
 //!   substitute).
 //! * [`slice`](mod@slice) — network slicing: S-NSSAI identified slices with fixed PRB
@@ -26,12 +26,12 @@
 //! * [`e2`] — E2-style MAC telemetry reports (per-UE PRB occupancy, CQI,
 //!   HARQ proxy; per-slice utilization and queue depth) feeding the
 //!   near-real-time RIC in `xg-ric`.
-//! * [`cell`] — a gNodeB/eNodeB cell binding configuration, SDR and slices.
-//! * [`ue`] — user equipment: device + SIM + attach state + traffic backlog.
+//! * `cell` — a gNodeB/eNodeB cell binding configuration, SDR and slices.
+//! * `ue` — user equipment: device + SIM + attach state + traffic backlog.
 //! * [`sim`] — the TTI-level link simulator producing per-second throughput
 //!   samples.
 //! * [`iperf`] — an iperf3-like measurement harness with summary statistics.
-//! * [`calib`] — every calibration constant, documented against the paper
+//! * `calib` — every calibration constant, documented against the paper
 //!   numbers it reproduces.
 //!
 //! ## Quick example
@@ -52,16 +52,17 @@
 // These lints, and the assert-family ban in this crate's clippy.toml,
 // are the gate (CI runs clippy with `-D warnings`); a site that must
 // abort carries `#[expect(clippy::expect_used, reason = …)]`.
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(test, allow(clippy::disallowed_macros))]
 
-pub mod calib;
-pub mod cell;
-pub mod channel;
-pub mod core5g;
+mod calib;
+mod cell;
+mod channel;
+mod core5g;
 pub mod device;
 pub mod dynslice;
 pub mod e2;
@@ -71,11 +72,11 @@ pub mod iperf;
 pub mod mac;
 pub mod phy;
 pub mod rat;
-pub mod sdr;
+mod sdr;
 pub mod sim;
 pub mod slice;
 pub mod traffic;
-pub mod ue;
+mod ue;
 pub mod units;
 
 /// Commonly used types, re-exported for ergonomic `use xg_net::prelude::*`.
@@ -84,17 +85,13 @@ pub mod prelude {
     pub use crate::core5g::{Core5g, SimCard};
     pub use crate::device::{DeviceClass, Modem};
     pub use crate::dynslice::DynamicSlicer;
-    pub use crate::e2::{CellIndication, SliceReport, UeReport};
     pub use crate::error::NetError;
-    pub use crate::fleet::{CellBatch, CellId, FleetUe, RanFleet, RanFleetBuilder};
-    pub use crate::iperf::{IperfRun, IperfSummary};
-    pub use crate::mac::SchedulerKind;
-    pub use crate::rat::{Duplex, Rat, TddPattern};
-    pub use crate::sim::{LinkSimulator, LinkSimulatorBuilder, UeHandle};
-    pub use crate::slice::{SliceConfig, SliceId, Snssai};
+    pub use crate::fleet::{CellBatch, CellId, RanFleet};
+    pub use crate::iperf::IperfSummary;
+    pub use crate::rat::{Duplex, Rat};
+    pub use crate::sim::{LinkSimulator, UeHandle};
+    pub use crate::slice::{SliceConfig, Snssai};
     pub use crate::traffic::TrafficModel;
-    pub use crate::units::{MHz, Mbps};
+    pub use crate::units::MHz;
     pub use xg_sim::{Advance, SimNs};
 }
-
-pub use prelude::*;

@@ -40,7 +40,7 @@ const PF_FLOOR: f64 = 1e-6;
 /// floored at `PF_FLOOR` and efficiencies of a few bits per resource
 /// element, every share `weight · eff / avg` and their sum stay finite
 /// (~10¹³ at most), so the apportionment never divides by infinity.
-pub const MAX_PF_WEIGHT: f64 = 1e6;
+pub(crate) const MAX_PF_WEIGHT: f64 = 1e6;
 
 /// Per-cell MAC scheduler state.
 #[derive(Debug, Clone)]
@@ -67,11 +67,6 @@ impl MacScheduler {
             pf_exact: Vec::new(),
             pf_order: Vec::new(),
         }
-    }
-
-    /// The discipline in use.
-    pub fn kind(&self) -> SchedulerKind {
-        self.kind
     }
 
     /// Divide `quota` PRBs among the requesting UEs into a caller-owned
@@ -161,13 +156,6 @@ impl MacScheduler {
             self.avg_bits.resize(i + 1, 0.0);
         }
         self.avg_bits[i] = (1.0 - PF_EWMA) * self.avg_bits[i] + PF_EWMA * bits;
-    }
-
-    /// Forget a UE's scheduling state (on detach).
-    pub fn remove(&mut self, ue: u32) {
-        if let Some(avg) = self.avg_bits.get_mut(ue as usize) {
-            *avg = 0.0;
-        }
     }
 }
 
@@ -351,35 +339,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn remove_clears_state() {
-        // After `remove(7)` a PF allocation treats UE 7 exactly as a UE
-        // it never observed — and not as the UE whose history it had.
-        let pair = [
-            UlRequest {
-                ue: 3,
-                inst_eff: 3.0,
-                weight: 1.0,
-            },
-            UlRequest {
-                ue: 7,
-                inst_eff: 3.0,
-                weight: 1.0,
-            },
-        ];
-        let mut never = MacScheduler::new(SchedulerKind::ProportionalFair);
-        never.observe(3, 800.0);
-        let mut kept = never.clone();
-        kept.observe(7, 500.0);
-        let mut removed = kept.clone();
-        removed.remove(7);
-        // Forgetting a UE the scheduler never saw is a no-op.
-        removed.remove(99);
-        let expected = allocate(&mut never, 100, &pair);
-        assert_eq!(allocate(&mut removed, 100, &pair), expected);
-        assert_ne!(allocate(&mut kept, 100, &pair), expected);
-    }
-
     /// Proportional fair as it read before the dense average vector and
     /// the kept scratch — a `BTreeMap` of averages, four fresh vectors per
     /// allocation — every expression in place: the oracle
@@ -515,8 +474,8 @@ mod tests {
         /// Random TTIs over a sparse UE population: a subset requests with
         /// drawn efficiencies and weights (zero weights and exact ties
         /// included), a quarter of the TTIs with a lone requester, the
-        /// grants are served at drawn rates, and now and then a UE is
-        /// removed. Every allocation matches the original's.
+        /// grants are served at drawn rates. Every allocation matches the
+        /// original's.
         #[test]
         fn pf_matches_the_map_based_original(
             quota in 1u32..=273,
@@ -524,7 +483,6 @@ mod tests {
                 (
                     proptest::collection::vec((0u32..40, 0u32..4, 0u32..3), 1..12),
                     0u32..1_000,
-                    0u32..60,
                     0u32..4,
                 ),
                 1..40,
@@ -532,7 +490,7 @@ mod tests {
         ) {
             let mut sched = MacScheduler::new(SchedulerKind::ProportionalFair);
             let mut original = MapPf::default();
-            for (draws, rate, forget, lone) in ttis {
+            for (draws, rate, lone) in ttis {
                 let draws = if lone == 0 { &draws[..1] } else { &draws[..] };
                 let mut requests: Vec<UlRequest> = Vec::new();
                 for &(ue, eff, weight) in draws {
@@ -550,10 +508,6 @@ mod tests {
                     let bits = (prbs * rate) as f64 * 0.37;
                     sched.observe(ue, bits);
                     original.observe(ue, bits);
-                }
-                if forget < 40 {
-                    sched.remove(forget);
-                    original.avg_bits.remove(&forget);
                 }
             }
         }

@@ -11,10 +11,10 @@ use std::f64::consts::{LN_10, LN_2};
 use xg_sim::math;
 
 /// Subcarriers per physical resource block (both LTE and NR).
-pub const SUBCARRIERS_PER_PRB: u32 = 12;
+pub(crate) const SUBCARRIERS_PER_PRB: u32 = 12;
 
 /// OFDM symbols per slot (normal cyclic prefix).
-pub const SYMBOLS_PER_SLOT: u32 = 14;
+pub(crate) const SYMBOLS_PER_SLOT: u32 = 14;
 
 /// Subcarrier spacing (numerology) of the uplink carrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,7 +27,7 @@ pub enum Scs {
 
 impl Scs {
     /// Slots per second for this numerology.
-    pub fn slots_per_second(self) -> u32 {
+    pub(crate) fn slots_per_second(self) -> u32 {
         match self {
             Scs::Khz15 => 1_000,
             Scs::Khz30 => 2_000,
@@ -43,7 +43,7 @@ impl Scs {
 // Float literal patterns are not permitted in match arms, so the
 // equality guards below are required, not redundant.
 #[allow(clippy::redundant_guards)]
-pub fn prb_count(rat: Rat, scs: Scs, bw: MHz) -> Result<u32> {
+pub(crate) fn prb_count(rat: Rat, scs: Scs, bw: MHz) -> Result<u32> {
     let mhz = bw.0;
     let n = match (rat, scs) {
         (Rat::Lte4g, Scs::Khz15) => match mhz {
@@ -99,7 +99,7 @@ pub fn prb_count(rat: Rat, scs: Scs, bw: MHz) -> Result<u32> {
 }
 
 /// Resource elements (subcarrier × symbol) per PRB per slot.
-pub fn res_per_prb_slot() -> u32 {
+pub(crate) fn res_per_prb_slot() -> u32 {
     SUBCARRIERS_PER_PRB * SYMBOLS_PER_SLOT
 }
 
@@ -218,8 +218,10 @@ impl UplinkPower {
 }
 
 /// Peak uplink PHY rate in bits per second for a full grid allocation at the
-/// given per-PRB efficiency and uplink duty fraction.
-pub fn phy_rate_bps(n_prb: u32, scs: Scs, eff: f64, ul_fraction: f64) -> f64 {
+/// given per-PRB efficiency and uplink duty fraction (the closed form the
+/// calibration tests compare against).
+#[cfg(test)]
+pub(crate) fn phy_rate_bps(n_prb: u32, scs: Scs, eff: f64, ul_fraction: f64) -> f64 {
     n_prb as f64 * res_per_prb_slot() as f64 * scs.slots_per_second() as f64 * eff * ul_fraction
 }
 

@@ -12,7 +12,7 @@ pub enum Rat {
 
 impl Rat {
     /// Human-readable label used in figure output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Rat::Lte4g => "4G",
             Rat::Nr5g => "5G",
@@ -22,7 +22,7 @@ impl Rat {
 
 /// The direction a TDD slot is assigned to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotDir {
+pub(crate) enum SlotDir {
     /// Downlink slot: no uplink data capacity.
     Downlink,
     /// Uplink slot: full uplink capacity.
@@ -45,7 +45,7 @@ pub struct TddPattern {
 /// Fraction of a special slot's symbols usable for uplink (guard period and
 /// downlink pilots consume the rest). Matches a typical NR S-slot split of
 /// 10D:2G:2U symbols.
-pub const SPECIAL_SLOT_UL_FRACTION: f64 = 2.0 / 14.0;
+pub(crate) const SPECIAL_SLOT_UL_FRACTION: f64 = 2.0 / 14.0;
 
 impl TddPattern {
     /// Parse a pattern string of `D`, `S`, and `U` characters.
@@ -87,12 +87,12 @@ impl TddPattern {
     }
 
     /// Number of slots in one period of the pattern.
-    pub fn period(&self) -> usize {
+    pub(crate) fn period(&self) -> usize {
         self.slots.len()
     }
 
     /// Direction of slot `i` (wraps around the period).
-    pub fn slot(&self, i: usize) -> SlotDir {
+    pub(crate) fn slot(&self, i: usize) -> SlotDir {
         self.slots[i % self.slots.len()]
     }
 
@@ -129,18 +129,10 @@ impl Duplex {
     }
 
     /// Short label used in figure output ("FDD"/"TDD").
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Duplex::Fdd => "FDD",
             Duplex::Tdd(_) => "TDD",
-        }
-    }
-
-    /// Long-run uplink symbol fraction (1.0 for FDD).
-    pub fn uplink_fraction(&self) -> f64 {
-        match self {
-            Duplex::Fdd => 1.0,
-            Duplex::Tdd(p) => p.uplink_fraction(),
         }
     }
 }
@@ -183,11 +175,6 @@ mod tests {
         assert_eq!(p.slot(1), SlotDir::Uplink);
         assert_eq!(p.slot(2), SlotDir::Downlink);
         assert_eq!(p.slot(5), SlotDir::Uplink);
-    }
-
-    #[test]
-    fn fdd_uplink_fraction_is_one() {
-        assert_eq!(Duplex::Fdd.uplink_fraction(), 1.0);
     }
 
     #[test]

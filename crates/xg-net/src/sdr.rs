@@ -29,7 +29,7 @@ fn multiuser_limit_mhz(rat: Rat, duplex: &Duplex) -> f64 {
 
 /// Throughput factor (≤ 1.0) of the B210 front end for a cell at
 /// bandwidth `bw` currently serving `n_active` UEs.
-pub fn penalty(rat: Rat, duplex: &Duplex, bw: MHz, n_active: usize) -> f64 {
+pub(crate) fn penalty(rat: Rat, duplex: &Duplex, bw: MHz, n_active: usize) -> f64 {
     if n_active < 2 {
         return 1.0;
     }

@@ -428,8 +428,8 @@ mod tests {
                         prop_assert_eq!(format!("{x:?}"), format!("{y:?}"), "step {}", step);
                     }
                     // Control plane: both engines take the same call and
-                    // answer alike, errors included (a detached UE, an
-                    // S-NSSAI the new table lost).
+                    // answer alike, errors included (an S-NSSAI the new
+                    // table lost).
                     op => {
                         let [x, y] = [&mut event, &mut stepped].map(|sim| match op {
                             8 | 9 => {
@@ -437,7 +437,6 @@ mod tests {
                                 true
                             }
                             10 => sim.set_slices(slice_table(a as usize % 3 + 1, b)).is_ok(),
-                            11 => sim.detach(ue).is_ok(),
                             12 => {
                                 let cap = [None, Some(0.8), Some(3.0), Some(9.0)][pick % 4];
                                 sim.set_mcs_cap(ue, cap).is_ok()

@@ -56,7 +56,7 @@ pub struct SliceConfig {
 
 impl SliceConfig {
     /// A single default slice owning the whole grid (no slicing).
-    pub fn unsliced() -> Self {
+    pub(crate) fn unsliced() -> Self {
         SliceConfig {
             profiles: vec![SliceProfile {
                 snssai: Snssai::embb(0),
@@ -96,24 +96,19 @@ impl SliceConfig {
     }
 
     /// Number of slices.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.profiles.len()
     }
 
-    /// True if the table is empty (never true for a constructed config).
-    pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
-    }
-
     /// Profile of slice `id`.
-    pub fn profile(&self, id: SliceId) -> Result<&SliceProfile> {
+    pub(crate) fn profile(&self, id: SliceId) -> Result<&SliceProfile> {
         self.profiles
             .get(id.0 as usize)
             .ok_or(NetError::UnknownSlice(id.0))
     }
 
     /// Find the slice matching an S-NSSAI, if admitted in this cell.
-    pub fn admit(&self, snssai: Snssai) -> Option<SliceId> {
+    pub(crate) fn admit(&self, snssai: Snssai) -> Option<SliceId> {
         self.profiles
             .iter()
             .position(|p| p.snssai == snssai)
@@ -152,7 +147,7 @@ impl SliceConfig {
     }
 
     /// Iterate over `(SliceId, &SliceProfile)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SliceId, &SliceProfile)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SliceId, &SliceProfile)> {
         self.profiles
             .iter()
             .enumerate()

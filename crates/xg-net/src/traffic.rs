@@ -45,7 +45,7 @@ impl TrafficModel {
     /// Bits entering the queue during one second starting at `t_s`.
     ///
     /// `None` means unbounded (full buffer).
-    pub fn offered_bits(&self, t_s: f64) -> Option<f64> {
+    pub(crate) fn offered_bits(&self, t_s: f64) -> Option<f64> {
         match *self {
             TrafficModel::FullBuffer => None,
             TrafficModel::Periodic {
@@ -92,7 +92,7 @@ impl TrafficModel {
     /// skipping engine stays bit-identical to the stepped one.
     ///
     /// [`offered_bits`]: Self::offered_bits
-    pub fn next_positive_arrival_s(&self, from_s: f64) -> Option<f64> {
+    pub(crate) fn next_positive_arrival_s(&self, from_s: f64) -> Option<f64> {
         match *self {
             TrafficModel::FullBuffer => None,
             TrafficModel::Periodic {

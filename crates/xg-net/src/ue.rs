@@ -1,25 +1,20 @@
 //! Per-UE runtime state inside the link simulator.
 
 use crate::channel::ShadowingChannel;
-use crate::core5g::SimCard;
-use crate::device::{DeviceClass, Modem, RadioProfile, UnitVariation};
+use crate::device::{DeviceClass, RadioProfile, UnitVariation};
 use crate::slice::SliceId;
 use crate::traffic::TrafficModel;
 
 /// Runtime context of an attached UE.
 #[derive(Debug, Clone)]
-pub struct UeContext {
+pub(crate) struct UeContext {
     /// Cell-local UE identifier.
     pub id: u32,
     /// Host device class.
     pub device: DeviceClass,
-    /// Modem in use.
-    pub modem: Modem,
     /// Calibrated radio profile as it applies on this cell: unit variation
     /// added, TDD power offset zeroed on an FDD carrier.
     pub profile: RadioProfile,
-    /// SIM the UE registered with.
-    pub sim: SimCard,
     /// Slice the UE's PDU session is bound to.
     pub slice: SliceId,
     /// Stochastic channel state.
@@ -60,25 +55,18 @@ pub struct UeContext {
 
 impl UeContext {
     /// Create a UE context. `variation` models unit-to-unit radio spread.
-    // A constructor for a plain record: each argument is a distinct,
-    // required field; a builder would add ceremony without clarity.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         id: u32,
         device: DeviceClass,
-        modem: Modem,
         profile: RadioProfile,
         variation: UnitVariation,
-        sim: SimCard,
         slice: SliceId,
         channel: ShadowingChannel,
     ) -> Self {
         UeContext {
             id,
             device,
-            modem,
             profile: profile.with_variation(variation),
-            sim,
             slice,
             channel,
             backlogged: true,
@@ -99,12 +87,12 @@ impl UeContext {
     }
 
     /// Reset the one-second accounting window.
-    pub fn reset_window(&mut self) {
+    pub(crate) fn reset_window(&mut self) {
         self.window_bits = 0.0;
     }
 
     /// Reset the E2 indication window (after a drain).
-    pub fn reset_e2(&mut self) {
+    pub(crate) fn reset_e2(&mut self) {
         self.e2_granted_prb_ttis = 0;
         self.e2_sched_ttis = 0;
         self.e2_served_bits = 0.0;
@@ -117,6 +105,7 @@ impl UeContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Modem;
     use crate::rat::Rat;
     use crate::slice::SliceId;
 
@@ -130,12 +119,10 @@ mod tests {
         let ue = UeContext::new(
             0,
             DeviceClass::RaspberryPi,
-            Modem::Rm530nGl,
             profile,
             var,
-            SimCard::provision(0),
             SliceId(0),
-            ShadowingChannel::default_lab(),
+            ShadowingChannel::new(0.999, 0.8, 0.4),
         );
         assert!(
             (ue.profile.power.snr_one_prb.0 - (profile.power.snr_one_prb.0 - 2.0)).abs() < 1e-9
@@ -148,12 +135,10 @@ mod tests {
         let mut ue = UeContext::new(
             1,
             DeviceClass::Laptop,
-            Modem::Rm530nGl,
             profile,
             UnitVariation::default(),
-            SimCard::provision(1),
             SliceId(0),
-            ShadowingChannel::default_lab(),
+            ShadowingChannel::new(0.999, 0.8, 0.4),
         );
         ue.window_bits = 1e6;
         ue.reset_window();
@@ -166,12 +151,10 @@ mod tests {
         let mut ue = UeContext::new(
             2,
             DeviceClass::Laptop,
-            Modem::Rm530nGl,
             profile,
             UnitVariation::default(),
-            SimCard::provision(2),
             SliceId(0),
-            ShadowingChannel::default_lab(),
+            ShadowingChannel::new(0.999, 0.8, 0.4),
         );
         assert_eq!(ue.pf_weight, 1.0);
         assert!(ue.mcs_cap.is_none());

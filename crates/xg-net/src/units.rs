@@ -10,8 +10,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct MHz(pub f64);
 
-impl MHz {}
-
 impl fmt::Display for MHz {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} MHz", self.0)

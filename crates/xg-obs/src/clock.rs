@@ -28,7 +28,7 @@ pub enum ClockDomain {
 
 impl ClockDomain {
     /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ClockDomain::Sim => "sim",
             ClockDomain::Wall => "wall",

@@ -566,7 +566,7 @@ mod tests {
     fn wall_spans_export_with_wall_clock_label() {
         let t = Tracer::new();
         let tr = t.new_trace();
-        t.start_wall(tr, None, "sweep").finish();
+        t.record_raw(tr, None, "sweep", ClockDomain::Wall, 10, 25, Vec::new());
         let jsonl = spans_to_jsonl(&t.spans());
         assert!(jsonl.contains("\"clock\":\"wall\""));
         assert_eq!(t.spans()[0].domain, ClockDomain::Wall);

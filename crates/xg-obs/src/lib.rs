@@ -7,7 +7,7 @@
 //! *measure* that budget from the running fabric instead of asserting it
 //! from model parameters:
 //!
-//! * [`metrics`] — a [`MetricsRegistry`] of counters, gauges, and
+//! * `metrics` — a [`MetricsRegistry`] of counters, gauges, and
 //!   log-linear [`Histogram`]s with a bounded relative error, mergeable
 //!   by bucket addition, answering p50/p90/p99/max quantile queries.
 //! * [`span`] — causal [`Tracer`]/[`SpanRecord`] tracing with parent
@@ -19,7 +19,7 @@
 //!   return).
 //! * [`clock`] — the sim/wall [`ClockDomain`] tag and the process-epoch
 //!   wall readers behind those domains.
-//! * [`export`] — JSONL trace dump, Prometheus-style text snapshot, and
+//! * `export` — JSONL trace dump, Prometheus-style text snapshot, and
 //!   the human-readable latency-budget table regenerated by the
 //!   `latency_budget` bench binary.
 //!
@@ -44,6 +44,7 @@
 // Non-test library code must thread typed errors instead of panicking.
 // These lints are the gate (CI runs clippy with `-D warnings`); a site
 // that must abort carries `#[expect(clippy::expect_used, reason = …)]`.
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -51,43 +52,36 @@
 
 pub mod clock;
 pub mod critical;
-pub mod export;
-pub mod metrics;
+mod export;
+mod metrics;
 #[cfg(test)]
 mod oracle;
-pub mod profile;
+mod profile;
 pub mod recorder;
 pub mod slo;
 pub mod span;
 pub mod window;
 
 pub use clock::ClockDomain;
-pub use critical::{
-    extract_critical, extract_critical_into, render_critical, CriticalPath, CriticalStep,
-};
+pub use critical::{extract_critical, extract_critical_into, render_critical, CriticalPath};
 pub use export::{
     budget_table, parse_spans_jsonl, prometheus_text, render_budget_table, spans_to_jsonl,
     BudgetRow,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{render_profile, ProfNode, ProfScope, ProfileNode, ProfileSnapshot, Profiler};
-pub use recorder::{
-    dump_bundle, install_panic_hook, render_bundle, BundleContext, FlightEntry, FlightRecorder,
-    BUNDLE_SCHEMA,
-};
-pub use slo::{Hysteresis, SloEvent, SloEventKind, SloOp, SloSpec, SloStat, SloWatchdog};
-pub use span::{SpanId, SpanName, SpanRecord, TraceId, Tracer, WallSpan};
-pub use window::{MetricsWindow, WindowConfig, WindowView};
+pub use recorder::FlightRecorder;
+pub use span::{SpanId, SpanRecord, TraceId, Tracer};
 
 use std::sync::Arc;
 
 /// Entries the black box retains by default (~8k spans + notes covers
 /// dozens of closed-loop cycles at the fabric's span rate).
-pub const DEFAULT_RECORDER_CAPACITY: usize = 8192;
+pub(crate) const DEFAULT_RECORDER_CAPACITY: usize = 8192;
 
 /// Everything an instrumented component needs, behind one allocation.
 #[derive(Debug)]
-pub struct ObsCore {
+pub(crate) struct ObsCore {
     registry: MetricsRegistry,
     tracer: Tracer,
     recorder: Arc<FlightRecorder>,

@@ -72,7 +72,7 @@ const ZERO_THRESHOLD: f64 = 1e-12;
 struct HistCore {
     buckets: BTreeMap<i32, u64>,
     /// Counts of bucket indices `dense_lo..dense_lo + dense.len()`;
-    /// allocated whole on the first record that lands in the range.
+    /// allocated whole on the first record, whatever its value.
     dense: Vec<u64>,
     dense_lo: i32,
     zero: u64,
@@ -84,12 +84,17 @@ struct HistCore {
 
 impl HistCore {
     fn record(&mut self, v: f64, idx: Option<i32>, dense: Option<&RangeInclusive<i32>>) {
+        // Allocated on the first record even when it lands outside the
+        // range (a 0 ns duration does), so that whether a pass allocates
+        // never hangs on the value timing noise gave its first sample.
+        if let Some(range) = dense {
+            if self.dense.is_empty() {
+                self.dense = vec![0; range.clone().count()];
+                self.dense_lo = *range.start();
+            }
+        }
         match (idx, dense) {
             (Some(i), Some(range)) if range.contains(&i) => {
-                if self.dense.is_empty() {
-                    self.dense = vec![0; range.clone().count()];
-                    self.dense_lo = *range.start();
-                }
                 self.dense[(i - self.dense_lo) as usize] += 1;
             }
             (Some(i), _) => *self.buckets.entry(i).or_insert(0) += 1,
@@ -151,7 +156,8 @@ impl Histogram {
     }
 
     /// Like [`Self::new`], but the buckets of values in `[lo, hi]` live in
-    /// one array allocated whole on the first record; values outside stay
+    /// one array allocated whole on the first record (of any value, zero
+    /// included); values outside stay
     /// sparse. For a histogram fed wall-clock durations: the bucket a
     /// sample lands in depends on the host's timing noise, so sparse
     /// storage would make the number of allocations depend on it too.
@@ -203,11 +209,6 @@ impl Histogram {
             ln_gamma: self.ln_gamma,
             core,
         }
-    }
-
-    /// Convenience: quantile straight off a fresh snapshot.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.snapshot().quantile(q)
     }
 
     /// Samples recorded so far.
@@ -302,7 +303,7 @@ impl HistogramSnapshot {
     }
 
     /// Sum of all samples (exact, not bucketed).
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.core.sum
     }
 
@@ -341,7 +342,8 @@ impl HistogramSnapshot {
     ///
     /// `earlier` must be an older snapshot of the *same* histogram;
     /// counter-intuitive (negative) deltas saturate to empty.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+    #[cfg(test)]
+    pub(crate) fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let mut buckets = BTreeMap::new();
         for (&i, &n) in &self.core.buckets {
             let before = earlier.core.buckets.get(&i).copied().unwrap_or(0);
@@ -605,6 +607,21 @@ mod tests {
     }
 
     #[test]
+    fn dense_array_comes_with_the_first_record_of_any_value() {
+        // A wall-clock duration can read 0 ns; the array must not wait
+        // for the first nonzero sample, or the cycle that allocates it
+        // would depend on timing noise.
+        for first in [0.0, 0.25, 7.5, 4e4] {
+            let h = Histogram::with_dense_range(1.0, 1e3);
+            h.record(first);
+            assert_eq!(h.core.lock().dense.len(), 347, "first sample {first}");
+            let sparse = Histogram::new();
+            sparse.record(first);
+            assert_eq!(h.snapshot(), sparse.snapshot());
+        }
+    }
+
+    #[test]
     fn counter_and_gauge_roundtrip() {
         let reg = MetricsRegistry::new();
         reg.counter("a").inc();
@@ -653,7 +670,7 @@ mod tests {
         h.record(-5.0);
         h.record(f64::NAN); // dropped
         assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(0.5), Some(0.0));
+        assert_eq!(h.snapshot().quantile(0.5), Some(0.0));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Path separator joining attribution-tree levels.
-pub const PATH_SEP: char = '/';
+pub(crate) const PATH_SEP: char = '/';
 
 /// Durations up to this (1 000 s) are bucketed densely: 1 383 buckets at
 /// 1 % accuracy, one 11 KB array per node, so how many

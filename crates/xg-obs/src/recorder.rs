@@ -164,11 +164,6 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// The configured entry budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Entries evicted so far to stay within budget.
     pub fn dropped(&self) -> u64 {
         self.ring.lock().dropped
@@ -470,7 +465,7 @@ mod tests {
         for i in 0..1000u64 {
             rec.record_span(span(1, i + 1, None, "s"));
         }
-        assert_eq!(rec.len(), rec.capacity());
+        assert_eq!(rec.len(), 64);
         assert_eq!(rec.dropped() as usize, 1000 - rec.len());
         // The survivors are exactly the most recent entries, oldest first.
         let seqs: Vec<u64> = rec.entries().iter().map(|(seq, _)| *seq).collect();

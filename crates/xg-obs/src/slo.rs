@@ -111,7 +111,7 @@ impl SloSpec {
     /// Read this objective's statistic from a window. `None` means "not
     /// judgeable yet" (metric absent or below `min_count`), which is
     /// treated as healthy.
-    pub fn observe(&self, view: &WindowView<'_>) -> Option<f64> {
+    pub(crate) fn observe(&self, view: &WindowView<'_>) -> Option<f64> {
         match self.stat {
             SloStat::P99 => {
                 if view.hist_count(&self.metric) < self.min_count {
@@ -127,7 +127,7 @@ impl SloSpec {
     }
 
     /// Whether `value` satisfies the objective.
-    pub fn holds(&self, value: f64) -> bool {
+    pub(crate) fn holds(&self, value: f64) -> bool {
         self.op.holds(value, self.threshold)
     }
 }

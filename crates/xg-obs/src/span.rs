@@ -5,10 +5,10 @@
 //! CFD solve, and the results return. Each stage is a [`SpanRecord`]
 //! with a parent link and a [`ClockDomain`]: the discrete-event stages
 //! carry simulated timestamps, the CFD solve carries wall time. The
-//! exporters in [`crate::export`] turn a span list into a JSONL dump and
+//! exporters in `crate::export` turn a span list into a JSONL dump and
 //! the §4.4 latency-budget table.
 
-use crate::clock::{secs_to_us, wall_now_us, ClockDomain};
+use crate::clock::{secs_to_us, ClockDomain};
 use crate::recorder::FlightRecorder;
 use crate::DEFAULT_RECORDER_CAPACITY;
 use std::borrow::Cow;
@@ -70,7 +70,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// An empty tracer with a recorder of its own.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Tracer::with_sink(Arc::new(FlightRecorder::new(DEFAULT_RECORDER_CAPACITY)))
     }
 
@@ -147,23 +147,6 @@ impl Tracer {
         id
     }
 
-    /// Start a wall-clock span; finish it with [`WallSpan::finish`] (or
-    /// let the guard drop).
-    pub fn start_wall(
-        &self,
-        trace: TraceId,
-        parent: Option<SpanId>,
-        name: impl Into<SpanName>,
-    ) -> WallSpan<'_> {
-        WallSpan {
-            tracer: self,
-            trace,
-            parent,
-            name: Some(name.into()),
-            start_us: wall_now_us(),
-        }
-    }
-
     /// Number of spans recorded (since the last [`take_spans`](Tracer::take_spans)).
     pub fn len(&self) -> usize {
         self.recorder.traced_len()
@@ -183,43 +166,6 @@ impl Tracer {
     /// recent spans.
     pub fn take_spans(&self) -> Vec<SpanRecord> {
         self.recorder.traced_spans(true)
-    }
-}
-
-/// An in-flight wall-clock span; records on `finish` or drop.
-#[derive(Debug)]
-pub struct WallSpan<'a> {
-    tracer: &'a Tracer,
-    trace: TraceId,
-    parent: Option<SpanId>,
-    /// `None` once recorded.
-    name: Option<SpanName>,
-    start_us: u64,
-}
-
-impl WallSpan<'_> {
-    /// Finish now and return the recorded span id.
-    pub fn finish(mut self) -> SpanId {
-        self.record().unwrap_or_default()
-    }
-
-    fn record(&mut self) -> Option<SpanId> {
-        let name = self.name.take()?;
-        Some(self.tracer.record_raw(
-            self.trace,
-            self.parent,
-            name,
-            ClockDomain::Wall,
-            self.start_us,
-            wall_now_us(),
-            Vec::new(),
-        ))
-    }
-}
-
-impl Drop for WallSpan<'_> {
-    fn drop(&mut self) {
-        self.record();
     }
 }
 
@@ -247,22 +193,6 @@ mod tests {
         assert_eq!(spans[1].domain, ClockDomain::Sim);
         assert!((spans[1].duration_s() - 0.2).abs() < 1e-9);
         assert_eq!(spans[0].parent, None);
-    }
-
-    #[test]
-    fn wall_span_guard_records_on_finish_and_drop() {
-        let t = Tracer::new();
-        let trace = t.new_trace();
-        t.start_wall(trace, None, "solve").finish();
-        {
-            let _dropped = t.start_wall(trace, None, "sweep");
-        }
-        let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "solve");
-        assert_eq!(spans[0].domain, ClockDomain::Wall);
-        assert_eq!(spans[1].name, "sweep");
-        assert!(spans[1].end_us >= spans[1].start_us);
     }
 
     #[test]

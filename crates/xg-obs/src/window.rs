@@ -190,7 +190,7 @@ impl WindowView<'_> {
     }
 
     /// Windowed histogram sample count.
-    pub fn hist_count(&self, name: &str) -> u64 {
+    pub(crate) fn hist_count(&self, name: &str) -> u64 {
         match self.track(name) {
             Some(Track::Histogram(h)) => h.count,
             _ => 0,

@@ -40,7 +40,7 @@ pub enum RicAction {
 
 impl RicAction {
     /// The cell this action targets.
-    pub fn cell(&self) -> u32 {
+    pub(crate) fn cell(&self) -> u32 {
         match *self {
             RicAction::ReapportionSlices { cell, .. }
             | RicAction::SetPfWeight { cell, .. }
@@ -50,7 +50,7 @@ impl RicAction {
 
     /// The deterministic merge key: two actions with the same key touch
     /// the same control knob and must be conflict-resolved.
-    pub fn key(&self) -> ActionKey {
+    pub(crate) fn key(&self) -> ActionKey {
         match *self {
             RicAction::ReapportionSlices { cell, .. } => ActionKey {
                 kind: 0,
@@ -86,7 +86,7 @@ impl RicAction {
 /// Identity of the control knob an action touches. Orders actions
 /// deterministically: by kind, then cell, then UE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ActionKey {
+pub(crate) struct ActionKey {
     /// Knob kind (0 = slice table, 1 = PF weight, 2 = MCS cap).
     pub kind: u8,
     /// Target cell.
@@ -98,7 +98,7 @@ pub struct ActionKey {
 /// One xApp's emitted action, tagged with its registration index and
 /// name (for conflict resolution and timeline attribution).
 #[derive(Debug, Clone)]
-pub struct Emitted {
+pub(crate) struct Emitted {
     /// Registration index of the emitting xApp.
     pub xapp_index: usize,
     /// The emitting xApp's name.
@@ -119,7 +119,7 @@ pub struct Emitted {
 ///
 /// Output is in `ActionKey` order, so the merged stream is independent
 /// of emission order within a period.
-pub fn resolve_conflicts(emitted: Vec<Emitted>) -> Vec<Emitted> {
+pub(crate) fn resolve_conflicts(emitted: Vec<Emitted>) -> Vec<Emitted> {
     let mut merged: BTreeMap<ActionKey, Emitted> = BTreeMap::new();
     for e in emitted {
         let key = e.action.key();

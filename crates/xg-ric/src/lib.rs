@@ -8,11 +8,11 @@
 //! decide, and typed [`RicAction`]s flow back to the live cells. This
 //! crate provides:
 //!
-//! * [`ric`] — the deterministic engine: the [`XApp`] trait and its
+//! * `ric` — the deterministic engine: the [`XApp`] trait and its
 //!   seeded, ordered execution contract, per-cell indication caching
 //!   with staleness tracking, and conflict resolution across xApps.
-//! * [`action`] — the typed control-action vocabulary and merge rules.
-//! * [`xapps`] — three built-in controllers: [`DemandSlicer`]
+//! * `action` — the typed control-action vocabulary and merge rules.
+//! * `xapps` — three built-in controllers: [`DemandSlicer`]
 //!   (demand-proportional slice shares), [`BurstGuard`] (protects the
 //!   sensor-telemetry slice through an eMBB burst), [`McsCapper`]
 //!   (HARQ-driven per-UE link-adaptation caps).
@@ -21,22 +21,16 @@
 //! indications once per report cycle, steps the engine, and applies the
 //! resolved actions between cycles.
 
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
-pub mod action;
-pub mod ric;
-pub mod xapps;
+mod action;
+mod ric;
+mod xapps;
 
-pub use action::{resolve_conflicts, ActionKey, Emitted, RicAction};
-pub use ric::{xapp_seed, CellView, Indication, Ric, RicOutcome, XApp, XAppCtx};
+pub use action::RicAction;
+pub use ric::{CellView, Indication, Ric, RicOutcome, XApp, XAppCtx};
 pub use xapps::{BurstGuard, DemandSlicer, McsCapper};
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::action::RicAction;
-    pub use crate::ric::{Indication, Ric, RicOutcome, XApp, XAppCtx};
-    pub use crate::xapps::{BurstGuard, DemandSlicer, McsCapper};
-}

@@ -1,9 +1,10 @@
 //! The deterministic near-real-time RIC engine.
 //!
-//! [`Ric`] caches the latest [`CellIndication`] per cell, wraps each
-//! period's view into an [`Indication`], runs every registered
-//! [`XApp`] in registration order, and merges their action streams via
-//! [`resolve_conflicts`]. The execution contract:
+//! [`Ric`] keeps one persistent [`Indication`]: the latest
+//! [`CellIndication`] per cell, in cell-id order, each with its age. A
+//! step moves the period's fresh reports into that view, runs every
+//! registered [`XApp`] in registration order over it, and merges their
+//! action streams via [`resolve_conflicts`]. The execution contract:
 //!
 //! * **Ordering** — xApps run in registration order, every period, and
 //!   see the same `Indication`. Emission order therefore never depends
@@ -19,14 +20,16 @@
 //!   keeps the last-known-good policy rather than steering blind.
 
 use crate::action::{resolve_conflicts, Emitted, RicAction};
-use std::collections::BTreeMap;
 use std::fmt;
 use xg_net::e2::CellIndication;
+
+#[cfg(test)]
+mod reference;
 
 /// Derive one xApp's RNG seed from the RIC seed and its registration
 /// index (the same SplitMix64-style finalizer as `xg_net::fleet::cell_seed`,
 /// over a different tag so the streams never collide with cell streams).
-pub fn xapp_seed(ric_seed: u64, index: usize) -> u64 {
+pub(crate) fn xapp_seed(ric_seed: u64, index: usize) -> u64 {
     let tag = 0x5249_4300u64 ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut z = ric_seed ^ tag;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -34,26 +37,16 @@ pub fn xapp_seed(ric_seed: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-xApp execution context: a seeded private RNG stream and the
-/// period counter. Handed mutably to [`XApp::on_indication`].
+/// Per-xApp execution context: a seeded private RNG stream. Handed
+/// mutably to [`XApp::on_indication`].
 #[derive(Debug, Clone)]
 pub struct XAppCtx {
     state: u64,
-    period: u64,
 }
 
 impl XAppCtx {
     pub(crate) fn new(seed: u64) -> Self {
-        XAppCtx {
-            state: seed,
-            period: 0,
-        }
-    }
-
-    /// The current indication period (1-based; increments every
-    /// [`Ric::step`]).
-    pub fn period(&self) -> u64 {
-        self.period
+        XAppCtx { state: seed }
     }
 
     /// Next value of the xApp's private SplitMix64 stream.
@@ -98,7 +91,7 @@ pub struct Indication {
 
 impl Indication {
     /// Iterate over the fresh (non-stale) cell views only.
-    pub fn fresh_cells(&self) -> impl Iterator<Item = &CellView> {
+    pub(crate) fn fresh_cells(&self) -> impl Iterator<Item = &CellView> {
         self.cells.iter().filter(|c| !c.stale)
     }
 }
@@ -157,7 +150,7 @@ struct Registered {
 #[derive(Debug, Clone, Default)]
 pub struct RicOutcome {
     /// Conflict-resolved actions to apply, each tagged with the winning
-    /// xApp's name, in deterministic [`ActionKey`](crate::action::ActionKey)
+    /// xApp's name, in deterministic `ActionKey`
     /// order.
     pub actions: Vec<(&'static str, RicAction)>,
     /// Cells whose indication was missing this period.
@@ -171,11 +164,9 @@ pub struct RicOutcome {
 #[derive(Debug, Clone)]
 pub struct Ric {
     seed: u64,
-    period_s: f64,
-    seq: u64,
     xapps: Vec<Registered>,
-    cache: BTreeMap<u32, CellIndication>,
-    last_seen: BTreeMap<u32, u64>,
+    /// The E2 view the xApps read: every cell ever reported, by id.
+    view: Indication,
     obs: xg_obs::Obs,
     /// Profiler nodes, resolved on the first profiled step: `ric.step`,
     /// then each xApp's under it in registration order.
@@ -188,11 +179,13 @@ impl Ric {
     pub fn new(seed: u64, period_s: f64) -> Self {
         Ric {
             seed,
-            period_s,
-            seq: 0,
             xapps: Vec::new(),
-            cache: BTreeMap::new(),
-            last_seen: BTreeMap::new(),
+            view: Indication {
+                seq: 0,
+                t_s: 0.0,
+                period_s,
+                cells: Vec::new(),
+            },
             obs: xg_obs::Obs::disabled(),
             prof_nodes: Vec::new(),
         }
@@ -209,7 +202,7 @@ impl Ric {
 
     /// Register an xApp. Later registrations are higher priority in
     /// conflict resolution (last-registered wins, except MCS caps —
-    /// see [`resolve_conflicts`]).
+    /// see `resolve_conflicts`).
     pub fn register<A: XApp + 'static>(&mut self, app: A) -> &mut Self {
         let index = self.xapps.len();
         self.xapps.push(Registered {
@@ -221,7 +214,7 @@ impl Ric {
 
     /// Periods stepped so far.
     pub fn periods(&self) -> u64 {
-        self.seq
+        self.view.seq
     }
 
     /// Run one indication period: ingest the fresh per-cell indications
@@ -240,40 +233,38 @@ impl Ric {
         }
         let nodes = &self.prof_nodes;
         let _period = prof.map(|p| p.scope_node(nodes[0]));
-        self.seq += 1;
-        for ind in fresh {
-            self.last_seen.insert(ind.cell, self.seq);
-            self.cache.insert(ind.cell, ind);
+        let view = &mut self.view;
+        view.seq += 1;
+        view.t_s = t_s;
+        for cell in &mut view.cells {
+            cell.stale = true;
+            cell.age_periods += 1;
         }
-        let cells: Vec<CellView> = self
-            .cache
-            .values()
-            .map(|report| {
-                let seen = self.last_seen.get(&report.cell).copied().unwrap_or(0);
-                CellView {
-                    stale: seen != self.seq,
-                    age_periods: self.seq.saturating_sub(seen),
-                    report: report.clone(),
-                }
-            })
-            .collect();
-        let stale_cells: Vec<u32> = cells
+        for report in fresh {
+            let fresh = CellView {
+                stale: false,
+                age_periods: 0,
+                report,
+            };
+            match view
+                .cells
+                .binary_search_by_key(&fresh.report.cell, |c| c.report.cell)
+            {
+                Ok(i) => view.cells[i] = fresh,
+                Err(i) => view.cells.insert(i, fresh),
+            }
+        }
+        let stale_cells: Vec<u32> = view
+            .cells
             .iter()
             .filter(|c| c.stale)
             .map(|c| c.report.cell)
             .collect();
-        let indication = Indication {
-            seq: self.seq,
-            t_s,
-            period_s: self.period_s,
-            cells,
-        };
         let mut emitted = Vec::new();
         for (index, reg) in self.xapps.iter_mut().enumerate() {
-            reg.ctx.period = self.seq;
             let name = reg.app.name();
             let _xapp = prof.map(|p| p.scope_node(nodes[index + 1]));
-            for action in reg.app.on_indication(&mut reg.ctx, &indication) {
+            for action in reg.app.on_indication(&mut reg.ctx, view) {
                 emitted.push(Emitted {
                     xapp_index: index,
                     xapp: name,
@@ -329,9 +320,9 @@ mod tests {
             "probe"
         }
 
-        fn on_indication(&mut self, ctx: &mut XAppCtx, ind: &Indication) -> Vec<RicAction> {
+        fn on_indication(&mut self, _ctx: &mut XAppCtx, ind: &Indication) -> Vec<RicAction> {
             self.calls += 1;
-            assert_eq!(ctx.period(), ind.seq);
+            assert_eq!(self.calls, ind.seq, "called once per period");
             let mut out: Vec<RicAction> = ind
                 .fresh_cells()
                 .map(|c| RicAction::SetPfWeight {

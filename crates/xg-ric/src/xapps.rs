@@ -269,11 +269,8 @@ pub struct McsCapper {
 
 impl McsCapper {
     /// Create the capper. `max_eff` is the cell's link-adaptation
-    /// ceiling in bits per resource element
-    /// ([`LinkSimulator::max_spectral_eff`]), the scale the CQI maps
-    /// back onto.
-    ///
-    /// [`LinkSimulator::max_spectral_eff`]: xg_net::sim::LinkSimulator::max_spectral_eff
+    /// ceiling in bits per resource element, the scale the CQI maps back
+    /// onto.
     pub fn try_new(max_eff: f64) -> Result<Self> {
         if !max_eff.is_finite() || max_eff <= 0.0 {
             return Err(NetError::InvalidParameter(format!(

@@ -26,16 +26,6 @@ impl Wall {
     pub fn all() -> [Wall; 4] {
         [Wall::West, Wall::East, Wall::South, Wall::North]
     }
-
-    /// Outward unit normal (x, y).
-    pub fn normal(self) -> (f64, f64) {
-        match self {
-            Wall::West => (-1.0, 0.0),
-            Wall::East => (1.0, 0.0),
-            Wall::South => (0.0, -1.0),
-            Wall::North => (0.0, 1.0),
-        }
-    }
 }
 
 /// The screen-house model.
@@ -120,14 +110,5 @@ mod tests {
         assert_eq!(x, f.length_m);
         let (_, y) = f.panel_center(Wall::North, 2);
         assert_eq!(y, f.width_m);
-    }
-
-    #[test]
-    fn wall_normals_are_unit_and_outward() {
-        for wall in Wall::all() {
-            let (nx, ny) = wall.normal();
-            assert!((nx * nx + ny * ny - 1.0).abs() < 1e-12);
-        }
-        assert_eq!(Wall::West.normal(), (-1.0, 0.0));
     }
 }

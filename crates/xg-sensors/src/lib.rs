@@ -11,7 +11,7 @@
 //! * [`weather`] — a seeded micro-climate generator: diurnal temperature,
 //!   AR(1) wind gusts, weather-front events, humidity.
 //! * [`telemetry`] — the fixed-size telemetry record CSPOT logs carry.
-//! * [`station`] — weather stations with calibration bias and per-channel
+//! * `station` — weather stations with calibration bias and per-channel
 //!   noise (the measurement error that motivates statistical change
 //!   detection in §3.7).
 //! * [`network`] — the station network: 5-minute polling and extraction of
@@ -35,6 +35,7 @@
 // These lints, and the assert-family ban in this crate's clippy.toml,
 // are the gate (CI runs clippy with `-D warnings`); a site that must
 // abort carries `#[expect(clippy::expect_used, reason = …)]`.
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -46,21 +47,14 @@ pub mod facility;
 pub mod network;
 pub mod power;
 pub mod qc;
-pub mod station;
+mod station;
 pub mod telemetry;
 pub mod weather;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::breach::Breach;
-    pub use crate::facility::{CupsFacility, Wall};
-    pub use crate::network::{BoundaryConditions, SensorNetwork};
-    pub use crate::power::{PowerBudget, RadioKind};
-    pub use crate::qc::{QcFlag, QcScreen};
-    pub use crate::station::WeatherStation;
+    pub use crate::facility::CupsFacility;
+    pub use crate::network::SensorNetwork;
     pub use crate::telemetry::TelemetryRecord;
-    pub use crate::weather::WeatherSim;
     pub use xg_sim::{Advance, SimNs};
 }
-
-pub use prelude::*;

@@ -23,7 +23,7 @@ pub enum RadioKind {
 
 impl RadioKind {
     /// Average radio power draw (W) at a 5-minute reporting duty cycle.
-    pub fn avg_draw_w(self) -> f64 {
+    pub(crate) fn avg_draw_w(self) -> f64 {
         match self {
             RadioKind::Ism900 => 0.15,
             RadioKind::LongWifi => 1.8,
@@ -71,13 +71,13 @@ impl PowerBudget {
     }
 
     /// Usable capacity at the current health (Wh).
-    pub fn usable_wh(&self) -> f64 {
+    pub(crate) fn usable_wh(&self) -> f64 {
         self.battery_wh * self.health
     }
 
     /// Advance one hour with `sun` ∈ [0, 1] insolation. Returns whether
     /// the station stayed up.
-    pub fn step_hour(&mut self, sun: f64) -> bool {
+    pub(crate) fn step_hour(&mut self, sun: f64) -> bool {
         let harvest = self.panel_w * sun.clamp(0.0, 1.0);
         let draw = self.base_draw_w + self.radio.avg_draw_w();
         let delta = harvest - draw;

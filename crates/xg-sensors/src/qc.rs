@@ -75,7 +75,7 @@ impl QcScreen {
 
     /// Check one record, updating per-station history. Returns `Ok(())`
     /// for a clean record or the first failing flag.
-    pub fn check(&mut self, r: &TelemetryRecord) -> Result<(), QcFlag> {
+    pub(crate) fn check(&mut self, r: &TelemetryRecord) -> Result<(), QcFlag> {
         // Range checks first (stateless).
         if !(0.0..=self.limits.wind_max_ms).contains(&r.wind_speed_ms)
             || !r.wind_speed_ms.is_finite()

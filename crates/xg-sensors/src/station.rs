@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 /// Where a station sits relative to the screen house.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Placement {
+pub(crate) enum Placement {
     /// Outside the screen, measuring free-stream conditions.
     Exterior {
         /// Position (m) in facility coordinates.
@@ -34,21 +34,21 @@ pub enum Placement {
 
 impl Placement {
     /// Position (x, y) in facility coordinates.
-    pub fn position(&self) -> (f64, f64) {
+    pub(crate) fn position(&self) -> (f64, f64) {
         match *self {
             Placement::Exterior { x, y } | Placement::Interior { x, y } => (x, y),
         }
     }
 
     /// True for interior stations.
-    pub fn is_interior(&self) -> bool {
+    pub(crate) fn is_interior(&self) -> bool {
         matches!(self, Placement::Interior { .. })
     }
 }
 
 /// Per-channel measurement noise (SDs) and calibration bias.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseModel {
+pub(crate) struct NoiseModel {
     /// Wind-speed noise SD (m/s).
     pub wind_sd: f64,
     /// Wind-direction noise SD (deg).
@@ -87,7 +87,7 @@ const INTERIOR_WIND_FACTOR: f64 = 0.3;
 
 /// One weather station.
 #[derive(Debug, Clone)]
-pub struct WeatherStation {
+pub(crate) struct WeatherStation {
     /// Station identifier.
     pub id: u32,
     /// Placement.
@@ -99,7 +99,7 @@ pub struct WeatherStation {
 
 impl WeatherStation {
     /// Create a station with the default commodity-sensor noise model.
-    pub fn new(id: u32, placement: Placement, seed: u64) -> Self {
+    pub(crate) fn new(id: u32, placement: Placement, seed: u64) -> Self {
         WeatherStation {
             id,
             placement,
@@ -110,7 +110,7 @@ impl WeatherStation {
 
     /// The true local wind at this station given free-stream conditions and
     /// the facility's screen state (before measurement noise).
-    pub fn local_wind(&self, state: &WeatherState, facility: &CupsFacility) -> f64 {
+    pub(crate) fn local_wind(&self, state: &WeatherState, facility: &CupsFacility) -> f64 {
         let (sx, sy) = self.placement.position();
         let base = if self.placement.is_interior() {
             state.wind_speed_ms * INTERIOR_WIND_FACTOR
@@ -133,7 +133,11 @@ impl WeatherStation {
     }
 
     /// Produce a (noisy) telemetry record for the current true state.
-    pub fn measure(&mut self, state: &WeatherState, facility: &CupsFacility) -> TelemetryRecord {
+    pub(crate) fn measure(
+        &mut self,
+        state: &WeatherState,
+        facility: &CupsFacility,
+    ) -> TelemetryRecord {
         let true_wind = self.local_wind(state, facility);
         let wind = (true_wind + self.noise.wind_bias + self.gauss() * self.noise.wind_sd).max(0.0);
         let dir = (state.wind_dir_deg + self.gauss() * self.noise.dir_sd).rem_euclid(360.0);

@@ -37,8 +37,10 @@ impl TelemetryRecord {
         out
     }
 
-    /// Decode; returns `None` for a buffer of the wrong length.
-    pub fn decode(bytes: &[u8]) -> Option<TelemetryRecord> {
+    /// Decode; returns `None` for a buffer of the wrong length (the
+    /// tests' oracle for the wire layout [`encode`](Self::encode) writes).
+    #[cfg(test)]
+    pub(crate) fn decode(bytes: &[u8]) -> Option<TelemetryRecord> {
         if bytes.len() != Self::WIRE_SIZE {
             return None;
         }

@@ -27,7 +27,7 @@ pub struct WeatherState {
 
 /// Micro-climate generator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeatherConfig {
+pub(crate) struct WeatherConfig {
     /// Daily mean temperature (°C).
     pub temp_mean_c: f64,
     /// Diurnal temperature amplitude (°C).
@@ -66,7 +66,7 @@ impl Default for WeatherConfig {
 
 /// The micro-climate simulator.
 #[derive(Debug, Clone)]
-pub struct WeatherSim {
+pub(crate) struct WeatherSim {
     config: WeatherConfig,
     rng: StdRng,
     t_s: f64,
@@ -77,7 +77,7 @@ pub struct WeatherSim {
 
 impl WeatherSim {
     /// Create a seeded simulator.
-    pub fn new(config: WeatherConfig, seed: u64) -> Self {
+    pub(crate) fn new(config: WeatherConfig, seed: u64) -> Self {
         WeatherSim {
             config,
             rng: StdRng::seed_from_u64(seed),
@@ -89,18 +89,18 @@ impl WeatherSim {
     }
 
     /// A simulator with site defaults.
-    pub fn exeter(seed: u64) -> Self {
+    pub(crate) fn exeter(seed: u64) -> Self {
         WeatherSim::new(WeatherConfig::default(), seed)
     }
 
     /// Schedule a front to begin on the next step (deterministic trigger
     /// for tests and scenario scripts).
-    pub fn force_front(&mut self) {
+    pub(crate) fn force_front(&mut self) {
         self.front_remaining = self.config.front_duration_steps;
     }
 
     /// Advance one step and return the new true state.
-    pub fn step(&mut self) -> WeatherState {
+    pub(crate) fn step(&mut self) -> WeatherState {
         let c = self.config;
         self.t_s += c.step_s;
         // Diurnal cycle peaking at 15:00 local.
@@ -139,7 +139,7 @@ impl WeatherSim {
     }
 
     /// Advance `n` steps, returning the final state.
-    pub fn run_steps(&mut self, n: usize) -> WeatherState {
+    pub(crate) fn run_steps(&mut self, n: usize) -> WeatherState {
         let mut last = self.step();
         for _ in 1..n {
             last = self.step();

@@ -17,7 +17,7 @@
 //!   near events, `BTreeMap` overflow for far ones) with a stable
 //!   `(time, source, seq)` ordering so execution order is a pure
 //!   function of what was scheduled, never of container iteration
-//!   order. See [`queue`] for the layout and the tie-breaking rule.
+//!   order. See `queue` for the layout and the tie-breaking rule.
 //!
 //!
 //! Two small numeric modules sit beside them, because a draw that depends
@@ -40,6 +40,7 @@
 // These lints, and the assert-family ban in this crate's clippy.toml,
 // are the gate (CI runs clippy with `-D warnings`); a site that must
 // abort carries `#[expect(clippy::expect_used, reason = …)]`.
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -48,9 +49,9 @@
 
 pub mod math;
 pub mod normal;
-pub mod queue;
+mod queue;
 
-pub use queue::{EventQueue, Scheduled};
+pub use queue::EventQueue;
 
 /// Absolute simulation time in integer nanoseconds since t = 0.
 ///
@@ -64,10 +65,10 @@ impl SimNs {
     pub const ZERO: SimNs = SimNs(0);
 
     /// One millisecond (one 15 kHz-SCS TTI).
-    pub const MILLI: SimNs = SimNs(1_000_000);
+    pub(crate) const MILLI: SimNs = SimNs(1_000_000);
 
     /// One second.
-    pub const SECOND: SimNs = SimNs(1_000_000_000);
+    pub(crate) const SECOND: SimNs = SimNs(1_000_000_000);
 
     /// Whole seconds, exact for integer-second times.
     pub fn from_secs(s: u64) -> SimNs {

@@ -67,8 +67,6 @@ pub struct EventQueue<E> {
     cursor: u64,
     overflow: BTreeMap<(SimNs, u32, u64), E>,
     next_seq: u64,
-    scheduled_total: u64,
-    executed_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -79,7 +77,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// A queue with the default TTI-width wheel.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue::with_layout(DEFAULT_WIDTH_NS, DEFAULT_WHEEL_LEN as usize)
     }
 
@@ -94,8 +92,6 @@ impl<E> EventQueue<E> {
             cursor: 0,
             overflow: BTreeMap::new(),
             next_seq: 0,
-            scheduled_total: 0,
-            executed_total: 0,
         }
     }
 
@@ -105,29 +101,8 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Events currently pending.
-    pub fn len(&self) -> usize {
-        self.wheel_count + self.overflow.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events ever scheduled (the O(events) instrumentation the
-    /// idle-skip tests assert against).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Total events ever executed (popped).
-    pub fn executed_total(&self) -> u64 {
-        self.executed_total
-    }
-
     /// Due time of the earliest pending event.
-    pub fn peek_at(&self) -> Option<SimNs> {
+    pub(crate) fn peek_at(&self) -> Option<SimNs> {
         let wheel_best = self.best_wheel_pos().map(|(_, _, key)| key.0);
         let overflow_best = self.overflow.keys().next().map(|k| k.0);
         match (wheel_best, overflow_best) {
@@ -145,7 +120,6 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         let bucket = at.0 / self.width;
         if bucket < self.cursor + self.wheel.len() as u64 {
             let idx = (bucket % self.wheel.len() as u64) as usize;
@@ -208,7 +182,6 @@ impl<E> EventQueue<E> {
                 self.wheel_count -= 1;
                 self.cursor = self.cursor.max(ev.at.0 / self.width);
                 self.now = ev.at;
-                self.executed_total += 1;
                 return Some(ev);
             }
             return None;
@@ -220,7 +193,6 @@ impl<E> EventQueue<E> {
             if let Some(payload) = self.overflow.remove(&key) {
                 self.cursor = self.cursor.max(key.0 .0 / self.width);
                 self.now = key.0;
-                self.executed_total += 1;
                 return Some(Scheduled {
                     at: key.0,
                     source: key.1,
@@ -260,20 +232,25 @@ fn debug_check_none_due<E>(queue: &EventQueue<E>, t: SimNs) {
 mod tests {
     use super::*;
 
+    /// Events still pending, wheel and overflow together.
+    fn pending<E>(q: &EventQueue<E>) -> usize {
+        q.wheel_count + q.overflow.len()
+    }
+
     #[test]
     fn pops_in_time_order_across_wheel_and_overflow() {
         let mut q = EventQueue::with_layout(1_000_000, 8); // 8 ms horizon
         q.push(SimNs::from_secs(300), 0, "far");
         q.push(SimNs::from_millis(2), 0, "near");
         q.push(SimNs::from_millis(5), 0, "mid");
-        assert_eq!(q.len(), 3);
+        assert_eq!(pending(&q), 3);
         assert_eq!(q.peek_at(), Some(SimNs::from_millis(2)));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop_due(SimNs::from_secs(400)))
             .map(|e| e.payload)
             .collect();
         assert_eq!(order, ["near", "mid", "far"]);
         assert_eq!(q.now(), SimNs::from_secs(300));
-        assert_eq!(q.executed_total(), 3);
+        assert_eq!(pending(&q), 0);
     }
 
     #[test]
@@ -296,9 +273,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimNs::from_secs(10), 0, ());
         assert!(q.pop_due(SimNs::from_secs(9)).is_none());
-        assert_eq!(q.len(), 1);
+        assert_eq!(pending(&q), 1);
+        assert_eq!(q.peek_at(), Some(SimNs::from_secs(10)));
         assert!(q.pop_due(SimNs::from_secs(10)).is_some());
-        assert!(q.is_empty());
+        assert_eq!(pending(&q), 0);
+        assert_eq!(q.peek_at(), None);
     }
 
     #[test]
@@ -329,13 +308,13 @@ mod tests {
         for i in 0..100u64 {
             q.push(SimNs(i * 3), 0, i);
         }
+        assert_eq!(pending(&q), 100);
         let mut got = Vec::new();
         while let Some(e) = q.pop_due(SimNs(1_000)) {
             got.push(e.payload);
         }
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-        assert_eq!(q.scheduled_total(), 100);
-        assert_eq!(q.executed_total(), 100);
+        assert_eq!(pending(&q), 0);
     }
 
     #[test]
