@@ -8,8 +8,11 @@
 //! Two reproductions are reported:
 //!
 //! 1. **measured** — the real in-crate solver timed under rayon pools of
-//!    1..host-core threads on a reduced mesh, validating that the
-//!    slab-parallel sweeps scale on real hardware;
+//!    1..host-core threads on a reduced mesh. The offline `rayon` stand-in
+//!    the workspace builds against runs every pool on the calling thread,
+//!    so today each point times one thread: these rows show the solver's
+//!    serial cost at each requested width, not that the slab-parallel
+//!    sweeps scale;
 //! 2. **modelled** — the calibrated [`CfdPerfModel`] extrapolated to the
 //!    paper's node (1..64 cores, 10 jittered runs per point), which is the
 //!    curve to compare with Fig. 7 (this machine has fewer cores than the

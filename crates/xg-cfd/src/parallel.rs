@@ -2,13 +2,14 @@
 //!
 //! Fig. 7 plots the full CFD computation (including mesh generation) on a
 //! 64-core Notre Dame node: 10 runs per core count, 420.39 ± 36.29 s at 64
-//! cores. The real solver in this crate scales with rayon, but this
-//! reproduction machine may have fewer cores than the paper's node, so the
-//! figure is regenerated in two parts:
+//! cores. The solver in this crate splits its sweeps into slabs through
+//! rayon's API, but this reproduction machine may have fewer cores than
+//! the paper's node, so the figure is regenerated in two parts:
 //!
 //! * **measured** — the real solver timed under rayon pools of 1..host
-//!   cores on a scaled-down mesh (validates that the parallel sweeps
-//!   actually scale);
+//!   cores on a scaled-down mesh. The offline `rayon` stand-in runs every
+//!   pool on the calling thread, so each point times one thread until the
+//!   workspace has a real pool;
 //! * **modelled** — [`CfdPerfModel`], a serial-fraction + communication
 //!   model calibrated so the 64-core point lands at the paper's 420 s, used
 //!   to extrapolate the full 1..64-core curve and the §4.4 multi-node

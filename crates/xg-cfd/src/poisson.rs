@@ -335,7 +335,7 @@ pub(crate) fn residual(p: &Field3, rhs: &Field3, d: [f64; 3]) -> f64 {
 mod tests {
     use super::*;
     use crate::reference::{self, assert_same_bits, laplacian, max_abs_diff};
-    use proptest::prelude::*;
+    use xg_prop::prelude::*;
 
     /// Deterministic zero-mean noise.
     fn noise(nx: usize, ny: usize, nz: usize) -> Field3 {

@@ -428,8 +428,8 @@ mod tests {
     use crate::mesh::{DomainSpec, Mesh};
     use crate::poisson::PoissonPlan;
     use crate::solver::SolverConfig;
-    use proptest::prelude::*;
     use xg_obs::Obs;
+    use xg_prop::prelude::*;
 
     /// One scenario of the oracle suite.
     #[derive(Debug, Clone, Copy)]
@@ -558,7 +558,7 @@ mod tests {
         fn direct_solve_agrees_with_converged_jacobi(
             cells in (1usize..=9, 1usize..=8, 1usize..=6),
             d in (0.5f64..3.0, 0.5f64..3.0, 0.3f64..3.0),
-            noise in proptest::collection::vec(-1.0f64..1.0, 9 * 8 * 6),
+            noise in xg_prop::collection::vec(-1.0f64..1.0, 9 * 8 * 6),
         ) {
             let (nx, ny, nz) = cells;
             let d = [d.0, d.1, d.2];

@@ -29,7 +29,7 @@ use crate::poisson::{self, row_at, PoissonPlan};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
-use xg_obs::{Counter, Gauge, Histogram, Obs};
+use xg_obs::{Counter, Histogram, Obs};
 
 /// Pre-resolved solver instruments. The CFD solve is the only stage of
 /// the closed loop that burns real CPU, so its histograms record *wall*
@@ -47,8 +47,6 @@ struct CfdObs {
     rhs: Field3,
     /// Time steps completed.
     steps: Arc<Counter>,
-    /// Rayon worker count in effect.
-    workers: Arc<Gauge>,
     /// The full handle: the measured step/sweep durations also feed the
     /// hierarchical profiler (`cfd.step` / `cfd.step/sweep`) so the CFD
     /// solve shows up in cross-layer attribution without extra timers.
@@ -66,7 +64,6 @@ impl CfdObs {
             poisson_residual: reg.histogram("cfd.poisson.residual"),
             rhs: Field3::zeros(nx, ny, nz),
             steps: reg.counter("cfd.steps"),
-            workers: reg.gauge("cfd.rayon.workers"),
         })
     }
 }
@@ -449,7 +446,6 @@ impl Simulation {
             let elapsed = t0.elapsed();
             o.step_wall_ms.record(elapsed.as_secs_f64() * 1e3);
             o.steps.inc();
-            o.workers.set(rayon::current_num_threads() as f64);
             if let Some(p) = o.handle.profiler() {
                 p.record_at("cfd.step", elapsed.as_nanos() as u64);
             }
@@ -574,7 +570,6 @@ mod tests {
         let residual = reg.histogram("cfd.poisson.residual").snapshot();
         assert_eq!(residual.count(), 3);
         assert!(residual.max().unwrap() < 1e-12, "{:?}", residual.max());
-        assert!(reg.gauge("cfd.rayon.workers").get() >= 1.0);
         // Instrumentation must not perturb the solve itself.
         let mut plain = small_sim(5.0, 270.0);
         plain.run(3);

@@ -13,10 +13,9 @@
 //!   copies bytes into place — and history is scanned where it lies
 //!   (`Log::scan_newest_first` lends each element to a closure; no reader
 //!   copies the log). Tokens are indexed as sequential runs.
-//! * [`storage`] — the record, its CRC-framed wire format, and the
-//!   `StorageBackend` trait a durable log writes through.
-//! * [`segment`] — the durable storage engine, the one `StorageBackend`:
-//!   segmented append-only log with sealed-segment footers, group-commit
+//! * [`storage`] — the record and its CRC-framed wire format.
+//! * [`segment`] — the durable storage engine a durable log writes
+//!   through: segmented append-only log with sealed-segment footers, group-commit
 //!   durability, retention compaction, streaming crash recovery (torn
 //!   tails truncated, sealed corruption fail-stops), and storage fault
 //!   injection.

@@ -29,9 +29,10 @@
 //! writers, not with appends.
 
 use crate::error::{CspotError, Result};
-use crate::storage::{Record, RecoverySummary, StorageBackend};
-use parking_lot::Mutex;
+use crate::segment::SegmentedBackend;
+use crate::storage::{Record, RecoverySummary};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Where one append landed (see `Log::offer`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,20 +179,22 @@ struct LogInner {
     next_seq: u64,
     ring: Ring,
     tokens: TokenRuns,
-    /// The durable engine; `None` for a volatile log.
-    backend: Option<Box<dyn StorageBackend>>,
+    /// The durable engine; `None` for a volatile log. Boxed, so a volatile
+    /// log (every log in the fabric) does not carry an engine's worth of
+    /// bytes inline.
+    backend: Option<Box<SegmentedBackend>>,
     /// Fault injection: number of upcoming appends that fail as storage
     /// errors before anything is written (full disk, dying flash).
     inject_failures: u32,
 }
 
 impl LogInner {
-    fn new(config: &LogConfig, backend: Option<Box<dyn StorageBackend>>) -> Self {
+    fn new(config: &LogConfig) -> Self {
         LogInner {
             next_seq: 1,
             ring: Ring::new(config.element_size, config.history),
             tokens: TokenRuns::default(),
-            backend,
+            backend: None,
             inject_failures: 0,
         }
     }
@@ -285,8 +288,8 @@ impl Log {
     /// sealed segment surfaces here as [`CspotError::CorruptSegment`]; a
     /// recovered element of another size than `config.element_size` as
     /// [`CspotError::ElementSizeMismatch`].
-    pub fn create(config: LogConfig, mut backend: Box<dyn StorageBackend>) -> Result<Self> {
-        let mut inner = LogInner::new(&config, None);
+    pub fn create(config: LogConfig, mut backend: SegmentedBackend) -> Result<Self> {
+        let mut inner = LogInner::new(&config);
         let mut misfit = None;
         let summary = backend.recover_scan(&mut |r: Record| {
             if r.payload.len() != config.element_size {
@@ -301,7 +304,7 @@ impl Log {
                 got,
             });
         }
-        inner.backend = Some(backend);
+        inner.backend = Some(Box::new(backend));
         Ok(Log {
             config,
             recovery: summary,
@@ -315,7 +318,7 @@ impl Log {
     /// inject).
     pub fn volatile(config: LogConfig) -> Self {
         Log {
-            inner: Mutex::new(LogInner::new(&config, None)),
+            inner: Mutex::new(LogInner::new(&config)),
             config,
             recovery: RecoverySummary::default(),
         }
@@ -334,11 +337,17 @@ impl Log {
     }
 
     /// Ask the durable engine, or answer `volatile` when the log has none.
-    fn engine<T>(&self, volatile: T, ask: impl FnOnce(&mut dyn StorageBackend) -> T) -> T {
-        match &mut self.inner.lock().backend {
-            Some(backend) => ask(backend.as_mut()),
+    fn engine<T>(&self, volatile: T, ask: impl FnOnce(&mut SegmentedBackend) -> T) -> T {
+        match &mut self.inner().backend {
+            Some(backend) => ask(backend),
             None => volatile,
         }
+    }
+
+    /// The log's state, locked. A poisoned lock is recovered rather than
+    /// passed on: a panic on one thread does not fail every later call.
+    fn inner(&self) -> MutexGuard<'_, LogInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn check_size(&self, payload: &[u8]) -> Result<()> {
@@ -371,7 +380,7 @@ impl Log {
     /// for fresh appends).
     pub(crate) fn offer(&self, token: u128, payload: &[u8]) -> Result<Appended> {
         self.check_size(payload)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         if token != 0 {
             if let Some(seq) = inner.tokens.get(token) {
                 return Ok(Appended { seq, fresh: false });
@@ -393,23 +402,23 @@ impl Log {
     /// Retries with an idempotency token remain exactly-once across the
     /// fault window.
     pub fn inject_append_failures(&self, n: u32) {
-        self.inner.lock().inject_failures = n;
+        self.inner().inject_failures = n;
     }
 
     /// Number of injected append failures still pending.
     pub fn pending_injected_failures(&self) -> u32 {
-        self.inner.lock().inject_failures
+        self.inner().inject_failures
     }
 
     /// Read the element at `seq`.
     pub fn get(&self, seq: u64) -> Result<Vec<u8>> {
-        self.inner.lock().retained(seq).map(<[u8]>::to_vec)
+        self.inner().retained(seq).map(<[u8]>::to_vec)
     }
 
     /// Read the element at `seq` into `out`, replacing its contents and
     /// reusing its allocation (a drain loop's read).
     pub(crate) fn read_into(&self, seq: u64, out: &mut Vec<u8>) -> Result<()> {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         let payload = inner.retained(seq)?;
         out.clear();
         out.extend_from_slice(payload);
@@ -418,17 +427,17 @@ impl Log {
 
     /// Latest assigned sequence number, if any element has been appended.
     pub fn latest_seq(&self) -> Option<u64> {
-        self.inner.lock().latest()
+        self.inner().latest()
     }
 
     /// Earliest retained sequence number.
     pub fn earliest_seq(&self) -> Option<u64> {
-        self.inner.lock().earliest()
+        self.inner().earliest()
     }
 
     /// Number of retained elements.
     pub fn len(&self) -> usize {
-        self.inner.lock().ring.len()
+        self.inner().ring.len()
     }
 
     /// True if no elements are retained.
@@ -450,7 +459,7 @@ impl Log {
         &self,
         mut visit: impl FnMut(u64, &[u8]) -> Option<T>,
     ) -> Option<T> {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         (0..inner.ring.len())
             .rev()
             .find_map(|k| visit(inner.seq_at(k), inner.ring.payload(k)))
@@ -459,13 +468,13 @@ impl Log {
     /// Number of retained elements with `seq >= from`, counted without
     /// copying a payload.
     pub(crate) fn count_from(&self, from: u64) -> usize {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         inner.ring.len() - inner.position_from(from)
     }
 
     /// The most recent `n` elements, oldest first.
     pub fn tail(&self, n: usize) -> Vec<(u64, Vec<u8>)> {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         let len = inner.ring.len();
         (len.saturating_sub(n)..len)
             .map(|k| (inner.seq_at(k), inner.ring.payload(k).to_vec()))
@@ -485,7 +494,7 @@ impl Log {
     /// volatile log keeps what it has for as long as the process lives;
     /// simulations treat that as committed.
     pub fn committed_seq(&self) -> Option<u64> {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         match &inner.backend {
             Some(backend) => backend.committed_seq(),
             None => inner.latest(),
@@ -499,7 +508,7 @@ impl Log {
         if token == 0 {
             return None;
         }
-        self.inner.lock().tokens.get(token)
+        self.inner().tokens.get(token)
     }
 
     /// Read full records (seq, token, payload) starting at `from`, at most
@@ -507,7 +516,7 @@ impl Log {
     /// already evicted from the circular window; a volatile log serves the
     /// retained window, which is all it has.
     pub fn read_records_from(&self, from: u64, max: usize) -> Result<Vec<Record>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         if let Some(backend) = &mut inner.backend {
             return backend.read_from(from, max);
         }
@@ -519,20 +528,26 @@ impl Log {
     /// Fault injection: simulate power loss (unsynced bytes vanish).
     /// Returns false on a volatile log, which has no durability to lose.
     pub fn simulate_power_loss(&self) -> Result<bool> {
-        self.engine(Ok(false), |b| b.simulate_power_loss())
+        self.engine(Ok(false), |b| b.simulate_power_loss().map(|()| true))
     }
 
     /// Fault injection: tear the next append mid-frame. Returns false on a
     /// volatile log (no frames to tear).
     pub fn inject_torn_write(&self) -> bool {
-        self.engine(false, |b| b.inject_torn_write())
+        self.engine(false, |b| {
+            b.inject_torn_write();
+            true
+        })
     }
 
     /// Fault injection: stall (or release) fsync — appends keep landing
     /// in volatile buffers but the durable watermark freezes. Returns
     /// false on a volatile log (nothing to sync).
     pub fn set_sync_stall(&self, on: bool) -> bool {
-        self.engine(false, |b| b.set_sync_stall(on))
+        self.engine(false, |b| {
+            b.set_sync_stall(on);
+            true
+        })
     }
 
     /// Fault injection: flip a bit inside the `k`-th sealed segment.
@@ -564,7 +579,7 @@ mod tests {
     /// A log over the durable engine in `dir`; re-opening recovers it.
     fn durable_log(dir: &std::path::Path, element_size: usize, history: usize) -> Log {
         let backend = SegmentedBackend::open(dir, SegmentConfig::default()).unwrap();
-        Log::create(config(element_size, history), Box::new(backend)).unwrap()
+        Log::create(config(element_size, history), backend).unwrap()
     }
 
     #[test]
@@ -601,10 +616,10 @@ mod tests {
             let mut payload = [0u8; 48];
             payload[..8].copy_from_slice(&i.to_le_bytes());
             log.append(&payload).unwrap();
-            let inner = log.inner.lock();
+            let inner = log.inner();
             assert!(inner.ring.byte_capacity() <= full, "grew past the cap");
         }
-        assert_eq!(log.inner.lock().ring.byte_capacity(), full);
+        assert_eq!(log.inner().ring.byte_capacity(), full);
         // Wrapped twice over: the window is still the newest `history`,
         // oldest first.
         let tail = log.tail(history);
@@ -627,7 +642,7 @@ mod tests {
         assert!(log.get(3).is_err());
         assert!(log.tail(8).is_empty());
         assert!(log.read_records_from(1, 8).unwrap().is_empty());
-        assert_eq!(log.inner.lock().ring.byte_capacity(), 0);
+        assert_eq!(log.inner().ring.byte_capacity(), 0);
         // Tokens are still remembered.
         assert_eq!(log.append_with_token(5, b"abcd").unwrap(), 2);
     }
@@ -642,7 +657,7 @@ mod tests {
             }
         }
         // Interleaved writers break each other's sequence runs …
-        assert_eq!(log.inner.lock().tokens.runs(), 3_000);
+        assert_eq!(log.inner().tokens.runs(), 3_000);
         let log = mklog(8, 16);
         for w in writers {
             for i in 1..=1_000u128 {
@@ -651,7 +666,7 @@ mod tests {
         }
         // … while back-to-back writers (the gateway's relays, an
         // appender's counter) collapse to one run apiece.
-        assert_eq!(log.inner.lock().tokens.runs(), 3);
+        assert_eq!(log.inner().tokens.runs(), 3);
         assert_eq!(log.has_token(2 << 64 | 500), Some(1_500));
         assert_eq!(log.has_token(2 << 64 | 1_001), None);
     }
@@ -851,7 +866,7 @@ mod tests {
         durable_log(&dir, 2, 10).append(b"ab").unwrap();
         let backend = SegmentedBackend::open(&dir, SegmentConfig::default()).unwrap();
         assert!(matches!(
-            Log::create(config(3, 10), Box::new(backend)),
+            Log::create(config(3, 10), backend),
             Err(CspotError::ElementSizeMismatch {
                 expected: 3,
                 got: 2

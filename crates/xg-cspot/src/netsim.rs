@@ -7,11 +7,11 @@
 //! path model calibrated to reproduce those numbers through the two-phase
 //! append protocol in [`crate::protocol`].
 
-use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xg_sim::normal;
+use xg_sim::rng::Rng;
 
 /// A shared virtual clock in microseconds.
 ///
@@ -85,11 +85,11 @@ impl PathModel {
     }
 
     /// Sample a one-way crossing. `None` means the message was lost.
-    pub(crate) fn sample_one_way<R: Rng>(&self, rng: &mut R) -> Option<f64> {
+    pub(crate) fn sample_one_way(&self, rng: &mut Rng) -> Option<f64> {
         if self.partitioned {
             return None;
         }
-        if self.loss_prob > 0.0 && rng.gen::<f64>() < self.loss_prob {
+        if self.loss_prob > 0.0 && rng.next_f64() < self.loss_prob {
             return None;
         }
         let jitter = normal::standard(rng) * self.jitter_sigma_ms;
@@ -116,7 +116,7 @@ impl RoutePath {
     }
 
     /// Sample one crossing over all segments.
-    pub(crate) fn sample_one_way<R: Rng>(&self, rng: &mut R) -> Option<f64> {
+    pub(crate) fn sample_one_way(&self, rng: &mut Rng) -> Option<f64> {
         let mut total = 0.0;
         for seg in &self.segments {
             total += seg.sample_one_way(rng)?;
@@ -180,8 +180,6 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn clock_advances() {
@@ -196,7 +194,7 @@ mod tests {
 
     #[test]
     fn wired_path_latency_distribution() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let p = PathModel::wired(10.0, 0.5);
         let n = 10_000;
         let samples: Vec<f64> = (0..n)
@@ -209,7 +207,7 @@ mod tests {
 
     #[test]
     fn partitioned_path_drops_everything() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let mut p = PathModel::wired(5.0, 0.1);
         p.partitioned = true;
         for _ in 0..100 {
@@ -219,7 +217,7 @@ mod tests {
 
     #[test]
     fn lossy_path_drops_sometimes() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut p = PathModel::wired(5.0, 0.1);
         p.loss_prob = 0.3;
         let losses = (0..10_000)
@@ -234,14 +232,14 @@ mod tests {
         let r = RoutePath {
             segments: vec![PathModel::wired(3.0, 0.0), PathModel::wired(4.0, 0.0)],
         };
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let s = r.sample_one_way(&mut rng).unwrap();
         assert!((s - 7.0).abs() < 1e-9);
     }
 
     #[test]
     fn route_lost_if_any_segment_drops() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let mut bad = PathModel::wired(1.0, 0.0);
         bad.partitioned = true;
         let r = RoutePath {
@@ -277,7 +275,7 @@ mod tests {
     #[test]
     fn topology_partition_and_heal() {
         let mut route = Topology::paper().route("UNL", "UCSB").unwrap().clone();
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Rng::seed_from_u64(6);
         route.set_partitioned(true);
         assert!(route.sample_one_way(&mut rng).is_none());
         route.set_partitioned(false);

@@ -10,10 +10,9 @@
 use crate::error::{CspotError, Result};
 use crate::log::{Log, LogConfig};
 use crate::segment::{SegmentConfig, SegmentedBackend};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Handler signature: `(node, log_name, seq, payload)`.
 pub(crate) type Handler = Arc<dyn Fn(&CspotNode, &str, u64, &[u8]) + Send + Sync>;
@@ -99,14 +98,14 @@ impl CspotNode {
             Persistence::Directory { dir, storage } => {
                 let path = dir.join(format!("{name}.seglog"));
                 let backend = SegmentedBackend::open(path, storage.clone())?;
-                Log::create(config, Box::new(backend))?
+                Log::create(config, backend)?
             }
         }))
     }
 
     /// Create a log. Errors if the name is taken.
     pub fn create_log(&self, name: &str, element_size: usize, history: usize) -> Result<Arc<Log>> {
-        let mut logs = self.logs.write();
+        let mut logs = self.logs.write().unwrap_or_else(PoisonError::into_inner);
         if logs.contains_key(name) {
             return Err(CspotError::LogExists(name.to_string()));
         }
@@ -120,13 +119,16 @@ impl CspotNode {
     /// what the log was created with.
     pub fn open_log(&self, name: &str, element_size: usize, history: usize) -> Result<Arc<Log>> {
         {
-            let logs = self.logs.read();
+            let logs = self.logs.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(log) = logs.get(name) {
                 return Ok(Arc::clone(log));
             }
         }
         let log = self.new_log(name, element_size, history)?;
-        self.logs.write().insert(name.to_string(), Arc::clone(&log));
+        self.logs
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(name.to_string(), Arc::clone(&log));
         Ok(log)
     }
 
@@ -134,6 +136,7 @@ impl CspotNode {
     pub fn log(&self, name: &str) -> Result<Arc<Log>> {
         self.logs
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .cloned()
             .ok_or_else(|| CspotError::UnknownLog(name.to_string()))
@@ -141,7 +144,10 @@ impl CspotNode {
 
     /// Register a handler fired on every append to `log_name`.
     pub fn register_handler(&self, log_name: &str, handler: Handler) {
-        let mut handlers = self.handlers.write();
+        let mut handlers = self
+            .handlers
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         let list = handlers
             .entry(log_name.to_string())
             .or_insert_with(|| Arc::new([]));
@@ -245,7 +251,13 @@ impl CspotNode {
         // Take the snapshot and release the lock before invoking, so
         // handlers can register further handlers or put to other logs
         // without deadlock.
-        let Some(to_fire) = self.handlers.read().get(log_name).cloned() else {
+        let Some(to_fire) = self
+            .handlers
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(log_name)
+            .cloned()
+        else {
             return;
         };
         for h in to_fire.iter() {

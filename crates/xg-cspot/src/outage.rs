@@ -9,8 +9,7 @@
 //! interruption patterns.
 
 use crate::netsim::RoutePath;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use xg_sim::rng::Rng;
 
 /// Parameters of the up/down alternating-renewal process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +39,7 @@ impl OutageConfig {
 #[derive(Debug, Clone)]
 pub struct OutageProcess {
     config: OutageConfig,
-    rng: StdRng,
+    rng: Rng,
     /// Whether the link is currently up.
     up: bool,
     /// Virtual time of the next state transition (s).
@@ -54,7 +53,7 @@ impl OutageProcess {
         assert!(config.mtbf_s > 0.0 && config.mttr_s > 0.0);
         let mut p = OutageProcess {
             config,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             up: true,
             next_transition_s: 0.0,
             now_s: 0.0,
@@ -69,7 +68,7 @@ impl OutageProcess {
         } else {
             self.config.mttr_s
         };
-        self.now_s - mean * (1.0 - self.rng.gen::<f64>()).ln()
+        self.now_s - mean * (1.0 - self.rng.next_f64()).ln()
     }
 
     /// Whether the link is currently up.
@@ -165,7 +164,7 @@ mod tests {
             3,
         );
         let mut route = RoutePath::single(PathModel::wired(1.0, 0.0));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let mut saw_down = false;
         let mut saw_up = false;
         for t in 1..200 {

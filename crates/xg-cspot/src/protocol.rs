@@ -17,13 +17,12 @@
 use crate::error::{CspotError, Result};
 use crate::netsim::{RoutePath, SimClock};
 use crate::node::CspotNode;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use xg_obs::clock::wall_now_ns;
 use xg_obs::{Counter, Histogram, Obs, ProfNode};
 use xg_sim::normal;
+use xg_sim::rng::Rng;
 
 /// Pre-resolved instruments for the append protocol (one registry lookup
 /// at attach time; the hot path touches only `Arc`s).
@@ -116,7 +115,7 @@ pub struct RemoteAppender {
     clock: SimClock,
     route: RoutePath,
     config: RemoteConfig,
-    rng: StdRng,
+    rng: Rng,
     size_cache: BTreeMap<String, usize>,
     token_seed: u128,
     token_counter: u128,
@@ -133,7 +132,7 @@ impl RemoteAppender {
             clock,
             route,
             config,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             size_cache: BTreeMap::new(),
             token_seed: (seed as u128) << 64,
             token_counter: 0,

@@ -33,7 +33,7 @@
 use crate::error::{CspotError, Result};
 use crate::storage::{
     decode_frame, encode_record, fnv1a, fnv1a_update, AppendAck, FrameDecode, Record,
-    RecoverySummary, StorageBackend, FNV_OFFSET, FRAME_HEADER, FRAME_TRAILER,
+    RecoverySummary, FNV_OFFSET, FRAME_HEADER, FRAME_TRAILER,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -236,9 +236,9 @@ impl SegmentedBackend {
     /// segments are footer-verified, the active segment's torn tail (if
     /// any) is truncated, and the writer is positioned for appends.
     ///
-    /// Full record-level verification of sealed segments happens in
-    /// [`StorageBackend::recover_scan`] (which the log layer always runs
-    /// right after opening); `open` itself only validates footers so that
+    /// Full record-level verification of sealed segments happens in the
+    /// recovery scan, which [`crate::log::Log::create`] always runs right
+    /// after opening; `open` itself only validates footers so that
     /// mounting stays O(segment count + active segment).
     pub fn open(dir: impl AsRef<Path>, config: SegmentConfig) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
@@ -591,8 +591,10 @@ fn verify_sealed(path: &Path, expected: &Footer, sink: &mut dyn FnMut(Record)) -
     Ok(count)
 }
 
-impl StorageBackend for SegmentedBackend {
-    fn append(&mut self, record: &Record) -> Result<AppendAck> {
+impl SegmentedBackend {
+    /// Append a record. The ack says whether it is already durable;
+    /// group commit defers durability to [`Self::sync`].
+    pub(crate) fn append(&mut self, record: &Record) -> Result<AppendAck> {
         if self.poisoned {
             return Err(CspotError::Storage(std::io::Error::other(
                 "storage engine poisoned by torn write; reopen to recover",
@@ -668,15 +670,22 @@ impl StorageBackend for SegmentedBackend {
         })
     }
 
-    fn sync(&mut self) -> Result<()> {
+    /// Flush and fsync anything buffered. After `Ok`, every acked append
+    /// is durable and [`Self::committed_seq`] reflects it.
+    pub(crate) fn sync(&mut self) -> Result<()> {
         self.do_sync()
     }
 
-    fn committed_seq(&self) -> Option<u64> {
+    /// Highest sequence number known durable (`None` before the first
+    /// durable append).
+    pub(crate) fn committed_seq(&self) -> Option<u64> {
         self.committed
     }
 
-    fn recover_scan(&mut self, sink: &mut dyn FnMut(Record)) -> Result<RecoverySummary> {
+    /// Stream every intact record, in append order, into `sink`,
+    /// truncating any torn tail. Corruption *behind a seal* is a typed
+    /// [`crate::error::CspotError::CorruptSegment`] fail-stop instead.
+    pub(crate) fn recover_scan(&mut self, sink: &mut dyn FnMut(Record)) -> Result<RecoverySummary> {
         let mut summary = RecoverySummary {
             sealed_segments: self.sealed.len(),
             truncated_bytes: self.truncated_at_open,
@@ -700,7 +709,10 @@ impl StorageBackend for SegmentedBackend {
         Ok(summary)
     }
 
-    fn read_from(&mut self, from: u64, max: usize) -> Result<Vec<Record>> {
+    /// Re-read up to `max` records with `seq >= from` from storage, in
+    /// order. This reads persisted state, so buffered-but-unflushed
+    /// appends may not yet be visible.
+    pub(crate) fn read_from(&mut self, from: u64, max: usize) -> Result<Vec<Record>> {
         let mut out = Vec::new();
         for meta in &self.sealed {
             if meta.footer.last_seq < from {
@@ -722,7 +734,8 @@ impl StorageBackend for SegmentedBackend {
         Ok(out)
     }
 
-    fn simulate_power_loss(&mut self) -> Result<bool> {
+    /// Simulate power loss: everything not fsynced is gone.
+    pub(crate) fn simulate_power_loss(&mut self) -> Result<()> {
         // Adversarial model: everything not fsynced is gone — both the
         // process's write buffer and the OS page cache.
         if let Some(active) = self.active.take() {
@@ -749,20 +762,24 @@ impl StorageBackend for SegmentedBackend {
             });
             self.poisoned = true; // force the reopen
         }
-        Ok(true)
+        Ok(())
     }
 
-    fn inject_torn_write(&mut self) -> bool {
+    /// Make the next append write only a partial frame (torn write), then
+    /// fail.
+    pub(crate) fn inject_torn_write(&mut self) {
         self.tear_next_append = true;
-        true
     }
 
-    fn set_sync_stall(&mut self, on: bool) -> bool {
+    /// Stall (`true`) or release (`false`) fsync: while stalled, `sync`
+    /// returns without making anything durable.
+    pub(crate) fn set_sync_stall(&mut self, on: bool) {
         self.sync_stalled = on;
-        true
     }
 
-    fn corrupt_sealed_segment(&mut self, k: usize) -> Result<bool> {
+    /// Flip one byte inside sealed segment `k` (0 = oldest retained), a
+    /// bit-rot simulation. `Ok(false)` when there is no such segment.
+    pub(crate) fn corrupt_sealed_segment(&mut self, k: usize) -> Result<bool> {
         let Some(meta) = self.sealed.get(k) else {
             return Ok(false);
         };
@@ -990,7 +1007,7 @@ mod tests {
         for s in 6..=9 {
             b.append(&rec(s, 2, 8)).unwrap();
         }
-        assert!(b.simulate_power_loss().unwrap());
+        b.simulate_power_loss().unwrap();
         drop(b);
         let mut b = SegmentedBackend::open(&dir, cfg).unwrap();
         let rs = recover_all(&mut b);
@@ -1004,11 +1021,11 @@ mod tests {
         let mut b = SegmentedBackend::open(&dir, small_config()).unwrap();
         b.append(&rec(1, 4, 8)).unwrap();
         assert_eq!(b.committed_seq(), Some(1));
-        assert!(b.set_sync_stall(true));
+        b.set_sync_stall(true);
         let ack = b.append(&rec(2, 4, 8)).unwrap();
         assert!(!ack.durable, "stalled sync cannot promise durability");
         assert_eq!(b.committed_seq(), Some(1), "watermark frozen");
-        assert!(b.set_sync_stall(false));
+        b.set_sync_stall(false);
         b.sync().unwrap();
         assert_eq!(b.committed_seq(), Some(2));
     }
@@ -1018,7 +1035,7 @@ mod tests {
         let dir = tmpdir("torn-inject");
         let mut b = SegmentedBackend::open(&dir, small_config()).unwrap();
         b.append(&rec(1, 5, 8)).unwrap();
-        assert!(b.inject_torn_write());
+        b.inject_torn_write();
         let err = b.append(&rec(2, 5, 8)).unwrap_err();
         assert!(matches!(err, CspotError::Storage(_)));
         // Engine is poisoned: further appends refuse.

@@ -2,12 +2,11 @@
 //!
 //! CSPOT implements logs in persistent storage so that power loss and other
 //! device failures "that do not destroy the log storage are treated in the
-//! same way as network interruption" (§3.1). [`StorageBackend`] is what a
-//! durable [`crate::log::Log`] writes through; it hides the on-disk format
-//! from the log and has one implementor,
-//! [`crate::segment::SegmentedBackend`] — fixed-size sealed segments with
-//! footers, group commit, retention compaction, torn-tail truncation in
-//! the active segment and fail-stop semantics for at-rest corruption.
+//! same way as network interruption" (§3.1). A durable
+//! [`crate::log::Log`] writes through [`crate::segment::SegmentedBackend`]
+//! — fixed-size sealed segments with footers, group commit, retention
+//! compaction, torn-tail truncation in the active segment and fail-stop
+//! semantics for at-rest corruption.
 //!
 //! A volatile log ([`crate::log::Log::volatile`]) has no backend at all:
 //! its bounded circular history — one flat ring of fixed-size slots — is
@@ -19,8 +18,6 @@
 //! The record wire format (little endian) is
 //! `[u32 payload_len][u64 seq][u128 token][payload][u32 fnv1a]` where the
 //! checksum covers everything before it.
-
-use crate::error::Result;
 
 /// Fixed bytes before the payload: `u32 len + u64 seq + u128 token`.
 pub(crate) const FRAME_HEADER: usize = 4 + 8 + 16;
@@ -44,14 +41,13 @@ pub struct Record {
 
 /// Acknowledgment of one append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AppendAck {
+pub(crate) struct AppendAck {
     /// The record's sequence number, echoed back.
-    pub seq: u64,
-    /// Whether the record is on stable storage *right now*. Group-commit
-    /// backends return `false` between syncs; the record becomes durable
-    /// at the next [`StorageBackend::sync`] (watch
-    /// [`StorageBackend::committed_seq`]).
-    pub durable: bool,
+    pub(crate) seq: u64,
+    /// Whether the record is on stable storage *right now*. Under group
+    /// commit it is `false` between syncs; the record becomes durable at
+    /// the next `SegmentedBackend::sync` (watch `committed_seq`).
+    pub(crate) durable: bool,
 }
 
 /// What a streaming recovery pass found.
@@ -63,54 +59,6 @@ pub struct RecoverySummary {
     pub truncated_bytes: u64,
     /// Sealed segments verified (0 for a volatile log).
     pub sealed_segments: usize,
-}
-
-/// Storage backend for one log.
-///
-/// Recovery is *streaming*: records are pushed through a sink callback one
-/// at a time, so a caller that only keeps a bounded window (the log's
-/// circular history) never materializes the whole log in memory.
-pub trait StorageBackend: Send {
-    /// Append a record. The ack says whether it is already durable;
-    /// buffered backends defer durability to [`StorageBackend::sync`].
-    fn append(&mut self, record: &Record) -> Result<AppendAck>;
-
-    /// Flush and fsync anything buffered. After `Ok`, every acked append
-    /// is durable and [`StorageBackend::committed_seq`] reflects it.
-    fn sync(&mut self) -> Result<()>;
-
-    /// Highest sequence number known durable (`None` before the first
-    /// durable append).
-    fn committed_seq(&self) -> Option<u64>;
-
-    /// Stream every intact record, in append order, into `sink`,
-    /// truncating any torn tail. Corruption *behind a seal* is a typed
-    /// [`crate::error::CspotError::CorruptSegment`] fail-stop instead.
-    fn recover_scan(&mut self, sink: &mut dyn FnMut(Record)) -> Result<RecoverySummary>;
-
-    /// Re-read up to `max` records with `seq >= from` from storage, in
-    /// order. This reads persisted state, so buffered-but-unflushed
-    /// appends may not yet be visible.
-    fn read_from(&mut self, from: u64, max: usize) -> Result<Vec<Record>>;
-
-    // --- fault injection -------------------------------------------------
-
-    /// Simulate power loss: everything not fsynced is gone. Returns
-    /// whether the simulation was applied.
-    fn simulate_power_loss(&mut self) -> Result<bool>;
-
-    /// Make the next append write only a partial frame (torn write), then
-    /// fail. Returns whether the tear was armed.
-    fn inject_torn_write(&mut self) -> bool;
-
-    /// Stall (`true`) or release (`false`) fsync: while stalled, `sync`
-    /// returns without making anything durable. Returns whether the stall
-    /// state was set.
-    fn set_sync_stall(&mut self, on: bool) -> bool;
-
-    /// Flip one byte inside sealed segment `k` (0 = oldest retained), a
-    /// bit-rot simulation. `Ok(false)` when there is no such segment.
-    fn corrupt_sealed_segment(&mut self, k: usize) -> Result<bool>;
 }
 
 /// FNV-1a running update over `bytes` from hash state `h`.

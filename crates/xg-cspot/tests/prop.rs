@@ -1,9 +1,9 @@
 //! Property-based invariants of the CSPOT runtime.
 
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use xg_cspot::prelude::*;
+use xg_prop::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -12,7 +12,7 @@ proptest! {
     /// across a close/reopen cycle.
     #[test]
     fn file_backend_roundtrip(
-        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 6), 1..20),
+        payloads in xg_prop::collection::vec(xg_prop::collection::vec(any::<u8>(), 6), 1..20),
         case_id in 0u64..u64::MAX,
     ) {
         let dir = std::env::temp_dir()
@@ -41,7 +41,7 @@ proptest! {
     /// tokens, and recovery replays from disk.
     #[test]
     fn token_index_matches_a_plain_map(
-        ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..48), 1..160),
+        ops in xg_prop::collection::vec((0u8..10, 0usize..3, 0u64..48), 1..160),
         history in 1usize..10,
         case_id in 0u64..u64::MAX,
     ) {
@@ -105,7 +105,7 @@ proptest! {
     /// schedules, and the sequence order matches the send order.
     #[test]
     fn remote_exactly_once_under_ack_loss(
-        losses in proptest::collection::vec(0u32..3, 1..12),
+        losses in xg_prop::collection::vec(0u32..3, 1..12),
         seed in 0u64..10_000,
     ) {
         let server = Arc::new(CspotNode::in_memory("UCSB"));
@@ -134,7 +134,7 @@ proptest! {
     /// Latency over a jitter-free route is deterministic: base × 4
     /// crossings + storage, independent of payload content.
     #[test]
-    fn latency_composition(base in 0.5f64..50.0, payload in proptest::collection::vec(any::<u8>(), 16)) {
+    fn latency_composition(base in 0.5f64..50.0, payload in xg_prop::collection::vec(any::<u8>(), 16)) {
         let server = Arc::new(CspotNode::in_memory("UCSB"));
         server.create_log("l", 16, 100).unwrap();
         let cfg = RemoteConfig {

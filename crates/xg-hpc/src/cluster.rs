@@ -7,9 +7,8 @@
 //! variable queueing delays (zero to 24 hours, §4.4) that motivate the
 //! Pilot design.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use xg_sim::rng::Rng;
 
 /// Job identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,7 +98,7 @@ pub struct ClusterSim {
 
 #[derive(Debug, Clone)]
 struct BackgroundLoad {
-    rng: StdRng,
+    rng: Rng,
     /// Mean inter-arrival time (s).
     mean_interarrival_s: f64,
     /// Mean job runtime (s).
@@ -138,7 +137,7 @@ impl ClusterSim {
         seed: u64,
     ) -> Self {
         self.background = Some(BackgroundLoad {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             mean_interarrival_s,
             mean_runtime_s,
             max_nodes: max_nodes.min(self.total_nodes),
@@ -258,10 +257,10 @@ impl ClusterSim {
     fn spawn_background_job(&mut self) {
         // Take the generator out to avoid aliasing self.
         if let Some(mut bg) = self.background.take() {
-            let nodes = bg.rng.gen_range(1..=bg.max_nodes);
-            let runtime = -bg.mean_runtime_s * (1.0 - bg.rng.gen::<f64>()).ln();
+            let nodes = bg.rng.range_u64(1..u64::from(bg.max_nodes) + 1) as u32;
+            let runtime = -bg.mean_runtime_s * (1.0 - bg.rng.next_f64()).ln();
             let runtime = runtime.max(60.0);
-            let gap = -bg.mean_interarrival_s * (1.0 - bg.rng.gen::<f64>()).ln();
+            let gap = -bg.mean_interarrival_s * (1.0 - bg.rng.next_f64()).ln();
             bg.next_arrival_t = self.now_s + gap.max(1.0);
             self.background = Some(bg);
             self.submit(JobRequest {

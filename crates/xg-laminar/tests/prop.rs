@@ -1,9 +1,9 @@
 //! Property-based invariants of the Laminar dataflow system.
 
-use proptest::prelude::*;
 use std::sync::Arc;
 use xg_cspot::CspotNode;
 use xg_laminar::prelude::*;
+use xg_prop::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -13,9 +13,9 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::I64),
         any::<bool>().prop_map(Value::Bool),
         "[a-zA-Z0-9 λµ]{0,24}".prop_map(Value::Text),
-        proptest::collection::vec(any::<f64>().prop_filter("finite", |x| x.is_finite()), 0..16)
+        xg_prop::collection::vec(any::<f64>().prop_filter("finite", |x| x.is_finite()), 0..16)
             .prop_map(Value::F64Vec),
-        proptest::collection::vec(any::<u8>(), 0..32).prop_map(Value::Bytes),
+        xg_prop::collection::vec(any::<u8>(), 0..32).prop_map(Value::Bytes),
     ]
 }
 
@@ -48,7 +48,7 @@ proptest! {
     /// same values in any order yields the same outputs.
     #[test]
     fn firing_order_independent(
-        pairs in proptest::collection::vec((any::<u16>(), -1e6f64..1e6, -1e6f64..1e6), 1..8),
+        pairs in xg_prop::collection::vec((any::<u16>(), -1e6f64..1e6, -1e6f64..1e6), 1..8),
         shuffle_seed in 0u64..1000,
     ) {
         let build = || {

@@ -8,8 +8,8 @@
 //! [`xg_sim::normal`], whose variates are a function of the stream alone.
 
 use crate::units::Db;
-use rand::Rng;
 use xg_sim::normal;
+use xg_sim::rng::Rng;
 
 /// AR(1) shadowing + Gaussian fast-fading channel.
 ///
@@ -50,7 +50,7 @@ impl ShadowingChannel {
     }
 
     /// Advance one TTI and return the SNR offset to apply (dB).
-    pub(crate) fn step<R: Rng>(&mut self, rng: &mut R) -> Db {
+    pub(crate) fn step(&mut self, rng: &mut Rng) -> Db {
         let w = normal::standard(rng);
         self.state = self.rho * self.state + self.shadow_gain * w;
         let fast = normal::standard(rng) * self.sigma_fast;
@@ -74,12 +74,10 @@ impl ShadowingChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn gaussian_moments() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let n = 200_000;
         let samples: Vec<f64> = (0..n).map(|_| normal::standard(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
@@ -90,7 +88,7 @@ mod tests {
 
     #[test]
     fn shadowing_stationary_sd() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let mut ch = ShadowingChannel::new(0.95, 2.0, 0.0);
         // Warm up past the transient.
         for _ in 0..1_000 {
@@ -107,7 +105,7 @@ mod tests {
 
     #[test]
     fn shadowing_is_correlated() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut ch = ShadowingChannel::new(0.999, 1.0, 0.0);
         for _ in 0..5_000 {
             ch.step(&mut rng);
@@ -131,7 +129,7 @@ mod tests {
         for (rho, sigma) in [(0.999, 0.8), (0.95, 2.0), (0.0, 1.3), (0.5, 0.0)] {
             let mut folded = ShadowingChannel::new(rho, sigma, 0.4);
             let mut unfolded = folded.clone();
-            let mut rng_a = StdRng::seed_from_u64(5);
+            let mut rng_a = Rng::seed_from_u64(5);
             let mut rng_b = rng_a.clone();
             for _ in 0..2_000 {
                 let a = folded.step(&mut rng_a).0;

@@ -37,7 +37,7 @@ use crate::slice::Snssai;
 use crate::traffic::TrafficModel;
 use std::sync::Arc;
 use xg_obs::{Obs, ProfNode};
-use xg_sim::{Advance, SimNs};
+use xg_sim::{rng, Advance, SimNs};
 
 /// Index of one cell within a fleet (stable for the fleet's lifetime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,14 +67,11 @@ pub struct CellBatch {
 
 /// Derive one cell's RNG seed from the fleet seed and the cell id.
 ///
-/// SplitMix64-style finalizer over `fleet_seed ^ golden * (cell_id + 1)`:
+/// SplitMix64's finalizer over `fleet_seed ^ golden * (cell_id + 1)`:
 /// cheap, stateless, and avalanching, so neighbouring cell ids get
 /// uncorrelated streams and a cell's seed never depends on fleet size.
 pub(crate) fn cell_seed(fleet_seed: u64, cell_id: u32) -> u64 {
-    let mut z = fleet_seed ^ (u64::from(cell_id) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rng::mix(fleet_seed ^ (u64::from(cell_id) + 1).wrapping_mul(rng::GOLDEN_GAMMA))
 }
 
 /// Pre-resolved fleet-level instruments.

@@ -175,8 +175,8 @@ fn debug_check_fits(grants: &[(u32, u32)], quota: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use xg_prop::prelude::*;
 
     /// [`MacScheduler::allocate_into`] into a fresh vector.
     fn allocate(s: &mut MacScheduler, quota: u32, requests: &[UlRequest]) -> Vec<(u32, u32)> {
@@ -459,7 +459,7 @@ mod tests {
         #[test]
         fn rr_matches_the_original(
             rr_turn in prop_oneof![0u64..1_000, (u64::MAX - 50)..=u64::MAX],
-            ttis in proptest::collection::vec((0u32..=273, 0u32..=40), 1..40),
+            ttis in xg_prop::collection::vec((0u32..=273, 0u32..=40), 1..40),
         ) {
             let mut sched = MacScheduler::new(SchedulerKind::RoundRobin);
             sched.rr_turn = rr_turn;
@@ -479,9 +479,9 @@ mod tests {
         #[test]
         fn pf_matches_the_map_based_original(
             quota in 1u32..=273,
-            ttis in proptest::collection::vec(
+            ttis in xg_prop::collection::vec(
                 (
-                    proptest::collection::vec((0u32..40, 0u32..4, 0u32..3), 1..12),
+                    xg_prop::collection::vec((0u32..40, 0u32..4, 0u32..3), 1..12),
                     0u32..1_000,
                     0u32..4,
                 ),
@@ -521,11 +521,11 @@ mod tests {
         /// here, and show per window in E2's granted/capacity.
         #[test]
         fn grants_sum_to_exactly_the_quota(
-            pf in proptest::bool::ANY,
+            pf in xg_prop::bool::ANY,
             quota in prop_oneof![1u32..=8, 1u32..=273],
-            zero_weights in proptest::bool::ANY,
-            ttis in proptest::collection::vec(
-                (proptest::collection::vec((0u32..64, 0u32..6, 0usize..6), 1..24), 0u32..1_000),
+            zero_weights in xg_prop::bool::ANY,
+            ttis in xg_prop::collection::vec(
+                (xg_prop::collection::vec((0u32..64, 0u32..6, 0usize..6), 1..24), 0u32..1_000),
                 1..30,
             ),
         ) {

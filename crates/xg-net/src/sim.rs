@@ -20,10 +20,9 @@ use crate::slice::{SliceId, Snssai};
 use crate::traffic::TrafficModel;
 use crate::ue::UeContext;
 use crate::units::Db;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 use xg_obs::{Counter, Histogram, Obs};
+use xg_sim::rng::Rng;
 use xg_sim::{Advance, SimNs};
 
 /// Opaque handle to an attached UE.
@@ -108,7 +107,7 @@ pub struct LinkSimulator {
     ues: Vec<UeContext>,
     scheds: Vec<MacScheduler>,
     link_adapt: LinkAdaptation,
-    rng: StdRng,
+    rng: Rng,
     slot: u64,
     next_sim_index: u32,
     total_prbs: u32,
@@ -219,7 +218,7 @@ impl LinkSimulator {
             ues: Vec::new(),
             scheds,
             link_adapt,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             slot: 0,
             next_sim_index: 0,
             total_prbs,

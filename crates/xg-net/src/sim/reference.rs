@@ -19,7 +19,6 @@ use super::*;
 use crate::phy::{
     SHANNON_BITS, SHANNON_BITS_PER_DB, SHANNON_MAX_DB, SHANNON_MIN_DB, SHANNON_PER_DB,
 };
-use rand::Rng;
 use xg_sim::{math, normal};
 
 /// A standard normal, written out from the ziggurat's definition over the
@@ -27,7 +26,7 @@ use xg_sim::{math, normal};
 /// sign, the top 52 bits the magnitude; inside the next layer's edge it is
 /// accepted outright, else layer 0 goes to the tail and the others test
 /// their wedge against the density.
-fn normal_naive<R: Rng>(rng: &mut R) -> f64 {
+fn normal_naive(rng: &mut Rng) -> f64 {
     loop {
         let word = rng.next_u64();
         let layer = (word % 256) as usize;
@@ -40,8 +39,8 @@ fn normal_naive<R: Rng>(rng: &mut R) -> f64 {
         }
         if layer == 0 {
             loop {
-                let a = math::ln(1.0 - rng.gen::<f64>()) / normal::TAIL_START;
-                let b = math::ln(1.0 - rng.gen::<f64>());
+                let a = math::ln(1.0 - rng.next_f64()) / normal::TAIL_START;
+                let b = math::ln(1.0 - rng.next_f64());
                 if a * a <= -2.0 * b {
                     let tail = normal::TAIL_START - a;
                     return if negative { -tail } else { tail };
@@ -49,7 +48,7 @@ fn normal_naive<R: Rng>(rng: &mut R) -> f64 {
             }
         }
         let (low, high) = (normal::LAYER_F[layer], normal::LAYER_F[layer + 1]);
-        let height = low + rng.gen::<f64>() * (high - low);
+        let height = low + rng.next_f64() * (high - low);
         if height < math::exp(-0.5 * x * x) {
             return x;
         }
@@ -251,7 +250,7 @@ mod tests {
     use crate::rat::Rat;
     use crate::slice::{SliceConfig, SliceProfile};
     use crate::units::MHz;
-    use proptest::prelude::*;
+    use xg_prop::prelude::*;
 
     /// Everything a simulator carries from one call to the next — RNG,
     /// every UE (queue, window, channel, E2 counters, caps and weights),
@@ -366,12 +365,12 @@ mod tests {
         #[test]
         fn event_engine_is_bitwise_identical_to_stepped(
             seed in 0u64..u64::MAX,
-            cell in (proptest::bool::ANY, proptest::bool::ANY, 1usize..=3, 0u32..4),
-            ues in proptest::collection::vec(
-                (0u32..3, 0u32..3, proptest::bool::ANY, 0u32..6),
+            cell in (xg_prop::bool::ANY, xg_prop::bool::ANY, 1usize..=3, 0u32..4),
+            ues in xg_prop::collection::vec(
+                (0u32..3, 0u32..3, xg_prop::bool::ANY, 0u32..6),
                 1..5,
             ),
-            script in proptest::collection::vec((0u32..17, 0u32..10_000, 0u32..1_000), 4..14),
+            script in xg_prop::collection::vec((0u32..17, 0u32..10_000, 0u32..1_000), 4..14),
         ) {
             let (tdd, pf, n_slices, shares) = cell;
             let duplex = if tdd { Duplex::tdd_default() } else { Duplex::Fdd };

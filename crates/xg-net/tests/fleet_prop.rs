@@ -6,8 +6,8 @@
 // event engine.
 #![allow(clippy::disallowed_macros)]
 
-use proptest::prelude::*;
 use xg_net::prelude::*;
+use xg_prop::prelude::*;
 
 /// Build a fleet of `cells` identical 20 MHz NR FDD cells with `ues`
 /// backlogged Raspberry Pi UEs each.

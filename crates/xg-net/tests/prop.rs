@@ -1,11 +1,11 @@
 //! Property-based invariants of the RAN simulator.
 
-use proptest::prelude::*;
 use xg_net::device::UnitVariation;
 use xg_net::phy::{LinkAdaptation, UplinkPower};
 use xg_net::prelude::*;
 use xg_net::rat::TddPattern;
 use xg_net::units::Db;
+use xg_prop::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -10,11 +10,11 @@
 //! bucket counts — the property multi-site aggregation and the fleet's
 //! merged profiles rely on.
 
-use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -170,6 +170,12 @@ impl Histogram {
         h
     }
 
+    /// The buckets, locked. A poisoned lock is taken as it stands, so a
+    /// panic elsewhere cannot take the metrics down with it.
+    fn core(&self) -> MutexGuard<'_, HistCore> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn bucket_index(&self, v: f64) -> Option<i32> {
         if v <= ZERO_THRESHOLD {
             None
@@ -186,7 +192,7 @@ impl Histogram {
         }
         let v = v.max(0.0);
         let idx = self.bucket_index(v);
-        self.core.lock().record(v, idx, self.dense.as_ref());
+        self.core().record(v, idx, self.dense.as_ref());
     }
 
     /// [`record`](Self::record) through exclusive access, which needs no
@@ -198,13 +204,16 @@ impl Histogram {
         }
         let v = v.max(0.0);
         let idx = self.bucket_index(v);
-        self.core.get_mut().record(v, idx, self.dense.as_ref());
+        self.core
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record(v, idx, self.dense.as_ref());
     }
 
     /// A point-in-time snapshot (dense counts folded into sparse buckets).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut core = HistCore::default();
-        core.merge(&self.core.lock());
+        core.merge(&self.core());
         HistogramSnapshot {
             ln_gamma: self.ln_gamma,
             core,
@@ -213,7 +222,7 @@ impl Histogram {
 
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.core.lock().count
+        self.core().count
     }
 
     /// Log of the bucket growth factor γ.
@@ -225,7 +234,7 @@ impl Histogram {
     /// order, into `out` (cleared first) and return `(count, zero)`: the
     /// cumulative state a snapshot would fold, without building one.
     pub(crate) fn read_buckets(&self, out: &mut Vec<(i32, u64)>) -> (u64, u64) {
-        let core = self.core.lock();
+        let core = self.core();
         out.clear();
         let sparse = |r: std::ops::RangeFrom<i32>, to: Option<i32>| {
             core.buckets
@@ -423,6 +432,17 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The names, read-locked. Poison is recovered as in
+    /// `Histogram::core`.
+    fn names(&self) -> RwLockReadGuard<'_, Names> {
+        self.names.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The names, write-locked.
+    fn names_mut(&self) -> RwLockWriteGuard<'_, Names> {
+        self.names.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn get_or_insert<T>(
         &self,
         name: &str,
@@ -430,10 +450,10 @@ impl MetricsRegistry {
         unwrap: impl Fn(&Instrument) -> Option<Arc<T>>,
         make: impl Fn() -> T,
     ) -> Arc<T> {
-        if let Some(found) = self.names.read().instruments.get(name).and_then(&unwrap) {
+        if let Some(found) = self.names().instruments.get(name).and_then(&unwrap) {
             return found;
         }
-        let map = &mut self.names.write().instruments;
+        let map = &mut self.names_mut().instruments;
         match map.get(name).and_then(&unwrap) {
             Some(found) => found,
             None if map.contains_key(name) => Arc::new(make()), // kind mismatch: detached
@@ -486,12 +506,12 @@ impl MetricsRegistry {
 
     /// The instrument registered under `name`, if any (never creates).
     pub(crate) fn find(&self, name: &str) -> Option<Instrument> {
-        self.names.read().instruments.get(name).cloned()
+        self.names().instruments.get(name).cloned()
     }
 
     /// Call `f` on every registered instrument, in name order.
     pub(crate) fn visit(&self, mut f: impl FnMut(&str, &Instrument)) {
-        for (name, inst) in &self.names.read().instruments {
+        for (name, inst) in &self.names().instruments {
             f(name, inst);
         }
     }
@@ -517,14 +537,14 @@ impl MetricsRegistry {
     /// the Prometheus exporter as a `# HELP` line. Optional: names with
     /// no registered help render exactly as before. Last write wins.
     pub fn set_help(&self, name: &str, help: &str) {
-        let help_texts = &mut self.names.write().help;
+        let help_texts = &mut self.names_mut().help;
         help_texts.insert(name.to_string(), help.to_string());
     }
 
     /// A point-in-time snapshot of every registered instrument, sorted
     /// by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let names = self.names.read();
+        let names = self.names();
         let mut snap = MetricsSnapshot {
             help: names.help.clone(),
             ..MetricsSnapshot::default()
@@ -543,7 +563,7 @@ impl MetricsRegistry {
         names: &std::collections::BTreeSet<String>,
     ) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        let map = &self.names.read().instruments;
+        let map = &self.names().instruments;
         for name in names {
             if let Some(inst) = map.get(name) {
                 Self::snap_one(&mut snap, name, inst);
@@ -602,8 +622,8 @@ mod tests {
             sparse.snapshot().delta_since(&s),
             dense.snapshot().delta_since(&earlier)
         );
-        assert_eq!(dense.core.lock().dense.len(), 347, "1 ..= 1e3 at 1 %");
-        assert_eq!(dense.core.lock().buckets.len(), 2, "0.25 and 4e4");
+        assert_eq!(dense.core().dense.len(), 347, "1 ..= 1e3 at 1 %");
+        assert_eq!(dense.core().buckets.len(), 2, "0.25 and 4e4");
     }
 
     #[test]
@@ -614,7 +634,7 @@ mod tests {
         for first in [0.0, 0.25, 7.5, 4e4] {
             let h = Histogram::with_dense_range(1.0, 1e3);
             h.record(first);
-            assert_eq!(h.core.lock().dense.len(), 347, "first sample {first}");
+            assert_eq!(h.core().dense.len(), 347, "first sample {first}");
             let sparse = Histogram::new();
             sparse.record(first);
             assert_eq!(h.snapshot(), sparse.snapshot());

@@ -34,9 +34,9 @@
 use crate::clock::wall_now_ns;
 use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::span::{SpanId, SpanRecord, TraceId};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Path separator joining attribution-tree levels.
 pub(crate) const PATH_SEP: char = '/';
@@ -250,6 +250,12 @@ impl Profiler {
         Profiler::default()
     }
 
+    /// The tree, locked. A poisoned lock is taken as it stands: a scope
+    /// that drops while its thread unwinds still records.
+    fn tree(&self) -> MutexGuard<'_, Tree> {
+        self.tree.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Open a root scope; time is attributed when the guard drops.
     pub fn scope<'a>(&'a self, name: &'a str) -> ProfScope<'a> {
         ProfScope {
@@ -273,18 +279,18 @@ impl Profiler {
     /// Resolve `path` (as [`record_at`](Self::record_at) takes it) once.
     /// The node enters snapshots on its first record.
     pub fn node(&self, path: &str) -> ProfNode {
-        ProfNode(self.tree.lock().node(path))
+        ProfNode(self.tree().node(path))
     }
 
     /// Resolve the child `name` of `parent` once, named as
     /// [`scope_under`](Self::scope_under) names it.
     pub fn child(&self, parent: ProfNode, name: &str) -> ProfNode {
-        ProfNode(self.tree.lock().child(parent.0, name))
+        ProfNode(self.tree().child(parent.0, name))
     }
 
     /// [`record_at`](Self::record_at) a resolved node.
     pub fn record_node(&self, node: ProfNode, dur_ns: u64) {
-        self.tree.lock().record(node.0, dur_ns);
+        self.tree().record(node.0, dur_ns);
     }
 
     /// [`scope`](Self::scope) at a resolved node.
@@ -302,7 +308,7 @@ impl Profiler {
     /// Integer addition into the tree makes this bitwise
     /// order-independent — the deterministic-attribution surface.
     pub fn record_at(&self, path: &str, dur_ns: u64) {
-        let mut tree = self.tree.lock();
+        let mut tree = self.tree();
         let i = tree.node(path);
         tree.record(i, dur_ns);
     }
@@ -313,7 +319,7 @@ impl Profiler {
     /// own name. Pass spans of a single clock domain — mixing sim and
     /// wall durations in one tree makes the totals meaningless.
     pub fn record_trace(&self, spans: &[SpanRecord]) {
-        let mut tree = self.tree.lock();
+        let mut tree = self.tree();
         let tree = &mut *tree;
         tree.trace_keys.clear();
         tree.trace_keys
@@ -341,7 +347,7 @@ impl Profiler {
 
     /// A point-in-time snapshot of the attribution tree.
     pub fn snapshot(&self) -> ProfileSnapshot {
-        let tree = self.tree.lock();
+        let tree = self.tree();
         let touched = tree.by_path.iter().filter(|&(_, &i)| tree.nodes[i].touched);
         let nodes = touched.map(|(path, &i)| {
             let core = &tree.nodes[i].core;
@@ -400,7 +406,7 @@ impl ProfScope<'_> {
 impl Drop for ProfScope<'_> {
     fn drop(&mut self) {
         let dur = wall_now_ns().saturating_sub(self.start_ns);
-        let mut tree = self.prof.tree.lock();
+        let mut tree = self.prof.tree();
         let i = match self.at {
             At::Root(name) => tree.root(name),
             At::Under(parent, name) => {
@@ -486,7 +492,7 @@ mod tests {
     use super::*;
     use crate::clock::ClockDomain;
     use crate::oracle::StringProfiler;
-    use proptest::prelude::*;
+    use xg_prop::prelude::*;
 
     #[test]
     fn scoped_guards_build_a_tree_with_self_and_child_time() {
@@ -622,7 +628,7 @@ mod tests {
             0u64..5_000,
             0u64..40,
         );
-        proptest::collection::vec(span, 0..10).prop_map(|raw| {
+        xg_prop::collection::vec(span, 0..10).prop_map(|raw| {
             let ids: Vec<u64> = (1..=raw.len() as u64).map(|i| i * 3).collect();
             raw.iter()
                 .zip(&ids)
@@ -654,7 +660,7 @@ mod tests {
         /// span-tree ingests.
         #[test]
         fn matches_the_string_keyed_oracle(
-            ops in proptest::collection::vec(
+            ops in xg_prop::collection::vec(
                 prop_oneof![
                     (0usize..PATHS.len(), 0u64..1_000_000).prop_map(|(p, ns)| Op::At(p, ns)),
                     spans().prop_map(Op::Trace),

@@ -21,12 +21,12 @@ use crate::export::json_escape;
 use crate::metrics::MetricsSnapshot;
 use crate::profile::ProfileSnapshot;
 use crate::span::{SpanId, SpanRecord};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One buffered event.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,8 +83,14 @@ impl FlightRecorder {
         }
     }
 
+    /// The ring, locked. A poisoned lock is taken as it stands: the panic
+    /// hook reads the recorder after a panic, whoever held it then.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn push(&self, entry: FlightEntry) {
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring();
         let ring = &mut *ring;
         if matches!(entry, FlightEntry::Span(_)) && ring.traced {
             ring.traced_len += 1;
@@ -111,7 +117,7 @@ impl FlightRecorder {
     /// A recorder feeds at most one tracer: a second one would share the
     /// first one's list.
     pub(crate) fn attach_tracer(&self) {
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring();
         assert!(!ring.traced, "a flight recorder feeds at most one tracer");
         ring.traced = true;
         ring.untaken_from = ring.dropped + ring.entries.len() as u64;
@@ -119,13 +125,13 @@ impl FlightRecorder {
 
     /// Length of the attached tracer's span list.
     pub(crate) fn traced_len(&self) -> usize {
-        self.ring.lock().traced_len
+        self.ring().traced_len
     }
 
     /// The attached tracer's span list in recording order; `take` hands
     /// it out, so later calls start empty. The ring keeps its entries.
     pub(crate) fn traced_spans(&self, take: bool) -> Vec<SpanRecord> {
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring();
         let ring = &mut *ring;
         let mut out = if take {
             std::mem::take(&mut ring.archive)
@@ -156,7 +162,7 @@ impl FlightRecorder {
 
     /// Entries currently buffered (≤ capacity by construction).
     pub fn len(&self) -> usize {
-        self.ring.lock().entries.len()
+        self.ring().entries.len()
     }
 
     /// Whether nothing is buffered.
@@ -166,12 +172,12 @@ impl FlightRecorder {
 
     /// Entries evicted so far to stay within budget.
     pub fn dropped(&self) -> u64 {
-        self.ring.lock().dropped
+        self.ring().dropped
     }
 
     /// Snapshot the buffer as `(sequence number, entry)`, oldest first.
     pub fn entries(&self) -> Vec<(u64, FlightEntry)> {
-        let ring = self.ring.lock();
+        let ring = self.ring();
         (ring.dropped..).zip(ring.entries.iter().cloned()).collect()
     }
 
@@ -626,5 +632,19 @@ mod tests {
         let rec = Arc::new(FlightRecorder::new(8));
         let _first = Tracer::with_sink(Arc::clone(&rec));
         let _second = Tracer::with_sink(rec);
+    }
+
+    /// A panic while the ring is locked poisons it; the recorder still
+    /// records and reads, as the panic hook needs it to.
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_recorder_readable() {
+        let rec = Arc::new(FlightRecorder::new(8));
+        let _first = Tracer::with_sink(Arc::clone(&rec));
+        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Tracer::with_sink(Arc::clone(&rec))
+        }));
+        assert!(second.is_err() && rec.ring.is_poisoned());
+        rec.record_span(span(1, 1, None, "after"));
+        assert_eq!((rec.len(), rec.traced_len()), (1, 1));
     }
 }

@@ -324,7 +324,7 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
     use crate::oracle::StringWindow;
-    use proptest::prelude::*;
+    use xg_prop::prelude::*;
 
     fn window() -> MetricsWindow {
         MetricsWindow::new(WindowConfig {
@@ -446,9 +446,9 @@ mod tests {
         /// counter delta, after every tick, focused or not.
         #[test]
         fn matches_the_string_keyed_oracle(
-            ops in proptest::collection::vec(op(), 1..160),
+            ops in xg_prop::collection::vec(op(), 1..160),
             intervals in 1usize..5,
-            focused in proptest::bool::ANY,
+            focused in xg_prop::bool::ANY,
         ) {
             let reg = MetricsRegistry::new();
             let cfg = WindowConfig { interval_s: 300.0, intervals };

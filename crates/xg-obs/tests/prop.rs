@@ -1,9 +1,9 @@
 //! Property-based invariants of the log-linear histogram and the
 //! black-box flight recorder.
 
-use proptest::prelude::*;
 use xg_obs::clock::ClockDomain;
 use xg_obs::{FlightRecorder, Histogram, SpanRecord};
+use xg_prop::prelude::*;
 
 /// The histograms' guaranteed relative error.
 const REL_ERR: f64 = 0.01;
@@ -23,7 +23,7 @@ proptest! {
     /// spanning many decades.
     #[test]
     fn quantiles_within_relative_error_bound(
-        values in proptest::collection::vec(1e-6f64..1e9, 1..400),
+        values in xg_prop::collection::vec(1e-6f64..1e9, 1..400),
     ) {
         let h = Histogram::new();
         for &v in &values {
@@ -53,8 +53,8 @@ proptest! {
     /// full structural equality is well-defined.
     #[test]
     fn shard_merge_equals_single_stream(
-        values in proptest::collection::vec(1u32..1_000_000, 1..300),
-        assignment in proptest::collection::vec(0usize..4, 300),
+        values in xg_prop::collection::vec(1u32..1_000_000, 1..300),
+        assignment in xg_prop::collection::vec(0usize..4, 300),
     ) {
         let shards: Vec<Histogram> = (0..4).map(|_| Histogram::new()).collect();
         let single = Histogram::new();
@@ -77,8 +77,8 @@ proptest! {
     /// where f64 sums are *not* exact.
     #[test]
     fn shard_merge_order_independent_and_quantile_equivalent(
-        values in proptest::collection::vec(1e-3f64..1e7, 1..300),
-        assignment in proptest::collection::vec(0usize..4, 300),
+        values in xg_prop::collection::vec(1e-3f64..1e7, 1..300),
+        assignment in xg_prop::collection::vec(0usize..4, 300),
     ) {
         let shards: Vec<Histogram> = (0..4).map(|_| Histogram::new()).collect();
         for (i, &v) in values.iter().enumerate() {
@@ -164,7 +164,7 @@ proptest! {
     /// entries are exactly the most recent ones, oldest first.
     #[test]
     fn recorder_memory_stays_bounded(
-        traces in proptest::collection::vec(any::<u8>(), 1..250),
+        traces in xg_prop::collection::vec(any::<u8>(), 1..250),
         capacity in 4usize..80,
     ) {
         let n = traces.len();
@@ -185,9 +185,9 @@ proptest! {
     /// every surviving parent before all of its surviving children.
     #[test]
     fn recorder_dump_preserves_causal_order(
-        traces in proptest::collection::vec(any::<u8>(), 1..120),
-        parent_pick in proptest::collection::vec(any::<u8>(), 120),
-        order_key in proptest::collection::vec(any::<u32>(), 120),
+        traces in xg_prop::collection::vec(any::<u8>(), 1..120),
+        parent_pick in xg_prop::collection::vec(any::<u8>(), 120),
+        order_key in xg_prop::collection::vec(any::<u32>(), 120),
         capacity in 4usize..96,
     ) {
         let rec = FlightRecorder::new(capacity);

@@ -22,40 +22,36 @@
 use crate::action::{resolve_conflicts, Emitted, RicAction};
 use std::fmt;
 use xg_net::e2::CellIndication;
+use xg_sim::rng::{self, SplitMix64};
 
 #[cfg(test)]
 mod reference;
 
 /// Derive one xApp's RNG seed from the RIC seed and its registration
-/// index (the same SplitMix64-style finalizer as `xg_net::fleet::cell_seed`,
-/// over a different tag so the streams never collide with cell streams).
+/// index (SplitMix64's finalizer, as `xg_net::fleet::cell_seed`, over a
+/// different tag so the streams never collide with cell streams).
 pub(crate) fn xapp_seed(ric_seed: u64, index: usize) -> u64 {
-    let tag = 0x5249_4300u64 ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut z = ric_seed ^ tag;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let tag = 0x5249_4300u64 ^ (index as u64 + 1).wrapping_mul(rng::GOLDEN_GAMMA);
+    rng::mix(ric_seed ^ tag)
 }
 
 /// Per-xApp execution context: a seeded private RNG stream. Handed
 /// mutably to [`XApp::on_indication`].
 #[derive(Debug, Clone)]
 pub struct XAppCtx {
-    state: u64,
+    stream: SplitMix64,
 }
 
 impl XAppCtx {
     pub(crate) fn new(seed: u64) -> Self {
-        XAppCtx { state: seed }
+        XAppCtx {
+            stream: SplitMix64::new(seed),
+        }
     }
 
     /// Next value of the xApp's private SplitMix64 stream.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.stream.next_u64()
     }
 
     /// Next uniform sample in `[0, 1)` from the private stream.

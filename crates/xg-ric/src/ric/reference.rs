@@ -10,10 +10,10 @@
 
 use super::*;
 use crate::xapps::{BurstGuard, DemandSlicer, McsCapper};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 use xg_net::e2::{SliceReport, UeReport};
 use xg_net::slice::Snssai;
+use xg_prop::prelude::*;
 
 pub(super) struct CacheAndRebuild {
     seed: u64,
@@ -183,9 +183,9 @@ proptest! {
     fn persistent_view_matches_cache_and_rebuild(
         seed in 0u64..u64::MAX,
         // Per cell: first and last period it may report in.
-        windows in proptest::collection::vec((0u32..12, 0u32..12), 1..7),
-        periods in proptest::collection::vec(
-            proptest::collection::vec((0u32..7, 0u32..1_000), 0..9),
+        windows in xg_prop::collection::vec((0u32..12, 0u32..12), 1..7),
+        periods in xg_prop::collection::vec(
+            xg_prop::collection::vec((0u32..7, 0u32..1_000), 0..9),
             1..16,
         ),
     ) {

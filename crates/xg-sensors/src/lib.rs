@@ -45,7 +45,6 @@
 pub mod breach;
 pub mod facility;
 pub mod network;
-pub mod power;
 pub mod qc;
 mod station;
 pub mod telemetry;

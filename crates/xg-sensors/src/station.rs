@@ -10,8 +10,7 @@
 use crate::facility::CupsFacility;
 use crate::telemetry::TelemetryRecord;
 use crate::weather::WeatherState;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use xg_sim::rng::{Rng, GOLDEN_GAMMA};
 
 /// Where a station sits relative to the screen house.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,7 +93,7 @@ pub(crate) struct WeatherStation {
     pub placement: Placement,
     /// Noise model.
     pub noise: NoiseModel,
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl WeatherStation {
@@ -104,7 +103,7 @@ impl WeatherStation {
             id,
             placement,
             noise: NoiseModel::default(),
-            rng: StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            rng: Rng::seed_from_u64(seed ^ (id as u64).wrapping_mul(GOLDEN_GAMMA)),
         }
     }
 
@@ -154,8 +153,8 @@ impl WeatherStation {
     }
 
     fn gauss(&mut self) -> f64 {
-        let u1: f64 = 1.0 - self.rng.gen::<f64>();
-        let u2: f64 = self.rng.gen();
+        let u1: f64 = 1.0 - self.rng.next_f64();
+        let u2: f64 = self.rng.next_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 }

@@ -6,9 +6,8 @@
 //! CFD runs in §4.4), wind direction drift, and humidity anti-correlated
 //! with temperature.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use xg_sim::normal;
+use xg_sim::rng::Rng;
 
 /// Instantaneous true atmospheric state at the site.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +67,7 @@ impl Default for WeatherConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct WeatherSim {
     config: WeatherConfig,
-    rng: StdRng,
+    rng: Rng,
     t_s: f64,
     gust: f64,
     dir_deg: f64,
@@ -80,7 +79,7 @@ impl WeatherSim {
     pub(crate) fn new(config: WeatherConfig, seed: u64) -> Self {
         WeatherSim {
             config,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             t_s: 0.0,
             gust: 0.0,
             dir_deg: 315.0, // prevailing NW
@@ -112,7 +111,7 @@ impl WeatherSim {
         self.gust =
             c.wind_rho * self.gust + (1.0 - c.wind_rho * c.wind_rho).sqrt() * c.wind_gust_sd_ms * w;
         // Weather fronts.
-        if self.front_remaining == 0 && self.rng.gen::<f64>() < c.front_prob_per_step {
+        if self.front_remaining == 0 && self.rng.next_f64() < c.front_prob_per_step {
             self.front_remaining = c.front_duration_steps;
         }
         let front_boost = if self.front_remaining > 0 {

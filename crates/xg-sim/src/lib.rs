@@ -20,10 +20,12 @@
 //!   order. See `queue` for the layout and the tie-breaking rule.
 //!
 //!
-//! Two small numeric modules sit beside them, because a draw that depends
-//! on the host's libm makes a digest a property of the platform as well as
-//! of the seed:
+//! Three small numeric modules sit beside them, because a digest must be a
+//! function of the run seed alone: every stream derives from it, and a
+//! draw that depended on the host's libm would tie a digest to the platform:
 //!
+//! * [`rng`] — the one random-number generator of the workspace,
+//!   xoshiro256** seeded by SplitMix64, and SplitMix64 itself.
 //! * [`math`] — `const fn` [`math::exp`] and [`math::ln`] from IEEE 754
 //!   basic operations only, the same bits on every host.
 //! * [`normal`] — the one standard-normal sampler of the workspace, a
@@ -50,6 +52,7 @@
 pub mod math;
 pub mod normal;
 mod queue;
+pub mod rng;
 
 pub use queue::EventQueue;
 

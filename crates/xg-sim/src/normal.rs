@@ -26,7 +26,7 @@
 //! Method for Generating Random Variables", 2000): 4 KB of read-only data.
 
 use crate::math;
-use rand::RngCore;
+use crate::rng::WordSource;
 
 /// Layers of the ziggurat.
 const LAYERS: usize = 256;
@@ -81,7 +81,7 @@ const TWO_POW_M53: f64 = 1.0 / (1u64 << 53) as f64;
 const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
 
 /// Uniform on `[0, 1)` from the top 53 bits of one draw.
-fn unit<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+fn unit<W: WordSource + ?Sized>(rng: &mut W) -> f64 {
     (rng.next_u64() >> 11) as f64 * TWO_POW_M53
 }
 
@@ -103,7 +103,7 @@ fn candidate(bits: u64) -> (usize, f64, bool) {
 
 /// One standard normal variate.
 #[inline]
-pub fn standard<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+pub fn standard<W: WordSource + ?Sized>(rng: &mut W) -> f64 {
     let (i, x, inside) = candidate(rng.next_u64());
     if inside {
         return x;
@@ -116,7 +116,7 @@ pub fn standard<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
 /// word and starts over.
 #[cold]
 #[inline(never)]
-fn rare<R: RngCore + ?Sized>(rng: &mut R, mut i: usize, mut x: f64) -> f64 {
+fn rare<W: WordSource + ?Sized>(rng: &mut W, mut i: usize, mut x: f64) -> f64 {
     loop {
         if i == 0 {
             let tail = tail(rng);
@@ -136,7 +136,7 @@ fn rare<R: RngCore + ?Sized>(rng: &mut R, mut i: usize, mut x: f64) -> f64 {
 
 /// `|x|` conditioned on `|x| > R`: Marsaglia's method, two uniforms on
 /// `(0, 1]` per attempt.
-fn tail<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+fn tail<W: WordSource + ?Sized>(rng: &mut W) -> f64 {
     loop {
         let a = math::ln(1.0 - unit(rng)) / TAIL_START;
         let b = math::ln(1.0 - unit(rng));
@@ -151,14 +151,13 @@ fn tail<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::rng::Rng;
 
     /// The sampler this one replaced: Box–Muller, one variate per two
     /// uniforms, `ln` and `cos` from libm.
-    fn box_muller<R: Rng>(rng: &mut R) -> f64 {
-        let u1: f64 = 1.0 - rng.gen::<f64>();
-        let u2: f64 = rng.gen();
+    fn box_muller(rng: &mut Rng) -> f64 {
+        let u1: f64 = 1.0 - rng.next_f64();
+        let u2: f64 = rng.next_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
@@ -168,7 +167,7 @@ mod tests {
     /// The sampler as it read before the inline fast path, verbatim: the
     /// oracle `fast_path_matches_the_parent_bit_for_bit` holds
     /// [`standard`] to. It shares only the tables, `unit` and `tail`.
-    fn parent_standard<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+    fn parent_standard<W: WordSource + ?Sized>(rng: &mut W) -> f64 {
         loop {
             let bits = rng.next_u64();
             let i = (bits & 0xff) as usize;
@@ -237,8 +236,8 @@ mod tests {
         d
     }
 
-    fn draws(seed: u64, n: usize, sample: fn(&mut StdRng) -> f64) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
+    fn draws(seed: u64, n: usize, sample: fn(&mut Rng) -> f64) -> Vec<f64> {
+        let mut rng = Rng::seed_from_u64(seed);
         (0..n).map(|_| sample(&mut rng)).collect()
     }
 
@@ -283,7 +282,7 @@ mod tests {
     #[test]
     fn three_and_four_sigma_tails_match_phi() {
         let n = 20_000_000;
-        let mut rng = StdRng::seed_from_u64(0x7A11);
+        let mut rng = Rng::seed_from_u64(0x7A11);
         let (mut beyond3, mut beyond4, mut beyond_tail) = (0u64, 0u64, 0u64);
         for _ in 0..n {
             let x = standard(&mut rng).abs();
@@ -317,20 +316,14 @@ mod tests {
 
     #[test]
     fn fast_path_takes_one_draw_about_99_percent_of_the_time() {
-        struct Counting(StdRng, u64);
-        impl RngCore for Counting {
-            fn next_u32(&mut self) -> u32 {
-                (self.next_u64() >> 32) as u32
-            }
+        struct Counting(Rng, u64);
+        impl WordSource for Counting {
             fn next_u64(&mut self) -> u64 {
                 self.1 += 1;
                 self.0.next_u64()
             }
-            fn fill_bytes(&mut self, dest: &mut [u8]) {
-                self.0.fill_bytes(dest)
-            }
         }
-        let mut rng = Counting(StdRng::seed_from_u64(3), 0);
+        let mut rng = Counting(Rng::seed_from_u64(3), 0);
         let n = 1_000_000;
         let one_draw = (0..n)
             .filter(|_| {
@@ -353,7 +346,7 @@ mod tests {
     /// branch of the sampler is reached by choosing the first words.
     struct Scripted {
         script: Vec<u64>,
-        rest: StdRng,
+        rest: Rng,
         taken: usize,
     }
 
@@ -361,25 +354,19 @@ mod tests {
         fn new(script: &[u64]) -> Self {
             Scripted {
                 script: script.to_vec(),
-                rest: StdRng::seed_from_u64(0x5C21),
+                rest: Rng::seed_from_u64(0x5C21),
                 taken: 0,
             }
         }
     }
 
-    impl RngCore for Scripted {
-        fn next_u32(&mut self) -> u32 {
-            (self.next_u64() >> 32) as u32
-        }
+    impl WordSource for Scripted {
         fn next_u64(&mut self) -> u64 {
             self.taken += 1;
             match self.script.get(self.taken - 1) {
                 Some(&word) => word,
                 None => self.rest.next_u64(),
             }
-        }
-        fn fill_bytes(&mut self, dest: &mut [u8]) {
-            self.rest.fill_bytes(dest)
         }
     }
 
@@ -393,7 +380,7 @@ mod tests {
     fn fast_path_matches_the_parent_bit_for_bit() {
         // 2.5 million draws from each of four seeds, compared as bits.
         for seed in [42, 7, 13, 0xDEAD_BEEF] {
-            let (mut new, mut old) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let (mut new, mut old) = (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));
             for n in 0..2_500_000 {
                 let (a, b) = (standard(&mut new), parent_standard(&mut old));
                 assert_eq!(

@@ -147,7 +147,7 @@ fn seg_log(dir: &std::path::Path, cfg: SegmentConfig) -> Log {
             element_size: 8,
             history: 1 << 20,
         },
-        Box::new(SegmentedBackend::open(dir, cfg).unwrap()),
+        SegmentedBackend::open(dir, cfg).unwrap(),
     )
     .unwrap()
 }
@@ -198,7 +198,7 @@ fn corrupt_middle_segment_fail_stops_never_truncates() {
             element_size: 8,
             history: 1 << 20,
         },
-        Box::new(SegmentedBackend::open(&dir, small_segments()).unwrap()),
+        SegmentedBackend::open(&dir, small_segments()).unwrap(),
     )
     .err()
     .expect("recovery over a corrupt sealed segment must fail");

@@ -6,11 +6,11 @@
 //! reference is held where the reference lives, in
 //! `xg-net/src/sim/reference.rs`.)
 
-use proptest::prelude::*;
 use xg_fabric::orchestrator::{FabricConfig, XgFabric};
 use xg_faults::{FaultKind, FaultPlan};
 use xg_net::prelude::*;
 use xg_net::traffic::TrafficModel;
+use xg_prop::prelude::*;
 use xg_sensors::network::REPORT_INTERVAL_S;
 
 /// One of four qualitatively different offered-load shapes: always-on,
@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn advance_to_is_chunking_invariant(
         seed in 0u64..u64::MAX,
-        splits in proptest::collection::vec(1u64..900, 1..5),
+        splits in xg_prop::collection::vec(1u64..900, 1..5),
     ) {
         let mut chunked = build_sim(seed, 2, 1);
         let mut oneshot = build_sim(seed, 2, 1);

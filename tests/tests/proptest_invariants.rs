@@ -1,19 +1,19 @@
 //! Property-based invariants spanning the substrates.
 
-use proptest::prelude::*;
 use xg_cspot::log::{Log, LogConfig};
 use xg_cspot::segment::{SegmentConfig, SegmentedBackend, SyncPolicy};
 use xg_hpc::cluster::{ClusterSim, JobRequest};
 use xg_laminar::stats;
 use xg_net::mac::{MacScheduler, SchedulerKind, UlRequest};
 use xg_net::slice::{SliceConfig, SliceProfile, Snssai};
+use xg_prop::prelude::*;
 
 proptest! {
     /// Slice quotas never exceed the grid and track shares within 1 PRB,
     /// for any valid share vector.
     #[test]
     fn slice_quotas_conserve_prbs(
-        shares in proptest::collection::vec(0.01f64..1.0, 1..6),
+        shares in xg_prop::collection::vec(0.01f64..1.0, 1..6),
         total_prb in 6u32..280,
     ) {
         let sum: f64 = shares.iter().sum();
@@ -42,8 +42,8 @@ proptest! {
     fn scheduler_conserves_quota(
         quota in 1u32..280,
         n_ues in 1usize..12,
-        pf in proptest::bool::ANY,
-        effs in proptest::collection::vec(0.1f64..7.0, 12),
+        pf in xg_prop::bool::ANY,
+        effs in xg_prop::collection::vec(0.1f64..7.0, 12),
     ) {
         let kind = if pf { SchedulerKind::ProportionalFair } else { SchedulerKind::RoundRobin };
         let mut sched = MacScheduler::new(kind);
@@ -71,7 +71,7 @@ proptest! {
     /// appended, for any payload stream and history size.
     #[test]
     fn log_sequences_dense_and_faithful(
-        payloads in proptest::collection::vec(proptest::collection::vec(0u8..255, 4), 1..40),
+        payloads in xg_prop::collection::vec(xg_prop::collection::vec(0u8..255, 4), 1..40),
         history in 1usize..50,
     ) {
         let log = Log::volatile(LogConfig { name: "p".into(), element_size: 4, history });
@@ -97,7 +97,7 @@ proptest! {
 
     /// Dedup is idempotent under arbitrary retry interleavings.
     #[test]
-    fn dedup_idempotent(retries in proptest::collection::vec(0usize..4, 1..20)) {
+    fn dedup_idempotent(retries in xg_prop::collection::vec(0usize..4, 1..20)) {
         let log = Log::volatile(LogConfig { name: "d".into(), element_size: 8, history: 1000 });
         for (i, &extra) in retries.iter().enumerate() {
             let token = (i + 1) as u128;
@@ -116,7 +116,7 @@ proptest! {
     /// never a gap, never a duplicate, never a torn read.
     #[test]
     fn segmented_engine_power_loss_keeps_synced_prefix(
-        payloads in proptest::collection::vec(proptest::collection::vec(0u8..255, 8), 1..60),
+        payloads in xg_prop::collection::vec(xg_prop::collection::vec(0u8..255, 8), 1..60),
         segment_bytes in 80u64..600,
         every in 1u32..12,
         crash_at in 0usize..60,
@@ -137,7 +137,7 @@ proptest! {
         let committed = {
             let log = Log::create(
                 mkconfig(),
-                Box::new(SegmentedBackend::open(&dir, cfg.clone()).unwrap()),
+                SegmentedBackend::open(&dir, cfg.clone()).unwrap(),
             ).unwrap();
             let crash = crash_at.min(payloads.len());
             for p in payloads.iter().take(crash) {
@@ -149,7 +149,7 @@ proptest! {
         };
         let log = Log::create(
             mkconfig(),
-            Box::new(SegmentedBackend::open(&dir, cfg).unwrap()),
+            SegmentedBackend::open(&dir, cfg).unwrap(),
         ).unwrap();
         // Exactly the committed prefix survives.
         prop_assert_eq!(log.latest_seq(), committed);
@@ -170,8 +170,8 @@ proptest! {
     /// p in [0, 1].
     #[test]
     fn stat_tests_symmetric(
-        a in proptest::collection::vec(-50.0f64..50.0, 3..12),
-        b in proptest::collection::vec(-50.0f64..50.0, 3..12),
+        a in xg_prop::collection::vec(-50.0f64..50.0, 3..12),
+        b in xg_prop::collection::vec(-50.0f64..50.0, 3..12),
     ) {
         if let (Some(r1), Some(r2)) = (stats::welch_t_test(&a, &b), stats::welch_t_test(&b, &a)) {
             prop_assert!((r1.p_value - r2.p_value).abs() < 1e-9);
@@ -192,7 +192,7 @@ proptest! {
     /// machine.
     #[test]
     fn cluster_scheduling_safe(
-        jobs in proptest::collection::vec((1u32..8, 60.0f64..4000.0), 1..15),
+        jobs in xg_prop::collection::vec((1u32..8, 60.0f64..4000.0), 1..15),
         nodes in 8u32..32,
     ) {
         let mut cluster = ClusterSim::new(nodes);

@@ -11,7 +11,6 @@
 //! instead of thrashing, and a RIC with zero xApps must leave any run
 //! bitwise unchanged.
 
-use proptest::prelude::*;
 use xg_fabric::orchestrator::{FabricConfig, XgFabric};
 use xg_fabric::ran::{RanCellSpec, RanProbe, RanTopology, ScenarioUe};
 use xg_fabric::timeline::Event;
@@ -20,6 +19,7 @@ use xg_net::prelude::*;
 use xg_net::slice::{SliceConfig, SliceProfile, Snssai};
 use xg_net::traffic::TrafficModel;
 use xg_obs::Obs;
+use xg_prop::prelude::*;
 use xg_ric::{BurstGuard, DemandSlicer, McsCapper, Ric};
 
 /// Weather-station offered rate (Mbps) — the protected mIoT load.

@@ -36,7 +36,7 @@ fn open_log(dir: &std::path::Path) -> Log {
             element_size: 16,
             history: 1 << 20,
         },
-        Box::new(SegmentedBackend::open(dir, chaos_config()).unwrap()),
+        SegmentedBackend::open(dir, chaos_config()).unwrap(),
     )
     .unwrap()
 }
@@ -219,16 +219,14 @@ fn sync_stall_blocks_durability_but_not_liveness() {
             element_size: 16,
             history: 1 << 20,
         },
-        Box::new(
-            SegmentedBackend::open(
-                &dir,
-                SegmentConfig {
-                    segment_bytes: 1 << 20,
-                    ..chaos_config()
-                },
-            )
-            .unwrap(),
-        ),
+        SegmentedBackend::open(
+            &dir,
+            SegmentConfig {
+                segment_bytes: 1 << 20,
+                ..chaos_config()
+            },
+        )
+        .unwrap(),
     )
     .unwrap();
     for i in 1..=5u64 {
