@@ -23,15 +23,14 @@ const CURSOR_LOG: &str = "gateway.cursor";
 pub struct Gateway {
     /// The field node holding the local buffer.
     local: Arc<CspotNode>,
-    /// Name of the local buffer log.
-    buffer_log: String,
     /// The local buffer log, looked up once.
     buffer: Arc<Log>,
-    /// Name of the remote destination log.
+    /// Name of the remote destination log, looked up once per drain pass
+    /// on the node that pass drains to.
     remote_log: String,
-    /// Name of the cursor log (distinct per gateway when several share a
-    /// field node).
-    cursor_log: String,
+    /// The cursor log (distinct per gateway when several share a field
+    /// node), looked up once.
+    cursor_log: Arc<Log>,
     /// Highest buffered sequence relayed: loaded from the cursor log once
     /// at construction, advanced in memory per relayed element.
     cursor: u64,
@@ -77,20 +76,19 @@ impl Gateway {
     ) -> Result<Self> {
         // Cursor entries are 8-byte little-endian sequence numbers; the
         // latest one is where a restarted gateway resumes the drain.
-        let log = local.open_log(cursor_log, 8, 64)?;
-        let cursor = log
+        let cursor_log = local.open_log(cursor_log, 8, 64)?;
+        let cursor = cursor_log
             .latest_seq()
-            .and_then(|seq| log.get(seq).ok())
+            .and_then(|seq| cursor_log.get(seq).ok())
             .and_then(|b| b.get(..8).and_then(|s| s.try_into().ok()))
             .map_or(0, u64::from_le_bytes);
         let buffer = local.log(buffer_log)?;
         Ok(Gateway {
             local,
-            buffer_log: buffer_log.to_string(),
             payload: Vec::with_capacity(buffer.element_size()),
             buffer,
             remote_log: remote_log.to_string(),
-            cursor_log: cursor_log.to_string(),
+            cursor_log,
             cursor,
             persisted: cursor,
             appender,
@@ -99,7 +97,7 @@ impl Gateway {
 
     /// Buffer one sample locally (never touches the network).
     pub fn buffer(&self, payload: &[u8]) -> Result<u64> {
-        self.local.put(&self.buffer_log, payload)
+        self.local.put_to(&self.buffer, payload)
     }
 
     /// Elements buffered but not yet relayed.
@@ -126,6 +124,7 @@ impl Gateway {
     pub fn drain(&mut self, remote: &CspotNode) -> DrainReport {
         let mut relayed = 0usize;
         let mut latency_ms = 0.0;
+        let target = remote.log(&self.remote_log).ok();
         loop {
             let seq = (self.cursor + 1).max(self.buffer.earliest_seq().unwrap_or(0));
             if self.buffer.read_into(seq, &mut self.payload).is_err() {
@@ -134,6 +133,7 @@ impl Gateway {
             let Ok(outcome) = self.appender.append_with_token(
                 remote,
                 &self.remote_log,
+                target.as_deref(),
                 &self.payload,
                 relay_token(seq),
             ) else {
@@ -146,7 +146,7 @@ impl Gateway {
         if self.cursor != self.persisted
             && self
                 .local
-                .put(&self.cursor_log, &self.cursor.to_le_bytes())
+                .put_to(&self.cursor_log, &self.cursor.to_le_bytes())
                 .is_ok()
         {
             self.persisted = self.cursor;
@@ -182,6 +182,7 @@ mod tests {
     use super::*;
     use crate::netsim::{PathModel, RoutePath, SimClock};
     use crate::protocol::RemoteConfig;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn setup() -> (Gateway, Arc<CspotNode>) {
@@ -303,6 +304,53 @@ mod tests {
         assert_eq!(gw.drain(&remote).remaining, 0);
         assert_eq!(gw.backlog(), 0);
         assert_eq!(remote.log("telemetry").unwrap().len(), 1000, "exactly once");
+    }
+
+    #[test]
+    fn handlers_registered_after_the_gateway_resolved_its_logs_fire() {
+        let (mut gw, remote) = setup();
+        gw.buffer(&0u64.to_le_bytes()).unwrap();
+        gw.drain(&remote);
+        let hits = Arc::new(AtomicU64::new(0));
+        for (node, log) in [(&gw.local, "buf"), (&remote, "telemetry")] {
+            let h = Arc::clone(&hits);
+            node.register_handler(
+                log,
+                Arc::new(move |_, _, _, _| {
+                    h.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
+        }
+        gw.buffer(&1u64.to_le_bytes()).unwrap();
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "the local buffer's handler");
+        assert_eq!(gw.drain(&remote).relayed, 1);
+        assert_eq!(hits.load(Ordering::SeqCst), 2, "the remote log's handler");
+    }
+
+    #[test]
+    fn drains_alternating_between_remotes_deliver_each_its_own_records() {
+        let (mut gw, first) = setup();
+        let second = Arc::new(CspotNode::in_memory("ND"));
+        second.create_log("telemetry", 8, 1024).unwrap();
+        let mut sent: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+        for round in 0..6u64 {
+            let k = (round % 2) as usize;
+            for i in 0..=round {
+                gw.buffer(&(10 * round + i).to_le_bytes()).unwrap();
+                sent[k].push(10 * round + i);
+            }
+            let remote = if k == 0 { &first } else { &second };
+            assert_eq!(gw.drain(remote).relayed, round as usize + 1);
+        }
+        for (remote, want) in [&first, &second].into_iter().zip(&sent) {
+            let log = remote.log("telemetry").unwrap();
+            let got: Vec<u64> = log
+                .tail(log.len())
+                .iter()
+                .map(|(_, p)| u64::from_le_bytes(p[..8].try_into().unwrap()))
+                .collect();
+            assert_eq!(&got, want, "exactly once, in order, at {}", remote.site());
+        }
     }
 
     #[test]

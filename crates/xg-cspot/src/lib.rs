@@ -21,7 +21,10 @@
 //!   injection.
 //! * [`node`] — a CSPOT namespace at a site: log directory + handler
 //!   registry. Handlers fire on exactly one append and never block each
-//!   other (no lock API exists, by design — see §3.4 of the paper).
+//!   other (no lock API exists, by design — see §3.4 of the paper). A
+//!   log's handlers live beside it, so names resolve once, at set-up,
+//!   and an append through the resolved handle never returns to the
+//!   directory.
 //! * [`netsim`] — the wide-area substrate: virtual clock, per-path latency
 //!   /jitter/loss models, partitions, and the calibrated UNL/UCSB/ND
 //!   topology behind the paper's Table 1.

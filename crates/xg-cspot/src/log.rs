@@ -29,10 +29,11 @@
 //! writers, not with appends.
 
 use crate::error::{CspotError, Result};
+use crate::node::Handler;
 use crate::segment::SegmentedBackend;
 use crate::storage::{Record, RecoverySummary};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Where one append landed (see `Log::offer`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,6 +277,11 @@ pub struct Log {
     config: LogConfig,
     recovery: RecoverySummary,
     inner: Mutex<LogInner>,
+    /// The handlers a node fires on each fresh append, as a shared
+    /// snapshot: firing clones the `Arc`, registering replaces the slice
+    /// (copy-on-write). Kept beside the log so an append through a
+    /// resolved handle never goes back to the node's name map.
+    handlers: RwLock<Option<Arc<[Handler]>>>,
 }
 
 impl Log {
@@ -309,6 +315,7 @@ impl Log {
             config,
             recovery: summary,
             inner: Mutex::new(inner),
+            handlers: RwLock::new(None),
         })
     }
 
@@ -321,6 +328,7 @@ impl Log {
             inner: Mutex::new(LogInner::new(&config)),
             config,
             recovery: RecoverySummary::default(),
+            handlers: RwLock::new(None),
         }
     }
 
@@ -334,6 +342,31 @@ impl Log {
     /// fetches).
     pub(crate) fn element_size(&self) -> usize {
         self.config.element_size
+    }
+
+    /// The log's name in its node's namespace.
+    pub(crate) fn name(&self) -> &str {
+        &self.config.name
+    }
+
+    /// Add a handler after those already registered.
+    pub(crate) fn add_handler(&self, handler: Handler) {
+        let mut handlers = self
+            .handlers
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let old = handlers.as_deref().unwrap_or_default();
+        *handlers = Some(old.iter().cloned().chain([handler]).collect());
+    }
+
+    /// The handlers registered so far. The snapshot is taken and the lock
+    /// released before any is invoked, so a handler can register further
+    /// handlers or append to other logs without deadlock.
+    pub(crate) fn handlers(&self) -> Option<Arc<[Handler]>> {
+        self.handlers
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Ask the durable engine, or answer `volatile` when the log has none.

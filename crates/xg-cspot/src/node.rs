@@ -12,7 +12,7 @@ use crate::log::{Log, LogConfig};
 use crate::segment::{SegmentConfig, SegmentedBackend};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Handler signature: `(node, log_name, seq, payload)`.
 pub(crate) type Handler = Arc<dyn Fn(&CspotNode, &str, u64, &[u8]) + Send + Sync>;
@@ -38,13 +38,19 @@ enum Persistence {
 }
 
 /// A CSPOT namespace at a named site.
+///
+/// Names resolve once: [`Self::log`] hands out the log's `Arc`, and an
+/// append through it ([`Self::put_to`]) reaches the log's handlers
+/// without the name map. [`Self::put`] is that resolution followed by
+/// that append.
 pub struct CspotNode {
     site: String,
     persistence: Persistence,
     logs: RwLock<BTreeMap<String, Arc<Log>>>,
-    /// Each log's handlers as a shared snapshot: firing clones the `Arc`,
-    /// registering replaces the slice (copy-on-write).
-    handlers: RwLock<BTreeMap<String, Arc<[Handler]>>>,
+    /// Handlers registered under a name no log holds yet, in registration
+    /// order; the log later created under the name takes them. Locked
+    /// only while `logs` is held.
+    unbound: Mutex<BTreeMap<String, Vec<Handler>>>,
 }
 
 impl CspotNode {
@@ -54,7 +60,7 @@ impl CspotNode {
             site: site.to_string(),
             persistence: Persistence::Memory,
             logs: RwLock::new(BTreeMap::new()),
-            handlers: RwLock::new(BTreeMap::new()),
+            unbound: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -76,7 +82,7 @@ impl CspotNode {
                 storage,
             },
             logs: RwLock::new(BTreeMap::new()),
-            handlers: RwLock::new(BTreeMap::new()),
+            unbound: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -103,6 +109,20 @@ impl CspotNode {
         }))
     }
 
+    /// Handlers waiting for their log, locked (see `unbound`).
+    fn unbound(&self) -> MutexGuard<'_, BTreeMap<String, Vec<Handler>>> {
+        self.unbound.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enter a new log into the namespace, handing it the handlers
+    /// registered under its name before it existed.
+    fn bind(&self, logs: &mut BTreeMap<String, Arc<Log>>, log: &Arc<Log>) {
+        for handler in self.unbound().remove(log.name()).unwrap_or_default() {
+            log.add_handler(handler);
+        }
+        logs.insert(log.name().to_string(), Arc::clone(log));
+    }
+
     /// Create a log. Errors if the name is taken.
     pub fn create_log(&self, name: &str, element_size: usize, history: usize) -> Result<Arc<Log>> {
         let mut logs = self.logs.write().unwrap_or_else(PoisonError::into_inner);
@@ -110,7 +130,7 @@ impl CspotNode {
             return Err(CspotError::LogExists(name.to_string()));
         }
         let log = self.new_log(name, element_size, history)?;
-        logs.insert(name.to_string(), Arc::clone(&log));
+        self.bind(&mut logs, &log);
         Ok(log)
     }
 
@@ -125,14 +145,18 @@ impl CspotNode {
             }
         }
         let log = self.new_log(name, element_size, history)?;
-        self.logs
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(name.to_string(), Arc::clone(&log));
+        let mut logs = self.logs.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(raced) = logs.get(name) {
+            // Opened meanwhile on another thread: replacing that log
+            // would drop the handlers bound to it.
+            return Ok(Arc::clone(raced));
+        }
+        self.bind(&mut logs, &log);
         Ok(log)
     }
 
-    /// Look up an existing log.
+    /// Look up an existing log: the handle [`Self::put_to`] appends
+    /// through.
     pub fn log(&self, name: &str) -> Result<Arc<Log>> {
         self.logs
             .read()
@@ -142,21 +166,29 @@ impl CspotNode {
             .ok_or_else(|| CspotError::UnknownLog(name.to_string()))
     }
 
-    /// Register a handler fired on every append to `log_name`.
+    /// Register a handler fired on every append to `log_name`. A handler
+    /// registered before its log exists fires once the log is created.
     pub fn register_handler(&self, log_name: &str, handler: Handler) {
-        let mut handlers = self
-            .handlers
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let list = handlers
-            .entry(log_name.to_string())
-            .or_insert_with(|| Arc::new([]));
-        *list = list.iter().cloned().chain([handler]).collect();
+        let logs = self.logs.read().unwrap_or_else(PoisonError::into_inner);
+        match logs.get(log_name) {
+            Some(log) => log.add_handler(handler),
+            None => self
+                .unbound()
+                .entry(log_name.to_string())
+                .or_default()
+                .push(handler),
+        }
     }
 
     /// Append to a log and fire its handlers (CSPOT's `WooFPut`).
     pub fn put(&self, log_name: &str, payload: &[u8]) -> Result<u64> {
-        self.put_with_token(log_name, 0, payload)
+        self.put_to(&*self.log(log_name)?, payload)
+    }
+
+    /// [`Self::put`] through a handle this node's [`Self::log`] (or
+    /// `create_log`/`open_log`) returned, without a name lookup.
+    pub fn put_to(&self, log: &Log, payload: &[u8]) -> Result<u64> {
+        self.put_with_token(log, 0, payload)
     }
 
     /// Append with an idempotency token and fire handlers.
@@ -164,15 +196,14 @@ impl CspotNode {
     /// Handlers fire only for *fresh* appends: a deduplicated retry returns
     /// the original sequence number without re-firing (exactly-once handler
     /// semantics).
-    pub(crate) fn put_with_token(
-        &self,
-        log_name: &str,
-        token: u128,
-        payload: &[u8],
-    ) -> Result<u64> {
-        let appended = self.log(log_name)?.offer(token, payload)?;
+    pub(crate) fn put_with_token(&self, log: &Log, token: u128, payload: &[u8]) -> Result<u64> {
+        let appended = log.offer(token, payload)?;
         if appended.fresh {
-            self.fire_handlers(log_name, appended.seq, payload);
+            if let Some(handlers) = log.handlers() {
+                for h in handlers.iter() {
+                    h(self, log.name(), appended.seq, payload);
+                }
+            }
         }
         Ok(appended.seq)
     }
@@ -246,24 +277,6 @@ impl CspotNode {
         }
         Ok(complete)
     }
-
-    fn fire_handlers(&self, log_name: &str, seq: u64, payload: &[u8]) {
-        // Take the snapshot and release the lock before invoking, so
-        // handlers can register further handlers or put to other logs
-        // without deadlock.
-        let Some(to_fire) = self
-            .handlers
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(log_name)
-            .cloned()
-        else {
-            return;
-        };
-        for h in to_fire.iter() {
-            h(self, log_name, seq, payload);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -330,13 +343,32 @@ mod tests {
                 c.fetch_add(1, Ordering::SeqCst);
             }),
         );
-        node.put_with_token("a", 5, b"x").unwrap();
-        node.put_with_token("a", 5, b"x").unwrap(); // retry
+        let log = node.log("a").unwrap();
+        node.put_with_token(&log, 5, b"x").unwrap();
+        node.put_with_token(&log, 5, b"x").unwrap(); // retry
         assert_eq!(
             count.load(Ordering::SeqCst),
             1,
             "exactly-once handler firing"
         );
+    }
+
+    #[test]
+    fn handler_registered_before_its_log_fires_once_it_exists() {
+        let node = CspotNode::in_memory("UCSB");
+        let count = Arc::new(AtomicU64::new(0));
+        let c = Arc::clone(&count);
+        node.register_handler(
+            "later",
+            Arc::new(move |_, name, seq, _| {
+                assert_eq!((name, seq), ("later", 1));
+                c.fetch_add(1, Ordering::SeqCst);
+            }),
+        );
+        assert!(node.put("later", b"x").is_err());
+        node.create_log("later", 1, 8).unwrap();
+        node.put("later", b"x").unwrap();
+        assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! exactly-once delivery built from at-least-once retries.
 
 use crate::error::{CspotError, Result};
+use crate::log::Log;
 use crate::netsim::{RoutePath, SimClock};
 use crate::node::CspotNode;
 use std::collections::BTreeMap;
@@ -185,6 +186,8 @@ impl RemoteAppender {
     /// Blocks (in virtual time) until acknowledged or the retry budget is
     /// exhausted. Implements the paper's full two-phase protocol with
     /// optional size caching and retry-until-sequence-number semantics.
+    /// A log the target lacks answers no size fetch, so the append spends
+    /// its retry budget as it would on lost replies.
     pub fn append(
         &mut self,
         target: &CspotNode,
@@ -192,10 +195,12 @@ impl RemoteAppender {
         payload: &[u8],
     ) -> Result<AppendOutcome> {
         let token = self.fresh_token();
-        self.append_with_token(target, log, payload, token)
+        let resolved = target.log(log).ok();
+        self.append_with_token(target, log, resolved.as_deref(), payload, token)
     }
 
-    /// Append with a caller-chosen idempotency token.
+    /// Append with a caller-chosen idempotency token to the target's log
+    /// `name`, already resolved to `log` (`None`: the target lacks it).
     ///
     /// Use when the *caller* owns retry semantics across its own restarts
     /// (e.g. the store-and-forward gateway derives tokens from its buffer
@@ -204,14 +209,15 @@ impl RemoteAppender {
     pub(crate) fn append_with_token(
         &mut self,
         target: &CspotNode,
-        log: &str,
+        name: &str,
+        log: Option<&Log>,
         payload: &[u8],
         token: u128,
     ) -> Result<AppendOutcome> {
         // Wall-time attribution of the append's compute cost (the virtual
         // protocol latency is already covered by the phase histograms).
         let wall_start_ns = self.obs.as_ref().map(|_| wall_now_ns());
-        let out = self.append_attempts(target, log, payload, token);
+        let out = self.append_attempts(target, name, log, payload, token);
         if let (Some(o), Some(t0)) = (&self.obs, wall_start_ns) {
             if let (Some(p), Some(node)) = (o.handle.profiler(), o.append_node) {
                 p.record_node(node, wall_now_ns().saturating_sub(t0));
@@ -225,7 +231,8 @@ impl RemoteAppender {
     fn append_attempts(
         &mut self,
         target: &CspotNode,
-        log: &str,
+        name: &str,
+        log: Option<&Log>,
         payload: &[u8],
         token: u128,
     ) -> Result<AppendOutcome> {
@@ -252,18 +259,18 @@ impl RemoteAppender {
             // Phase 1: fetch the element size (unless cached).
             let phase1_start = self.clock.now_ms();
             let element_size = if self.config.use_size_cache {
-                match self.size_cache.get(log).copied() {
+                match self.size_cache.get(name).copied() {
                     Some(sz) => sz,
-                    None => match self.fetch_size(target, log) {
+                    None => match self.fetch_size(log) {
                         Some(sz) => {
-                            self.size_cache.insert(log.to_string(), sz);
+                            self.size_cache.insert(name.to_string(), sz);
                             sz
                         }
                         None => continue, // lost; retry
                     },
                 }
             } else {
-                match self.fetch_size(target, log) {
+                match self.fetch_size(log) {
                     Some(sz) => sz,
                     None => continue,
                 }
@@ -289,6 +296,8 @@ impl RemoteAppender {
                 + normal::standard(&mut self.rng) * self.config.storage_jitter_ms)
                 .max(0.1);
             self.clock.advance_ms(storage);
+            // Only a cached size gets this far without the log.
+            let log = log.ok_or_else(|| CspotError::UnknownLog(name.to_string()))?;
             let seq = target.put_with_token(log, token, payload)?;
             // Ack crossing (possibly dropped by fault injection or loss).
             if self.drop_acks > 0 {
@@ -316,12 +325,13 @@ impl RemoteAppender {
     }
 
     /// Phase-1 exchange: request + response crossing. Returns the element
-    /// size, or `None` if either crossing was lost.
-    fn fetch_size(&mut self, target: &CspotNode, log: &str) -> Option<usize> {
+    /// size, or `None` if either crossing was lost or the target lacks the
+    /// log (the request then gets no response).
+    fn fetch_size(&mut self, log: Option<&Log>) -> Option<usize> {
         if !self.cross() {
             return None;
         }
-        let size = target.log(log).ok().map(|l| l.element_size())?;
+        let size = log?.element_size();
         if !self.cross() {
             return None;
         }
@@ -537,6 +547,40 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains('8') && msg.contains("400.0"), "{msg}");
+    }
+
+    #[test]
+    fn missing_remote_log_spends_the_retry_budget_like_a_lost_reply() {
+        // The target lacks the log: every phase-1 size fetch crosses once
+        // and gets no answer, so the append spends its whole budget. The
+        // virtual time spent and the jitter draws consumed are pinned:
+        // the next successful append's latency depends on both.
+        let server = server_1kb();
+        let cfg = RemoteConfig {
+            timeout_ms: 50.0,
+            max_attempts: 4,
+            ..Default::default()
+        };
+        let mut a = appender(RoutePath::single(PathModel::wired(3.0, 0.4)), cfg);
+        let err = a.append(&server, "missing", &[0u8; 1024]).unwrap_err();
+        let CspotError::RetriesExhausted {
+            attempts,
+            elapsed_ms,
+        } = err
+        else {
+            panic!("expected RetriesExhausted, got {err:?}");
+        };
+        assert_eq!(attempts, 4);
+        // 35 ms connection set-up plus four jittered 3 ms crossings.
+        assert_eq!(elapsed_ms.to_bits(), 46.98f64.to_bits(), "{elapsed_ms}");
+        let next = a.append(&server, "data", &[0u8; 1024]).unwrap();
+        assert_eq!((next.seq, next.attempts), (1, 1));
+        assert_eq!(
+            next.latency_ms.to_bits(),
+            14.215000000000003f64.to_bits(),
+            "{}",
+            next.latency_ms
+        );
     }
 
     #[test]

@@ -147,13 +147,19 @@ impl FieldGateway {
     /// drain whatever the current link state allows.
     pub fn ship_cycle(&mut self, records: &[TelemetryRecord]) -> Result<CycleReport, FabricError> {
         let mut dropped_now = 0usize;
+        // The buffer ring holds more than `capacity`, so every record
+        // accepted below it adds exactly one to the backlog.
+        let mut backlog = self.records.backlog();
         for r in records {
-            if self.records.backlog() >= self.capacity {
+            if backlog >= self.capacity {
                 dropped_now += 1;
                 continue;
             }
             match self.records.buffer(&r.encode()) {
-                Ok(_) => self.buffered += 1,
+                Ok(_) => {
+                    self.buffered += 1;
+                    backlog += 1;
+                }
                 // A local storage fault loses the record; count it rather
                 // than aborting the cycle.
                 Err(_) => dropped_now += 1,
@@ -166,7 +172,7 @@ impl FieldGateway {
             let _ = self.wind.buffer(&mean_wind.to_le_bytes());
         }
         self.dropped += dropped_now as u64;
-        self.max_backlog = self.max_backlog.max(self.records.backlog());
+        self.max_backlog = self.max_backlog.max(backlog);
         let start = self.clock.now_ms();
         let repo = Arc::clone(&self.repo);
         let r = self.records.drain(&repo);

@@ -23,6 +23,10 @@
 //! and single assignment no longer guards it: the log has forgotten the
 //! variable was ever bound.
 //!
+//! Each graph node's log is resolved once, at deploy: injection, firing
+//! and reads reach the logs through those handles, never through the CSPOT
+//! node's name map.
+//!
 //! Crash resilience: all state lives in the logs, so [`LaminarRuntime::recover`]
 //! replays any firing whose inputs are present but whose output is missing.
 //! Deploying the same graph over a durable [`CspotNode`] after a restart
@@ -31,8 +35,10 @@
 use crate::error::{LaminarError, Result};
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::value::Value;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use xg_cspot::log::Log;
 use xg_cspot::node::CspotNode;
+use xg_cspot::CspotError;
 
 /// Fixed element size of every Laminar log (bytes). Values that encode
 /// larger than `ELEMENT_SIZE - 8` are rejected.
@@ -42,8 +48,27 @@ const HISTORY: usize = 4096;
 
 /// A deployed Laminar program.
 pub struct LaminarRuntime {
-    graph: Arc<Graph>,
+    program: Arc<Program>,
     node: Arc<CspotNode>,
+}
+
+/// A graph with each node's output log resolved, shared by the runtime
+/// and the firing handlers.
+struct Program {
+    graph: Graph,
+    /// `logs[id.0]` is node `id`'s log. Weak, because each log owns the
+    /// handlers that hold this program: the CSPOT node keeps the logs
+    /// alive, and a strong handle here would keep them alive forever.
+    logs: Vec<Weak<Log>>,
+}
+
+impl Program {
+    /// Node `id`'s log.
+    fn log(&self, id: NodeId) -> Result<Arc<Log>> {
+        self.logs[id.0]
+            .upgrade()
+            .ok_or_else(|| CspotError::UnknownLog(self.graph.log_name(id)).into())
+    }
 }
 
 fn encode_entry(epoch: u64, value: &Value) -> Result<Vec<u8>> {
@@ -70,8 +95,7 @@ fn entry_epoch(entry: &[u8]) -> Result<u64> {
 
 /// Find the value stored for `epoch` in a node's log, decoding only the
 /// element whose header matches.
-fn find_epoch(cspot: &CspotNode, log_name: &str, epoch: u64) -> Result<Option<Value>> {
-    let log = cspot.log(log_name)?;
+fn find_epoch(log: &Log, epoch: u64) -> Result<Option<Value>> {
     log.scan_newest_first(|_, entry| match entry_epoch(entry) {
         Ok(e) if e == epoch => Some(Value::decode(&entry[8..])),
         Ok(_) => None,
@@ -81,18 +105,18 @@ fn find_epoch(cspot: &CspotNode, log_name: &str, epoch: u64) -> Result<Option<Va
 }
 
 /// All epochs present in a node's log, oldest first.
-fn epochs_of(cspot: &CspotNode, log_name: &str) -> Result<Vec<u64>> {
+fn epochs_of(log: &Log) -> Result<Vec<u64>> {
     let mut epochs = Vec::new();
-    let malformed = cspot
-        .log(log_name)?
-        .scan_newest_first(|_, entry| entry_epoch(entry).map(|e| epochs.push(e)).err());
+    let malformed =
+        log.scan_newest_first(|_, entry| entry_epoch(entry).map(|e| epochs.push(e)).err());
     epochs.reverse();
     malformed.map_or(Ok(epochs), Err)
 }
 
 /// Attempt to fire `consumer` for `epoch`: if all inputs are present and the
 /// output is absent, compute and append it. Returns true if it fired.
-fn try_fire(graph: &Graph, cspot: &CspotNode, consumer: NodeId, epoch: u64) -> Result<bool> {
+fn try_fire(program: &Program, cspot: &CspotNode, consumer: NodeId, epoch: u64) -> Result<bool> {
+    let graph = &program.graph;
     let node = graph.node(consumer);
     let (f, out_ty) = match &node.kind {
         NodeKind::Source { .. } => return Ok(false),
@@ -101,15 +125,15 @@ fn try_fire(graph: &Graph, cspot: &CspotNode, consumer: NodeId, epoch: u64) -> R
     // Strict semantics: every input must be present.
     let mut inputs = Vec::with_capacity(graph.producers(consumer).len());
     for &p in graph.producers(consumer) {
-        match find_epoch(cspot, &graph.log_name(p), epoch)? {
+        match find_epoch(&*program.log(p)?, epoch)? {
             Some(v) => inputs.push(v),
             None => return Ok(false),
         }
     }
     // Single assignment: skip if the output epoch already exists (e.g. a
     // recovery replay racing a handler).
-    let out_log = graph.log_name(consumer);
-    if find_epoch(cspot, &out_log, epoch)?.is_some() {
+    let out_log = program.log(consumer)?;
+    if find_epoch(&out_log, epoch)?.is_some() {
         return Ok(false);
     }
     let value = f(&inputs).map_err(|message| LaminarError::OpFailed {
@@ -127,48 +151,50 @@ fn try_fire(graph: &Graph, cspot: &CspotNode, consumer: NodeId, epoch: u64) -> R
         });
     }
     let entry = encode_entry(epoch, &value)?;
-    cspot.put(&out_log, &entry)?;
+    cspot.put_to(&out_log, &entry)?;
     Ok(true)
 }
 
 impl LaminarRuntime {
     /// Deploy a graph on a CSPOT node.
     ///
-    /// Creates (or re-opens, after a restart) one log per graph node and
-    /// registers the firing handlers.
+    /// Creates (or re-opens, after a restart) one log per graph node,
+    /// keeps a handle to each, and registers the firing handlers.
     pub fn deploy(graph: Graph, node: Arc<CspotNode>) -> Result<Self> {
-        let graph = Arc::new(graph);
         // Create or re-open each node's log.
-        for id in graph.topo_order() {
-            let name = graph.log_name(*id);
-            node.open_log(&name, ELEMENT_SIZE, HISTORY)?;
-        }
+        let logs = (0..graph.nodes.len())
+            .map(|i| {
+                let log = node.open_log(&graph.log_name(NodeId(i)), ELEMENT_SIZE, HISTORY)?;
+                Ok(Arc::downgrade(&log))
+            })
+            .collect::<Result<_>>()?;
+        let program = Arc::new(Program { graph, logs });
         // Register a handler on every producer log that pokes its consumers.
-        for id in graph.topo_order() {
-            let consumers = graph.consumers(*id);
+        for &id in program.graph.topo_order() {
+            let consumers = program.graph.consumers(id);
             if consumers.is_empty() {
                 continue;
             }
-            let g = Arc::clone(&graph);
+            let p = Arc::clone(&program);
             node.register_handler(
-                &graph.log_name(*id),
+                &program.graph.log_name(id),
                 Arc::new(move |cspot, _log, _seq, payload| {
                     if let Ok(epoch) = entry_epoch(payload) {
                         for &c in &consumers {
                             // Firing errors inside handlers are swallowed;
                             // recover() can replay the missing firing.
-                            let _ = try_fire(&g, cspot, c, epoch);
+                            let _ = try_fire(&p, cspot, c, epoch);
                         }
                     }
                 }),
             );
         }
-        Ok(LaminarRuntime { graph, node })
+        Ok(LaminarRuntime { program, node })
     }
 
     /// The deployed graph.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        &self.program.graph
     }
 
     /// Inject a value into a source for an epoch.
@@ -176,8 +202,8 @@ impl LaminarRuntime {
     /// Errors with [`LaminarError::SingleAssignmentViolation`] if the epoch
     /// was already written (logs are single-assignment variables).
     pub fn inject(&self, source: &str, epoch: u64, value: Value) -> Result<()> {
-        let id = self.graph.node_id(source)?;
-        let node = self.graph.node(id);
+        let id = self.program.graph.node_id(source)?;
+        let node = self.program.graph.node(id);
         match &node.kind {
             NodeKind::Source { ty } => {
                 if value.type_tag() != *ty {
@@ -194,22 +220,22 @@ impl LaminarRuntime {
                 )))
             }
         }
-        let log_name = self.graph.log_name(id);
-        if find_epoch(&self.node, &log_name, epoch)?.is_some() {
+        let log = self.program.log(id)?;
+        if find_epoch(&log, epoch)?.is_some() {
             return Err(LaminarError::SingleAssignmentViolation {
                 name: source.to_string(),
                 epoch,
             });
         }
         let entry = encode_entry(epoch, &value)?;
-        self.node.put(&log_name, &entry)?;
+        self.node.put_to(&log, &entry)?;
         Ok(())
     }
 
     /// Read a node's output for an epoch, if produced.
     pub fn read(&self, name: &str, epoch: u64) -> Result<Option<Value>> {
-        let id = self.graph.node_id(name)?;
-        find_epoch(&self.node, &self.graph.log_name(id), epoch)
+        let id = self.program.graph.node_id(name)?;
+        find_epoch(&*self.program.log(id)?, epoch)
     }
 
     /// Replay any firing whose inputs exist but whose output is missing
@@ -217,18 +243,19 @@ impl LaminarRuntime {
     pub fn recover(&self) -> Result<usize> {
         let mut fired = 0;
         // Topological order guarantees upstream recovery happens first.
-        for &id in self.graph.topo_order() {
-            if matches!(self.graph.node(id).kind, NodeKind::Source { .. }) {
+        let graph = &self.program.graph;
+        for &id in graph.topo_order() {
+            if matches!(graph.node(id).kind, NodeKind::Source { .. }) {
                 continue;
             }
             // Candidate epochs: those present in the first producer.
-            let producers = self.graph.producers(id);
+            let producers = graph.producers(id);
             if producers.is_empty() {
                 continue;
             }
-            let candidates = epochs_of(&self.node, &self.graph.log_name(producers[0]))?;
+            let candidates = epochs_of(&*self.program.log(producers[0])?)?;
             for epoch in candidates {
-                if try_fire(&self.graph, &self.node, id, epoch)? {
+                if try_fire(&self.program, &self.node, id, epoch)? {
                     fired += 1;
                 }
             }
@@ -420,6 +447,24 @@ mod tests {
         rt.inject("prev_window", 1, window(1)).unwrap();
         assert_eq!(rt.read("detect", 1).unwrap(), None);
         assert_eq!(rt.recover().unwrap(), 0);
+    }
+
+    #[test]
+    fn a_dropped_deployment_frees_its_logs() {
+        // The logs own the handlers that hold the program, and the
+        // program holds the logs only weakly: nothing outlives the node.
+        let node = Arc::new(CspotNode::in_memory("UCSB"));
+        let rt = LaminarRuntime::deploy(sum_graph(), Arc::clone(&node)).unwrap();
+        rt.inject("a", 1, Value::F64(2.0)).unwrap();
+        rt.inject("b", 1, Value::F64(3.0)).unwrap();
+        let logs: Vec<_> = rt
+            .graph()
+            .topo_order()
+            .iter()
+            .map(|&id| Arc::downgrade(&node.log(&rt.graph().log_name(id)).unwrap()))
+            .collect();
+        drop((rt, node));
+        assert!(logs.iter().all(|log| log.upgrade().is_none()));
     }
 
     #[test]

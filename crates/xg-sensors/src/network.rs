@@ -6,41 +6,28 @@
 //! and humidity measurements taken at the screen boundaries (both inside
 //! and outside)" (§2).
 //!
-//! Time is event-driven: the network registers two recurring sources on
-//! an [`xg_sim::EventQueue`] — a 60 s weather tick and a 300 s report
-//! round — and [`Advance::advance_to`] drains whatever falls due. At a
-//! coincident instant (every 300 s) the weather tick executes first
-//! (lower source id), reproducing the legacy "5 weather steps, then
-//! measure" RNG order bit-for-bit.
+//! Time is event-driven over two fixed timers: the network keeps when its
+//! next 60 s weather tick and its next 300 s report round fall due, and
+//! [`Advance::advance_to`] fires whatever is due in `(time, source)`
+//! order. At a coincident instant (every 300 s) the weather tick fires
+//! first, reproducing the legacy "5 weather steps, then measure" RNG
+//! order bit-for-bit. A quiet stretch costs one comparison per timer.
 
 use crate::facility::CupsFacility;
 use crate::station::{Placement, WeatherStation};
 use crate::telemetry::TelemetryRecord;
 use crate::weather::{WeatherSim, WeatherState};
 use std::collections::{BTreeMap, BTreeSet};
-use xg_sim::{Advance, EventQueue, SimNs};
+use xg_sim::{Advance, SimNs};
+
+#[cfg(test)]
+mod reference;
 
 /// Reporting interval of the commodity weather stations (s).
 pub const REPORT_INTERVAL_S: f64 = 300.0;
 
 /// Weather micro-climate step (s); a report interval is 5 of them.
 const WEATHER_STEP_S: f64 = 60.0;
-
-/// Event-source id of the weather tick (fires before a coincident
-/// report round: lower source wins the (time, source, seq) tie-break).
-const SRC_WEATHER: u32 = 0;
-/// Event-source id of the station report round.
-const SRC_REPORT: u32 = 1;
-
-/// The two recurring events of the station network.
-#[derive(Debug, Clone, Copy)]
-enum SensorEvent {
-    /// Advance the micro-climate by one 60 s step.
-    WeatherTick,
-    /// Measure every station and stash the reports for
-    /// [`SensorNetwork::take_reports`].
-    ReportRound,
-}
 
 /// Boundary conditions for one CFD run, aggregated from station reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,9 +62,13 @@ pub struct SensorNetwork {
     /// on schedule but repeat their last healthy measurement.
     stuck: BTreeSet<u32>,
     last_reports: BTreeMap<u32, TelemetryRecord>,
-    /// The event calendar driving weather ticks and report rounds.
-    events: EventQueue<SensorEvent>,
-    /// Reports measured by drained report rounds, awaiting
+    /// When the next weather tick falls due.
+    weather_at: SimNs,
+    /// When the next report round falls due.
+    report_at: SimNs,
+    /// The latest instant advanced to.
+    now: SimNs,
+    /// Reports measured by fired report rounds, awaiting
     /// [`take_reports`](Self::take_reports).
     pending: Vec<TelemetryRecord>,
 }
@@ -130,20 +121,6 @@ impl SensorNetwork {
             .enumerate()
             .map(|(i, p)| WeatherStation::new(i as u32, p, seed))
             .collect();
-        // 1 s buckets × 1024: both recurring periods (60 s, 300 s) stay
-        // inside the wheel, so pushes and pops never touch the overflow
-        // map.
-        let mut events = EventQueue::with_layout(1_000_000_000, 1024);
-        events.push(
-            SimNs::from_secs_f64(WEATHER_STEP_S),
-            SRC_WEATHER,
-            SensorEvent::WeatherTick,
-        );
-        events.push(
-            SimNs::from_secs_f64(REPORT_INTERVAL_S),
-            SRC_REPORT,
-            SensorEvent::ReportRound,
-        );
         SensorNetwork {
             facility,
             stations,
@@ -152,7 +129,9 @@ impl SensorNetwork {
             down: BTreeSet::new(),
             stuck: BTreeSet::new(),
             last_reports: BTreeMap::new(),
-            events,
+            weather_at: SimNs::from_secs_f64(WEATHER_STEP_S),
+            report_at: SimNs::from_secs_f64(REPORT_INTERVAL_S),
+            now: SimNs::ZERO,
             pending: Vec::new(),
         }
     }
@@ -277,36 +256,31 @@ impl Advance for SensorNetwork {
     type Error = std::convert::Infallible;
 
     fn now(&self) -> SimNs {
-        self.events.now()
+        self.now
     }
 
-    /// Drain every weather tick and report round due at or before `t`,
-    /// in calendar order, then move the clock to `t`. Reports land in
+    /// Fire every weather tick and report round due at or before `t`, in
+    /// `(time, source)` order — the weather tick first at a shared
+    /// instant — then move the clock to `t` (never back). Reports land in
     /// the [`take_reports`](Self::take_reports) buffer. A quiet network
-    /// (no events due) advances in O(1) — no per-second stepping.
+    /// (nothing due) advances in O(1) — no per-second stepping.
     fn advance_to(&mut self, t: SimNs) -> Result<(), Self::Error> {
-        while let Some(ev) = self.events.pop_due(t) {
-            match ev.payload {
-                SensorEvent::WeatherTick => {
-                    self.last_state = Some(self.weather.run_steps(1));
-                    self.events.push(
-                        ev.at.saturating_add(SimNs::from_secs_f64(WEATHER_STEP_S)),
-                        SRC_WEATHER,
-                        SensorEvent::WeatherTick,
-                    );
-                }
-                SensorEvent::ReportRound => {
-                    self.report_round();
-                    self.events.push(
-                        ev.at
-                            .saturating_add(SimNs::from_secs_f64(REPORT_INTERVAL_S)),
-                        SRC_REPORT,
-                        SensorEvent::ReportRound,
-                    );
-                }
+        loop {
+            if self.weather_at <= t && self.weather_at <= self.report_at {
+                self.last_state = Some(self.weather.run_steps(1));
+                self.weather_at = self
+                    .weather_at
+                    .saturating_add(SimNs::from_secs_f64(WEATHER_STEP_S));
+            } else if self.report_at <= t {
+                self.report_round();
+                self.report_at = self
+                    .report_at
+                    .saturating_add(SimNs::from_secs_f64(REPORT_INTERVAL_S));
+            } else {
+                break;
             }
         }
-        self.events.drain_clock_to(t);
+        self.now = self.now.max(t);
         Ok(())
     }
 }

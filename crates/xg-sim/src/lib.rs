@@ -17,7 +17,9 @@
 //!   near events, `BTreeMap` overflow for far ones) with a stable
 //!   `(time, source, seq)` ordering so execution order is a pure
 //!   function of what was scheduled, never of container iteration
-//!   order. See `queue` for the layout and the tie-breaking rule.
+//!   order. See `queue` for the layout and the tie-breaking rule. No
+//!   engine schedules on it today: the benchmark times it on its own,
+//!   and the sensor network's test oracle replays its old calendar.
 //!
 //!
 //! Three small numeric modules sit beside them, because a digest must be a
