@@ -7,12 +7,9 @@
 //!
 //! Two reproductions are reported:
 //!
-//! 1. **measured** — the real in-crate solver timed under rayon pools of
-//!    1..host-core threads on a reduced mesh. The offline `rayon` stand-in
-//!    the workspace builds against runs every pool on the calling thread,
-//!    so today each point times one thread: these rows show the solver's
-//!    serial cost at each requested width, not that the slab-parallel
-//!    sweeps scale;
+//! 1. **measured** — the real in-crate solver timed once, on one thread,
+//!    on a reduced mesh. The solver runs on the calling thread, so this
+//!    row is its serial cost and no measured point shows scaling;
 //! 2. **modelled** — the calibrated [`CfdPerfModel`] extrapolated to the
 //!    paper's node (1..64 cores, 10 jittered runs per point), which is the
 //!    curve to compare with Fig. 7 (this machine has fewer cores than the
@@ -26,50 +23,37 @@ use xg_cfd::prelude::*;
 
 const RUNS_PER_POINT: u32 = 10;
 
-fn measured_solver_time(threads: usize, cells: [usize; 3], steps: usize) -> f64 {
-    run_with_threads(threads, || {
-        // Mesh generation is intentionally inside the timed region: the
-        // paper's Fig. 7 totals include it, and it is the serial phase.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "Fig. 7 times the real solver on the wall by design"
-        )]
-        let start = Instant::now();
-        let spec = DomainSpec::cups_default().with_cells(cells[0], cells[1], cells[2]);
-        let mesh = Mesh::generate(&spec);
-        let bc = xg_cfd::boundary::BoundarySpec::intact(5.0, 270.0, 22.0);
-        let mut sim = Simulation::new(mesh, bc, SolverConfig::default());
-        sim.run(steps);
-        start.elapsed().as_secs_f64()
-    })
+fn measured_solver_time(cells: [usize; 3], steps: usize) -> f64 {
+    // Mesh generation is intentionally inside the timed region: the
+    // paper's Fig. 7 totals include it, and it is the serial phase.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Fig. 7 times the real solver on the wall by design"
+    )]
+    let start = Instant::now();
+    let spec = DomainSpec::cups_default().with_cells(cells[0], cells[1], cells[2]);
+    let mesh = Mesh::generate(&spec);
+    let bc = xg_cfd::boundary::BoundarySpec::intact(5.0, 270.0, 22.0);
+    let mut sim = Simulation::new(mesh, bc, SolverConfig::default());
+    sim.run(steps);
+    start.elapsed().as_secs_f64()
 }
 
 fn main() {
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     // Offsets the modelled run-jitter sequence; the measured part is
     // wall-clock and the model mean is seed-independent.
     let seed = effective_seed(0);
     print_run_header(seed, &obs_from_env());
     let mut csv = String::from("cores,kind,mean_total_s,two_sd_s,speedup\n");
 
-    // Part 1: real solver, reduced problem, up to the host's cores.
-    println!("Figure 7 (part 1) — real solver on this host ({host_cores} core(s)), reduced mesh\n");
-    println!("{:>6} {:>12} {:>9}", "threads", "time (s)", "speedup");
-    let mut t1 = None;
-    let mut threads = 1usize;
-    while threads <= host_cores {
-        let t = measured_solver_time(threads, [36, 30, 8], 60);
-        let base = *t1.get_or_insert(t);
-        println!("{threads:>6} {t:>12.3} {:>9.2}", base / t);
-        csv.push_str(&format!("{threads},measured,{t:.4},0,{:.3}\n", base / t));
-        threads *= 2;
-    }
-    if host_cores == 1 {
-        println!("  (single-core host: parallel scaling validated by the");
-        println!("   bitwise-determinism tests; curve comes from the model below)");
-    }
+    // Part 1: real solver, reduced problem, one thread.
+    println!("Figure 7 (part 1) — real solver on this host, one thread, reduced mesh\n");
+    println!("{:>6} {:>12}", "threads", "time (s)");
+    let t = measured_solver_time([36, 30, 8], 60);
+    println!("{:>6} {t:>12.3}", 1);
+    csv.push_str(&format!("1,measured,{t:.4},0,1.000\n"));
+    println!("  (the solver runs on the calling thread; the scaling curve");
+    println!("   comes from the model below)");
 
     // Part 2: calibrated paper-scale model, 10 runs per core count.
     let model = CfdPerfModel::notre_dame();

@@ -1,8 +1,8 @@
 //! Flat 3-D scalar fields.
 //!
 //! Storage is a single `Vec<f64>` indexed `(k * ny + j) * nx + i`, so a
-//! z-slab (one k) is contiguous — the unit of rayon parallelism in the
-//! solver sweeps.
+//! z-slab (one k) is contiguous — the unit the solver sweeps write, one
+//! after another.
 
 /// A scalar field on an `nx × ny × nz` grid.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -11,21 +11,22 @@
 //!   domain, with canopy blocks and per-wall-panel porosity. Mesh
 //!   generation is deliberately a serial phase, as in the paper's runs,
 //!   because it bounds strong scaling (Fig. 7's plateau).
-//! * [`field`] — flat 3-D scalar fields with slab-parallel sweep support.
+//! * [`field`] — flat 3-D scalar fields whose z-slabs are contiguous.
 //! * [`boundary`] — boundary conditions derived from wind speed/direction
 //!   and screen porosity (breaches appear as high-porosity panels that
 //!   admit jets).
 //! * `poisson` — the pressure Poisson solver: one direct solve per
 //!   projection by cosine transforms, which diagonalise the Laplacian of a
 //!   uniform box with Neumann walls exactly (round-off residual, no
-//!   iteration count or tolerance to tune, bitwise-deterministic
-//!   regardless of thread count).
+//!   iteration count or tolerance to tune, each output summed in one
+//!   fixed order).
 //! * [`solver`] — the incompressible projection-method solver with upwind
 //!   advection, eddy-viscosity diffusion, Boussinesq buoyancy, and canopy
 //!   drag.
-//! * [`parallel`] — rayon thread-pool control plus the calibrated
-//!   performance model used to reproduce Fig. 7's scaling curve at paper
-//!   scale (and the §4.4 multi-node slowdown).
+//! * [`parallel`] — the calibrated performance model used to reproduce
+//!   Fig. 7's scaling curve at paper scale (and the §4.4 multi-node
+//!   slowdown). Every solve runs on the calling thread; there is no
+//!   thread pool in this crate.
 //! * [`output`] — rasterized field output (CSV / PGM), the Fig. 3 panel.
 //! * [`twin`] — digital-twin comparison: predicted vs measured interior
 //!   wind, divergence scoring, and breach localization.

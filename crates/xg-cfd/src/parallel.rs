@@ -1,37 +1,27 @@
-//! Thread-pool control and the paper-scale performance model.
+//! The solver's entry point for a thread count, and the paper-scale
+//! performance model.
 //!
 //! Fig. 7 plots the full CFD computation (including mesh generation) on a
 //! 64-core Notre Dame node: 10 runs per core count, 420.39 ± 36.29 s at 64
-//! cores. The solver in this crate splits its sweeps into slabs through
-//! rayon's API, but this reproduction machine may have fewer cores than
-//! the paper's node, so the figure is regenerated in two parts:
+//! cores. The solver in this crate runs on the calling thread, so the
+//! figure is regenerated in two parts:
 //!
-//! * **measured** — the real solver timed under rayon pools of 1..host
-//!   cores on a scaled-down mesh. The offline `rayon` stand-in runs every
-//!   pool on the calling thread, so each point times one thread until the
-//!   workspace has a real pool;
+//! * **measured** — the real solver timed once, on one thread, on a
+//!   scaled-down mesh;
 //! * **modelled** — [`CfdPerfModel`], a serial-fraction + communication
 //!   model calibrated so the 64-core point lands at the paper's 420 s, used
 //!   to extrapolate the full 1..64-core curve and the §4.4 multi-node
 //!   behaviour (OpenFOAM alone fastest on 2×64 cores, total application
 //!   slower on >1 node).
 
-use rayon::ThreadPool;
-
-/// Build a rayon pool of exactly `threads` threads and run `f` inside it.
+/// Run `f` on the calling thread; `threads` is not read.
 ///
-/// All solver parallelism is scoped to the given pool, so nested callers
-/// can benchmark specific thread counts regardless of the global pool.
-pub fn run_with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    #[expect(
-        clippy::expect_used,
-        reason = "pool build only fails on OS thread exhaustion; no typed-error path to thread through bench callers"
-    )]
-    let pool: ThreadPool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-        .expect("thread pool construction cannot fail for sane sizes");
-    pool.install(f)
+/// The solver runs on the calling thread whatever the count. Real CFD
+/// parallelism (a persistent pool added to this serial code) is ROADMAP
+/// item 5's; until then a caller that sweeps thread counts times one
+/// thread at every width.
+pub fn run_with_threads<T>(_threads: usize, f: impl FnOnce() -> T) -> T {
+    f()
 }
 
 /// Calibrated performance model of the paper's full CFD pipeline.
@@ -127,6 +117,8 @@ mod tests {
     fn pool_runs_closure() {
         let sum: u64 = run_with_threads(2, || (0..1000u64).sum());
         assert_eq!(sum, 499_500);
+        let here = std::thread::current().id();
+        assert_eq!(run_with_threads(2, || std::thread::current().id()), here);
     }
 
     #[test]

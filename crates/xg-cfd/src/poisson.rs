@@ -23,16 +23,14 @@
 //! Along each axis the spectrum is stored evens then odds, the
 //! eigenvalues in the same order, so the constant mode is still index 0.
 //! Every output element is summed in one fixed order, the butterflies are
-//! element-wise, and every pass writes one z-slab per `par_chunks_mut`
-//! chunk, so the result is **bitwise identical for any thread count** —
-//! the determinism property the solver tests rely on — and equal, bit for
-//! bit, to the cell-by-cell folded sums in `crate::reference`, which also
-//! keeps the dense sums as an accuracy oracle. The tables are built once per mesh ([`PoissonPlan::new`]), in
-//! one allocation; a solve ping-pongs between its two fields and
-//! allocates nothing.
+//! element-wise, and every pass writes one z-slab at a time on the
+//! calling thread, so the result is equal, bit for bit, to the
+//! cell-by-cell folded sums in `crate::reference`, which also keeps the
+//! dense sums as an accuracy oracle. The tables are built once per mesh
+//! ([`PoissonPlan::new`]), in one allocation; a solve ping-pongs between
+//! its two fields and allocates nothing.
 
 use crate::field::Field3;
-use rayon::prelude::*;
 use std::f64::consts::PI;
 
 /// The `nx` cells of a flat field from `start`: one bounds check per row,
@@ -189,11 +187,11 @@ fn mix(out: &mut [f64], input: &[f64], r: usize, [even, odd]: [&[f64]; 2], inver
 }
 
 /// One pass of a solve: every z-slab of `out` from all of `input`.
-fn each_slab(out: &mut Field3, input: &Field3, f: impl Fn(usize, &mut [f64], &[f64]) + Sync) {
+fn each_slab(out: &mut Field3, input: &Field3, f: impl Fn(usize, &mut [f64], &[f64])) {
     let slab = out.slab_len();
     let input = input.as_slice();
     out.as_mut_slice()
-        .par_chunks_mut(slab)
+        .chunks_mut(slab)
         .enumerate()
         .for_each(|(k, o)| f(k, o, input));
 }
@@ -398,26 +396,6 @@ mod tests {
         assert_eq!(p.max_abs(), 0.0);
     }
 
-    #[test]
-    fn deterministic_across_thread_counts() {
-        let (nx, ny, nz) = (12, 10, 6);
-        let rhs = noise(nx, ny, nz);
-        let solve_with = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| solved(&rhs, [1.0, 1.0, 1.0]))
-        };
-        let p1 = solve_with(1);
-        let p4 = solve_with(4);
-        assert_eq!(
-            p1.as_slice(),
-            p4.as_slice(),
-            "the solve must be bitwise deterministic across thread counts"
-        );
-    }
-
     /// Axis lengths of 1, 2 and 3, odd and prime ones, rows that end in a
     /// scalar tail, and cells eight times flatter than they are wide. The
     /// rows `combine` writes (x halves, x rows, z-slabs) run past a block
@@ -510,11 +488,6 @@ mod tests {
 
     #[test]
     fn one_solve_does_half_the_dense_multiply_adds() {
-        // One worker thread, so every `combine` of the solve counts on it.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
         for (shape, want) in [([12, 10, 4], 12_480), ([48, 40, 10], 1_881_600)] {
             let [nx, ny, nz] = shape;
             let cells = nx * ny * nz;
@@ -524,11 +497,9 @@ mod tests {
             let folded = 2 * shape.map(per_axis).iter().sum::<usize>() as u64;
             let dense = 2 * (cells * (nx + ny + nz)) as u64;
             assert_eq!((folded, 2 * folded), (want, dense), "{shape:?}");
-            let got = pool.install(|| {
-                MULTIPLY_ADDS.with(|m| m.set(0));
-                solved(&noise(nx, ny, nz), [1.0, 1.0, 1.0]);
-                MULTIPLY_ADDS.with(|m| m.get())
-            });
+            MULTIPLY_ADDS.with(|m| m.set(0));
+            solved(&noise(nx, ny, nz), [1.0, 1.0, 1.0]);
+            let got = MULTIPLY_ADDS.with(|m| m.get());
             assert_eq!(got, want, "{shape:?}");
         }
     }

@@ -1,5 +1,5 @@
 //! The test oracles of the solver, none of which calls the code it
-//! checks: one cell at a time, a fresh field per sweep, no rayon, no obs.
+//! checks: one cell at a time, a fresh field per sweep, no obs.
 //!
 //! * [`step`] is `Simulation::step` cell by cell, with the pressure from
 //!   [`solve`] — the folded cosine-transform solve as plain sums over its

@@ -10,23 +10,22 @@
 //! 4. velocity correction and temperature advection–diffusion.
 //!
 //! Every sweep, and every pass of the direct pressure solve, reads one
-//! buffer and writes another, one z-slab per `par_chunks_mut` chunk and
-//! row by row inside it, so results are bitwise identical for any thread
-//! count — verified by tests, as is bit equality with the cell-by-cell
-//! kernels kept in `crate::reference`. A transport sweep's row loop has
-//! no branch, call or bounds check: every neighbour row is sliced once
-//! to the interior's length, the upwind differences are picked by bit
-//! masks, and the drag and buoyancy terms follow in a pass of their own,
-//! so the compiler vectorises it, divisions included. The buffers are the
-//! simulation's own, so a time step allocates nothing. This is
-//! the "OpenFOAM" of the reproduction: the same role, the same phase
-//! structure (serial meshing + parallel solve), at laptop scale.
+//! buffer and writes another, one z-slab at a time and row by row inside
+//! it, on the calling thread; tests hold the results bit for bit to the
+//! cell-by-cell kernels kept in `crate::reference`. A transport sweep's
+//! row loop has no branch, call or bounds check: every neighbour row is
+//! sliced once to the interior's length, the upwind differences are
+//! picked by bit masks, and the drag and buoyancy terms follow in a pass
+//! of their own, so the compiler vectorises it, divisions included. The
+//! buffers are the simulation's own, so a time step allocates nothing.
+//! This is the "OpenFOAM" of the reproduction: the same role and the same
+//! phase structure (meshing, then the solve), at laptop scale and on one
+//! thread.
 
 use crate::boundary::BoundarySpec;
 use crate::field::Field3;
 use crate::mesh::{CellType, Mesh};
 use crate::poisson::{self, row_at, PoissonPlan};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 use xg_obs::{Counter, Histogram, Obs};
@@ -270,7 +269,7 @@ impl Simulation {
         phi: &Field3,
         out: &mut Field3,
         diffusivity: f64,
-        extra: impl Fn(usize, f64) -> f64 + Sync,
+        extra: impl Fn(usize, f64) -> f64,
     ) {
         #[expect(
             clippy::disallowed_methods,
@@ -287,7 +286,7 @@ impl Simulation {
         let w = self.w.as_slice();
         let cur = phi.as_slice();
         out.as_mut_slice()
-            .par_chunks_mut(slab)
+            .chunks_mut(slab)
             .enumerate()
             .for_each(|(k, slab_out)| {
                 slab_out.copy_from_slice(row_at(cur, k * slab, slab));
@@ -397,7 +396,7 @@ impl Simulation {
         let correct = |field: &mut Field3, stride: usize, h: f64| {
             field
                 .as_mut_slice()
-                .par_chunks_mut(slab)
+                .chunks_mut(slab)
                 .enumerate()
                 .for_each(|(k, out)| {
                     if k == 0 || k == nz - 1 {
@@ -487,7 +486,7 @@ impl Simulation {
         let v = self.v.as_slice();
         let w = self.w.as_slice();
         div.as_mut_slice()
-            .par_chunks_mut(slab)
+            .chunks_mut(slab)
             .enumerate()
             .for_each(|(k, out)| {
                 out.fill(0.0);
@@ -655,33 +654,6 @@ mod tests {
         calm.run(60);
         windy.run(60);
         assert!(windy.mean_interior_wind() > 2.0 * calm.mean_interior_wind());
-    }
-
-    #[test]
-    fn deterministic_across_thread_counts() {
-        let run_with = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                let mut sim = small_sim(5.0, 270.0);
-                sim.run(10);
-                (sim.u, sim.p)
-            })
-        };
-        let (u1, p1) = run_with(1);
-        let (u3, p3) = run_with(3);
-        assert_eq!(
-            u1.as_slice(),
-            u3.as_slice(),
-            "velocity must be bitwise equal"
-        );
-        assert_eq!(
-            p1.as_slice(),
-            p3.as_slice(),
-            "pressure must be bitwise equal"
-        );
     }
 
     #[test]

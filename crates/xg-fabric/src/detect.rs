@@ -131,21 +131,19 @@ impl Detect {
         let Some((prev, recent)) = latest_windows(repo, WIND_LOG, detector.window)? else {
             return Ok(None);
         };
-        // Votes are recomputed for the timeline detail (the Laminar node
-        // returns only the arbitration outcome, as in the paper).
-        let vote = detector.evaluate_windows(&prev, &recent);
         self.epoch += 1;
         let epoch = self.epoch;
         self.laminar
             .inject("prev_window", epoch, Value::F64Vec(prev))?;
         self.laminar
             .inject("recent_window", epoch, Value::F64Vec(recent))?;
-        let changed = self
-            .laminar
-            .read("detect", epoch)?
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false);
-        debug_check_agree(changed, vote.changed);
+        // The Laminar node counts the tests that reject; the arbitration
+        // against the detector's threshold happens here, as at UCSB.
+        let votes = match self.laminar.read("detect", epoch)? {
+            Some(Value::I64(v)) => u8::try_from(v).unwrap_or(0),
+            _ => 0,
+        };
+        let changed = votes >= detector.votes_needed;
         self.detections += 1;
         self.wind_seq_at_last_detect = repo_seq;
         let inflation_s = self
@@ -156,23 +154,10 @@ impl Detect {
         timeline.push(Event::ChangeChecked {
             t_s: now_s,
             changed,
-            votes: vote.votes,
+            votes,
         });
-        Ok(changed.then_some(Change {
-            votes: vote.votes,
-            inflation_s,
-        }))
+        Ok(changed.then_some(Change { votes, inflation_s }))
     }
-}
-
-/// Debug builds check that the Laminar and direct detectors agree;
-/// release builds compile the check out.
-#[expect(
-    clippy::disallowed_macros,
-    reason = "a debug-build check that the Laminar and direct detectors agree; release builds compile it out"
-)]
-fn debug_check_agree(laminar: bool, direct: bool) {
-    debug_assert_eq!(laminar, direct, "Laminar and direct paths agree");
 }
 
 #[cfg(test)]

@@ -18,30 +18,41 @@ pub fn read_f64_series(node: &CspotNode, log: &str, n: usize) -> Result<Vec<f64>
     let log = node.log(log)?;
     log.tail(n)
         .into_iter()
-        .map(|(_, bytes)| {
-            bytes
-                .get(..8)
-                .and_then(|b| b.try_into().ok())
-                .map(f64::from_le_bytes)
-                .ok_or_else(|| LaminarError::Codec("element shorter than 8 bytes".into()))
-        })
+        .map(|(_, bytes)| decode_f64(&bytes))
         .collect()
+}
+
+/// The first 8 bytes of an element as a little-endian `f64`.
+fn decode_f64(bytes: &[u8]) -> Result<f64> {
+    bytes
+        .get(..8)
+        .and_then(|b| b.try_into().ok())
+        .map(f64::from_le_bytes)
+        .ok_or_else(|| LaminarError::Codec("element shorter than 8 bytes".into()))
 }
 
 /// The two most recent adjacent windows of a series: `(previous, recent)`.
 ///
-/// Returns `None` until the log holds at least `2 * window` samples.
+/// Returns `None` until the log holds at least `2 * window` samples. The
+/// samples are decoded in place, newest first, straight into the two
+/// windows.
 pub fn latest_windows(
     node: &CspotNode,
     log: &str,
     window: usize,
 ) -> Result<Option<(Vec<f64>, Vec<f64>)>> {
-    let series = read_f64_series(node, log, 2 * window)?;
-    if series.len() < 2 * window {
+    let log = node.log(log)?;
+    if log.len() < 2 * window {
         return Ok(None);
     }
-    let (prev, recent) = series.split_at(window);
-    Ok(Some((prev.to_vec(), recent.to_vec())))
+    let (mut prev, mut recent) = (vec![0.0; window], vec![0.0; window]);
+    let mut slots = recent.iter_mut().rev().chain(prev.iter_mut().rev());
+    log.scan_newest_first(|_, bytes| match slots.next() {
+        Some(slot) => decode_f64(bytes).map(|x| *slot = x).err().map(Err),
+        None => Some(Ok(())),
+    })
+    .transpose()?;
+    Ok(Some((prev, recent)))
 }
 
 #[cfg(test)]
@@ -79,6 +90,11 @@ mod tests {
         let (prev, recent) = latest_windows(&node, "wind", 6).unwrap().unwrap();
         assert_eq!(prev, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(recent, vec![6.0, 7.0, 8.0, 9.0, 10.0, 11.0]);
+        // Older history is left unread.
+        node.put("wind", &12.0f64.to_le_bytes()).unwrap();
+        let (prev, recent) = latest_windows(&node, "wind", 6).unwrap().unwrap();
+        assert_eq!(prev, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(recent, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
     }
 
     #[test]
@@ -88,6 +104,11 @@ mod tests {
         node.put("tiny", &[1, 2, 3, 4]).unwrap();
         assert!(matches!(
             read_f64_series(&node, "tiny", 1),
+            Err(LaminarError::Codec(_))
+        ));
+        node.put("tiny", &[5, 6, 7, 8]).unwrap();
+        assert!(matches!(
+            latest_windows(&node, "tiny", 1),
             Err(LaminarError::Codec(_))
         ));
     }

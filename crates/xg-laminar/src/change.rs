@@ -10,11 +10,13 @@
 //! Two entry points are provided:
 //!
 //! * [`ChangeDetector`] — the pure sliding-window evaluator, used directly
-//!   by `xg-fabric` and the benchmarks.
-//! * [`build_change_graph`] — the same computation expressed as a Laminar
-//!   dataflow graph (two `F64Vec` sources → voting detector → `Bool`
-//!   alert), demonstrating that the detector is an ordinary stateless
-//!   Laminar node.
+//!   by the ablation study and the examples; `xg-fabric` reads its
+//!   settings and runs the graph below.
+//! * [`build_change_graph`] — the same battery expressed as a Laminar
+//!   dataflow graph (two `F64Vec` sources → three-test node → `I64` vote
+//!   count), demonstrating that the detector is an ordinary stateless
+//!   Laminar node. The reader arbitrates the count against
+//!   [`ChangeDetector::votes_needed`].
 
 use crate::error::Result;
 use crate::graph::{Graph, GraphBuilder};
@@ -68,8 +70,9 @@ impl ChangeDetector {
 /// Build the change-detection Laminar graph.
 ///
 /// Sources `prev_window` and `recent_window` (both `F64Vec`) feed a
-/// `detect` node whose `Bool` output is the alert the Pilot controller
-/// polls. Inject one epoch per 30-minute duty cycle.
+/// `detect` node whose `I64` output is the number of tests that reject at
+/// `detector.alpha`; a change is at least `detector.votes_needed` of them.
+/// Inject one epoch per 30-minute duty cycle.
 pub fn build_change_graph(program: &str, detector: ChangeDetector) -> Result<Graph> {
     let mut g = GraphBuilder::new(program);
     let prev = g.source("prev_window", TypeTag::F64Vec)?;
@@ -77,8 +80,8 @@ pub fn build_change_graph(program: &str, detector: ChangeDetector) -> Result<Gra
     let detect = g.op(
         "detect",
         vec![TypeTag::F64Vec, TypeTag::F64Vec],
-        TypeTag::Bool,
-        ops::change_detect(detector.alpha, detector.votes_needed),
+        TypeTag::I64,
+        ops::change_detect(detector.alpha),
     )?;
     g.connect(prev, detect, 0);
     g.connect(recent, detect, 1);
@@ -150,7 +153,7 @@ mod tests {
             Value::F64Vec(vec![3.02, 3.08, 2.92, 3.06, 2.97, 3.01]),
         )
         .unwrap();
-        assert_eq!(rt.read("detect", 1).unwrap(), Some(Value::Bool(false)));
+        assert_eq!(rt.read("detect", 1).unwrap(), Some(Value::I64(0)));
         // Epoch 2: wind front.
         rt.inject(
             "prev_window",
@@ -164,7 +167,7 @@ mod tests {
             Value::F64Vec(vec![8.0, 8.2, 7.8, 8.1, 7.9, 8.05]),
         )
         .unwrap();
-        assert_eq!(rt.read("detect", 2).unwrap(), Some(Value::Bool(true)));
+        assert_eq!(rt.read("detect", 2).unwrap(), Some(Value::I64(3)));
     }
 
     #[test]

@@ -42,14 +42,16 @@ pub fn mul2() -> OpFn {
     closure(|inp| Ok(Value::F64(f64_arg(inp, 0)? * f64_arg(inp, 1)?)))
 }
 
-/// `F64Vec × F64Vec → Bool` — the paper's three-test voting change
-/// detector: input 0 is the previous window, input 1 the recent window.
-pub(crate) fn change_detect(alpha: f64, votes_needed: u8) -> OpFn {
+/// `F64Vec × F64Vec → I64` — the paper's three-test change battery:
+/// input 0 is the previous window, input 1 the recent window, and the
+/// output is how many of the three tests reject at `alpha`. The caller
+/// arbitrates the votes.
+pub(crate) fn change_detect(alpha: f64) -> OpFn {
     closure(move |inp| {
         let prev = vec_arg(inp, 0)?;
         let recent = vec_arg(inp, 1)?;
-        let vote = stats::vote_change(prev, recent, alpha, votes_needed);
-        Ok(Value::Bool(vote.changed))
+        let vote = stats::vote_change(prev, recent, alpha, 0);
+        Ok(Value::I64(i64::from(vote.votes)))
     })
 }
 
@@ -73,15 +75,15 @@ mod tests {
     fn type_errors_reported() {
         assert!(add2()(&[Value::Bool(true), Value::F64(1.0)]).is_err());
         assert!(add2()(&[Value::F64(1.0)]).is_err());
-        assert!(change_detect(0.05, 2)(&[Value::F64(1.0), Value::F64(1.0)]).is_err());
+        assert!(change_detect(0.05)(&[Value::F64(1.0), Value::F64(1.0)]).is_err());
     }
 
     #[test]
     fn change_detector_op() {
         let stable = Value::F64Vec(vec![3.0, 3.1, 2.9, 3.05, 2.95, 3.0]);
         let shifted = Value::F64Vec(vec![9.0, 9.1, 8.9, 9.05, 8.95, 9.0]);
-        let op = change_detect(0.05, 2);
-        assert_eq!(op(&[stable.clone(), shifted]).unwrap(), Value::Bool(true));
-        assert_eq!(op(&[stable.clone(), stable]).unwrap(), Value::Bool(false));
+        let op = change_detect(0.05);
+        assert_eq!(op(&[stable.clone(), shifted]).unwrap(), Value::I64(3));
+        assert_eq!(op(&[stable.clone(), stable]).unwrap(), Value::I64(0));
     }
 }

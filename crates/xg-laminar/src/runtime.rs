@@ -428,14 +428,16 @@ mod tests {
             rt.read("detect", e).unwrap()
         };
         let epochs = HISTORY as u64 + 104;
+        // Each firing holds the battery's vote count.
+        let votes = |v: Option<Value>| matches!(v, Some(Value::I64(0..=3)));
         for e in 1..=epochs {
-            assert!(detect(e).is_some(), "epoch {e} fired");
+            assert!(votes(detect(e)), "epoch {e} fired");
         }
         // A late epoch whose halves are both retained fires out of order.
         rt.inject("recent_window", 9_000, window(0)).unwrap();
-        assert!(detect(epochs + 1).is_some());
+        assert!(votes(detect(epochs + 1)));
         rt.inject("prev_window", 9_000, window(0)).unwrap();
-        assert!(rt.read("detect", 9_000).unwrap().is_some());
+        assert_eq!(rt.read("detect", 9_000).unwrap(), Some(Value::I64(0)));
         // Every log is a full ring, and what fell off it reads as absent:
         // epoch 1 can be bound again, and strict firing then waits on its
         // evicted other half.

@@ -4,9 +4,9 @@
 //! UEs. A production deployment is a *fleet*: tens of cells, each an
 //! independent [`LinkSimulator`], serving thousands of UEs. Per-cell
 //! independence is the natural sharding boundary — cells share no mutable
-//! state, so a [`RanFleet`] can step them on a fixed pool of scoped
-//! worker threads and remain **bitwise identical** to serial execution
-//! for the same seeds.
+//! state, so a [`RanFleet`] can step them on as many scoped worker
+//! threads as its caller asks for (one by default) and remain **bitwise
+//! identical** to serial execution for the same seeds.
 //!
 //! Two design rules keep that determinism cheap:
 //!
@@ -118,7 +118,7 @@ impl RanFleetBuilder {
         RanFleetBuilder {
             seed,
             cells: Vec::new(),
-            workers: default_workers(),
+            workers: 1,
             obs: Obs::disabled(),
         }
     }
@@ -135,8 +135,8 @@ impl RanFleetBuilder {
         self
     }
 
-    /// Fix the worker-pool width (default: the host's available
-    /// parallelism). `1` forces serial batch execution.
+    /// Fix the worker-pool width (default 1: serial batch execution).
+    /// Worker count never affects results, only wall time.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
         self
@@ -172,15 +172,8 @@ impl RanFleetBuilder {
     }
 }
 
-/// The worker pool defaults to the host's parallelism (1 on failure).
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// A fleet of independently seeded [`LinkSimulator`] cells, stepped in
-/// batches across a fixed pool of scoped worker threads.
+/// batches across the builder's `workers` scoped threads.
 pub struct RanFleet {
     cells: Vec<LinkSimulator>,
     workers: usize,
@@ -210,12 +203,6 @@ impl RanFleet {
     /// Start a staged [`RanFleetBuilder`] derived from `seed`.
     pub fn builder(seed: u64) -> RanFleetBuilder {
         RanFleetBuilder::new(seed)
-    }
-
-    /// Change the worker-pool width (`1` = serial). Worker count never
-    /// affects results, only wall time.
-    pub fn set_workers(&mut self, n: usize) {
-        self.workers = n.max(1);
     }
 
     /// Borrow one cell.
@@ -631,11 +618,10 @@ mod tests {
             .unwrap();
         let mut serial = RanFleet::builder(9)
             .cells(5, cell_5g_fdd20())
-            .workers(4)
+            .workers(1)
             .obs(&obs_s)
             .build()
             .unwrap();
-        serial.set_workers(1);
         for fleet in [&mut parallel, &mut serial] {
             fleet.measure_seconds(2);
             fleet.advance_to(SimNs(2_100_000_000)).unwrap();

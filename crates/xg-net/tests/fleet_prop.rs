@@ -56,8 +56,7 @@ proptest! {
         seconds in 1usize..3,
     ) {
         let mut parallel = build_fleet(seed, cells, ues, workers);
-        let mut serial = build_fleet(seed, cells, ues, workers);
-        serial.set_workers(1);
+        let mut serial = build_fleet(seed, cells, ues, 1);
         let p = parallel.measure_seconds(seconds);
         let s = serial.measure_seconds(seconds);
         prop_assert_eq!(bits(&p), bits(&s));
